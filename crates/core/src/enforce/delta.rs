@@ -29,8 +29,8 @@
 //! *reachable* non-accepting state is a trap, so checking the endpoint
 //! of a run of identical letters is equivalent to checking every
 //! intermediate step. Staging is read-only (`&self`), which is what lets
-//! the sharded monitor stage all shards concurrently; commits are only
-//! applied once every shard has accepted.
+//! the sharded monitor stage every participating shard before touching
+//! any; commits are only applied once every shard has accepted.
 //!
 //! For incremental checkpoints (`enforce::wal`), the state also keeps a
 //! **dirty set**: the oids whose record or database state may have
@@ -1010,9 +1010,9 @@ pub(crate) fn touched_map<'d>(
     touched
 }
 
-/// Immutable context of one staged batch, shared by every shard (and
-/// every staging thread). Clock state is *not* here: each partition
-/// stages from its own letter clock.
+/// Immutable context of one staged batch, shared by every shard. Clock
+/// state is *not* here: each partition stages from its own letter
+/// clock.
 pub(crate) struct BatchCtx<'a> {
     pub(crate) schema: &'a Schema,
     pub(crate) alphabet: &'a RoleAlphabet,

@@ -95,7 +95,7 @@ use migratory_model::Schema;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of [`serve`].
@@ -217,6 +217,14 @@ struct State<'t, 's> {
     admin: VecDeque<(AdminOp<'t, 's>, bool)>,
     /// Set once the driver returns: drain what is queued, then exit.
     closed: bool,
+    /// The worker is parked on `ready`: the next post must signal it.
+    /// Cleared by whoever signals, so one park costs one wake-up.
+    worker_parked: bool,
+    /// Producers parked on `space` in [`Shared::enqueue`].
+    producers_waiting: usize,
+    /// A [`Shared::try_enqueue`] was refused since the last drain: the
+    /// next drain fires the space listeners.
+    space_refused: bool,
     submitted: usize,
     max_queue_depth: usize,
 }
@@ -234,14 +242,18 @@ enum Work<'t, 's> {
 
 struct Shared<'t, 's> {
     state: Mutex<State<'t, 's>>,
-    /// Worker wake-up: an op arrived or the ingress closed.
+    /// Worker wake-up: an op arrived or the ingress closed. Signalled
+    /// only while [`State::worker_parked`] is set: a signal is a futex
+    /// syscall even with no waiter (over ten times an uncontended lock
+    /// round trip), and under load most posts find the worker busy.
     ready: Condvar,
-    /// Producer wake-up: a lane was drained below capacity.
+    /// Producer wake-up: a lane was drained below capacity. Signalled
+    /// only while [`State::producers_waiting`] is non-zero.
     space: Condvar,
     /// Non-parking producers ([`IngressClient::on_space`]): invoked by
-    /// the worker whenever `space` is signalled, so an event loop whose
-    /// [`IngressClient::try_post_done`] was refused learns that a retry
-    /// may now succeed without dedicating a thread to the wait.
+    /// the worker at the first drain after a refused
+    /// [`IngressClient::try_post_done`], so an event loop learns that a
+    /// retry may now succeed without dedicating a thread to the wait.
     space_listeners: Mutex<Vec<Box<dyn Fn() + Send + Sync + 't>>>,
     capacity: usize,
     schema: &'s Schema,
@@ -260,6 +272,9 @@ impl<'t, 's> Shared<'t, 's> {
                 lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
                 admin: VecDeque::new(),
                 closed: false,
+                worker_parked: false,
+                producers_waiting: 0,
+                space_refused: false,
                 submitted: 0,
                 max_queue_depth: 0,
             }),
@@ -293,12 +308,11 @@ impl<'t, 's> Shared<'t, 's> {
         let lane = self.lane_of(op.t);
         let mut st = self.state.lock().expect("ingress poisoned");
         while st.lanes[lane].len() >= self.capacity {
+            st.producers_waiting += 1;
             st = self.space.wait(st).expect("ingress poisoned");
+            st.producers_waiting -= 1;
         }
-        st.lanes[lane].push_back(op);
-        st.submitted += 1;
-        st.max_queue_depth = st.max_queue_depth.max(st.lanes[lane].len());
-        self.ready.notify_one();
+        self.push(st, lane, op);
     }
 
     /// Non-blocking [`Shared::enqueue`]: `Err` hands the op back when
@@ -307,24 +321,37 @@ impl<'t, 's> Shared<'t, 's> {
         let lane = self.lane_of(op.t);
         let mut st = self.state.lock().expect("ingress poisoned");
         if st.lanes[lane].len() >= self.capacity {
+            st.space_refused = true;
             return Err(op);
         }
-        st.lanes[lane].push_back(op);
-        st.submitted += 1;
-        st.max_queue_depth = st.max_queue_depth.max(st.lanes[lane].len());
-        drop(st);
-        self.ready.notify_one();
+        self.push(st, lane, op);
         Ok(())
     }
 
-    /// Wake parked producers and fire the registered space listeners:
-    /// called by the worker each time it drains a block out of a lane.
-    fn notify_space(&self) {
-        self.space.notify_all();
-        let listeners = self.space_listeners.lock().expect("ingress poisoned");
-        for f in listeners.iter() {
-            f();
+    /// Queue `op` on `lane` and release the lock, waking the worker if
+    /// it is parked.
+    fn push(&self, mut st: MutexGuard<'_, State<'t, 's>>, lane: usize, op: Op<'t>) {
+        st.lanes[lane].push_back(op);
+        st.submitted += 1;
+        st.max_queue_depth = st.max_queue_depth.max(st.lanes[lane].len());
+        self.wake_worker(st);
+    }
+
+    /// Release the lock and signal `ready` if the worker is parked on
+    /// it. The flag is read under the lock the worker parks with, so a
+    /// set flag means the worker is already waiting: no wake-up is lost.
+    fn wake_worker(&self, mut st: MutexGuard<'_, State<'t, 's>>) {
+        let parked = std::mem::take(&mut st.worker_parked);
+        drop(st);
+        if parked {
+            self.ready.notify_one();
         }
+    }
+
+    fn post_admin(&self, op: AdminOp<'t, 's>, read_only: bool) {
+        let mut st = self.state.lock().expect("ingress poisoned");
+        st.admin.push_back((op, read_only));
+        self.wake_worker(st);
     }
 
     /// Pull the admission worker's next unit of work: a pending admin
@@ -351,6 +378,20 @@ impl<'t, 's> Shared<'t, 's> {
                     }
                     let take = st.lanes[lane].len().min(max_block);
                     let block: Vec<Op<'t>> = st.lanes[lane].drain(..take).collect();
+                    // Wake only who waits for space: parked producers, and
+                    // listeners if any post was refused since the last
+                    // drain (a retry refused again re-arms the flag).
+                    let wake_producers = st.producers_waiting > 0;
+                    let fire_listeners = std::mem::take(&mut st.space_refused);
+                    drop(st);
+                    if wake_producers {
+                        self.space.notify_all();
+                    }
+                    if fire_listeners {
+                        for f in self.space_listeners.lock().expect("ingress poisoned").iter() {
+                            f();
+                        }
+                    }
                     return Work::Block(lane, block);
                 }
                 None if st.closed => {
@@ -359,7 +400,11 @@ impl<'t, 's> Shared<'t, 's> {
                     stats.max_queue_depth = st.max_queue_depth;
                     return Work::Drained;
                 }
-                None => st = self.ready.wait(st).expect("ingress poisoned"),
+                None => {
+                    st.worker_parked = true;
+                    st = self.ready.wait(st).expect("ingress poisoned");
+                    st.worker_parked = false;
+                }
             }
         }
     }
@@ -415,9 +460,10 @@ impl<'t> IngressClient<'t, '_, '_> {
     }
 
     /// Register a persistent lane-space listener, fired by the admission
-    /// worker each time it drains a block (i.e. whenever a refused
-    /// [`IngressClient::try_post_done`] may now succeed). Listeners run
-    /// on the worker thread: keep them to a wakeup signal.
+    /// worker at the first drain after any
+    /// [`IngressClient::try_post_done`] was refused (i.e. whenever a
+    /// refused post may now succeed). Listeners run on the worker
+    /// thread: keep them to a wakeup signal.
     pub fn on_space(&self, f: impl Fn() + Send + Sync + 't) {
         self.shared.space_listeners.lock().expect("ingress poisoned").push(Box::new(f));
     }
@@ -440,10 +486,7 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
     /// flushed again before its [`AdminDone`] is invoked). Never blocks:
     /// admin ops are rare and unbounded by lane capacity.
     pub fn post_admin(&self, op: AdminOp<'t, 's>) {
-        let mut st = self.shared.state.lock().expect("ingress poisoned");
-        st.admin.push_back((op, false));
-        drop(st);
-        self.shared.ready.notify_one();
+        self.shared.post_admin(op, false);
     }
 
     /// [`IngressClient::post_admin`] for **read-only** ops — the seam
@@ -455,10 +498,7 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
     /// degraded read-only mode — reads stay up when writes refuse.
     /// The op must not mutate the monitor.
     pub fn post_admin_read(&self, op: AdminOp<'t, 's>) {
-        let mut st = self.shared.state.lock().expect("ingress poisoned");
-        st.admin.push_back((op, true));
-        drop(st);
-        self.shared.ready.notify_one();
+        self.shared.post_admin(op, true);
     }
 }
 
@@ -601,7 +641,6 @@ fn admission_loop<'t, 'a>(
             }
             Work::Block(lane, block) => (lane, block),
         };
-        shared.notify_space();
         cursor = lane + 1;
 
         // Admit the block; longest conforming prefix commits.
@@ -1037,7 +1076,6 @@ fn pipelined_loop<'t, 'a>(
             }
             Work::Block(lane, block) => (lane, block),
         };
-        shared.notify_space();
         cursor = lane + 1;
         stats.blocks += 1;
 
@@ -1527,73 +1565,211 @@ mod tests {
         }
     }
 
+    /// Run `scenario` on a thread of its own and fail unless it finishes
+    /// within ten seconds: a lost wake-up parks a thread forever, and
+    /// must fail the test instead of hanging the suite.
+    fn within_deadline(what: &str, scenario: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            scenario();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: stuck for 10 s (lost wake-up)"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: the scenario panicked"),
+        }
+    }
+
+    /// Spin until the ingress state satisfies `cond`.
+    fn until(client: &IngressClient<'_, '_, '_>, cond: impl Fn(&State<'_, '_>) -> bool) {
+        while !cond(&client.shared.state.lock().unwrap()) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A completion that logs `tag` once its op admitted.
+    fn logged(log: &Arc<Mutex<Vec<&'static str>>>, tag: &'static str) -> Completion<'static> {
+        let log = log.clone();
+        Box::new(move |r| {
+            r.expect("creation conforms");
+            log.lock().unwrap().push(tag);
+        })
+    }
+
+    /// A completion that logs `tag`, then parks the admission worker
+    /// inside the callback until `gate` opens: the lanes hold still
+    /// while the test arranges them. `parked` fires once it is inside.
+    fn parking(
+        log: &Arc<Mutex<Vec<&'static str>>>,
+        tag: &'static str,
+        parked: mpsc::Sender<()>,
+        gate: mpsc::Receiver<()>,
+    ) -> Completion<'static> {
+        let done = logged(log, tag);
+        Box::new(move |r| {
+            done(r);
+            parked.send(()).unwrap();
+            gate.recv().unwrap();
+        })
+    }
+
+    /// A producer blocked in `post` on a full lane returns once the
+    /// worker drains that lane.
+    #[test]
+    fn blocked_post_returns_once_its_lane_drains() {
+        within_deadline("blocked post", || {
+            let s = multi_schema();
+            let a = RoleAlphabet::new(&s, 0).unwrap();
+            let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+            let ts =
+                parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
+            let mk = ts.get("Mk0").unwrap();
+            let key = |k: &str| Assignment::new(vec![Value::str(k)]);
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            let cfg = IngressConfig { queue_capacity: 1, max_block: 1 };
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let ((), stats) = serve(&mut m, &cfg, |client| {
+                let (gate_tx, gate_rx) = mpsc::channel();
+                let (parked_tx, parked_rx) = mpsc::channel();
+                let a_done = parking(&log, "a", parked_tx, gate_rx);
+                client.try_post_done(mk, key("a"), a_done).ok().expect("empty lane accepts");
+                parked_rx.recv().unwrap();
+                let t_b = client.post(mk, key("b")); // fills the lane
+                std::thread::scope(|scope| {
+                    let c = scope.spawn(|| client.post(mk, key("c")).wait());
+                    until(client, |st| st.producers_waiting == 1);
+                    gate_tx.send(()).unwrap(); // the worker drains b, freeing c's slot
+                    c.join().unwrap().expect("c admits");
+                });
+                t_b.wait().expect("b admits");
+            });
+            assert_eq!(stats.admitted, 3);
+        });
+    }
+
     /// The event-loop admission surface: `try_post_done` refuses (rather
-    /// than blocks) on a full lane, hands the pieces back, and a
-    /// registered `on_space` listener fires once the worker frees lane
-    /// space so the caller knows to retry. Deterministic by parking the
-    /// worker inside the first op's completion callback.
+    /// than blocks) on a full lane and hands the pieces back, and the
+    /// `on_space` listeners fire at the next drain after the refusal —
+    /// of the refused op's own lane, or of another lane the round-robin
+    /// reaches first — so the caller knows to retry. A drain with no
+    /// refusal before it fires nothing.
     #[test]
     fn try_post_done_refuses_on_full_lane_and_space_listener_fires() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        for other_lane in [false, true] {
+            within_deadline("refused try_post_done", move || {
+                refused_post_hears_next_drain(other_lane)
+            });
+        }
+    }
+
+    fn refused_post_hears_next_drain(other_lane: bool) {
         let s = multi_schema();
         let a = RoleAlphabet::new(&s, 0).unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
-        let ts = parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
-        let mk = ts.get("Mk0").unwrap();
+        let ts = parse_transactions(
+            &s,
+            r"
+            transaction Mk0(x) { create(R0, { K0 = x }); }
+            transaction Mk1(x) { create(R1, { K1 = x }); }
+        ",
+        )
+        .unwrap();
+        let (mk0, mk1) = (ts.get("Mk0").unwrap(), ts.get("Mk1").unwrap());
         let key = |k: &str| Assignment::new(vec![Value::str(k)]);
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
         let cfg = IngressConfig { queue_capacity: 1, max_block: 1 };
-        let space_wakeups = AtomicUsize::new(0);
-        let outcomes = Arc::new(Mutex::new(Vec::<&'static str>::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let ((), stats) = serve(&mut m, &cfg, |client| {
-            client.on_space(|| {
-                space_wakeups.fetch_add(1, Ordering::SeqCst);
+            let (space_tx, space_rx) = mpsc::channel();
+            let listener_log = log.clone();
+            client.on_space(move || {
+                listener_log.lock().unwrap().push("space");
+                let _ = space_tx.send(());
             });
-            let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-            let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
-            let log = |tag: &'static str| {
-                let outcomes = outcomes.clone();
-                move |r: Result<(), EnforceError>| {
-                    r.expect("creation conforms");
-                    outcomes.lock().unwrap().push(tag);
-                }
-            };
-            // A's completion parks the admission worker until released,
-            // so the lane state below is deterministic.
-            let a_done = {
-                let outcomes = outcomes.clone();
-                Box::new(move |r: Result<(), EnforceError>| {
-                    r.expect("creation conforms");
-                    outcomes.lock().unwrap().push("a");
-                    parked_tx.send(()).unwrap();
-                    gate_rx.recv().unwrap();
-                })
-            };
-            client.try_post_done(mk, key("a"), a_done).ok().expect("empty lane accepts");
-            parked_rx.recv().unwrap(); // worker is now parked in a's callback
-            client.try_post_done(mk, key("b"), Box::new(log("b"))).ok().expect("lane has space");
-            let (args, done) = client
-                .try_post_done(mk, key("c"), Box::new(log("c")))
+            let (gate_tx, gate_rx) = mpsc::channel();
+            let (parked_tx, parked_rx) = mpsc::channel();
+            let a_done = parking(&log, "a", parked_tx, gate_rx);
+            client.try_post_done(mk0, key("a"), a_done).ok().expect("empty lane accepts");
+            parked_rx.recv().unwrap();
+            client.try_post_done(mk0, key("b"), logged(&log, "b")).ok().expect("lane has space");
+            let refused = client
+                .try_post_done(mk0, key("c"), logged(&log, "c"))
                 .expect_err("lane at capacity must refuse, not block");
-            let before = space_wakeups.load(Ordering::SeqCst);
-            gate_tx.send(()).unwrap(); // release the worker
-                                       // The worker drains b, firing the space listener; retry c
-                                       // until its lane has room again.
-            let mut retry = Some((args, done));
-            while let Some((args, done)) = retry.take() {
-                if let Err(back) = client.try_post_done(mk, args, done) {
-                    retry = Some(back);
-                    std::thread::yield_now();
-                }
+            if other_lane {
+                // The round-robin resumes after lane 0, so lane 1 drains
+                // before b's lane does.
+                client
+                    .try_post_done(mk1, key("d"), logged(&log, "d"))
+                    .ok()
+                    .expect("lane 1 is empty");
             }
-            // Listener fired at least once more while draining.
-            while space_wakeups.load(Ordering::SeqCst) <= before {
-                std::thread::yield_now();
+            gate_tx.send(()).unwrap();
+            space_rx.recv().unwrap();
+            let mut retry = Some(refused);
+            while let Some((args, done)) = retry.take() {
+                if let Err(back) = client.try_post_done(mk0, args, done) {
+                    // Refused again: that re-arms the listeners.
+                    space_rx.recv().unwrap();
+                    retry = Some(back);
+                }
             }
         });
-        assert_eq!(stats.admitted, 3);
-        assert_eq!(*outcomes.lock().unwrap(), ["a", "b", "c"], "per-producer FIFO held");
-        assert!(space_wakeups.load(Ordering::SeqCst) >= 1);
+        let log = log.lock().unwrap().clone();
+        if other_lane {
+            assert_eq!(log[..3], ["a", "space", "d"], "lane 1's drain fired the listener");
+            let lane0: Vec<_> = log.iter().filter(|t| ["a", "b", "c"].contains(t)).collect();
+            assert_eq!(lane0, [&"a", &"b", &"c"], "per-producer FIFO held");
+            assert_eq!(stats.admitted, 4);
+        } else {
+            assert_eq!(log, ["a", "space", "b", "c"], "one refusal, one firing");
+            assert_eq!(stats.admitted, 3);
+        }
+    }
+
+    /// A worker parked on empty lanes wakes for every way work arrives —
+    /// `post`, `try_post_done`, `post_admin`, `post_admin_read` — and for
+    /// close.
+    #[test]
+    fn parked_worker_wakes_for_every_post_and_close() {
+        within_deadline("parked worker", || {
+            let s = multi_schema();
+            let a = RoleAlphabet::new(&s, 0).unwrap();
+            let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+            let ts =
+                parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
+            let mk = ts.get("Mk0").unwrap();
+            let key = |k: &str| Assignment::new(vec![Value::str(k)]);
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            let ((), stats) = serve(&mut m, &IngressConfig::default(), |client| {
+                let parked = |st: &State<'_, '_>| st.worker_parked;
+                until(client, parked);
+                client.post(mk, key("a")).wait().expect("post wakes the worker");
+                until(client, parked);
+                let (tx, rx) = mpsc::channel();
+                let done: Completion<'_> = Box::new(move |r| tx.send(r).unwrap());
+                client.try_post_done(mk, key("b"), done).ok().expect("lane has space");
+                rx.recv().unwrap().expect("try_post_done wakes the worker");
+                for read_only in [false, true] {
+                    until(client, parked);
+                    let (tx, rx) = mpsc::channel();
+                    let op: AdminOp<'_, '_> = Box::new(move |gate| {
+                        tx.send(gate.is_ok()).unwrap();
+                        Box::new(|_| {})
+                    });
+                    if read_only {
+                        client.post_admin_read(op);
+                    } else {
+                        client.post_admin(op);
+                    }
+                    assert!(rx.recv().unwrap(), "admin op (read-only: {read_only}) ran");
+                }
+                // Returning closes the ingress; `serve` returns only once
+                // the close has woken the parked worker.
+                until(client, parked);
+            });
+            assert_eq!(stats.admitted, 2);
+        });
     }
 
     fn pipelined_temp_dir(tag: &str) -> std::path::PathBuf {

@@ -56,7 +56,7 @@
 //! single-partition [`Monitor`] and [`sharded::ShardedMonitor`], which
 //! partitions the object population by weakly-connected role component
 //! (oid stripes as fallback), stages participating shards' checks
-//! concurrently on scoped threads, and admits whole *batches* of
+//! inline on the calling thread, and admits whole *batches* of
 //! transactions against one cohort sweep per participating shard
 //! ([`ShardedMonitor::try_apply_batch`]). Objects evolve independently
 //! (Lemma 3.5) and, under a component alphabet, objects of different

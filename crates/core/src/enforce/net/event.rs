@@ -210,13 +210,18 @@ fn token_eq(expected: &str, got: &str) -> bool {
 /// frame carrying `<msg>`.
 fn error_reply(ev: &EventShared, binary: bool, msg: &str) -> Vec<u8> {
     ev.errors.fetch_add(1, Ordering::SeqCst);
-    if binary {
-        let mut out = Vec::new();
-        frame::encode(&mut out, frame::REP_ERROR, msg.as_bytes());
-        out
-    } else {
-        format!("error {msg}\n").into_bytes()
+    reply(binary, frame::REP_ERROR, "error", msg)
+}
+
+/// Encode a reply in the request's dialect: a `kind` frame carrying
+/// `text` (shortened to the frame cap), or the line `<word> <text>\n`.
+fn reply(binary: bool, kind: u8, word: &str, text: &str) -> Vec<u8> {
+    if !binary {
+        return format!("{word} {text}\n").into_bytes();
     }
+    let mut out = Vec::new();
+    frame::encode_reply(&mut out, kind, text);
+    out
 }
 
 /// Encode an admission outcome in the request's dialect. Counting
@@ -226,33 +231,14 @@ fn outcome_reply(
     binary: bool,
     alphabet: &RoleAlphabet,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
     match outcome {
-        Ok(()) => {
-            if binary {
-                frame::encode(&mut out, frame::REP_OK, b"");
-            } else {
-                out.extend_from_slice(b"ok\n");
-            }
-        }
+        Ok(()) if binary => reply(true, frame::REP_OK, "ok", ""),
+        Ok(()) => b"ok\n".to_vec(),
         Err(EnforceError::Violation(v)) => {
-            let diag = v.display(alphabet).to_string();
-            if binary {
-                frame::encode(&mut out, frame::REP_VIOLATION, diag.as_bytes());
-            } else {
-                out.extend_from_slice(format!("violation {diag}\n").as_bytes());
-            }
+            reply(binary, frame::REP_VIOLATION, "violation", &v.display(alphabet))
         }
-        Err(e) => {
-            let msg = e.to_string();
-            if binary {
-                frame::encode(&mut out, frame::REP_ERROR, msg.as_bytes());
-            } else {
-                out.extend_from_slice(format!("error {msg}\n").as_bytes());
-            }
-        }
+        Err(e) => reply(binary, frame::REP_ERROR, "error", &e.to_string()),
     }
-    out
 }
 
 /// Build an `invoke`'s completion callback: count the outcome (here, on
@@ -460,13 +446,7 @@ fn post_redefine<'t>(
                         m.quarantined_objects.store(totals.2, Ordering::Relaxed);
                     }
                     let msg = format!("epoch={} residue={}", out.epoch, out.residue);
-                    if binary {
-                        let mut rep = Vec::new();
-                        frame::encode(&mut rep, frame::REP_OK, msg.as_bytes());
-                        rep
-                    } else {
-                        format!("ok {msg}\n").into_bytes()
-                    }
+                    reply(binary, frame::REP_OK, "ok", &msg)
                 }
                 // The record never became durable: the worker winds the
                 // monitor back to the durable image before admitting
@@ -520,15 +500,7 @@ fn post_query<'t>(
         };
         Box::new(move |_durable: bool| {
             let bytes = match attempt {
-                Ok(msg) => {
-                    if binary {
-                        let mut rep = Vec::new();
-                        frame::encode(&mut rep, frame::REP_OK, msg.as_bytes());
-                        rep
-                    } else {
-                        format!("ok {msg}\n").into_bytes()
-                    }
-                }
+                Ok(msg) => reply(binary, frame::REP_OK, "ok", &msg),
                 Err(reason) => {
                     error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
                 }
@@ -586,13 +558,7 @@ fn post_promote<'t>(
             let bytes = match attempt {
                 Ok((epoch, applied)) => {
                     let msg = format!("promoted epoch={epoch} applied={applied}");
-                    if binary {
-                        let mut rep = Vec::new();
-                        frame::encode(&mut rep, frame::REP_OK, msg.as_bytes());
-                        rep
-                    } else {
-                        format!("ok {msg}\n").into_bytes()
-                    }
+                    reply(binary, frame::REP_OK, "ok", &msg)
                 }
                 Err(reason) => {
                     error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())

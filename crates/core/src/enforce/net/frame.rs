@@ -24,7 +24,8 @@
 //! `error …` line would after its first token. The payload length is
 //! bounded by [`MAX_PAYLOAD`] — the same 64 KiB request cap as the text
 //! dialect — and an oversized length prefix is refused as soon as the
-//! header parses, before any payload accumulates.
+//! header parses, before any payload accumulates. The server's replies
+//! fit the cap by construction: it elides the middle of a longer text.
 
 use migratory_model::Value;
 use std::io::Read;
@@ -114,8 +115,9 @@ pub fn scan(buf: &[u8]) -> Scan {
 /// Append one frame (header + payload) to `out`.
 ///
 /// # Panics
-/// Panics if `payload` exceeds [`MAX_PAYLOAD`] — replies are bounded by
-/// construction and request encoders must respect the request cap.
+/// Panics if `payload` exceeds [`MAX_PAYLOAD`] — request encoders must
+/// respect the request cap, and the server's replies are shortened to
+/// fit before they get here.
 pub fn encode(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     let len = u32::try_from(payload.len()).expect("payload fits a u32");
     assert!(len <= MAX_PAYLOAD, "frame payload exceeds the request cap");
@@ -123,6 +125,26 @@ pub fn encode(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.push(kind);
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Append one reply frame carrying `text`, shortened to fit
+/// [`MAX_PAYLOAD`]. Reply texts have no bound of their own: a violation
+/// diagnostic quotes the object's whole pattern, which grows with its
+/// shard's letter clock, and an error may echo the request. An
+/// over-cap text keeps its head and its tail, cut at char boundaries,
+/// with ` … ` in place of the middle — so a violation keeps its
+/// `(offending role set …) [epoch E]` ending, and the cut falls inside
+/// the pattern.
+pub(crate) fn encode_reply(out: &mut Vec<u8>, kind: u8, text: &str) {
+    const MARK: &str = " … ";
+    let max = MAX_PAYLOAD as usize;
+    if text.len() <= max {
+        return encode(out, kind, text.as_bytes());
+    }
+    let keep = (max - MARK.len()) / 2;
+    let head = &text[..text.floor_char_boundary(keep)];
+    let tail = &text[text.ceil_char_boundary(text.len() - keep)..];
+    encode(out, kind, [head, MARK, tail].concat().as_bytes());
 }
 
 /// Append one [`REQ_INVOKE`] frame for `name(args…)` to `out` — the
@@ -207,6 +229,26 @@ mod tests {
         buf.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         assert_eq!(scan(&buf), Scan::Oversized(MAX_PAYLOAD + 1));
         assert_eq!(scan(&[MAGIC, REQ_INVOKE, 0xff, 0xff, 0xff, 0xff]), Scan::Oversized(u32::MAX));
+    }
+
+    #[test]
+    fn encode_reply_fits_any_text_at_char_boundaries() {
+        let max = MAX_PAYLOAD as usize;
+        for len in [max - 1, max, max + 1, max + 2, 3 * max] {
+            // Three-byte chars: a char boundary only every third byte.
+            let text = "∅".repeat(len / 3) + &"x".repeat(len % 3);
+            let mut out = Vec::new();
+            encode_reply(&mut out, REP_ERROR, &text);
+            let (_, payload) = read_frame(&mut &out[..]).expect("within the cap");
+            let payload = String::from_utf8(payload).expect("cut at char boundaries");
+            if text.len() <= max {
+                assert_eq!(payload, text, "a text within the cap goes out verbatim");
+            } else {
+                let (head, tail) = payload.split_once(" … ").expect("the middle is elided");
+                assert!(text.starts_with(head) && text.ends_with(tail));
+                assert!(payload.len() > max - 8, "only the excess is cut");
+            }
+        }
     }
 
     #[test]

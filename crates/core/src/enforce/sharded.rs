@@ -36,10 +36,14 @@
 //! fully independently; there is no global step counter left to
 //! contend on, only a derived [`ShardedMonitor::clocks`] view.
 //!
-//! Admission stages every participating shard *read-only* —
-//! concurrently on [`std::thread::scope`] threads when the host has
-//! more than one processor — and commits only after all shards accept,
-//! so a rejected application never leaks tracking state.
+//! Admission stages every participating shard *read-only*, one after
+//! another on the calling thread, and commits only after all shards
+//! accept, so a rejected application never leaks tracking state.
+//! Staging runs inline. Under component routing the ingress drains one
+//! lane — one shard — per block, so a thread per shard buys no
+//! parallelism; under oid striping every stripe stages every block, but
+//! a stripe's share of one block costs less than spawning and joining a
+//! thread for it.
 //!
 //! # Batch admission
 //!
@@ -165,10 +169,6 @@ pub struct ShardedMonitor<'a> {
     /// Where committed blocks are logged before tracking state is
     /// written (`None`: volatile monitor).
     sink: Option<SharedSink>,
-    /// Stage shards on scoped threads (off when the host has one
-    /// processor — the batch amortization still applies, the thread
-    /// hand-off cost does not).
-    parallel: bool,
 }
 
 impl<'a> ShardedMonitor<'a> {
@@ -210,8 +210,6 @@ impl<'a> ShardedMonitor<'a> {
             shards: (0..n).map(|_| DeltaState::new(start, pre_exempt)).collect(),
             router,
             sink: None,
-            parallel: n > 1
-                && std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1,
         }
     }
 
@@ -220,15 +218,6 @@ impl<'a> ShardedMonitor<'a> {
     #[must_use]
     pub fn with_policy(mut self, policy: StepPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Force staging on scoped threads on or off (defaults to on exactly
-    /// when the host has more than one processor and there is more than
-    /// one shard).
-    #[must_use]
-    pub fn with_parallel_staging(mut self, parallel: bool) -> Self {
-        self.parallel = parallel && self.shards.len() > 1;
         self
     }
 
@@ -593,34 +582,21 @@ impl<'a> ShardedMonitor<'a> {
             kind: self.kind,
         };
         // Stage every participating shard read-only (the staged pass
-        // includes the shard's never-created ∅ walk); concurrently when
-        // it pays. Non-participating shards stay untouched — their
-        // clocks do not move.
-        let mut staged: Vec<Result<Option<BatchStage>, ()>> =
-            self.shards.iter().map(|_| Ok(None)).collect();
-        if self.parallel {
-            std::thread::scope(|scope| {
-                for (((state, touched), letters), slot) in
-                    self.shards.iter().zip(&touched).zip(&letters).zip(staged.iter_mut())
-                {
-                    if letters.is_empty() {
-                        continue;
-                    }
-                    let (ctx, k) = (&ctx, letters.len());
-                    scope.spawn(move || *slot = state.stage_batch(ctx, k, touched).map(Some));
+        // includes the shard's never-created ∅ walk). Non-participating
+        // shards stay untouched — their clocks do not move.
+        let stages: Vec<Option<BatchStage>> = self
+            .shards
+            .iter()
+            .zip(&touched)
+            .zip(&letters)
+            .map(|((state, touched), letters)| {
+                if letters.is_empty() {
+                    return Ok(None);
                 }
-            });
-        } else {
-            for (((state, touched), letters), slot) in
-                self.shards.iter().zip(&touched).zip(&letters).zip(staged.iter_mut())
-            {
-                if !letters.is_empty() {
-                    *slot = state.stage_batch(&ctx, letters.len(), touched).map(Some);
-                }
-            }
-        }
-        let stages: Vec<Option<BatchStage>> =
-            staged.into_iter().collect::<Result<_, _>>().map_err(|()| AdmitFail::Violation)?;
+                state.stage_batch(&ctx, letters.len(), touched).map(Some)
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|()| AdmitFail::Violation)?;
 
         // Write-ahead: every shard staged the block as admissible, so it
         // may be logged — one record for the whole block (group commit),
@@ -660,10 +636,10 @@ impl<'a> ShardedMonitor<'a> {
     /// Bulk-creation admission of one all-creations letter: partition
     /// the created objects per shard (ascending oid order is preserved),
     /// stage each participating shard through
-    /// [`DeltaState::stage_bulk_creates`] — concurrently when it pays —
-    /// log the block, and commit. Produces the same WAL record and the
-    /// same per-shard tracking state as the generic
-    /// [`Self::admit_effective`] path, byte for byte.
+    /// [`DeltaState::stage_bulk_creates`], log the block, and commit.
+    /// Produces the same WAL record and the same per-shard tracking
+    /// state as the generic [`Self::admit_effective`] path, byte for
+    /// byte.
     fn admit_bulk_creates(&mut self, fallback: usize, d: &Delta) -> Result<(), AdmitFail> {
         let n = self.shards.len();
         let mut routed: Vec<Vec<&ObjectDelta>> = vec![Vec::new(); n];
@@ -689,33 +665,19 @@ impl<'a> ShardedMonitor<'a> {
             dfa: self.inventory.dfa(),
             kind: self.kind,
         };
-        let mut staged: Vec<Result<Option<BulkCreateStage>, ()>> =
-            self.shards.iter().map(|_| Ok(None)).collect();
-        if self.parallel {
-            std::thread::scope(|scope| {
-                for (((state, routed), &part), slot) in
-                    self.shards.iter().zip(&routed).zip(&participating).zip(staged.iter_mut())
-                {
-                    if !part {
-                        continue;
-                    }
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        *slot = state.stage_bulk_creates(ctx, routed.iter().copied()).map(Some);
-                    });
+        let stages: Vec<Option<BulkCreateStage>> = self
+            .shards
+            .iter()
+            .zip(&routed)
+            .zip(&participating)
+            .map(|((state, routed), &part)| {
+                if !part {
+                    return Ok(None);
                 }
-            });
-        } else {
-            for (((state, routed), &part), slot) in
-                self.shards.iter().zip(&routed).zip(&participating).zip(staged.iter_mut())
-            {
-                if part {
-                    *slot = state.stage_bulk_creates(&ctx, routed.iter().copied()).map(Some);
-                }
-            }
-        }
-        let stages: Vec<Option<BulkCreateStage>> =
-            staged.into_iter().collect::<Result<_, _>>().map_err(|()| AdmitFail::Violation)?;
+                state.stage_bulk_creates(&ctx, routed.iter().copied()).map(Some)
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|()| AdmitFail::Violation)?;
 
         if let Some(sink) = &self.sink {
             let shard_letters: Vec<ShardLetters> = participating
@@ -1129,7 +1091,7 @@ impl<'a> ShardedMonitor<'a> {
     /// Rebuild **this** monitor's database and tracking state from a
     /// durable image ([`Wal::load`](super::Wal::load) output), in
     /// place — [`ShardedMonitor::recover`] as a method, preserving the
-    /// router, staging mode and attached sink. The pipelined ingress
+    /// router and attached sink. The pipelined ingress
     /// calls this after a durability failure dropped appended-but-
     /// unsynced blocks: tracking state that ran ahead of the truncated
     /// log must be wound back to exactly the durable prefix, or the
@@ -1270,29 +1232,26 @@ mod tests {
             ("Rm", "2"),
         ];
         for shards in [1usize, 2, 3, 5] {
-            for parallel in [false, true] {
-                let mut sharded = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, shards)
-                    .with_parallel_staging(parallel);
-                let mut single = Monitor::new(&s, &a, &inv, PatternKind::All);
-                for (name, key) in &script {
-                    let t = ts.get(name).unwrap();
-                    let args = arg(key);
-                    assert_eq!(
-                        sharded.try_apply(t, &args),
-                        single.try_apply(t, &args),
-                        "decision diverged at {name}({key}), {shards} shards"
-                    );
-                    assert_eq!(sharded.db(), single.db());
-                    for c in sharded.clocks() {
-                        assert_eq!(c, single.steps(), "stripes advance in lockstep");
-                    }
+            let mut sharded = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, shards);
+            let mut single = Monitor::new(&s, &a, &inv, PatternKind::All);
+            for (name, key) in &script {
+                let t = ts.get(name).unwrap();
+                let args = arg(key);
+                assert_eq!(
+                    sharded.try_apply(t, &args),
+                    single.try_apply(t, &args),
+                    "decision diverged at {name}({key}), {shards} shards"
+                );
+                assert_eq!(sharded.db(), single.db());
+                for c in sharded.clocks() {
+                    assert_eq!(c, single.steps(), "stripes advance in lockstep");
                 }
-                for o in 1..=3u64 {
-                    assert_eq!(sharded.pattern_of(Oid(o)), single.pattern_of(Oid(o)));
-                }
-                assert_eq!(sharded.num_shards(), shards);
-                assert!(!sharded.routes_by_component(), "university is one component");
             }
+            for o in 1..=3u64 {
+                assert_eq!(sharded.pattern_of(Oid(o)), single.pattern_of(Oid(o)));
+            }
+            assert_eq!(sharded.num_shards(), shards);
+            assert!(!sharded.routes_by_component(), "university is one component");
         }
     }
 

@@ -185,10 +185,10 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
             StepPolicy::OnlyChanging
         };
         let shards = rng.random_range(1usize..5);
-        let parallel = rng.random_range(0u32..2) == 1;
-        let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards)
-            .with_policy(policy)
-            .with_parallel_staging(parallel);
+        // Unused draw, kept so that every seed generates the same cases.
+        let _ = rng.random_range(0u32..2);
+        let mut sharded =
+            ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(policy);
         let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         for step in 0..rng.random_range(4usize..20) {
@@ -343,9 +343,10 @@ fn sharded_clocks_equal_per_shard_reference_oracles() {
             StepPolicy::OnlyChanging
         };
         let shards = rng.random_range(1usize..5).min(schema.num_components());
-        let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards)
-            .with_policy(policy)
-            .with_parallel_staging(rng.random_range(0u32..2) == 1);
+        // Unused draw, kept so that every seed generates the same cases.
+        let _ = rng.random_range(0u32..2);
+        let mut sharded =
+            ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(policy);
         assert!(sharded.routes_by_component());
         assert_eq!(sharded.num_shards(), shards);
         let mut oracles = ShardOracles::new(&schema, &alphabet, &inv, kind, policy, shards);
@@ -415,9 +416,10 @@ fn sharded_batch_admission_equals_reference_engine() {
             StepPolicy::OnlyChanging
         };
         let shards = rng.random_range(1usize..5);
-        let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards)
-            .with_policy(policy)
-            .with_parallel_staging(rng.random_range(0u32..2) == 1);
+        // Unused draw, kept so that every seed generates the same cases.
+        let _ = rng.random_range(0u32..2);
+        let mut sharded =
+            ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(policy);
         let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         let txns: Vec<Transaction> = (0..rng.random_range(6usize..24))
@@ -487,9 +489,10 @@ fn sharded_batch_admission_matches_per_shard_oracles() {
             StepPolicy::OnlyChanging
         };
         let shards = rng.random_range(1usize..5).min(schema.num_components());
-        let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards)
-            .with_policy(policy)
-            .with_parallel_staging(rng.random_range(0u32..2) == 1);
+        // Unused draw, kept so that every seed generates the same cases.
+        let _ = rng.random_range(0u32..2);
+        let mut sharded =
+            ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(policy);
         let mut oracles = ShardOracles::new(&schema, &alphabet, &inv, kind, policy, shards);
         let no_args = Assignment::empty();
         let txns: Vec<Transaction> = (0..rng.random_range(6usize..20))
@@ -772,9 +775,10 @@ fn sharded_redefine_equals_single_monitor_redefine() {
             StepPolicy::OnlyChanging
         };
         let shards = rng.random_range(1usize..5);
-        let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, shards)
-            .with_policy(policy)
-            .with_parallel_staging(rng.random_range(0u32..2) == 1);
+        // Unused draw, kept so that every seed generates the same cases.
+        let _ = rng.random_range(0u32..2);
+        let mut sharded =
+            ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, shards).with_policy(policy);
         let mut single = Monitor::new(&schema, &alphabet, &inv_a, kind).with_policy(policy);
         let no_args = Assignment::empty();
         let run_len = rng.random_range(6usize..20);

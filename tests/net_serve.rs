@@ -225,15 +225,24 @@ const UNI_INV: &str = "∅* [PERSON]* [STUDENT]* ∅*";
 
 /// Spawn `migctl serve` on an ephemeral port and return (child, addr).
 fn spawn_serve(dir: &std::path::Path, extra: &[&str]) -> (std::process::Child, String) {
-    let schema = dir.join("uni.mig");
-    let tx = dir.join("uni.sl");
-    std::fs::write(&schema, UNI_SCHEMA).unwrap();
-    std::fs::write(&tx, UNI_TX).unwrap();
+    spawn_serve_with(dir, (UNI_SCHEMA, UNI_TX, UNI_INV), extra)
+}
+
+/// [`spawn_serve`] over the given (schema, transactions, inventory).
+fn spawn_serve_with(
+    dir: &std::path::Path,
+    (schema_src, tx_src, inv): (&str, &str, &str),
+    extra: &[&str],
+) -> (std::process::Child, String) {
+    let schema = dir.join("schema.mig");
+    let tx = dir.join("transactions.sl");
+    std::fs::write(&schema, schema_src).unwrap();
+    std::fs::write(&tx, tx_src).unwrap();
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
         .arg("serve")
         .arg(&schema)
         .arg(&tx)
-        .args(["--inventory", UNI_INV, "--addr", "127.0.0.1:0", "--shards", "2"])
+        .args(["--inventory", inv, "--addr", "127.0.0.1:0", "--shards", "2"])
         .args(extra)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::inherit())
@@ -876,4 +885,123 @@ fn protocol_document_session_is_live() {
         assert_eq!(c.ask("shutdown"), "ok draining");
         server.join().unwrap();
     });
+}
+
+// ---------------------------------------------------------------------
+// Binary replies past the frame cap, through the real binary
+// ---------------------------------------------------------------------
+
+/// Kills the served `migctl` when dropped, so a failing test leaves no
+/// server behind.
+struct Served(std::process::Child);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Connect with a read timeout: a server that stopped answering fails
+/// the test instead of hanging it.
+fn connect_bounded(addr: &str) -> TcpStream {
+    let conn = TcpStream::connect(addr).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("read timeout");
+    conn
+}
+
+/// Ask `shutdown` and wait for the served process to exit cleanly.
+fn shut_down(mut served: Served, addr: &str) {
+    let conn = connect_bounded(addr);
+    let mut c = Client { writer: conn.try_clone().unwrap(), replies: BufReader::new(conn).lines() };
+    assert_eq!(c.ask("shutdown"), "ok draining");
+    assert!(served.0.wait().expect("reap").success(), "the server drains and exits 0");
+}
+
+/// An invoke frame under the request cap whose error reply is over it:
+/// the transaction name is unknown and 65,525 bytes long, and the reply
+/// quotes it. The reply is a decodable error frame shortened to the
+/// cap, and the server goes on answering on this connection and new
+/// ones.
+#[test]
+fn over_cap_error_reply_is_shortened_and_the_server_keeps_serving() {
+    use migratory::core::enforce::net::frame;
+    use std::io::Read;
+    let dir = std::env::temp_dir().join(format!("migratory-net-overcap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (child, addr) = spawn_serve(&dir, &[]);
+    let served = Served(child);
+
+    let name = "x".repeat(65_525);
+    let mut req = Vec::new();
+    frame::encode_invoke_frame(&mut req, &name, &[]);
+    let mut conn = connect_bounded(&addr);
+    conn.write_all(&req).unwrap();
+    let (kind, payload) = frame::read_frame(&mut conn).expect("an error frame arrives");
+    assert_eq!(kind, frame::REP_ERROR);
+    assert!(payload.len() <= frame::MAX_PAYLOAD as usize);
+    let text = String::from_utf8(payload).expect("the shortened reply is UTF-8");
+    assert!(text.starts_with("unknown transaction `xxx"), "head kept: {}", &text[..40]);
+    assert!(text.ends_with("xxx`"), "tail kept");
+    assert!(text.contains(" … "), "the middle is elided");
+
+    conn.write_all(b"ping\n").unwrap();
+    let mut pong = [0u8; 8];
+    conn.read_exact(&mut pong).expect("the connection is still served");
+    assert_eq!(&pong, b"ok pong\n");
+    drop(conn);
+    shut_down(served, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A binary violation whose diagnostic renders past 64 KiB — the
+/// pattern quotes one letter per application, each naming a 250-byte
+/// class — is shortened in the middle of the pattern: it still ends in
+/// `[epoch E]`, and its head and tail are those of the text dialect's
+/// full diagnostic.
+#[test]
+fn over_cap_binary_violation_keeps_its_epoch_tail() {
+    use migratory::core::enforce::net::frame;
+    use migratory::model::Value;
+    let dir = std::env::temp_dir().join(format!("migratory-net-longviol-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (p, q) = (format!("P{}", "x".repeat(250)), format!("S{}", "x".repeat(250)));
+    let schema = format!("schema Long {{ class {p} {{ K }} class {q} isa {p} {{ }} }}");
+    let tx = format!(
+        "transaction Mk(x) {{ create({p}, {{ K = x }}); }}\n\
+         transaction Sp(x) {{ specialize({p}, {q}, {{ K = x }}, {{ }}); }}"
+    );
+    let inv = format!("∅* [{p}]* ∅*");
+    let (child, addr) = spawn_serve_with(&dir, (&schema, &tx, &inv), &[]);
+    let served = Served(child);
+
+    let conn = connect_bounded(&addr);
+    let mut c = Client { writer: conn.try_clone().unwrap(), replies: BufReader::new(conn).lines() };
+    for i in 0..300 {
+        assert_eq!(c.ask(&format!("invoke Mk(k{i})")), "ok");
+    }
+    // Object o1 has read 300 letters: its pattern renders past 75 KB.
+    let line = c.ask("invoke Sp(k0)");
+    let diag = line.strip_prefix("violation ").expect("the text dialect reports the violation");
+    assert!(diag.len() > frame::MAX_PAYLOAD as usize, "text replies are never shortened");
+
+    let mut req = Vec::new();
+    frame::encode_invoke_frame(&mut req, "Sp", &[Value::str("k0")]);
+    let mut bin = connect_bounded(&addr);
+    bin.write_all(&req).unwrap();
+    let (kind, payload) = frame::read_frame(&mut bin).expect("a violation frame arrives");
+    assert_eq!(kind, frame::REP_VIOLATION);
+    assert!(payload.len() <= frame::MAX_PAYLOAD as usize);
+    let short = String::from_utf8(payload).expect("the shortened diagnostic is UTF-8");
+    assert!(short.ends_with("[epoch 0]"), "the epoch tail survives");
+    let (head, tail) = short.split_once(" … ").expect("the middle is elided");
+    assert!(diag.starts_with(head) && diag.ends_with(tail), "head and tail are the full text's");
+    assert!(head.starts_with("object o1 would follow the pattern "));
+    assert!(tail.contains(") [epoch 0]"));
+    drop((c, bin));
+    shut_down(served, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
 }
