@@ -75,13 +75,21 @@ impl RoleAlphabet {
         1..self.num_symbols()
     }
 
-    /// Render a pattern word with role-set names.
+    /// Render a pattern word with role-set names, separated by single
+    /// spaces (`λ` for the empty word). Written straight into one
+    /// exactly-sized `String`: a violation quotes its whole pattern,
+    /// which grows with the letter clock.
     #[must_use]
     pub fn display_word(&self, word: &[u32]) -> String {
-        if word.is_empty() {
-            return "λ".to_owned();
+        let Some((&first, rest)) = word.split_first() else { return "λ".to_owned() };
+        let len = word.iter().map(|&s| self.name(s).len()).sum::<usize>() + rest.len();
+        let mut out = String::with_capacity(len);
+        out.push_str(self.name(first));
+        for &s in rest {
+            out.push(' ');
+            out.push_str(self.name(s));
         }
-        word.iter().map(|&s| self.name(s)).collect::<Vec<_>>().join(" ")
+        out
     }
 
     /// A resolver for [`migratory_automata::parse_regex`]: resolves `∅`,
@@ -159,6 +167,14 @@ mod tests {
         assert_eq!(a.display_word(&[]), "λ");
         let w = a.display_word(&[0, 1]);
         assert!(w.starts_with('∅'));
+        // A long word over every symbol renders byte for byte as the
+        // space-joined names, with no spare capacity.
+        let long: Vec<u32> = (0..5000u32).map(|i| (i * 7 + i / 3) % a.num_symbols()).collect();
+        let joined = long.iter().map(|&s| a.name(s)).collect::<Vec<_>>().join(" ");
+        let w = a.display_word(&long);
+        assert_eq!(w.as_bytes(), joined.as_bytes());
+        assert_eq!(w.capacity(), w.len());
+        assert_eq!(a.display_word(&[3]), a.name(3));
     }
 
     #[test]

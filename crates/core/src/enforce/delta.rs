@@ -38,9 +38,13 @@
 //! rewrites every record's cohort slot, so it flips `all_dirty` and the
 //! next capture carries the full record table.
 //!
-//! [`diagnose_step`] reproduces the reference engine's whole-database,
-//! ascending-oid rejection scan over any record iterator, so single and
-//! sharded monitors report byte-identical [`Violation`]s.
+//! [`diagnose_step`] reports the first violation of the reference
+//! engine's ascending-oid rejection scan over the partitions that read
+//! the letter, so single and sharded monitors report byte-identical
+//! [`Violation`]s. It costs O(touched + |cohorts|): untouched objects
+//! repeat their role, so they can violate only through a cohort whose
+//! `δ(state, role)` is non-accepting, and only then does it scan every
+//! record.
 
 use super::Violation;
 use crate::alphabet::RoleAlphabet;
@@ -250,8 +254,8 @@ impl DeltaState {
     /// each touched object to its `(local letter index, change)` pairs,
     /// where local indices are 1-based positions among the `k` letters
     /// *this partition* reads. Read-only; returns `Err(())` on the first
-    /// violation (callers fall back to sequential admission for exact
-    /// diagnostics) and the staged changes to
+    /// violation (callers locate the violating letter and diagnose it
+    /// with [`diagnose_step`]) and the staged changes to
     /// [`commit_batch`](Self::commit_batch) otherwise.
     pub(crate) fn stage_batch(
         &self,
@@ -1071,9 +1075,8 @@ pub(crate) fn classes_symbol(schema: &Schema, alphabet: &RoleAlphabet, cs: Class
         .unwrap_or_else(|| alphabet.empty_symbol())
 }
 
-/// Immutable inputs of a rejection-diagnostics scan. Clock state is
-/// per record / per created object now that partitions carry their own
-/// letter clocks.
+/// Immutable inputs of a rejection diagnosis; the letter clocks live in
+/// the partitions.
 pub(crate) struct DiagParams<'a> {
     pub(crate) schema: &'a Schema,
     pub(crate) alphabet: &'a RoleAlphabet,
@@ -1085,57 +1088,77 @@ pub(crate) struct DiagParams<'a> {
     pub(crate) epoch: u64,
 }
 
-/// Rejection diagnostics: replay one step over **all** letter-reading
-/// objects in ascending oid order — exactly the reference engine's scan
-/// over each partition's sub-run — and return the first violation.
-/// `records` yields every tracked object of every participating
-/// partition (in ascending oid order, merged across shards if need be)
-/// as `(oid, record, exempt, cohort state, shard-local step index of
-/// this letter)`; `created_ctx` returns the owning partition's
-/// `(pre_state, pre_exempt, step index)` for an object created by this
-/// step. The database already holds the post-state and `delta` maps
-/// touched objects to their changes. O(objects), paid only on
-/// rejection.
-pub(crate) fn diagnose_step<'r>(
+/// Rejection diagnostics for one letter that staging refused: the first
+/// violation of the reference engine's scan over each reading
+/// partition's sub-run — the never-created class first, then every
+/// letter-reading object in ascending oid order. `parts` are the
+/// partitions, `reads[i]` whether partition `i` reads this letter, and
+/// `route` the partition of a tracked object. Tracking state is the
+/// pre-letter state; `delta` maps touched objects to their changes.
+///
+/// The scan is O(touched + |cohorts|), not O(objects): an untouched
+/// object reads its own role again, so under `Proper` and `Lazy` it is
+/// exempt from its second letter on, and under `All` and
+/// `ImmediateStart` it violates exactly when its root cohort's
+/// `δ(state, role)` is non-accepting. When no untouched object can
+/// violate, only the touched objects with a record (in the delta's
+/// ascending-oid order) and the creations are checked. Only when some
+/// untouched cohort leaves the inventory does the scan fall back to
+/// every record of the reading partitions, merged in ascending oid
+/// order — the reported object may be an untouched one with a lower
+/// oid than any touched violator.
+pub(crate) fn diagnose_step(
     p: &DiagParams<'_>,
-    records: impl Iterator<Item = (Oid, &'r ObjRecord, bool, u32, usize)>,
-    created_ctx: impl Fn(&ObjectDelta) -> (u32, bool, usize),
+    parts: &[DeltaState],
+    reads: &[bool],
+    route: impl Fn(&ObjectDelta) -> usize,
     delta: &Delta,
 ) -> Violation {
     let empty = p.alphabet.empty_symbol();
-    let touched: BTreeMap<Oid, &ObjectDelta> =
-        delta.objects().iter().map(|od| (od.oid, od)).collect();
+    let reading = || parts.iter().enumerate().filter(|&(i, _)| reads[i]);
 
-    // Existing objects (every record predates this step).
-    for (o, rec, cohort_exempt, cohort_state, step_idx) in records {
-        let (after_sym, role_changed, object_changed) = match touched.get(&o) {
-            Some(od) => {
-                let after_sym = match od.after_classes() {
-                    Some(cs) => classes_symbol(p.schema, p.alphabet, cs),
-                    None => empty,
-                };
-                let role_changed = after_sym != rec.current_role();
-                (after_sym, role_changed, role_changed || od.tuple_changed)
-            }
-            None => (rec.current_role(), false, false),
-        };
-        let mut exempt = cohort_exempt;
-        if !exempt && step_idx >= 2 {
-            exempt = match p.kind {
-                PatternKind::All | PatternKind::ImmediateStart => false,
-                PatternKind::Proper => !object_changed,
-                PatternKind::Lazy => !role_changed,
+    // The reference engine checks the never-created class first.
+    for (_, st) in reading() {
+        let pre =
+            never_created_walk(p.dfa, empty, p.kind, st.pre_state, st.pre_exempt, st.steps, 1);
+        if pre.violation_at.is_some() {
+            return Violation {
+                oid: None,
+                pattern: vec![empty; st.steps + 1],
+                letter: empty,
+                epoch: p.epoch,
             };
         }
-        if exempt {
-            continue;
-        }
-        let new_state = p.dfa.step(cohort_state, after_sym);
-        if !p.dfa.is_accepting(new_state) {
-            let mut pattern = rec.pattern_through(empty, step_idx - 1);
-            pattern.push(after_sym);
-            return Violation { oid: Some(o), pattern, letter: after_sym, epoch: p.epoch };
-        }
+    }
+
+    // Existing objects (every record predates this step).
+    let existing = if reading().any(|(i, st)| untouched_violates(p, i, st, &route, delta)) {
+        // Full scan over the reading partitions' records, merged in
+        // ascending oid order.
+        let mut all: Vec<(Oid, &ObjRecord, &DeltaState)> = reading()
+            .flat_map(|(_, st)| st.records.iter().map(move |(&o, rec)| (o, rec, st)))
+            .collect();
+        all.sort_unstable_by_key(|&(o, _, _)| o);
+        all.into_iter()
+            .filter_map(|(o, rec, st)| {
+                let od = delta.objects().binary_search_by_key(&o, |od| od.oid).ok();
+                existing_violation(p, st, o, rec, od.map(|i| &delta.objects()[i]))
+            })
+            .next()
+    } else {
+        delta
+            .objects()
+            .iter()
+            .filter(|od| tracked(od))
+            .filter_map(|od| {
+                let st = &parts[route(od)];
+                let rec = st.records.get(&od.oid)?;
+                existing_violation(p, st, od.oid, rec, Some(od))
+            })
+            .next()
+    };
+    if let Some(v) = existing {
+        return v;
     }
 
     // Objects created by this step (their oids are larger than every
@@ -1144,17 +1167,15 @@ pub(crate) fn diagnose_step<'r>(
         if !od.created() {
             continue;
         }
-        let (pre_state, pre_exempt, step_idx) = created_ctx(od);
-        let after_sym = match od.after_classes() {
-            Some(cs) => classes_symbol(p.schema, p.alphabet, cs),
-            None => empty,
-        };
+        let st = &parts[route(od)];
+        let step_idx = st.steps + 1;
+        let after_sym = after_symbol(p, od);
         let exempt = match p.kind {
             PatternKind::All => false,
             PatternKind::ImmediateStart => step_idx > 1,
-            PatternKind::Proper | PatternKind::Lazy => pre_exempt,
+            PatternKind::Proper | PatternKind::Lazy => st.pre_exempt,
         };
-        let new_state = p.dfa.step(pre_state, after_sym);
+        let new_state = p.dfa.step(st.pre_state, after_sym);
         if !exempt && !p.dfa.is_accepting(new_state) {
             let mut pattern = vec![empty; step_idx - 1];
             pattern.push(after_sym);
@@ -1162,4 +1183,79 @@ pub(crate) fn diagnose_step<'r>(
         }
     }
     unreachable!("diagnose_step called without a violating object")
+}
+
+/// Whether an **untouched** object of partition `part` violates this
+/// letter — O(|cohorts|), plus O(touched) per failing cohort. Untouched
+/// objects repeat their role, so they are exempt from their second
+/// letter on under `Proper`/`Lazy` (a record implies a committed
+/// letter), and otherwise violate iff some root cohort with a member
+/// the letter does not touch steps to a non-accepting state.
+fn untouched_violates(
+    p: &DiagParams<'_>,
+    part: usize,
+    st: &DeltaState,
+    route: &impl Fn(&ObjectDelta) -> usize,
+    delta: &Delta,
+) -> bool {
+    if st.steps >= 1 && matches!(p.kind, PatternKind::Proper | PatternKind::Lazy) {
+        return false;
+    }
+    st.by_key.iter().any(|(&(state, role), &root)| {
+        if p.dfa.is_accepting(p.dfa.step(state, role)) {
+            return false;
+        }
+        // Members the letter touches read their own new letter.
+        let touched = delta
+            .objects()
+            .iter()
+            .filter(|od| tracked(od) && route(od) == part)
+            .filter(|od| st.records.get(&od.oid).is_some_and(|r| st.find_ro(r.cohort) == root))
+            .count();
+        st.cohorts[root as usize].size > touched
+    })
+}
+
+/// The reference engine's check of one tracked object reading this
+/// letter: `od` is its change, `None` when the letter leaves it
+/// untouched.
+fn existing_violation(
+    p: &DiagParams<'_>,
+    st: &DeltaState,
+    o: Oid,
+    rec: &ObjRecord,
+    od: Option<&ObjectDelta>,
+) -> Option<Violation> {
+    let (after_sym, role_changed, object_changed) = match od {
+        Some(od) => {
+            let after_sym = after_symbol(p, od);
+            let role_changed = after_sym != rec.current_role();
+            (after_sym, role_changed, role_changed || od.tuple_changed)
+        }
+        None => (rec.current_role(), false, false),
+    };
+    let root = st.find_ro(rec.cohort);
+    let step_idx = st.steps + 1;
+    let mut exempt = root == EXEMPT;
+    if !exempt && step_idx >= 2 {
+        exempt = match p.kind {
+            PatternKind::All | PatternKind::ImmediateStart => false,
+            PatternKind::Proper => !object_changed,
+            PatternKind::Lazy => !role_changed,
+        };
+    }
+    if exempt || p.dfa.is_accepting(p.dfa.step(st.cohorts[root as usize].state, after_sym)) {
+        return None;
+    }
+    let mut pattern = rec.pattern_through(p.alphabet.empty_symbol(), step_idx - 1);
+    pattern.push(after_sym);
+    Some(Violation { oid: Some(o), pattern, letter: after_sym, epoch: p.epoch })
+}
+
+/// The role symbol an object reads after this letter (∅ once deleted).
+fn after_symbol(p: &DiagParams<'_>, od: &ObjectDelta) -> u32 {
+    match od.after_classes() {
+        Some(cs) => classes_symbol(p.schema, p.alphabet, cs),
+        None => p.alphabet.empty_symbol(),
+    }
 }

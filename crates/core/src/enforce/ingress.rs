@@ -38,8 +38,8 @@
 //!   ops queued behind it in the same drained block are re-queued at
 //!   the front of their lane and re-admitted in the next block, so one
 //!   caller's violation never discards a neighbour's pending work.
-//!   (Inside a block the monitor already falls back to sequential
-//!   admission on violation, keeping byte-identical diagnostics.)
+//!   (Inside a block the monitor commits the conforming prefix before
+//!   the violator as one block, keeping byte-identical diagnostics.)
 //!
 //! Ordering: each producer's ops are admitted in its own program order
 //! (`submit` is synchronous; `post` tickets enqueue in call order into
@@ -769,9 +769,10 @@ impl wal::CommitSink for StagedSink {
 /// Worker → committer hand-off. One channel with one producer (the
 /// admission worker), so message order **is** commit order.
 enum Msg<'t> {
-    /// An admitted block: its framed record bytes (several records when
-    /// a violation replay split the block) and the tickets to release
-    /// once the bytes are durable.
+    /// An admitted block: its framed record bytes (one record, also
+    /// when a violation cut the block short — its conforming prefix
+    /// commits as one block) and the tickets to release once the bytes
+    /// are durable.
     Commit { bytes: Vec<u8>, answers: Vec<Answer<'t>>, lane: usize, t0: Instant },
     /// Barrier: reply once everything before it was appended and synced
     /// (or refused). `false` means a durability failure broke the
@@ -1437,7 +1438,10 @@ mod tests {
     /// leaves the chain stuck at some `v_i` — observable in the final
     /// database. Producer Q injects specialize/generalize pairs that
     /// violate when they land adjacently in one block, forcing
-    /// re-queues underneath P's chain.
+    /// re-queues underneath P's chain. The first block is pinned to
+    /// `[violator, first link]` (the worker is held in a barrier op
+    /// while both are posted), so the re-queue path runs on every run,
+    /// not only when the scheduler drains a violator mid-block.
     #[test]
     fn requeue_preserves_per_producer_fifo_under_violations() {
         let s = multi_schema();
@@ -1463,23 +1467,38 @@ mod tests {
         // Small blocks and a tight queue: violations land mid-block and
         // producers keep posting while survivors are being re-queued.
         let cfg = IngressConfig { queue_capacity: 8, max_block: 4 };
+        let rename = |i: usize| {
+            Assignment::new(vec![Value::str(&format!("v{i}")), Value::str(&format!("v{}", i + 1))])
+        };
         let ((), stats) = serve(&mut m, &cfg, |client| {
             // The chain object.
             client.submit(ts.get("Mk0").unwrap(), key("v0".into())).unwrap();
             client.submit(ts.get("Mk0").unwrap(), key("q".into())).unwrap();
+            // Hold the worker until one violator and the chain's first
+            // link sit in the lane, in that order: the first block is
+            // then [violator, link], and the link is re-queued.
+            let (held_tx, held_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let hold: AdminOp<'_, '_> = Box::new(move |_| {
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                Box::new(|_| {})
+            });
+            client.post_admin(hold);
+            held_rx.recv().unwrap();
+            let violator = client.post(ts.get("Up0").unwrap(), key("q".into()));
+            let link = client.post(ts.get("Ren0").unwrap(), rename(0));
+            release_tx.send(()).unwrap();
+            assert!(
+                matches!(violator.wait(), Err(EnforceError::Violation(_))),
+                "specialization is forbidden by the inventory"
+            );
+            link.wait().expect("chain links conform ([R0] repeats)");
             std::thread::scope(|scope| {
                 scope.spawn(|| {
                     // P: every link must see its predecessor's write.
-                    let tickets: Vec<_> = (0..CHAIN)
-                        .map(|i| {
-                            client.post(
-                                ts.get("Ren0").unwrap(),
-                                Assignment::new(vec![
-                                    Value::str(&format!("v{i}")),
-                                    Value::str(&format!("v{}", i + 1)),
-                                ]),
-                            )
-                        })
+                    let tickets: Vec<_> = (1..CHAIN)
+                        .map(|i| client.post(ts.get("Ren0").unwrap(), rename(i)))
                         .collect();
                     for t in tickets {
                         t.wait().expect("chain links conform ([R0] repeats)");
@@ -1489,7 +1508,7 @@ mod tests {
                     // Q: a stream of guaranteed violators into the same
                     // lane — each rejection re-queues whatever P ops
                     // were drained behind it.
-                    for _ in 0..VIOLATORS {
+                    for _ in 1..VIOLATORS {
                         let t = client.post(ts.get("Up0").unwrap(), key("q".into()));
                         assert!(
                             matches!(t.wait(), Err(EnforceError::Violation(_))),

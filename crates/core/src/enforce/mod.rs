@@ -38,10 +38,12 @@
 //!   diagnostics — so per-step allocation no longer grows with run
 //!   length.
 //!
-//! Violations are rare and roll back anyway, so the rejection path
-//! affords an O(objects) diagnostic scan that replays the step in the
-//! reference engine's object order; the reported [`Violation`] (object,
-//! pattern, letter) is therefore *identical* to the reference engine's.
+//! The rejection path reports the first violation of the reference
+//! engine's object order, so the [`Violation`] (object, pattern,
+//! letter) is *identical* to the reference engine's. It checks only the
+//! touched objects and creations, after an O(|cohorts|) check that no
+//! untouched cohort leaves the inventory; only when one does is every
+//! record scanned.
 //!
 //! The pre-optimization engine is preserved behind
 //! [`Monitor::new_reference`] — it re-derives every object's letter from
@@ -145,7 +147,7 @@ use crate::alphabet::RoleAlphabet;
 use crate::error::CoreError;
 use crate::inventory::Inventory;
 use crate::pattern::{MigrationPattern, PatternKind};
-use delta::{classes_symbol, diagnose_step, DeltaState, DiagParams, EXEMPT};
+use delta::{classes_symbol, diagnose_step, DeltaState, DiagParams};
 use migratory_lang::{
     apply_bulk_creates, apply_transaction, apply_transaction_delta, run, Assignment, Delta,
     LangError, ObjectDelta, Transaction, TransactionSchema,
@@ -682,12 +684,12 @@ impl<'a> Monitor<'a> {
     ///
     /// The viability of consumed history is decided per *cohort*, never
     /// per object: a product construction walks the old DFA × new DFA
-    /// over every path the old DFA certifies
-    /// ([`delta::viability_map`]); a cohort is viable iff all enforced
-    /// histories ending in its old state land in exactly one accepting
-    /// new state. Viable cohorts remap wholesale; the residue is
-    /// quarantined or reset per `policy`. Total cost O(|Q_old| ×
-    /// |Q_new| × |Σ| + |cohorts|) — independent of the database size.
+    /// over every path the old DFA certifies (`delta::viability_map`);
+    /// a cohort is viable iff all enforced histories ending in its old
+    /// state land in exactly one accepting new state. Viable cohorts
+    /// remap wholesale; the residue is quarantined or reset per
+    /// `policy`. Total cost O(|Q_old| × |Q_new| × |Σ| + |cohorts|) —
+    /// independent of the database size.
     ///
     /// Durability: when a sink is attached the redefinition is
     /// write-ahead logged (epoch bump + canonical inventory encoding +
@@ -1167,12 +1169,12 @@ impl<'a> Monitor<'a> {
                 Ok(())
             }
             Err(()) => {
-                // Rejection path: reproduce the reference engine's scan
-                // (never-created class first, then all objects in
-                // ascending oid order) so the reported violation is
-                // byte-identical to [`Monitor::new_reference`]'s, then
-                // roll the database back. O(objects), paid only on
-                // rejection.
+                // Rejection path: report the first violation of the
+                // reference engine's scan (never-created class first,
+                // then objects in ascending oid order), byte-identical
+                // to [`Monitor::new_reference`]'s, then roll the
+                // database back. O(touched + |cohorts|) unless an
+                // untouched cohort violates.
                 let v = self.diagnose_violation(&delta);
                 delta.undo(&mut self.db);
                 Err(EnforceError::Violation(v))
@@ -1180,51 +1182,21 @@ impl<'a> Monitor<'a> {
         }
     }
 
-    /// Rejection diagnostics: replay this step over **all** objects in
-    /// ascending oid order — exactly the reference engine's scan — and
-    /// return the first violation (see [`delta::diagnose_step`]).
-    /// `self.db` still holds the post-state; per-object pre-states come
-    /// from the tracking records and `delta`. O(objects), paid only on
-    /// rejection.
+    /// Rejection diagnostics: the first violation of the reference
+    /// engine's scan (never-created class first, then objects in
+    /// ascending oid order) — see [`delta::diagnose_step`], which
+    /// checks only the touched objects unless an untouched cohort
+    /// leaves the inventory.
     fn diagnose_violation(&self, delta: &Delta) -> Violation {
         let Engine::Delta(state) = &self.engine else { unreachable!() };
-        let dfa = self.inventory.dfa();
-        let empty = self.alphabet.empty_symbol();
-        let step_idx = state.steps + 1;
-        // The reference engine checks the never-created class first.
-        let pre = delta::never_created_walk(
-            dfa,
-            empty,
-            self.kind,
-            state.pre_state,
-            state.pre_exempt,
-            state.steps,
-            1,
-        );
-        if pre.violation_at.is_some() {
-            return Violation {
-                oid: None,
-                pattern: vec![empty; step_idx],
-                letter: empty,
-                epoch: self.epoch,
-            };
-        }
         let params = DiagParams {
             schema: self.schema,
             alphabet: self.alphabet,
-            dfa,
+            dfa: self.inventory.dfa(),
             kind: self.kind,
             epoch: self.epoch,
         };
-        diagnose_step(
-            &params,
-            state.records.iter().map(|(&o, rec)| {
-                let root = state.find_ro(rec.cohort);
-                (o, rec, root == EXEMPT, state.cohorts[root as usize].state, step_idx)
-            }),
-            |_| (state.pre_state, state.pre_exempt, step_idx),
-            delta,
-        )
+        diagnose_step(&params, std::slice::from_ref(state), &[true], |_| 0, delta)
     }
 
     // -----------------------------------------------------------------
@@ -1348,6 +1320,7 @@ impl<'a> Monitor<'a> {
 mod tests {
     use super::*;
     use crate::explore::{explore, ExploreConfig};
+    use delta::EXEMPT;
     use migratory_lang::parse_transactions;
     use migratory_model::schema::university_schema;
     use migratory_model::{RoleSet, Value};

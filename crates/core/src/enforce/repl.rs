@@ -22,8 +22,9 @@
 //! write-ahead log**. There is no per-record handshake — the framing's
 //! checksums make any cut a clean whole-record prefix, and the shard
 //! clocks carried by every record make re-delivery idempotent
-//! ([`ShardedMonitor::replay_record`]), so resync after a tear is
-//! always: reconnect, take a fresh snapshot, continue.
+//! ([`ShardedMonitor::replay_record`](super::ShardedMonitor::replay_record)),
+//! so resync after a tear is always: reconnect, take a fresh snapshot,
+//! continue.
 //!
 //! # Acknowledgement dial
 //!

@@ -53,10 +53,12 @@
 //! (sound because inventories are prefix-closed, so reachable
 //! non-accepting states are traps and endpoint checks subsume
 //! intermediate ones), while touched objects replay their exact
-//! interleaving of touch and gap steps. On a violation the batch rolls
-//! back and replays sequentially, which keeps the
-//! longest-conforming-prefix semantics and the per-shard-reference
-//! [`Violation`] diagnostics.
+//! interleaving of touch and gap steps. On a violation, read-only
+//! stagings of prefixes (a binary search, O(log k) of them) find the
+//! first violating letter; the conforming prefix before it commits as
+//! one block — one WAL record — and the violating letter is diagnosed
+//! against the committed state. That keeps the longest-conforming-prefix
+//! semantics and the per-shard-reference [`Violation`] diagnostics.
 
 use super::delta::{
     diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, EXEMPT,
@@ -70,13 +72,21 @@ use migratory_lang::{Assignment, Delta, LangError, ObjectDelta, Transaction};
 use migratory_model::{Instance, Oid, Schema};
 use std::collections::BTreeMap;
 
-/// Why an admission block did not commit.
-enum AdmitFail {
-    /// Some letter violates the inventory (diagnose + roll back).
-    Violation,
-    /// The commit sink refused the block (roll back, nothing logged or
-    /// tracked).
-    Sink(WalError),
+/// An effective block staged read-only on every participating shard:
+/// the half of admission that decides, handed to
+/// [`ShardedMonitor::commit_staged`] to log and write.
+struct StagedBlock {
+    /// Per shard, the indices of the block's deltas it reads as
+    /// letters (empty: the shard does not participate).
+    letters: Vec<Vec<u32>>,
+    /// Per shard, its staged tracking changes.
+    stages: Vec<Option<ShardStage>>,
+}
+
+/// One shard's staged share of a block.
+enum ShardStage {
+    Batch(BatchStage),
+    Bulk(BulkCreateStage),
 }
 
 /// How objects are assigned to shards.
@@ -337,28 +347,13 @@ impl<'a> ShardedMonitor<'a> {
     }
 
     /// Apply `t[args]`, committing only if no enforced pattern leaves
-    /// the inventory. On violation the database is unchanged and the
-    /// first offending object (in the shard-reference ascending-oid
-    /// order) is reported.
+    /// the inventory — a block of one ([`Self::try_apply_batch`]). On
+    /// violation the database is unchanged and the first offending
+    /// object (in the shard-reference ascending-oid order) is reported.
     pub fn try_apply(&mut self, t: &Transaction, args: &Assignment) -> Result<(), EnforceError> {
-        let delta = self.apply_delta(t, args)?;
-        if self.policy == StepPolicy::OnlyChanging && delta.is_identity() {
-            // Null application (Definition 4.6): no letter, nothing to
-            // undo.
-            return Ok(());
-        }
-        let fallback = self.fallback_shard(t);
-        match self.admit_effective(&[(fallback, &delta)]) {
-            Ok(()) => Ok(()),
-            Err(AdmitFail::Violation) => {
-                let v = self.diagnose_violation(&delta, fallback);
-                delta.undo(&mut self.db);
-                Err(EnforceError::Violation(v))
-            }
-            Err(AdmitFail::Sink(e)) => {
-                delta.undo(&mut self.db);
-                Err(EnforceError::Durability(e))
-            }
+        match self.try_apply_batch([(t, args)]) {
+            (_, Some(e)) => Err(e),
+            (_, None) => Ok(()),
         }
     }
 
@@ -393,11 +388,12 @@ impl<'a> ShardedMonitor<'a> {
     /// [`Self::try_apply_all`] — the longest conforming prefix commits,
     /// and the return value is the committed count plus the error that
     /// stopped the batch (if any) — but the conforming fast path
-    /// validates each shard's letters in a single staged pass. On a
-    /// violation the whole block rolls back and is replayed
-    /// sequentially for exact prefix semantics and byte-identical
-    /// diagnostics; rejecting batches therefore cost one extra staged
-    /// pass over the conforming prefix.
+    /// validates each shard's letters in a single staged pass. A
+    /// violating block costs O(log k) more read-only stagings: a binary
+    /// search over prefix lengths finds the first violating letter, the
+    /// prefix before it commits as **one** block (one WAL record), and
+    /// the violating letter is diagnosed against the committed state —
+    /// byte-identical to the per-shard reference engine.
     pub fn try_apply_batch<'t>(
         &mut self,
         batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
@@ -417,37 +413,55 @@ impl<'a> ShardedMonitor<'a> {
             }
         }
         let applied = deltas.len();
-        let effective: Vec<(usize, &Delta)> = deltas
+        // (delta index, fallback shard, delta) of every letter-bearing
+        // application.
+        let indexed: Vec<(usize, usize, &Delta)> = deltas
             .iter()
             .zip(&items)
-            .filter(|(d, _)| !(self.policy == StepPolicy::OnlyChanging && d.is_identity()))
-            .map(|(d, (t, _))| (self.fallback_shard(t), d))
+            .enumerate()
+            .filter(|(_, (d, _))| !(self.policy == StepPolicy::OnlyChanging && d.is_identity()))
+            .map(|(i, (d, (t, _)))| (i, self.fallback_shard(t), d))
             .collect();
+        let effective: Vec<(usize, &Delta)> = indexed.iter().map(|&(_, f, d)| (f, d)).collect();
         if effective.is_empty() {
             return (applied, lang_err);
         }
-        match self.admit_effective(&effective) {
-            Ok(()) => (applied, lang_err),
-            Err(AdmitFail::Violation) => {
-                // Some letter in the block violates: roll the whole
-                // block back and fall back to sequential admission of
-                // the applied prefix.
-                for d in deltas.iter().rev() {
-                    d.undo(&mut self.db);
+        let (staged, first_bad) = match self.stage_effective(&effective) {
+            Some(staged) => (Some(staged), None),
+            None => {
+                // Some letter violates. Staging a prefix fails iff one
+                // of its letters violates, so binary-search the longest
+                // conforming prefix `lo`, keeping its staged pass.
+                let (mut lo, mut hi, mut staged) = (0, effective.len(), None);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    match self.stage_effective(&effective[..mid]) {
+                        Some(s) => (lo, staged) = (mid, Some(s)),
+                        None => hi = mid,
+                    }
                 }
-                let (done, err) = self.try_apply_all(items[..applied].iter().copied());
-                (done, err.or(lang_err))
+                (staged, Some(lo))
             }
-            Err(AdmitFail::Sink(e)) => {
-                // The log refused the block: nothing commits — with a
-                // failing sink a sequential replay could not make any
-                // application durable either.
+        };
+        let prefix = first_bad.unwrap_or(effective.len());
+        if let Some(staged) = staged {
+            if let Err(e) = self.commit_staged(&effective[..prefix], staged) {
+                // The log refused the block: nothing commits.
                 for d in deltas.iter().rev() {
                     d.undo(&mut self.db);
                 }
-                (0, Some(EnforceError::Durability(e)))
+                return (0, Some(EnforceError::Durability(e)));
             }
         }
+        let Some(bad) = first_bad else { return (applied, lang_err) };
+        // The prefix is committed: diagnose the violating letter against
+        // it, then roll back that letter and everything after it.
+        let v = self.diagnose_violation(effective[bad]);
+        let done = indexed[bad].0;
+        for d in deltas[done..].iter().rev() {
+            d.undo(&mut self.db);
+        }
+        (done, Some(EnforceError::Violation(v)))
     }
 
     /// Redefine the inventory online: swap in `new_inventory`
@@ -558,12 +572,19 @@ impl<'a> ShardedMonitor<'a> {
         (letters, touched)
     }
 
-    /// Validate an effective block across its participating shards —
-    /// each from its **own letter clock** — append the block to the
-    /// sink (if any), and commit if every enforced pattern stays inside
-    /// the inventory. `Err` leaves monitor state (but not the database)
-    /// untouched.
-    fn admit_effective(&mut self, effective: &[(usize, &Delta)]) -> Result<(), AdmitFail> {
+    /// The decision half of admission: stage an effective block
+    /// read-only on every participating shard, each from its **own
+    /// letter clock** (the staged pass includes the shard's
+    /// never-created ∅ walk). Non-participating shards stay untouched —
+    /// their clocks do not move. `None` when some letter violates the
+    /// inventory; nothing changes either way.
+    fn stage_effective(&self, effective: &[(usize, &Delta)]) -> Option<StagedBlock> {
+        let ctx = BatchCtx {
+            schema: self.schema,
+            alphabet: self.alphabet,
+            dfa: self.inventory.dfa(),
+            kind: self.kind,
+        };
         // A lone all-creations letter above the bulk threshold takes the
         // bulk-staging path: same participation rule, same WAL record,
         // byte-identical tracking state, no per-object touched map.
@@ -571,20 +592,11 @@ impl<'a> ShardedMonitor<'a> {
             if d.objects().len() >= super::BULK_APPLY_THRESHOLD
                 && d.objects().iter().all(ObjectDelta::created)
             {
-                return self.admit_bulk_creates(fallback, d);
+                return self.stage_bulk_creates(&ctx, fallback, d);
             }
         }
         let (letters, touched) = self.assign_letters(effective);
-        let ctx = BatchCtx {
-            schema: self.schema,
-            alphabet: self.alphabet,
-            dfa: self.inventory.dfa(),
-            kind: self.kind,
-        };
-        // Stage every participating shard read-only (the staged pass
-        // includes the shard's never-created ∅ walk). Non-participating
-        // shards stay untouched — their clocks do not move.
-        let stages: Vec<Option<BatchStage>> = self
+        let stages = self
             .shards
             .iter()
             .zip(&touched)
@@ -593,54 +605,25 @@ impl<'a> ShardedMonitor<'a> {
                 if letters.is_empty() {
                     return Ok(None);
                 }
-                state.stage_batch(&ctx, letters.len(), touched).map(Some)
+                state.stage_batch(&ctx, letters.len(), touched).map(|s| Some(ShardStage::Batch(s)))
             })
-            .collect::<Result<_, _>>()
-            .map_err(|()| AdmitFail::Violation)?;
-
-        // Write-ahead: every shard staged the block as admissible, so it
-        // may be logged — one record for the whole block (group commit),
-        // carrying each participating shard's clock and letters —
-        // before any tracking state is written.
-        if let Some(sink) = &self.sink {
-            let shard_letters: Vec<ShardLetters> = letters
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| !l.is_empty())
-                .map(|(s, l)| ShardLetters {
-                    shard: s as u32,
-                    steps0: self.shards[s].steps,
-                    letters: l.clone(),
-                })
-                .collect();
-            let deltas: Vec<&Delta> = effective.iter().map(|&(_, d)| d).collect();
-            // Poison tolerance: a sink panic on another thread must read
-            // as a durability failure (rollback, retry/degrade policy),
-            // not cascade into an admission-worker panic.
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &deltas, shards: &shard_letters })
-                .map_err(AdmitFail::Sink)?;
-        }
-
-        // Commit: every shard accepted, write the staged moves (each
-        // commit advances its shard's clock).
-        for (state, stage) in self.shards.iter_mut().zip(stages) {
-            if let Some(stage) = stage {
-                state.commit_batch(stage);
-            }
-        }
-        Ok(())
+            .collect::<Result<_, ()>>()
+            .ok()?;
+        Some(StagedBlock { letters, stages })
     }
 
-    /// Bulk-creation admission of one all-creations letter: partition
-    /// the created objects per shard (ascending oid order is preserved),
+    /// Bulk-creation staging of one all-creations letter: partition the
+    /// created objects per shard (ascending oid order is preserved) and
     /// stage each participating shard through
-    /// [`DeltaState::stage_bulk_creates`], log the block, and commit.
-    /// Produces the same WAL record and the same per-shard tracking
-    /// state as the generic [`Self::admit_effective`] path, byte for
-    /// byte.
-    fn admit_bulk_creates(&mut self, fallback: usize, d: &Delta) -> Result<(), AdmitFail> {
+    /// [`DeltaState::stage_bulk_creates`]. Commits to the same WAL
+    /// record and the same per-shard tracking state as the generic
+    /// path, byte for byte.
+    fn stage_bulk_creates(
+        &self,
+        ctx: &BatchCtx<'_>,
+        fallback: usize,
+        d: &Delta,
+    ) -> Option<StagedBlock> {
         let n = self.shards.len();
         let mut routed: Vec<Vec<&ObjectDelta>> = vec![Vec::new(); n];
         for od in d.objects() {
@@ -649,23 +632,14 @@ impl<'a> ShardedMonitor<'a> {
         // Under oid striping every stripe reads every letter; under
         // component routing only the shards of the touched objects do
         // (the fallback shard when the delta somehow touches none).
-        let participating: Vec<bool> = match &self.router {
+        let mut participating: Vec<bool> = match &self.router {
             Router::OidStripe { .. } => vec![true; n],
-            Router::Component { .. } => {
-                let mut p: Vec<bool> = routed.iter().map(|r| !r.is_empty()).collect();
-                if !p.contains(&true) {
-                    p[fallback] = true;
-                }
-                p
-            }
+            Router::Component { .. } => routed.iter().map(|r| !r.is_empty()).collect(),
         };
-        let ctx = BatchCtx {
-            schema: self.schema,
-            alphabet: self.alphabet,
-            dfa: self.inventory.dfa(),
-            kind: self.kind,
-        };
-        let stages: Vec<Option<BulkCreateStage>> = self
+        if !participating.contains(&true) {
+            participating[fallback] = true;
+        }
+        let stages = self
             .shards
             .iter()
             .zip(&routed)
@@ -674,98 +648,72 @@ impl<'a> ShardedMonitor<'a> {
                 if !part {
                     return Ok(None);
                 }
-                state.stage_bulk_creates(&ctx, routed.iter().copied()).map(Some)
+                state
+                    .stage_bulk_creates(ctx, routed.iter().copied())
+                    .map(|s| Some(ShardStage::Bulk(s)))
             })
-            .collect::<Result<_, _>>()
-            .map_err(|()| AdmitFail::Violation)?;
+            .collect::<Result<_, ()>>()
+            .ok()?;
+        let letters = participating.iter().map(|&p| if p { vec![0] } else { Vec::new() }).collect();
+        Some(StagedBlock { letters, stages })
+    }
 
+    /// The write half of admission: append the staged block to the sink
+    /// (if any) — one record for the whole block (group commit),
+    /// carrying each participating shard's clock and letters — and only
+    /// then write every shard's staged tracking changes (each commit
+    /// advances its shard's clock). A sink failure writes nothing.
+    fn commit_staged(
+        &mut self,
+        effective: &[(usize, &Delta)],
+        staged: StagedBlock,
+    ) -> Result<(), WalError> {
+        let StagedBlock { letters, stages } = staged;
         if let Some(sink) = &self.sink {
-            let shard_letters: Vec<ShardLetters> = participating
-                .iter()
+            let shard_letters: Vec<ShardLetters> = letters
+                .into_iter()
                 .enumerate()
-                .filter(|&(_, &p)| p)
-                .map(|(s, _)| ShardLetters {
+                .filter(|(_, l)| !l.is_empty())
+                .map(|(s, letters)| ShardLetters {
                     shard: s as u32,
                     steps0: self.shards[s].steps,
-                    letters: vec![0],
+                    letters,
                 })
                 .collect();
+            let deltas: Vec<&Delta> = effective.iter().map(|&(_, d)| d).collect();
+            // Poison tolerance: a sink panic on another thread must read
+            // as a durability failure (rollback, retry/degrade policy),
+            // not cascade into an admission-worker panic.
             sink.lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &[d], shards: &shard_letters })
-                .map_err(AdmitFail::Sink)?;
+                .committed(&BlockRef { deltas: &deltas, shards: &shard_letters })?;
         }
-
         for (state, stage) in self.shards.iter_mut().zip(stages) {
-            if let Some(stage) = stage {
-                state.commit_bulk_creates(stage);
+            match stage {
+                Some(ShardStage::Batch(stage)) => state.commit_batch(stage),
+                Some(ShardStage::Bulk(stage)) => state.commit_bulk_creates(stage),
+                None => {}
             }
         }
         Ok(())
     }
 
-    /// Rejection diagnostics for a single application: for each
-    /// participating shard (ascending), check its never-created class
-    /// first, then replay the letter over the participating shards'
-    /// records merged in ascending oid order — exactly the scan a
-    /// reference monitor fed this shard's sub-run would make, so the
-    /// reported [`Violation`] is byte-identical to it.
-    fn diagnose_violation(&self, delta: &Delta, fallback: usize) -> Violation {
-        let dfa = self.inventory.dfa();
-        let empty = self.alphabet.empty_symbol();
-        let (letters, _) = self.assign_letters(&[(fallback, delta)]);
-        for (s, l) in letters.iter().enumerate() {
-            if l.is_empty() {
-                continue;
-            }
-            let st = &self.shards[s];
-            let pre = super::delta::never_created_walk(
-                dfa,
-                empty,
-                self.kind,
-                st.pre_state,
-                st.pre_exempt,
-                st.steps,
-                1,
-            );
-            if pre.violation_at.is_some() {
-                return Violation {
-                    oid: None,
-                    pattern: vec![empty; st.steps + 1],
-                    letter: empty,
-                    epoch: self.epoch,
-                };
-            }
-        }
-        let mut merged: BTreeMap<Oid, (usize, &super::delta::ObjRecord)> = BTreeMap::new();
-        for (i, state) in self.shards.iter().enumerate() {
-            if letters[i].is_empty() {
-                continue; // shard reads no letter: its objects are not checked
-            }
-            for (&o, rec) in &state.records {
-                merged.insert(o, (i, rec));
-            }
-        }
+    /// Rejection diagnostics for a single effective letter that staging
+    /// refused, against the committed state: the first violation of
+    /// the scan a reference monitor fed each reading shard's sub-run
+    /// would make (see [`diagnose_step`]), so the reported
+    /// [`Violation`] is byte-identical to it.
+    fn diagnose_violation(&self, letter: (usize, &Delta)) -> Violation {
+        let (letters, _) = self.assign_letters(&[letter]);
+        let reads: Vec<bool> = letters.iter().map(|l| !l.is_empty()).collect();
         let params = DiagParams {
             schema: self.schema,
             alphabet: self.alphabet,
-            dfa,
+            dfa: self.inventory.dfa(),
             kind: self.kind,
             epoch: self.epoch,
         };
-        diagnose_step(
-            &params,
-            merged.iter().map(|(&o, &(i, rec))| {
-                let state = &self.shards[i];
-                let root = state.find_ro(rec.cohort);
-                (o, rec, root == EXEMPT, state.cohorts[root as usize].state, state.steps + 1)
-            }),
-            |od| {
-                let st = &self.shards[self.route(od)];
-                (st.pre_state, st.pre_exempt, st.steps + 1)
-            },
-            delta,
-        )
+        diagnose_step(&params, &self.shards, &reads, |od| self.route(od), letter.1)
     }
 
     /// Whether this monitor routes objects by weakly-connected role
@@ -1291,6 +1239,143 @@ mod tests {
         let (done2, err2) = sharded.try_apply_batch(mbatch);
         assert_eq!((done2, err2), (2, None));
         assert_eq!(sharded.clocks(), vec![5, 5]);
+    }
+
+    /// A `P0 ⊃ S0` hierarchy plus `extra` independent ones: one
+    /// component (oid striping) or several (component routing). The
+    /// alphabet is component 0's.
+    fn hierarchies(extra: usize) -> Schema {
+        let mut b = SchemaBuilder::new();
+        for r in 0..=extra {
+            let root = b.class(&format!("P{r}"), &[&format!("K{r}")]).unwrap();
+            b.subclass(&format!("S{r}"), &[root], &[]).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn diagnosis_transactions(s: &Schema) -> TransactionSchema {
+        parse_transactions(
+            s,
+            r"
+            transaction Mk(x) { create(P0, { K0 = x }); }
+            transaction Mk2(x, y) { create(P0, { K0 = x }); create(P0, { K0 = y }); }
+            transaction Rm(x) { delete(P0, { K0 = x }); }
+        ",
+        )
+        .unwrap()
+    }
+
+    /// Both branches of the rejection diagnosis, each reporting the
+    /// object the reference engine reports, on the single monitor, a
+    /// component-routed and an oid-striped sharded monitor — through
+    /// `try_apply` and through one `try_apply_batch` block.
+    #[test]
+    fn diagnosis_reports_reference_violator_on_both_branches() {
+        use PatternKind::{All, ImmediateStart, Lazy, Proper};
+        // (inventory, script lines `name arg…`, kinds, reported oid)
+        let cases: [(&str, &[&str], &[PatternKind], u64); 3] = [
+            // Creating o2 makes the untouched o1 repeat [P0]: only an
+            // untouched cohort violates.
+            ("∅* [P0] ∅*", &["Mk 1", "Mk 2"], &[All, ImmediateStart], 1),
+            // The untouched o1 and the deleted o2 both violate; the
+            // fallback scan must report the lower oid, o1.
+            ("∅* [P0] [S0]+ ∅*", &["Mk2 1 2", "Rm 2"], &[All, ImmediateStart], 1),
+            // Untouched objects are exempt under Proper/Lazy: the
+            // touched-only scan reports the deleted o2.
+            ("∅* [P0] [S0]+ ∅*", &["Mk2 1 2", "Rm 2"], &[Proper, Lazy], 2),
+        ];
+        let one = hierarchies(0);
+        let two = hierarchies(1);
+        for (inv_src, script, kinds, violator) in cases {
+            for &kind in kinds {
+                for (s, shards) in [(&one, 2usize), (&two, 2)] {
+                    let a = RoleAlphabet::new(s, 0).unwrap();
+                    let inv = crate::Inventory::parse_init(s, &a, inv_src).unwrap();
+                    let ts = diagnosis_transactions(s);
+                    let lines: Vec<Vec<&str>> =
+                        script.iter().map(|l| l.split(' ').collect()).collect();
+                    let args: Vec<Assignment> = lines
+                        .iter()
+                        .map(|l| Assignment::new(l[1..].iter().map(|x| Value::str(x)).collect()))
+                        .collect();
+                    let steps: Vec<(&Transaction, &Assignment)> =
+                        lines.iter().zip(&args).map(|(l, a)| (ts.get(l[0]).unwrap(), a)).collect();
+                    let mut oracle = Monitor::new_reference(s, &a, &inv, kind);
+                    let expected = oracle.try_apply_all(steps.iter().copied());
+                    let Some(EnforceError::Violation(v)) = &expected.1 else {
+                        panic!("{inv_src} under {kind}: the script must violate");
+                    };
+                    assert_eq!(v.oid, Some(Oid(violator)), "{inv_src} under {kind}");
+                    let ctx = format!("{inv_src} under {kind}, {} components", s.num_components());
+                    let mut single = Monitor::new(s, &a, &inv, kind);
+                    assert_eq!(single.try_apply_all(steps.iter().copied()), expected, "{ctx}");
+                    let mut sharded = ShardedMonitor::new(s, &a, &inv, kind, shards);
+                    assert_eq!(sharded.routes_by_component(), s.num_components() > 1);
+                    assert_eq!(sharded.try_apply_all(steps.iter().copied()), expected, "{ctx}");
+                    let mut batched = ShardedMonitor::new(s, &a, &inv, kind, shards);
+                    assert_eq!(batched.try_apply_batch(steps.iter().copied()), expected, "{ctx}");
+                    assert_eq!(batched.db(), oracle.db(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// A block whose op `i` violates logs **one** record for its first
+    /// `i` ops; recovery from that log and a replica folding it are
+    /// byte-identical to the live monitor, and to a monitor that
+    /// admitted the same ops one at a time.
+    #[test]
+    fn violating_block_logs_its_prefix_as_one_record() {
+        use crate::enforce::MemoryWal;
+        use std::sync::{Arc, Mutex};
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv =
+            crate::Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+        let script = [
+            ("Mk", "1"),
+            ("Mk", "2"),
+            ("St", "1"),
+            ("St", "2"),
+            ("UnSt", "1"),
+            ("St", "1"), // violates: [P][S][P][S]
+            ("Mk", "3"),
+        ];
+        let assigns: Vec<Assignment> = script.iter().map(|(_, k)| arg(k)).collect();
+        let batch: Vec<(&Transaction, &Assignment)> = script
+            .iter()
+            .zip(&assigns)
+            .map(|((name, _), args)| (ts.get(name).unwrap(), args))
+            .collect();
+        let wal = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut live =
+            ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2).with_sink(wal.clone());
+        let (done, err) = live.try_apply_batch(batch.iter().copied());
+        let mut oracle = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        assert_eq!((done, &err), (5, &oracle.try_apply_all(batch.iter().copied()).1));
+
+        let records = wal.lock().unwrap().records();
+        assert_eq!(records.len(), 1, "the conforming prefix is one record");
+        let WalRecord::Block(block) = &records[0] else { panic!("a block record") };
+        assert_eq!(block.deltas.len(), 5);
+        assert!(block.shards.iter().all(|sl| sl.steps0 == 0 && sl.letters == [0, 1, 2, 3, 4]));
+
+        let bytes = live.snapshot().encode();
+        let recovered =
+            ShardedMonitor::recover(&s, &a, &inv, PatternKind::All, 2, None, records.clone())
+                .unwrap();
+        assert_eq!(recovered.snapshot().encode(), bytes, "recovery is byte-identical");
+        let mut replica = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
+        assert_eq!(replica.replay_record(records[0].clone()), Ok(true));
+        assert_eq!(replica.snapshot().encode(), bytes, "the replica folds the record");
+
+        // Only the grouping differs from op-by-op admission.
+        let one_by_one = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut seq =
+            ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2).with_sink(one_by_one.clone());
+        assert_eq!(seq.try_apply_all(batch.iter().copied()), (done, err));
+        assert_eq!(one_by_one.lock().unwrap().records().len(), 5);
+        assert_eq!(seq.snapshot().encode(), bytes);
     }
 
     #[test]
