@@ -54,6 +54,20 @@
 //! (regression-tested below by a pipelined chain whose every reorder
 //! is observable).
 //!
+//! # Reads
+//!
+//! The monitor sits behind one `RwLock`. The worker holds it exclusively
+//! for each unit of work — a block's whole `try_apply_batch` (which
+//! applies the block in place before validating it), an admin op's first
+//! half, a resync, a maintenance call — and answers tickets only after
+//! releasing it. [`IngressClient::read`] shares it on the caller's
+//! thread. A read sees every op whose ticket was answered, may see ops
+//! whose ticket is still pending, and never sees a rejected op or part
+//! of a block. (Ops whose ticket a durability failure refused stay
+//! visible until the resync that follows `rearm`.) It waits out at most
+//! one exclusive section: usually one block; a resync after `rearm` and
+//! a replica bootstrap are long.
+//!
 //! ```
 //! use migratory_core::enforce::{ingress, IngressConfig, ShardedMonitor};
 //! use migratory_core::{Inventory, PatternKind, RoleAlphabet};
@@ -95,7 +109,7 @@ use migratory_model::Schema;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of [`serve`].
@@ -192,12 +206,12 @@ struct Op<'t> {
 }
 
 /// An administrative **barrier operation** (see
-/// [`IngressClient::post_admin`]): runs on the admission worker with
-/// exclusive access to the monitor, strictly between admitted blocks —
-/// every op admitted before it has had its ticket answered (and, under
-/// the pipelined committer, made durable) first. `Err(reason)` hands
-/// over a degraded or broken pipeline instead of the monitor: answer
-/// your caller with the refusal, touch nothing. Return the second-half
+/// [`IngressClient::post_admin`]): runs on the admission worker under
+/// the exclusive monitor lock, strictly between admitted blocks — every
+/// op admitted before it has had its ticket answered (and, under the
+/// pipelined committer, made durable) first. `Err(reason)` hands over a
+/// degraded or broken pipeline instead of the monitor: answer your
+/// caller with the refusal, touch nothing. Return the second-half
 /// completion that releases the caller's reply.
 pub type AdminOp<'t, 's> =
     Box<dyn FnOnce(Result<&mut ShardedMonitor<'s>, String>) -> AdminDone + Send + 't>;
@@ -206,15 +220,15 @@ pub type AdminOp<'t, 's> =
 /// the op staged through the monitor's sink is durable (`true`), or
 /// after the pipeline broke before it could be (`false` — tracking will
 /// be wound back to the durable log, so the caller must be told the op
-/// did not take). Release the caller's reply here, never earlier.
+/// did not take). Release the caller's reply here, never earlier. It
+/// runs outside the exclusive lock but before the worker's next unit of
+/// work: disk writes the op must finish first belong here.
 pub type AdminDone = Box<dyn FnOnce(bool) + Send>;
 
 struct State<'t, 's> {
     lanes: Vec<VecDeque<Op<'t>>>,
-    /// Administrative barrier ops, drained ahead of the lanes. The flag
-    /// marks **read-only** ops ([`IngressClient::post_admin_read`]):
-    /// served without a flush barrier and even in degraded mode.
-    admin: VecDeque<(AdminOp<'t, 's>, bool)>,
+    /// Administrative barrier ops, drained ahead of the lanes.
+    admin: VecDeque<AdminOp<'t, 's>>,
     /// Set once the driver returns: drain what is queued, then exit.
     closed: bool,
     /// The worker is parked on `ready`: the next post must signal it.
@@ -231,16 +245,19 @@ struct State<'t, 's> {
 
 /// One unit of work pulled by the admission worker.
 enum Work<'t, 's> {
-    /// An administrative barrier op (runs before any queued block);
-    /// `true` marks a read-only op.
-    Admin(AdminOp<'t, 's>, bool),
+    /// An administrative barrier op (runs before any queued block).
+    Admin(AdminOp<'t, 's>),
     /// A drained block from one lane.
     Block(usize, Vec<Op<'t>>),
     /// Closed and empty: exit.
     Drained,
 }
 
-struct Shared<'t, 's> {
+struct Shared<'t, 's, 'm> {
+    /// The monitor: held exclusively by the worker per unit of work
+    /// ([`Shared::exclusive`]), shared by [`IngressClient::read`] in
+    /// between (see the module docs, § Reads).
+    monitor: RwLock<&'m mut ShardedMonitor<'s>>,
     state: Mutex<State<'t, 's>>,
     /// Worker wake-up: an op arrived or the ingress closed. Signalled
     /// only while [`State::worker_parked`] is set: a signal is a futex
@@ -261,8 +278,8 @@ struct Shared<'t, 's> {
     lane_of_component: Vec<usize>,
 }
 
-impl<'t, 's> Shared<'t, 's> {
-    fn new(monitor: &ShardedMonitor<'s>, config: &IngressConfig) -> Shared<'t, 's> {
+impl<'t, 's, 'm> Shared<'t, 's, 'm> {
+    fn new(monitor: &'m mut ShardedMonitor<'s>, config: &IngressConfig) -> Shared<'t, 's, 'm> {
         let lanes = match monitor.component_lanes() {
             Some(_) => monitor.num_shards(),
             None => 1,
@@ -284,7 +301,14 @@ impl<'t, 's> Shared<'t, 's> {
             capacity: config.queue_capacity.max(1),
             schema: monitor.schema(),
             lane_of_component: monitor.component_lanes().map(<[usize]>::to_vec).unwrap_or_default(),
+            monitor: RwLock::new(monitor),
         }
+    }
+
+    /// The monitor under the exclusive lock: the admission worker holds
+    /// it for one unit of work and drops it before answering anyone.
+    fn exclusive(&self) -> RwLockWriteGuard<'_, &'m mut ShardedMonitor<'s>> {
+        self.monitor.write().expect("ingress poisoned")
     }
 
     fn lane_of(&self, t: &Transaction) -> usize {
@@ -348,9 +372,9 @@ impl<'t, 's> Shared<'t, 's> {
         }
     }
 
-    fn post_admin(&self, op: AdminOp<'t, 's>, read_only: bool) {
+    fn post_admin(&self, op: AdminOp<'t, 's>) {
         let mut st = self.state.lock().expect("ingress poisoned");
-        st.admin.push_back((op, read_only));
+        st.admin.push_back(op);
         self.wake_worker(st);
     }
 
@@ -367,8 +391,8 @@ impl<'t, 's> Shared<'t, 's> {
     ) -> Work<'t, 's> {
         let mut st = self.state.lock().expect("ingress poisoned");
         loop {
-            if let Some((op, read_only)) = st.admin.pop_front() {
-                return Work::Admin(op, read_only);
+            if let Some(op) = st.admin.pop_front() {
+                return Work::Admin(op);
             }
             let n = st.lanes.len();
             match (0..n).map(|i| (cursor + i) % n).find(|&l| !st.lanes[l].is_empty()) {
@@ -410,10 +434,10 @@ impl<'t, 's> Shared<'t, 's> {
     }
 }
 
-/// A handle for feeding the ingress. `Sync`: share one reference across
-/// any number of producer threads.
+/// A handle for feeding the ingress and reading its monitor. `Sync`:
+/// share one reference across any number of producer threads.
 pub struct IngressClient<'t, 's, 'sh> {
-    shared: &'sh Shared<'t, 's>,
+    shared: &'sh Shared<'t, 's, 'sh>,
 }
 
 /// A pending admission outcome (see [`IngressClient::post`]).
@@ -476,29 +500,26 @@ impl<'t> IngressClient<'t, '_, '_> {
 }
 
 impl<'t, 's> IngressClient<'t, 's, '_> {
-    /// Post an administrative **barrier op** — the seam the `redefine`
-    /// verb (online constraint evolution) runs through. The op jumps
-    /// ahead of the lanes: the worker serves it between blocks, with
-    /// exclusive monitor access, after every previously admitted op's
+    /// Post an administrative **barrier op** — the seam the `redefine`,
+    /// `promote` and replica-fold paths run through. The op jumps ahead
+    /// of the lanes: the worker serves it between blocks, under the
+    /// exclusive monitor lock, after every previously admitted op's
     /// ticket was answered — and under the pipelined committer, after
     /// everything previously forwarded is durable (a flush barrier runs
     /// first, and whatever the op stages through the monitor's sink is
     /// flushed again before its [`AdminDone`] is invoked). Never blocks:
-    /// admin ops are rare and unbounded by lane capacity.
+    /// admin ops are rare and unbounded by lane capacity. Reads go
+    /// through [`IngressClient::read`] instead.
     pub fn post_admin(&self, op: AdminOp<'t, 's>) {
-        self.shared.post_admin(op, false);
+        self.shared.post_admin(op);
     }
 
-    /// [`IngressClient::post_admin`] for **read-only** ops — the seam
-    /// the `query` verb (and a replica's every read) runs through. The
-    /// op still jumps the lanes and runs on the worker with exclusive
-    /// monitor access, but it skips the flush barrier (it stages
-    /// nothing, so there is nothing to make durable: its [`AdminDone`]
-    /// is invoked immediately with `true`) and it is served even in
-    /// degraded read-only mode — reads stay up when writes refuse.
-    /// The op must not mutate the monitor.
-    pub fn post_admin_read(&self, op: AdminOp<'t, 's>) {
-        self.shared.post_admin(op, true);
+    /// Run `f` against the monitor under the shared lock, on the calling
+    /// thread, without waking the worker (module docs, § Reads) — the
+    /// `query` verb's path, up in degraded mode too. `f` must take no
+    /// other lock.
+    pub fn read<R>(&self, f: impl FnOnce(&ShardedMonitor<'s>) -> R) -> R {
+        f(&self.shared.monitor.read().expect("ingress poisoned"))
     }
 }
 
@@ -573,15 +594,7 @@ pub fn serve_guarded<'t, 'a, R>(
     let max_block = config.max_block.max(1);
     std::thread::scope(|scope| {
         let worker = scope.spawn(|| {
-            admission_loop(
-                monitor,
-                &shared,
-                max_block,
-                policy,
-                health,
-                maintenance_every,
-                &mut maintenance,
-            )
+            admission_loop(&shared, max_block, policy, health, maintenance_every, &mut maintenance)
         });
         // Close on unwind too: if the driver panics, the scope joins the
         // worker before propagating, and a worker parked on `ready` with
@@ -596,9 +609,9 @@ pub fn serve_guarded<'t, 'a, R>(
 
 /// Marks the ingress closed (and wakes everyone) when dropped — on the
 /// driver's normal return *and* on its unwind.
-struct CloseGuard<'g, 't, 's>(&'g Shared<'t, 's>);
+struct CloseGuard<'g, 't, 's, 'm>(&'g Shared<'t, 's, 'm>);
 
-impl Drop for CloseGuard<'_, '_, '_> {
+impl Drop for CloseGuard<'_, '_, '_, '_> {
     fn drop(&mut self) {
         let mut st = match self.0.state.lock() {
             Ok(st) => st,
@@ -612,8 +625,7 @@ impl Drop for CloseGuard<'_, '_, '_> {
 }
 
 fn admission_loop<'t, 'a>(
-    monitor: &mut ShardedMonitor<'a>,
-    shared: &Shared<'t, 'a>,
+    shared: &Shared<'t, 'a, '_>,
     max_block: usize,
     policy: &DurabilityPolicy,
     health: &Health,
@@ -625,16 +637,15 @@ fn admission_loop<'t, 'a>(
     loop {
         let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, None) {
             Work::Drained => return stats,
-            Work::Admin(op, read_only) => {
+            Work::Admin(op) => {
                 // Barrier op between blocks: the previous block's
                 // tickets were answered (synchronously — the sink, if
                 // any, appended and synced inside `try_apply_batch`), so
                 // the op sees a quiescent, durable-consistent monitor.
-                // Read-only ops see it even degraded: reads stay up.
-                let done = if health.is_degraded() && !read_only {
+                let done = if health.is_degraded() {
                     op(Err(health.reason()))
                 } else {
-                    op(Ok(monitor))
+                    op(Ok(&mut **shared.exclusive()))
                 };
                 done(true);
                 continue;
@@ -659,7 +670,10 @@ fn admission_loop<'t, 'a>(
         let mut ops = block;
         let mut attempts = 0u32;
         loop {
-            let (done, err) = monitor.try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
+            // The whole call is one exclusive section: it applies the
+            // block in place before validating it.
+            let (done, err) =
+                shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
             stats.admitted += done;
             let mut rest = ops.into_iter();
             for op in rest.by_ref().take(done) {
@@ -716,7 +730,7 @@ fn admission_loop<'t, 'a>(
         // ops queue in the lanes meanwhile), never the replies of the
         // block that triggered it.
         if maintenance_every > 0 && stats.blocks.is_multiple_of(maintenance_every) {
-            maintenance(monitor);
+            maintenance(&mut shared.exclusive());
         }
     }
 }
@@ -974,11 +988,13 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
 }
 
 /// Rebuild the monitor from the durable image (checkpoint chain + log
-/// tail), in place. `false` re-degrades and leaves the resync pending:
-/// a log that cannot even be read back is operator territory.
-fn try_resync(monitor: &mut ShardedMonitor<'_>, pipe: &Pipeline<'_>) -> bool {
+/// tail), in place. The image is read before the exclusive section,
+/// which covers only the rebuild. `false` re-degrades and leaves the
+/// resync pending: a log that cannot even be read back is operator
+/// territory.
+fn try_resync(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>) -> bool {
     let dir = lock(&pipe.wal).dir().to_path_buf();
-    match Wal::load(&dir).and_then(|(snap, tail)| monitor.resync(snap, tail)) {
+    match Wal::load(&dir).and_then(|(snap, tail)| shared.exclusive().resync(snap, tail)) {
         Ok(()) => true,
         Err(e) => {
             pipe.needs_resync.store(true, Ordering::SeqCst);
@@ -1003,8 +1019,7 @@ fn flush_committer(tx: &mpsc::Sender<Msg<'_>>) -> bool {
 /// Violations and language errors carry no state change and are still
 /// answered directly here.
 fn pipelined_loop<'t, 'a>(
-    monitor: &mut ShardedMonitor<'a>,
-    shared: &Shared<'t, 'a>,
+    shared: &Shared<'t, 'a, '_>,
     max_block: usize,
     maintenance_every: usize,
     maintenance: &mut (impl FnMut(&mut ShardedMonitor<'a>) + Send),
@@ -1023,19 +1038,11 @@ fn pipelined_loop<'t, 'a>(
                 // so the caller's final checkpoint snapshots exactly
                 // the durable state.
                 if pipe.needs_resync.swap(false, Ordering::SeqCst) {
-                    try_resync(monitor, pipe);
+                    try_resync(shared, pipe);
                 }
                 return stats;
             }
-            Work::Admin(op, read_only) => {
-                if read_only {
-                    // Read-only ops skip the flush barrier entirely:
-                    // they stage nothing, a slightly-stale (or even
-                    // degraded) monitor is a consistent read, and the
-                    // committer is never involved.
-                    op(Ok(monitor))(true);
-                    continue;
-                }
+            Work::Admin(op) => {
                 // Barrier: everything forwarded before the op must be
                 // durable (its tickets answered by the committer) before
                 // the op sees the monitor — and a monitor that ran ahead
@@ -1045,12 +1052,12 @@ fn pipelined_loop<'t, 'a>(
                 if pipe.needs_resync.load(Ordering::SeqCst)
                     && !pipe.health.is_degraded()
                     && pipe.needs_resync.swap(false, Ordering::SeqCst)
-                    && try_resync(monitor, pipe)
+                    && try_resync(shared, pipe)
                 {
                     let _ = tx.send(Msg::Reset);
                 }
                 if flushed && !pipe.health.is_degraded() {
-                    let done = op(Ok(monitor));
+                    let done = op(Ok(&mut **shared.exclusive()));
                     // Whatever the op staged through the sink rides the
                     // committer like a block with no tickets; its reply
                     // is released only once the record is durable.
@@ -1085,7 +1092,7 @@ fn pipelined_loop<'t, 'a>(
         // it — tracking committed blocks whose records were dropped.
         if pipe.needs_resync.load(Ordering::SeqCst) && !pipe.health.is_degraded() {
             let _ = flush_committer(tx);
-            if pipe.needs_resync.swap(false, Ordering::SeqCst) && try_resync(monitor, pipe) {
+            if pipe.needs_resync.swap(false, Ordering::SeqCst) && try_resync(shared, pipe) {
                 let _ = tx.send(Msg::Reset);
             }
         }
@@ -1105,7 +1112,8 @@ fn pipelined_loop<'t, 'a>(
         let mut ops = block;
         let mut attempts = 0u32;
         loop {
-            let (done, err) = monitor.try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
+            let (done, err) =
+                shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
             stats.admitted += done;
             let mut rest = ops.into_iter();
             let answers: Vec<Answer<'t>> = rest.by_ref().take(done).map(|op| op.reply).collect();
@@ -1175,7 +1183,7 @@ fn pipelined_loop<'t, 'a>(
             && flush_committer(tx)
         {
             let m0 = Instant::now();
-            maintenance(monitor);
+            maintenance(&mut shared.exclusive());
             if let Some(m) = pipe.metrics {
                 m.checkpoint_stall_us
                     .record(u64::try_from(m0.elapsed().as_micros()).unwrap_or(u64::MAX));
@@ -1281,10 +1289,8 @@ pub fn serve_pipelined_repl<'t, 'a, R>(
         let worker = {
             let (shared, worker_tx) = (&shared, tx.clone());
             let maintenance = &mut maintenance;
-            let monitor = &mut *monitor;
             scope.spawn(move || {
                 pipelined_loop(
-                    monitor,
                     shared,
                     max_block,
                     maintenance_every,
@@ -1747,8 +1753,8 @@ mod tests {
     }
 
     /// A worker parked on empty lanes wakes for every way work arrives —
-    /// `post`, `try_post_done`, `post_admin`, `post_admin_read` — and for
-    /// close.
+    /// `post`, `try_post_done`, `post_admin` — and for close, while a
+    /// `read` is answered without waking it.
     #[test]
     fn parked_worker_wakes_for_every_post_and_close() {
         within_deadline("parked worker", || {
@@ -1769,26 +1775,153 @@ mod tests {
                 let done: Completion<'_> = Box::new(move |r| tx.send(r).unwrap());
                 client.try_post_done(mk, key("b"), done).ok().expect("lane has space");
                 rx.recv().unwrap().expect("try_post_done wakes the worker");
-                for read_only in [false, true] {
-                    until(client, parked);
-                    let (tx, rx) = mpsc::channel();
-                    let op: AdminOp<'_, '_> = Box::new(move |gate| {
-                        tx.send(gate.is_ok()).unwrap();
-                        Box::new(|_| {})
-                    });
-                    if read_only {
-                        client.post_admin_read(op);
-                    } else {
-                        client.post_admin(op);
-                    }
-                    assert!(rx.recv().unwrap(), "admin op (read-only: {read_only}) ran");
-                }
+                until(client, parked);
+                let (tx, rx) = mpsc::channel();
+                client.post_admin(Box::new(move |gate| {
+                    tx.send(gate.is_ok()).unwrap();
+                    Box::new(|_| {})
+                }));
+                assert!(rx.recv().unwrap(), "admin op ran");
+                // A read needs no wake-up: it is answered while the
+                // worker stays parked, and leaves it parked.
+                until(client, parked);
+                assert_eq!(client.read(|m| m.db().num_objects()), 2, "read sees both admits");
+                assert!(client.shared.state.lock().unwrap().worker_parked, "read woke the worker");
                 // Returning closes the ingress; `serve` returns only once
                 // the close has woken the parked worker.
                 until(client, parked);
             });
             assert_eq!(stats.admitted, 2);
         });
+    }
+
+    /// A reader never sees a refused or partly admitted block.
+    /// `try_apply_batch` applies a block's deltas in place before it
+    /// validates them, so the exclusive section must cover the whole
+    /// call: producers mix creations with specializations the inventory
+    /// refuses, while two readers spin on `read`. A visible refused
+    /// specialization shows up in `S0`; a visible creation that was
+    /// later undone (it sat behind the violator) makes the count fall.
+    #[test]
+    fn readers_never_see_a_refused_or_partly_admitted_block() {
+        for pipelined in [false, true] {
+            within_deadline("reader visibility", move || reader_visibility(pipelined));
+        }
+    }
+
+    fn reader_visibility(pipelined: bool) {
+        use crate::enforce::{FsyncPolicy, Wal};
+        let s = multi_schema();
+        let a = RoleAlphabet::new(&s, 0).unwrap();
+        let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+        let ts = parse_transactions(
+            &s,
+            r"
+            transaction Mk0(x) { create(R0, { K0 = x }); }
+            transaction Up0(x) { specialize(R0, S0, { K0 = x }, {}); }
+        ",
+        )
+        .unwrap();
+        let (mk, up) = (ts.get("Mk0").unwrap(), ts.get("Up0").unwrap());
+        let s0 = s.class_id("S0").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+        let cfg = IngressConfig { queue_capacity: 64, max_block: 16 };
+        let health = Health::new();
+        let (seen, stats) = if pipelined {
+            let dir = pipelined_temp_dir("visibility");
+            let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
+            let out = serve_pipelined(
+                &mut m,
+                &cfg,
+                &DurabilityPolicy::default(),
+                &health,
+                wal,
+                None,
+                0,
+                |_| {},
+                |client| mixed_blocks_under_readers(client, mk, up, s0),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            out
+        } else {
+            serve_guarded(
+                &mut m,
+                &cfg,
+                &DurabilityPolicy::default(),
+                &health,
+                0,
+                |_| {},
+                |client| mixed_blocks_under_readers(client, mk, up, s0),
+            )
+        };
+        let (creations, violators) =
+            (VIS_PRODUCERS * VIS_ROUNDS * VIS_BATCH, VIS_PRODUCERS * VIS_ROUNDS);
+        assert_eq!((stats.admitted, stats.rejected), (creations, violators));
+        assert!(stats.requeued > 0, "no creation sat behind a violator");
+        assert_eq!(seen, stats.admitted, "the last read saw every admitted op");
+        assert_eq!(m.db().num_objects(), stats.admitted);
+    }
+
+    const VIS_PRODUCERS: usize = 2;
+    const VIS_ROUNDS: usize = 40;
+    const VIS_BATCH: usize = 8;
+
+    /// Each producer pipelines rounds of `VIS_BATCH` creations with one
+    /// refused specialization in the middle; two readers check every
+    /// state they see. Returns the object count of a read taken after
+    /// every ticket was answered.
+    fn mixed_blocks_under_readers<'t>(
+        client: &IngressClient<'t, '_, '_>,
+        mk: &'t Transaction,
+        up: &'t Transaction,
+        s0: migratory_model::ClassId,
+    ) -> usize {
+        let key = |k: String| Assignment::new(vec![Value::str(&k)]);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut last = 0;
+                    loop {
+                        let finished = done.load(Ordering::SeqCst);
+                        let (students, objects) = client.read(|m| {
+                            let all = migratory_model::Condition::empty();
+                            (m.db().sat(s0, &all).len(), m.db().num_objects())
+                        });
+                        assert_eq!(students, 0, "a refused specialization was visible");
+                        assert!(objects >= last, "count fell {last} → {objects}: undone ops seen");
+                        last = objects;
+                        if finished {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            let producers: Vec<_> = (0..VIS_PRODUCERS)
+                .map(|p| {
+                    scope.spawn(move || {
+                        for r in 0..VIS_ROUNDS {
+                            let mut tickets = Vec::new();
+                            for i in 0..VIS_BATCH {
+                                tickets.push((true, client.post(mk, key(format!("{p}-{r}-{i}")))));
+                                if i == VIS_BATCH / 2 {
+                                    let victim = key(format!("{p}-{r}-0"));
+                                    tickets.push((false, client.post(up, victim)));
+                                }
+                            }
+                            for (conforms, t) in tickets {
+                                assert_eq!(t.wait().is_ok(), conforms, "only Up0 is refused");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let joined: Vec<_> = producers.into_iter().map(|p| p.join()).collect();
+            done.store(true, Ordering::SeqCst);
+            assert!(joined.iter().all(Result::is_ok), "a producer panicked");
+        });
+        client.read(|m| m.db().num_objects())
     }
 
     fn pipelined_temp_dir(tag: &str) -> std::path::PathBuf {

@@ -14,6 +14,9 @@
 //! * **Space signals**: the worker drained a block, so a connection
 //!   parked on a full admission lane may retry its post.
 //!
+//! A `query` needs no mail: the event thread evaluates it under the
+//! ingress's shared monitor lock and fills its slot at once.
+//!
 //! The loop per thread: drain the inbox, apply completions, pump the
 //! **dirty** connections (retry parked posts, extract + dispatch
 //! requests, flush ready replies, write), reap expired deadlines, then
@@ -56,8 +59,9 @@ pub(super) enum Reply {
     /// An `invoke` admission outcome: rendered in the slot's dialect at
     /// delivery (the violation diagnostic needs the alphabet).
     Outcome(Result<(), EnforceError>),
-    /// Pre-rendered reply bytes (admin ops — `redefine` — render on the
-    /// admission worker, where the dialect is already captured).
+    /// Pre-rendered reply bytes (admin ops — `redefine`, `promote` —
+    /// render on the admission worker, where the dialect is already
+    /// captured).
     Bytes(Vec<u8>),
 }
 
@@ -466,53 +470,33 @@ fn post_redefine<'t>(
     }));
 }
 
-/// Post an indexed `query` as a **read-only** admin op: the
-/// class/condition pair was parsed on the event thread, the scan runs
-/// on the admission worker between blocks (no flush barrier — replicas
-/// and degraded primaries still serve it), and the pre-rendered reply
-/// is mailed back immediately.
-fn post_query<'t>(
-    c: &mut Conn<'t>,
+/// Answer an indexed `query` here on the event thread: the scan runs
+/// under the ingress's shared monitor lock ([`IngressClient::read`]),
+/// between two of the admission worker's units of work, so it sees every
+/// acknowledged op and never a rejected op or part of a block. The
+/// reply is ready at once; replicas and degraded primaries serve it too.
+fn post_query(
+    c: &mut Conn<'_>,
     class: migratory_model::ClassId,
-    cond: migratory_model::Condition,
+    cond: &migratory_model::Condition,
     binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
+    client: &IngressClient<'_, '_, '_>,
 ) {
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let (conn, owner) = (c.id, me);
-    let ev = Arc::clone(ev);
-    client.post_admin_read(Box::new(move |gate| {
-        let attempt = match gate {
-            Ok(m) => {
-                let oids = m.db().sat(class, &cond);
-                let mut shown = String::new();
-                for (i, oid) in oids.iter().take(32).enumerate() {
-                    if i > 0 {
-                        shown.push(',');
-                    }
-                    shown.push_str(&oid.to_string());
-                }
-                Ok(format!("query count={} oids={shown}", oids.len()))
-            }
-            Err(reason) => Err(reason),
-        };
-        Box::new(move |_durable: bool| {
-            let bytes = match attempt {
-                Ok(msg) => reply(binary, frame::REP_OK, "ok", &msg),
-                Err(reason) => {
-                    error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
-                }
-            };
-            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
-        })
-    }));
+    use std::fmt::Write as _;
+    let oids = client.read(|m| m.db().sat(class, cond));
+    let mut msg = format!("query count={} oids=", oids.len());
+    for (i, oid) in oids.iter().take(32).enumerate() {
+        if i > 0 {
+            msg.push(',');
+        }
+        let _ = write!(msg, "{oid}");
+    }
+    c.push_slot(Slot::Ready(reply(binary, frame::REP_OK, "ok", &msg)));
 }
 
 /// Promote a replica to a writable primary. The pull loop is told to
-/// stop first; the flip itself rides a write-flavored admin op so it
-/// queues **behind** every apply batch the puller already posted — the
+/// stop first; the flip itself rides an admin barrier op so it queues
+/// **behind** every apply batch the puller already posted — the
 /// shipped tail folds before the halt lands, and nothing of the acked
 /// stream is dropped. Phase 1 halts further applies and lifts the
 /// read-only refusal while the monitor is exclusively ours.
@@ -693,7 +677,7 @@ fn dispatch_verb<'t>(
                 c.push_slot(Slot::Ready(r));
             } else {
                 match super::parse_query(shared.schema, rest) {
-                    Ok((class, cond)) => post_query(c, class, cond, false, me, ev, client),
+                    Ok((class, cond)) => post_query(c, class, &cond, false, client),
                     Err(e) => {
                         let r = error_reply(ev, false, &e);
                         c.push_slot(Slot::Ready(r));
@@ -860,7 +844,7 @@ fn dispatch_frame<'t>(
                 c.push_slot(Slot::Ready(rep));
             }
             Ok(q) => match super::parse_query(shared.schema, q) {
-                Ok((class, cond)) => post_query(c, class, cond, true, me, ev, client),
+                Ok((class, cond)) => post_query(c, class, &cond, true, client),
                 Err(e) => {
                     let rep = error_reply(ev, true, &e);
                     c.push_slot(Slot::Ready(rep));

@@ -17,8 +17,10 @@
 //!
 //! # Shape
 //!
-//! [`serve`] wraps [`ingress::serve_guarded`]: the admission worker owns
-//! the [`ShardedMonitor`]; the driver is a **poll-based event core**
+//! [`serve`] wraps [`ingress::serve_guarded`]: the admission worker holds
+//! the [`ShardedMonitor`] exclusively for each unit of work, and a
+//! `query` reads it under the shared lock on the event thread in between
+//! (see [`ingress`] § Reads); the driver is a **poll-based event core**
 //! ([`ServerConfig::io_threads`] threads) that multiplexes every client
 //! socket with nonblocking I/O — thread count is O(io_threads + shards),
 //! independent of the connection count. Each connection keeps
@@ -305,9 +307,11 @@ pub fn parse_invocation(line: &str) -> Result<(&str, Vec<Value>), String> {
 /// `Class(Attr=value, …)` (members satisfying the conjunction). Values
 /// follow [`parse_invocation`]'s grammar: `"quoted"` strings, decimal
 /// integers, anything else a bare string. Returns the class and the
-/// compiled [`Condition`](migratory_model::Condition) — evaluation
-/// itself runs on the admission worker via a read-only admin op, so a
-/// query observes a block-consistent state.
+/// compiled [`Condition`](migratory_model::Condition). The server
+/// evaluates it on the event thread under the ingress's shared monitor
+/// lock ([`IngressClient::read`](super::ingress::IngressClient::read)),
+/// so a query sees every acknowledged op and never a rejected op or part
+/// of a block.
 pub fn parse_query(
     schema: &Schema,
     body: &str,

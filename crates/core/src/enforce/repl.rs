@@ -588,20 +588,24 @@ fn pull_once<'t, 's>(
     // Bootstrap barrier: rebuild the monitor at the stream start and
     // write the snapshot through as this replica's own base checkpoint,
     // so the replica's durable image covers exactly what its acks claim.
+    // The rebuild holds the monitor exclusively; the disk write waits
+    // for the op's second half, which the worker runs before it admits
+    // anything else (reads are not held up by it).
     let (btx, brx) = mpsc::channel::<Result<(), String>>();
     {
         let (ctl, wal) = (Arc::clone(ctl), Arc::clone(wal));
         client.post_admin(Box::new(move |gate| {
-            let res = (move || {
+            let full = (move || {
                 let m = gate?;
                 if ctl.halted() {
                     return Err("replica promoted".to_owned());
                 }
                 m.resync(Some(snap), std::iter::empty()).map_err(|e| e.to_string())?;
-                let full = m.checkpoint_full();
-                lock(&wal).write_snapshot(&full).map_err(|e| e.to_string())
+                Ok(m.checkpoint_full())
             })();
             Box::new(move |_durable| {
+                let res = full
+                    .and_then(|full| lock(&wal).write_snapshot(&full).map_err(|e| e.to_string()));
                 let _ = btx.send(res);
             })
         }));

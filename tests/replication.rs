@@ -14,6 +14,9 @@
 //!   primary, `promote` the replica, and re-drive text + binary traffic
 //!   including a wire violation and an epoch check after the shipped
 //!   redefine;
+//! * read-your-acked-writes on a following standby: under
+//!   `ack-on-replica-1` every write the primary acked is visible to the
+//!   standby's `query` in both dialects, and a refused op never is;
 //! * fault-matrix rows for the shipping socket (stall, disconnect,
 //!   short write) × both ack policies: `ack-on-replica` must never ack
 //!   an operation the surviving replica does not have;
@@ -618,6 +621,86 @@ fn kill_primary_promote_replica_and_redrive_both_dialects() {
         oracle.snapshot().encode(),
         "promoted durable state must be byte-identical to the acked history"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Read-your-acked-writes on a **following** standby: under `--ack
+/// replica-1` a primary's `ok` means the standby folded the op, and the
+/// standby answers `query` under its monitor's shared lock, so a query
+/// sent after the `ok` sees the op — in both dialects. A shipped
+/// `redefine` then governs the primary's refusals, and a refused op
+/// never shows on the standby.
+#[test]
+fn following_standby_query_sees_every_write_the_primary_acked() {
+    use migratory::core::enforce::net::frame;
+
+    let dir = temp_dir("standby-reads");
+    let (wal_p, wal_r) = (dir.join("wal-p"), dir.join("wal-r"));
+    let (mut primary, p_addr, p_repl) = spawn_repl_serve(
+        &dir,
+        &[
+            "--durable",
+            wal_p.to_str().unwrap(),
+            "--repl-addr",
+            "127.0.0.1:0",
+            "--ack",
+            "replica-1",
+            "--ack-timeout-ms",
+            "20000",
+        ],
+    );
+    let (mut standby, r_addr, _) =
+        spawn_repl_serve(&dir, &["--durable", wal_r.to_str().unwrap(), "--replica-of", &p_repl]);
+    let mut writer = Client::connect(&p_addr);
+    wait_for(20, "the standby to attach", || writer.ask("stats").contains("replicas=1"));
+
+    let mut text = Client::connect(&r_addr);
+    let bin = TcpStream::connect(&r_addr).expect("connect binary");
+    let mut bin_replies = BufReader::new(&bin);
+    // Ask the standby in the text dialect on even turns, in frames on
+    // odd ones; both answer `ok query …` bytes.
+    let mut query = |turn: usize, q: &str| -> String {
+        if turn.is_multiple_of(2) {
+            return text.ask(&format!("query {q}"));
+        }
+        let mut out = Vec::new();
+        frame::encode_query_frame(&mut out, q);
+        (&bin).write_all(&out).expect("send query frame");
+        let (kind, payload) = frame::read_frame(&mut bin_replies).expect("query reply frame");
+        assert_eq!(kind, frame::REP_OK, "binary query answers ok");
+        format!("ok {}", String::from_utf8(payload).expect("utf-8 query reply"))
+    };
+
+    const WRITES: usize = 100;
+    for i in 0..WRITES {
+        if i == WRITES / 2 {
+            // k0 is a student; the shipped redefinition quarantines it
+            // and forbids any further specialization.
+            assert_eq!(writer.ask("invoke St(k0)"), "ok");
+            let rep = query(i, "STUDENT(SSN=\"k0\")");
+            assert!(rep.starts_with("ok query count=1 "), "acked St(k0) on the standby: {rep}");
+            let rep = writer.ask("redefine quarantine ∅* [PERSON]* ∅*");
+            assert_eq!(rep, "ok epoch=1 residue=1", "one student in the residue: {rep}");
+            let rep = writer.ask("invoke St(k1)");
+            assert!(rep.starts_with("violation "), "the new inventory refuses St(k1): {rep}");
+            for turn in [0, 1] {
+                let rep = query(turn, "STUDENT(SSN=\"k1\")");
+                assert_eq!(
+                    rep, "ok query count=0 oids=",
+                    "the refused St(k1) is not on the standby"
+                );
+            }
+        }
+        let key = format!("k{i}");
+        assert_eq!(writer.ask(&format!("invoke Mk({key})")), "ok");
+        let rep = query(i, &format!("PERSON(SSN=\"{key}\")"));
+        assert!(rep.starts_with("ok query count=1 oids="), "standby missed acked {key}: {rep}");
+    }
+
+    assert_eq!(text.ask("shutdown"), "ok draining");
+    standby.wait().expect("standby drains");
+    assert_eq!(writer.ask("shutdown"), "ok draining");
+    primary.wait().expect("primary drains");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
