@@ -160,13 +160,13 @@ use std::sync::{Arc, Mutex};
 /// create-only bulk-load fast path
 /// ([`migratory_lang::apply_bulk_creates`]). Below it, the general
 /// interpreter's per-object inserts are cheaper than the bulk path's
-/// sorted-merge rebuild of the heap maps (`BTreeMap::append` is
-/// O(existing + new) regardless of batch size).
+/// class-index merge (`BTreeSet::append` is O(existing + new) regardless
+/// of batch size).
 pub(crate) const BULK_APPLY_THRESHOLD: usize = 4096;
 
 /// Apply `t[args]` to `db` and return the exact change-set, routing
 /// large create-only transactions through the bulk loader — parallel
-/// chunked condition evaluation plus one sorted-merge into the heap and
+/// chunked condition evaluation plus one bulk append to the heap and
 /// indexes. The produced [`Delta`] (and database post-state) is
 /// identical to [`apply_transaction_delta`]'s, so everything downstream
 /// (tracking, WAL encoding, rollback) is unaffected by the routing.

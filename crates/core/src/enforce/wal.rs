@@ -751,6 +751,19 @@ impl Snapshot {
     /// base + increments in order reproduces the live state
     /// byte-identically.
     pub fn apply(&mut self, d: CheckpointDelta) -> Result<(), WalError> {
+        // Objects are minted from o1 and lie below the counter. The
+        // checksum vouches only for the bytes, so an increment breaking
+        // this is corruption — not a panic in `set_next` below.
+        let (first, last) = (d.objects.keys().next(), d.objects.keys().next_back());
+        if d.next_oid == 0
+            || first.is_some_and(|o| o.0 == 0)
+            || last.is_some_and(|o| o.0 >= d.next_oid)
+        {
+            return Err(WalError::Corrupt(format!(
+                "increment names an object outside o1 ≤ o < o{}",
+                d.next_oid
+            )));
+        }
         if d.shards.len() != self.shards.len() {
             return Err(WalError::Mismatch(format!(
                 "increment has {} shards, snapshot has {}",
@@ -793,6 +806,14 @@ impl Snapshot {
                     }
                 }
             }
+        }
+        // Base objects lie below the base's counter, so only a counter
+        // that moved backwards needs the scan.
+        if d.next_oid < self.db.next_oid().0 && self.db.objects().any(|o| o.0 >= d.next_oid) {
+            return Err(WalError::Corrupt(format!(
+                "increment counter o{} would recycle a live object",
+                d.next_oid
+            )));
         }
         self.db.set_next(d.next_oid);
         self.policy = d.policy;
@@ -2154,5 +2175,54 @@ mod tests {
         padded.resize(good_len + 8 + MAX_RECORD_LEN + 1, 0);
         assert!(matches!(decode_records(&padded), Err(WalError::Corrupt(_))));
         assert!(matches!(valid_prefix_len(&padded), Err(WalError::Corrupt(_))));
+    }
+
+    /// A checksum-valid increment whose next counter does not clear
+    /// every object it leaves in the heap is corruption: folding it must
+    /// fail with `Corrupt`, not panic in `Instance::set_next`.
+    #[test]
+    fn increment_with_oid_at_or_above_its_counter_is_corrupt() {
+        let schema = migratory_model::schema::university_schema();
+        let alphabet = crate::RoleAlphabet::new(&schema, 0).unwrap();
+        let inv = crate::Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* ∅*").unwrap();
+        let ts = migratory_lang::parse_transactions(
+            &schema,
+            r#"transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }"#,
+        )
+        .unwrap();
+        let mk = ts.get("Mk").unwrap();
+        let key = |k: &str| migratory_lang::Assignment::new(vec![migratory_model::Value::str(k)]);
+        let mut m = super::super::Monitor::new(&schema, &alphabet, &inv, crate::PatternKind::All);
+        m.try_apply(mk, &key("a")).unwrap();
+        m.try_apply(mk, &key("b")).unwrap();
+        let base = m.checkpoint_full();
+        m.try_apply(mk, &key("c")).unwrap();
+        let good = m.checkpoint_delta().encode();
+        let fold = |edit: &dyn Fn(&mut CheckpointDelta)| {
+            let mut d = CheckpointDelta::decode(&good).unwrap();
+            edit(&mut d);
+            // The edited increment encodes and decodes like any other.
+            let d = CheckpointDelta::decode(&d.encode()).expect("structurally valid");
+            base.clone().apply(d)
+        };
+        assert!(fold(&|_| {}).is_ok(), "the untouched increment folds");
+        // The increment's own object o3 is not below its counter.
+        assert!(matches!(fold(&|d| d.next_oid = 3), Err(WalError::Corrupt(_))));
+        // o2 survives from the base, and the counter would recycle it.
+        assert!(matches!(
+            fold(&|d| {
+                d.objects.clear();
+                d.next_oid = 2;
+            }),
+            Err(WalError::Corrupt(_))
+        ));
+        // o0 is never minted.
+        assert!(matches!(
+            fold(&|d| {
+                let state = d.objects.values().next().unwrap().clone();
+                d.objects.insert(Oid(0), state);
+            }),
+            Err(WalError::Corrupt(_))
+        ));
     }
 }

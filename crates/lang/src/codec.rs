@@ -85,6 +85,9 @@ pub fn decode_delta(r: &mut ByteReader<'_>) -> Result<Delta, LangError> {
     let mut objects: Vec<ObjectDelta> = Vec::with_capacity(n);
     for _ in 0..n {
         let oid = Oid(r.u64()?);
+        if oid.0 == 0 {
+            return Err(corrupt("delta names o0, which is never minted"));
+        }
         if let Some(last) = objects.last() {
             if oid <= last.oid {
                 return Err(corrupt("delta objects out of oid order"));
@@ -232,6 +235,9 @@ pub fn delta_from_text(src: &str) -> Result<Delta, LangError> {
         let mut p = TextCursor::new(line.trim());
         p.expect('o')?;
         let oid = Oid(p.number()?);
+        if oid.0 == 0 {
+            return Err(corrupt("delta names o0, which is never minted"));
+        }
         if objects.last().is_some_and(|last| oid <= last.oid) {
             return Err(corrupt("delta objects out of oid order"));
         }
@@ -492,6 +498,14 @@ mod tests {
         encode_u64(&mut bad, 1); // oid
         bad.push(0x40); // bogus flags
         assert!(decode_delta(&mut ByteReader::new(&bad)).is_err());
+        // o0 is never minted: an instance has no slot to redo it into.
+        let mut zero = Vec::new();
+        encode_u64(&mut zero, 1);
+        encode_u64(&mut zero, 1);
+        encode_u64(&mut zero, 1);
+        encode_u64(&mut zero, 0); // oid
+        zero.push(0); // no sides
+        assert!(decode_delta(&mut ByteReader::new(&zero)).is_err());
     }
 
     #[test]
@@ -505,6 +519,7 @@ mod tests {
             "delta 1 -> 2\no2 * => [0]{} changed\no1 * => [0]{} changed",
             "delta 1 -> 2\no1 []{} => * changed",
             "delta 1 -> 2\no1 [0]{0=s\"oops} => * changed",
+            "delta 1 -> 2\no0 * => [0]{} changed",
         ] {
             assert!(delta_from_text(bad).is_err(), "`{bad}` parsed");
         }

@@ -368,8 +368,8 @@ const BULK_PARALLEL_THRESHOLD: usize = 4096;
 /// heap and index inserts), this one evaluates every step's condition in
 /// parallel chunks on [`std::thread::scope`] workers — substitution,
 /// satisfiability and value extraction are pure, read-only work — then
-/// mints the identifiers in step order with one bulk sorted-merge into
-/// the heap and indexes ([`Instance::bulk_create`]). Creation never reads
+/// mints the identifiers in step order with one bulk append to the heap
+/// and indexes ([`Instance::bulk_create`]). Creation never reads
 /// the database, so chunk evaluation commutes with step order and the
 /// serial mint keeps identifier assignment identical to the sequential
 /// semantics.

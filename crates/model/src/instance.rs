@@ -16,27 +16,38 @@
 //!
 //! # Storage layout
 //!
-//! The *heap* stores, per object, its class set (which is its role set
-//! `Rs(o, d)`) and its attribute tuple; `BTreeMap`s give deterministic
-//! `<ₒ`-ordered iteration, which the canonical-database machinery of
-//! Theorem 3.2 relies on. Two secondary indexes are derived from the heap
-//! and maintained **incrementally by every mutation path**
-//! ([`Instance::create`], [`Instance::delete_object`],
-//! [`Instance::add_classes`], [`Instance::remove_classes`],
-//! [`Instance::set_values`], [`Instance::put_object`]; the bulk
-//! constructors [`Instance::restrict`] and [`Instance::from_objects`]
-//! rebuild them wholesale):
+//! Objects are minted only from the counter `oᵢ`, which starts at `o₁`,
+//! so the oids an instance has ever held are dense. The *heap* is
+//! therefore a slab with one slot per minted oid: slot `oid − 1` holds
+//! the object's class set (its role set `Rs(o, d)`) and its attribute
+//! tuple. An empty class set marks a *vacant* slot — an object deleted,
+//! or never minted into this instance — and the last slot always holds
+//! an occurring object. Looking an object up is one array index, and
+//! slot order is the `<ₒ` order the canonical-database machinery of
+//! Theorem 3.2 relies on. A vacant slot still costs its 48 bytes; the
+//! tracking layer keeps a record for every object ever created anyway,
+//! so memory stays O(objects ever created).
 //!
-//! * the **class index** — `o(P)` materialized per class, behind
-//!   [`Instance::objects_in`];
-//! * the **value index** — the objects holding each `(attribute, value)`
-//!   pair, which turns the equality atoms of a selection condition into
-//!   point lookups.
+//! Two secondary indexes are derived from the heap and maintained
+//! **incrementally by every mutation path** ([`Instance::create`],
+//! [`Instance::delete_object`], [`Instance::add_classes`],
+//! [`Instance::remove_classes`], [`Instance::set_values`],
+//! [`Instance::put_object`]; the bulk paths [`Instance::bulk_create`],
+//! [`Instance::restrict`], [`Instance::from_objects`] and
+//! [`Instance::decode_snapshot`] build them wholesale):
+//!
+//! * the **class index** — `o(P)` materialized per class as an ordered
+//!   set, behind [`Instance::objects_in`], which answers in `<ₒ` order;
+//! * the **value index** — per attribute, a hash map from each stored
+//!   value to the objects holding it, which turns the equality atoms of a
+//!   selection condition into point lookups that borrow the probe value.
+//!   The maps keep std's keyed hasher, because values come from clients,
+//!   and no output depends on their iteration order.
 //!
 //! [`Instance::sat`] plans from the condition: it drives from the most
 //! selective indexed equality atom (falling back to the class index) and
 //! verifies the remaining atoms per candidate, so `Sat(Γ, d, P)` costs
-//! O(candidates · log |d|) instead of a full heap scan. The pre-index
+//! expected O(candidates) instead of a full heap scan. The pre-index
 //! full scan survives as [`Instance::sat_scan`] — the semantic oracle for
 //! property tests and the benchmark baseline. Index/heap consistency is
 //! part of [`Instance::check_invariants`].
@@ -48,31 +59,178 @@ use crate::ids::{AttrId, ClassId, DenseId, Oid};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// One heap slot: an object's class set and attribute tuple, both empty
+/// when the slot is vacant.
+type Slot = (ClassSet, Tuple);
+
+/// The slot of object `o`.
+///
+/// # Panics
+/// Panics on `o₀`, which is never minted and has no slot.
+fn slot_index(o: Oid) -> usize {
+    let i = o.0.checked_sub(1).expect("o0 is never minted and has no heap slot");
+    usize::try_from(i).expect("oid fits the address space")
+}
+
+/// The object whose slot is `i`.
+fn oid_at(i: usize) -> Oid {
+    Oid(i as u64 + 1)
+}
 
 /// A database instance `d = (o, a, oᵢ)`.
 ///
-/// Equality, ordering and hashing are defined on the heap triple alone;
-/// the indexes are derived data and never observable through comparisons.
+/// Equality, ordering and hashing are defined on the heap triple alone —
+/// lexicographic over the occurring `(oid, classes)` pairs, then the
+/// `(oid, tuple)` pairs, then `oᵢ`. Vacant slots, capacity and the
+/// indexes are never observable through comparisons.
 #[derive(Clone)]
 pub struct Instance {
-    /// Class membership per occurring object — always a non-empty set.
-    membership: BTreeMap<Oid, ClassSet>,
-    /// Attribute values per occurring object.
-    attrs: BTreeMap<Oid, Tuple>,
+    /// Slot `oid − 1` holds object `oid`; the last slot occurs, so the
+    /// length is the largest occurring oid.
+    heap: Vec<Slot>,
+    /// Number of occurring objects (slots with a non-empty class set).
+    live: usize,
     /// Numeric part of the next abstract object `oᵢ`.
     next: u64,
-    /// Class index: `o(P)` per dense class index (slots grow on demand).
-    class_index: Vec<BTreeSet<Oid>>,
-    /// Value index: objects holding each `(attribute, value)` pair.
+    index: Indexes,
+}
+
+/// The class and value indexes, apart from the heap so a mutation can
+/// read a slot while it updates them.
+#[derive(Clone, Default)]
+struct Indexes {
+    /// `o(P)` per dense class index (slots grow on demand).
+    classes: Vec<BTreeSet<Oid>>,
+    /// Per dense attribute index, the objects holding each value.
     /// Entries are removed when their set drains, so `len` of an entry is
     /// an exact selectivity count.
-    value_index: BTreeMap<(AttrId, Value), BTreeSet<Oid>>,
+    values: Vec<HashMap<Value, BTreeSet<Oid>>>,
+}
+
+impl Indexes {
+    fn holders(&self, a: AttrId, v: &Value) -> Option<&BTreeSet<Oid>> {
+        self.values.get(a.index())?.get(v)
+    }
+
+    fn values_of(&mut self, a: AttrId) -> &mut HashMap<Value, BTreeSet<Oid>> {
+        if self.values.len() <= a.index() {
+            self.values.resize_with(a.index() + 1, HashMap::new);
+        }
+        &mut self.values[a.index()]
+    }
+
+    fn add_classes(&mut self, o: Oid, cs: ClassSet) {
+        for c in cs.iter() {
+            if self.classes.len() <= c.index() {
+                self.classes.resize_with(c.index() + 1, BTreeSet::new);
+            }
+            self.classes[c.index()].insert(o);
+        }
+    }
+
+    fn remove_classes(&mut self, o: Oid, cs: ClassSet) {
+        for c in cs.iter() {
+            if let Some(set) = self.classes.get_mut(c.index()) {
+                set.remove(&o);
+            }
+        }
+    }
+
+    fn add_value(&mut self, o: Oid, a: AttrId, v: Value) {
+        self.values_of(a).entry(v).or_default().insert(o);
+    }
+
+    fn remove_value(&mut self, o: Oid, a: AttrId, v: &Value) {
+        let Some(map) = self.values.get_mut(a.index()) else { return };
+        if let Some(set) = map.get_mut(v) {
+            set.remove(&o);
+            if set.is_empty() {
+                map.remove(v);
+            }
+        }
+    }
+
+    fn add_object(&mut self, o: Oid, cs: ClassSet, t: &Tuple) {
+        self.add_classes(o, cs);
+        for (a, v) in t.iter() {
+            self.add_value(o, a, v.clone());
+        }
+    }
+
+    fn remove_object(&mut self, o: Oid, cs: ClassSet, t: &Tuple) {
+        self.remove_classes(o, cs);
+        for (a, v) in t.iter() {
+            self.remove_value(o, a, v);
+        }
+    }
+
+    /// Index occurring `rows` in bulk. Their oids ascend, past every oid
+    /// indexed so far, so each class gets one sorted run appended. Each
+    /// attribute's map is reserved up front for the rows carrying it, so
+    /// a million-entry map does not rehash as it grows; that count only
+    /// bounds the new distinct values, so a map left under half full
+    /// gives the slack back.
+    fn add_rows<'r>(&mut self, rows: impl Iterator<Item = (Oid, &'r Slot)> + Clone) {
+        let mut per_class: Vec<Vec<Oid>> = Vec::new();
+        let mut per_attr: Vec<usize> = Vec::new();
+        for (o, (cs, t)) in rows.clone() {
+            for c in cs.iter() {
+                if per_class.len() <= c.index() {
+                    per_class.resize_with(c.index() + 1, Vec::new);
+                }
+                per_class[c.index()].push(o);
+            }
+            for (a, _) in t.iter() {
+                if per_attr.len() <= a.index() {
+                    per_attr.resize(a.index() + 1, 0);
+                }
+                per_attr[a.index()] += 1;
+            }
+        }
+        if self.classes.len() < per_class.len() {
+            self.classes.resize_with(per_class.len(), BTreeSet::new);
+        }
+        for (set, oids) in self.classes.iter_mut().zip(per_class) {
+            set.append(&mut BTreeSet::from_iter(oids));
+        }
+        let reserved: Vec<AttrId> =
+            (0..per_attr.len()).filter(|&a| per_attr[a] > 0).map(AttrId::from_index).collect();
+        for &a in &reserved {
+            self.values_of(a).reserve(per_attr[a.index()]);
+        }
+        for (o, (_, t)) in rows {
+            for (a, v) in t.iter() {
+                self.add_value(o, a, v.clone());
+            }
+        }
+        for a in reserved {
+            let map = &mut self.values[a.index()];
+            if map.capacity() > 2 * map.len() {
+                map.shrink_to_fit();
+            }
+        }
+    }
+}
+
+/// Formats `(key, value)` pairs as a map, as `BTreeMap`'s `Debug` does.
+struct MapView<I>(I);
+
+impl<K, V, I> std::fmt::Debug for MapView<I>
+where
+    K: std::fmt::Debug,
+    V: std::fmt::Debug,
+    I: Iterator<Item = (K, V)> + Clone,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.0.clone()).finish()
+    }
 }
 
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
-        self.membership == other.membership && self.attrs == other.attrs && self.next == other.next
+        self.next == other.next && self.live == other.live && self.entries().eq(other.entries())
     }
 }
 
@@ -86,18 +244,24 @@ impl PartialOrd for Instance {
 
 impl Ord for Instance {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (&self.membership, &self.attrs, self.next).cmp(&(
-            &other.membership,
-            &other.attrs,
-            other.next,
-        ))
+        let classes = |(o, cs, _): (Oid, &ClassSet, &Tuple)| (o, *cs);
+        self.entries()
+            .map(classes)
+            .cmp(other.entries().map(classes))
+            .then_with(|| {
+                let tuples = self.entries().map(|(o, _, t)| (o, t));
+                tuples.cmp(other.entries().map(|(o, _, t)| (o, t)))
+            })
+            .then(self.next.cmp(&other.next))
     }
 }
 
 impl std::hash::Hash for Instance {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.membership.hash(state);
-        self.attrs.hash(state);
+        self.live.hash(state);
+        for entry in self.entries() {
+            entry.hash(state);
+        }
         self.next.hash(state);
     }
 }
@@ -105,8 +269,8 @@ impl std::hash::Hash for Instance {
 impl std::fmt::Debug for Instance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Instance")
-            .field("membership", &self.membership)
-            .field("attrs", &self.attrs)
+            .field("membership", &MapView(self.entries().map(|(o, cs, _)| (o, cs))))
+            .field("attrs", &MapView(self.entries().map(|(o, _, t)| (o, t))))
             .field("next", &self.next)
             .finish_non_exhaustive()
     }
@@ -123,13 +287,7 @@ impl Instance {
     /// migration pattern (Section 3).
     #[must_use]
     pub fn empty() -> Self {
-        Instance {
-            membership: BTreeMap::new(),
-            attrs: BTreeMap::new(),
-            next: 1,
-            class_index: Vec::new(),
-            value_index: BTreeMap::new(),
-        }
+        Instance { heap: Vec::new(), live: 0, next: 1, index: Indexes::default() }
     }
 
     /// The next abstract object `oᵢ`.
@@ -138,72 +296,91 @@ impl Instance {
         Oid(self.next)
     }
 
+    /// The slot of `o`, if `o` occurs.
+    fn live_index(&self, o: Oid) -> Option<usize> {
+        let i = usize::try_from(o.0.checked_sub(1)?).ok()?;
+        self.heap.get(i).is_some_and(|(cs, _)| !cs.is_empty()).then_some(i)
+    }
+
+    fn slot(&self, o: Oid) -> Option<&Slot> {
+        self.live_index(o).map(|i| &self.heap[i])
+    }
+
+    /// The occurring objects with their class sets and tuples, in `<ₒ`
+    /// order.
+    fn entries(&self) -> impl Iterator<Item = (Oid, &ClassSet, &Tuple)> + Clone + '_ {
+        self.heap
+            .iter()
+            .enumerate()
+            .filter(|(_, (cs, _))| !cs.is_empty())
+            .map(|(i, (cs, t))| (oid_at(i), cs, t))
+    }
+
     /// Whether object `o` occurs in the database (belongs to some class).
     #[must_use]
     pub fn occurs(&self, o: Oid) -> bool {
-        self.membership.contains_key(&o)
+        self.live_index(o).is_some()
     }
 
     /// Number of occurring objects.
     #[must_use]
     pub fn num_objects(&self) -> usize {
-        self.membership.len()
+        self.live
     }
 
     /// Whether no object occurs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.membership.is_empty()
+        self.live == 0
     }
 
     /// `Rs(o, d)` — the role set of `o` as a raw class set (∅ if `o` does
     /// not occur).
     #[must_use]
     pub fn role_set(&self, o: Oid) -> ClassSet {
-        self.membership.get(&o).copied().unwrap_or_default()
+        self.slot(o).map_or_else(ClassSet::empty, |(cs, _)| *cs)
     }
 
     /// The attribute tuple `ō` yielded by `o` (empty if absent).
     #[must_use]
     pub fn tuple_of(&self, o: Oid) -> Tuple {
-        self.attrs.get(&o).cloned().unwrap_or_default()
+        self.tuple_ref(o).cloned().unwrap_or_default()
     }
 
     /// Borrow the attribute tuple of `o`, if it occurs.
     #[must_use]
     pub fn tuple_ref(&self, o: Oid) -> Option<&Tuple> {
-        self.attrs.get(&o)
+        self.slot(o).map(|(_, t)| t)
     }
 
     /// The value `a(o, A)`.
     #[must_use]
     pub fn value(&self, o: Oid, a: AttrId) -> Option<&Value> {
-        self.attrs.get(&o).and_then(|t| t.get(a))
+        self.tuple_ref(o).and_then(|t| t.get(a))
     }
 
     /// Iterate all occurring objects in `<ₒ` order.
     pub fn objects(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.membership.keys().copied()
+        self.entries().map(|(o, _, _)| o)
     }
 
     /// Iterate objects of class `P` (the set `o(P)`) in `<ₒ` order —
     /// served from the class index, O(|o(P)|) instead of O(|d|).
     pub fn objects_in(&self, p: ClassId) -> impl Iterator<Item = Oid> + '_ {
-        self.class_index.get(p.index()).into_iter().flatten().copied()
+        self.index.classes.get(p.index()).into_iter().flatten().copied()
     }
 
     /// Number of objects of class `P` (index lookup, O(1)).
     #[must_use]
     pub fn num_objects_in(&self, p: ClassId) -> usize {
-        self.class_index.get(p.index()).map_or(0, BTreeSet::len)
+        self.index.classes.get(p.index()).map_or(0, BTreeSet::len)
     }
 
     /// Number of objects holding the value `v` for attribute `a` (index
     /// lookup — the planner's selectivity estimate, which is exact).
     #[must_use]
     pub fn num_objects_with(&self, a: AttrId, v: &Value) -> usize {
-        // Cheap key clone: `Value` is an integer, an `Arc<str>` or a tag.
-        self.value_index.get(&(a, v.clone())).map_or(0, BTreeSet::len)
+        self.index.holders(a, v).map_or(0, BTreeSet::len)
     }
 
     /// `Sat(Γ, d, P)` — the objects of `o(P)` whose tuples satisfy the
@@ -243,29 +420,26 @@ impl Instance {
     }
 
     /// `Sat(Γ, d, P)` by full heap scan — the pre-index implementation,
-    /// kept verbatim as the semantic oracle for the index-backed
-    /// [`Instance::sat`] (property tests) and as the benchmark baseline.
+    /// kept as the semantic oracle for the index-backed [`Instance::sat`]
+    /// (property tests) and as the benchmark baseline.
     #[must_use]
     pub fn sat_scan(&self, p: ClassId, gamma: &Condition) -> Vec<Oid> {
-        self.membership
-            .iter()
-            .filter(|(o, cs)| {
-                cs.contains(p) && gamma.satisfied_by(self.attrs.get(o).unwrap_or(&Tuple::default()))
-            })
-            .map(|(o, _)| *o)
+        self.entries()
+            .filter(|(_, cs, t)| cs.contains(p) && gamma.satisfied_by(t))
+            .map(|(o, _, _)| o)
             .collect()
     }
 
     /// Choose the cheapest driver for `Sat(Γ, d, P)`.
     fn plan<'s>(&'s self, p: ClassId, gamma: &Condition) -> SatPlan<'s> {
-        let class_entry = self.class_index.get(p.index());
+        let class_entry = self.index.classes.get(p.index());
         let mut best: Option<&'s BTreeSet<Oid>> = None;
         for atom in gamma.atoms() {
             if atom.op != CmpOp::Eq {
                 continue;
             }
             let Term::Const(v) = &atom.term else { continue };
-            match self.value_index.get(&(atom.attr, v.clone())) {
+            match self.index.holders(atom.attr, v) {
                 // An equality atom nobody satisfies: Sat is empty, full stop.
                 None => return SatPlan::Empty,
                 Some(set) => {
@@ -295,62 +469,13 @@ impl Instance {
 
     /// Whether occurring object `o`'s tuple satisfies ground `gamma`.
     fn member_satisfies(&self, o: Oid, gamma: &Condition) -> bool {
-        gamma.satisfied_by(self.attrs.get(&o).unwrap_or(&Tuple::default()))
+        gamma.satisfied_by(self.tuple_ref(o).unwrap_or(&Tuple::default()))
     }
 
     /// All constants currently stored in the database.
     #[must_use]
     pub fn active_domain(&self) -> std::collections::BTreeSet<Value> {
-        self.attrs.values().flat_map(|t| t.iter().map(|(_, v)| v.clone())).collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Index maintenance primitives.
-    // ------------------------------------------------------------------
-
-    fn index_classes_add(&mut self, o: Oid, cs: ClassSet) {
-        for c in cs.iter() {
-            if self.class_index.len() <= c.index() {
-                self.class_index.resize_with(c.index() + 1, BTreeSet::new);
-            }
-            self.class_index[c.index()].insert(o);
-        }
-    }
-
-    fn index_classes_remove(&mut self, o: Oid, cs: ClassSet) {
-        for c in cs.iter() {
-            if let Some(set) = self.class_index.get_mut(c.index()) {
-                set.remove(&o);
-            }
-        }
-    }
-
-    fn index_value_add(&mut self, o: Oid, a: AttrId, v: &Value) {
-        self.value_index.entry((a, v.clone())).or_default().insert(o);
-    }
-
-    fn index_value_remove(&mut self, o: Oid, a: AttrId, v: &Value) {
-        if let std::collections::btree_map::Entry::Occupied(mut e) =
-            self.value_index.entry((a, v.clone()))
-        {
-            e.get_mut().remove(&o);
-            if e.get().is_empty() {
-                e.remove();
-            }
-        }
-    }
-
-    /// Drop every index entry of `o`'s current heap state.
-    fn deindex_object(&mut self, o: Oid) {
-        if let Some(&cs) = self.membership.get(&o) {
-            self.index_classes_remove(o, cs);
-        }
-        if let Some(t) = self.attrs.get(&o) {
-            let pairs: Vec<(AttrId, Value)> = t.iter().map(|(a, v)| (a, v.clone())).collect();
-            for (a, v) in pairs {
-                self.index_value_remove(o, a, &v);
-            }
-        }
+        self.entries().flat_map(|(_, _, t)| t.iter().map(|(_, v)| v.clone())).collect()
     }
 
     // ------------------------------------------------------------------
@@ -360,18 +485,42 @@ impl Instance {
     // the class and value indexes exactly synchronized with the heap.
     // ------------------------------------------------------------------
 
+    /// Store an already-indexed state in `o`'s slot, growing the slab
+    /// with vacant slots as needed.
+    fn place(&mut self, o: Oid, classes: ClassSet, tuple: Tuple) {
+        let i = slot_index(o);
+        if self.heap.len() <= i {
+            self.heap.resize_with(i + 1, Default::default);
+        }
+        let slot = &mut self.heap[i];
+        if slot.0.is_empty() {
+            self.live += 1;
+        }
+        *slot = (classes, tuple);
+    }
+
+    /// Vacate occurring slot `i`: de-index its state, then drop the
+    /// trailing vacant slots so the last slot occurs again.
+    fn vacate(&mut self, i: usize) {
+        let (cs, t) = std::mem::take(&mut self.heap[i]);
+        self.index.remove_object(oid_at(i), cs, &t);
+        self.live -= 1;
+        while self.heap.last().is_some_and(|(cs, _)| cs.is_empty()) {
+            self.heap.pop();
+        }
+    }
+
     /// Create a new object with the given class memberships and attribute
     /// values, consuming the next abstract object. Returns its identifier.
     pub fn create(&mut self, classes: ClassSet, values: BTreeMap<AttrId, Value>) -> Oid {
         debug_assert!(!classes.is_empty(), "created objects must belong to a class");
         let oid = Oid(self.next);
         self.next += 1;
-        self.index_classes_add(oid, classes);
+        self.index.add_classes(oid, classes);
         for (&a, v) in &values {
-            self.index_value_add(oid, a, v);
+            self.index.add_value(oid, a, v.clone());
         }
-        self.membership.insert(oid, classes);
-        self.attrs.insert(oid, Tuple::from_pairs(values));
+        self.place(oid, classes, Tuple::from_pairs(values));
         oid
     }
 
@@ -380,90 +529,33 @@ impl Instance {
     /// identifier (row `i` became `Oid(first.0 + i)`).
     ///
     /// Semantically identical to calling [`Instance::create`] once per
-    /// row, but the heap maps and both secondary indexes are merged in
-    /// bulk — O(existing + new) via sorted-merge rebuilds instead of
-    /// O(new · log(existing)) individual inserts — which is what makes
-    /// million-object bulk loads cheap. Because every minted identifier
-    /// is larger than every existing one, the new heap entries append
-    /// past the current maximum and the merges never interleave.
+    /// row, but the rows are appended to the slab in one piece and
+    /// indexed in bulk: each class gets one sorted run, and each
+    /// attribute's map is reserved for the batch before it is filled —
+    /// which is what makes million-object bulk loads cheap.
     pub fn bulk_create(&mut self, rows: &[(ClassSet, Tuple)]) -> Oid {
         let first = Oid(self.next);
+        if rows.is_empty() {
+            return first;
+        }
+        debug_assert!(rows.iter().all(|(cs, _)| !cs.is_empty()), "objects need a class");
         self.next += rows.len() as u64;
-        let oid = |i: usize| Oid(first.0 + i as u64);
-        // Class index: per class the minted oids arrive ascending, and all
-        // are larger than any indexed oid — append in bulk per class.
-        let mut per_class: Vec<Vec<Oid>> = Vec::new();
-        for (i, (cs, _)) in rows.iter().enumerate() {
-            debug_assert!(!cs.is_empty(), "created objects must belong to a class");
-            for c in cs.iter() {
-                if per_class.len() <= c.index() {
-                    per_class.resize_with(c.index() + 1, Vec::new);
-                }
-                per_class[c.index()].push(oid(i));
-            }
-        }
-        if self.class_index.len() < per_class.len() {
-            self.class_index.resize_with(per_class.len(), BTreeSet::new);
-        }
-        for (ci, oids) in per_class.into_iter().enumerate() {
-            if !oids.is_empty() {
-                let mut add = BTreeSet::from_iter(oids);
-                self.class_index[ci].append(&mut add);
-            }
-        }
-        // Value index: sort all new (key, oid) facts once, group runs,
-        // then merge groups — extending sets of keys already present and
-        // bulk-appending the (typically dominant) fresh keys.
-        let mut pairs: Vec<((AttrId, Value), Oid)> = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(i, (_, t))| t.iter().map(move |(a, v)| ((a, v.clone()), oid(i))))
-            .collect();
-        pairs.sort_unstable();
-        let mut fresh: Vec<((AttrId, Value), BTreeSet<Oid>)> = Vec::new();
-        let mut run: Option<((AttrId, Value), BTreeSet<Oid>)> = None;
-        let mut flush = |index: &mut BTreeMap<(AttrId, Value), BTreeSet<Oid>>,
-                         group: ((AttrId, Value), BTreeSet<Oid>)| {
-            match index.get_mut(&group.0) {
-                Some(existing) => existing.extend(group.1),
-                None => fresh.push(group),
-            }
-        };
-        for (key, o) in pairs {
-            match &mut run {
-                Some((k, set)) if *k == key => {
-                    set.insert(o);
-                }
-                _ => {
-                    if let Some(group) = run.take() {
-                        flush(&mut self.value_index, group);
-                    }
-                    run = Some((key, BTreeSet::from([o])));
-                }
-            }
-        }
-        if let Some(group) = run {
-            flush(&mut self.value_index, group);
-        }
-        let mut fresh: BTreeMap<(AttrId, Value), BTreeSet<Oid>> = fresh.into_iter().collect();
-        self.value_index.append(&mut fresh);
-        // Heap: new keys are strictly above the existing range, so the
-        // sorted-merge append degenerates to concatenation.
-        let mut membership: BTreeMap<Oid, ClassSet> =
-            rows.iter().enumerate().map(|(i, (cs, _))| (oid(i), *cs)).collect();
-        let mut attrs: BTreeMap<Oid, Tuple> =
-            rows.iter().enumerate().map(|(i, (_, t))| (oid(i), t.clone())).collect();
-        self.membership.append(&mut membership);
-        self.attrs.append(&mut attrs);
+        let start = slot_index(first);
+        assert!(self.heap.len() <= start, "a live object sits at or above the counter");
+        self.index.add_rows((start..).map(oid_at).zip(rows));
+        self.heap.reserve(start + rows.len() - self.heap.len());
+        self.heap.resize_with(start, Default::default);
+        self.heap.extend_from_slice(rows);
+        self.live += rows.len();
         debug_assert!(self.check_index_invariants().is_ok(), "bulk_create desynced the indexes");
         first
     }
 
     /// Remove an object entirely (class memberships and attribute values).
     pub fn delete_object(&mut self, o: Oid) {
-        self.deindex_object(o);
-        self.membership.remove(&o);
-        self.attrs.remove(&o);
+        if let Some(i) = self.live_index(o) {
+            self.vacate(i);
+        }
     }
 
     /// Remove the classes of `remove` from `o`'s membership and clear the
@@ -476,21 +568,19 @@ impl Instance {
         remove: ClassSet,
         clear_attrs: impl IntoIterator<Item = AttrId>,
     ) {
-        let Some(&cur) = self.membership.get(&o) else { return };
-        let dropped = cur.intersection(remove);
-        let rest = cur.difference(remove);
-        self.index_classes_remove(o, dropped);
-        self.membership.insert(o, rest);
-        if self.attrs.contains_key(&o) {
-            for a in clear_attrs {
-                let old = self.attrs.get_mut(&o).and_then(|t| t.unset(a));
-                if let Some(v) = old {
-                    self.index_value_remove(o, a, &v);
-                }
-            }
-        }
+        let Some(i) = self.live_index(o) else { return };
+        let (cs, t) = &mut self.heap[i];
+        let rest = cs.difference(remove);
         if rest.is_empty() {
-            self.delete_object(o);
+            self.vacate(i);
+            return;
+        }
+        self.index.remove_classes(o, cs.intersection(remove));
+        *cs = rest;
+        for a in clear_attrs {
+            if let Some(v) = t.unset(a) {
+                self.index.remove_value(o, a, &v);
+            }
         }
     }
 
@@ -502,37 +592,36 @@ impl Instance {
         add: ClassSet,
         values: impl IntoIterator<Item = (AttrId, Value)>,
     ) {
-        let Some(&cur) = self.membership.get(&o) else { return };
-        self.index_classes_add(o, add.difference(cur));
-        self.membership.insert(o, cur.union(add));
+        let Some(i) = self.live_index(o) else { return };
+        let cs = &mut self.heap[i].0;
+        self.index.add_classes(o, add.difference(*cs));
+        *cs = cs.union(add);
         for (a, v) in values {
-            self.set_value_indexed(o, a, v);
+            self.set_value_at(i, a, v);
         }
     }
 
     /// Overwrite attribute values of `o`.
     pub fn set_values(&mut self, o: Oid, values: impl IntoIterator<Item = (AttrId, Value)>) {
-        if self.membership.contains_key(&o) {
+        if let Some(i) = self.live_index(o) {
             for (a, v) in values {
-                self.set_value_indexed(o, a, v);
+                self.set_value_at(i, a, v);
             }
         }
     }
 
-    /// Set one attribute value on the heap and both sides of the value
-    /// index. Writing back the stored value is a no-op.
-    fn set_value_indexed(&mut self, o: Oid, a: AttrId, v: Value) {
-        let t = self.attrs.entry(o).or_default();
+    /// Set one attribute value of occurring slot `i` on the heap and both
+    /// sides of the value index. Writing back the stored value is a no-op.
+    fn set_value_at(&mut self, i: usize, a: AttrId, v: Value) {
+        let o = oid_at(i);
+        let t = &mut self.heap[i].1;
         match t.get(a) {
             Some(old) if *old == v => return,
-            Some(old) => {
-                let old = old.clone();
-                t.set(a, v.clone());
-                self.index_value_remove(o, a, &old);
-            }
-            None => t.set(a, v.clone()),
+            Some(old) => self.index.remove_value(o, a, old),
+            None => {}
         }
-        self.index_value_add(o, a, &v);
+        t.set(a, v.clone());
+        self.index.add_value(o, a, v);
     }
 
     /// Restore an object's raw state — membership and attribute tuple —
@@ -541,61 +630,33 @@ impl Instance {
     /// is de-indexed first, so restoring over a live object keeps the
     /// indexes exact. Does not validate against a schema; callers restore
     /// states that were valid when captured.
+    ///
+    /// # Panics
+    /// Panics on `o₀`, which is never minted.
     pub fn put_object(&mut self, o: Oid, classes: ClassSet, tuple: Tuple) {
         debug_assert!(!classes.is_empty(), "restored objects must belong to a class");
-        self.deindex_object(o);
-        self.index_classes_add(o, classes);
-        for (a, v) in tuple.iter() {
-            let v = v.clone();
-            self.index_value_add(o, a, &v);
+        if let Some(i) = self.live_index(o) {
+            let (cs, t) = &self.heap[i];
+            self.index.remove_object(o, *cs, t);
         }
-        self.membership.insert(o, classes);
-        self.attrs.insert(o, tuple);
+        self.index.add_object(o, classes, &tuple);
+        self.place(o, classes, tuple);
         // Schema-free half of `check_invariants` — the schema is not in
         // scope here, but index/heap agreement is auditable and this is
         // the rollback/restore primitive where drift would be fatal.
         debug_assert!(self.check_index_invariants().is_ok(), "put_object desynced the indexes");
     }
 
-    /// Build an instance from raw heap parts, deriving both indexes in
-    /// bulk: entries are grouped in sorted order and the `BTree`
-    /// containers are built through their (bulk-building) `FromIterator`
-    /// — O(entries log entries) with small constants, which is what
-    /// keeps snapshot recovery far cheaper than replaying history.
-    fn from_parts(
-        membership: BTreeMap<Oid, ClassSet>,
-        attrs: BTreeMap<Oid, Tuple>,
-        next: u64,
-    ) -> Instance {
-        // Class index: per class, oids arrive in ascending heap order.
-        let mut per_class: Vec<Vec<Oid>> = Vec::new();
-        for (&o, cs) in &membership {
-            for c in cs.iter() {
-                if per_class.len() <= c.index() {
-                    per_class.resize_with(c.index() + 1, Vec::new);
-                }
-                per_class[c.index()].push(o);
-            }
-        }
-        let class_index: Vec<BTreeSet<Oid>> =
-            per_class.into_iter().map(BTreeSet::from_iter).collect();
-        // Value index: sort all (key, oid) facts once, then group runs.
-        let mut pairs: Vec<((AttrId, Value), Oid)> = attrs
-            .iter()
-            .flat_map(|(&o, t)| t.iter().map(move |(a, v)| ((a, v.clone()), o)))
-            .collect();
-        pairs.sort_unstable();
-        let mut groups: Vec<((AttrId, Value), BTreeSet<Oid>)> = Vec::new();
-        for (key, o) in pairs {
-            match groups.last_mut() {
-                Some((k, set)) if *k == key => {
-                    set.insert(o);
-                }
-                _ => groups.push((key, BTreeSet::from([o]))),
-            }
-        }
-        let value_index: BTreeMap<(AttrId, Value), BTreeSet<Oid>> = groups.into_iter().collect();
-        Instance { membership, attrs, next, class_index, value_index }
+    /// Build an instance from a slab whose last slot occurs and whose
+    /// vacant slots are empty, deriving both indexes in bulk.
+    fn from_slab(heap: Vec<Slot>, next: u64) -> Instance {
+        let occurring = || heap.iter().enumerate().filter(|(_, (cs, _))| !cs.is_empty());
+        let mut index = Indexes::default();
+        index.add_rows(occurring().map(|(i, s)| (oid_at(i), s)));
+        let live = occurring().count();
+        let db = Instance { heap, live, next, index };
+        debug_assert!(db.check_index_invariants().is_ok(), "bulk-built indexes are stale");
+        db
     }
 
     /// The restriction `d|_I` of the database onto a set of objects
@@ -604,37 +665,35 @@ impl Instance {
     /// are rebuilt for the surviving objects.
     #[must_use]
     pub fn restrict(&self, objects: &[Oid]) -> Instance {
-        let db = Instance::from_parts(
-            self.membership
-                .iter()
-                .filter(|(o, _)| objects.contains(o))
-                .map(|(o, cs)| (*o, *cs))
-                .collect(),
-            self.attrs
-                .iter()
-                .filter(|(o, _)| objects.contains(o))
-                .map(|(o, t)| (*o, t.clone()))
-                .collect(),
-            self.next,
-        );
-        debug_assert!(db.check_index_invariants().is_ok(), "restrict rebuilt stale indexes");
+        let kept = objects.iter().filter_map(|&o| self.slot(o).map(|(cs, t)| (o, *cs, t.clone())));
+        let mut db = Instance::from_objects(kept);
+        db.next = self.next;
         db
     }
 
     /// Construct an instance directly (used by canonical-database builders
-    /// in the analyzer); the indexes are derived from the given objects.
-    /// `next` is set just above the largest object.
+    /// in the analyzer); the indexes are derived from the given objects,
+    /// which may come in any order (a later duplicate wins; an entry with
+    /// no classes is ignored). `next` is set just above the largest object.
+    ///
+    /// # Panics
+    /// Panics if an object is `o₀`, which is never minted.
     #[must_use]
     pub fn from_objects(objects: impl IntoIterator<Item = (Oid, ClassSet, Tuple)>) -> Instance {
-        let mut membership = BTreeMap::new();
-        let mut attrs = BTreeMap::new();
+        let mut heap: Vec<Slot> = Vec::new();
         let mut max = 0u64;
         for (o, cs, t) in objects {
             max = max.max(o.0);
-            membership.insert(o, cs);
-            attrs.insert(o, t);
+            if cs.is_empty() {
+                continue;
+            }
+            let i = slot_index(o);
+            if heap.len() <= i {
+                heap.resize_with(i + 1, Default::default);
+            }
+            heap[i] = (cs, t);
         }
-        Instance::from_parts(membership, attrs, max + 1)
+        Instance::from_slab(heap, max + 1)
     }
 
     /// Force the next-object counter (canonical databases only).
@@ -645,10 +704,10 @@ impl Instance {
     /// an identifier a second time, silently corrupting the heap and its
     /// indexes (abstract objects are created **at most once**, Section 2).
     pub fn set_next(&mut self, next: u64) {
-        // Keys are ordered: the largest occurring object bounds them all,
-        // so the guard is O(log n) — it sits on the undo/redo hot paths.
+        // The last slot holds the largest occurring object, so the guard
+        // is O(1) — it sits on the undo/redo hot paths.
         assert!(
-            self.membership.last_key_value().is_none_or(|(o, _)| o.0 < next),
+            self.heap.is_empty() || (self.heap.len() as u64) < next,
             "set_next({next}) would recycle a live object identifier"
         );
         self.next = next;
@@ -659,18 +718,16 @@ impl Instance {
     // ------------------------------------------------------------------
 
     /// Append a canonical binary snapshot of the heap triple `(o, a, oᵢ)`
-    /// to `out`. Only the heap is written — the class and value indexes
-    /// are derived data and are rebuilt by
+    /// to `out`. Only the occurring objects are written — the class and
+    /// value indexes are derived data and are rebuilt by
     /// [`Instance::decode_snapshot`] — so equal instances (which compare
     /// on the heap alone) produce identical bytes.
     pub fn encode_snapshot(&self, out: &mut Vec<u8>) {
         crate::codec::encode_u64(out, self.next);
-        crate::codec::encode_u64(out, self.membership.len() as u64);
-        for (o, cs) in &self.membership {
+        crate::codec::encode_u64(out, self.live as u64);
+        for (o, cs, t) in self.entries() {
             crate::codec::encode_u64(out, o.0);
             crate::codec::encode_idset(out, *cs);
-            let empty = Tuple::default();
-            let t = self.attrs.get(o).unwrap_or(&empty);
             crate::codec::encode_tuple(out, t);
         }
     }
@@ -681,14 +738,19 @@ impl Instance {
     /// [`Instance::check_invariants`] whenever the original did.
     pub fn decode_snapshot(r: &mut crate::codec::Reader<'_>) -> Result<Instance, ModelError> {
         let next = r.u64()?;
+        if next == 0 {
+            return Err(ModelError::Corrupt("snapshot counter is o0; objects start at o1".into()));
+        }
         let n = r.count()?;
-        let mut members: Vec<(Oid, ClassSet)> = Vec::with_capacity(n);
-        let mut tuples: Vec<(Oid, Tuple)> = Vec::with_capacity(n);
+        let mut heap: Vec<Slot> = Vec::with_capacity(n);
         for _ in 0..n {
             let o = Oid(r.u64()?);
+            if o.0 == 0 {
+                return Err(ModelError::Corrupt("snapshot names o0, which is never minted".into()));
+            }
             // Canonical encodings are strictly ascending; requiring it
-            // rules out duplicates and lets the maps bulk-build below.
-            if members.last().is_some_and(|&(p, _)| o <= p) {
+            // rules out duplicates and lets the slab fill in order.
+            if o.0 <= heap.len() as u64 {
                 return Err(ModelError::Corrupt(format!("snapshot objects out of order at {o}")));
             }
             let cs: ClassSet = r.idset()?;
@@ -701,10 +763,14 @@ impl Instance {
                 )));
             }
             let t = r.tuple()?;
-            members.push((o, cs));
-            tuples.push((o, t));
+            let i = slot_index(o);
+            heap.try_reserve(i + 1 - heap.len()).map_err(|_| {
+                ModelError::Corrupt(format!("snapshot object {o} needs more slots than fit"))
+            })?;
+            heap.resize_with(i, Default::default);
+            heap.push((cs, t));
         }
-        Ok(Instance::from_parts(members.into_iter().collect(), tuples.into_iter().collect(), next))
+        Ok(Instance::from_slab(heap, next))
     }
 
     /// Check the well-formedness invariants of Definition 2.2 against a
@@ -717,12 +783,7 @@ impl Instance {
     /// 4. every occurring object `<ₒ`-smaller than `next`;
     /// 5. the class and value indexes agree exactly with the heap.
     pub fn check_invariants(&self, schema: &Schema) -> Result<(), ModelError> {
-        for (&o, &cs) in &self.membership {
-            if cs.is_empty() {
-                return Err(ModelError::InvariantViolated(format!(
-                    "object {o} occurs with empty class set"
-                )));
-            }
+        for (o, &cs, t) in self.entries() {
             if !schema.is_up_closed(cs) {
                 return Err(ModelError::InvariantViolated(format!(
                     "membership of {o} is not isa-closed"
@@ -735,7 +796,6 @@ impl Instance {
                 )));
             }
             let expected = schema.attrs_of_class_set(cs);
-            let t = self.attrs.get(&o).cloned().unwrap_or_default();
             for a in expected.iter() {
                 if t.get(a).is_none() {
                     return Err(ModelError::MissingValue { oid: o.0, attr: a });
@@ -756,11 +816,22 @@ impl Instance {
         self.check_index_invariants()
     }
 
-    /// Verify that both secondary indexes agree exactly with the heap
-    /// (every heap fact indexed, every index entry backed by the heap).
+    /// Verify the slab's shape (the last slot occurs, vacant slots hold
+    /// no values, `live` counts the occurring slots) and that both
+    /// secondary indexes agree exactly with the heap (every heap fact
+    /// indexed, every index entry backed by the heap).
     fn check_index_invariants(&self) -> Result<(), ModelError> {
+        if self.heap.last().is_some_and(|(cs, _)| cs.is_empty())
+            || self.heap.iter().any(|(cs, t)| cs.is_empty() && !t.is_empty())
+            || self.entries().count() != self.live
+        {
+            return Err(ModelError::InvariantViolated(
+                "heap slab ends in, or keeps values in, a vacant slot, or miscounts live ones"
+                    .into(),
+            ));
+        }
         let mut indexed_memberships = 0usize;
-        for (ci, set) in self.class_index.iter().enumerate() {
+        for (ci, set) in self.index.classes.iter().enumerate() {
             let c = ClassId::from_index(ci);
             for &o in set {
                 if !self.role_set(o).contains(c) {
@@ -771,29 +842,32 @@ impl Instance {
             }
             indexed_memberships += set.len();
         }
-        let heap_memberships: usize = self.membership.values().map(|cs| cs.len()).sum();
+        let heap_memberships: usize = self.entries().map(|(_, cs, _)| cs.len()).sum();
         if indexed_memberships != heap_memberships {
             return Err(ModelError::InvariantViolated(format!(
                 "class index covers {indexed_memberships} memberships, heap has {heap_memberships}"
             )));
         }
         let mut indexed_values = 0usize;
-        for ((a, v), set) in &self.value_index {
-            if set.is_empty() {
-                return Err(ModelError::InvariantViolated(format!(
-                    "value index keeps a drained entry for ({a}, {v})"
-                )));
-            }
-            for o in set {
-                if self.value(*o, *a) != Some(v) {
+        for (ai, map) in self.index.values.iter().enumerate() {
+            let a = AttrId::from_index(ai);
+            for (v, set) in map {
+                if set.is_empty() {
                     return Err(ModelError::InvariantViolated(format!(
-                        "value index lists {o} under ({a}, {v}) but the heap disagrees"
+                        "value index keeps a drained entry for ({a}, {v})"
                     )));
                 }
+                for &o in set {
+                    if self.value(o, a) != Some(v) {
+                        return Err(ModelError::InvariantViolated(format!(
+                            "value index lists {o} under ({a}, {v}) but the heap disagrees"
+                        )));
+                    }
+                }
+                indexed_values += set.len();
             }
-            indexed_values += set.len();
         }
-        let heap_values: usize = self.attrs.values().map(Tuple::len).sum();
+        let heap_values: usize = self.entries().map(|(_, _, t)| t.len()).sum();
         if indexed_values != heap_values {
             return Err(ModelError::InvariantViolated(format!(
                 "value index covers {indexed_values} values, heap has {heap_values}"
@@ -819,6 +893,7 @@ mod tests {
     use super::*;
     use crate::condition::Atom;
     use crate::schema::university_schema;
+    use std::hash::BuildHasher as _;
 
     fn sample() -> (Schema, Instance) {
         let schema = university_schema();
@@ -1067,8 +1142,9 @@ mod tests {
         let (schema, mut db) = sample();
         let ga = schema.class_id("GRAD_ASSIST").unwrap();
         // Not up-closed: GRAD_ASSIST without its ancestors.
-        db.membership.insert(Oid(9), ClassSet::singleton(ga));
-        db.attrs.insert(Oid(9), Tuple::new());
+        db.heap.resize_with(9, Default::default);
+        db.heap[8] = (ClassSet::singleton(ga), Tuple::new());
+        db.live += 1;
         db.next = 10;
         assert!(db.check_invariants(&schema).is_err());
     }
@@ -1077,7 +1153,7 @@ mod tests {
     fn missing_attribute_detected() {
         let (schema, mut db) = sample();
         let ssn = schema.attr_id("SSN").unwrap();
-        db.attrs.get_mut(&Oid(1)).unwrap().unset(ssn);
+        db.heap[0].1.unset(ssn);
         assert_eq!(
             db.check_invariants(&schema),
             Err(ModelError::MissingValue { oid: 1, attr: ssn })
@@ -1088,7 +1164,7 @@ mod tests {
     fn extra_attribute_detected() {
         let (schema, mut db) = sample();
         let salary = schema.attr_id("Salary").unwrap();
-        db.attrs.get_mut(&Oid(1)).unwrap().set(salary, Value::int(1));
+        db.heap[0].1.set(salary, Value::int(1));
         assert!(db.check_invariants(&schema).is_err());
     }
 
@@ -1097,7 +1173,7 @@ mod tests {
         let (schema, mut db) = sample();
         // Heap mutated behind the indexes' back: both directions caught.
         let ssn = schema.attr_id("SSN").unwrap();
-        db.attrs.get_mut(&Oid(1)).unwrap().set(ssn, Value::str("8888"));
+        db.heap[0].1.set(ssn, Value::str("8888"));
         let err = db.check_invariants(&schema).unwrap_err();
         assert!(format!("{err:?}").contains("index"), "got {err:?}");
     }
@@ -1155,6 +1231,60 @@ mod tests {
         crate::codec::encode_idset(&mut bad, ClassSet::singleton(ClassId::from_index(0)));
         crate::codec::encode_tuple(&mut bad, &Tuple::new());
         assert!(Instance::decode_snapshot(&mut crate::codec::Reader::new(&bad)).is_err());
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_oid_zero() {
+        // o0 is never minted, and the heap has no slot for it.
+        let mut bad = Vec::new();
+        crate::codec::encode_u64(&mut bad, 3); // next = 3
+        crate::codec::encode_u64(&mut bad, 1); // one object
+        crate::codec::encode_u64(&mut bad, 0); // oid 0
+        crate::codec::encode_idset(&mut bad, ClassSet::singleton(ClassId::from_index(0)));
+        crate::codec::encode_tuple(&mut bad, &Tuple::new());
+        let err = Instance::decode_snapshot(&mut crate::codec::Reader::new(&bad)).unwrap_err();
+        assert!(matches!(err, ModelError::Corrupt(_)), "got {err:?}");
+        // Nor does a counter of o0, which would mint it next.
+        let mut zero_next = Vec::new();
+        crate::codec::encode_u64(&mut zero_next, 0);
+        crate::codec::encode_u64(&mut zero_next, 0);
+        assert!(Instance::decode_snapshot(&mut crate::codec::Reader::new(&zero_next)).is_err());
+    }
+
+    #[test]
+    fn vacant_slots_are_invisible() {
+        let (schema, mut db) = sample();
+        let person = schema.class_id("PERSON").unwrap();
+        let ssn = schema.attr_id("SSN").unwrap();
+        let o3 = db.create(ClassSet::singleton(person), BTreeMap::from([(ssn, Value::str("3"))]));
+        let o4 = db.create(ClassSet::singleton(person), BTreeMap::from([(ssn, Value::str("4"))]));
+        // A hole in the middle, then the highest oid: the counter may wind
+        // back to just above the last live object, and no further.
+        db.delete_object(Oid(2));
+        db.delete_object(o4);
+        db.set_next(o4.0);
+        db.set_next(o3.0 + 1);
+        db.check_index_invariants().unwrap();
+        let rebuilt = Instance::from_objects(
+            db.objects().map(|o| (o, db.role_set(o), db.tuple_of(o))).collect::<Vec<_>>(),
+        );
+        assert_eq!(rebuilt, db);
+        assert_eq!(rebuilt.cmp(&db), std::cmp::Ordering::Equal);
+        assert_eq!(format!("{rebuilt:?}"), format!("{db:?}"));
+        let state = std::hash::RandomState::new();
+        assert_eq!(state.hash_one(&rebuilt), state.hash_one(&db));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        rebuilt.encode_snapshot(&mut a);
+        db.encode_snapshot(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(db.objects().collect::<Vec<_>>(), vec![Oid(1), o3]);
+        assert_eq!(db.num_objects(), 2);
+        assert!(!db.occurs(Oid(2)) && !db.occurs(o4) && !db.occurs(Oid(0)));
+        assert_eq!(db.tuple_ref(Oid(2)), None);
+        // Ordering follows the occurring (oid, classes) pairs, holes unseen:
+        // {o1, o3} sorts after {o1, o2} whatever the slab looks like.
+        let (_, two) = sample();
+        assert!(two < db);
     }
 
     #[test]

@@ -1,0 +1,167 @@
+//! Golden on-disk bytes: a small scripted [`ShardedMonitor`] on the
+//! university schema, with its snapshot, its log records and its
+//! incremental checkpoints compared against fixed hex fixtures.
+//!
+//! Every other recovery test compares bytes against bytes produced by the
+//! same build, so a layout change that reorders objects the same way on
+//! both sides would pass all of them. These fixtures were generated from
+//! the `BTreeMap`-backed `Instance` heap, before the heap became a slab
+//! indexed by oid; they must keep passing unedited. A deliberate format
+//! change regenerates them and says so.
+//!
+//! The script covers the shapes a heap layout can get wrong: a bulk
+//! create block, a specialization, a delete in the middle of the oid
+//! range, deletes of the highest oid (so the counter runs past the last
+//! live object), and an online `redefine`. The record bytes are exactly
+//! what [`wal::encode_record`] and [`wal::encode_redefine_record`] emit
+//! for the log and the replication stream.
+
+use migratory::core::enforce::{
+    wal, BlockRef, CommitSink, ResiduePolicy, ShardedMonitor, SharedSink, WalError,
+};
+use migratory::core::{Inventory, PatternKind, RoleAlphabet};
+use migratory::lang::{parse_transactions, Assignment};
+use migratory::model::schema::university_schema;
+use migratory::model::Value;
+use std::sync::{Arc, Mutex};
+
+/// Appends every record the monitor hands it, framed as in the log.
+#[derive(Default)]
+struct RecordBytes(Vec<u8>);
+
+impl CommitSink for RecordBytes {
+    fn committed(&mut self, block: &BlockRef<'_>) -> Result<(), WalError> {
+        wal::encode_record(&mut self.0, block)
+    }
+
+    fn certified(&mut self, steps: usize) -> Result<(), WalError> {
+        wal::encode_certify_record(&mut self.0, steps);
+        Ok(())
+    }
+
+    fn redefined(
+        &mut self,
+        epoch: u64,
+        policy: ResiduePolicy,
+        shards: &[(u32, usize)],
+        inventory: &[u8],
+    ) -> Result<(), WalError> {
+        wal::encode_redefine_record(&mut self.0, epoch, policy, shards, inventory)
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The bytes the script produces: snapshot, log records, and the two
+/// incremental checkpoints taken along the way.
+struct Outputs {
+    snapshot: Vec<u8>,
+    records: Vec<u8>,
+    first_increment: Vec<u8>,
+    second_increment: Vec<u8>,
+}
+
+fn run_script() -> Outputs {
+    let schema = university_schema();
+    let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+    let base =
+        Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+    let tighter = Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* ∅*").unwrap();
+    let ts = parse_transactions(
+        &schema,
+        r#"
+        transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+        transaction St(x) {
+          specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+        }
+        transaction Rm(x) { delete(PERSON, { SSN = x }); }
+    "#,
+    )
+    .unwrap();
+    let records = Arc::new(Mutex::new(RecordBytes::default()));
+    let sink: SharedSink = records.clone();
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &base, PatternKind::All, 2).with_sink(sink);
+    let key = |k: &str| Assignment::new(vec![Value::str(k)]);
+    let mk = ts.get("Mk").unwrap();
+    let creates: Vec<Assignment> = (1..=6).map(|i| key(&format!("k{i}"))).collect();
+    // o1..o6 in one block.
+    assert_eq!(m.try_apply_batch(creates.iter().map(|a| (mk, a))), (6, None));
+    m.try_apply(ts.get("St").unwrap(), &key("k2")).unwrap();
+    let first_increment = m.checkpoint_delta().encode();
+    // A delete in the middle of the range.
+    m.try_apply(ts.get("Rm").unwrap(), &key("k3")).unwrap();
+    let out = m.redefine(&tighter, ResiduePolicy::Quarantine).unwrap();
+    assert_eq!(out.epoch, 1);
+    // o7, then deletes of o6 (a hole below o7) and of o7 (the highest
+    // oid): the counter ends two past the last live object.
+    m.try_apply(mk, &key("k7")).unwrap();
+    m.try_apply(ts.get("Rm").unwrap(), &key("k6")).unwrap();
+    m.try_apply(ts.get("Rm").unwrap(), &key("k7")).unwrap();
+    assert_eq!(m.db().num_objects(), 4);
+    assert_eq!(m.db().next_oid().0, 8);
+    let second_increment = m.checkpoint_delta().encode();
+    let snapshot = m.snapshot().encode();
+    let records = std::mem::take(&mut records.lock().unwrap().0);
+    Outputs { snapshot, records, first_increment, second_increment }
+}
+
+const SNAPSHOT: &str = concat!(
+    "4d47534e50330001010101890106000000050000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000020000000200000003000000020000000200000001040000000200",
+    "00000200000002000000020000000200000008040101020001026b310101016e0205040001026b320101016e",
+    "04010243530500020401020001026b340101016e0501020001026b350101016e020b00000302020202010203",
+    "07040401010104060603020106000a040000000001010101030301020400010303010101030302040003000b",
+    "0000040101010101010303020201030008050501010105070903020109000b04000001000101020104000000",
+    "040001030201010104000300",
+);
+const RECORDS: &str = concat!(
+    "750000004b8b2e4a0006010201010601020001026b310101016e020301020601020001026b320101016e0304",
+    "01030601020001026b330101016e040501040601020001026b340101016e050601050601020001026b350101",
+    "016e060701060601020001026b360101016e020000060001020304050100060001020304052e000000024885",
+    "4c0001070701020701020001026b320101016e05040001026b320101016e0401024353050002020006010001",
+    "0601001b0000004a55d9bb0001070701030501020001026b330101016e020007010001070100930000001261",
+    "eea7020100020008010889010600000005000000000000000100000000010000000200000003000000020000",
+    "0002000000010400000001000000020000000300000002000000020000000002000000020000000200000002",
+    "0000000200000002000000010400000002000000020000000300000002000000020000000104000000020000",
+    "00020000000200000002000000020000001b000000aff7cb9b0001070801070601020001026b370101016e02",
+    "00080100010801001b00000066fe1c2f0001080801060501020001026b360101016e0200090100010901001b",
+    "00000014df95960001080801070501020001026b370101016e02000a0100010a0100",
+);
+const FIRST_INCREMENT: &str = concat!(
+    "4d47444c54320000000001a20106000000060000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000050000000200000003000000020000000200000001040000000200",
+    "0000020000000200000002000000020000000104000000050000000200000002000000020000000200000007",
+    "06010101020001026b310101016e020105040001026b320101016e0401024353050002030101020001026b33",
+    "0101016e040101020001026b340101016e050101020001026b350101016e060101020001026b360101016e02",
+    "0700000302020202010203070404010101040606010101060300000000010102010303010202010101030302",
+    "00070000030101010101010303010101030505010101050200000000010103010101010100",
+);
+const SECOND_INCREMENT: &str = concat!(
+    "4d47444c54320001010101890106000000050000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000020000000200000003000000020000000200000001040000000200",
+    "0000020000000200000002000000020000000803030006000700020b000001060603020106000a0400000000",
+    "01010101030301020400010303010101030302040003000b0000020303020201030008070903020109000b04",
+    "000001000101020104000000040001030201010104000300",
+);
+
+#[test]
+fn snapshot_bytes_match_golden() {
+    assert_eq!(hex(&run_script().snapshot), SNAPSHOT);
+}
+
+#[test]
+fn log_record_bytes_match_golden() {
+    assert_eq!(hex(&run_script().records), RECORDS);
+}
+
+#[test]
+fn checkpoint_increment_bytes_match_golden() {
+    let out = run_script();
+    assert_eq!(hex(&out.first_increment), FIRST_INCREMENT);
+    assert_eq!(hex(&out.second_increment), SECOND_INCREMENT);
+}

@@ -10,12 +10,14 @@
 use migratory::lang::{
     apply_transaction_delta, satisfies_literal, Assignment, AtomicUpdate, Literal, Transaction,
 };
+use migratory::model::codec::Reader;
 use migratory::model::{
     Atom, AttrId, ClassId, Condition, Instance, Oid, Schema, SchemaBuilder, Value,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher as _, RandomState};
 
 /// A random single-component hierarchy: root `C0(K, A)` plus 1–4
 /// subclasses, each hanging off a random earlier class and owning one
@@ -165,13 +167,60 @@ fn assert_sat_agrees(rng: &mut StdRng, schema: &Schema, classes: &[ClassId], db:
     }
 }
 
+/// An instance compares by its live objects and counter alone: the
+/// snapshot round trip, and a rebuild from the live objects with the
+/// counter forced back, are `==`, hash the same, order `Equal` and encode
+/// to the same bytes — so deleted objects, trailing or not, leave no
+/// trace. `objects()` ascends strictly.
+fn assert_live_objects_decide(db: &Instance, ctx: &str) {
+    let state = RandomState::new();
+    let mut bytes = Vec::new();
+    db.encode_snapshot(&mut bytes);
+    let decoded = Instance::decode_snapshot(&mut Reader::new(&bytes))
+        .unwrap_or_else(|e| panic!("{ctx}: snapshot decode: {e:?}"));
+    assert_eq!(&decoded, db, "{ctx}: snapshot round trip");
+    assert_eq!(state.hash_one(&decoded), state.hash_one(db), "{ctx}: decoded hash");
+    let objects: Vec<Oid> = db.objects().collect();
+    assert!(objects.windows(2).all(|w| w[0] < w[1]), "{ctx}: objects() not ascending");
+    let mut rebuilt =
+        Instance::from_objects(objects.iter().map(|&o| (o, db.role_set(o), db.tuple_of(o))));
+    rebuilt.set_next(db.next_oid().0);
+    assert_eq!(&rebuilt, db, "{ctx}: rebuilt from live objects");
+    assert_eq!(state.hash_one(&rebuilt), state.hash_one(db), "{ctx}: rebuilt hash");
+    assert_eq!(rebuilt.cmp(db), std::cmp::Ordering::Equal, "{ctx}: rebuilt order");
+    let mut again = Vec::new();
+    rebuilt.encode_snapshot(&mut again);
+    assert_eq!(again, bytes, "{ctx}: rebuilt bytes");
+}
+
+/// Apply a one-update transaction through the interpreter, check the
+/// result, undo it (`Delta::undo`, which ends in `set_next`) and check
+/// that the instance is back where it started.
+fn apply_and_undo(schema: &Schema, db: &mut Instance, update: AtomicUpdate, ctx: &str) {
+    let before = db.clone();
+    let t = Transaction::sl("probe", &[], vec![update]);
+    let delta = apply_transaction_delta(schema, db, &t, &Assignment::empty())
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    db.check_invariants(schema).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+    assert_live_objects_decide(db, ctx);
+    delta.undo(db);
+    assert_eq!(*db, before, "{ctx}: undo");
+    db.check_invariants(schema).unwrap_or_else(|e| panic!("{ctx} undone: {e:?}"));
+    assert_live_objects_decide(db, &format!("{ctx} undone"));
+}
+
 /// 60 random mutation histories through the raw `Instance` primitives:
-/// after every mutation the indexes must pass `check_invariants` and all
-/// planned queries must agree with the full-scan oracle; `restrict` and
-/// `from_objects` must rebuild consistent indexes for random subsets.
+/// after every mutation the indexes must pass `check_invariants`, all
+/// planned queries must agree with the full-scan oracle, and the live
+/// objects alone must decide equality, hashing, order and bytes;
+/// `restrict` and `from_objects` must rebuild consistent indexes for
+/// random subsets. Each history ends by deleting its highest oid and
+/// undoing that, then creating an object and undoing that, which winds
+/// the counter back over the freed oid.
 #[test]
 fn indexed_sat_agrees_with_scan_oracle_under_random_mutations() {
     let mut rng = StdRng::seed_from_u64(0x1d3_0001);
+    let mut top_deletes_undone = 0;
     for case in 0..60 {
         let (schema, classes) = random_schema(&mut rng);
         let mut db = Instance::empty();
@@ -180,7 +229,25 @@ fn indexed_sat_agrees_with_scan_oracle_under_random_mutations() {
             db.check_invariants(&schema)
                 .unwrap_or_else(|e| panic!("case {case} step {step}: {e:?}"));
             assert_sat_agrees(&mut rng, &schema, &classes, &db);
+            assert_live_objects_decide(&db, &format!("case {case} step {step}"));
         }
+        let k = schema.attr_id("K").expect("root key");
+        if let Some(top) = db.objects().last() {
+            let key = db.value(top, k).expect("every object has K").clone();
+            let gamma = Condition::from_atoms([Atom::eq_const(k, key)]);
+            let ctx = format!("case {case}: delete top {top}");
+            apply_and_undo(
+                &schema,
+                &mut db,
+                AtomicUpdate::Delete { class: classes[0], gamma },
+                &ctx,
+            );
+            top_deletes_undone += 1;
+        }
+        let a = schema.attr_id("A").expect("root attr");
+        let gamma = Condition::from_atoms([Atom::eq_const(k, "fresh"), Atom::eq_const(a, "v")]);
+        let ctx = format!("case {case}: create");
+        apply_and_undo(&schema, &mut db, AtomicUpdate::Create { class: classes[0], gamma }, &ctx);
         // Restriction onto a random subset rebuilds the indexes.
         let keep: Vec<Oid> = db.objects().filter(|_| rng.random_range(0u32..2) == 0).collect();
         let restricted = db.restrict(&keep);
@@ -194,6 +261,7 @@ fn indexed_sat_agrees_with_scan_oracle_under_random_mutations() {
         rebuilt.check_invariants(&schema).expect("from_objects indexes consistent");
         assert_sat_agrees(&mut rng, &schema, &classes, &rebuilt);
     }
+    assert!(top_deletes_undone > 0, "no history deleted and restored its highest oid");
 }
 
 /// The interpreter's mutation paths (including the delta recorder's
