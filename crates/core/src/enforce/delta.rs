@@ -32,6 +32,13 @@
 //! the sharded monitor stage every participating shard before touching
 //! any; commits are only applied once every shard has accepted.
 //!
+//! The records sit in a [`Records`] table indexed by oid, not in a
+//! search tree. Oids are minted once, in ascending order, from the
+//! counter (Definition 2.2), so a partition's records only ever grow at
+//! the top: a new record appends a row, finding one is two array reads
+//! (slot, then row), and staging, commit, diagnosis, compaction and
+//! checkpoint capture walk or probe plain arrays in ascending oid order.
+//!
 //! For incremental checkpoints (`enforce::wal`), the state also keeps a
 //! **dirty set**: the oids whose record or database state may have
 //! changed since the last checkpoint capture. [`DeltaState::compact`]
@@ -52,7 +59,7 @@ use crate::pattern::{MigrationPattern, PatternKind};
 use migratory_automata::Dfa;
 use migratory_lang::{Delta, ObjectDelta};
 use migratory_model::{ClassSet, Oid, RoleSet, Schema};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, TryReserveError, VecDeque};
 
 /// The always-present cohort of exempt objects (never stepped, never
 /// checked).
@@ -92,6 +99,127 @@ impl ObjRecord {
     }
 }
 
+/// Slot-table entry of an oid without a record.
+const VACANT: u32 = u32::MAX;
+
+/// The slot of `o`: oids are minted from o1, so slot `o − 1`.
+fn slot_index(o: Oid) -> usize {
+    let i = o.0.checked_sub(1).expect("o0 is never minted and has no slot");
+    usize::try_from(i).expect("oid fits the address space")
+}
+
+/// The slot-table entry of row `row`.
+fn row_entry(row: usize) -> u32 {
+    u32::try_from(row).ok().filter(|&r| r != VACANT).expect("under 2^32 − 1 records a partition")
+}
+
+/// One partition's tracking records, indexed by oid: rows of
+/// `(oid, record)` in ascending oid order, plus a slot table whose entry
+/// `o − 1` holds the row of oid `o` ([`VACANT`] when `o` has no record).
+/// Oids are minted once, in ascending order (Definition 2.2), so the
+/// engine only ever appends a row at the top: finding a record is two
+/// array reads, and iterating in oid order is a slice walk. The slot
+/// table reaches the highest record, never past it.
+#[derive(Clone, Default, Debug)]
+pub(crate) struct Records {
+    rows: Vec<(Oid, ObjRecord)>,
+    slots: Vec<u32>,
+}
+
+/// Rows only: the slot table is derived from them.
+impl PartialEq for Records {
+    fn eq(&self, other: &Records) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for Records {}
+
+impl Records {
+    /// The table of `rows`, which must be in strictly ascending oid
+    /// order above o0 (the order [`iter`](Self::iter) yields and the
+    /// codec checks). Fails only when the slot table cannot be
+    /// allocated.
+    pub(crate) fn from_sorted(rows: Vec<(Oid, ObjRecord)>) -> Result<Records, TryReserveError> {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows ascend");
+        let mut slots = Vec::new();
+        if let Some(&(top, _)) = rows.last() {
+            slots.try_reserve_exact(slot_index(top) + 1)?;
+            slots.resize(slot_index(top) + 1, VACANT);
+        }
+        for (row, &(o, _)) in rows.iter().enumerate() {
+            slots[slot_index(o)] = row_entry(row);
+        }
+        Ok(Records { rows, slots })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The highest oid with a record.
+    pub(crate) fn last_oid(&self) -> Option<Oid> {
+        self.rows.last().map(|&(o, _)| o)
+    }
+
+    /// Every record, in ascending oid order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, (Oid, ObjRecord)> {
+        self.rows.iter()
+    }
+
+    /// Every record mutably, in ascending oid order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut ObjRecord> {
+        self.rows.iter_mut().map(|(_, rec)| rec)
+    }
+
+    fn row_of(&self, o: Oid) -> Option<usize> {
+        let i = usize::try_from(o.0.checked_sub(1)?).ok()?;
+        match *self.slots.get(i)? {
+            VACANT => None,
+            row => Some(row as usize),
+        }
+    }
+
+    pub(crate) fn get(&self, o: Oid) -> Option<&ObjRecord> {
+        self.row_of(o).map(|row| &self.rows[row].1)
+    }
+
+    pub(crate) fn get_mut(&mut self, o: Oid) -> Option<&mut ObjRecord> {
+        let row = self.row_of(o)?;
+        Some(&mut self.rows[row].1)
+    }
+
+    /// Make room in the slot table for oids up to `top` without growing
+    /// it: the fallible allocation the decoders run before inserting,
+    /// so that a corrupt oid is an error, not an abort. (Rows need no
+    /// such guard: each one was decoded from bytes.)
+    pub(crate) fn try_reserve(&mut self, top: Oid) -> Result<(), TryReserveError> {
+        let want = usize::try_from(top.0).unwrap_or(usize::MAX);
+        self.slots.try_reserve(want.saturating_sub(self.slots.len()))
+    }
+
+    /// Set the record of `o` (never o0), replacing any existing one.
+    pub(crate) fn insert(&mut self, o: Oid, rec: ObjRecord) {
+        if let Some(row) = self.row_of(o) {
+            self.rows[row].1 = rec;
+        } else if self.last_oid().is_none_or(|top| o > top) {
+            // The engine's only case: a fresh oid tops every record.
+            let i = slot_index(o);
+            self.slots.resize(i + 1, VACANT);
+            self.slots[i] = row_entry(self.rows.len());
+            self.rows.push((o, rec));
+        } else {
+            // Below the top (only a hand-edited increment gets here):
+            // keep the rows sorted and re-slot every shifted row.
+            let at = self.rows.partition_point(|&(p, _)| p < o);
+            self.rows.insert(at, (o, rec));
+            for (row, &(p, _)) in self.rows.iter().enumerate().skip(at) {
+                self.slots[slot_index(p)] = row_entry(row);
+            }
+        }
+    }
+}
+
 /// A group of objects indistinguishable to the DFA: same state, same
 /// current role symbol, same exemption status. Untouched cohorts advance
 /// with **one** `dfa.step` regardless of how many objects they hold.
@@ -112,7 +240,10 @@ pub(crate) enum Target {
 
 #[derive(Clone, PartialEq, Eq, Default)]
 pub(crate) struct DeltaState {
-    pub(crate) records: BTreeMap<Oid, ObjRecord>,
+    /// One record per object that has occurred in this partition, in an
+    /// oid-indexed [`Records`] table: 48 B per row, plus a 4 B slot per
+    /// oid up to the partition's highest record.
+    pub(crate) records: Records,
     pub(crate) cohorts: Vec<Cohort>,
     /// Root non-exempt cohorts, by (DFA state, last role symbol). A
     /// `BTreeMap` on purpose: cohort sweeps iterate this table, and
@@ -290,7 +421,7 @@ impl DeltaState {
 
         for (&oid, touches) in touched {
             // Chain state of this object across the batch.
-            let mut chain: Option<ChainState> = self.records.get(&oid).map(|rec| {
+            let mut chain: Option<ChainState> = self.records.get(oid).map(|rec| {
                 let root = self.find_ro(rec.cohort);
                 ChainState {
                     state: self.cohorts[root as usize].state,
@@ -525,7 +656,7 @@ impl DeltaState {
                 BatchMove::Move { oid, segments, target } => {
                     let c = self.cohort_for(target);
                     self.cohorts[c as usize].size += 1;
-                    let rec = self.records.get_mut(&oid).expect("tracked");
+                    let rec = self.records.get_mut(oid).expect("tracked");
                     rec.cohort = c;
                     rec.segments.extend(segments);
                     self.dirty.insert(oid);
@@ -657,9 +788,8 @@ impl DeltaState {
     /// Write back a staged bulk-creation letter. Mirrors
     /// [`commit_batch`](Self::commit_batch) with no leavers and
     /// insert-only moves, replacing the per-move loop with one cohort
-    /// allocation per distinct target and a sorted append of the new
-    /// records — created oids are minted above every tracked oid, so the
-    /// `BTreeMap` append degenerates to concatenation.
+    /// allocation per distinct target and a plain append of the new
+    /// records — created oids are minted above every tracked oid.
     pub(crate) fn commit_bulk_creates(&mut self, stage: BulkCreateStage) {
         let BulkCreateStage {
             targets,
@@ -721,21 +851,17 @@ impl DeltaState {
             })
             .collect();
         debug_assert!(
-            match (self.records.last_key_value(), inserts.first()) {
-                (Some((&last, _)), Some(&(first, _, _))) => last < first,
+            match (self.records.last_oid(), inserts.first()) {
+                (Some(last), Some(&(first, _, _))) => last < first,
                 _ => true,
             },
             "created oids must follow every tracked oid"
         );
-        let mut fresh: BTreeMap<Oid, ObjRecord> = inserts
-            .into_iter()
-            .map(|(oid, mut record, ti)| {
-                record.cohort = slots[ti as usize];
-                (oid, record)
-            })
-            .collect();
-        let mut fresh_dirty: BTreeSet<Oid> = fresh.keys().copied().collect();
-        self.records.append(&mut fresh);
+        let mut fresh_dirty: BTreeSet<Oid> = inserts.iter().map(|&(oid, _, _)| oid).collect();
+        for (oid, mut record, ti) in inserts {
+            record.cohort = slots[ti as usize];
+            self.records.insert(oid, record);
+        }
         self.dirty.append(&mut fresh_dirty);
         if self.needs_compaction() {
             self.compact();
@@ -1136,7 +1262,7 @@ pub(crate) fn diagnose_step(
         // Full scan over the reading partitions' records, merged in
         // ascending oid order.
         let mut all: Vec<(Oid, &ObjRecord, &DeltaState)> = reading()
-            .flat_map(|(_, st)| st.records.iter().map(move |(&o, rec)| (o, rec, st)))
+            .flat_map(|(_, st)| st.records.iter().map(move |(o, rec)| (*o, rec, st)))
             .collect();
         all.sort_unstable_by_key(|&(o, _, _)| o);
         all.into_iter()
@@ -1152,7 +1278,7 @@ pub(crate) fn diagnose_step(
             .filter(|od| tracked(od))
             .filter_map(|od| {
                 let st = &parts[route(od)];
-                let rec = st.records.get(&od.oid)?;
+                let rec = st.records.get(od.oid)?;
                 existing_violation(p, st, od.oid, rec, Some(od))
             })
             .next()
@@ -1210,7 +1336,7 @@ fn untouched_violates(
             .objects()
             .iter()
             .filter(|od| tracked(od) && route(od) == part)
-            .filter(|od| st.records.get(&od.oid).is_some_and(|r| st.find_ro(r.cohort) == root))
+            .filter(|od| st.records.get(od.oid).is_some_and(|r| st.find_ro(r.cohort) == root))
             .count();
         st.cohorts[root as usize].size > touched
     })
@@ -1257,5 +1383,51 @@ fn after_symbol(p: &DiagParams<'_>, od: &ObjectDelta) -> u32 {
     match od.after_classes() {
         Some(cs) => classes_symbol(p.schema, p.alphabet, cs),
         None => p.alphabet.empty_symbol(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+
+    fn rec(tag: usize) -> ObjRecord {
+        ObjRecord { creation_step: tag, segments: vec![(1, tag)], cohort: EXEMPT }
+    }
+
+    /// The record table against a `BTreeMap` oracle: ascending appends
+    /// (the engine's case), replacements and inserts below the top.
+    #[test]
+    fn records_agree_with_a_btreemap_oracle() {
+        let mut rng = StdRng::seed_from_u64(2_718_281);
+        for _run in 0..40 {
+            let mut table = Records::default();
+            let mut oracle: BTreeMap<Oid, ObjRecord> = BTreeMap::new();
+            for step in 0..120 {
+                let top = oracle.keys().next_back().map_or(0, |o| o.0);
+                let o = match rng.random_range(0..4) {
+                    // Append above the top, sometimes with a gap.
+                    0 | 1 => Oid(top + rng.random_range(1..4)),
+                    // Replace an existing record, or insert below the top.
+                    _ => Oid(rng.random_range(1..top + 2)),
+                };
+                table.insert(o, rec(step));
+                oracle.insert(o, rec(step));
+                let max = oracle.keys().next_back().map_or(0, |o| o.0);
+                for i in 0..=max + 2 {
+                    assert_eq!(table.get(Oid(i)), oracle.get(&Oid(i)), "get o{i}");
+                    assert_eq!(table.get_mut(Oid(i)), oracle.get_mut(&Oid(i)), "get_mut o{i}");
+                }
+                let want: Vec<(Oid, ObjRecord)> =
+                    oracle.iter().map(|(&o, r)| (o, r.clone())).collect();
+                assert!(table.iter().eq(want.iter()), "ascending iteration");
+                assert_eq!(table.len(), oracle.len());
+                assert_eq!(table.last_oid(), oracle.keys().next_back().copied());
+                assert!(table.slots.len() as u64 <= max, "slot table past the highest record");
+                let rebuilt = Records::from_sorted(want).unwrap();
+                assert_eq!(rebuilt, table);
+                assert_eq!(rebuilt.slots, table.slots, "both derive the same slot table");
+            }
+        }
     }
 }

@@ -593,9 +593,19 @@ pub fn serve_guarded<'t, 'a, R>(
     let shared = Shared::new(monitor, config);
     let max_block = config.max_block.max(1);
     std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            admission_loop(&shared, max_block, policy, health, maintenance_every, &mut maintenance)
-        });
+        let worker = std::thread::Builder::new()
+            .name("mig-admit".into())
+            .spawn_scoped(scope, || {
+                admission_loop(
+                    &shared,
+                    max_block,
+                    policy,
+                    health,
+                    maintenance_every,
+                    &mut maintenance,
+                )
+            })
+            .expect("spawn the admission worker");
         // Close on unwind too: if the driver panics, the scope joins the
         // worker before propagating, and a worker parked on `ready` with
         // `closed` unset would deadlock the join forever.
@@ -1285,20 +1295,26 @@ pub fn serve_pipelined_repl<'t, 'a, R>(
     let (tx, rx) = mpsc::channel::<Msg<'t>>();
     let (out, mut stats) = std::thread::scope(|scope| {
         let pipe_ref = &pipe;
-        let committer = scope.spawn(move || committer_loop(pipe_ref, &rx));
+        let committer = std::thread::Builder::new()
+            .name("mig-commit".into())
+            .spawn_scoped(scope, move || committer_loop(pipe_ref, &rx))
+            .expect("spawn the committer");
         let worker = {
             let (shared, worker_tx) = (&shared, tx.clone());
             let maintenance = &mut maintenance;
-            scope.spawn(move || {
-                pipelined_loop(
-                    shared,
-                    max_block,
-                    maintenance_every,
-                    maintenance,
-                    pipe_ref,
-                    &worker_tx,
-                )
-            })
+            std::thread::Builder::new()
+                .name("mig-admit".into())
+                .spawn_scoped(scope, move || {
+                    pipelined_loop(
+                        shared,
+                        max_block,
+                        maintenance_every,
+                        maintenance,
+                        pipe_ref,
+                        &worker_tx,
+                    )
+                })
+                .expect("spawn the admission worker")
         };
         let guard = CloseGuard(&shared);
         let out = drive(&IngressClient { shared: &shared });

@@ -637,7 +637,7 @@ impl<'a> Monitor<'a> {
                 // reconstruction horizon so certified steps do not
                 // fabricate repeat letters.
                 let horizon = self.certified_at.unwrap_or(d.steps);
-                d.records.get(&o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), horizon))
+                d.records.get(o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), horizon))
             }
             Engine::Reference { tracked } => tracked.get(&o).map(|t| t.history.clone()),
         }
@@ -1895,11 +1895,11 @@ mod tests {
         );
         // Histories are run-length encoded: 51 steps, but o1's record
         // holds a single segment ([P] since step 1).
-        let rec = &state.records[&Oid(1)];
+        let rec = state.records.get(Oid(1)).unwrap();
         assert_eq!(rec.segments.len(), 1, "no per-step history growth");
         assert_eq!(m.pattern_of(Oid(1)).unwrap().len(), 51, "full pattern reconstructs");
         // o8 (= k7) changed role once: two segments.
-        let touched = &state.records[&Oid(8)];
+        let touched = state.records.get(Oid(8)).unwrap();
         assert_eq!(touched.segments.len(), 2);
     }
 

@@ -280,7 +280,12 @@ pub(super) fn run<'t>(
     std::thread::scope(|scope| {
         for me in 1..ev.inboxes.len() {
             let ev = Arc::clone(ev);
-            scope.spawn(move || event_thread(me, &ev, None, client, ts, alphabet, shared, config));
+            std::thread::Builder::new()
+                .name(format!("mig-event-{me}"))
+                .spawn_scoped(scope, move || {
+                    event_thread(me, &ev, None, client, ts, alphabet, shared, config)
+                })
+                .expect("spawn an event thread");
         }
         event_thread(0, ev, Some(listener), client, ts, alphabet, shared, config)
     })

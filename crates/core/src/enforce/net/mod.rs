@@ -573,13 +573,21 @@ pub fn serve_guarded<'a, 't>(
                 |client| {
                     std::thread::scope(|rs| {
                         if let Some(repl) = &config.repl {
-                            rs.spawn(|| super::repl::acceptor(repl, client, &repl_stop));
+                            std::thread::Builder::new()
+                                .name("mig-repl-accept".into())
+                                .spawn_scoped(rs, || {
+                                    super::repl::acceptor(repl, client, &repl_stop);
+                                })
+                                .expect("spawn the replication acceptor");
                         }
                         if let Some(ctl) = &replica {
                             let (wal, metrics) = (&puller_wal, config.metrics.as_ref());
-                            rs.spawn(move || {
-                                super::repl::puller(ctl.upstream(), ctl, wal, client, metrics);
-                            });
+                            std::thread::Builder::new()
+                                .name("mig-repl-pull".into())
+                                .spawn_scoped(rs, move || {
+                                    super::repl::puller(ctl.upstream(), ctl, wal, client, metrics);
+                                })
+                                .expect("spawn the replication puller");
                         }
                         let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
                         repl_stop.store(true, Ordering::SeqCst);

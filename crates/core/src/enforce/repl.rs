@@ -317,43 +317,49 @@ impl Replicator {
             // Writer: drain the outbox onto the socket, one injected
             // fault consumed per send.
             let (me, alive, mut wsock) = (Arc::clone(self), alive.clone(), wsock);
-            std::thread::spawn(move || {
-                while let Ok(buf) = rx.recv() {
-                    match lock(&me.faults).pop_front() {
-                        Some(ShipFault::Stall(d)) => std::thread::sleep(d),
-                        Some(ShipFault::Disconnect) => break,
-                        Some(ShipFault::ShortWrite) => {
-                            let _ = wsock.write_all(&buf[..buf.len() / 2]);
+            let writer = std::thread::Builder::new().name("mig-repl-write".into());
+            writer
+                .spawn(move || {
+                    while let Ok(buf) = rx.recv() {
+                        match lock(&me.faults).pop_front() {
+                            Some(ShipFault::Stall(d)) => std::thread::sleep(d),
+                            Some(ShipFault::Disconnect) => break,
+                            Some(ShipFault::ShortWrite) => {
+                                let _ = wsock.write_all(&buf[..buf.len() / 2]);
+                                break;
+                            }
+                            None => {}
+                        }
+                        if wsock.write_all(&buf).is_err() {
                             break;
                         }
-                        None => {}
                     }
-                    if wsock.write_all(&buf).is_err() {
-                        break;
-                    }
-                }
-                alive.store(false, Ordering::SeqCst);
-                let _ = wsock.shutdown(Shutdown::Both);
-                let _st = lock(&me.state);
-                me.acks.notify_all();
-            });
+                    alive.store(false, Ordering::SeqCst);
+                    let _ = wsock.shutdown(Shutdown::Both);
+                    let _st = lock(&me.state);
+                    me.acks.notify_all();
+                })
+                .expect("spawn the replica writer");
         }
         {
             // Ack reader: each u64-LE is a cumulative acked horizon.
             let (me, alive, acked, mut rsock) =
                 (Arc::clone(self), alive.clone(), acked.clone(), rsock);
-            std::thread::spawn(move || {
-                let mut h = [0u8; 8];
-                while rsock.read_exact(&mut h).is_ok() {
-                    acked.store(u64::from_le_bytes(h), Ordering::SeqCst);
+            let reader = std::thread::Builder::new().name("mig-repl-ack".into());
+            reader
+                .spawn(move || {
+                    let mut h = [0u8; 8];
+                    while rsock.read_exact(&mut h).is_ok() {
+                        acked.store(u64::from_le_bytes(h), Ordering::SeqCst);
+                        let _st = lock(&me.state);
+                        me.acks.notify_all();
+                    }
+                    alive.store(false, Ordering::SeqCst);
+                    let _ = rsock.shutdown(Shutdown::Both);
                     let _st = lock(&me.state);
                     me.acks.notify_all();
-                }
-                alive.store(false, Ordering::SeqCst);
-                let _ = rsock.shutdown(Shutdown::Both);
-                let _st = lock(&me.state);
-                me.acks.notify_all();
-            });
+                })
+                .expect("spawn the replica ack reader");
         }
         st.peers.push(Peer { tx, acked, alive, sock: stream });
         if let Some(m) = &self.metrics {

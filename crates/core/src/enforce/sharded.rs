@@ -312,7 +312,7 @@ impl<'a> ShardedMonitor<'a> {
     #[must_use]
     pub fn pattern_of(&self, o: Oid) -> Option<MigrationPattern> {
         self.shards.iter().find_map(|s| {
-            s.records.get(&o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), s.steps))
+            s.records.get(o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), s.steps))
         })
     }
 

@@ -123,7 +123,7 @@
 //! [`Monitor::checkpoint_delta`]: super::Monitor::checkpoint_delta
 //! [`ShardedMonitor::checkpoint_delta`]: super::ShardedMonitor::checkpoint_delta
 
-use super::delta::{Cohort, DeltaState, ObjRecord};
+use super::delta::{Cohort, DeltaState, ObjRecord, Records};
 use super::faults::{FaultSite, IoFaults};
 use super::health::Health;
 use super::{ResiduePolicy, StepPolicy};
@@ -736,7 +736,7 @@ impl Snapshot {
         let n = r.count()?;
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
-            shards.push(decode_state(&mut r)?);
+            shards.push(decode_state(&mut r, db.next_oid())?);
         }
         if !r.is_exhausted() {
             return Err(WalError::Corrupt("trailing bytes in snapshot".into()));
@@ -764,6 +764,11 @@ impl Snapshot {
                 d.next_oid
             )));
         }
+        // Records are kept only for minted objects, so the same bounds
+        // hold for them (their rows ascend: first and last suffice).
+        for sd in &d.shards {
+            check_record_bounds(&sd.records, Oid(d.next_oid), "increment")?;
+        }
         if d.shards.len() != self.shards.len() {
             return Err(WalError::Mismatch(format!(
                 "increment has {} shards, snapshot has {}",
@@ -785,13 +790,16 @@ impl Snapshot {
             s.by_key = sd.by_key;
             s.free = sd.free;
             if sd.full {
-                s.records = sd.records;
+                s.records = Records::from_sorted(sd.records).map_err(|_| too_many_slots())?;
             } else {
+                if let Some(&(top, _)) = sd.records.last() {
+                    s.records.try_reserve(top).map_err(|_| too_many_slots())?;
+                }
                 for (o, rec) in sd.records {
                     s.records.insert(o, rec);
                 }
             }
-            for rec in s.records.values() {
+            for (_, rec) in s.records.iter() {
                 if (rec.cohort as usize) >= s.cohorts.len() {
                     return Err(WalError::Corrupt("record points at missing cohort".into()));
                 }
@@ -816,6 +824,14 @@ impl Snapshot {
             )));
         }
         self.db.set_next(d.next_oid);
+        // A base record may sit at or above a counter that moved back;
+        // the highest record of each shard settles it in O(1).
+        if self.shards.iter().any(|s| s.records.last_oid().is_some_and(|o| o.0 >= d.next_oid)) {
+            return Err(WalError::Corrupt(format!(
+                "a tracking record is not below the counter o{}",
+                d.next_oid
+            )));
+        }
         self.policy = d.policy;
         self.certified = d.certified;
         self.certified_at = d.certified_at;
@@ -877,7 +893,8 @@ pub(crate) struct ShardDelta {
     /// rewrote every record's cohort slot); otherwise only the dirtied
     /// records.
     pub(crate) full: bool,
-    pub(crate) records: BTreeMap<Oid, ObjRecord>,
+    /// Ascending by oid.
+    pub(crate) records: Vec<(Oid, ObjRecord)>,
     pub(crate) cohorts: Vec<Cohort>,
     pub(crate) by_key: BTreeMap<(u32, u32), u32>,
     pub(crate) free: Vec<u32>,
@@ -956,7 +973,7 @@ impl CheckpointDelta {
             encode_u64(&mut out, s.steps as u64);
             encode_u64(&mut out, u64::from(s.pre_state));
             out.push(u8::from(s.pre_exempt) | (u8::from(s.full) << 1));
-            encode_record_map(&mut out, &s.records);
+            encode_record_map(&mut out, s.records.iter());
             encode_cohort_tables(&mut out, &s.cohorts, &s.by_key, &s.free);
         }
         out
@@ -1003,7 +1020,7 @@ impl CheckpointDelta {
             }
             let records = decode_record_map(&mut r)?;
             let (cohorts, by_key, free) = decode_cohort_tables(&mut r)?;
-            for rec in records.values() {
+            for (_, rec) in &records {
                 if (rec.cohort as usize) >= cohorts.len() {
                     return Err(WalError::Corrupt("record points at missing cohort".into()));
                 }
@@ -1061,9 +1078,9 @@ pub(crate) fn capture_delta(
                 .or_insert_with(|| db.occurs(o).then(|| (db.role_set(o), db.tuple_of(o))));
         }
         let records = if full {
-            s.records.clone()
+            s.records.iter().cloned().collect()
         } else {
-            dirty.iter().filter_map(|o| s.records.get(o).map(|r| (*o, r.clone()))).collect()
+            dirty.iter().filter_map(|&o| s.records.get(o).map(|r| (o, r.clone()))).collect()
         };
         out_shards.push(ShardDelta {
             steps: s.steps,
@@ -1096,13 +1113,17 @@ fn encode_state(out: &mut Vec<u8>, s: &DeltaState) {
     encode_u64(out, s.steps as u64);
     encode_u64(out, u64::from(s.pre_state));
     out.push(u8::from(s.pre_exempt));
-    encode_record_map(out, &s.records);
+    encode_record_map(out, s.records.iter());
     encode_cohort_tables(out, &s.cohorts, &s.by_key, &s.free);
     // `last_touched` and the dirty set are deliberately NOT encoded:
     // diagnostics and checkpoint bookkeeping, not durable state.
 }
 
-fn encode_record_map(out: &mut Vec<u8>, records: &BTreeMap<Oid, ObjRecord>) {
+/// Encode records given in ascending oid order.
+fn encode_record_map<'r>(
+    out: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = &'r (Oid, ObjRecord)>,
+) {
     encode_u64(out, records.len() as u64);
     for (o, rec) in records {
         encode_u64(out, o.0);
@@ -1160,7 +1181,8 @@ fn usize_of(v: u64, what: &str) -> Result<usize, WalError> {
     usize::try_from(v).map_err(|_| WalError::Corrupt(format!("{what} out of range")))
 }
 
-fn decode_record_map(r: &mut Reader<'_>) -> Result<BTreeMap<Oid, ObjRecord>, WalError> {
+/// Decode records, checking that they ascend by oid.
+fn decode_record_map(r: &mut Reader<'_>) -> Result<Vec<(Oid, ObjRecord)>, WalError> {
     let n = r.count()?;
     let mut entries: Vec<(Oid, ObjRecord)> = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1182,8 +1204,27 @@ fn decode_record_map(r: &mut Reader<'_>) -> Result<BTreeMap<Oid, ObjRecord>, Wal
         }
         entries.push((o, ObjRecord { creation_step, segments, cohort }));
     }
-    // Ascending order verified above: the map bulk-builds.
-    Ok(entries.into_iter().collect())
+    Ok(entries)
+}
+
+/// Reject ascending `records` that name o0 or an oid at or above the
+/// counter `next`: an object never minted has no history.
+fn check_record_bounds(
+    records: &[(Oid, ObjRecord)],
+    next: Oid,
+    what: &str,
+) -> Result<(), WalError> {
+    let (first, last) = (records.first(), records.last());
+    if first.is_some_and(|(o, _)| o.0 == 0) || last.is_some_and(|&(o, _)| o >= next) {
+        return Err(WalError::Corrupt(format!(
+            "{what} has a tracking record outside o1 ≤ o < {next}"
+        )));
+    }
+    Ok(())
+}
+
+fn too_many_slots() -> WalError {
+    WalError::Corrupt("tracking records need more slots than fit".into())
 }
 
 type CohortTables = (Vec<Cohort>, BTreeMap<(u32, u32), u32>, Vec<u32>);
@@ -1225,7 +1266,9 @@ fn decode_cohort_tables(r: &mut Reader<'_>) -> Result<CohortTables, WalError> {
     Ok((cohorts, by_key, free))
 }
 
-fn decode_state(r: &mut Reader<'_>) -> Result<DeltaState, WalError> {
+/// Decode one shard's tracking state of a snapshot whose heap counter
+/// is `next`.
+fn decode_state(r: &mut Reader<'_>, next: Oid) -> Result<DeltaState, WalError> {
     let steps = usize_of(r.u64()?, "shard clock")?;
     let pre_state = u32_of(r.u64()?, "pre state")?;
     let pre_exempt = match r.byte()? {
@@ -1234,14 +1277,15 @@ fn decode_state(r: &mut Reader<'_>) -> Result<DeltaState, WalError> {
         b => return Err(WalError::Corrupt(format!("bad pre-exempt byte {b}"))),
     };
     let records = decode_record_map(r)?;
+    check_record_bounds(&records, next, "snapshot")?;
     let (cohorts, by_key, free) = decode_cohort_tables(r)?;
-    for rec in records.values() {
+    for (_, rec) in &records {
         if (rec.cohort as usize) >= cohorts.len() {
             return Err(WalError::Corrupt("record points at missing cohort".into()));
         }
     }
     Ok(DeltaState {
-        records,
+        records: Records::from_sorted(records).map_err(|_| too_many_slots())?,
         cohorts,
         by_key,
         free,
@@ -1451,7 +1495,7 @@ impl Snapshotter {
     pub fn spawn_with(retries: u32, backoff: Duration, health: Option<Arc<Health>>) -> Snapshotter {
         let (tx, rx) = mpsc::channel::<CheckpointJob>();
         let worker = std::thread::Builder::new()
-            .name("migratory-snapshotter".into())
+            .name("mig-snapshot".into())
             .spawn(move || {
                 for job in rx {
                     let mut attempt = 0u32;
@@ -2224,5 +2268,89 @@ mod tests {
             }),
             Err(WalError::Corrupt(_))
         ));
+    }
+
+    /// The university schema with `Mk`, `St` and `Rm` under
+    /// `∅* [PERSON]* [STUDENT]* ∅*`.
+    fn university() -> (
+        migratory_model::Schema,
+        crate::RoleAlphabet,
+        crate::Inventory,
+        migratory_lang::TransactionSchema,
+    ) {
+        let schema = migratory_model::schema::university_schema();
+        let alphabet = crate::RoleAlphabet::new(&schema, 0).unwrap();
+        let inv =
+            crate::Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* ∅*").unwrap();
+        let ts = migratory_lang::parse_transactions(
+            &schema,
+            r#"transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+               transaction St(x) {
+                 specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+               }
+               transaction Rm(x) { delete(PERSON, { SSN = x }); }"#,
+        )
+        .unwrap();
+        (schema, alphabet, inv, ts)
+    }
+
+    fn key(k: &str) -> migratory_lang::Assignment {
+        migratory_lang::Assignment::new(vec![migratory_model::Value::str(k)])
+    }
+
+    /// A snapshot holding a tracking record for an oid its heap counter
+    /// has not minted is corruption: recovered, the record would become
+    /// the history of the next fresh object.
+    #[test]
+    fn snapshot_record_at_or_above_its_counter_is_corrupt() {
+        let (schema, alphabet, inv, ts) = university();
+        let mut m = super::super::Monitor::new(&schema, &alphabet, &inv, crate::PatternKind::All);
+        m.try_apply(ts.get("Mk").unwrap(), &key("a")).unwrap();
+        m.try_apply(ts.get("St").unwrap(), &key("a")).unwrap();
+        let snap = m.snapshot();
+        assert_eq!(snap.db.next_oid(), Oid(2));
+        assert!(Snapshot::decode(&snap.encode()).is_ok(), "the untouched snapshot decodes");
+        for o in [Oid(2), Oid(3)] {
+            let mut bad = snap.clone();
+            let rec = bad.shards[0].records.get(Oid(1)).unwrap().clone();
+            bad.shards[0].records.insert(o, rec);
+            assert!(
+                matches!(Snapshot::decode(&bad.encode()), Err(WalError::Corrupt(_))),
+                "a record at {o} with the counter at o2"
+            );
+        }
+    }
+
+    /// An increment whose tracking records leave `o1 ≤ o < next_oid`,
+    /// or whose counter falls to or below a record kept from the base,
+    /// is corruption.
+    #[test]
+    fn increment_record_outside_its_counter_is_corrupt() {
+        let (schema, alphabet, inv, ts) = university();
+        let mut m = super::super::Monitor::new(&schema, &alphabet, &inv, crate::PatternKind::All);
+        m.try_apply(ts.get("Mk").unwrap(), &key("a")).unwrap();
+        m.try_apply(ts.get("Mk").unwrap(), &key("b")).unwrap();
+        m.try_apply(ts.get("Rm").unwrap(), &key("b")).unwrap();
+        // o2 is deleted but keeps its record; the counter is o3.
+        let base = m.checkpoint_full();
+        m.try_apply(ts.get("St").unwrap(), &key("a")).unwrap();
+        let good = m.checkpoint_delta().encode();
+        let fold = |edit: &dyn Fn(&mut CheckpointDelta)| {
+            let mut d = CheckpointDelta::decode(&good).unwrap();
+            edit(&mut d);
+            let d = CheckpointDelta::decode(&d.encode()).expect("structurally valid");
+            base.clone().apply(d)
+        };
+        assert!(fold(&|_| {}).is_ok(), "the untouched increment folds");
+        // o1's record moved to the counter, then to o0.
+        for o in [Oid(3), Oid(0)] {
+            assert!(
+                matches!(fold(&|d| d.shards[0].records[0].0 = o), Err(WalError::Corrupt(_))),
+                "an increment record at {o}"
+            );
+        }
+        // The counter falls onto the base's record of the deleted o2,
+        // which no heap object guards.
+        assert!(matches!(fold(&|d| d.next_oid = 2), Err(WalError::Corrupt(_))));
     }
 }

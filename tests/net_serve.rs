@@ -204,6 +204,48 @@ fn graceful_drain_answers_all_inflight_tickets() {
     assert_eq!(stats.ingress.admitted, BURST, "the monitor committed them all");
 }
 
+/// The threads of a durable server carry names, so per-thread CPU in
+/// `/proc/<pid>/task/*/stat` can be told apart by `comm`.
+#[cfg(target_os = "linux")]
+#[test]
+fn durable_server_threads_are_named() {
+    use migratory::core::enforce::Snapshotter;
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+    let ts = multi_transactions(&s);
+    let dir = std::env::temp_dir().join(format!("migratory-net-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = std::sync::Arc::new(std::sync::Mutex::new(Wal::open(&dir).unwrap()));
+    let snapshotter = Snapshotter::spawn();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let names = std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let config = ServerConfig { wal: Some(wal.clone()), ..Default::default() };
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+        });
+        let mut c = Client::connect(addr);
+        // An acked op has passed through the admission worker and the
+        // committer, so both are running.
+        assert_eq!(c.ask("invoke Mk0(x0)"), "ok");
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_owned())
+            .collect();
+        assert_eq!(c.ask("shutdown"), "ok draining");
+        server.join().unwrap();
+        names
+    });
+    snapshotter.finish().unwrap();
+    for want in ["mig-admit", "mig-commit", "mig-snapshot", "mig-event-1"] {
+        assert!(names.iter().any(|n| n == want), "no thread named {want} in {names:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // kill → --recover → re-serve, through the real binary
 // ---------------------------------------------------------------------
