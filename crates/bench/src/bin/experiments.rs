@@ -89,6 +89,8 @@ fn main() {
     }
     if which == "smoke" {
         // Tiny versions of the new workloads — the CI bench-smoke entry.
+        // `enforce_row` keeps the certified fast path compiled and run.
+        enforce_row();
         sat_heavy_rows(&[(2_000, 400, 50)]);
         batch_admit_rows(&[(2_000, 256)]);
         redefine_latency_rows(&[(2_000, 16)]);
@@ -141,14 +143,14 @@ fn enforce_row() {
     let raw = t0.elapsed();
 
     let t0 = Instant::now();
-    let mut m = migratory_core::Monitor::new(&schema, &alphabet, &inv, PatternKind::All);
+    let mut m = migratory_core::ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
     for (t, args) in &script {
         m.try_apply(t, args).expect("conforming");
     }
     let checked = t0.elapsed();
 
     let t0 = Instant::now();
-    let mut m = migratory_core::Monitor::new(&schema, &alphabet, &inv, PatternKind::All);
+    let mut m = migratory_core::ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
     assert!(m.certify(&ts).unwrap());
     let certify_once = t0.elapsed();
     let t0 = Instant::now();
@@ -180,7 +182,7 @@ fn enforce_row() {
 /// interpreter, (b) the delta/cohort monitor, (c) the reference monitor.
 /// Writes `BENCH_enforce.json` with the throughput/latency trajectory.
 fn enforce_large_row() {
-    use migratory_core::enforce::Monitor;
+    use migratory_core::enforce::{ReferenceMonitor, ShardedMonitor};
 
     println!("== perf-enforce-large: O(touched) monitor vs whole-db rescan ==");
     let configs: [(usize, usize, usize); 3] =
@@ -215,7 +217,7 @@ fn enforce_large_row() {
         drop(db);
 
         // (b) Delta/cohort monitor with per-step latencies.
-        let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
         let t0 = Instant::now();
         m.try_apply(&bulk, &no_args).expect("bulk load conforms");
         let bulk_load = t0.elapsed();
@@ -228,7 +230,7 @@ fn enforce_large_row() {
             lat.push(t0.elapsed().as_secs_f64() * 1e6);
         }
         let delta_rate = steps_new as f64 / t_run.elapsed().as_secs_f64();
-        assert_eq!(m.last_touched(), Some(1), "steady-state steps touch one object");
+        assert_eq!(m.shard_stats()[0].last_touched, 1, "steady-state steps touch one object");
         // Throughput trajectory over ten equal segments of the run: flat
         // means per-step cost does not grow with run length.
         let seg = (steps_new / 10).max(1);
@@ -240,7 +242,7 @@ fn enforce_large_row() {
         let (p50, p99, p999) = (pct(0.50), pct(0.99), pct(0.999));
 
         // (c) Reference monitor (fewer steps: each one is O(|db|)).
-        let mut r = Monitor::new_reference(&schema, &alphabet, &inv, PatternKind::All);
+        let mut r = ReferenceMonitor::new(&schema, &alphabet, &inv, PatternKind::All);
         r.try_apply(&bulk, &no_args).expect("bulk load conforms");
         let t0 = Instant::now();
         for i in 0..steps_ref {
@@ -285,8 +287,8 @@ fn enforce_large_row() {
   "kind": "all",
   "engines": {{
     "raw": "interpreter only, no enforcement (indexed Sat planning)",
-    "delta": "Monitor::new — incremental delta/cohort engine",
-    "reference": "Monitor::new_reference — whole-database rescan per application"
+    "delta": "ShardedMonitor::new(.., 1) — incremental delta/cohort engine, one shard",
+    "reference": "ReferenceMonitor::new — whole-database rescan per application"
   }},
   "sizes": [
 {}
@@ -399,7 +401,7 @@ fn sat_heavy_rows(configs: &[(usize, usize, usize)]) -> String {
 /// and measured one at a time so no measurement inherits another's
 /// allocator pressure.
 fn batch_admit_rows(configs: &[(usize, usize)]) -> String {
-    use migratory_core::enforce::{Monitor, ShardedMonitor};
+    use migratory_core::enforce::ShardedMonitor;
 
     const PAIRS: usize = 32;
     const SPREAD: usize = 256;
@@ -428,7 +430,7 @@ fn batch_admit_rows(configs: &[(usize, usize)]) -> String {
         // (a) PR 1 baseline: the single-threaded delta engine, one
         // admission (cohort sweep included) per application.
         let (single_rate, single_steps, single_objects, cohorts) = {
-            let mut single = Monitor::new(&schema, &alphabet, &inv, PatternKind::All);
+            let mut single = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
             single.try_apply(&bulk, &no_args).expect("bulk load conforms");
             for (name, args) in &setup {
                 single.try_apply(ts.get(name).unwrap(), args).expect("setup conforms");
@@ -438,7 +440,7 @@ fn batch_admit_rows(configs: &[(usize, usize)]) -> String {
                 single.try_apply(ts.get(name).unwrap(), args).expect("toggle conforms");
             }
             let rate = steps as f64 / t0.elapsed().as_secs_f64();
-            (rate, single.steps(), single.db().num_objects(), MAX_DEPTH)
+            (rate, single.clock(0), single.db().num_objects(), MAX_DEPTH)
         };
 
         // (b) Sharded batch admission at several shard/batch shapes,
@@ -500,7 +502,8 @@ fn batch_admit_rows(configs: &[(usize, usize)]) -> String {
 }
 
 /// `redefine-latency`: online constraint evolution on a bulk-loaded
-/// store. Each measured step is one `Monitor::redefine` under live
+/// store. Each measured step is one `ShardedMonitor::redefine` (one
+/// shard) under live
 /// toggle traffic, alternating between the base inventory and one that
 /// appends a `[GRAD_ASSIST]*` retirement segment. The extra strings of
 /// the wider language sit in their own DFA state that no live cohort
@@ -515,7 +518,7 @@ fn batch_admit_rows(configs: &[(usize, usize)]) -> String {
 /// 10k-object p99. `(objects, redefines)` per config; returns the
 /// `redefine_latency` JSON fragment.
 fn redefine_latency_rows(configs: &[(usize, usize)]) -> String {
-    use migratory_core::enforce::{Monitor, ResiduePolicy};
+    use migratory_core::enforce::{ResiduePolicy, ShardedMonitor};
 
     println!("== perf-redefine: epoch-stamped redefinition under live traffic ==");
     println!(
@@ -537,7 +540,7 @@ fn redefine_latency_rows(configs: &[(usize, usize)]) -> String {
         let ts = toggle_transactions(&schema);
         let bulk = bulk_create(&schema, n);
         let no_args = Assignment::empty();
-        let mut m = Monitor::new(&schema, &alphabet, &inv_a, PatternKind::All);
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv_a, PatternKind::All, 1);
         m.try_apply(&bulk, &no_args).expect("bulk load conforms");
         // Spread the population across a few cohorts before evolving.
         for i in 0..64.min(n) {
@@ -634,7 +637,8 @@ fn persist_row(
 /// a **background** base checkpoint (the admission thread pays only the
 /// state capture + log rotation), run `history` toggle letters, take a
 /// **background incremental** checkpoint (O(dirty) capture), run `tail`
-/// more letters, "crash", then time `Wal::load` + `Monitor::recover`
+/// more letters, "crash", then time `Wal::load` +
+/// `ShardedMonitor::recover` (one shard)
 /// (folding the checkpoint chain and replaying only the tail) against
 /// re-running the entire transaction history through a fresh monitor.
 /// Recovered state must be byte-identical (canonical snapshot encoding)
@@ -645,7 +649,7 @@ fn persist_row(
 /// `(objects, history, tail)` per config; returns the `recover` JSON
 /// fragment.
 fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
-    use migratory_core::enforce::{CheckpointData, Monitor, Snapshotter, Wal};
+    use migratory_core::enforce::{CheckpointData, ShardedMonitor, Snapshotter, Wal};
     use std::sync::{Arc, Mutex};
 
     println!("== perf-recover: checkpoint chain + wal tail vs full history replay ==");
@@ -675,7 +679,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Arc::new(Mutex::new(Wal::open(&dir).expect("wal dir")));
         let mut snapshotter = Snapshotter::spawn();
-        let mut live = Monitor::new(&schema, &alphabet, &inv, PatternKind::All)
+        let mut live = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1)
             .with_sink(wal.clone() as migratory_core::enforce::SharedSink);
         live.try_apply(&bulk, &no_args).expect("bulk load conforms");
         // Base checkpoint, backgrounded: the admission thread pays the
@@ -727,8 +731,9 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
         // Recover: fold the checkpoint chain, replay only the WAL tail.
         let t0 = Instant::now();
         let (snap, blocks) = Wal::load(&dir).expect("load wal directory");
-        let recovered = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, blocks)
-            .expect("recovery succeeds");
+        let recovered =
+            ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, blocks)
+                .expect("recovery succeeds");
         let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             recovered.snapshot().encode(),
@@ -739,7 +744,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
 
         // The alternative: replay the full transaction history.
         let t0 = Instant::now();
-        let mut replayed = Monitor::new(&schema, &alphabet, &inv, PatternKind::All);
+        let mut replayed = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
         replayed.try_apply(&bulk, &no_args).expect("bulk load conforms");
         for i in 0..history + tail {
             let (name, args) = toggle_step(i, n);
@@ -775,7 +780,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
     println!();
     format!(
         r#"  "recover": {{
-    "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history, background O(dirty) incremental checkpoint (checkpoint_stall_ms = admission-path blockage = capture_ms, the O(dirty) state clone, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; encode/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load + Monitor::recover (fold chain, replay tail) vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
+    "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history, background O(dirty) incremental checkpoint (checkpoint_stall_ms = admission-path blockage = capture_ms, the O(dirty) state clone, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; encode/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load + ShardedMonitor::recover with one shard (fold chain, replay tail) vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
     "sizes": [
 {}
     ]

@@ -1,9 +1,8 @@
 //! Shared state machinery of the delta/cohort admission engines.
 //!
-//! A [`DeltaState`] tracks one *partition* of the object population —
-//! the whole database for the single [`Monitor`](super::Monitor), one
-//! shard of it for the [`ShardedMonitor`](super::ShardedMonitor). It
-//! owns the run-length-encoded per-object records and the cohort table
+//! A [`DeltaState`] tracks one *partition* of the object population:
+//! one shard of a [`ShardedMonitor`](super::ShardedMonitor) (the whole
+//! database when the monitor has one shard). It owns the run-length-encoded per-object records and the cohort table
 //! (objects grouped by indistinguishable (DFA state, role symbol)
 //! pairs), **and its own letter clock**: `steps` counts the letters
 //! this partition has read, and the never-created class's DFA walk
@@ -12,17 +11,18 @@
 //! starts — is a position on the owning partition's clock, so disjoint
 //! partitions share *no* mutable state at all (Lemma 3.5: objects
 //! evolve independently; under a component alphabet, objects of
-//! different components never read each other's letters). The single
-//! [`Monitor`](super::Monitor) is the one-partition case, where the
-//! shard-local clock *is* the paper's global step counter.
+//! different components never read each other's letters). A one-shard
+//! monitor is the one-partition case, where the shard-local clock *is*
+//! the paper's global step counter.
 //!
 //! Admission runs through one staged, read-only pass
 //! ([`DeltaState::stage_batch`]) and one write-back
 //! ([`DeltaState::commit_batch`]): `k` letters are validated against
 //! **one** cohort sweep, advancing each untouched cohort `k` DFA steps
 //! in a single pass and replaying touched objects' interleaved
-//! touch/untouched chains individually. The single-step engines are the
-//! `k = 1` case of the same code path.
+//! touch/untouched chains individually. Admitting a single application
+//! is the `k = 1` case of the same code path, and WAL replay runs it
+//! too.
 //!
 //! Batch validation leans on the inventory being prefix-closed
 //! (Definition 3.3): in any DFA of a prefix-closed language every
@@ -47,8 +47,8 @@
 //!
 //! [`diagnose_step`] reports the first violation of the reference
 //! engine's ascending-oid rejection scan over the partitions that read
-//! the letter, so single and sharded monitors report byte-identical
-//! [`Violation`]s. It costs O(touched + |cohorts|): untouched objects
+//! the letter, so every shard reports the [`Violation`] a reference
+//! monitor fed that shard's sub-run would, byte for byte. It costs O(touched + |cohorts|): untouched objects
 //! repeat their role, so they can violate only through a cohort whose
 //! `δ(state, role)` is non-accepting, and only then does it scan every
 //! record.
@@ -577,8 +577,8 @@ impl DeltaState {
 
     /// Write a staged batch: debit leavers, advance or fold the untouched
     /// cohorts, place every touched object, and advance this partition's
-    /// letter clock by the staged `k`. Mirrors the single-step commit,
-    /// generalized to `k` letters.
+    /// letter clock by the staged `k` (a single application's commit is
+    /// the `k = 1` case).
     pub(crate) fn commit_batch(&mut self, stage: BatchStage) {
         let BatchStage {
             moves,
@@ -1121,23 +1121,6 @@ pub(crate) fn never_created_walk(
         }
     }
     PreWalk { trace, state, exempt, violation_at: None }
-}
-
-/// Group a block's tracked change-set entries by object, each with its
-/// 1-based effective step — the [`DeltaState::stage_batch`] input
-/// (unrouted; the sharded monitor partitions per shard itself).
-pub(crate) fn touched_map<'d>(
-    deltas: &[&'d Delta],
-) -> BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> {
-    let mut touched: BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> = BTreeMap::new();
-    for (j, d) in deltas.iter().enumerate() {
-        for od in d.objects() {
-            if tracked(od) {
-                touched.entry(od.oid).or_default().push((j + 1, od));
-            }
-        }
-    }
-    touched
 }
 
 /// Immutable context of one staged batch, shared by every shard. Clock

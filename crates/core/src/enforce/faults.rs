@@ -37,7 +37,8 @@ pub enum FaultSite {
     /// ([`Wal`](super::Wal) append, one call per group commit).
     AppendWrite,
     /// The group-commit `fdatasync` after an append (only reached when
-    /// the log runs [`Wal::with_sync`](super::Wal::with_sync)).
+    /// the log's [`FsyncPolicy`](super::FsyncPolicy) is not `off`; see
+    /// [`Wal::with_fsync`](super::Wal::with_fsync)).
     AppendSync,
     /// Renaming the live log into a sealed segment when a checkpoint is
     /// staged ([`Wal::begin_checkpoint`](super::Wal::begin_checkpoint)).

@@ -3,19 +3,46 @@
 //! allowed if the migration patterns of the objects are within the
 //! permissible set", Section 3).
 //!
-//! A [`Monitor`] wraps a live database and a regular [`Inventory`] and
-//! admits a transaction application only if every object's migration
+//! A [`ShardedMonitor`] wraps a live database and a regular [`Inventory`]
+//! and admits a transaction application only if every object's migration
 //! pattern — including the never-created objects' all-∅ patterns and the
 //! trailing ∅s of deleted objects — stays inside the inventory. Because
 //! inventories are prefix-closed (Definition 3.3), checking each prefix
 //! as it is produced is exactly the constraint `family(Σ) ⊆ 𝔏` of
 //! Definition 3.5 restricted to the runs that actually happen.
 //!
+//! ```
+//! use migratory_core::{enforce::ShardedMonitor, Inventory, PatternKind, RoleAlphabet};
+//! use migratory_lang::{parse_transactions, Assignment};
+//! use migratory_model::{schema::university_schema, Value};
+//!
+//! let s = university_schema();
+//! let a = RoleAlphabet::new(&s, 0).unwrap();
+//! let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* ∅*").unwrap();
+//! let ts = parse_transactions(&s, r#"
+//!     transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+//!     transaction St(x) {
+//!       specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+//!     }
+//!     transaction Emp(x) {
+//!       specialize(PERSON, EMPLOYEE, { SSN = x }, { Salary = 1, WorksIn = "D" });
+//!     }
+//! "#).unwrap();
+//! // One shard: the paper's single monitor, on one global step counter.
+//! let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+//! let x = Assignment::new(vec![Value::str("1")]);
+//! m.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
+//! m.try_apply(ts.get("St").unwrap(), &x).unwrap();
+//! // Employment is not in the inventory: rejected, database unchanged.
+//! assert!(m.try_apply(ts.get("Emp").unwrap(), &x).is_err());
+//! assert_eq!(m.db().num_objects(), 1);
+//! assert_eq!(m.clock(0), 2);
+//! ```
+//!
 //! # The delta/cohort engine
 //!
-//! The default engine ([`Monitor::new`]) makes the admit path cost
-//! **O(touched + |cohorts|)** per application instead of O(|db| ×
-//! run-length):
+//! Admission costs **O(touched + |cohorts|)** per application instead of
+//! O(|db| × run-length):
 //!
 //! * **Apply-then-undo instead of clone.** The transaction is applied in
 //!   place through [`migratory_lang::apply_transaction_delta`], which
@@ -34,9 +61,8 @@
 //! * **Run-length-encoded histories.** Per object the monitor stores only
 //!   its creation step and the steps at which its role symbol *changed*
 //!   (`(letter, from_step)` segments). Full patterns are reconstructed
-//!   on demand — for [`Monitor::pattern_of`] and [`Violation`]
-//!   diagnostics — so per-step allocation no longer grows with run
-//!   length.
+//!   on demand — for [`ShardedMonitor::pattern_of`] and [`Violation`]
+//!   diagnostics — so per-step allocation does not grow with run length.
 //!
 //! The rejection path reports the first violation of the reference
 //! engine's object order, so the [`Violation`] (object, pattern,
@@ -45,31 +71,28 @@
 //! untouched cohort leaves the inventory; only when one does is every
 //! record scanned.
 //!
-//! The pre-optimization engine is preserved behind
-//! [`Monitor::new_reference`] — it re-derives every object's letter from
-//! a cloned database each step and is used by tests as the oracle and by
-//! `bench_enforce` as the baseline.
+//! The pre-optimization engine survives as [`ReferenceMonitor`] in
+//! [`reference`](mod@reference): it re-derives every object's letter from a cloned
+//! database each step, and tests and `experiments` use it as the oracle.
 //!
-//! # Module layout: sharding, batching, per-shard letter clocks
+//! # Shards and per-shard letter clocks
 //!
 //! The engine's state machinery (records, cohorts, staging/commit,
 //! diagnostics, **and the letter clock**) lives in the private `delta`
-//! submodule, shared between two front ends: this file's
-//! single-partition [`Monitor`] and [`sharded::ShardedMonitor`], which
-//! partitions the object population by weakly-connected role component
-//! (oid stripes as fallback), stages participating shards' checks
-//! inline on the calling thread, and admits whole *batches* of
-//! transactions against one cohort sweep per participating shard
+//! submodule; [`sharded`] partitions the object population over one or
+//! more such states by weakly-connected role component (oid stripes as
+//! fallback), stages each participating shard's checks inline on the
+//! calling thread, and admits whole *batches* of transactions against
+//! one cohort sweep per participating shard
 //! ([`ShardedMonitor::try_apply_batch`]). Objects evolve independently
 //! (Lemma 3.5) and, under a component alphabet, objects of different
 //! components never read each other's letters — so every partition
 //! carries its **own letter clock** and the shards share *no* mutable
 //! state at all: disjoint components stage, commit, checkpoint and
-//! recover fully independently. The single [`Monitor`] is the
-//! one-partition case (its shard-local clock *is* the paper's global
-//! step counter, surviving as the derived [`Monitor::steps`] view) and
-//! stays the k = 1 oracle: each shard of a [`sharded::ShardedMonitor`]
-//! is observationally identical to a `Monitor` fed exactly the
+//! recover fully independently. A one-shard monitor is the paper's
+//! single monitor: its shard clock ([`ShardedMonitor::clock`]) *is* the
+//! global step counter, and each shard of a larger monitor is
+//! observationally identical to a one-shard monitor fed exactly the
 //! subsequence of applications routed to it, byte-identical
 //! [`Violation`]s included.
 //!
@@ -84,39 +107,49 @@
 //!
 //! The monitor also implements the paper's punchline for SL: Corollary
 //! 3.3 makes `satisfies` decidable, so a schema can be **statically
-//! certified** once ([`Monitor::certify`]) and all runtime checks skipped
-//! thereafter — the ablation benchmarked in `bench_enforce`.
+//! certified** once ([`ShardedMonitor::certify`], one-shard monitors
+//! only) and all runtime checks skipped thereafter — the ablation
+//! `experiments enforce` measures.
 //!
 //! # Durability and concurrent ingress
 //!
 //! The paper's migration constraints are histories, so the monitor's
-//! tracking state *is* the constraint — two further layers make it
-//! survive crashes and concurrent callers:
+//! tracking state *is* the constraint — further layers make it survive
+//! crashes and serve concurrent callers:
 //!
 //! * [`wal`] — a write-ahead log of committed [`Delta`] blocks (each
 //!   carrying its participating shards' clock offsets and letter
 //!   assignments) plus a checkpoint chain: a full base [`Snapshot`] and
 //!   **incremental** [`CheckpointDelta`]s capturing only the dirtied
 //!   state, written by a background [`Snapshotter`] so the admission
-//!   path pays O(dirty), never the full-snapshot pause. Both front
-//!   ends accept a pluggable [`CommitSink`] ([`Monitor::with_sink`],
-//!   [`ShardedMonitor::with_sink`]; no-op when absent) that receives
-//!   each admitted block *before* tracking state commits, and both
-//!   recover from the folded chain + tail without replaying history
-//!   ([`Monitor::recover`], [`ShardedMonitor::recover`]), folding each
-//!   shard's sub-log at shard-local granularity — byte-identically,
-//!   because every engine structure iterates in canonical order.
+//!   path pays O(dirty), never the full-snapshot pause. A monitor
+//!   accepts a pluggable [`CommitSink`] ([`ShardedMonitor::with_sink`];
+//!   no-op when absent) that receives each admitted block *before*
+//!   tracking state commits, and recovers from the folded chain + tail
+//!   without replaying history ([`ShardedMonitor::recover`]). Recovery,
+//!   [`ShardedMonitor::resync`] and a standby's fold all run each record
+//!   through one path, [`ShardedMonitor::replay_record`], which folds
+//!   each shard's sub-log at shard-local granularity —
+//!   byte-identically, because every engine structure iterates in
+//!   canonical order.
 //! * [`ingress`] — bounded per-shard admission queues in front of a
 //!   [`ShardedMonitor`]: concurrent producers enqueue single
 //!   applications, an admission worker drains lanes into
 //!   [`ShardedMonitor::try_apply_batch`] blocks (emergent batching,
 //!   one group commit per block), violations reject only their own op.
-//! * [`net`] — the wire front end: a TCP line-protocol server
-//!   (`migctl serve`) mapping each connection onto an ingress
-//!   producer, so admission requests arrive from parties that share
-//!   nothing with the engine but the protocol (`docs/PROTOCOL.md`).
-//!   Acknowledgement on the wire implies the write-ahead append
-//!   succeeded; shutdown drains close-and-answer.
+//! * [`net`] — the wire front end: a TCP server (`migctl serve`)
+//!   mapping each connection onto an ingress producer, so admission
+//!   requests arrive from parties that share nothing with the engine but
+//!   the protocol (`docs/PROTOCOL.md`). Acknowledgement on the wire
+//!   implies the write-ahead append succeeded; shutdown drains
+//!   close-and-answer.
+//! * [`repl`] — committed history tees to live standbys, each folding
+//!   the shipped records through [`ShardedMonitor::replay_record`].
+//!
+//! [`Inventory`]: crate::Inventory
+//! [`PatternKind::Proper`]: crate::PatternKind::Proper
+//! [`PatternKind::Lazy`]: crate::PatternKind::Lazy
+//! [`PatternKind::ImmediateStart`]: crate::PatternKind::ImmediateStart
 
 // The enforcement stack is the crate's production surface: every public
 // item must carry documentation (CI compiles with `-D warnings`).
@@ -128,6 +161,7 @@ pub mod health;
 pub mod ingress;
 pub mod metrics;
 pub mod net;
+pub mod reference;
 pub mod repl;
 pub mod sharded;
 pub mod wal;
@@ -136,6 +170,7 @@ pub use faults::{FaultKind, FaultSite, IoFaults};
 pub use health::{CheckpointHealth, Health};
 pub use ingress::{Completion, DurabilityPolicy, IngressConfig, IngressStats};
 pub use metrics::{AdmissionMetrics, Histogram};
+pub use reference::ReferenceMonitor;
 pub use repl::{AckPolicy, ReplicaCtl, Replicator, ShipFault};
 pub use sharded::{ShardStats, ShardedMonitor};
 pub use wal::{
@@ -144,16 +179,11 @@ pub use wal::{
 };
 
 use crate::alphabet::RoleAlphabet;
-use crate::error::CoreError;
-use crate::inventory::Inventory;
-use crate::pattern::{MigrationPattern, PatternKind};
-use delta::{classes_symbol, diagnose_step, DeltaState, DiagParams};
+use crate::pattern::MigrationPattern;
 use migratory_lang::{
-    apply_bulk_creates, apply_transaction, apply_transaction_delta, run, Assignment, Delta,
-    LangError, ObjectDelta, Transaction, TransactionSchema,
+    apply_bulk_creates, apply_transaction_delta, Assignment, Delta, LangError, Transaction,
 };
-use migratory_model::{ClassSet, Instance, Oid, Schema};
-use std::collections::BTreeMap;
+use migratory_model::{Instance, Oid, Schema};
 use std::sync::{Arc, Mutex};
 
 /// Transactions with at least this many steps are probed for the
@@ -185,9 +215,10 @@ pub(crate) fn apply_delta_bulk(
 }
 
 /// A shared, pluggable commit sink handle (see [`wal::CommitSink`]).
-/// `Arc<Mutex<…>>` so a monitor stays cloneable and sharded staging
-/// threads can be spawned while the sink is attached; the engines lock
-/// it exactly once per admitted block (group commit).
+/// `Arc<Mutex<…>>` so a monitor stays cloneable and the pipelined
+/// ingress can swap its own staging sink in while the caller's stays
+/// shared; the monitor locks it exactly once per admitted block (group
+/// commit).
 pub type SharedSink = Arc<Mutex<dyn CommitSink>>;
 
 /// When a transaction application contributes a letter to the patterns.
@@ -215,8 +246,8 @@ pub struct Violation {
     /// The letter (role-set symbol) that escaped the inventory.
     pub letter: u32,
     /// The constraint epoch the rejection was produced under (0 until
-    /// the first [`Monitor::redefine`]): operators can tell pre- from
-    /// post-redefinition rejections apart.
+    /// the first [`ShardedMonitor::redefine`]): operators can tell pre-
+    /// from post-redefinition rejections apart.
     pub epoch: u64,
 }
 
@@ -238,7 +269,8 @@ impl Violation {
     }
 }
 
-/// Errors raised by [`Monitor::try_apply`].
+/// Errors raised by [`ShardedMonitor::try_apply`] and
+/// [`ShardedMonitor::try_apply_batch`].
 #[derive(Clone, PartialEq, Debug)]
 pub enum EnforceError {
     /// The application would violate the inventory; the database is
@@ -255,7 +287,7 @@ pub enum EnforceError {
     /// nothing changed. Carries the reason recorded when the server
     /// degraded. An operator fixes the fault and re-arms (`rearm`).
     Degraded(String),
-    /// A [`Monitor::redefine`] was refused — the new inventory is
+    /// A [`ShardedMonitor::redefine`] was refused — the new inventory is
     /// invalid for this monitor (alphabet mismatch, certified or
     /// reference monitor, or the never-created class's ∅-walk leaves the
     /// new language). Nothing changed; the epoch did not advance.
@@ -278,7 +310,7 @@ impl std::fmt::Display for EnforceError {
 
 /// What happens to **residue** — objects whose consumed history is not
 /// provably viable under a redefined inventory (see
-/// [`Monitor::redefine`]).
+/// [`ShardedMonitor::redefine`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ResiduePolicy {
     /// Quarantine: fold residue cohorts into the exempt sink. The
@@ -333,7 +365,7 @@ impl std::fmt::Display for ResiduePolicy {
     }
 }
 
-/// The outcome of an admitted [`Monitor::redefine`].
+/// The outcome of an admitted [`ShardedMonitor::redefine`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RedefineOutcome {
     /// The new constraint epoch (old epoch + 1).
@@ -354,976 +386,31 @@ impl From<LangError> for EnforceError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Reference engine state (the pre-optimization algorithm, kept as the
-// oracle and benchmark baseline)
-// ---------------------------------------------------------------------
-
-/// Per-object tracking state of the reference engine.
-#[derive(Clone, Debug)]
-struct Tracked {
-    /// Inventory-DFA state after the object's pattern so far.
-    state: u32,
-    /// The object's pattern is already outside the enforced family
-    /// (e.g. a non-changing step under `Proper`) — never constrained
-    /// again.
-    exempt: bool,
-    /// Role-set symbol after the last step.
-    last_role: u32,
-    /// The full pattern, for diagnostics.
-    history: MigrationPattern,
-}
-
-#[derive(Clone)]
-enum Engine {
-    /// Incremental delta/cohort engine (default).
-    Delta(DeltaState),
-    /// Whole-database rescan engine (oracle / baseline).
-    Reference { tracked: BTreeMap<Oid, Tracked> },
-}
-
-/// A database guarded by a migration inventory.
-///
-/// ```
-/// use migratory_core::{enforce::Monitor, Inventory, PatternKind, RoleAlphabet};
-/// use migratory_lang::{parse_transactions, Assignment};
-/// use migratory_model::{schema::university_schema, Value};
-///
-/// let s = university_schema();
-/// let a = RoleAlphabet::new(&s, 0).unwrap();
-/// let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* ∅*").unwrap();
-/// let ts = parse_transactions(&s, r#"
-///     transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
-///     transaction St(x) {
-///       specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
-///     }
-///     transaction Emp(x) {
-///       specialize(PERSON, EMPLOYEE, { SSN = x }, { Salary = 1, WorksIn = "D" });
-///     }
-/// "#).unwrap();
-/// let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
-/// let x = Assignment::new(vec![Value::str("1")]);
-/// m.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
-/// m.try_apply(ts.get("St").unwrap(), &x).unwrap();
-/// // Employment is not in the inventory: rejected, database unchanged.
-/// assert!(m.try_apply(ts.get("Emp").unwrap(), &x).is_err());
-/// assert_eq!(m.db().num_objects(), 1);
-/// ```
-#[derive(Clone)]
-pub struct Monitor<'a> {
-    schema: &'a Schema,
-    alphabet: &'a RoleAlphabet,
-    /// Owned: [`Monitor::redefine`] swaps it under a live monitor. The
-    /// constructors clone the caller's inventory (epoch 0).
-    inventory: Inventory,
-    kind: PatternKind,
-    policy: StepPolicy,
-    db: Instance,
-    engine: Engine,
-    /// Where committed blocks are logged before tracking state is
-    /// written (`None`: volatile monitor, zero overhead).
-    sink: Option<SharedSink>,
-    /// Reference-engine clock state (the delta engine's lives inside
-    /// its [`DeltaState`] — the monitor's single partition, whose
-    /// shard-local letter clock *is* the global step counter at k = 1).
-    pre_state: u32,
-    /// The never-created pattern has already left the enforced family
-    /// (reference engine).
-    pre_exempt: bool,
-    /// Number of letters emitted so far (reference engine).
-    steps: usize,
-    certified: bool,
-    /// Step count at the moment certification succeeded — the horizon at
-    /// which pattern tracking froze.
-    certified_at: Option<usize>,
-    /// Constraint epoch: 0 at construction, +1 per admitted
-    /// [`Monitor::redefine`].
-    epoch: u64,
-    /// Admitted redefinitions over the monitor's whole history
-    /// (including recovered ones).
-    redefine_total: u64,
-    /// Objects folded into the exempt quarantine cohort by
-    /// redefinitions, cumulative.
-    quarantined_total: u64,
-}
-
-impl<'a> Monitor<'a> {
-    fn with_engine(
-        schema: &'a Schema,
-        alphabet: &'a RoleAlphabet,
-        inventory: &Inventory,
-        kind: PatternKind,
-        engine: Engine,
-    ) -> Monitor<'a> {
-        Monitor {
-            schema,
-            alphabet,
-            inventory: inventory.clone(),
-            kind,
-            policy: StepPolicy::default(),
-            db: Instance::empty(),
-            engine,
-            sink: None,
-            pre_state: inventory.dfa().start(),
-            // ∅ⁿ never starts with a non-∅ letter.
-            pre_exempt: kind == PatternKind::ImmediateStart,
-            steps: 0,
-            certified: false,
-            certified_at: None,
-            epoch: 0,
-            redefine_total: 0,
-            quarantined_total: 0,
-        }
-    }
-
-    /// A monitor over the empty database, enforcing `inventory` for the
-    /// given pattern family with the incremental delta/cohort engine.
-    #[must_use]
-    pub fn new(
-        schema: &'a Schema,
-        alphabet: &'a RoleAlphabet,
-        inventory: &Inventory,
-        kind: PatternKind,
-    ) -> Monitor<'a> {
-        let state = DeltaState::new(inventory.dfa().start(), kind == PatternKind::ImmediateStart);
-        Self::with_engine(schema, alphabet, inventory, kind, Engine::Delta(state))
-    }
-
-    /// A monitor driven by the **reference** algorithm: every application
-    /// clones the database, rescans all tracked objects and clones their
-    /// full histories. Semantically identical to [`Monitor::new`]
-    /// (including reported [`Violation`]s) but O(|db| × run-length) per
-    /// step — kept as the testing oracle and benchmark baseline.
-    #[must_use]
-    pub fn new_reference(
-        schema: &'a Schema,
-        alphabet: &'a RoleAlphabet,
-        inventory: &Inventory,
-        kind: PatternKind,
-    ) -> Monitor<'a> {
-        Self::with_engine(
-            schema,
-            alphabet,
-            inventory,
-            kind,
-            Engine::Reference { tracked: BTreeMap::new() },
-        )
-    }
-
-    /// Choose when applications contribute letters (default:
-    /// [`StepPolicy::EveryApplication`]).
-    #[must_use]
-    pub fn with_policy(mut self, policy: StepPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attach a [`CommitSink`]: every admitted block is appended to the
-    /// sink *before* tracking state commits (write-ahead), and a sink
-    /// failure rolls the application back
-    /// ([`EnforceError::Durability`]). Requires the delta engine — the
-    /// reference engine has no delta to log.
-    #[must_use]
-    pub fn with_sink(mut self, sink: SharedSink) -> Self {
-        assert!(self.is_incremental(), "the reference engine cannot log deltas");
-        self.sink = Some(sink);
-        self
-    }
-
-    /// The current database.
-    #[must_use]
-    pub fn db(&self) -> &Instance {
-        &self.db
-    }
-
-    /// The schema this monitor enforces over.
-    #[must_use]
-    pub fn schema(&self) -> &'a Schema {
-        self.schema
-    }
-
-    /// The role alphabet patterns are spelled in.
-    #[must_use]
-    pub fn alphabet(&self) -> &'a RoleAlphabet {
-        self.alphabet
-    }
-
-    /// The enforced inventory (of the **current** epoch).
-    #[must_use]
-    pub fn inventory(&self) -> &Inventory {
-        &self.inventory
-    }
-
-    /// The current constraint epoch (0 until the first
-    /// [`Monitor::redefine`]).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Admitted redefinitions over the monitor's whole history.
-    #[must_use]
-    pub fn redefine_total(&self) -> u64 {
-        self.redefine_total
-    }
-
-    /// Objects quarantined by redefinitions, cumulative.
-    #[must_use]
-    pub fn quarantined_total(&self) -> u64 {
-        self.quarantined_total
-    }
-
-    /// The enforced pattern family.
-    #[must_use]
-    pub fn kind(&self) -> PatternKind {
-        self.kind
-    }
-
-    /// The letter-contribution policy.
-    #[must_use]
-    pub fn policy(&self) -> StepPolicy {
-        self.policy
-    }
-
-    /// Number of pattern letters emitted so far. For the delta engine
-    /// this is a **derived view**: the single partition's shard-local
-    /// letter clock, which at k = 1 coincides with the paper's global
-    /// step counter.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        match &self.engine {
-            Engine::Delta(d) => d.steps,
-            Engine::Reference { .. } => self.steps,
-        }
-    }
-
-    /// Whether the monitor runs in the certified fast path.
-    #[must_use]
-    pub fn is_certified(&self) -> bool {
-        self.certified
-    }
-
-    /// Whether this monitor uses the incremental delta/cohort engine.
-    #[must_use]
-    pub fn is_incremental(&self) -> bool {
-        matches!(self.engine, Engine::Delta(_))
-    }
-
-    /// Number of objects touched by the last admitted **checked**
-    /// application (`None` on the reference engine, which has no
-    /// touched-set notion). The admit-path work of the delta engine is
-    /// proportional to this, never to the database size. Certified-mode
-    /// applications skip change capture entirely and leave the count
-    /// untouched.
-    #[must_use]
-    pub fn last_touched(&self) -> Option<usize> {
-        match &self.engine {
-            Engine::Delta(d) => Some(d.last_touched),
-            Engine::Reference { .. } => None,
-        }
-    }
-
-    /// The recorded pattern of an object (present once it has occurred in
-    /// the database; absent when tracking never saw it, e.g. objects
-    /// created after certification). Reconstructed from the run-length
-    /// encoding on demand. After a mid-run [`Monitor::certify`], patterns
-    /// are frozen at the certification point — certified steps skip all
-    /// tracking, in both engines.
-    #[must_use]
-    pub fn pattern_of(&self, o: Oid) -> Option<MigrationPattern> {
-        match &self.engine {
-            Engine::Delta(d) => {
-                // Records stop advancing once certified: clamp the
-                // reconstruction horizon so certified steps do not
-                // fabricate repeat letters.
-                let horizon = self.certified_at.unwrap_or(d.steps);
-                d.records.get(o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), horizon))
-            }
-            Engine::Reference { tracked } => tracked.get(&o).map(|t| t.history.clone()),
-        }
-    }
-
-    /// Statically certify an SL transaction schema against the inventory
-    /// (Corollary 3.3). On success the monitor skips all per-object
-    /// runtime checks: no application of certified transactions can ever
-    /// produce a pattern outside 𝔏. Returns whether `ts` certifies; errs
-    /// on non-SL schemas, where the problem is undecidable (Corollary
-    /// 4.7).
-    ///
-    /// Certification is **one-way**: once a monitor is certified, pattern
-    /// tracking stops and later `certify` calls only report the new
-    /// schema's verdict without re-enabling checks (the tracking state
-    /// would be stale). Enforce a different, non-certifying schema with a
-    /// fresh monitor.
-    pub fn certify(&mut self, ts: &TransactionSchema) -> Result<bool, CoreError> {
-        let decision =
-            crate::decide::decide(self.schema, self.alphabet, ts, &self.inventory, self.kind)?;
-        let holds = decision.satisfies.holds();
-        if holds && !self.certified {
-            // Certification freezes tracking, so a durable monitor must
-            // record the event — recovery would otherwise replay
-            // unchecked post-certification blocks through the tracker.
-            // Write-ahead: if the marker cannot be logged, certification
-            // does not take effect.
-            let at = self.steps();
-            if let Some(sink) = &self.sink {
-                sink.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .certified(at)
-                    .map_err(|e| CoreError::Durability(e.to_string()))?;
-            }
-            self.certified = true;
-            self.certified_at = Some(at);
-        }
-        Ok(holds)
-    }
-
-    /// Redefine the enforced inventory **online**, bumping the
-    /// constraint epoch — the paper's dynamic constraints made dynamic
-    /// themselves.
-    ///
-    /// The viability of consumed history is decided per *cohort*, never
-    /// per object: a product construction walks the old DFA × new DFA
-    /// over every path the old DFA certifies (`delta::viability_map`);
-    /// a cohort is viable iff all enforced histories ending in its old
-    /// state land in exactly one accepting new state. Viable cohorts
-    /// remap wholesale; the residue is quarantined or reset per
-    /// `policy`. Total cost O(|Q_old| × |Q_new| × |Σ| + |cohorts|) —
-    /// independent of the database size.
-    ///
-    /// Durability: when a sink is attached the redefinition is
-    /// write-ahead logged (epoch bump + canonical inventory encoding +
-    /// the partition clock) *before* any tracking state changes;
-    /// [`Monitor::recover`] replays it at the exact clock position.
-    ///
-    /// Refused (with [`EnforceError::Redefine`], nothing changed) on the
-    /// reference engine, on a certified monitor (tracking is frozen), on
-    /// an alphabet mismatch, and when the never-created class's ∅-walk
-    /// leaves the new language while still enforced.
-    pub fn redefine(
-        &mut self,
-        new_inventory: &Inventory,
-        policy: ResiduePolicy,
-    ) -> Result<RedefineOutcome, EnforceError> {
-        let Engine::Delta(_) = &self.engine else {
-            return Err(EnforceError::Redefine(
-                "the reference engine does not support online redefinition".into(),
-            ));
-        };
-        if self.certified {
-            return Err(EnforceError::Redefine(
-                "monitor is certified: tracking is frozen, redefine needs a fresh monitor".into(),
-            ));
-        }
-        let new_dfa = new_inventory.dfa();
-        if new_dfa.num_symbols() != self.alphabet.num_symbols() {
-            return Err(EnforceError::Redefine(format!(
-                "inventory alphabet has {} symbols, monitor's has {}",
-                new_dfa.num_symbols(),
-                self.alphabet.num_symbols()
-            )));
-        }
-        let empty = self.alphabet.empty_symbol();
-        let fates = delta::viability_map(self.inventory.dfa(), new_dfa);
-        let Engine::Delta(state) = &self.engine else { unreachable!() };
-        let new_pre = state.redefine_pre_walk(new_dfa, empty).map_err(|steps| {
-            EnforceError::Redefine(format!(
-                "the never-created class's pattern ∅^{steps} leaves the new inventory"
-            ))
-        })?;
-        let steps0 = state.steps;
-        // Write-ahead: the record reaches the log before any tracking
-        // state is touched; a sink failure aborts with nothing changed.
-        if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .redefined(self.epoch + 1, policy, &[(0, steps0)], &new_inventory.encode())
-                .map_err(EnforceError::Durability)?;
-        }
-        let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-        let (residue, quarantined) = state.apply_redefine(
-            &fates,
-            new_dfa,
-            new_pre,
-            policy == ResiduePolicy::CertifyAndReset,
-        );
-        self.inventory = new_inventory.clone();
-        self.epoch += 1;
-        self.redefine_total += 1;
-        self.quarantined_total += quarantined as u64;
-        Ok(RedefineOutcome { epoch: self.epoch, residue, quarantined })
-    }
-
-    /// Append one block to the attached sink (one lock, one record —
-    /// the group-commit unit). A single monitor is one partition:
-    /// every delta is a letter on shard 0's clock.
-    fn log_block(&self, steps0: usize, deltas: &[&Delta]) -> Result<(), WalError> {
-        match &self.sink {
-            Some(sink) => {
-                let shards = [ShardLetters {
-                    shard: 0,
-                    steps0,
-                    letters: (0..deltas.len() as u32).collect(),
-                }];
-                sink.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .committed(&BlockRef { deltas, shards: &shards })
-            }
-            None => Ok(()),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Durability: snapshot + recovery (see [`wal`])
-    // -----------------------------------------------------------------
-
-    /// Checkpoint everything this monitor cannot rebuild from its
-    /// constructor arguments: database heap, cohort/RLE tracking state
-    /// with its letter clock, policy and certification horizon. The
-    /// encoding is canonical — equal monitor states yield equal
-    /// [`Snapshot::encode`] bytes.
-    ///
-    /// # Panics
-    /// Panics on the reference engine, which this layer does not
-    /// persist.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        let Engine::Delta(state) = &self.engine else {
-            panic!("snapshot requires the delta engine")
-        };
-        Snapshot {
-            policy: self.policy,
-            certified: self.certified,
-            certified_at: self.certified_at,
-            evolution: self.evolution(),
-            db: self.db.clone(),
-            shards: vec![state.clone()],
-        }
-    }
-
-    /// The constraint-evolution state persisted with every checkpoint.
-    fn evolution(&self) -> wal::Evolution {
-        wal::Evolution {
-            epoch: self.epoch,
-            redefine_total: self.redefine_total,
-            quarantined_total: self.quarantined_total,
-            inventory: Some(self.inventory.encode()),
-        }
-    }
-
-    /// Capture a **full checkpoint** and reset the incremental dirty
-    /// tracking: the returned snapshot covers everything, so the next
-    /// [`Monitor::checkpoint_delta`] captures only changes made from
-    /// here on. Prefer this over [`Monitor::snapshot`] (a pure
-    /// observation that leaves the dirty set alone) when the snapshot
-    /// will be written as a base checkpoint.
-    ///
-    /// # Panics
-    /// Panics on the reference engine, which this layer does not
-    /// persist.
-    pub fn checkpoint_full(&mut self) -> Snapshot {
-        let snap = self.snapshot();
-        let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-        state.dirty.clear();
-        state.all_dirty = false;
-        snap
-    }
-
-    /// Capture an **incremental checkpoint**: the objects and tracking
-    /// records dirtied since the last capture (or recovery), the cohort
-    /// tables and the letter clock — O(dirty), never O(db). Drains the
-    /// dirty set: the caller must make the returned increment durable
-    /// (or fall back to a full [`Monitor::checkpoint_full`]) before
-    /// capturing again, or the chain loses these changes.
-    ///
-    /// # Panics
-    /// Panics on the reference engine, which this layer does not
-    /// persist.
-    pub fn checkpoint_delta(&mut self) -> CheckpointDelta {
-        let evolution = self.evolution();
-        let Engine::Delta(state) = &mut self.engine else {
-            panic!("checkpoint requires the delta engine")
-        };
-        wal::capture_delta(
-            &self.db,
-            std::slice::from_mut(state),
-            self.policy,
-            self.certified,
-            self.certified_at,
-            evolution,
-        )
-    }
-
-    /// Rebuild a monitor from a checkpoint plus the WAL tail written
-    /// after it — **without replaying history**: the snapshot (the
-    /// folded checkpoint chain — see [`wal::Wal::load`]) restores the
-    /// tracking state directly and each tail block replays as one
-    /// [`Delta::redo`] + one cohort sweep (its original commit
-    /// granularity), so recovery costs O(snapshot + tail), never
-    /// O(run length).
-    ///
-    /// `snapshot: None` recovers from an empty monitor (a log that
-    /// predates the first checkpoint); the recovered policy then
-    /// defaults to [`StepPolicy::EveryApplication`] — logged blocks
-    /// hold only effective letters, so replay itself is
-    /// policy-independent.
-    ///
-    /// Records whose shard-0 clock offset predates the snapshot are
-    /// skipped (they are already folded into it — the
-    /// crash-between-checkpoint-and-prune window); a gap or a
-    /// non-admitting block is reported as [`WalError::Mismatch`]. A
-    /// [`wal::WalRecord::Certified`] marker in the tail freezes
-    /// tracking exactly where the crashed monitor froze it. The
-    /// recovered monitor has no sink attached — reattach with
-    /// [`Monitor::with_sink`] to resume logging.
-    pub fn recover(
-        schema: &'a Schema,
-        alphabet: &'a RoleAlphabet,
-        inventory: &Inventory,
-        kind: PatternKind,
-        snapshot: Option<Snapshot>,
-        tail: impl IntoIterator<Item = wal::WalRecord>,
-    ) -> Result<Monitor<'a>, WalError> {
-        let mut m = match snapshot {
-            Some(snap) => {
-                let Snapshot { policy, certified, certified_at, evolution, db, mut shards } = snap;
-                if shards.len() != 1 {
-                    return Err(WalError::Mismatch(format!(
-                        "snapshot has {} shards; a Monitor persists exactly one",
-                        shards.len()
-                    )));
-                }
-                let state = shards.pop().expect("one shard");
-                let mut m =
-                    Self::with_engine(schema, alphabet, inventory, kind, Engine::Delta(state));
-                m.db = db;
-                m.policy = policy;
-                m.certified = certified;
-                m.certified_at = certified_at;
-                // A v3 checkpoint carries the inventory of its epoch;
-                // pre-evolution (v2) checkpoints fall back to the
-                // constructor's inventory at epoch 0.
-                if let Some(bytes) = &evolution.inventory {
-                    m.inventory = Inventory::decode(alphabet, bytes).map_err(|e| {
-                        WalError::Mismatch(format!("snapshot inventory does not decode: {e}"))
-                    })?;
-                }
-                m.epoch = evolution.epoch;
-                m.redefine_total = evolution.redefine_total;
-                m.quarantined_total = evolution.quarantined_total;
-                m
-            }
-            None => Self::new(schema, alphabet, inventory, kind),
-        };
-        for record in tail {
-            match record {
-                wal::WalRecord::Block(block) => {
-                    if block.shards.len() != 1 || block.shards[0].shard != 0 {
-                        return Err(WalError::Mismatch(
-                            "multi-shard block in a single monitor's log".into(),
-                        ));
-                    }
-                    let steps0 = block.shards[0].steps0;
-                    let at = m.steps();
-                    if steps0 < at {
-                        continue; // already folded into the snapshot
-                    }
-                    if steps0 > at {
-                        return Err(WalError::Mismatch(format!(
-                            "wal gap: next block starts at letter {steps0}, monitor is at {at}"
-                        )));
-                    }
-                    m.replay_block(&block.deltas)?;
-                }
-                wal::WalRecord::Certified { steps } => {
-                    let at = m.steps();
-                    if steps < at {
-                        continue; // the snapshot already carries it
-                    }
-                    if steps > at {
-                        return Err(WalError::Mismatch(format!(
-                            "wal gap: certification at letter {steps}, monitor is at {at}"
-                        )));
-                    }
-                    if !m.certified {
-                        m.certified = true;
-                        m.certified_at = Some(steps);
-                    }
-                }
-                wal::WalRecord::Redefined { epoch, policy, shards, inventory } => {
-                    if epoch <= m.epoch {
-                        continue; // already folded into the snapshot
-                    }
-                    if epoch != m.epoch + 1 {
-                        return Err(WalError::Mismatch(format!(
-                            "wal gap: redefinition to epoch {epoch}, monitor is at {}",
-                            m.epoch
-                        )));
-                    }
-                    if shards.len() != 1 || shards[0].0 != 0 {
-                        return Err(WalError::Mismatch(
-                            "multi-shard redefinition in a single monitor's log".into(),
-                        ));
-                    }
-                    let at = m.steps();
-                    if shards[0].1 != at {
-                        return Err(WalError::Mismatch(format!(
-                            "wal gap: redefinition at letter {}, monitor is at {at}",
-                            shards[0].1
-                        )));
-                    }
-                    let new_inv = Inventory::decode(alphabet, &inventory).map_err(|e| {
-                        WalError::Mismatch(format!("redefine record inventory: {e}"))
-                    })?;
-                    // Replay through the same code path admission ran —
-                    // the recovered monitor has no sink, so nothing is
-                    // re-logged. Epoch, totals and tracking remap advance
-                    // exactly as they did live.
-                    m.redefine(&new_inv, policy).map_err(|e| {
-                        WalError::Mismatch(format!("logged redefinition does not admit: {e}"))
-                    })?;
-                }
-            }
-        }
-        Ok(m)
-    }
-
-    /// Replay one logged block onto the recovered state: redo the
-    /// database change-sets, then run the same staged sweep + commit
-    /// the original admission ran (`k =` block length — for a single
-    /// monitor every logged block holds one delta). Admission already
-    /// proved the block conforming, so a failing stage means the log
-    /// and snapshot do not belong together.
-    fn replay_block(&mut self, deltas: &[Delta]) -> Result<(), WalError> {
-        for d in deltas {
-            d.redo(&mut self.db);
-        }
-        let k = deltas.len();
-        if k == 0 {
-            return Ok(());
-        }
-        let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-        if self.certified {
-            // Certified blocks were logged without tracking; replay
-            // mirrors that. The touched objects still dirty the next
-            // incremental checkpoint (their heap state changed).
-            state.steps += k;
-            for d in deltas {
-                state.dirty.extend(d.objects().iter().map(|od| od.oid));
-            }
-            return Ok(());
-        }
-        let refs: Vec<&Delta> = deltas.iter().collect();
-        let touched = delta::touched_map(&refs);
-        let ctx = delta::BatchCtx {
-            schema: self.schema,
-            alphabet: self.alphabet,
-            dfa: self.inventory.dfa(),
-            kind: self.kind,
-        };
-        // The same staged walk the admission path ran — committed
-        // blocks were proved admissible, so a violation here means the
-        // log does not belong to this snapshot.
-        let stage = state
-            .stage_batch(&ctx, k, &touched)
-            .map_err(|()| WalError::Mismatch("logged block does not admit".into()))?;
-        state.commit_batch(stage);
-        if k == 1 {
-            state.last_touched = deltas[0].objects().len();
-        }
-        Ok(())
-    }
-
-    /// The role-set symbol of a raw class set (∅ when absent or outside
-    /// this component).
-    fn symbol_of_classes(&self, cs: ClassSet) -> u32 {
-        classes_symbol(self.schema, self.alphabet, cs)
-    }
-
-    /// The role-set symbol of `o` in `db` (∅ when absent).
-    fn role_symbol(&self, db: &Instance, o: Oid) -> u32 {
-        self.symbol_of_classes(db.role_set(o))
-    }
-
-    /// Apply `t[args]`, committing only if no enforced pattern leaves the
-    /// inventory. On violation the database is unchanged and the first
-    /// offending object is reported.
-    pub fn try_apply(&mut self, t: &Transaction, args: &Assignment) -> Result<(), EnforceError> {
-        match &self.engine {
-            Engine::Delta(_) => self.try_apply_delta(t, args),
-            Engine::Reference { .. } => self.try_apply_reference(t, args),
-        }
-    }
-
-    /// Apply a whole sequence, stopping at the first rejection; returns
-    /// how many applications committed.
-    pub fn try_apply_all<'t>(
-        &mut self,
-        steps: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
-    ) -> (usize, Option<EnforceError>) {
-        let mut done = 0;
-        for (t, args) in steps {
-            match self.try_apply(t, args) {
-                Ok(()) => done += 1,
-                Err(e) => return (done, Some(e)),
-            }
-        }
-        (done, None)
-    }
-
-    // -----------------------------------------------------------------
-    // Delta/cohort engine
-    // -----------------------------------------------------------------
-
-    fn try_apply_delta(&mut self, t: &Transaction, args: &Assignment) -> Result<(), EnforceError> {
-        if self.certified {
-            // Certified fast path: no checks will run. Without a sink,
-            // skip the before-image capture entirely — the raw
-            // interpreter cost is all that remains. A durable monitor
-            // still captures the delta (it must be logged), but runs no
-            // admission work on it.
-            let steps0 = self.steps();
-            if self.sink.is_some() {
-                let delta = apply_delta_bulk(self.schema, &mut self.db, t, args)?;
-                if let Err(e) = self.log_block(steps0, &[&delta]) {
-                    delta.undo(&mut self.db);
-                    return Err(EnforceError::Durability(e));
-                }
-                let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-                // The heap changed: the next incremental checkpoint
-                // must carry these objects even though tracking froze.
-                state.dirty.extend(delta.objects().iter().map(|od| od.oid));
-                state.steps += 1;
-            } else {
-                apply_transaction(self.schema, &mut self.db, t, args)?;
-                let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-                state.steps += 1;
-            }
-            return Ok(());
-        }
-        let delta = apply_delta_bulk(self.schema, &mut self.db, t, args)?;
-        if self.policy == StepPolicy::OnlyChanging && delta.is_identity() {
-            // Null application (Definition 4.6): no letter, and the
-            // database is bit-identical — nothing to undo.
-            let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-            state.last_touched = delta.objects().len();
-            return Ok(());
-        }
-
-        // One staged, read-only pass at k = 1 — the never-created ∅
-        // walk plus touched objects and untouched cohorts, all from the
-        // partition's own letter clock (nothing is written until the
-        // step is known admissible), then a commit. This is the same
-        // code path the sharded monitor runs per shard, so the engines
-        // cannot drift.
-        let ctx = delta::BatchCtx {
-            schema: self.schema,
-            alphabet: self.alphabet,
-            dfa: self.inventory.dfa(),
-            kind: self.kind,
-        };
-        // Bulk-creation fast path: a big all-creations letter stages
-        // without the per-object touched map (uniform creation context,
-        // one DFA step per distinct role symbol, sorted record append).
-        // Byte-identical to the generic path below — WAL replay goes
-        // through `stage_batch` and recovery compares snapshot bytes.
-        if delta.objects().len() >= BULK_APPLY_THRESHOLD
-            && delta.objects().iter().all(ObjectDelta::created)
-        {
-            let Engine::Delta(state) = &self.engine else { unreachable!() };
-            let steps0 = state.steps;
-            return match state.stage_bulk_creates(&ctx, delta.objects().iter()) {
-                Ok(stage) => {
-                    if let Err(e) = self.log_block(steps0, &[&delta]) {
-                        delta.undo(&mut self.db);
-                        return Err(EnforceError::Durability(e));
-                    }
-                    let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-                    state.commit_bulk_creates(stage);
-                    Ok(())
-                }
-                Err(()) => {
-                    let v = self.diagnose_violation(&delta);
-                    delta.undo(&mut self.db);
-                    Err(EnforceError::Violation(v))
-                }
-            };
-        }
-        let touched = delta::touched_map(&[&delta]);
-        let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-        let steps0 = state.steps;
-        match state.stage_batch(&ctx, 1, &touched) {
-            Ok(stage) => {
-                // Write-ahead: the block reaches the log after staging
-                // proved it admissible and before any tracking state is
-                // written; a sink failure aborts the whole application.
-                if let Err(e) = self.log_block(steps0, &[&delta]) {
-                    delta.undo(&mut self.db);
-                    return Err(EnforceError::Durability(e));
-                }
-                let Engine::Delta(state) = &mut self.engine else { unreachable!() };
-                state.commit_batch(stage);
-                // `last_touched` counts every object of the change-set,
-                // including within-step blips the tracker never sees.
-                state.last_touched = delta.objects().len();
-                Ok(())
-            }
-            Err(()) => {
-                // Rejection path: report the first violation of the
-                // reference engine's scan (never-created class first,
-                // then objects in ascending oid order), byte-identical
-                // to [`Monitor::new_reference`]'s, then roll the
-                // database back. O(touched + |cohorts|) unless an
-                // untouched cohort violates.
-                let v = self.diagnose_violation(&delta);
-                delta.undo(&mut self.db);
-                Err(EnforceError::Violation(v))
-            }
-        }
-    }
-
-    /// Rejection diagnostics: the first violation of the reference
-    /// engine's scan (never-created class first, then objects in
-    /// ascending oid order) — see [`delta::diagnose_step`], which
-    /// checks only the touched objects unless an untouched cohort
-    /// leaves the inventory.
-    fn diagnose_violation(&self, delta: &Delta) -> Violation {
-        let Engine::Delta(state) = &self.engine else { unreachable!() };
-        let params = DiagParams {
-            schema: self.schema,
-            alphabet: self.alphabet,
-            dfa: self.inventory.dfa(),
-            kind: self.kind,
-            epoch: self.epoch,
-        };
-        diagnose_step(&params, std::slice::from_ref(state), &[true], |_| 0, delta)
-    }
-
-    // -----------------------------------------------------------------
-    // Reference engine (pre-optimization algorithm, verbatim)
-    // -----------------------------------------------------------------
-
-    fn try_apply_reference(
-        &mut self,
-        t: &Transaction,
-        args: &Assignment,
-    ) -> Result<(), EnforceError> {
-        let next = run(self.schema, &self.db, t, args)?;
-        if self.certified {
-            self.db = next;
-            self.steps += 1;
-            return Ok(());
-        }
-        if self.policy == StepPolicy::OnlyChanging && next == self.db {
-            return Ok(());
-        }
-        let dfa = self.inventory.dfa();
-        let empty = self.alphabet.empty_symbol();
-        let step_idx = self.steps + 1; // 1-based index of this letter
-
-        // 1. The never-created objects read one more ∅.
-        let pre_state_old = self.pre_state;
-        let mut pre_exempt_new = self.pre_exempt;
-        if !pre_exempt_new
-            && step_idx >= 2
-            && matches!(self.kind, PatternKind::Proper | PatternKind::Lazy)
-        {
-            // A second ∅ neither changes the object nor its role set.
-            pre_exempt_new = true;
-        }
-        let pre_state_new = dfa.step(pre_state_old, empty);
-        if !pre_exempt_new && !dfa.is_accepting(pre_state_new) {
-            return Err(EnforceError::Violation(Violation {
-                oid: None,
-                pattern: vec![empty; step_idx],
-                letter: empty,
-                epoch: self.epoch,
-            }));
-        }
-
-        let Engine::Reference { tracked } = &self.engine else { unreachable!() };
-
-        // 2. Already-tracked objects (live or deleted) read their new
-        //    role symbol.
-        let mut updates: Vec<(Oid, Tracked)> = Vec::with_capacity(tracked.len());
-        for (&o, tr) in tracked {
-            let letter = self.role_symbol(&next, o);
-            let role_changed = letter != tr.last_role;
-            let object_changed = role_changed || self.db.tuple_ref(o) != next.tuple_ref(o);
-            let mut exempt = tr.exempt;
-            if !exempt && step_idx >= 2 {
-                exempt = match self.kind {
-                    PatternKind::All | PatternKind::ImmediateStart => false,
-                    PatternKind::Proper => !object_changed,
-                    PatternKind::Lazy => !role_changed,
-                };
-            }
-            let state = dfa.step(tr.state, letter);
-            if !exempt && !dfa.is_accepting(state) {
-                let mut pattern = tr.history.clone();
-                pattern.push(letter);
-                return Err(EnforceError::Violation(Violation {
-                    oid: Some(o),
-                    pattern,
-                    letter,
-                    epoch: self.epoch,
-                }));
-            }
-            let mut history = tr.history.clone();
-            history.push(letter);
-            updates.push((o, Tracked { state, exempt, last_role: letter, history }));
-        }
-
-        // 3. Objects created by this application: pattern ∅^(step_idx−1)·ω.
-        let mut created: Vec<(Oid, Tracked)> = Vec::new();
-        for o in next.objects() {
-            if tracked.contains_key(&o) {
-                continue;
-            }
-            let letter = self.role_symbol(&next, o);
-            // Inherit the never-created exemption accrued before this
-            // step; the creation step itself always changes the object.
-            let exempt = match self.kind {
-                PatternKind::All => false,
-                PatternKind::ImmediateStart => step_idx > 1,
-                PatternKind::Proper | PatternKind::Lazy => self.pre_exempt,
-            };
-            let state = dfa.step(pre_state_old, letter);
-            if !exempt && !dfa.is_accepting(state) {
-                let mut pattern = vec![empty; step_idx - 1];
-                pattern.push(letter);
-                return Err(EnforceError::Violation(Violation {
-                    oid: Some(o),
-                    pattern,
-                    letter,
-                    epoch: self.epoch,
-                }));
-            }
-            let mut history = vec![empty; step_idx - 1];
-            history.push(letter);
-            created.push((o, Tracked { state, exempt, last_role: letter, history }));
-        }
-
-        // Commit.
-        self.db = next;
-        self.steps = step_idx;
-        self.pre_state = pre_state_new;
-        self.pre_exempt = pre_exempt_new;
-        let Engine::Reference { tracked } = &mut self.engine else { unreachable!() };
-        for (o, tr) in updates.into_iter().chain(created) {
-            tracked.insert(o, tr);
-        }
-        Ok(())
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::explore::{explore, ExploreConfig};
+    use crate::{Inventory, PatternKind};
     use delta::EXEMPT;
-    use migratory_lang::parse_transactions;
+    use migratory_lang::{parse_transactions, ObjectDelta, TransactionSchema};
     use migratory_model::schema::university_schema;
     use migratory_model::{RoleSet, Value};
+    use std::collections::BTreeMap;
+
+    /// A block's tracked change-set entries by object, each with its
+    /// 1-based step — the unrouted one-shard `stage_batch` input.
+    fn touched_map<'d>(deltas: &[&'d Delta]) -> BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> {
+        let mut touched: BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> = BTreeMap::new();
+        for (j, d) in deltas.iter().enumerate() {
+            for od in d.objects() {
+                if delta::tracked(od) {
+                    touched.entry(od.oid).or_default().push((j + 1, od));
+                }
+            }
+        }
+        touched
+    }
 
     fn setup() -> (Schema, RoleAlphabet) {
         let s = university_schema();
@@ -1359,7 +446,7 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         let x = arg("1");
         m.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
         m.try_apply(ts.get("St").unwrap(), &x).unwrap();
@@ -1378,7 +465,7 @@ mod tests {
             EnforceError::Redefine(e) => panic!("unexpected {e}"),
         }
         // Rolled back: the object is still a plain person, 3 letters.
-        assert_eq!(m.steps(), 3);
+        assert_eq!(m.clock(0), 3);
         assert_eq!(m.pattern_of(Oid(1)).unwrap().len(), 3, "the rejected letter was not recorded");
         // The run can continue down a permitted branch.
         m.try_apply(ts.get("Rm").unwrap(), &x).unwrap();
@@ -1411,7 +498,7 @@ mod tests {
             [PatternKind::All, PatternKind::ImmediateStart, PatternKind::Proper, PatternKind::Lazy]
         {
             let inv = Inventory::parse_init(&s, &a, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
-            let mut m = Monitor::new(&s, &a, &inv, kind);
+            let mut m = ShardedMonitor::new(&s, &a, &inv, kind, 1);
             // Seed regular letters so cohorts and the ∅ walk are mid-run.
             m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
             m.try_apply(ts.get("St").unwrap(), &arg("1")).unwrap();
@@ -1419,10 +506,10 @@ mod tests {
             let mut dbx = m.db().clone();
             let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
             let ctx = delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind };
-            let Engine::Delta(state) = &m.engine else { unreachable!() };
+            let state = &m.shards[0];
             let generic = {
                 let mut st = state.clone();
-                let touched = delta::touched_map(&[&d]);
+                let touched = touched_map(&[&d]);
                 let stage = st.stage_batch(&ctx, 1, &touched).expect("conforming");
                 st.commit_batch(stage);
                 st
@@ -1442,13 +529,13 @@ mod tests {
         // an inventory admitting only [STUDENT] letters (exemption never
         // saves a creation under All).
         let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
-        let m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         let mut dbx = m.db().clone();
         let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
         let ctx =
             delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind: PatternKind::All };
-        let Engine::Delta(state) = &m.engine else { unreachable!() };
-        assert!(state.stage_batch(&ctx, 1, &delta::touched_map(&[&d])).is_err());
+        let state = &m.shards[0];
+        assert!(state.stage_batch(&ctx, 1, &touched_map(&[&d])).is_err());
         assert!(state.stage_bulk_creates(&ctx, d.objects().iter()).is_err());
     }
 
@@ -1476,8 +563,8 @@ mod tests {
         // must name the first in oid order, exactly as the reference
         // engine does.
         let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
-        let mut md = Monitor::new(&s, &a, &inv, PatternKind::All);
-        let mut mr = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        let mut md = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut mr = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
         let (ed, er) =
             (md.try_apply(&bulk, &none).unwrap_err(), mr.try_apply(&bulk, &none).unwrap_err());
         match (ed, er) {
@@ -1488,8 +575,8 @@ mod tests {
         // The same load against a permitting inventory admits through
         // the bulk path and matches the reference database.
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
-        let mut md = Monitor::new(&s, &a, &inv, PatternKind::All);
-        let mut mr = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        let mut md = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut mr = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
         md.try_apply(&bulk, &none).unwrap();
         mr.try_apply(&bulk, &none).unwrap();
         assert_eq!(md.db().num_objects(), n);
@@ -1508,7 +595,7 @@ mod tests {
             "∅* [PERSON]* [STUDENT]* [GRAD_ASSIST]* [EMPLOYEE]+ [PERSON]* ∅*",
         )
         .unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         let script: Vec<(&str, &str)> = vec![
             ("Mk", "1"),
             ("St", "1"),
@@ -1546,14 +633,14 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "[PERSON]*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         let err = m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap_err();
         assert!(matches!(err, EnforceError::Violation(Violation { oid: None, .. })));
         // …but immediate-start patterns never begin with ∅, so the same
         // application is admitted under kind=ImmediateStart.
-        let mut m2 = Monitor::new(&s, &a, &inv, PatternKind::ImmediateStart);
+        let mut m2 = ShardedMonitor::new(&s, &a, &inv, PatternKind::ImmediateStart, 1);
         m2.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
-        assert_eq!(m2.steps(), 1);
+        assert_eq!(m2.clock(0), 1);
     }
 
     #[test]
@@ -1567,14 +654,14 @@ mod tests {
         let x = arg("1");
         let noop = Assignment::new(vec![Value::str("1"), Value::str("n")]); // Name already "n"
 
-        let mut strict = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut strict = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         strict.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
         assert!(
             strict.try_apply(ts.get("Nm").unwrap(), &noop).is_err(),
             "kind=All rejects: [P][P] ∉ 𝔏"
         );
 
-        let mut proper = Monitor::new(&s, &a, &inv, PatternKind::Proper);
+        let mut proper = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
         proper.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
         proper.try_apply(ts.get("Nm").unwrap(), &noop).unwrap();
         // o1's pattern [P][P] is not proper — exempt from here on, even
@@ -1593,12 +680,12 @@ mod tests {
         let x = arg("1");
         let rename = Assignment::new(vec![Value::str("1"), Value::str("other")]);
 
-        let mut lazy = Monitor::new(&s, &a, &inv, PatternKind::Lazy);
+        let mut lazy = ShardedMonitor::new(&s, &a, &inv, PatternKind::Lazy, 1);
         lazy.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
         lazy.try_apply(ts.get("Nm").unwrap(), &rename).unwrap();
         lazy.try_apply(ts.get("Emp").unwrap(), &x).unwrap();
 
-        let mut proper = Monitor::new(&s, &a, &inv, PatternKind::Proper);
+        let mut proper = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
         proper.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
         assert!(
             proper.try_apply(ts.get("Nm").unwrap(), &rename).is_err(),
@@ -1613,7 +700,7 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON] ∅").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
         m.try_apply(ts.get("Rm").unwrap(), &arg("1")).unwrap();
         let err = m.try_apply(ts.get("Mk").unwrap(), &arg("2")).unwrap_err();
@@ -1629,7 +716,7 @@ mod tests {
         }
         // Under Proper the second trailing ∅ makes o1's pattern improper
         // (and ∅∅ exempts the never-created class too): admitted.
-        let mut pm = Monitor::new(&s, &a, &inv, PatternKind::Proper);
+        let mut pm = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
         pm.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
         pm.try_apply(ts.get("Rm").unwrap(), &arg("1")).unwrap();
         pm.try_apply(ts.get("Mk").unwrap(), &arg("2")).unwrap();
@@ -1641,7 +728,7 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅ [PERSON]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         // Step 1 must emit ∅ for (not-yet-created) o1 — Mk at step 1
         // violates o1's pattern [P] (𝔏 requires a leading ∅).
         let err = m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap_err();
@@ -1660,13 +747,13 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅ [PERSON]* ∅*").unwrap();
-        let mut m =
-            Monitor::new(&s, &a, &inv, PatternKind::All).with_policy(StepPolicy::OnlyChanging);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1)
+            .with_policy(StepPolicy::OnlyChanging);
         // The no-op delete changes nothing: contributes no letter under
         // the CSL semantics, so creation still happens "at step 1" and
         // violates the required leading ∅.
         m.try_apply(ts.get("Rm").unwrap(), &arg("zzz")).unwrap();
-        assert_eq!(m.steps(), 0);
+        assert_eq!(m.clock(0), 0);
         assert!(m.try_apply(ts.get("Mk").unwrap(), &arg("1")).is_err());
     }
 
@@ -1688,7 +775,7 @@ mod tests {
         )
         .unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         assert!(m.certify(&ts).unwrap(), "the schema satisfies the inventory");
         assert!(m.is_certified());
         let t1 = ts.get("T1").unwrap();
@@ -1704,7 +791,7 @@ mod tests {
 
         // A schema that can violate must fail certification.
         let bad = uni_transactions(&s);
-        let mut m2 = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m2 = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         assert!(!m2.certify(&bad).unwrap());
         assert!(!m2.is_certified());
     }
@@ -1736,14 +823,16 @@ mod tests {
                 Value::str("CS"),
             ])
         };
-        let mut fast = Monitor::new(&s, &a, &inv, PatternKind::All);
-        let mut oracle = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
-        for m in [&mut fast, &mut oracle] {
-            m.try_apply(ts.get("T1").unwrap(), &args("1")).unwrap();
-            assert!(m.certify(&ts).unwrap());
-            m.try_apply(ts.get("T1").unwrap(), &args("2")).unwrap();
-            assert_eq!(m.steps(), 2);
-        }
+        let mut fast = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
+        fast.try_apply(ts.get("T1").unwrap(), &args("1")).unwrap();
+        assert!(fast.certify(&ts).unwrap());
+        fast.try_apply(ts.get("T1").unwrap(), &args("2")).unwrap();
+        assert_eq!(fast.clock(0), 2);
+        oracle.try_apply(ts.get("T1").unwrap(), &args("1")).unwrap();
+        assert!(oracle.certify(&ts).unwrap());
+        oracle.try_apply(ts.get("T1").unwrap(), &args("2")).unwrap();
+        assert_eq!(oracle.steps(), 2);
         // o1's pattern is frozen at one letter ([STUDENT]); the certified
         // step contributed nothing to tracking. Both engines agree.
         assert_eq!(fast.pattern_of(Oid(1)), oracle.pattern_of(Oid(1)));
@@ -1769,7 +858,7 @@ mod tests {
         )
         .unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         assert!(matches!(m.certify(&csl), Err(CoreError::NotSl)));
     }
 
@@ -1804,7 +893,7 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         let x = arg("1");
         let mk = ts.get("Mk").unwrap();
         let st = ts.get("St").unwrap();
@@ -1827,15 +916,15 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, inv_src).unwrap();
-        let mut fast = Monitor::new(&s, &a, &inv, kind).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&s, &a, &inv, kind).with_policy(policy);
+        let mut fast = ShardedMonitor::new(&s, &a, &inv, kind, 1).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, kind).with_policy(policy);
         for (i, (name, args)) in script.iter().enumerate() {
             let t = ts.get(name).unwrap();
             let rf = fast.try_apply(t, args);
             let ro = oracle.try_apply(t, args);
             assert_eq!(rf, ro, "engines disagree at step {i} ({name}) under {kind} / {inv_src}");
             assert_eq!(fast.db(), oracle.db(), "databases diverged at step {i}");
-            assert_eq!(fast.steps(), oracle.steps(), "letter counts diverged at step {i}");
+            assert_eq!(fast.clock(0), oracle.steps(), "letter counts diverged at step {i}");
         }
         for o in fast.db().objects().chain((1..=script.len() as u64).map(Oid)) {
             assert_eq!(fast.pattern_of(o), oracle.pattern_of(o), "pattern of o{} diverged", o.0);
@@ -1881,13 +970,13 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         for i in 0..50 {
             m.try_apply(ts.get("Mk").unwrap(), &arg(&format!("k{i}"))).unwrap();
         }
         m.try_apply(ts.get("St").unwrap(), &arg("k7")).unwrap();
-        assert_eq!(m.last_touched(), Some(1), "only k7 was touched");
-        let Engine::Delta(state) = &m.engine else { panic!("delta engine") };
+        assert_eq!(m.shard_stats()[0].last_touched, 1, "only k7 was touched");
+        let state = &m.shards[0];
         assert!(
             state.by_key.len() <= 3,
             "50 objects collapse into ≤3 cohorts, got {}",
@@ -1921,14 +1010,15 @@ mod tests {
         // more application gives every deleted object its second ∅ at
         // the same step.
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]+ ∅").unwrap();
-        let mut fast = Monitor::new(&s, &a, &inv, PatternKind::All);
-        let mut oracle = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        let mut fast = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
         let none = Assignment::empty();
-        for m in [&mut fast, &mut oracle] {
-            m.try_apply(ts.get("Mk").unwrap(), &arg("a")).unwrap();
-            m.try_apply(ts.get("Mk").unwrap(), &arg("b")).unwrap();
-            m.try_apply(ts.get("RmAll").unwrap(), &none).unwrap();
-        }
+        fast.try_apply(ts.get("Mk").unwrap(), &arg("a")).unwrap();
+        fast.try_apply(ts.get("Mk").unwrap(), &arg("b")).unwrap();
+        fast.try_apply(ts.get("RmAll").unwrap(), &none).unwrap();
+        oracle.try_apply(ts.get("Mk").unwrap(), &arg("a")).unwrap();
+        oracle.try_apply(ts.get("Mk").unwrap(), &arg("b")).unwrap();
+        oracle.try_apply(ts.get("RmAll").unwrap(), &none).unwrap();
         let ef = fast.try_apply(ts.get("Mk").unwrap(), &arg("c")).unwrap_err();
         let eo = oracle.try_apply(ts.get("Mk").unwrap(), &arg("c")).unwrap_err();
         assert_eq!(ef, eo);
@@ -1945,7 +1035,7 @@ mod tests {
         }
         // Rejection rolled back: both databases agree and can continue.
         assert_eq!(fast.db(), oracle.db());
-        assert_eq!(fast.steps(), 3);
+        assert_eq!(fast.clock(0), 3);
     }
 
     #[test]
@@ -1953,11 +1043,11 @@ mod tests {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON] [STUDENT] ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::Proper);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
         for i in 0..10 {
             m.try_apply(ts.get("Mk").unwrap(), &arg(&format!("k{i}"))).unwrap();
         }
-        let Engine::Delta(state) = &m.engine else { panic!("delta engine") };
+        let state = &m.shards[0];
         // After step 2 under Proper, every untouched object is exempt:
         // only the latest creation can still occupy a live cohort.
         assert!(state.by_key.len() <= 1);
@@ -1980,7 +1070,7 @@ mod tests {
         for kind in [PatternKind::All, PatternKind::Proper, PatternKind::Lazy] {
             for rotate in [false, true] {
                 let keys = ["a", "b", "c"];
-                let mut m = Monitor::new(&s, &a, &inv, kind);
+                let mut m = ShardedMonitor::new(&s, &a, &inv, kind, 1);
                 for k in keys {
                     m.try_apply(ts.get("Mk").unwrap(), &arg(k)).unwrap();
                 }
@@ -1989,7 +1079,7 @@ mod tests {
                     let k = if rotate { keys[(i / 2) % keys.len()] } else { "b" };
                     m.try_apply(ts.get(t).unwrap(), &arg(k)).unwrap();
                 }
-                let Engine::Delta(state) = &m.engine else { panic!("delta engine") };
+                let state = &m.shards[0];
                 assert!(
                     state.cohorts.len() <= 65,
                     "300 toggles (rotate {rotate}) under {kind} must bound the slot \
@@ -2001,26 +1091,16 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_reports_itself() {
-        let (s, a) = setup();
-        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
-        assert!(Monitor::new(&s, &a, &inv, PatternKind::All).is_incremental());
-        let r = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
-        assert!(!r.is_incremental());
-        assert_eq!(r.last_touched(), None);
-    }
-
-    #[test]
     fn lang_errors_are_distinguished_from_violations() {
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
-        let mut m = Monitor::new(&s, &a, &inv, PatternKind::All);
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         // Wrong arity: a Lang error, not a violation; nothing committed.
         let bad = Assignment::new(vec![]);
         let err = m.try_apply(ts.get("Mk").unwrap(), &bad).unwrap_err();
         assert!(matches!(err, EnforceError::Lang(_)));
         assert!(!format!("{err}").is_empty());
-        assert_eq!(m.steps(), 0);
+        assert_eq!(m.clock(0), 0);
     }
 }

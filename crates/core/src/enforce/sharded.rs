@@ -28,13 +28,14 @@
 //! component, whose objects all read every letter). A shard's run is
 //! therefore the subsequence of effective deltas routed to it, in
 //! shard-local time, and each shard is observationally identical to a
-//! single [`Monitor`](super::Monitor) fed exactly that subsequence —
-//! same accept/reject decisions, byte-identical
-//! [`Violation`]s, same recorded patterns (the randomized
+//! one-shard monitor — and to a [`ReferenceMonitor`](super::ReferenceMonitor)
+//! — fed exactly that subsequence: same accept/reject decisions,
+//! byte-identical [`Violation`]s, same recorded patterns (the randomized
 //! per-component-oracle suite in `tests/delta_monitor.rs` checks
 //! this). Disjoint components stage, commit, checkpoint and recover
 //! fully independently; there is no global step counter left to
-//! contend on, only a derived [`ShardedMonitor::clocks`] view.
+//! contend on, only a derived [`ShardedMonitor::clocks`] view. With one
+//! shard, that shard's clock is the paper's global step counter.
 //!
 //! Admission stages every participating shard *read-only*, one after
 //! another on the calling thread, and commits only after all shards
@@ -59,6 +60,23 @@
 //! one block — one WAL record — and the violating letter is diagnosed
 //! against the committed state. That keeps the longest-conforming-prefix
 //! semantics and the per-shard-reference [`Violation`] diagnostics.
+//!
+//! # Certification
+//!
+//! A one-shard monitor can be **statically certified**
+//! ([`ShardedMonitor::certify`], Corollary 3.3): admission then skips
+//! every check and tracking freezes at the certification clock. The
+//! `Certified` log marker and a snapshot's certification horizon carry a
+//! single clock, so a monitor with more shards refuses to certify and
+//! to recover a certified log or snapshot.
+//!
+//! # Replay
+//!
+//! Recovery ([`ShardedMonitor::recover`]), [`ShardedMonitor::resync`]
+//! and a standby's fold of shipped records all run each record through
+//! [`ShardedMonitor::replay_record`]: skip what the checkpoint chain
+//! already covers, refuse gaps, keep the epoch ladder, freeze tracking
+//! at a certification marker.
 
 use super::delta::{
     diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, EXEMPT,
@@ -66,11 +84,15 @@ use super::delta::{
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
 use crate::alphabet::RoleAlphabet;
+use crate::error::CoreError;
 use crate::inventory::Inventory;
 use crate::pattern::{MigrationPattern, PatternKind};
-use migratory_lang::{Assignment, Delta, LangError, ObjectDelta, Transaction};
+use migratory_lang::{
+    apply_transaction, Assignment, Delta, ObjectDelta, Transaction, TransactionSchema,
+};
 use migratory_model::{Instance, Oid, Schema};
 use std::collections::BTreeMap;
+use std::sync::PoisonError;
 
 /// An effective block staged read-only on every participating shard:
 /// the half of admission that decides, handed to
@@ -122,10 +144,11 @@ pub struct ShardStats {
 /// sharded across independent object partitions — each on its own
 /// letter clock — and a batch API.
 ///
-/// Each shard is observationally identical to a single
-/// [`Monitor`](super::Monitor) fed the subsequence of effective
-/// applications routed to it (same accept/reject decisions,
-/// byte-identical [`Violation`]s, same patterns in shard-local time).
+/// Each shard is observationally identical to a one-shard monitor fed
+/// the subsequence of effective applications routed to it (same
+/// accept/reject decisions, byte-identical [`Violation`]s, same patterns
+/// in shard-local time). With `shards = 1` this is the paper's single
+/// monitor (see the [module docs](super) for an example).
 ///
 /// ```
 /// use migratory_core::enforce::ShardedMonitor;
@@ -174,11 +197,17 @@ pub struct ShardedMonitor<'a> {
     db: Instance,
     /// The tracking partitions — each with its **own letter clock**;
     /// no shared counter exists.
-    shards: Vec<DeltaState>,
+    pub(super) shards: Vec<DeltaState>,
     router: Router,
     /// Where committed blocks are logged before tracking state is
     /// written (`None`: volatile monitor).
     sink: Option<SharedSink>,
+    /// A [`ShardedMonitor::certify`] succeeded (one shard only):
+    /// admission runs no checks and tracking is frozen.
+    certified: bool,
+    /// Shard 0's clock when certification took effect — the horizon at
+    /// which tracking froze.
+    certified_at: Option<usize>,
 }
 
 impl<'a> ShardedMonitor<'a> {
@@ -220,6 +249,8 @@ impl<'a> ShardedMonitor<'a> {
             shards: (0..n).map(|_| DeltaState::new(start, pre_exempt)).collect(),
             router,
             sink: None,
+            certified: false,
+            certified_at: None,
         }
     }
 
@@ -307,13 +338,65 @@ impl<'a> ShardedMonitor<'a> {
     }
 
     /// The recorded pattern of an object (present once it has occurred
-    /// in the database), reconstructed from its shard's run-length
-    /// encoding through that shard's **own** clock.
+    /// in the database while tracking ran), reconstructed from its
+    /// shard's run-length encoding through that shard's **own** clock.
+    /// After a mid-run [`ShardedMonitor::certify`] patterns are frozen
+    /// at the certification point: certified steps skip all tracking,
+    /// so they must not add repeat letters here either.
     #[must_use]
     pub fn pattern_of(&self, o: Oid) -> Option<MigrationPattern> {
         self.shards.iter().find_map(|s| {
-            s.records.get(o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), s.steps))
+            let horizon = self.certified_at.unwrap_or(s.steps);
+            s.records.get(o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), horizon))
         })
+    }
+
+    /// Whether the monitor runs in the certified fast path.
+    #[must_use]
+    pub fn is_certified(&self) -> bool {
+        self.certified
+    }
+
+    /// Statically certify an SL transaction schema against the inventory
+    /// (Corollary 3.3). On success the monitor skips all per-object
+    /// runtime checks: no application of certified transactions can ever
+    /// produce a pattern outside 𝔏. Returns whether `ts` certifies; errs
+    /// on non-SL schemas, where the problem is undecidable (Corollary
+    /// 4.7).
+    ///
+    /// Only a one-shard monitor certifies: the
+    /// [`WalRecord::Certified`] marker and a snapshot's certification
+    /// horizon carry one clock. With more shards this errs
+    /// ([`CoreError::NotOneShard`]) and logs nothing.
+    ///
+    /// Certification is **one-way**: once a monitor is certified, pattern
+    /// tracking stops and later `certify` calls only report the new
+    /// schema's verdict without re-enabling checks (the tracking state
+    /// would be stale). With a sink attached the marker is logged
+    /// write-ahead; if it cannot be, certification does not take effect.
+    pub fn certify(&mut self, ts: &TransactionSchema) -> Result<bool, CoreError> {
+        if self.shards.len() != 1 {
+            return Err(CoreError::NotOneShard(self.shards.len()));
+        }
+        let decision =
+            crate::decide::decide(self.schema, self.alphabet, ts, &self.inventory, self.kind)?;
+        let holds = decision.satisfies.holds();
+        if holds && !self.certified {
+            self.freeze(self.shards[0].steps).map_err(|e| CoreError::Durability(e.to_string()))?;
+        }
+        Ok(holds)
+    }
+
+    /// Enter the certified mode at shard-0 clock `at`, logging the
+    /// marker first when a sink is attached: recovery would otherwise
+    /// replay the unchecked blocks after it through the tracker.
+    fn freeze(&mut self, at: usize) -> Result<(), WalError> {
+        if let Some(sink) = &self.sink {
+            sink.lock().unwrap_or_else(PoisonError::into_inner).certified(at)?;
+        }
+        self.certified = true;
+        self.certified_at = Some(at);
+        Ok(())
     }
 
     /// The shard an object is routed to. Stable across the object's
@@ -357,14 +440,25 @@ impl<'a> ShardedMonitor<'a> {
         }
     }
 
-    /// Apply `t[args]` to the database and return its exact change-set,
-    /// routing transactions above [`super::BULK_APPLY_THRESHOLD`]
-    /// create-only steps through the bulk loader (see
-    /// [`super::apply_delta_bulk`]). The delta — and everything
-    /// downstream of it (tracking, WAL encoding, rollback) — is
-    /// identical either way.
-    fn apply_delta(&mut self, t: &Transaction, args: &Assignment) -> Result<Delta, LangError> {
-        super::apply_delta_bulk(self.schema, &mut self.db, t, args)
+    /// Apply each `t[args]` in order to the database, stopping at the
+    /// first transaction that fails to apply (it leaves the database
+    /// untouched), and return the exact change-sets of those applied.
+    /// Transactions above [`super::BULK_APPLY_THRESHOLD`] create-only
+    /// steps go through the bulk loader (see [`super::apply_delta_bulk`]);
+    /// the deltas — and everything downstream of them (tracking, WAL
+    /// encoding, rollback) — are identical either way.
+    fn apply_deltas(
+        &mut self,
+        items: &[(&Transaction, &Assignment)],
+    ) -> (Vec<Delta>, Option<EnforceError>) {
+        let mut deltas = Vec::with_capacity(items.len());
+        for (t, args) in items {
+            match super::apply_delta_bulk(self.schema, &mut self.db, t, args) {
+                Ok(d) => deltas.push(d),
+                Err(e) => return (deltas, Some(e.into())),
+            }
+        }
+        (deltas, None)
     }
 
     /// Apply a whole sequence one by one, stopping at the first
@@ -399,19 +493,12 @@ impl<'a> ShardedMonitor<'a> {
         batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
     ) -> (usize, Option<EnforceError>) {
         let items: Vec<(&Transaction, &Assignment)> = batch.into_iter().collect();
+        if self.certified {
+            return self.apply_certified(&items);
+        }
         // Optimistic in-place application; a failing transaction leaves
         // the database untouched, so the applied prefix stays validatable.
-        let mut deltas: Vec<Delta> = Vec::with_capacity(items.len());
-        let mut lang_err: Option<EnforceError> = None;
-        for (t, args) in &items {
-            match self.apply_delta(t, args) {
-                Ok(d) => deltas.push(d),
-                Err(e) => {
-                    lang_err = Some(e.into());
-                    break;
-                }
-            }
-        }
+        let (deltas, lang_err) = self.apply_deltas(&items);
         let applied = deltas.len();
         // (delta index, fallback shard, delta) of every letter-bearing
         // application.
@@ -464,22 +551,84 @@ impl<'a> ShardedMonitor<'a> {
         (done, Some(EnforceError::Violation(v)))
     }
 
-    /// Redefine the inventory online: swap in `new_inventory`
-    /// atomically across **every** shard (the automaton is global —
-    /// each partition's cohorts are re-keyed under the new DFA), at
-    /// whatever point each shard's own letter clock has reached. The
-    /// viability split is the same product construction as
-    /// [`Monitor::redefine`](super::Monitor::redefine), computed once
-    /// and applied per shard in O(|cohorts|) — never O(|db|). Every
-    /// shard's never-created walk is checked *before* any shard
+    /// The certified fast path: no checks run, tracking stays frozen,
+    /// and every application is a letter on shard 0's clock. Without a
+    /// sink only the interpreter runs — no change-set capture at all.
+    /// With one, the applied change-sets are logged as one block and
+    /// dirty the next increment: the heap changed even though tracking
+    /// did not.
+    fn apply_certified(
+        &mut self,
+        items: &[(&Transaction, &Assignment)],
+    ) -> (usize, Option<EnforceError>) {
+        if self.sink.is_none() {
+            for (i, (t, args)) in items.iter().enumerate() {
+                if let Err(e) = apply_transaction(self.schema, &mut self.db, t, args) {
+                    return (i, Some(e.into()));
+                }
+                self.shards[0].steps += 1;
+            }
+            return (items.len(), None);
+        }
+        let (deltas, lang_err) = self.apply_deltas(items);
+        if deltas.is_empty() {
+            return (0, lang_err);
+        }
+        let state = &self.shards[0];
+        let letters = [ShardLetters {
+            shard: 0,
+            steps0: state.steps,
+            letters: (0..deltas.len() as u32).collect(),
+        }];
+        let refs: Vec<&Delta> = deltas.iter().collect();
+        if let Err(e) = self.log_block(&refs, &letters) {
+            for d in deltas.iter().rev() {
+                d.undo(&mut self.db);
+            }
+            return (0, Some(EnforceError::Durability(e)));
+        }
+        let state = &mut self.shards[0];
+        for d in &deltas {
+            state.dirty.extend(d.objects().iter().map(|od| od.oid));
+        }
+        state.steps += deltas.len();
+        (deltas.len(), lang_err)
+    }
+
+    /// Redefine the enforced inventory **online**, bumping the
+    /// constraint epoch — the paper's dynamic constraints made dynamic
+    /// themselves. The swap is atomic across **every** shard (the
+    /// automaton is global — each partition's cohorts are re-keyed
+    /// under the new DFA), at whatever point each shard's own letter
+    /// clock has reached.
+    ///
+    /// The viability of consumed history is decided per *cohort*, never
+    /// per object: a product construction walks the old DFA × new DFA
+    /// over every path the old DFA certifies (`delta::viability_map`),
+    /// computed once; a cohort is viable iff all enforced histories
+    /// ending in its old state land in exactly one accepting new state.
+    /// Viable cohorts remap wholesale; the residue is quarantined or
+    /// reset per `policy`. Total cost O(|Q_old| × |Q_new| × |Σ| +
+    /// |cohorts|) — independent of the database size.
+    ///
+    /// Every shard's never-created walk is checked *before* any shard
     /// mutates, and the [`WalRecord::Redefined`] record (carrying every
-    /// shard's clock) is written **ahead** of the swap; a refusal or
-    /// sink failure leaves the old inventory in force on all shards.
+    /// shard's clock) is written **ahead** of the swap. Refused (with
+    /// [`EnforceError::Redefine`], nothing changed, nothing logged) on a
+    /// certified monitor (tracking is frozen), on an alphabet mismatch,
+    /// and when some shard's never-created ∅-walk leaves the new
+    /// language while still enforced; a sink failure also leaves the old
+    /// inventory in force on all shards.
     pub fn redefine(
         &mut self,
         new_inventory: &Inventory,
         policy: ResiduePolicy,
     ) -> Result<RedefineOutcome, EnforceError> {
+        if self.certified {
+            return Err(EnforceError::Redefine(
+                "monitor is certified: tracking is frozen, redefine needs a fresh monitor".into(),
+            ));
+        }
         let new_dfa = new_inventory.dfa();
         if new_dfa.num_symbols() != self.alphabet.num_symbols() {
             return Err(EnforceError::Redefine(format!(
@@ -508,7 +657,7 @@ impl<'a> ShardedMonitor<'a> {
             let clocks: Vec<(u32, usize)> =
                 self.shards.iter().enumerate().map(|(i, s)| (i as u32, s.steps)).collect();
             sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .redefined(self.epoch + 1, policy, &clocks, &new_inventory.encode())
                 .map_err(EnforceError::Durability)?;
         }
@@ -669,7 +818,7 @@ impl<'a> ShardedMonitor<'a> {
         staged: StagedBlock,
     ) -> Result<(), WalError> {
         let StagedBlock { letters, stages } = staged;
-        if let Some(sink) = &self.sink {
+        if self.sink.is_some() {
             let shard_letters: Vec<ShardLetters> = letters
                 .into_iter()
                 .enumerate()
@@ -681,12 +830,7 @@ impl<'a> ShardedMonitor<'a> {
                 })
                 .collect();
             let deltas: Vec<&Delta> = effective.iter().map(|&(_, d)| d).collect();
-            // Poison tolerance: a sink panic on another thread must read
-            // as a durability failure (rollback, retry/degrade policy),
-            // not cascade into an admission-worker panic.
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &deltas, shards: &shard_letters })?;
+            self.log_block(&deltas, &shard_letters)?;
         }
         for (state, stage) in self.shards.iter_mut().zip(stages) {
             match stage {
@@ -696,6 +840,20 @@ impl<'a> ShardedMonitor<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Append one block to the attached sink, if any: one lock, one
+    /// record — the group-commit unit. Poison-tolerant: a sink panic on
+    /// another thread reads as a durability failure (rollback,
+    /// retry/degrade policy), not as a panic of this thread.
+    fn log_block(&self, deltas: &[&Delta], shards: &[ShardLetters]) -> Result<(), WalError> {
+        match &self.sink {
+            Some(sink) => sink
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .committed(&BlockRef { deltas, shards }),
+            None => Ok(()),
+        }
     }
 
     /// Rejection diagnostics for a single effective letter that staging
@@ -786,15 +944,18 @@ impl<'a> ShardedMonitor<'a> {
     // Durability: snapshot + recovery (see [`wal`](super::wal))
     // -----------------------------------------------------------------
 
-    /// Checkpoint the database heap and every shard's tracking state
-    /// (each with its own letter clock). Canonical: equal monitor
-    /// states yield equal [`Snapshot::encode`] bytes.
+    /// Checkpoint everything this monitor cannot rebuild from its
+    /// constructor arguments: the database heap, every shard's tracking
+    /// state (each with its own letter clock), the policy, the
+    /// constraint-evolution state and the certification horizon.
+    /// Canonical: equal monitor states yield equal [`Snapshot::encode`]
+    /// bytes.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             policy: self.policy,
-            certified: false,
-            certified_at: None,
+            certified: self.certified,
+            certified_at: self.certified_at,
             evolution: self.evolution(),
             db: self.db.clone(),
             shards: self.shards.clone(),
@@ -835,7 +996,14 @@ impl<'a> ShardedMonitor<'a> {
     /// the chain loses these changes.
     pub fn checkpoint_delta(&mut self) -> CheckpointDelta {
         let evolution = self.evolution();
-        wal::capture_delta(&self.db, &mut self.shards, self.policy, false, None, evolution)
+        wal::capture_delta(
+            &self.db,
+            &mut self.shards,
+            self.policy,
+            self.certified,
+            self.certified_at,
+            evolution,
+        )
     }
 
     /// Undo a [`ShardedMonitor::checkpoint_delta`] whose increment could
@@ -870,8 +1038,18 @@ impl<'a> ShardedMonitor<'a> {
     /// exactly the block's offset replays its letters with one cohort
     /// sweep — so the recovered tracking state is byte-identical to the
     /// uncrashed monitor's, and a crash between a checkpoint and its
-    /// log pruning can never double-apply a record. The recovered
-    /// monitor has no sink attached.
+    /// log pruning can never double-apply a record (see
+    /// [`ShardedMonitor::replay_record`]).
+    ///
+    /// `snapshot: None` recovers from an empty monitor (a log that
+    /// predates the first checkpoint); the policy then defaults to
+    /// [`StepPolicy::EveryApplication`] — logged blocks hold only
+    /// effective letters, so replay itself is policy-independent. A
+    /// certified snapshot or [`WalRecord::Certified`] marker freezes
+    /// tracking where the crashed monitor froze it; with more than one
+    /// shard either is refused. The recovered monitor has no sink
+    /// attached — reattach with [`ShardedMonitor::with_sink`] to resume
+    /// logging.
     pub fn recover(
         schema: &'a Schema,
         alphabet: &'a RoleAlphabet,
@@ -883,13 +1061,7 @@ impl<'a> ShardedMonitor<'a> {
     ) -> Result<ShardedMonitor<'a>, WalError> {
         let mut m = Self::new(schema, alphabet, inventory, kind, shards);
         if let Some(snap) = snapshot {
-            let Snapshot { policy, certified, certified_at: _, evolution, db, shards: states } =
-                snap;
-            if certified {
-                return Err(WalError::Mismatch(
-                    "snapshot is certified — only the single Monitor certifies".into(),
-                ));
-            }
+            let Snapshot { policy, certified, certified_at, evolution, db, shards: states } = snap;
             if states.len() != m.shards.len() {
                 return Err(WalError::Mismatch(format!(
                     "snapshot has {} shards, this monitor partitions into {}",
@@ -897,9 +1069,17 @@ impl<'a> ShardedMonitor<'a> {
                     m.shards.len()
                 )));
             }
+            if certified && states.len() != 1 {
+                return Err(WalError::Mismatch(format!(
+                    "snapshot is certified with {} shards — only a one-shard monitor certifies",
+                    states.len()
+                )));
+            }
             m.db = db;
             m.shards = states;
             m.policy = policy;
+            m.certified = certified;
+            m.certified_at = certified_at;
             // Pre-v3 snapshots carry no inventory: the constructor's
             // inventory (epoch 0) stays in force.
             if let Some(bytes) = &evolution.inventory {
@@ -929,17 +1109,35 @@ impl<'a> ShardedMonitor<'a> {
     /// that cannot belong to this history.
     ///
     /// When a sink is attached (a standby writing its own write-ahead
-    /// log), an applied block is written through it ahead of tracking —
-    /// the standby's log carries the same records as the primary's — and
-    /// an applied redefinition writes through inside
-    /// [`ShardedMonitor::redefine`] itself.
+    /// log), an applied block or certification marker is written through
+    /// it ahead of tracking — the standby's log carries the same records
+    /// as the primary's — and an applied redefinition writes through
+    /// inside [`ShardedMonitor::redefine`] itself.
+    ///
+    /// A [`WalRecord::Certified`] marker freezes tracking at its clock
+    /// (one-shard monitors only); blocks after it replay without
+    /// tracking, as they were admitted.
     pub fn replay_record(&mut self, record: WalRecord) -> Result<bool, WalError> {
         let block = match record {
             WalRecord::Block(b) => b,
-            WalRecord::Certified { .. } => {
-                return Err(WalError::Mismatch(
-                    "log carries a certification marker — only the single Monitor certifies".into(),
-                ))
+            WalRecord::Certified { steps } => {
+                if self.shards.len() != 1 {
+                    return Err(WalError::Mismatch(
+                        "log carries a certification marker — only a one-shard monitor certifies"
+                            .into(),
+                    ));
+                }
+                let at = self.shards[0].steps;
+                if steps > at {
+                    return Err(WalError::Mismatch(format!(
+                        "wal gap: certification at letter {steps}, monitor is at {at}"
+                    )));
+                }
+                if steps < at || self.certified {
+                    return Ok(false); // the checkpoint chain already carries it
+                }
+                self.freeze(steps)?;
+                return Ok(true);
             }
             WalRecord::Redefined { epoch, policy, shards, inventory } => {
                 if epoch <= self.epoch {
@@ -1023,11 +1221,9 @@ impl<'a> ShardedMonitor<'a> {
         // Write-ahead on the standby: the shipped record reaches this
         // monitor's own log before tracking state moves, so the
         // standby's durable image replays byte-identically.
-        if let Some(sink) = &self.sink {
+        if self.sink.is_some() {
             let deltas: Vec<&Delta> = block.deltas.iter().collect();
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &deltas, shards: &block.shards })?;
+            self.log_block(&deltas, &block.shards)?;
         }
         for d in &block.deltas {
             d.redo(&mut self.db);
@@ -1050,7 +1246,9 @@ impl<'a> ShardedMonitor<'a> {
         snapshot: Option<Snapshot>,
         tail: impl IntoIterator<Item = WalRecord>,
     ) -> Result<(), WalError> {
-        let had_snapshot = snapshot.is_some();
+        // Without a checkpoint, keep the configured policy: recovery
+        // from the empty monitor cannot know it.
+        let policy = if snapshot.is_some() { None } else { Some(self.policy) };
         let fresh = Self::recover(
             self.schema,
             self.alphabet,
@@ -1060,17 +1258,11 @@ impl<'a> ShardedMonitor<'a> {
             snapshot,
             tail,
         )?;
-        self.db = fresh.db;
-        self.shards = fresh.shards;
-        self.inventory = fresh.inventory;
-        self.epoch = fresh.epoch;
-        self.redefine_total = fresh.redefine_total;
-        self.quarantined_total = fresh.quarantined_total;
-        if had_snapshot {
-            // No checkpoint yet: keep the configured policy (recovery
-            // from the empty monitor cannot know it).
-            self.policy = fresh.policy;
-        }
+        *self = ShardedMonitor {
+            policy: policy.unwrap_or(fresh.policy),
+            sink: self.sink.take(),
+            ..fresh
+        };
         Ok(())
     }
 
@@ -1081,6 +1273,17 @@ impl<'a> ShardedMonitor<'a> {
     /// stage (or a letter assignment that disagrees with routing) means
     /// the log and snapshot do not belong together.
     fn replay_block(&mut self, block: &wal::WalBlock) -> Result<(), WalError> {
+        if self.certified {
+            // Certified blocks were logged without tracking; replay
+            // mirrors that. The touched objects still dirty the next
+            // incremental checkpoint (their heap state changed).
+            let state = &mut self.shards[0];
+            state.steps += block.shards.iter().map(|sl| sl.letters.len()).sum::<usize>();
+            for d in &block.deltas {
+                state.dirty.extend(d.objects().iter().map(|od| od.oid));
+            }
+            return Ok(());
+        }
         // (delta index → shard-local letter index) per shard.
         let mut local: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); self.shards.len()];
         for sl in &block.shards {
@@ -1130,7 +1333,7 @@ impl<'a> ShardedMonitor<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::Monitor;
+    use super::super::ReferenceMonitor;
     use super::*;
     use migratory_lang::{parse_transactions, TransactionSchema};
     use migratory_model::schema::university_schema;
@@ -1181,7 +1384,7 @@ mod tests {
         ];
         for shards in [1usize, 2, 3, 5] {
             let mut sharded = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, shards);
-            let mut single = Monitor::new(&s, &a, &inv, PatternKind::All);
+            let mut single = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
             for (name, key) in &script {
                 let t = ts.get(name).unwrap();
                 let args = arg(key);
@@ -1192,7 +1395,7 @@ mod tests {
                 );
                 assert_eq!(sharded.db(), single.db());
                 for c in sharded.clocks() {
-                    assert_eq!(c, single.steps(), "stripes advance in lockstep");
+                    assert_eq!(c, single.clock(0), "stripes advance in lockstep");
                 }
             }
             for o in 1..=3u64 {
@@ -1219,7 +1422,7 @@ mod tests {
 
         let mut sharded = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
         let (done, err) = sharded.try_apply_batch(batch.clone());
-        let mut oracle = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
         let (odone, oerr) = oracle.try_apply_all(batch);
         assert_eq!(done, odone);
         assert_eq!(done, 3, "the re-specialize violates; Mk(2) is never attempted");
@@ -1300,14 +1503,14 @@ mod tests {
                         .collect();
                     let steps: Vec<(&Transaction, &Assignment)> =
                         lines.iter().zip(&args).map(|(l, a)| (ts.get(l[0]).unwrap(), a)).collect();
-                    let mut oracle = Monitor::new_reference(s, &a, &inv, kind);
+                    let mut oracle = ReferenceMonitor::new(s, &a, &inv, kind);
                     let expected = oracle.try_apply_all(steps.iter().copied());
                     let Some(EnforceError::Violation(v)) = &expected.1 else {
                         panic!("{inv_src} under {kind}: the script must violate");
                     };
                     assert_eq!(v.oid, Some(Oid(violator)), "{inv_src} under {kind}");
                     let ctx = format!("{inv_src} under {kind}, {} components", s.num_components());
-                    let mut single = Monitor::new(s, &a, &inv, kind);
+                    let mut single = ShardedMonitor::new(s, &a, &inv, kind, 1);
                     assert_eq!(single.try_apply_all(steps.iter().copied()), expected, "{ctx}");
                     let mut sharded = ShardedMonitor::new(s, &a, &inv, kind, shards);
                     assert_eq!(sharded.routes_by_component(), s.num_components() > 1);
@@ -1351,7 +1554,7 @@ mod tests {
         let mut live =
             ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2).with_sink(wal.clone());
         let (done, err) = live.try_apply_batch(batch.iter().copied());
-        let mut oracle = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
         assert_eq!((done, &err), (5, &oracle.try_apply_all(batch.iter().copied()).1));
 
         let records = wal.lock().unwrap().records();
@@ -1426,8 +1629,8 @@ mod tests {
         assert_eq!(m.num_shards(), 4, "capped at the component count");
         // One per-component oracle, each fed only its component's
         // applications — the sub-run a shard's clock counts.
-        let mut oracles: Vec<Monitor<'_>> =
-            (0..4).map(|_| Monitor::new_reference(&s, &a, &inv, PatternKind::All)).collect();
+        let mut oracles: Vec<ReferenceMonitor<'_>> =
+            (0..4).map(|_| ReferenceMonitor::new(&s, &a, &inv, PatternKind::All)).collect();
         for i in 0..12 {
             let c = i % 4;
             let t = ts.get(&format!("Mk{c}")).unwrap();
@@ -1455,5 +1658,138 @@ mod tests {
                 "o{o}'s shard-local pattern must match component {c}'s oracle o{local}"
             );
         }
+    }
+
+    /// `Mk`, `St` and `Rm` only: every run stays in
+    /// `∅* [PERSON]* [STUDENT]* [PERSON]* ∅*`, so the schema certifies.
+    fn certifiable(s: &Schema) -> TransactionSchema {
+        parse_transactions(
+            s,
+            r#"
+            transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+            transaction St(x) {
+              specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+            }
+            transaction Rm(x) { delete(PERSON, { SSN = x }); }
+        "#,
+        )
+        .unwrap()
+    }
+
+    const LADDER: &str = "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*";
+
+    #[test]
+    fn certified_monitor_refuses_redefine_and_logs_nothing() {
+        use crate::enforce::MemoryWal;
+        use std::sync::{Arc, Mutex};
+        let (s, a) = setup();
+        let ts = certifiable(&s);
+        let inv = crate::Inventory::parse_init(&s, &a, LADDER).unwrap();
+        let wider = crate::Inventory::parse_init(&s, &a, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
+        let wal = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1).with_sink(wal.clone());
+        m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+        assert!(m.certify(&ts).unwrap());
+        let logged = wal.lock().unwrap().records();
+        assert_eq!(logged.len(), 2, "one block and the certification marker");
+        match m.redefine(&wider, ResiduePolicy::Quarantine) {
+            Err(EnforceError::Redefine(msg)) => assert!(msg.contains("certified"), "got: {msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!((m.epoch(), m.redefine_total()), (0, 0), "the epoch stays put");
+        assert_eq!(m.inventory().encode(), inv.encode(), "the old inventory stays in force");
+        assert_eq!(wal.lock().unwrap().records(), logged, "nothing was logged");
+    }
+
+    #[test]
+    fn certify_on_more_than_one_shard_is_refused_and_logs_nothing() {
+        use crate::enforce::MemoryWal;
+        use crate::error::CoreError;
+        use std::sync::{Arc, Mutex};
+        let (s, a) = setup();
+        let ts = certifiable(&s);
+        let inv = crate::Inventory::parse_init(&s, &a, LADDER).unwrap();
+        let wal = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2).with_sink(wal.clone());
+        m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+        assert_eq!(m.certify(&ts), Err(CoreError::NotOneShard(2)));
+        assert!(!m.is_certified());
+        assert_eq!(wal.lock().unwrap().records().len(), 1, "only the block was logged");
+        // Checks still run: [EMPLOYEE] is outside the inventory.
+        let emp = parse_transactions(
+            &s,
+            r#"transaction Emp(x) {
+                 specialize(PERSON, EMPLOYEE, { SSN = x }, { Salary = 1, WorksIn = "D" });
+               }"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            m.try_apply(emp.get("Emp").unwrap(), &arg("1")),
+            Err(EnforceError::Violation(_))
+        ));
+    }
+
+    /// A log with a `Certified` marker, and a certified snapshot, fold
+    /// back byte-identically on one shard — through `recover` and through
+    /// `resync` — and are refused with more than one shard.
+    #[test]
+    fn certification_recovers_on_one_shard_only() {
+        use crate::enforce::MemoryWal;
+        use std::sync::{Arc, Mutex};
+        let (s, a) = setup();
+        let ts = certifiable(&s);
+        let inv = crate::Inventory::parse_init(&s, &a, LADDER).unwrap();
+        let all = PatternKind::All;
+        // Certified at clock 0, so the marker is the log's first record.
+        let wal = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut live = ShardedMonitor::new(&s, &a, &inv, all, 1).with_sink(wal.clone());
+        assert!(live.certify(&ts).unwrap());
+        for (t, k) in [("Mk", "1"), ("Mk", "2"), ("St", "1"), ("Rm", "2")] {
+            live.try_apply(ts.get(t).unwrap(), &arg(k)).unwrap();
+        }
+        let records = wal.lock().unwrap().records();
+        assert!(matches!(records[0], WalRecord::Certified { steps: 0 }));
+        let bytes = live.snapshot().encode();
+
+        let recovered = ShardedMonitor::recover(&s, &a, &inv, all, 1, None, records.clone())
+            .expect("a one-shard monitor folds the marker");
+        assert!(recovered.is_certified());
+        assert_eq!(recovered.snapshot().encode(), bytes);
+        let mut resynced = ShardedMonitor::new(&s, &a, &inv, all, 1);
+        resynced.resync(None, records.clone()).unwrap();
+        assert!(resynced.is_certified());
+        assert_eq!(resynced.snapshot().encode(), bytes);
+
+        let snap = live.snapshot();
+        assert!(snap.certified);
+        let recovered = ShardedMonitor::recover(&s, &a, &inv, all, 1, Some(snap.clone()), [])
+            .expect("a one-shard monitor loads a certified snapshot");
+        assert!(recovered.is_certified());
+        assert_eq!(recovered.snapshot().encode(), bytes);
+        let mut resynced = ShardedMonitor::new(&s, &a, &inv, all, 1);
+        resynced.resync(Some(snap), []).unwrap();
+        assert!(resynced.is_certified());
+        assert_eq!(resynced.snapshot().encode(), bytes);
+
+        // Two shards: the marker and a certified snapshot are refused,
+        // and a refused resync leaves the monitor unchanged.
+        let err = ShardedMonitor::recover(&s, &a, &inv, all, 2, None, records.clone())
+            .err()
+            .expect("two shards refuse the marker");
+        assert!(err.to_string().contains("certification marker"), "got {err}");
+        let mut two = ShardedMonitor::new(&s, &a, &inv, all, 2);
+        two.try_apply(ts.get("Mk").unwrap(), &arg("9")).unwrap();
+        let before = two.snapshot().encode();
+        assert!(two.resync(None, records).is_err());
+        let mut certified_two = two.snapshot();
+        certified_two.certified = true;
+        certified_two.certified_at = Some(1);
+        let err = ShardedMonitor::recover(&s, &a, &inv, all, 2, Some(certified_two.clone()), [])
+            .err()
+            .expect("two shards refuse a certified snapshot");
+        assert!(err.to_string().contains("certified"), "got {err}");
+        assert!(two.resync(Some(certified_two), []).is_err());
+        assert_eq!(two.snapshot().encode(), before, "refused resyncs change nothing");
+        assert!(!two.is_certified());
     }
 }

@@ -23,9 +23,11 @@
 //! Recovery folds each shard's sub-log independently — a record is
 //! skipped for a shard whose clock (restored from the checkpoint chain)
 //! is already past it, and replayed at its original commit granularity
-//! otherwise. Gap detection is per shard. For the single
-//! [`Monitor`](super::Monitor) everything lives on shard 0 and the
-//! shard-local clock *is* the global step counter.
+//! otherwise. Gap detection is per shard. For a one-shard monitor
+//! everything lives on shard 0 and the shard-local clock *is* the
+//! global step counter. Every record — at recovery, at
+//! [`ShardedMonitor::resync`] and on a standby — folds through one path,
+//! [`ShardedMonitor::replay_record`].
 //!
 //! # Durability contract
 //!
@@ -51,8 +53,8 @@
 //!   base + increments with [`Snapshot::apply`] reproduces the full
 //!   state byte-identically.
 //!
-//! Capturing an increment ([`Monitor::checkpoint_delta`],
-//! [`ShardedMonitor::checkpoint_delta`]) costs O(dirty), not O(db) —
+//! Capturing an increment ([`ShardedMonitor::checkpoint_delta`])
+//! costs O(dirty), not O(db) —
 //! that is the *only* work on the admission path.
 //! [`Wal::begin_checkpoint`] then rotates the live log (a rename) and
 //! returns a [`CheckpointJob`] whose encode/write/fsync/prune runs
@@ -94,7 +96,7 @@
 //! corruption instead of silently hiding every later record.
 //!
 //! ```
-//! use migratory_core::enforce::{MemoryWal, Monitor};
+//! use migratory_core::enforce::{MemoryWal, ShardedMonitor};
 //! use migratory_core::{Inventory, PatternKind, RoleAlphabet};
 //! use migratory_lang::{parse_transactions, Assignment};
 //! use migratory_model::{schema::university_schema, Value};
@@ -108,20 +110,21 @@
 //! "#).unwrap();
 //! let wal = Arc::new(Mutex::new(MemoryWal::new()));
 //! // Write-ahead: each admitted block is logged before tracking moves.
-//! let mut m = Monitor::new(&s, &a, &inv, PatternKind::All).with_sink(wal.clone());
+//! let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1).with_sink(wal.clone());
 //! let mk = ts.get("Mk").unwrap();
 //! m.try_apply(mk, &Assignment::new(vec![Value::str("1")])).unwrap();
 //! m.try_apply(mk, &Assignment::new(vec![Value::str("2")])).unwrap();
 //! // "Crash": rebuild from the log alone — byte-identical state.
 //! let records = wal.lock().unwrap().records();
-//! let r = Monitor::recover(&s, &a, &inv, PatternKind::All, None, records).unwrap();
+//! let r = ShardedMonitor::recover(&s, &a, &inv, PatternKind::All, 1, None, records).unwrap();
 //! assert_eq!(r.snapshot().encode(), m.snapshot().encode());
 //! assert_eq!(r.db().num_objects(), 2);
 //! ```
 //!
 //! [`Delta`]: migratory_lang::Delta
-//! [`Monitor::checkpoint_delta`]: super::Monitor::checkpoint_delta
 //! [`ShardedMonitor::checkpoint_delta`]: super::ShardedMonitor::checkpoint_delta
+//! [`ShardedMonitor::resync`]: super::ShardedMonitor::resync
+//! [`ShardedMonitor::replay_record`]: super::ShardedMonitor::replay_record
 
 use super::delta::{Cohort, DeltaState, ObjRecord, Records};
 use super::faults::{FaultSite, IoFaults};
@@ -296,15 +299,15 @@ pub struct WalBlock {
 pub enum WalRecord {
     /// A committed block of effective letters.
     Block(WalBlock),
-    /// [`Monitor::certify`](super::Monitor::certify) succeeded with the
-    /// monitor at this letter count (shard 0's clock — only the single
-    /// monitor certifies).
+    /// [`ShardedMonitor::certify`](super::ShardedMonitor::certify)
+    /// succeeded with the monitor at this letter count (shard 0's clock
+    /// — only a one-shard monitor certifies).
     Certified {
         /// Letters emitted when certification took effect.
         steps: usize,
     },
     /// The inventory was redefined online
-    /// ([`Monitor::redefine`](super::Monitor::redefine)): the epoch the
+    /// ([`ShardedMonitor::redefine`](super::ShardedMonitor::redefine)): the epoch the
     /// monitor moved to, the residue policy, every participating
     /// shard's letter clock at the swap instant, and the canonical
     /// encoding of the new automaton. Replay re-runs the same
@@ -669,9 +672,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Sum of the per-shard letter clocks at the moment of the
-    /// checkpoint — a monotone progress measure (for a single
-    /// [`Monitor`](super::Monitor) it is exactly the global step
-    /// counter).
+    /// checkpoint — a monotone progress measure (for a one-shard
+    /// monitor it is exactly the global step counter).
     #[must_use]
     pub fn steps(&self) -> usize {
         self.shards.iter().map(|s| s.steps).sum()
@@ -689,8 +691,7 @@ impl Snapshot {
         &self.db
     }
 
-    /// Number of tracking shards (1 for the single
-    /// [`Monitor`](super::Monitor)).
+    /// Number of tracking shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -904,7 +905,6 @@ pub(crate) struct ShardDelta {
 /// everything dirtied since the previous checkpoint — changed database
 /// objects, changed tracking records, and each shard's (small) cohort
 /// tables and letter clock. Produced by
-/// [`Monitor::checkpoint_delta`](super::Monitor::checkpoint_delta) /
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta)
 /// in O(dirty); folded back with [`Snapshot::apply`].
 pub struct CheckpointDelta {
@@ -1052,9 +1052,8 @@ impl CheckpointDelta {
 }
 
 /// Capture an incremental checkpoint from a database plus its tracking
-/// partitions, draining each partition's dirty set — the shared
-/// implementation behind
-/// [`Monitor::checkpoint_delta`](super::Monitor::checkpoint_delta) and
+/// partitions, draining each partition's dirty set — the implementation
+/// behind
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta).
 /// O(dirty): only dirtied objects are re-read from the heap, only
 /// dirtied records cloned (all of them after a compaction), plus the
@@ -1766,16 +1765,6 @@ impl Wal {
         self.synced
     }
 
-    /// Whether to `fsync` after every group commit (default: off —
-    /// flushed-to-OS durability; turn on to survive power loss at the
-    /// cost of one `fdatasync` per block). Compatibility spelling of
-    /// [`Wal::with_fsync`]: `true` is [`FsyncPolicy::Always`], `false`
-    /// is [`FsyncPolicy::Off`].
-    #[must_use]
-    pub fn with_sync(self, sync: bool) -> Wal {
-        self.with_fsync(if sync { FsyncPolicy::Always } else { FsyncPolicy::Off })
-    }
-
     /// Set the [`FsyncPolicy`] (default [`FsyncPolicy::Off`]).
     #[must_use]
     pub fn with_fsync(mut self, policy: FsyncPolicy) -> Wal {
@@ -2236,7 +2225,8 @@ mod tests {
         .unwrap();
         let mk = ts.get("Mk").unwrap();
         let key = |k: &str| migratory_lang::Assignment::new(vec![migratory_model::Value::str(k)]);
-        let mut m = super::super::Monitor::new(&schema, &alphabet, &inv, crate::PatternKind::All);
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 1);
         m.try_apply(mk, &key("a")).unwrap();
         m.try_apply(mk, &key("b")).unwrap();
         let base = m.checkpoint_full();
@@ -2304,7 +2294,8 @@ mod tests {
     #[test]
     fn snapshot_record_at_or_above_its_counter_is_corrupt() {
         let (schema, alphabet, inv, ts) = university();
-        let mut m = super::super::Monitor::new(&schema, &alphabet, &inv, crate::PatternKind::All);
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 1);
         m.try_apply(ts.get("Mk").unwrap(), &key("a")).unwrap();
         m.try_apply(ts.get("St").unwrap(), &key("a")).unwrap();
         let snap = m.snapshot();
@@ -2327,7 +2318,8 @@ mod tests {
     #[test]
     fn increment_record_outside_its_counter_is_corrupt() {
         let (schema, alphabet, inv, ts) = university();
-        let mut m = super::super::Monitor::new(&schema, &alphabet, &inv, crate::PatternKind::All);
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 1);
         m.try_apply(ts.get("Mk").unwrap(), &key("a")).unwrap();
         m.try_apply(ts.get("Mk").unwrap(), &key("b")).unwrap();
         m.try_apply(ts.get("Rm").unwrap(), &key("b")).unwrap();

@@ -35,6 +35,10 @@ pub enum CoreError {
     /// A durable monitor could not persist an enforcement event (e.g.
     /// the certification marker); the event did not take effect.
     Durability(String),
+    /// Certification needs a one-shard monitor (the certification marker
+    /// and a snapshot's horizon carry one clock); this one has the given
+    /// number of shards. Nothing changed and nothing was logged.
+    NotOneShard(usize),
 }
 
 impl From<ModelError> for CoreError {
@@ -73,6 +77,9 @@ impl std::fmt::Display for CoreError {
                 write!(f, "separator construction exceeded the vertex budget ({n})")
             }
             CoreError::Durability(msg) => write!(f, "durability: {msg}"),
+            CoreError::NotOneShard(n) => {
+                write!(f, "only a one-shard monitor certifies; this one has {n} shards")
+            }
         }
     }
 }

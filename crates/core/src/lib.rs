@@ -18,7 +18,7 @@
 //!   satisfies/generates/characterizes with counterexamples;
 //! * **Runtime enforcement** ([`enforce`]): the paper's motivating
 //!   application — a monitor admitting only updates whose object
-//!   migration patterns stay inside the inventory. The default engine is
+//!   migration patterns stay inside the inventory. The engine is
 //!   **incremental**: transactions are applied through
 //!   `migratory_lang::apply_transaction_delta` and validated from the
 //!   change-set alone (apply-then-undo, no database clone), untouched
@@ -26,21 +26,22 @@
 //!   `dfa.step` per cohort, not per object — and per-object histories are
 //!   run-length encoded, so admitting a transaction costs O(touched +
 //!   |cohorts|) instead of O(|db| × run-length). The pre-optimization
-//!   rescan algorithm survives as `Monitor::new_reference`, the testing
-//!   oracle and benchmark baseline, and Corollary 3.3 still provides the
-//!   static certification fast path for provably conforming SL schemas.
+//!   rescan algorithm survives as `enforce::ReferenceMonitor`, the
+//!   testing oracle, and Corollary 3.3 still provides the static
+//!   certification fast path for provably conforming SL schemas.
 //!   Because objects evolve independently (Lemma 3.5), tracking also
 //!   *shards*: `enforce::ShardedMonitor` partitions the population by
-//!   weakly-connected role component (oid stripes as fallback), stages
-//!   every shard's checks concurrently, and batch-admits whole blocks of
-//!   transactions against one cohort sweep per shard
-//!   (`try_apply_batch`), coordinating only through the shared step
-//!   counter. Tracking state is **durable** on request: a write-ahead
-//!   log of committed transaction deltas plus canonical snapshots
-//!   (`enforce::wal`, group-committed per block) lets a monitor recover
-//!   byte-identical state after a crash without replaying history, and
-//!   a bounded per-shard ingress (`enforce::ingress`) admits concurrent
-//!   callers with backpressure;
+//!   weakly-connected role component (oid stripes as fallback), gives
+//!   every shard its own letter clock, so shards share no mutable state,
+//!   stages each participating shard's checks inline on the calling
+//!   thread, and batch-admits whole blocks of transactions against one
+//!   cohort sweep per shard (`try_apply_batch`); with one shard it is
+//!   the paper's single monitor. Tracking state is **durable** on
+//!   request: a write-ahead log of committed transaction deltas plus
+//!   canonical snapshots (`enforce::wal`, group-committed per block)
+//!   lets a monitor recover byte-identical state after a crash without
+//!   replaying history, and a bounded per-shard ingress
+//!   (`enforce::ingress`) admits concurrent callers with backpressure;
 //! * **CSL expressiveness** ([`tm_compile`], [`cfg_compile`]): Theorem
 //!   4.3's Turing-machine simulation and Theorem 4.8's Greibach-normal-
 //!   form compiler, with scripted completeness drivers and fuzzable
@@ -72,7 +73,7 @@ pub use analyze::{
 };
 pub use cfg_compile::{compile_cfg, standard_cfg_schema, CfgCompiled};
 pub use decide::{decide, decide_with_families, Decision, Verdict};
-pub use enforce::{EnforceError, Monitor, ShardStats, ShardedMonitor, StepPolicy, Violation};
+pub use enforce::{EnforceError, ShardStats, ShardedMonitor, StepPolicy, Violation};
 pub use error::CoreError;
 pub use explore::{explore, ExploreConfig, PatternSets};
 pub use graph::MigrationGraph;

@@ -118,7 +118,7 @@ impl ObjectDelta {
 ///
 /// Work and memory are **O(touched)** — objects the transaction never
 /// selected are not represented. This is what makes incremental consumers
-/// (the runtime [`Monitor`](../../migratory_core/enforce/struct.Monitor.html))
+/// (the runtime [`ShardedMonitor`](../../migratory_core/enforce/sharded/struct.ShardedMonitor.html))
 /// independent of database size.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Delta {

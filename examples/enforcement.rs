@@ -6,7 +6,8 @@
 //! physicians and may retire. The inventory (a dynamic integrity
 //! constraint, Definition 3.3) says: every staff member starts as a plain
 //! PERSON, may hold exactly one continuous clinical role, and once
-//! retired never practises again. A [`Monitor`] guards the live database:
+//! retired never practises again. A one-shard [`ShardedMonitor`] — the
+//! paper's single monitor — guards the live database:
 //! conforming updates commit, violating ones are rejected with the
 //! offending object's pattern.
 //!
@@ -17,7 +18,7 @@
 //!
 //! Run with `cargo run --example enforcement`.
 
-use migratory::core::enforce::{EnforceError, Monitor};
+use migratory::core::enforce::{EnforceError, ShardedMonitor};
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment};
 use migratory::model::text::parse_schema;
@@ -70,7 +71,7 @@ fn main() {
     .unwrap();
 
     println!("== Online enforcement (kind = all patterns) ==\n");
-    let mut m = Monitor::new(&schema, &alphabet, &inventory, PatternKind::All);
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &inventory, PatternKind::All, 1);
 
     let one = |v: &str| Assignment::new(vec![Value::str(v)]);
     let two = |v: &str, w: &str| Assignment::new(vec![Value::str(v), Value::str(w)]);
@@ -87,7 +88,7 @@ fn main() {
     for (name, args) in &script {
         let t = ts.get(name).expect("transaction exists");
         match m.try_apply(t, args) {
-            Ok(()) => println!("  ✓ {name:<12} committed (step {})", m.steps()),
+            Ok(()) => println!("  ✓ {name:<12} committed (step {})", m.clock(0)),
             Err(EnforceError::Violation(v)) => {
                 println!("  ✗ {name:<12} REJECTED — {}", v.display(&alphabet));
             }
@@ -120,11 +121,11 @@ fn main() {
     "#,
     )
     .unwrap();
-    let mut fast = Monitor::new(&schema, &alphabet, &inventory, PatternKind::All);
+    let mut fast = ShardedMonitor::new(&schema, &alphabet, &inventory, PatternKind::All, 1);
     let ok = fast.certify(&safe).expect("SL schema is decidable");
     println!("  certify(safe schema)  = {ok}  → runtime checks skipped");
 
-    let mut never = Monitor::new(&schema, &alphabet, &inventory, PatternKind::All);
+    let mut never = ShardedMonitor::new(&schema, &alphabet, &inventory, PatternKind::All, 1);
     let ok2 = never.certify(&ts).expect("SL schema is decidable");
     println!("  certify(full schema)  = {ok2} → Retire→ToPhysician can violate, keep checking");
 
@@ -136,7 +137,7 @@ fn main() {
     }
     println!(
         "  certified run committed {} steps over {} object(s) with zero checks",
-        fast.steps(),
+        fast.clock(0),
         1
     );
 }

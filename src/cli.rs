@@ -8,8 +8,8 @@
 
 use migratory_core::enforce::{
     net, AckPolicy, AdmissionMetrics, CheckpointData, DurabilityPolicy, EnforceError, FsyncPolicy,
-    Health, IngressConfig, IoFaults, Monitor, Replicator, ResiduePolicy, ShardedMonitor,
-    Snapshotter, StepPolicy, Wal,
+    Health, IngressConfig, IoFaults, Replicator, ResiduePolicy, ShardedMonitor, Snapshotter,
+    StepPolicy, Wal,
 };
 use migratory_core::{
     analyze_families, decide_with_families, AnalyzeOptions, Inventory, PatternKind, RoleAlphabet,
@@ -322,7 +322,7 @@ pub fn cmd_enforce(
     let inv = load_inventory(&schema, &alphabet, flags)?;
     let kind = flags.kind()?;
     let script = parse_script(script_src)?;
-    let mut m = Monitor::new(&schema, &alphabet, &inv, kind);
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1);
     let mut out = String::new();
     let (mut invoked, mut rejected) = (0usize, 0usize);
     for line in &script {

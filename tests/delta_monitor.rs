@@ -1,8 +1,8 @@
 //! Cross-engine equivalence and O(touched) regression tests for the
 //! delta/cohort enforcement engine.
 //!
-//! The delta engine ([`Monitor::new`]) must be observationally identical
-//! to the reference engine ([`Monitor::new_reference`]): same
+//! The delta engine ([`ShardedMonitor::new`]) must be observationally identical
+//! to the reference engine ([`ReferenceMonitor::new`]): same
 //! accept/reject decision on every prefix, byte-identical [`Violation`]s,
 //! identical databases and identical recorded patterns — across random
 //! schemas, random inventories, all four pattern kinds and random runs.
@@ -16,7 +16,7 @@ use common::{
     random_inventory, random_multi_schema, random_multi_transaction, random_schema,
     random_transaction,
 };
-use migratory::core::enforce::{EnforceError, Monitor, ShardedMonitor, StepPolicy};
+use migratory::core::enforce::{EnforceError, ReferenceMonitor, ShardedMonitor, StepPolicy};
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{apply_transaction_delta, Assignment, AtomicUpdate, Transaction};
 use migratory::model::{Atom, Condition, Instance, Oid};
@@ -40,8 +40,8 @@ fn delta_engine_equals_reference_engine_on_random_runs() {
         } else {
             StepPolicy::OnlyChanging
         };
-        let mut fast = Monitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut fast = ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         let run_len = rng.random_range(4usize..24);
         for step in 0..run_len {
@@ -53,7 +53,7 @@ fn delta_engine_equals_reference_engine_on_random_runs() {
                 "case {case} step {step}: engines disagree (kind {kind}, policy {policy:?})"
             );
             assert_eq!(fast.db(), oracle.db(), "case {case} step {step}: db diverged");
-            assert_eq!(fast.steps(), oracle.steps(), "case {case} step {step}");
+            assert_eq!(fast.clock(0), oracle.steps(), "case {case} step {step}");
             match rf {
                 Ok(()) => commits += 1,
                 Err(EnforceError::Violation(_)) => rejections += 1,
@@ -138,15 +138,15 @@ fn noop_on_large_database_yields_empty_delta() {
     // comparison), while a real single-object step reports one touched
     // object on a 10k-object store.
     let inv = Inventory::parse_init(&schema, &alphabet, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
-    let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All)
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1)
         .with_policy(StepPolicy::OnlyChanging);
     m.try_apply(&bulk, &no_args).unwrap();
-    assert_eq!(m.steps(), 1);
-    assert_eq!(m.last_touched(), Some(N));
+    assert_eq!(m.clock(0), 1);
+    assert_eq!(m.shard_stats()[0].last_touched, N);
     m.try_apply(&noop_rename, &no_args).unwrap();
-    assert_eq!(m.steps(), 1, "null application contributed no letter");
+    assert_eq!(m.clock(0), 1, "null application contributed no letter");
     m.try_apply(&miss, &no_args).unwrap();
-    assert_eq!(m.steps(), 1, "empty-selection application contributed no letter");
+    assert_eq!(m.clock(0), 1, "empty-selection application contributed no letter");
     let real = Transaction::sl(
         "real",
         &[],
@@ -157,10 +157,10 @@ fn noop_on_large_database_yields_empty_delta() {
         }],
     );
     m.try_apply(&real, &no_args).unwrap();
-    assert_eq!(m.steps(), 2);
+    assert_eq!(m.clock(0), 2);
     assert_eq!(
-        m.last_touched(),
-        Some(1),
+        m.shard_stats()[0].last_touched,
+        1,
         "admit-path work tracks the touched set, not the database"
     );
 }
@@ -189,7 +189,7 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
         let _ = rng.random_range(0u32..2);
         let mut sharded =
             ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         for step in 0..rng.random_range(4usize..20) {
             let t = random_transaction(&mut rng, &schema, &edges);
@@ -224,7 +224,7 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
     assert!(rejections > 150, "only {rejections} rejections — workload too permissive");
 }
 
-/// The per-shard-clock equivalence harness: one reference [`Monitor`]
+/// The per-shard-clock equivalence harness: one [`ReferenceMonitor`]
 /// per shard, each fed exactly the subsequence of applications routed
 /// to its shard — the restricted run of Lemma 3.5. Object identifiers
 /// are compared through the restriction's order bijection (the n-th
@@ -233,7 +233,7 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
 /// transaction; patterns, letters, clocks and decisions must then be
 /// **byte-identical** per shard.
 struct ShardOracles<'a> {
-    oracles: Vec<Monitor<'a>>,
+    oracles: Vec<ReferenceMonitor<'a>>,
     /// sharded-global oid → (shard, oracle-local oid).
     map: std::collections::BTreeMap<u64, (usize, u64)>,
 }
@@ -249,7 +249,7 @@ impl<'a> ShardOracles<'a> {
     ) -> Self {
         ShardOracles {
             oracles: (0..shards)
-                .map(|_| Monitor::new_reference(schema, alphabet, inv, kind).with_policy(policy))
+                .map(|_| ReferenceMonitor::new(schema, alphabet, inv, kind).with_policy(policy))
                 .collect(),
             map: std::collections::BTreeMap::new(),
         }
@@ -420,7 +420,7 @@ fn sharded_batch_admission_equals_reference_engine() {
         let _ = rng.random_range(0u32..2);
         let mut sharded =
             ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         let txns: Vec<Transaction> = (0..rng.random_range(6usize..24))
             .map(|_| random_transaction(&mut rng, &schema, &edges))
@@ -548,7 +548,7 @@ fn sharded_batch_admission_matches_per_shard_oracles() {
 }
 
 // ---------------------------------------------------------------------
-// Constraint evolution (`Monitor::redefine`) equivalence suites
+// Constraint evolution (`ShardedMonitor::redefine`) equivalence suites
 // ---------------------------------------------------------------------
 
 use migratory::automata::Regex;
@@ -588,8 +588,8 @@ fn identity_redefine_is_observationally_invisible() {
         } else {
             StepPolicy::OnlyChanging
         };
-        let mut fast = Monitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut fast = ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         for step in 0..rng.random_range(6usize..24) {
             if rng.random_range(0u32..5) == 0 {
@@ -620,7 +620,7 @@ fn identity_redefine_is_observationally_invisible() {
                  (kind {kind}, policy {policy:?})"
             );
             assert_eq!(fast.db(), oracle.db(), "case {case} step {step}: db diverged");
-            assert_eq!(fast.steps(), oracle.steps(), "case {case} step {step}");
+            assert_eq!(fast.clock(0), oracle.steps(), "case {case} step {step}");
             match rf {
                 Ok(()) => commits += 1,
                 Err(EnforceError::Violation(_)) => rejections += 1,
@@ -688,7 +688,7 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
         )
         .expect("Init(regex) is an inventory");
         let kind = PatternKind::ALL[rng.random_range(0usize..4)];
-        let mut m = Monitor::new(&schema, &alphabet, &inv_a, kind)
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, 1)
             .with_policy(StepPolicy::EveryApplication);
         // Pre-creation history: admitted letter steps that touch no
         // object (an unmatched delete is a letter under
@@ -718,12 +718,12 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
         assert_eq!((out.residue, out.quarantined), (0, 0), "case {case}: no objects yet");
         // The oracle: a monitor born with B, replaying the same viable
         // history from scratch.
-        let mut fresh = Monitor::new(&schema, &alphabet, &inv_b, kind)
+        let mut fresh = ShardedMonitor::new(&schema, &alphabet, &inv_b, kind, 1)
             .with_policy(StepPolicy::EveryApplication);
         for _ in 0..steps0 {
             fresh.try_apply(&pad, &no_args).expect("∅ prefix is viable under B");
         }
-        assert_eq!(m.steps(), fresh.steps(), "case {case}: clocks diverged on replay");
+        assert_eq!(m.clock(0), fresh.clock(0), "case {case}: clocks diverged on replay");
         for step in 0..rng.random_range(6usize..20) {
             let t = random_transaction(&mut rng, &schema, &edges);
             let rm = m.try_apply(&t, &no_args);
@@ -734,7 +734,7 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
                  monitor (kind {kind}, {residue_policy})"
             );
             assert_eq!(m.db(), fresh.db(), "case {case} step {step}: db diverged");
-            assert_eq!(m.steps(), fresh.steps(), "case {case} step {step}");
+            assert_eq!(m.clock(0), fresh.clock(0), "case {case} step {step}");
             match rm {
                 Ok(()) => commits += 1,
                 Err(EnforceError::Violation(_)) => rejections += 1,
@@ -754,7 +754,7 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
 }
 
 /// 80 random runs redefining at a random point on a [`ShardedMonitor`]
-/// and a plain delta [`Monitor`] in lockstep: same outcome (epoch,
+/// and a one-shard [`ShardedMonitor`] in lockstep: same outcome (epoch,
 /// residue, quarantine split under both policies) or same refusal, and
 /// byte-identical behavior afterwards — the sharded all-shards-or-
 /// nothing swap is observationally the single-partition redefine.
@@ -779,7 +779,8 @@ fn sharded_redefine_equals_single_monitor_redefine() {
         let _ = rng.random_range(0u32..2);
         let mut sharded =
             ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, shards).with_policy(policy);
-        let mut single = Monitor::new(&schema, &alphabet, &inv_a, kind).with_policy(policy);
+        let mut single =
+            ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, 1).with_policy(policy);
         let no_args = Assignment::empty();
         let run_len = rng.random_range(6usize..20);
         let redefine_at = rng.random_range(0..run_len);
@@ -816,7 +817,7 @@ fn sharded_redefine_equals_single_monitor_redefine() {
             );
             assert_eq!(sharded.db(), single.db(), "case {case} step {step}: db diverged");
             for c in sharded.clocks() {
-                assert_eq!(c, single.steps(), "case {case} step {step}: stripes not in lockstep");
+                assert_eq!(c, single.clock(0), "case {case} step {step}: stripes not in lockstep");
             }
             match rs {
                 Ok(()) => commits += 1,
@@ -869,9 +870,9 @@ fn refused_redefine_leaves_the_monitor_untouched() {
             .expect("some non-empty role set");
         let inv_b =
             Inventory::init_of_regex(&schema, &alphabet, &Regex::Sym(role)).expect("inventory");
-        let mut m = Monitor::new(&schema, &alphabet, &inv_a, PatternKind::All)
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv_a, PatternKind::All, 1)
             .with_policy(StepPolicy::EveryApplication);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv_a, PatternKind::All)
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv_a, PatternKind::All)
             .with_policy(StepPolicy::EveryApplication);
         let root = schema.class_id("C0").expect("root");
         let k = schema.attr_id("K").expect("key attr");
@@ -916,7 +917,7 @@ fn refused_redefine_leaves_the_monitor_untouched() {
     let schema = migratory::model::schema::university_schema();
     let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
     let inv = Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* ∅*").unwrap();
-    let mut reference = Monitor::new_reference(&schema, &alphabet, &inv, PatternKind::All);
+    let mut reference = ReferenceMonitor::new(&schema, &alphabet, &inv, PatternKind::All);
     match reference.redefine(&inv.clone(), ResiduePolicy::Quarantine) {
         Err(EnforceError::Redefine(msg)) => {
             assert!(msg.contains("reference engine"), "got: {msg}");

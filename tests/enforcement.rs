@@ -8,7 +8,7 @@
 //! constraint from scratch with `core::pattern::observe`/`is_kind` over
 //! the raw interpreter trace.
 
-use migratory::core::enforce::Monitor;
+use migratory::core::enforce::ShardedMonitor;
 use migratory::core::pattern::{is_kind, observe, pattern_of};
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, run, Assignment, Transaction, TransactionSchema};
@@ -121,7 +121,7 @@ fn check_script(script: &[Step], inv_src: &str, kind: PatternKind) {
 
     let expected = oracle_valid_prefix(&s, &a, &ts, &inv, kind, script);
 
-    let mut m = Monitor::new(&s, &a, &inv, kind);
+    let mut m = ShardedMonitor::new(&s, &a, &inv, kind, 1);
     let pairs: Vec<(&Transaction, Assignment)> = script
         .iter()
         .map(|Step(n, args)| (ts.get(n).unwrap(), Assignment::new(args.clone())))

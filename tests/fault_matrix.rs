@@ -92,7 +92,7 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
     let mut monitor = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, SHARDS);
 
     let faults = IoFaults::new().fail(site, from_nth, kind);
-    let wal = Wal::open(dir).unwrap().with_sync(true).with_faults(faults.clone());
+    let wal = Wal::open(dir).unwrap().with_fsync(FsyncPolicy::Always).with_faults(faults.clone());
     let wal = Arc::new(Mutex::new(wal));
     monitor = monitor.with_sink(wal.clone());
     let health = Arc::new(Health::new());

@@ -15,14 +15,21 @@
 //! live object), and an online `redefine`. The record bytes are exactly
 //! what [`wal::encode_record`] and [`wal::encode_redefine_record`] emit
 //! for the log and the replication stream.
+//!
+//! A second script pins a one-shard monitor: a three-object create, a
+//! refused op, a `redefine`, a mid-run `certify` and certified blocks,
+//! whose fixtures also cover the certification marker and the certified
+//! snapshot and increment flags. They were generated from the former
+//! single-partition monitor type, before it became a one-shard
+//! [`ShardedMonitor`], and must keep passing unedited as well.
 
 use migratory::core::enforce::{
-    wal, BlockRef, CommitSink, ResiduePolicy, ShardedMonitor, SharedSink, WalError,
+    wal, BlockRef, CommitSink, EnforceError, ResiduePolicy, ShardedMonitor, SharedSink, WalError,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment};
 use migratory::model::schema::university_schema;
-use migratory::model::Value;
+use migratory::model::{Oid, Value};
 use std::sync::{Arc, Mutex};
 
 /// Appends every record the monitor hands it, framed as in the log.
@@ -164,4 +171,152 @@ fn checkpoint_increment_bytes_match_golden() {
     let out = run_script();
     assert_eq!(hex(&out.first_increment), FIRST_INCREMENT);
     assert_eq!(hex(&out.second_increment), SECOND_INCREMENT);
+}
+
+/// The one-partition script: a one-shard [`ShardedMonitor`] with a sink runs a
+/// three-object create, a refused op, a `redefine`, a mid-run `certify`
+/// and certified blocks after it. Besides the bytes of the 2-shard
+/// script, this pins the certification marker, certified snapshot and
+/// increment flags, and blocks logged without tracking.
+fn run_one_shard_script() -> Outputs {
+    let schema = university_schema();
+    let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+    let base =
+        Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+    let tighter = Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* ∅*").unwrap();
+    let ts = parse_transactions(
+        &schema,
+        r#"
+        transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+        transaction Mk3(x, y, z) {
+          create(PERSON, { SSN = x, Name = "n" });
+          create(PERSON, { SSN = y, Name = "n" });
+          create(PERSON, { SSN = z, Name = "n" });
+        }
+        transaction St(x) {
+          specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+        }
+        transaction Emp(x) {
+          specialize(PERSON, EMPLOYEE, { SSN = x }, { Salary = 1, WorksIn = "D" });
+        }
+        transaction Rm(x) { delete(PERSON, { SSN = x }); }
+    "#,
+    )
+    .unwrap();
+    // Every run of these stays in the tighter inventory.
+    let certifiable = parse_transactions(
+        &schema,
+        r#"
+        transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+        transaction St(x) {
+          specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+        }
+        transaction Rm(x) { delete(PERSON, { SSN = x }); }
+    "#,
+    )
+    .unwrap();
+    let records = Arc::new(Mutex::new(RecordBytes::default()));
+    let sink: SharedSink = records.clone();
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &base, PatternKind::All, 1).with_sink(sink);
+    let key = |k: &str| Assignment::new(vec![Value::str(k)]);
+    let keys = |k: [&str; 3]| Assignment::new(k.iter().map(|k| Value::str(k)).collect());
+    // o1..o3 in one application, then o4.
+    m.try_apply(ts.get("Mk3").unwrap(), &keys(["k1", "k2", "k3"])).unwrap();
+    m.try_apply(ts.get("Mk").unwrap(), &key("k4")).unwrap();
+    m.try_apply(ts.get("St").unwrap(), &key("k2")).unwrap();
+    // [EMPLOYEE] is outside the inventory: refused, nothing logged.
+    match m.try_apply(ts.get("Emp").unwrap(), &key("k1")) {
+        Err(EnforceError::Violation(v)) => assert_eq!(v.oid, Some(Oid(1))),
+        other => panic!("expected a violation, got {other:?}"),
+    }
+    let first_increment = m.checkpoint_delta().encode();
+    m.try_apply(ts.get("Rm").unwrap(), &key("k3")).unwrap();
+    assert_eq!(m.redefine(&tighter, ResiduePolicy::Quarantine).unwrap().epoch, 1);
+    assert!(m.certify(&certifiable).unwrap());
+    // Certified blocks: logged, never tracked.
+    m.try_apply(ts.get("Mk3").unwrap(), &keys(["k5", "k6", "k7"])).unwrap();
+    m.try_apply(ts.get("St").unwrap(), &key("k5")).unwrap();
+    m.try_apply(ts.get("Rm").unwrap(), &key("k4")).unwrap();
+    m.try_apply(ts.get("Rm").unwrap(), &key("k7")).unwrap();
+    assert_eq!(m.db().num_objects(), 4);
+    assert_eq!(m.db().next_oid().0, 8);
+    assert_eq!(m.pattern_of(Oid(2)).unwrap().len(), 4, "o2's pattern froze at certification");
+    assert_eq!(m.pattern_of(Oid(5)), None, "o5 was created after certification");
+    let second_increment = m.checkpoint_delta().encode();
+    let snapshot = m.snapshot().encode();
+    let records = std::mem::take(&mut records.lock().unwrap().0);
+    Outputs { snapshot, records, first_increment, second_increment }
+}
+
+const ONE_SHARD_SNAPSHOT: &str = concat!(
+    "4d47534e50330604010101018901060000000500000000000000010000000001000000020000000300000002",
+    "0000000200000001040000000100000002000000030000000200000002000000000200000002000000020000",
+    "0002000000020000000200000001040000000200000002000000030000000200000002000000010400000002",
+    "0000000200000002000000020000000200000008040101020001026b310101016e0205040001026b32010101",
+    "6e04010243530500020505040001026b350101016e04010243530500020601020001026b360101016e010800",
+    "0004010101010101020102020101030303010302010100040402010101020400000100010102010303010204",
+    "0000000201010103030200",
+);
+const ONE_SHARD_RECORDS: &str = concat!(
+    "31000000c8f8e4d20001010403010601020001026b310101016e020601020001026b320101016e0306010200",
+    "01026b330101016e010000010017000000d723ca680001040501040601020001026b340101016e0100010100",
+    "2a0000007266fea80001050501020701020001026b320101016e05040001026b320101016e04010243530500",
+    "02010002010017000000be3efca40001050501030501020001026b330101016e0100030100910000003dcb49",
+    "1e02010001000489010600000005000000000000000100000000010000000200000003000000020000000200",
+    "0000010400000001000000020000000300000002000000020000000002000000020000000200000002000000",
+    "0200000002000000010400000002000000020000000300000002000000020000000104000000020000000200",
+    "000002000000020000000200000002000000a7e7af5f010431000000620ff16e000105080305060102000102",
+    "6b350101016e060601020001026b360101016e070601020001026b370101016e01000401002a000000513e7a",
+    "390001080801050701020001026b350101016e05040001026b350101016e0401024353050002010005010017",
+    "000000b66545bf0001080801040501020001026b340101016e010006010017000000e06936bf000108080107",
+    "0501020001026b370101016e0100070100",
+);
+const ONE_SHARD_FIRST_INCREMENT: &str = concat!(
+    "4d47444c54320000000001a20106000000060000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000050000000200000003000000020000000200000001040000000200",
+    "0000020000000200000002000000020000000104000000050000000200000002000000020000000200000005",
+    "04010101020001026b310101016e020105040001026b320101016e0401024353050002030101020001026b33",
+    "0101016e040101020001026b340101016e010300000401010101010102010202010103030301010101010402",
+    "01010102030000000001010301030301020201010103030200",
+);
+const ONE_SHARD_SECOND_INCREMENT: &str = concat!(
+    "4d47444c54320604010101018901060000000500000000000000010000000001000000020000000300000002",
+    "0000000200000001040000000100000002000000030000000200000002000000000200000002000000020000",
+    "0002000000020000000200000001040000000200000002000000030000000200000002000000010400000002",
+    "00000002000000020000000200000002000000080503000400050105040001026b350101016e040102435305",
+    "0002060101020001026b360101016e0700010800000203010302010100040402010101020400000100010102",
+    "0103030102040000000201010103030200",
+);
+
+#[test]
+fn one_shard_snapshot_bytes_match_golden() {
+    assert_eq!(hex(&run_one_shard_script().snapshot), ONE_SHARD_SNAPSHOT);
+}
+
+#[test]
+fn one_shard_log_record_bytes_match_golden() {
+    assert_eq!(hex(&run_one_shard_script().records), ONE_SHARD_RECORDS);
+}
+
+#[test]
+fn one_shard_checkpoint_increment_bytes_match_golden() {
+    let out = run_one_shard_script();
+    assert_eq!(hex(&out.first_increment), ONE_SHARD_FIRST_INCREMENT);
+    assert_eq!(hex(&out.second_increment), ONE_SHARD_SECOND_INCREMENT);
+}
+
+/// Folding the one-shard log — certification marker and certified blocks
+/// included — rebuilds the golden snapshot.
+#[test]
+fn one_shard_recovery_rebuilds_golden_snapshot() {
+    let out = run_one_shard_script();
+    let schema = university_schema();
+    let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+    let base =
+        Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+    let records = wal::decode_records(&out.records).unwrap();
+    let m = ShardedMonitor::recover(&schema, &alphabet, &base, PatternKind::All, 1, None, records)
+        .unwrap();
+    assert_eq!(hex(&m.snapshot().encode()), ONE_SHARD_SNAPSHOT);
 }

@@ -3,7 +3,7 @@
 //!
 //! The durability contract under test: for a monitor with an attached
 //! log, crashing after **any** committed prefix and running
-//! `Monitor::recover(folded checkpoint chain, wal_tail)` must reproduce
+//! `ShardedMonitor::recover(folded checkpoint chain, wal_tail)` must reproduce
 //! the uncrashed monitor's state **byte-identically** — checked as
 //! equality of canonical [`Snapshot::encode`] bytes (database heap,
 //! cohort/RLE tracking state, per-shard letter clocks), plus database
@@ -22,7 +22,7 @@ mod common;
 
 use common::{random_inventory, random_multi_schema, random_multi_transaction, random_schema};
 use migratory::core::enforce::{
-    CheckpointData, EnforceError, MemoryWal, Monitor, ShardedMonitor, Snapshotter, StepPolicy, Wal,
+    CheckpointData, EnforceError, MemoryWal, ShardedMonitor, Snapshotter, StepPolicy, Wal,
     WalError, WalRecord,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 /// Crash the run here: recover from the log double and require the
 /// recovered monitor to be byte-identical to the live one.
 fn assert_recovers_single(
-    live: &Monitor<'_>,
+    live: &ShardedMonitor<'_>,
     wal: &Arc<Mutex<MemoryWal>>,
     all_records: &[WalRecord],
     label: &str,
@@ -44,11 +44,12 @@ fn assert_recovers_single(
         let w = wal.lock().unwrap();
         (w.snapshot().expect("checkpoint chain folds"), w.records())
     };
-    let recovered = Monitor::recover(
+    let recovered = ShardedMonitor::recover(
         live.schema(),
         live.alphabet(),
         live.inventory(),
         live.kind(),
+        1,
         snap.clone(),
         blocks,
     )
@@ -60,7 +61,7 @@ fn assert_recovers_single(
         "{label}: tracking state not byte-identical after recovery"
     );
     assert_eq!(recovered.db(), live.db(), "{label}: database diverged");
-    assert_eq!(recovered.steps(), live.steps(), "{label}: letter counts diverged");
+    assert_eq!(recovered.clock(0), live.clock(0), "{label}: letter counts diverged");
     for oid in 1..=live.db().next_oid().0 {
         assert_eq!(
             recovered.pattern_of(Oid(oid)),
@@ -72,11 +73,12 @@ fn assert_recovers_single(
     // step offset (the crash-between-checkpoint-and-prune case):
     // feeding the FULL record history alongside the chain changes
     // nothing.
-    let again = Monitor::recover(
+    let again = ShardedMonitor::recover(
         live.schema(),
         live.alphabet(),
         live.inventory(),
         live.kind(),
+        1,
         snap,
         all_records.to_vec(),
     )
@@ -108,8 +110,9 @@ fn monitor_recovers_byte_identical_at_every_crash_point() {
             StepPolicy::OnlyChanging
         };
         let wal = Arc::new(Mutex::new(MemoryWal::new()));
-        let mut live =
-            Monitor::new(&schema, &alphabet, &inv, kind).with_policy(policy).with_sink(wal.clone());
+        let mut live = ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1)
+            .with_policy(policy)
+            .with_sink(wal.clone());
         let no_args = Assignment::empty();
         let run_len = rng.random_range(4usize..16);
         // The full record history, preserved across the checkpoints'
@@ -262,7 +265,8 @@ fn file_wal_recovers_every_truncation_to_a_committed_prefix() {
     .unwrap();
     let dir = temp_dir("torn");
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-    let mut live = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+    let mut live =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(wal.clone());
 
     // Canonical state after each committed step, keyed by letter count.
     let mut state_at: Vec<Vec<u8>> = vec![live.snapshot().encode()];
@@ -280,9 +284,10 @@ fn file_wal_recovers_every_truncation_to_a_committed_prefix() {
         let blocks = migratory::core::enforce::wal::decode_records(&log[..cut])
             .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         let steps: usize = blocks.iter().map(WalRecord::letters).sum();
-        let recovered = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, None, blocks)
-            .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        assert_eq!(recovered.steps(), steps);
+        let recovered =
+            ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, None, blocks)
+                .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        assert_eq!(recovered.clock(0), steps);
         assert_eq!(
             recovered.snapshot().encode(),
             state_at[steps],
@@ -390,7 +395,8 @@ fn fuzzed_length_headers_never_break_decoding() {
     let dir = temp_dir("fuzz-len");
     {
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-        let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1)
+            .with_sink(wal.clone());
         for i in 0..8 {
             m.try_apply(ts.get("Mk").unwrap(), &Assignment::new(vec![Value::str(&format!("{i}"))]))
                 .unwrap();
@@ -428,9 +434,10 @@ fn fuzzed_length_headers_never_break_decoding() {
         let (snap, tail) = Wal::load(&dir).unwrap();
         assert_eq!(tail.len(), 8, "oversized tail claim dropped");
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-        let mut m = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail)
-            .unwrap()
-            .with_sink(wal.clone());
+        let mut m =
+            ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail)
+                .unwrap()
+                .with_sink(wal.clone());
         m.try_apply(ts.get("Mk").unwrap(), &Assignment::new(vec![Value::str("9")])).unwrap();
     }
     let (_, tail) = Wal::load(&dir).unwrap();
@@ -461,7 +468,8 @@ fn file_wal_snapshot_restart_resumes_mid_run() {
     let key = |k: &str| Assignment::new(vec![Value::str(k)]);
 
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-    let mut live = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+    let mut live =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(wal.clone());
     for k in ["a", "b", "c"] {
         live.try_apply(ts.get("Mk").unwrap(), &key(k)).unwrap();
     }
@@ -482,13 +490,13 @@ fn file_wal_snapshot_restart_resumes_mid_run() {
     assert_eq!(tail.len(), 2, "only the post-checkpoint tail remains");
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
     let mut revived =
-        Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, Some(snap), tail)
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, Some(snap), tail)
             .unwrap()
             .with_sink(wal.clone());
     assert_eq!(revived.snapshot().encode(), crash_state);
     // The revived monitor keeps enforcing and keeps logging.
     revived.try_apply(ts.get("UnSt").unwrap(), &key("a")).unwrap();
-    assert_eq!(revived.steps(), 6);
+    assert_eq!(revived.clock(0), 6);
     let (_, tail) = Wal::load(&dir).unwrap();
     assert_eq!(tail.len(), 3, "the new letter was appended to the same log");
     let _ = std::fs::remove_dir_all(&dir);
@@ -649,8 +657,8 @@ fn crashed_incremental_job_does_not_corrupt_the_chain() {
     let dir = temp_dir("incr-crash");
     {
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-        let mut live =
-            Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+        let mut live = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1)
+            .with_sink(wal.clone());
         live.try_apply(ts.get("Mk").unwrap(), &key("1")).unwrap();
         let snap = live.checkpoint_full();
         wal.lock().unwrap().write_snapshot(&snap).unwrap(); // base, seq 1
@@ -667,9 +675,10 @@ fn crashed_incremental_job_does_not_corrupt_the_chain() {
     let (snap, tail) = Wal::load(&dir).unwrap();
     assert_eq!(tail.len(), 1, "the sealed segment replays");
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-    let mut revived = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail)
-        .unwrap()
-        .with_sink(wal.clone());
+    let mut revived =
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail)
+            .unwrap()
+            .with_sink(wal.clone());
     revived.try_apply(ts.get("Mk").unwrap(), &key("3")).unwrap();
     let delta = revived.checkpoint_delta();
     let job = wal.lock().unwrap().begin_checkpoint(CheckpointData::Incremental(delta)).unwrap();
@@ -685,7 +694,7 @@ fn crashed_incremental_job_does_not_corrupt_the_chain() {
     let (snap, tail) = Wal::load(&dir).unwrap();
     assert!(tail.is_empty());
     let recovered =
-        Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail).unwrap();
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail).unwrap();
     assert_eq!(recovered.snapshot().encode(), crash_state, "o2 must survive the crashed job");
     assert_eq!(recovered.db().num_objects(), 3);
 
@@ -716,7 +725,8 @@ fn crashed_base_checkpoint_job_recovers_and_reestablishes_base() {
     let key = |k: &str| Assignment::new(vec![Value::str(k)]);
     let dir = temp_dir("base-crash");
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-    let mut live = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+    let mut live =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(wal.clone());
     for k in ["1", "2", "3"] {
         live.try_apply(ts.get("Mk").unwrap(), &key(k)).unwrap();
     }
@@ -730,7 +740,7 @@ fn crashed_base_checkpoint_job_recovers_and_reestablishes_base() {
     assert!(snap.is_none(), "the base never landed");
     assert_eq!(tail.len(), 3, "the sealed segment replays instead");
     let mut revived =
-        Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail).unwrap();
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail).unwrap();
     assert_eq!(revived.snapshot().encode(), crash_state);
 
     // The reopened log knows the chain has no base: increments are
@@ -763,7 +773,7 @@ fn crashed_base_checkpoint_job_recovers_and_reestablishes_base() {
     let (snap, tail) = Wal::load(&dir).unwrap();
     assert!(tail.is_empty(), "the increment pruned the covered records");
     let recovered =
-        Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail).unwrap();
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail).unwrap();
     assert_eq!(recovered.snapshot().encode(), revived.snapshot().encode());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -790,7 +800,8 @@ fn incremental_checkpoints_survive_cohort_compaction() {
     let key = |k: &str| Assignment::new(vec![Value::str(k)]);
     for kind in [PatternKind::All, PatternKind::Proper, PatternKind::Lazy] {
         let wal = Arc::new(Mutex::new(MemoryWal::new()));
-        let mut live = Monitor::new(&schema, &alphabet, &inv, kind).with_sink(wal.clone());
+        let mut live =
+            ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1).with_sink(wal.clone());
         let keys = ["a", "b", "c"];
         for k in keys {
             live.try_apply(ts.get("Mk").unwrap(), &key(k)).unwrap();
@@ -810,7 +821,8 @@ fn incremental_checkpoints_survive_cohort_compaction() {
             let w = wal.lock().unwrap();
             (w.snapshot().unwrap(), w.records())
         };
-        let recovered = Monitor::recover(&schema, &alphabet, &inv, kind, snap, tail).unwrap();
+        let recovered =
+            ShardedMonitor::recover(&schema, &alphabet, &inv, kind, 1, snap, tail).unwrap();
         assert_eq!(
             recovered.snapshot().encode(),
             live.snapshot().encode(),
@@ -836,7 +848,8 @@ fn sink_failure_rolls_back_and_heals() {
     let sink = Arc::new(Mutex::new(FailingSink::default()));
     let key = |k: &str| Assignment::new(vec![Value::str(k)]);
 
-    let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(sink.clone());
+    let mut m =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(sink.clone());
     m.try_apply(ts.get("Mk").unwrap(), &key("1")).unwrap();
     sink.lock().unwrap().fail = true;
     let before = m.snapshot().encode();
@@ -889,7 +902,8 @@ fn certified_monitor_logs_and_recovers() {
         Assignment::new(vec![Value::str("ann"), Value::str(k), Value::int(1990), Value::str("CS")])
     };
     let wal = Arc::new(Mutex::new(MemoryWal::new()));
-    let mut live = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+    let mut live =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(wal.clone());
     live.try_apply(ts.get("T1").unwrap(), &args("1")).unwrap();
     // Checkpoint BEFORE certification: the certification event reaches
     // the log as its own write-ahead marker record, so recovery from
@@ -906,11 +920,12 @@ fn certified_monitor_logs_and_recovers() {
     assert_eq!(records.len(), 3, "two certified blocks plus the certification marker");
     assert!(records.iter().any(|r| matches!(r, WalRecord::Certified { steps: 1 })));
     let recovered =
-        Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, Some(snap), records).unwrap();
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, Some(snap), records)
+            .unwrap();
     assert_eq!(recovered.snapshot().encode(), live.snapshot().encode());
     assert_eq!(recovered.db(), live.db());
     assert!(recovered.is_certified());
-    assert_eq!(recovered.steps(), 3);
+    assert_eq!(recovered.clock(0), 3);
     assert_eq!(recovered.pattern_of(Oid(1)), live.pattern_of(Oid(1)));
     assert_eq!(recovered.pattern_of(Oid(1)).unwrap().len(), 1, "frozen at certification");
     assert!(recovered.pattern_of(Oid(2)).is_none(), "post-certification objects untracked");
@@ -926,13 +941,15 @@ fn certified_monitor_logs_and_recovers() {
         (w.snapshot().unwrap(), w.records())
     };
     let recovered =
-        Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, records).unwrap();
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, records)
+            .unwrap();
     assert_eq!(recovered.snapshot().encode(), live.snapshot().encode());
 
     // A failing sink vetoes certification itself (write-ahead marker).
     use migratory::core::enforce::wal::FailingSink;
     let sink = Arc::new(Mutex::new(FailingSink { fail: true, accepted: 0 }));
-    let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(sink.clone());
+    let mut m =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(sink.clone());
     assert!(m.certify(&ts).is_err(), "unloggable certification must not take effect");
     assert!(!m.is_certified());
     sink.lock().unwrap().fail = false;
@@ -957,7 +974,8 @@ fn reopening_a_torn_log_truncates_before_appending() {
     let key = |k: &str| Assignment::new(vec![Value::str(k)]);
     {
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-        let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1)
+            .with_sink(wal.clone());
         m.try_apply(ts.get("Mk").unwrap(), &key("1")).unwrap();
         m.try_apply(ts.get("Mk").unwrap(), &key("2")).unwrap();
     }
@@ -973,15 +991,17 @@ fn reopening_a_torn_log_truncates_before_appending() {
         let (snap, tail) = Wal::load(&dir).unwrap();
         assert_eq!(tail.len(), 2, "torn tail dropped on load");
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-        let mut m = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail)
-            .unwrap()
-            .with_sink(wal.clone());
+        let mut m =
+            ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail)
+                .unwrap()
+                .with_sink(wal.clone());
         m.try_apply(ts.get("Mk").unwrap(), &key("3")).unwrap();
     }
     let (snap, tail) = Wal::load(&dir).unwrap();
     assert_eq!(tail.len(), 3, "the post-reopen record must be recoverable");
-    let m = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, snap, tail).unwrap();
-    assert_eq!(m.steps(), 3);
+    let m =
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail).unwrap();
+    assert_eq!(m.clock(0), 3);
     assert_eq!(m.db().num_objects(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -999,13 +1019,14 @@ fn recovery_rejects_wal_gaps() {
     )
     .unwrap();
     let wal = Arc::new(Mutex::new(MemoryWal::new()));
-    let mut live = Monitor::new(&schema, &alphabet, &inv, PatternKind::All).with_sink(wal.clone());
+    let mut live =
+        ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1).with_sink(wal.clone());
     for k in ["1", "2", "3"] {
         live.try_apply(ts.get("Mk").unwrap(), &Assignment::new(vec![Value::str(k)])).unwrap();
     }
     let mut blocks = wal.lock().unwrap().records();
     blocks.remove(1); // lose the middle block
-    let err = Monitor::recover(&schema, &alphabet, &inv, PatternKind::All, None, blocks)
+    let err = ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, None, blocks)
         .err()
         .expect("gap must be detected");
     assert!(err.to_string().contains("gap"), "got {err}");
@@ -1053,7 +1074,7 @@ fn bulk_load_recovery_is_byte_identical() {
         Transaction::sl("BulkLoad", &[], updates)
     };
     let no_args = Assignment::empty();
-    // (kind, shard count): 0 shards = single monitor.
+    // (kind, shard count): 0 = one shard.
     for (kind, shards) in
         [(PatternKind::All, 0usize), (PatternKind::All, 3), (PatternKind::Proper, 2)]
     {
@@ -1061,15 +1082,17 @@ fn bulk_load_recovery_is_byte_identical() {
         let seed = Assignment::new(vec![Value::str("seed")]);
         let follow = Assignment::new(vec![Value::str("b7")]);
         let (live_bytes, live_db, recovered) = if shards == 0 {
-            let mut live = Monitor::new(&schema, &alphabet, &inv, kind).with_sink(wal.clone());
+            let mut live =
+                ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1).with_sink(wal.clone());
             live.try_apply(ts.get("Mk").unwrap(), &seed).unwrap();
             live.try_apply(&bulk, &no_args).unwrap();
             live.try_apply(ts.get("St").unwrap(), &follow).unwrap();
-            let r = Monitor::recover(
+            let r = ShardedMonitor::recover(
                 &schema,
                 &alphabet,
                 &inv,
                 kind,
+                1,
                 None,
                 wal.lock().unwrap().records(),
             )
@@ -1115,7 +1138,7 @@ use migratory::core::enforce::ResiduePolicy;
 /// recovery the live monitor's *current* inventory would hide a broken
 /// record.
 fn assert_recovers_single_from_base(
-    live: &Monitor<'_>,
+    live: &ShardedMonitor<'_>,
     base: &Inventory,
     wal: &Arc<Mutex<MemoryWal>>,
     all_records: &[WalRecord],
@@ -1125,17 +1148,24 @@ fn assert_recovers_single_from_base(
         let w = wal.lock().unwrap();
         (w.snapshot().expect("checkpoint chain folds"), w.records())
     };
-    let recovered =
-        Monitor::recover(live.schema(), live.alphabet(), base, live.kind(), snap.clone(), blocks)
-            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"))
-            .with_policy(live.policy());
+    let recovered = ShardedMonitor::recover(
+        live.schema(),
+        live.alphabet(),
+        base,
+        live.kind(),
+        1,
+        snap.clone(),
+        blocks,
+    )
+    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"))
+    .with_policy(live.policy());
     assert_eq!(
         recovered.snapshot().encode(),
         live.snapshot().encode(),
         "{label}: tracking state not byte-identical after recovery"
     );
     assert_eq!(recovered.db(), live.db(), "{label}: database diverged");
-    assert_eq!(recovered.steps(), live.steps(), "{label}: letter counts diverged");
+    assert_eq!(recovered.clock(0), live.clock(0), "{label}: letter counts diverged");
     assert_eq!(recovered.epoch(), live.epoch(), "{label}: epoch diverged");
     assert_eq!(recovered.redefine_total(), live.redefine_total(), "{label}");
     assert_eq!(recovered.quarantined_total(), live.quarantined_total(), "{label}");
@@ -1154,11 +1184,12 @@ fn assert_recovers_single_from_base(
     // Full-history replay must skip folded blocks AND folded
     // redefinitions (epoch-stamped skip, the checkpoint-without-prune
     // window).
-    let again = Monitor::recover(
+    let again = ShardedMonitor::recover(
         live.schema(),
         live.alphabet(),
         base,
         live.kind(),
+        1,
         snap,
         all_records.to_vec(),
     )
@@ -1192,7 +1223,7 @@ fn redefined_monitor_recovers_byte_identical_at_every_crash_point() {
             StepPolicy::OnlyChanging
         };
         let wal = Arc::new(Mutex::new(MemoryWal::new()));
-        let mut live = Monitor::new(&schema, &alphabet, &base, kind)
+        let mut live = ShardedMonitor::new(&schema, &alphabet, &base, kind, 1)
             .with_policy(policy)
             .with_sink(wal.clone());
         let no_args = Assignment::empty();
@@ -1375,7 +1406,8 @@ fn file_wal_truncation_across_a_redefine_record_recovers_every_prefix() {
     .unwrap();
     let dir = temp_dir("torn-redefine");
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
-    let mut live = Monitor::new(&schema, &alphabet, &base, PatternKind::All).with_sink(wal.clone());
+    let mut live =
+        ShardedMonitor::new(&schema, &alphabet, &base, PatternKind::All, 1).with_sink(wal.clone());
 
     // Canonical state after each appended record (blocks AND the
     // redefinition — a zero-letter record, so keying by record count,
@@ -1404,7 +1436,7 @@ fn file_wal_truncation_across_a_redefine_record_recovers_every_prefix() {
             .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         let n = records.len();
         let recovered =
-            Monitor::recover(&schema, &alphabet, &base, PatternKind::All, None, records)
+            ShardedMonitor::recover(&schema, &alphabet, &base, PatternKind::All, 1, None, records)
                 .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         assert_eq!(
             recovered.snapshot().encode(),
@@ -1422,7 +1454,8 @@ fn file_wal_truncation_across_a_redefine_record_recovers_every_prefix() {
     // The full log lands on the live state.
     let (snap, tail) = Wal::load(&dir).unwrap();
     let recovered =
-        Monitor::recover(&schema, &alphabet, &base, PatternKind::All, snap, tail).unwrap();
+        ShardedMonitor::recover(&schema, &alphabet, &base, PatternKind::All, 1, snap, tail)
+            .unwrap();
     assert_eq!(recovered.snapshot().encode(), live_state);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1485,9 +1518,9 @@ fn crash_between_redefine_append_and_swap_replays_the_redefinition() {
     let sink =
         Arc::new(Mutex::new(DieAfterRedefineAppend { inner: MemoryWal::new(), armed: false }));
     let mut live =
-        Monitor::new(&schema, &alphabet, &base, PatternKind::All).with_sink(sink.clone());
+        ShardedMonitor::new(&schema, &alphabet, &base, PatternKind::All, 1).with_sink(sink.clone());
     // An oracle that runs the same history with the swap completing.
-    let mut oracle = Monitor::new(&schema, &alphabet, &base, PatternKind::All);
+    let mut oracle = ShardedMonitor::new(&schema, &alphabet, &base, PatternKind::All, 1);
     for (name, k) in [("Mk", "1"), ("St", "1"), ("Mk", "2")] {
         live.try_apply(ts.get(name).unwrap(), &key(k)).unwrap();
         oracle.try_apply(ts.get(name).unwrap(), &key(k)).unwrap();
@@ -1509,8 +1542,16 @@ fn crash_between_redefine_append_and_swap_replays_the_redefinition() {
     let upto_redefine: Vec<WalRecord> = records[..4].to_vec();
     let out = oracle.redefine(&next, ResiduePolicy::Quarantine).unwrap();
     assert_eq!((out.epoch, out.residue, out.quarantined), (1, 1, 1), "o1 is [PERSON][STUDENT]");
-    let recovered =
-        Monitor::recover(&schema, &alphabet, &base, PatternKind::All, None, upto_redefine).unwrap();
+    let recovered = ShardedMonitor::recover(
+        &schema,
+        &alphabet,
+        &base,
+        PatternKind::All,
+        1,
+        None,
+        upto_redefine,
+    )
+    .unwrap();
     assert_eq!(recovered.epoch(), 1, "the durable record replays");
     assert_eq!(recovered.snapshot().encode(), oracle.snapshot().encode());
     assert_eq!(recovered.quarantined_total(), 1);
@@ -1530,8 +1571,9 @@ fn crash_between_redefine_append_and_swap_replays_the_redefinition() {
     // admitted under the old automaton and no longer admits — the log
     // records a history the swapped monitor refuses, which recovery
     // must surface as a mismatch rather than silently accept.
-    let err = Monitor::recover(&schema, &alphabet, &base, PatternKind::All, None, records)
-        .err()
-        .expect("divergent post-crash history must be detected");
+    let err =
+        ShardedMonitor::recover(&schema, &alphabet, &base, PatternKind::All, 1, None, records)
+            .err()
+            .expect("divergent post-crash history must be detected");
     assert!(matches!(err, WalError::Mismatch(_)), "got {err}");
 }
