@@ -796,7 +796,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
 /// `ingress` JSON fragment.
 fn ingress_rows(configs: &[(usize, usize, usize)]) -> String {
     use migratory_core::enforce::{
-        ingress, AdmissionMetrics, DurabilityPolicy, FsyncPolicy, Health, Histogram, IngressConfig,
+        ingress, AdmissionMetrics, DurableLog, FsyncPolicy, Histogram, IngressConfig,
         ShardedMonitor, StepPolicy, Wal,
     };
     use std::sync::{Arc, Mutex};
@@ -861,7 +861,7 @@ fn ingress_rows(configs: &[(usize, usize, usize)]) -> String {
                 m = m.with_sink(s);
             }
             load(&mut m);
-            let cfg = IngressConfig { queue_capacity: 1024, max_block: 256 };
+            let cfg = IngressConfig { queue_capacity: 1024, max_block: 256, ..Default::default() };
             let t0 = Instant::now();
             let ((), stats) = ingress::serve(&mut m, &cfg, |client| {
                 std::thread::scope(|scope| {
@@ -908,19 +908,17 @@ fn ingress_rows(configs: &[(usize, usize, usize)]) -> String {
             let wal = Arc::new(Mutex::new(
                 Wal::open(&pipe_dir).expect("wal dir").with_fsync(FsyncPolicy::Batch),
             ));
-            let metrics = AdmissionMetrics::new(4);
-            let health = Health::new();
-            let cfg = IngressConfig { queue_capacity: 1024, max_block: 256 };
+            let metrics = Arc::new(AdmissionMetrics::new(4));
             let t0 = Instant::now();
-            let ((), stats) = ingress::serve_pipelined(
+            let ((), stats) = ingress::serve(
                 &mut m,
-                &cfg,
-                &DurabilityPolicy::default(),
-                &health,
-                wal,
-                Some(&metrics),
-                0,
-                |_| {},
+                &IngressConfig {
+                    queue_capacity: 1024,
+                    max_block: 256,
+                    wal: Some(DurableLog { log: wal, repl: None }),
+                    metrics: Some(metrics.clone()),
+                    ..Default::default()
+                },
                 |client| {
                     std::thread::scope(|scope| {
                         for p in 0..producers {
@@ -1009,7 +1007,7 @@ fn ingress_rows(configs: &[(usize, usize, usize)]) -> String {
 fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
     use migratory_core::enforce::repl::{acceptor, puller};
     use migratory_core::enforce::{
-        ingress, AckPolicy, AdmissionMetrics, DurabilityPolicy, FsyncPolicy, Health, Histogram,
+        ingress, AckPolicy, AdmissionMetrics, DurableLog, FsyncPolicy, Health, Histogram,
         IngressConfig, ReplicaCtl, Replicator, ShardedMonitor, StepPolicy, Wal,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1054,23 +1052,21 @@ fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
         let repl_addr = repl.local_addr().to_string();
         let ctl = Arc::new(ReplicaCtl::new(&repl_addr));
         let stop_accept = AtomicBool::new(false);
-        let cfg = IngressConfig { queue_capacity: 1024, max_block: 256 };
+        let cfg = IngressConfig { queue_capacity: 1024, max_block: 256, ..Default::default() };
         let elapsed = Mutex::new(0f64);
 
         let (primary_snap, replica_snap) = std::thread::scope(|scope| {
             let replica = scope.spawn(|| {
                 let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
                     .with_policy(StepPolicy::OnlyChanging);
-                let health = Health::new();
-                ingress::serve_pipelined(
+                let health = Arc::new(Health::new());
+                ingress::serve(
                     &mut m,
-                    &cfg,
-                    &DurabilityPolicy::default(),
-                    &health,
-                    wal_r.clone(),
-                    None,
-                    0,
-                    |_| {},
+                    &IngressConfig {
+                        health: health.clone(),
+                        wal: Some(DurableLog { log: wal_r.clone(), repl: None }),
+                        ..cfg.clone()
+                    },
                     |client| {
                         std::thread::scope(|ps| {
                             ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
@@ -1107,17 +1103,15 @@ fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
                 assert_eq!((done, err), (per, None), "bulk load conforms");
             }
             wal_p.lock().unwrap().write_snapshot(&pm.checkpoint_full()).expect("base checkpoint");
-            let health = Health::new();
-            ingress::serve_pipelined_repl(
+            let health = Arc::new(Health::new());
+            ingress::serve(
                 &mut pm,
-                &cfg,
-                &DurabilityPolicy::default(),
-                &health,
-                wal_p.clone(),
-                Some(&*metrics),
-                Some(repl.clone()),
-                0,
-                |_| {},
+                &IngressConfig {
+                    health: health.clone(),
+                    wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
+                    metrics: Some(metrics.clone()),
+                    ..cfg.clone()
+                },
                 |client| {
                     std::thread::scope(|ps| {
                         ps.spawn(|| acceptor(&repl, client, &stop_accept));
@@ -1242,8 +1236,8 @@ fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
 /// connection count. Returns the `serve` JSON fragment.
 fn serve_rows(configs: &[(usize, usize)], conn_counts: &[usize]) -> String {
     use migratory_core::enforce::{
-        net, AdmissionMetrics, FsyncPolicy, Histogram, IngressConfig, ShardedMonitor, StepPolicy,
-        Wal,
+        net, AdmissionMetrics, DurableLog, FsyncPolicy, Histogram, IngressConfig, ShardedMonitor,
+        StepPolicy, Wal,
     };
     use std::net::TcpListener;
     use std::sync::{mpsc, Arc, Mutex};
@@ -1277,7 +1271,7 @@ fn serve_rows(configs: &[(usize, usize)], conn_counts: &[usize]) -> String {
                 assert_eq!((done, err), (per, None), "bulk load conforms");
             }
         };
-        let cfg = IngressConfig { queue_capacity: 1024, max_block: 256 };
+        let cfg = IngressConfig { queue_capacity: 1024, max_block: 256, ..Default::default() };
 
         // (a) In-process baseline: 4 pipelining producer threads over
         // the same lanes — the "callers link the crate" world.
@@ -1345,12 +1339,14 @@ fn serve_rows(configs: &[(usize, usize)], conn_counts: &[usize]) -> String {
                     load(&mut m);
                     ready_tx.send(()).expect("driver listens");
                     let (wal, metrics) = match durable {
-                        Some((w, mx)) => (Some(w), Some(mx)),
+                        Some((log, mx)) => (Some(DurableLog { log, repl: None }), Some(mx)),
                         None => (None, None),
                     };
-                    let config =
-                        net::ServerConfig { ingress: cfg, wal, metrics, ..Default::default() };
-                    net::serve(listener, &mut m, &ts, &config, |_| {}).expect("serve")
+                    let config = net::ServerConfig {
+                        ingress: IngressConfig { wal, metrics, ..cfg.clone() },
+                        ..Default::default()
+                    };
+                    net::serve(listener, &mut m, &ts, &config).expect("serve")
                 });
                 ready_rx.recv().expect("server loads");
                 let t0 = Instant::now();
@@ -1454,8 +1450,8 @@ fn serve_rows(configs: &[(usize, usize)], conn_counts: &[usize]) -> String {
 /// serialized committer does.
 fn tail_smoke() {
     use migratory_core::enforce::{
-        net, AdmissionMetrics, FsyncPolicy, Histogram, IngressConfig, ShardedMonitor, StepPolicy,
-        Wal,
+        net, AdmissionMetrics, DurableLog, FsyncPolicy, Histogram, IngressConfig, ShardedMonitor,
+        StepPolicy, Wal,
     };
     use std::net::TcpListener;
     use std::sync::{mpsc, Arc, Mutex};
@@ -1477,9 +1473,13 @@ fn tail_smoke() {
     let addr = listener.local_addr().expect("bound address");
     let (ready_tx, ready_rx) = mpsc::channel();
     let config = net::ServerConfig {
-        ingress: IngressConfig { queue_capacity: 1024, max_block: 256 },
-        wal: Some(wal.clone()),
-        metrics: Some(metrics.clone()),
+        ingress: IngressConfig {
+            queue_capacity: 1024,
+            max_block: 256,
+            wal: Some(DurableLog { log: wal.clone(), repl: None }),
+            metrics: Some(metrics.clone()),
+            ..Default::default()
+        },
         ..Default::default()
     };
     std::thread::scope(|scope| {
@@ -1504,7 +1504,7 @@ fn tail_smoke() {
                 assert_eq!((done, err), (PER, None), "bulk load conforms");
             }
             ready_tx.send(()).expect("driver listens");
-            net::serve(listener, &mut m, &ts, &config, |_| {}).expect("serve")
+            net::serve(listener, &mut m, &ts, &config).expect("serve")
         });
         ready_rx.recv().expect("server loads");
         let stats = drive_tcp_mux(addr, &scripts).expect("tcp drive");

@@ -208,7 +208,7 @@ pub fn analyze_with_witnesses(
     let naive = opts.naive_assignments;
     while !frontier.is_empty() {
         let batch = std::mem::take(&mut frontier);
-        let results: Vec<(u32, Vec<(usize, Target)>)> = if opts.parallel && batch.len() > 1 {
+        let results: Vec<(u32, _)> = if opts.parallel && batch.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = batch
                     .iter()
@@ -231,9 +231,9 @@ pub fn analyze_with_witnesses(
                 })
                 .collect()
         };
-        for (v, edges) in results {
+        for (v, (edges, runs)) in results {
+            stats.runs += runs;
             for (ti, target) in edges {
-                stats.runs += 1;
                 match target {
                     Target::Deleted => {
                         graph.add_edge(v, VT, EdgeInfo { proper: true });
@@ -279,7 +279,8 @@ enum Target {
 }
 
 /// All `(transaction index, outcome)` pairs observable from a vertex's
-/// canonical database (deduplicated).
+/// canonical database (deduplicated), and the number of ground runs
+/// that observed them.
 fn vertex_edges(
     schema: &Schema,
     alphabet: &RoleAlphabet,
@@ -287,14 +288,16 @@ fn vertex_edges(
     constants: &[Value],
     key: &VertexKey,
     naive: bool,
-) -> Vec<(usize, Target)> {
+) -> (Vec<(usize, Target)>, u64) {
     let db = canonical_db(schema, alphabet, constants, key);
     let o1 = Oid(1);
     let before_tuple = db.tuple_of(o1);
     let l = num_free_classes(key);
     let mut out: Vec<(usize, Target)> = Vec::new();
+    let mut runs = 0;
     for (ti, t) in ts.transactions().iter().enumerate() {
         for args in assignments(constants, l, t.params.len(), naive) {
+            runs += 1;
             let next = run(schema, &db, t, &args).expect("validated");
             let target = if next.occurs(o1) {
                 let key2 = vertex_of(schema, alphabet, constants, &next, o1)
@@ -310,7 +313,7 @@ fn vertex_edges(
             }
         }
     }
-    out
+    (out, runs)
 }
 
 /// Canonical assignments over `constants ∪ {p₀…p_{l−1}} ∪ {ν…}`:
@@ -625,6 +628,29 @@ mod tests {
             a2.stats.runs,
             a1.stats.runs
         );
+    }
+
+    /// `stats.runs` counts every ground run: recounted independently
+    /// as the creation assignments plus, for every materialized vertex,
+    /// each transaction's assignments over its free classes.
+    #[test]
+    fn runs_count_every_ground_run() {
+        let (schema, alphabet) = slim();
+        let ts = parse_transactions(&schema, SLIM_TS).unwrap();
+        for naive in [false, true] {
+            let opts = AnalyzeOptions { naive_assignments: naive, ..Default::default() };
+            let analysis = analyze(&schema, &alphabet, &ts, &opts).unwrap();
+            let constants = &analysis.constants;
+            let per_vertex = |l: usize| -> usize {
+                ts.transactions()
+                    .iter()
+                    .map(|t| assignments(constants, l, t.params.len(), naive).len())
+                    .sum()
+            };
+            let expected = per_vertex(0)
+                + analysis.keys.iter().map(|key| per_vertex(num_free_classes(key))).sum::<usize>();
+            assert_eq!(analysis.stats.runs, expected as u64, "naive = {naive}");
+        }
     }
 
     #[test]

@@ -3,28 +3,40 @@
 //!
 //! # Shape
 //!
-//! [`serve`] stands up one **admission worker** (a scoped thread owning
-//! the [`ShardedMonitor`]) behind a set of bounded FIFO **lanes** — one
-//! per shard when the monitor routes by weakly-connected component (an
-//! object's component never changes, so a transaction's traffic has a
-//! stable home lane), a single lane under oid striping. Callers get an
-//! [`IngressClient`] (`Sync` — share it across as many producer threads
-//! as you like) and either [`IngressClient::submit`] synchronously or
-//! pipeline with [`IngressClient::post`] / [`Ticket::wait`].
+//! [`serve`] stands up two scoped threads around the
+//! [`ShardedMonitor`]: one **admission worker** behind a set of bounded
+//! FIFO **lanes** — one per shard when the monitor routes by
+//! weakly-connected component (an object's component never changes, so
+//! a transaction's traffic has a stable home lane), a single lane under
+//! oid striping — and one **committer** that releases what the worker
+//! admitted. Callers get an [`IngressClient`] (`Sync` — share it across
+//! as many producer threads as you like) and either
+//! [`IngressClient::submit`] synchronously or pipeline with
+//! [`IngressClient::post`] / [`Ticket::wait`].
 //!
 //! The worker drains one lane at a time (round-robin over non-empty
 //! lanes), admits the drained ops as **one block** through
-//! [`ShardedMonitor::try_apply_batch`], and answers each op's ticket.
-//! Batching is therefore emergent: the deeper the queues, the larger
-//! the blocks, and the per-block cohort sweep and (when a
-//! [`CommitSink`](super::CommitSink) is attached) the per-block WAL
-//! append amortize over more letters — a block is a **group commit**,
-//! one record and one flush for all its letters. Draining whole lanes
-//! keeps a block inside one shard's traffic, and with per-shard letter
-//! clocks each lane's blocks advance **only its own shard** — disjoint
-//! components admit, log and checkpoint with no cross-lane coupling at
-//! all (their objects never interact — Lemma 3.5 — and no shared step
-//! counter exists any more).
+//! [`ShardedMonitor::try_apply_batch`], answers the ops the monitor
+//! refused, and hands the admitted ones to the committer in commit
+//! order. Batching is therefore emergent: the deeper the queues, the
+//! larger the blocks, and the per-block cohort sweep and write-ahead
+//! record amortize over more letters — a block is a **group commit**,
+//! one record for all its letters. Draining whole lanes keeps a block
+//! inside one shard's traffic, and with per-shard letter clocks each
+//! lane's blocks advance **only its own shard** — disjoint components
+//! admit, log and checkpoint with no cross-lane coupling at all (their
+//! objects never interact — Lemma 3.5 — and no shared step counter
+//! exists any more).
+//!
+//! The write-ahead log is optional ([`IngressConfig::wal`]). With one,
+//! the worker stages each block's record bytes and the committer
+//! appends whatever has accumulated, issues **one** sync for the batch,
+//! ships it to the standbys when a [`Replicator`] is attached, and only
+//! then answers the batch's tickets: an ack implies durability, and the
+//! sync overlaps the staging of the next blocks. Without one the
+//! committer answers tickets in commit order as they arrive, and a
+//! [`CommitSink`](super::CommitSink) the caller attached to the monitor
+//! appends inside `try_apply_batch`, on the worker.
 //!
 //! # Backpressure
 //!
@@ -101,6 +113,7 @@
 
 use super::health::Health;
 use super::metrics::AdmissionMetrics;
+use super::repl::Replicator;
 use super::sharded::ShardedMonitor;
 use super::wal::{self, Wal, WalError};
 use super::{EnforceError, ResiduePolicy};
@@ -112,25 +125,97 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of [`serve`].
-#[derive(Clone, Copy, Debug)]
-pub struct IngressConfig {
+/// Tuning knobs and wiring of [`serve`]. The default is a volatile
+/// ingress with a [`Health`] of its own: no write-ahead log, no
+/// metrics, no maintenance.
+#[derive(Clone)]
+pub struct IngressConfig<'h> {
     /// Per-lane queue bound; [`IngressClient::post`] blocks when its
     /// lane is full.
     pub queue_capacity: usize,
     /// Largest block drained into one
     /// [`ShardedMonitor::try_apply_batch`] call.
     pub max_block: usize,
+    /// How failing write-ahead appends and syncs are retried before the
+    /// ingress degrades.
+    pub durability: DurabilityPolicy,
+    /// Degraded-mode flag: set when the [`DurabilityPolicy`] budget runs
+    /// out, cleared by [`Health::rearm`]. Share it with a
+    /// [`Snapshotter`](super::Snapshotter) so checkpoint failures
+    /// surface in the same place.
+    pub health: Arc<Health>,
+    /// The write-ahead log the committer appends to, with its optional
+    /// replication tee. The monitor's sink is replaced by a staging
+    /// sink for the duration of the serve and restored on exit. `None`:
+    /// the committer only answers tickets, in commit order.
+    pub wal: Option<DurableLog>,
+    /// Admission histograms: queue depths, block sizes and commit
+    /// latencies; fsync batch sizes with a `wal`; checkpoint stalls
+    /// with a `maintenance` hook.
+    pub metrics: Option<Arc<AdmissionMetrics>>,
+    /// Admitted blocks between `maintenance` calls; 0 = never.
+    pub checkpoint_every: usize,
+    /// Called on the admission worker every `checkpoint_every` blocks
+    /// with exclusive access to the monitor, behind a flush barrier
+    /// (see [`serve`]).
+    pub maintenance: Option<Maintenance<'h>>,
 }
 
-impl Default for IngressConfig {
+impl Default for IngressConfig<'_> {
     fn default() -> Self {
-        IngressConfig { queue_capacity: 1024, max_block: 256 }
+        IngressConfig {
+            queue_capacity: 1024,
+            max_block: 256,
+            durability: DurabilityPolicy::default(),
+            health: Arc::default(),
+            wal: None,
+            metrics: None,
+            checkpoint_every: 0,
+            maintenance: None,
+        }
     }
 }
 
-/// How the admission worker treats a failing write-ahead append (see
-/// [`serve_guarded`]): transient errors are retried with bounded linear
+impl std::fmt::Debug for IngressConfig<'_> {
+    // Manual impl: `Wal` owns raw file handles and the hook is a
+    // closure; show presence only.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IngressConfig")
+            .field("queue_capacity", &self.queue_capacity)
+            .field("max_block", &self.max_block)
+            .field("durability", &self.durability)
+            .field("health", &self.health)
+            .field("wal", &self.wal.is_some())
+            .field("repl", &self.wal.as_ref().is_some_and(|d| d.repl.is_some()))
+            .field("metrics", &self.metrics.is_some())
+            .field("checkpoint_every", &self.checkpoint_every)
+            .field("maintenance", &self.maintenance.is_some())
+            .finish()
+    }
+}
+
+/// The write-ahead log behind a durable ingress ([`IngressConfig::wal`]).
+#[derive(Clone)]
+pub struct DurableLog {
+    /// The log the committer appends to and syncs (one sync per batch
+    /// under [`FsyncPolicy::Batch`](super::FsyncPolicy::Batch), per
+    /// record under `Always`, never under `Off`) — the same handle a
+    /// maintenance hook checkpoints through.
+    pub log: Arc<Mutex<Wal>>,
+    /// Replication tee: every synced batch is also shipped
+    /// ([`Replicator::ship_and_wait`]), and under
+    /// [`AckPolicy::ReplicaK`](super::repl::AckPolicy::ReplicaK) its
+    /// tickets are released only once enough standbys acknowledged it.
+    pub repl: Option<Arc<Replicator>>,
+}
+
+/// The periodic maintenance hook of [`IngressConfig::maintenance`] —
+/// how a long-running server captures incremental checkpoints behind
+/// live traffic.
+pub type Maintenance<'h> = Arc<Mutex<dyn for<'m> FnMut(&mut ShardedMonitor<'m>) + Send + 'h>>;
+
+/// How the ingress treats a failing write-ahead append or sync (see
+/// [`serve`]): transient errors are retried with bounded linear
 /// backoff; exhausting the budget flips the server into degraded
 /// read-only mode ([`Health::degrade`]) instead of erroring op after op
 /// against a dead disk — or worse, acking non-durable work.
@@ -175,10 +260,12 @@ pub struct IngressStats {
 
 /// A boxed one-shot completion callback: how an event-driven caller
 /// (the `enforce::net` poll loop) receives an op's outcome without
-/// parking a thread on a channel. Invoked exactly once, on the
-/// admission worker, after the op's block committed (durably, when a
-/// sink is attached) or was rejected — so keep it cheap: stash the
-/// outcome and wake the owning event thread.
+/// parking a thread on a channel. Invoked exactly once: on the
+/// committer once the op's block committed (durably, with a
+/// write-ahead log) or a failing log refused it, and on the admission
+/// worker when the monitor rejected the op or the ingress was degraded
+/// — so keep it cheap: stash the outcome and wake the owning event
+/// thread.
 pub type Completion<'t> = Box<dyn FnOnce(Result<(), EnforceError>) + Send + 't>;
 
 /// How an op's outcome travels back to its producer.
@@ -208,8 +295,8 @@ struct Op<'t> {
 /// An administrative **barrier operation** (see
 /// [`IngressClient::post_admin`]): runs on the admission worker under
 /// the exclusive monitor lock, strictly between admitted blocks — every
-/// op admitted before it has had its ticket answered (and, under the
-/// pipelined committer, made durable) first. `Err(reason)` hands over a
+/// op admitted before it has had its ticket answered (and, with a
+/// write-ahead log, made durable) first. `Err(reason)` hands over a
 /// degraded or broken pipeline instead of the monitor: answer your
 /// caller with the refusal, touch nothing. Return the second-half
 /// completion that releases the caller's reply.
@@ -279,7 +366,7 @@ struct Shared<'t, 's, 'm> {
 }
 
 impl<'t, 's, 'm> Shared<'t, 's, 'm> {
-    fn new(monitor: &'m mut ShardedMonitor<'s>, config: &IngressConfig) -> Shared<'t, 's, 'm> {
+    fn new(monitor: &'m mut ShardedMonitor<'s>, config: &IngressConfig<'_>) -> Shared<'t, 's, 'm> {
         let lanes = match monitor.component_lanes() {
             Some(_) => monitor.num_shards(),
             None => 1,
@@ -446,8 +533,8 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Block until the op's block was admitted (durably, when a sink is
-    /// attached) or rejected.
+    /// Block until the op's block was admitted (durably, with a
+    /// write-ahead log) or rejected.
     pub fn wait(self) -> Result<(), EnforceError> {
         self.rx.recv().expect("admission worker answers every ticket")
     }
@@ -465,7 +552,7 @@ impl<'t> IngressClient<'t, '_, '_> {
 
     /// Non-blocking [`IngressClient::post`] for event-driven callers: on
     /// success the op is queued and `done` will be invoked exactly once
-    /// (on the admission worker) with its outcome; when the op's lane is
+    /// with its outcome (see [`Completion`]); when the op's lane is
     /// at capacity the pieces are handed back unqueued so the caller can
     /// park them and retry after an [`IngressClient::on_space`] wakeup —
     /// backpressure without a blocked thread.
@@ -493,9 +580,15 @@ impl<'t> IngressClient<'t, '_, '_> {
     }
 
     /// Enqueue an application and wait for its outcome: `Ok` once the
-    /// op's block committed (and, with a sink attached, was logged).
+    /// op's block committed (and, with a write-ahead log, was logged).
     pub fn submit(&self, t: &'t Transaction, args: Assignment) -> Result<(), EnforceError> {
         self.post(t, args).wait()
+    }
+
+    /// The number of admission lanes: one per shard when the monitor
+    /// routes by component, else one.
+    pub fn lanes(&self) -> usize {
+        self.shared.state.lock().expect("ingress poisoned").lanes.len()
     }
 }
 
@@ -504,10 +597,10 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
     /// `promote` and replica-fold paths run through. The op jumps ahead
     /// of the lanes: the worker serves it between blocks, under the
     /// exclusive monitor lock, after every previously admitted op's
-    /// ticket was answered — and under the pipelined committer, after
-    /// everything previously forwarded is durable (a flush barrier runs
-    /// first, and whatever the op stages through the monitor's sink is
-    /// flushed again before its [`AdminDone`] is invoked). Never blocks:
+    /// ticket was answered — with a write-ahead log, after everything
+    /// previously admitted is durable (a flush barrier runs first, and
+    /// whatever the op stages through the monitor's sink is flushed
+    /// again before its [`AdminDone`] is invoked). Never blocks:
     /// admin ops are rare and unbounded by lane capacity. Reads go
     /// through [`IngressClient::read`] instead.
     pub fn post_admin(&self, op: AdminOp<'t, 's>) {
@@ -523,89 +616,80 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
     }
 }
 
-/// Run an ingress around `monitor`: spawn the admission worker, hand
-/// the driver an [`IngressClient`], and when the driver returns, drain
-/// the remaining queue and return the driver's result plus
-/// [`IngressStats`]. The monitor is borrowed for the duration — attach
-/// policy and [`CommitSink`](super::CommitSink) before serving; every
-/// admitted block then group-commits through it.
+/// Run an ingress around `monitor`: spawn the admission worker and the
+/// committer, hand the driver an [`IngressClient`], and when the driver
+/// returns, drain the remaining queue and return the driver's result
+/// plus [`IngressStats`]. The monitor is borrowed for the duration —
+/// attach its policy (and, without [`IngressConfig::wal`], any
+/// [`CommitSink`](super::CommitSink)) before serving.
 ///
 /// Close-and-answer: once the driver returns, no new work can arrive
 /// (every producer borrowed the client, which is gone), and the worker
 /// keeps draining until every lane is empty — so **every posted op is
 /// answered** before `serve` returns. That is the graceful-drain
 /// primitive the network front end (`enforce::net`) builds on.
+///
+/// Durability failures degrade instead of lying. A block whose
+/// write-ahead append or staging failed is retried on the worker with
+/// bounded backoff (nothing past the committed prefix reached the log —
+/// the rollback contract of [`ShardedMonitor::try_apply_batch`] makes
+/// the retry safe); the committer retries its appends and syncs the
+/// same way. When the [`DurabilityPolicy`] budget is exhausted the
+/// ingress degrades [`IngressConfig::health`]: every queued and future
+/// op is answered [`EnforceError::Degraded`] without touching the
+/// engine until [`Health::rearm`] — reads stay up, writes refuse fast,
+/// and nothing is ever acked that is not on disk. Because tracking
+/// commits before the committer syncs, a committer failure leaves the
+/// monitor ahead of the truncated log; the worker **resynchronizes** it
+/// from the checkpoint chain and log tail at the first healthy block
+/// after the rearm (and at drain-out), so recovery's byte-identity
+/// contract holds at every fault site.
+///
+/// Every [`IngressConfig::checkpoint_every`] admitted blocks the worker
+/// calls [`IngressConfig::maintenance`] with exclusive access to the
+/// monitor, after the block's tickets went to the committer and behind
+/// a flush barrier: the hook never delays the replies of the block that
+/// triggered it, and a checkpoint never covers records that are not yet
+/// durable. `migctl serve` captures an O(dirty)
+/// [`CheckpointDelta`](super::CheckpointDelta) there and hands it to a
+/// background [`Snapshotter`](super::Snapshotter) while producers keep
+/// posting (their ops queue in the lanes for the duration of the
+/// capture).
 pub fn serve<'t, 'a, R>(
     monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
+    config: &IngressConfig<'_>,
     drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
 ) -> (R, IngressStats) {
-    serve_with(monitor, config, 0, |_| {}, drive)
-}
-
-/// [`serve`] with a periodic **maintenance hook**: every
-/// `maintenance_every` admitted blocks (0 = never) the admission worker
-/// calls `maintenance` with exclusive access to the monitor — after the
-/// block's tickets were answered, so the hook never adds latency to the
-/// ops that triggered it. This is how a long-running server runs
-/// incremental checkpoints *behind* live traffic: the hook captures an
-/// O(dirty) [`CheckpointDelta`](super::CheckpointDelta) and hands it to
-/// a background [`Snapshotter`](super::Snapshotter) while producers
-/// keep posting (their ops queue in the lanes for the duration of the
-/// capture).
-pub fn serve_with<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    maintenance_every: usize,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    let health = Health::new();
-    serve_guarded(
-        monitor,
-        config,
-        &DurabilityPolicy::default(),
-        &health,
-        maintenance_every,
-        maintenance,
-        drive,
-    )
-}
-
-/// The full-fat ingress: [`serve_with`] plus an explicit
-/// [`DurabilityPolicy`] and a shared [`Health`]. The admission worker
-/// retries a block whose write-ahead append failed (nothing past the
-/// committed prefix reached the log — the rollback contract of
-/// [`ShardedMonitor::try_apply_batch`] makes the retry safe), and when
-/// the budget is exhausted it degrades the server: every queued and
-/// future op is answered [`EnforceError::Degraded`] without touching
-/// the engine, until [`Health::rearm`] — reads stay up, writes refuse
-/// fast, and nothing is ever acked that is not on disk.
-pub fn serve_guarded<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    maintenance_every: usize,
-    mut maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
+    let staged: Arc<Mutex<Vec<u8>>> = Arc::default();
+    let restore = config.wal.as_ref().map(|_| {
+        monitor.set_sink(Some(Arc::new(Mutex::new(StagedSink { staged: staged.clone() }))))
+    });
+    let pipe = Pipeline {
+        log: config.wal.as_ref().map(|d| &*d.log),
+        repl: config.wal.as_ref().and_then(|d| d.repl.as_deref()),
+        health: &config.health,
+        policy: config.durability,
+        metrics: config.metrics.as_deref(),
+        staged,
+        needs_resync: AtomicBool::new(false),
+        refused: AtomicUsize::new(0),
+        retries: AtomicUsize::new(0),
+    };
     let shared = Shared::new(monitor, config);
-    let max_block = config.max_block.max(1);
-    std::thread::scope(|scope| {
-        let worker = std::thread::Builder::new()
-            .name("mig-admit".into())
-            .spawn_scoped(scope, || {
-                admission_loop(
-                    &shared,
-                    max_block,
-                    policy,
-                    health,
-                    maintenance_every,
-                    &mut maintenance,
-                )
-            })
-            .expect("spawn the admission worker");
+    let (tx, rx) = mpsc::channel::<Msg<'t>>();
+    let (out, mut stats) = std::thread::scope(|scope| {
+        let pipe = &pipe;
+        let committer = std::thread::Builder::new()
+            .name("mig-commit".into())
+            .spawn_scoped(scope, move || committer_loop(pipe, &rx))
+            .expect("spawn the committer");
+        let worker = {
+            let (shared, worker_tx) = (&shared, tx.clone());
+            std::thread::Builder::new()
+                .name("mig-admit".into())
+                .spawn_scoped(scope, move || worker_loop(shared, config, pipe, &worker_tx))
+                .expect("spawn the admission worker")
+        };
         // Close on unwind too: if the driver panics, the scope joins the
         // worker before propagating, and a worker parked on `ready` with
         // `closed` unset would deadlock the join forever.
@@ -613,8 +697,19 @@ pub fn serve_guarded<'t, 'a, R>(
         let out = drive(&IngressClient { shared: &shared });
         drop(guard);
         let stats = worker.join().expect("admission worker panicked");
+        // The worker's sender is gone; dropping ours closes the channel
+        // and the committer (which answered everything pending at the
+        // worker's final flush) exits.
+        drop(tx);
+        committer.join().expect("committer thread panicked");
         (out, stats)
-    })
+    });
+    if let Some(previous) = restore {
+        monitor.set_sink(previous);
+    }
+    stats.refused += pipe.refused.load(Ordering::SeqCst);
+    stats.retries += pipe.retries.load(Ordering::SeqCst);
+    (out, stats)
 }
 
 /// Marks the ingress closed (and wakes everyone) when dropped — on the
@@ -634,132 +729,21 @@ impl Drop for CloseGuard<'_, '_, '_, '_> {
     }
 }
 
-fn admission_loop<'t, 'a>(
-    shared: &Shared<'t, 'a, '_>,
-    max_block: usize,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    maintenance_every: usize,
-    maintenance: &mut (impl FnMut(&mut ShardedMonitor<'a>) + Send),
-) -> IngressStats {
-    let mut stats = IngressStats::default();
-    let mut cursor = 0usize;
-    loop {
-        let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, None) {
-            Work::Drained => return stats,
-            Work::Admin(op) => {
-                // Barrier op between blocks: the previous block's
-                // tickets were answered (synchronously — the sink, if
-                // any, appended and synced inside `try_apply_batch`), so
-                // the op sees a quiescent, durable-consistent monitor.
-                let done = if health.is_degraded() {
-                    op(Err(health.reason()))
-                } else {
-                    op(Ok(&mut **shared.exclusive()))
-                };
-                done(true);
-                continue;
-            }
-            Work::Block(lane, block) => (lane, block),
-        };
-        cursor = lane + 1;
-
-        // Admit the block; longest conforming prefix commits.
-        stats.blocks += 1;
-        if health.is_degraded() {
-            // Degraded read-only mode: refuse before touching the
-            // engine. Lanes keep draining so every producer is answered
-            // promptly instead of backing up against a dead disk.
-            let reason = health.reason();
-            stats.refused += block.len();
-            for op in block {
-                op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
-            }
-            continue;
-        }
-        let mut ops = block;
-        let mut attempts = 0u32;
-        loop {
-            // The whole call is one exclusive section: it applies the
-            // block in place before validating it.
-            let (done, err) =
-                shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
-            stats.admitted += done;
-            let mut rest = ops.into_iter();
-            for op in rest.by_ref().take(done) {
-                op.reply.answer(Ok(()));
-            }
-            match err {
-                None => {
-                    debug_assert_eq!(rest.len(), 0, "without an error every op commits");
-                    break;
-                }
-                // The write-ahead append refused the block: nothing past
-                // `done` reached the log and every survivor was rolled
-                // back, so re-admitting them is safe. Retry with bounded
-                // backoff; an exhausted budget degrades the server.
-                Some(EnforceError::Durability(e)) => {
-                    let rest: Vec<Op<'t>> = rest.collect();
-                    if attempts < policy.retries {
-                        attempts += 1;
-                        stats.retries += 1;
-                        std::thread::sleep(policy.backoff.saturating_mul(attempts));
-                        ops = rest;
-                        continue;
-                    }
-                    let reason = format!("write-ahead append failed after {attempts} retries: {e}");
-                    health.degrade(&reason);
-                    stats.refused += rest.len();
-                    for op in rest {
-                        op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
-                    }
-                    break;
-                }
-                Some(e) => {
-                    stats.rejected += 1;
-                    if let Some(op) = rest.next() {
-                        op.reply.answer(Err(e));
-                    }
-                    // Ops behind the violator were rolled back
-                    // unattempted: back to the front of their lane,
-                    // order preserved.
-                    let rest: Vec<Op<'t>> = rest.collect();
-                    if !rest.is_empty() {
-                        stats.requeued += rest.len();
-                        let mut st = shared.state.lock().expect("ingress poisoned");
-                        for op in rest.into_iter().rev() {
-                            st.lanes[lane].push_front(op);
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        // Maintenance rides the block cadence, after the tickets were
-        // answered: a checkpoint capture stalls future admissions (new
-        // ops queue in the lanes meanwhile), never the replies of the
-        // block that triggered it.
-        if maintenance_every > 0 && stats.blocks.is_multiple_of(maintenance_every) {
-            maintenance(&mut shared.exclusive());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Pipelined group commit (two-stage admission)
+// The two stages: admission worker and committer
 // ---------------------------------------------------------------------
 
 /// Poison-tolerant lock: a panic on the other side of the pipeline must
 /// surface as that thread's join error, not cascade into a second
 /// panic here.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The pipelined ingress's commit sink: instead of appending (and
-/// syncing) on the admission worker, each admitted block's framed
-/// record bytes are accumulated here — synchronously, inside
-/// `try_apply_batch` — and the worker hands the buffer to the
+/// The commit sink of an ingress with a write-ahead log: instead of
+/// appending (and syncing) on the admission worker, each admitted
+/// block's framed record bytes are accumulated here — synchronously,
+/// inside `try_apply_batch` — and the worker hands the buffer to the
 /// committer thread after tracking commits. Encoding is the only
 /// fallible step (a block past the record cap), so the admission path
 /// itself can no longer block on the disk.
@@ -795,8 +779,8 @@ impl wal::CommitSink for StagedSink {
 enum Msg<'t> {
     /// An admitted block: its framed record bytes (one record, also
     /// when a violation cut the block short — its conforming prefix
-    /// commits as one block) and the tickets to release once the bytes
-    /// are durable.
+    /// commits as one block; none without a log) and the tickets to
+    /// release once the bytes are durable.
     Commit { bytes: Vec<u8>, answers: Vec<Answer<'t>>, lane: usize, t0: Instant },
     /// Barrier: reply once everything before it was appended and synced
     /// (or refused). `false` means a durability failure broke the
@@ -808,20 +792,22 @@ enum Msg<'t> {
     Reset,
 }
 
-/// State shared between the pipelined admission worker, its committer
-/// thread and the staging sink.
+/// State shared between the admission worker, the committer and the
+/// staging sink.
 struct Pipeline<'w> {
-    wal: Arc<Mutex<Wal>>,
-    health: &'w Health,
-    policy: DurabilityPolicy,
-    metrics: Option<&'w AdmissionMetrics>,
+    /// The write-ahead log the committer appends to; `None` for a
+    /// volatile ingress, whose committer only answers tickets.
+    log: Option<&'w Mutex<Wal>>,
     /// When attached, every batch's record bytes are teed to the
     /// replicas after the local sync; under
     /// [`AckPolicy::ReplicaK`](super::repl::AckPolicy::ReplicaK) the
     /// batch's tickets are withheld until enough replicas acked.
-    repl: Option<Arc<super::repl::Replicator>>,
+    repl: Option<&'w Replicator>,
+    health: &'w Health,
+    policy: DurabilityPolicy,
+    metrics: Option<&'w AdmissionMetrics>,
     /// The [`StagedSink`] buffer the worker drains after each
-    /// `try_apply_batch`.
+    /// `try_apply_batch` (always empty without a log).
     staged: Arc<Mutex<Vec<u8>>>,
     /// Set by the committer when a failure dropped appended-but-unsynced
     /// records: monitor tracking ran ahead of the durable log and must
@@ -839,10 +825,12 @@ impl Pipeline<'_> {
     /// Run a WAL operation under the retry budget: transient faults are
     /// absorbed with bounded linear backoff. The lock is released
     /// across each backoff sleep — the worker may need it meanwhile.
+    /// Without a log there is nothing to do.
     fn retry(&self, mut op: impl FnMut(&mut Wal) -> Result<(), WalError>) -> Result<(), WalError> {
+        let Some(log) = self.log else { return Ok(()) };
         let mut attempts = 0u32;
         loop {
-            match op(&mut lock(&self.wal)) {
+            match op(&mut lock(log)) {
                 Ok(()) => return Ok(()),
                 Err(_) if attempts < self.policy.retries => {
                     attempts += 1;
@@ -855,9 +843,9 @@ impl Pipeline<'_> {
     }
 
     /// Answer every ticket `Degraded` and count the refusals.
-    fn refuse(&self, answers: Vec<Answer<'_>>, reason: &str) {
-        self.refused.fetch_add(answers.len(), Ordering::Relaxed);
+    fn refuse<'t>(&self, answers: impl IntoIterator<Item = Answer<'t>>, reason: &str) {
         for a in answers {
+            self.refused.fetch_add(1, Ordering::Relaxed);
             a.answer(Err(EnforceError::Degraded(reason.to_owned())));
         }
     }
@@ -877,7 +865,7 @@ impl Pipeline<'_> {
     ) {
         let reason =
             format!("write-ahead {site} failed after {} retries: {e}", self.policy.retries);
-        lock(&self.wal).rollback_unsynced();
+        lock(self.log.expect("only a write-ahead log fails")).rollback_unsynced();
         self.needs_resync.store(true, Ordering::SeqCst);
         self.health.degrade(&reason);
         for (answers, _, _) in appended.drain(..) {
@@ -892,12 +880,13 @@ impl Pipeline<'_> {
 /// [`FsyncPolicy::Batch`](super::FsyncPolicy::Batch); per record under
 /// `Always`, never under `Off`), and only then release the batch's
 /// tickets — group commit, with the sync latency overlapping the
-/// worker's staging of the next blocks. The degraded-mode retry
-/// semantics live here now: an exhausted append or sync rolls the
-/// unsynced suffix back, degrades the server, and answers every
-/// affected ticket `Degraded`.
+/// worker's staging of the next blocks. Without a log the batch is
+/// released as it arrives, in commit order. An exhausted append or
+/// sync rolls the unsynced suffix back, degrades the server, and
+/// answers every affected ticket `Degraded`.
 fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
-    let mut broken = pipe.health.is_degraded();
+    // Only a log can break the pipeline.
+    let mut broken = pipe.log.is_some() && pipe.health.is_degraded();
     while let Ok(first) = rx.recv() {
         let mut msgs = vec![first];
         while let Ok(m) = rx.try_recv() {
@@ -913,21 +902,20 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
             match msg {
                 Msg::Reset => broken = false,
                 Msg::Flush(reply) => flushes.push(reply),
+                Msg::Commit { answers, .. } if broken => {
+                    pipe.refuse(answers, &pipe.health.reason());
+                }
                 Msg::Commit { bytes, answers, lane, t0 } => {
-                    if broken {
-                        pipe.refuse(answers, &pipe.health.reason());
-                    } else {
-                        match pipe.retry(|w| w.append_bytes(&bytes)) {
-                            Ok(()) => {
-                                if pipe.repl.is_some() {
-                                    shipped.extend_from_slice(&bytes);
-                                }
-                                appended.push((answers, lane, t0));
+                    match pipe.retry(|w| w.append_bytes(&bytes)) {
+                        Ok(()) => {
+                            if pipe.repl.is_some() {
+                                shipped.extend_from_slice(&bytes);
                             }
-                            Err(e) => {
-                                broken = true;
-                                pipe.fail_batch(&e, "append", &mut appended, answers);
-                            }
+                            appended.push((answers, lane, t0));
+                        }
+                        Err(e) => {
+                            broken = true;
+                            pipe.fail_batch(&e, "append", &mut appended, answers);
                         }
                     }
                 }
@@ -944,13 +932,13 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
                     // rolled back; the tickets are refused (the caller
                     // must treat the op as in doubt) and the server
                     // degrades until the operator rearms.
-                    let tee = match &pipe.repl {
+                    let tee = match pipe.repl {
                         Some(repl) if !shipped.is_empty() => repl.ship_and_wait(&shipped),
                         _ => Ok(()),
                     };
                     match tee {
                         Ok(()) => {
-                            if let Some(m) = pipe.metrics {
+                            if let Some(m) = pipe.metrics.filter(|_| pipe.log.is_some()) {
                                 m.fsync_batch.record(appended.len() as u64);
                             }
                             for (answers, lane, t0) in appended {
@@ -1003,7 +991,8 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
 /// resync pending: a log that cannot even be read back is operator
 /// territory.
 fn try_resync(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>) -> bool {
-    let dir = lock(&pipe.wal).dir().to_path_buf();
+    let log = pipe.log.expect("only a write-ahead log flags a resync");
+    let dir = lock(log).dir().to_path_buf();
     match Wal::load(&dir).and_then(|(snap, tail)| shared.exclusive().resync(snap, tail)) {
         Ok(()) => true,
         Err(e) => {
@@ -1014,28 +1003,39 @@ fn try_resync(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>) -> bool {
     }
 }
 
+/// Healthy again after a committer failure (`rearm`): wind the monitor
+/// back to the durable log before anything builds on it — tracking
+/// committed blocks whose records were dropped — and resume the
+/// committer.
+fn resync_if_rearmed(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>, tx: &mpsc::Sender<Msg<'_>>) {
+    if pipe.needs_resync.load(Ordering::SeqCst) && !pipe.health.is_degraded() {
+        let _ = flush_committer(tx);
+        if pipe.needs_resync.swap(false, Ordering::SeqCst) && try_resync(shared, pipe) {
+            let _ = tx.send(Msg::Reset);
+        }
+    }
+}
+
 /// Send a flush barrier and wait it out. `true` when the committer is
-/// healthy (everything prior durable); `false` on a broken pipeline or
-/// a committer that already exited.
+/// healthy (everything prior released, and durable with a log);
+/// `false` on a broken pipeline or a committer that already exited.
 fn flush_committer(tx: &mpsc::Sender<Msg<'_>>) -> bool {
     let (ftx, frx) = mpsc::channel();
     tx.send(Msg::Flush(ftx)).is_ok() && frx.recv() == Ok(true)
 }
 
-/// The two-stage admission loop behind [`serve_pipelined`]: drains and
-/// admits exactly like [`admission_loop`], but instead of acking
-/// admitted ops it forwards each block's staged record bytes plus its
-/// tickets to the committer, which releases them only once durable.
-/// Violations and language errors carry no state change and are still
-/// answered directly here.
-fn pipelined_loop<'t, 'a>(
+/// The admission worker: drain a block, admit it, answer the ops the
+/// monitor rejected, and forward each admitted block's staged record
+/// bytes plus its tickets to the committer, which releases them (only
+/// once durable, with a log). Violations and language errors carry no
+/// state change and are answered here directly.
+fn worker_loop<'t, 'a>(
     shared: &Shared<'t, 'a, '_>,
-    max_block: usize,
-    maintenance_every: usize,
-    maintenance: &mut (impl FnMut(&mut ShardedMonitor<'a>) + Send),
+    config: &IngressConfig<'_>,
     pipe: &Pipeline<'_>,
     tx: &mpsc::Sender<Msg<'t>>,
 ) -> IngressStats {
+    let max_block = config.max_block.max(1);
     let mut stats = IngressStats::default();
     let mut cursor = 0usize;
     loop {
@@ -1054,18 +1054,12 @@ fn pipelined_loop<'t, 'a>(
             }
             Work::Admin(op) => {
                 // Barrier: everything forwarded before the op must be
-                // durable (its tickets answered by the committer) before
-                // the op sees the monitor — and a monitor that ran ahead
-                // of a broken log is wound back first, so the op never
-                // builds on tracking the durable image contradicts.
+                // released (durable, with a log) before the op sees the
+                // monitor — and a monitor that ran ahead of a broken log
+                // is wound back first, so the op never builds on
+                // tracking the durable image contradicts.
                 let flushed = flush_committer(tx);
-                if pipe.needs_resync.load(Ordering::SeqCst)
-                    && !pipe.health.is_degraded()
-                    && pipe.needs_resync.swap(false, Ordering::SeqCst)
-                    && try_resync(shared, pipe)
-                {
-                    let _ = tx.send(Msg::Reset);
-                }
+                resync_if_rearmed(shared, pipe, tx);
                 if flushed && !pipe.health.is_degraded() {
                     let done = op(Ok(&mut **shared.exclusive()));
                     // Whatever the op staged through the sink rides the
@@ -1097,24 +1091,12 @@ fn pipelined_loop<'t, 'a>(
         cursor = lane + 1;
         stats.blocks += 1;
 
-        // Healthy again after a committer failure (`rearm`): wind the
-        // monitor back to the durable log before admitting on top of
-        // it — tracking committed blocks whose records were dropped.
-        if pipe.needs_resync.load(Ordering::SeqCst) && !pipe.health.is_degraded() {
-            let _ = flush_committer(tx);
-            if pipe.needs_resync.swap(false, Ordering::SeqCst) && try_resync(shared, pipe) {
-                let _ = tx.send(Msg::Reset);
-            }
-        }
-
+        resync_if_rearmed(shared, pipe, tx);
         if pipe.health.is_degraded() {
             // Degraded read-only mode: refuse before touching the
-            // engine, exactly like the synchronous path.
-            let reason = pipe.health.reason();
-            stats.refused += block.len();
-            for op in block {
-                op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
-            }
+            // engine. Lanes keep draining so every producer is answered
+            // promptly instead of backing up against a dead disk.
+            pipe.refuse(block.into_iter().map(|op| op.reply), &pipe.health.reason());
             continue;
         }
 
@@ -1122,6 +1104,8 @@ fn pipelined_loop<'t, 'a>(
         let mut ops = block;
         let mut attempts = 0u32;
         loop {
+            // The whole call is one exclusive section: it applies the
+            // block in place before validating it.
             let (done, err) =
                 shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
             stats.admitted += done;
@@ -1132,8 +1116,8 @@ fn pipelined_loop<'t, 'a>(
                 if let Some(h) = pipe.metrics.and_then(|m| m.block_size.get(lane)) {
                     h.record(done as u64);
                 }
-                // The committer owns these acks now: released only once
-                // the bytes are durable under the configured policy.
+                // The committer owns these acks now: released in commit
+                // order, and with a log only once the bytes are durable.
                 tx.send(Msg::Commit { bytes, answers, lane, t0 })
                     .expect("committer outlives the worker");
             }
@@ -1142,10 +1126,12 @@ fn pipelined_loop<'t, 'a>(
                     debug_assert_eq!(rest.len(), 0, "without an error every op commits");
                     break;
                 }
-                // With the staging sink the only admission-path
-                // durability failure left is a block encoding past the
-                // record cap; keep the synchronous path's retry/degrade
-                // contract for it.
+                // The block's record was refused — staging past the
+                // record cap, or an append by a sink the caller attached
+                // to the monitor: nothing past `done` reached the log
+                // and every survivor was rolled back, so re-admitting
+                // them is safe. Retry with bounded backoff; an exhausted
+                // budget degrades the server.
                 Some(EnforceError::Durability(e)) => {
                     let rest: Vec<Op<'t>> = rest.collect();
                     if attempts < pipe.policy.retries {
@@ -1155,13 +1141,10 @@ fn pipelined_loop<'t, 'a>(
                         ops = rest;
                         continue;
                     }
-                    let reason =
-                        format!("write-ahead staging failed after {attempts} retries: {e}");
+                    let site = if pipe.log.is_some() { "staging" } else { "append" };
+                    let reason = format!("write-ahead {site} failed after {attempts} retries: {e}");
                     pipe.health.degrade(&reason);
-                    stats.refused += rest.len();
-                    for op in rest {
-                        op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
-                    }
+                    pipe.refuse(rest.into_iter().map(|op| op.reply), &reason);
                     break;
                 }
                 Some(e) => {
@@ -1188,149 +1171,18 @@ fn pipelined_loop<'t, 'a>(
         // barrier: a checkpoint must neither capture tracking state
         // whose records a broken committer dropped, nor seal a log
         // whose unsynced tail the checkpoint claims to cover.
-        if maintenance_every > 0
-            && stats.blocks.is_multiple_of(maintenance_every)
-            && flush_committer(tx)
-        {
-            let m0 = Instant::now();
-            maintenance(&mut shared.exclusive());
-            if let Some(m) = pipe.metrics {
-                m.checkpoint_stall_us
-                    .record(u64::try_from(m0.elapsed().as_micros()).unwrap_or(u64::MAX));
+        if let Some(hook) = &config.maintenance {
+            let every = config.checkpoint_every;
+            if every > 0 && stats.blocks.is_multiple_of(every) && flush_committer(tx) {
+                let m0 = Instant::now();
+                (*lock(hook))(&mut shared.exclusive());
+                if let Some(m) = pipe.metrics {
+                    m.checkpoint_stall_us
+                        .record(u64::try_from(m0.elapsed().as_micros()).unwrap_or(u64::MAX));
+                }
             }
         }
     }
-}
-
-/// [`serve_guarded`] with **pipelined group commit**: the tentpole
-/// two-stage admission pipeline.
-///
-/// The admission worker stages and commits tracking exactly as the
-/// synchronous path does, but instead of appending and syncing inline
-/// (one disk round-trip serialized into every block) it hands each
-/// admitted block's framed record bytes to a dedicated **committer
-/// thread** over a channel. The committer batches whatever has
-/// accumulated, appends it, issues **one** `fdatasync` per batch
-/// ([`FsyncPolicy::Batch`](super::FsyncPolicy::Batch)), and only then
-/// releases the batch's tickets — so an ack still strictly implies
-/// durability under the configured policy, but the fsync latency
-/// overlaps the staging of the next blocks instead of stalling it.
-///
-/// The retry/degrade semantics of [`serve_guarded`] move to the
-/// committer. Because tracking now commits *before* durability, a
-/// committer failure leaves the monitor ahead of the (truncated) log;
-/// the worker repairs this by **resynchronizing** the monitor from the
-/// checkpoint chain + log tail at the first healthy block after
-/// [`Health::rearm`] (and at drain-out), so recovery's byte-identity
-/// contract is preserved at every fault site.
-///
-/// `wal` is the shared write-ahead log the committer appends to — the
-/// same handle the maintenance hook checkpoints through. The monitor's
-/// sink is replaced by the pipeline's staging sink for the duration
-/// and restored on exit. `metrics`, when given, is stamped with queue
-/// depths, block sizes, commit latencies, fsync batch sizes and
-/// checkpoint stalls.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_pipelined<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    wal: Arc<Mutex<Wal>>,
-    metrics: Option<&AdmissionMetrics>,
-    maintenance_every: usize,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    serve_pipelined_repl(
-        monitor,
-        config,
-        policy,
-        health,
-        wal,
-        metrics,
-        None,
-        maintenance_every,
-        maintenance,
-        drive,
-    )
-}
-
-/// [`serve_pipelined`] with a replication tee: every batch the
-/// committer syncs is also handed to `repl`
-/// ([`Replicator::ship_and_wait`](super::repl::Replicator::ship_and_wait)),
-/// and under [`AckPolicy::ReplicaK`](super::repl::AckPolicy::ReplicaK)
-/// the batch's tickets are released only once enough replicas
-/// acknowledged the bytes — the durability/latency dial of the
-/// replication tentpole.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_pipelined_repl<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    wal: Arc<Mutex<Wal>>,
-    metrics: Option<&AdmissionMetrics>,
-    repl: Option<Arc<super::repl::Replicator>>,
-    maintenance_every: usize,
-    mut maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    let staged: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let previous =
-        monitor.set_sink(Some(Arc::new(Mutex::new(StagedSink { staged: staged.clone() }))));
-    let pipe = Pipeline {
-        wal,
-        health,
-        policy: *policy,
-        metrics,
-        repl,
-        staged,
-        needs_resync: AtomicBool::new(false),
-        refused: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
-    };
-    let shared = Shared::new(monitor, config);
-    let max_block = config.max_block.max(1);
-    let (tx, rx) = mpsc::channel::<Msg<'t>>();
-    let (out, mut stats) = std::thread::scope(|scope| {
-        let pipe_ref = &pipe;
-        let committer = std::thread::Builder::new()
-            .name("mig-commit".into())
-            .spawn_scoped(scope, move || committer_loop(pipe_ref, &rx))
-            .expect("spawn the committer");
-        let worker = {
-            let (shared, worker_tx) = (&shared, tx.clone());
-            let maintenance = &mut maintenance;
-            std::thread::Builder::new()
-                .name("mig-admit".into())
-                .spawn_scoped(scope, move || {
-                    pipelined_loop(
-                        shared,
-                        max_block,
-                        maintenance_every,
-                        maintenance,
-                        pipe_ref,
-                        &worker_tx,
-                    )
-                })
-                .expect("spawn the admission worker")
-        };
-        let guard = CloseGuard(&shared);
-        let out = drive(&IngressClient { shared: &shared });
-        drop(guard);
-        let stats = worker.join().expect("admission worker panicked");
-        // The worker's sender is gone; dropping ours closes the channel
-        // and the committer (which answered everything pending at the
-        // worker's final flush) exits.
-        drop(tx);
-        committer.join().expect("committer thread panicked");
-        (out, stats)
-    });
-    monitor.set_sink(previous);
-    stats.refused += pipe.refused.load(Ordering::SeqCst);
-    stats.retries += pipe.retries.load(Ordering::SeqCst);
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -1370,7 +1222,7 @@ mod tests {
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3)
             .with_policy(StepPolicy::OnlyChanging)
             .with_sink(wal.clone());
-        let cfg = IngressConfig { queue_capacity: 8, max_block: 16 };
+        let cfg = IngressConfig { queue_capacity: 8, max_block: 16, ..Default::default() };
         const PER: usize = 40;
         let ((), stats) = serve(&mut m, &cfg, |client| {
             std::thread::scope(|scope| {
@@ -1410,15 +1262,18 @@ mod tests {
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
         let mut calls = 0usize;
         let mut clocks_seen = Vec::new();
-        let cfg = IngressConfig { queue_capacity: 4, max_block: 1 };
         const OPS: usize = 24;
-        let ((), stats) = serve_with(
+        let ((), stats) = serve(
             &mut m,
-            &cfg,
-            4,
-            |m| {
-                calls += 1;
-                clocks_seen.push(m.clock(0));
+            &IngressConfig {
+                queue_capacity: 4,
+                max_block: 1,
+                checkpoint_every: 4,
+                maintenance: Some(Arc::new(Mutex::new(|m: &mut ShardedMonitor<'_>| {
+                    calls += 1;
+                    clocks_seen.push(m.clock(0));
+                }))),
+                ..Default::default()
             },
             |client| {
                 for i in 0..OPS {
@@ -1488,7 +1343,7 @@ mod tests {
         let mut m = ShardedMonitor::new(&s, &a, &inv, crate::PatternKind::All, 3);
         // Small blocks and a tight queue: violations land mid-block and
         // producers keep posting while survivors are being re-queued.
-        let cfg = IngressConfig { queue_capacity: 8, max_block: 4 };
+        let cfg = IngressConfig { queue_capacity: 8, max_block: 4, ..Default::default() };
         let rename = |i: usize| {
             Assignment::new(vec![Value::str(&format!("v{i}")), Value::str(&format!("v{}", i + 1))])
         };
@@ -1578,7 +1433,7 @@ mod tests {
         let key = |k: String| Assignment::new(vec![Value::str(&k)]);
         for round in 0..50 {
             let mut m = ShardedMonitor::new(&s, &a, &inv, crate::PatternKind::All, 3);
-            let cfg = IngressConfig { queue_capacity: 16, max_block: 4 };
+            let cfg = IngressConfig { queue_capacity: 16, max_block: 4, ..Default::default() };
             let ((), _) = serve(&mut m, &cfg, |client| {
                 client.submit(ts.get("Mk0").unwrap(), key("y".into())).unwrap();
                 // A always violates; B usually shares its block and is
@@ -1638,21 +1493,25 @@ mod tests {
         })
     }
 
-    /// A completion that logs `tag`, then parks the admission worker
-    /// inside the callback until `gate` opens: the lanes hold still
-    /// while the test arranges them. `parked` fires once it is inside.
-    fn parking(
-        log: &Arc<Mutex<Vec<&'static str>>>,
-        tag: &'static str,
-        parked: mpsc::Sender<()>,
-        gate: mpsc::Receiver<()>,
-    ) -> Completion<'static> {
-        let done = logged(log, tag);
-        Box::new(move |r| {
-            done(r);
-            parked.send(()).unwrap();
-            gate.recv().unwrap();
-        })
+    /// Park the admission worker inside an admin barrier until the
+    /// returned sender fires: the lanes hold still while the test
+    /// arranges them. Returns once the worker is parked, so every op
+    /// admitted before the barrier was answered first.
+    fn hold_worker(client: &IngressClient<'_, '_, '_>) -> mpsc::Sender<()> {
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        client.post_admin(Box::new(move |_| {
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            Box::new(|_| {})
+        }));
+        held_rx.recv().unwrap();
+        release_tx
+    }
+
+    /// Every lane is empty: the worker has drained what was posted.
+    fn drained(st: &State<'_, '_>) -> bool {
+        st.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// A producer blocked in `post` on a full lane returns once the
@@ -1668,14 +1527,15 @@ mod tests {
             let mk = ts.get("Mk0").unwrap();
             let key = |k: &str| Assignment::new(vec![Value::str(k)]);
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            let cfg = IngressConfig { queue_capacity: 1, max_block: 1 };
+            let cfg = IngressConfig { queue_capacity: 1, max_block: 1, ..Default::default() };
             let log = Arc::new(Mutex::new(Vec::new()));
             let ((), stats) = serve(&mut m, &cfg, |client| {
-                let (gate_tx, gate_rx) = mpsc::channel();
-                let (parked_tx, parked_rx) = mpsc::channel();
-                let a_done = parking(&log, "a", parked_tx, gate_rx);
-                client.try_post_done(mk, key("a"), a_done).ok().expect("empty lane accepts");
-                parked_rx.recv().unwrap();
+                client
+                    .try_post_done(mk, key("a"), logged(&log, "a"))
+                    .ok()
+                    .expect("empty lane accepts");
+                until(client, drained);
+                let gate_tx = hold_worker(client);
                 let t_b = client.post(mk, key("b")); // fills the lane
                 std::thread::scope(|scope| {
                     let c = scope.spawn(|| client.post(mk, key("c")).wait());
@@ -1719,7 +1579,7 @@ mod tests {
         let (mk0, mk1) = (ts.get("Mk0").unwrap(), ts.get("Mk1").unwrap());
         let key = |k: &str| Assignment::new(vec![Value::str(k)]);
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let cfg = IngressConfig { queue_capacity: 1, max_block: 1 };
+        let cfg = IngressConfig { queue_capacity: 1, max_block: 1, ..Default::default() };
         let log = Arc::new(Mutex::new(Vec::new()));
         let ((), stats) = serve(&mut m, &cfg, |client| {
             let (space_tx, space_rx) = mpsc::channel();
@@ -1728,11 +1588,12 @@ mod tests {
                 listener_log.lock().unwrap().push("space");
                 let _ = space_tx.send(());
             });
-            let (gate_tx, gate_rx) = mpsc::channel();
-            let (parked_tx, parked_rx) = mpsc::channel();
-            let a_done = parking(&log, "a", parked_tx, gate_rx);
-            client.try_post_done(mk0, key("a"), a_done).ok().expect("empty lane accepts");
-            parked_rx.recv().unwrap();
+            client
+                .try_post_done(mk0, key("a"), logged(&log, "a"))
+                .ok()
+                .expect("empty lane accepts");
+            until(client, drained);
+            let gate_tx = hold_worker(client);
             client.try_post_done(mk0, key("b"), logged(&log, "b")).ok().expect("lane has space");
             let refused = client
                 .try_post_done(mk0, key("c"), logged(&log, "c"))
@@ -1747,6 +1608,13 @@ mod tests {
             }
             gate_tx.send(()).unwrap();
             space_rx.recv().unwrap();
+            if other_lane {
+                // d is answered on the committer: let it land before a
+                // refused retry can fire the listeners a second time.
+                while !log.lock().unwrap().contains(&"d") {
+                    std::thread::yield_now();
+                }
+            }
             let mut retry = Some(refused);
             while let Some((args, done)) = retry.take() {
                 if let Err(back) = client.try_post_done(mk0, args, done) {
@@ -1841,34 +1709,19 @@ mod tests {
         let (mk, up) = (ts.get("Mk0").unwrap(), ts.get("Up0").unwrap());
         let s0 = s.class_id("S0").unwrap();
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let cfg = IngressConfig { queue_capacity: 64, max_block: 16 };
-        let health = Health::new();
+        let cfg = IngressConfig { queue_capacity: 64, max_block: 16, ..Default::default() };
         let (seen, stats) = if pipelined {
             let dir = pipelined_temp_dir("visibility");
             let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
-            let out = serve_pipelined(
+            let out = serve(
                 &mut m,
-                &cfg,
-                &DurabilityPolicy::default(),
-                &health,
-                wal,
-                None,
-                0,
-                |_| {},
+                &IngressConfig { wal: Some(DurableLog { log: wal, repl: None }), ..cfg },
                 |client| mixed_blocks_under_readers(client, mk, up, s0),
             );
             let _ = std::fs::remove_dir_all(&dir);
             out
         } else {
-            serve_guarded(
-                &mut m,
-                &cfg,
-                &DurabilityPolicy::default(),
-                &health,
-                0,
-                |_| {},
-                |client| mixed_blocks_under_readers(client, mk, up, s0),
-            )
+            serve(&mut m, &cfg, |client| mixed_blocks_under_readers(client, mk, up, s0))
         };
         let (creations, violators) =
             (VIS_PRODUCERS * VIS_ROUNDS * VIS_BATCH, VIS_PRODUCERS * VIS_ROUNDS);
@@ -1968,18 +1821,15 @@ mod tests {
         let dir = pipelined_temp_dir("smoke");
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let health = Health::new();
-        let cfg = IngressConfig { queue_capacity: 8, max_block: 16 };
         const PER: usize = 40;
-        let ((), stats) = serve_pipelined(
+        let ((), stats) = serve(
             &mut m,
-            &cfg,
-            &DurabilityPolicy::default(),
-            &health,
-            wal.clone(),
-            None,
-            0,
-            |_| {},
+            &IngressConfig {
+                queue_capacity: 8,
+                max_block: 16,
+                wal: Some(DurableLog { log: wal.clone(), repl: None }),
+                ..Default::default()
+            },
             |client| {
                 std::thread::scope(|scope| {
                     for name in ["Mk0", "Mk1", "Mk2"] {
@@ -2031,19 +1881,12 @@ mod tests {
         let dir = pipelined_temp_dir("violation");
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let health = Health::new();
         let mk0 = ts.get("Mk0").unwrap();
         let up0 = ts.get("Up0").unwrap();
         let key = |k: &str| Assignment::new(vec![Value::str(k)]);
-        let ((), stats) = serve_pipelined(
+        let ((), stats) = serve(
             &mut m,
-            &IngressConfig::default(),
-            &DurabilityPolicy::default(),
-            &health,
-            wal,
-            None,
-            0,
-            |_| {},
+            &IngressConfig { wal: Some(DurableLog { log: wal, repl: None }), ..Default::default() },
             |client| {
                 let t1 = client.post(mk0, key("x"));
                 let t2 = client.post(up0, key("x"));

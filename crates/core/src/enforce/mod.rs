@@ -136,7 +136,9 @@
 //!   [`ShardedMonitor`]: concurrent producers enqueue single
 //!   applications, an admission worker drains lanes into
 //!   [`ShardedMonitor::try_apply_batch`] blocks (emergent batching,
-//!   one group commit per block), violations reject only their own op.
+//!   one group commit per block), violations reject only their own op,
+//!   and a committer releases the admitted ops — with a write-ahead log,
+//!   once their batch is appended and synced.
 //! * [`net`] — the wire front end: a TCP server (`migctl serve`)
 //!   mapping each connection onto an ingress producer, so admission
 //!   requests arrive from parties that share nothing with the engine but
@@ -168,7 +170,9 @@ pub mod wal;
 
 pub use faults::{FaultKind, FaultSite, IoFaults};
 pub use health::{CheckpointHealth, Health};
-pub use ingress::{Completion, DurabilityPolicy, IngressConfig, IngressStats};
+pub use ingress::{
+    Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats, Maintenance,
+};
 pub use metrics::{AdmissionMetrics, Histogram};
 pub use reference::ReferenceMonitor;
 pub use repl::{AckPolicy, ReplicaCtl, Replicator, ShipFault};

@@ -17,7 +17,7 @@
 //!
 //! # Shape
 //!
-//! [`serve`] wraps [`ingress::serve_guarded`]: the admission worker holds
+//! [`serve`] wraps [`ingress::serve`]: the admission worker holds
 //! the [`ShardedMonitor`] exclusively for each unit of work, and a
 //! `query` reads it under the shared lock on the event thread in between
 //! (see [`ingress`] § Reads); the driver is a **poll-based event core**
@@ -42,9 +42,9 @@
 //!   its resolved prefix only).
 //! * **Acknowledgement implies durability.** An `ok` (or empty
 //!   [`frame::REP_OK`] frame) is written only after the op's block
-//!   committed — and, when a [`CommitSink`](super::CommitSink) is
-//!   attached, after the block's write-ahead append succeeded. A client
-//!   that saw `ok` will see the op again after a crash and recovery.
+//!   committed — and, with a write-ahead log, after the committer
+//!   appended and synced it. A client that saw `ok` will see the op
+//!   again after a crash and recovery.
 //! * **Graceful drain.** A `shutdown` request stops the accept path and
 //!   closes every connection's *read* side; the admission worker keeps
 //!   answering until every lane is empty (close-and-answer,
@@ -72,7 +72,8 @@
 //! beyond it, is refused the moment the excess is visible — per-
 //! connection memory stays bounded no matter what arrives. Durability
 //! failures degrade service instead of lying: when the write-ahead
-//! append keeps failing past the [`DurabilityPolicy`] budget, the shared
+//! append keeps failing past the
+//! [`DurabilityPolicy`](super::DurabilityPolicy) budget, the shared
 //! [`Health`] flips the server into degraded read-only mode — `invoke`
 //! answers `error degraded (read-only): …`, `stats` reports
 //! `degraded=yes` plus the background-checkpoint status, and an operator
@@ -81,14 +82,14 @@
 //!
 //! # Durability behind the server
 //!
-//! The caller attaches the WAL before serving
-//! ([`ShardedMonitor::with_sink`](super::ShardedMonitor::with_sink))
-//! and passes a maintenance hook; every
-//! [`ServerConfig::checkpoint_every`] blocks the admission worker calls
-//! it with exclusive access to the monitor — the `migctl serve`
-//! front end uses this to capture O(dirty) incremental checkpoints and
-//! hand them to a background [`Snapshotter`](super::Snapshotter) while
-//! traffic keeps flowing.
+//! Everything durable is configured in [`ServerConfig::ingress`]: the
+//! write-ahead log the committer appends to and syncs before any ack
+//! is written, the replication tee that ships each synced batch, and a
+//! maintenance hook the admission worker calls every
+//! [`IngressConfig::checkpoint_every`] blocks with exclusive access to
+//! the monitor — the `migctl serve` front end uses it to capture
+//! O(dirty) incremental checkpoints and hand them to a background
+//! [`Snapshotter`](super::Snapshotter) while traffic keeps flowing.
 //!
 //! ```
 //! use migratory_core::enforce::net::{self, ServerConfig};
@@ -109,7 +110,7 @@
 //! let stats = std::thread::scope(|scope| {
 //!     let server = scope.spawn(|| {
 //!         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
-//!         net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+//!         net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
 //!     });
 //!     let mut conn = std::net::TcpStream::connect(addr).unwrap();
 //!     conn.write_all(b"invoke Mk(1)\nshutdown\n").unwrap();
@@ -126,27 +127,26 @@ mod event;
 pub mod frame;
 
 use super::health::Health;
-use super::ingress::{self, DurabilityPolicy, IngressConfig, IngressStats};
+use super::ingress::{self, IngressConfig, IngressStats};
 use super::metrics::AdmissionMetrics;
 use super::sharded::ShardedMonitor;
-use super::wal::Wal;
 use crate::alphabet::RoleAlphabet;
 use migratory_lang::TransactionSchema;
 use migratory_model::{Schema, Value};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs of [`serve`].
 #[derive(Clone)]
-pub struct ServerConfig {
-    /// The admission-lane configuration behind the socket front end.
-    pub ingress: IngressConfig,
-    /// Admitted blocks between maintenance-hook calls (incremental
-    /// checkpoints, when the caller wires one); 0 = never.
-    pub checkpoint_every: usize,
+pub struct ServerConfig<'h> {
+    /// The admission pipeline behind the socket front end: lanes, the
+    /// write-ahead log and its replication tee, the durability policy
+    /// and [`Health`] flag that degraded mode reads, the `stats prom`
+    /// metrics, and the checkpoint cadence with its hook.
+    pub ingress: IngressConfig<'h>,
     /// Event threads multiplexing the client sockets (thread 0 also
     /// owns the listener). Clamped to at least 1.
     pub io_threads: usize,
@@ -170,40 +170,20 @@ pub struct ServerConfig {
     /// Shared-secret token: when set, a connection's first request must
     /// be `auth <token>` — anything else is refused and disconnects.
     pub auth: Option<String>,
-    /// How the admission worker treats failing write-ahead appends
-    /// (retry budget, then degraded read-only mode).
-    pub durability: DurabilityPolicy,
-    /// Write-ahead log handle for the pipelined committer. When set,
-    /// the server runs the two-stage admission pipeline
-    /// ([`ingress::serve_pipelined`]): the admission worker stages
-    /// records and a dedicated committer thread appends, issues one
-    /// fsync per batch (per [`Wal::fsync_policy`]), and only then
-    /// releases the acks. When `None`, the monitor's own
-    /// [`CommitSink`](super::CommitSink) (if any) runs synchronously on
-    /// the admission worker, as before.
-    pub wal: Option<Arc<Mutex<Wal>>>,
-    /// Admission-latency histograms, shared with the `stats prom` verb.
-    pub metrics: Option<Arc<AdmissionMetrics>>,
-    /// Replication tee: when set (primary role; requires `wal`), the
-    /// server accepts replica connections on the replicator's listener
-    /// and every committed batch is shipped under its
-    /// [`AckPolicy`](super::repl::AckPolicy).
-    pub repl: Option<Arc<super::repl::Replicator>>,
-    /// Follow a primary (replica role; requires `wal`, exclusive with
-    /// `repl`): the server bootstraps from the primary's snapshot at
-    /// this address, continuously folds its shipped records, serves
+    /// Follow a primary (replica role; requires `ingress.wal` without a
+    /// replicator): the server bootstraps from the primary's snapshot
+    /// at this address, continuously folds its shipped records, serves
     /// read verbs from slightly-stale state, and refuses writes until
-    /// `promote`.
+    /// `promote`. A primary attaches its
+    /// [`Replicator`](super::Replicator) to `ingress.wal` instead.
     pub replica_of: Option<String>,
 }
 
-impl std::fmt::Debug for ServerConfig {
-    // Manual impl: `Wal` owns raw file handles and has no `Debug`;
-    // show presence only.
+impl std::fmt::Debug for ServerConfig<'_> {
+    // Manual impl: the auth token is a secret.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
             .field("ingress", &self.ingress)
-            .field("checkpoint_every", &self.checkpoint_every)
             .field("io_threads", &self.io_threads)
             .field("pipeline", &self.pipeline)
             .field("idle_timeout", &self.idle_timeout)
@@ -211,20 +191,15 @@ impl std::fmt::Debug for ServerConfig {
             .field("max_conn_ops", &self.max_conn_ops)
             .field("max_connections", &self.max_connections)
             .field("auth", &self.auth.as_ref().map(|_| "<redacted>"))
-            .field("durability", &self.durability)
-            .field("wal", &self.wal.is_some())
-            .field("metrics", &self.metrics.is_some())
-            .field("repl", &self.repl.is_some())
             .field("replica_of", &self.replica_of)
             .finish()
     }
 }
 
-impl Default for ServerConfig {
+impl Default for ServerConfig<'_> {
     fn default() -> Self {
         ServerConfig {
             ingress: IngressConfig::default(),
-            checkpoint_every: 0,
             io_threads: 2,
             pipeline: 512,
             idle_timeout: None,
@@ -232,10 +207,6 @@ impl Default for ServerConfig {
             max_conn_ops: 0,
             max_connections: 0,
             auth: None,
-            durability: DurabilityPolicy::default(),
-            wal: None,
-            metrics: None,
-            repl: None,
             replica_of: None,
         }
     }
@@ -465,43 +436,24 @@ fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -
 /// its own socket, then drain gracefully — every in-flight `invoke` is
 /// answered before its socket closes and the call returns.
 ///
-/// Attach policy and [`CommitSink`](super::CommitSink) to the monitor
-/// *before* serving; `maintenance` runs on the admission worker every
-/// [`ServerConfig::checkpoint_every`] blocks with exclusive access to
-/// the monitor (see [`ingress::serve_with`]).
-///
-/// # Errors
-/// Propagates the listener's fatal I/O errors (per-connection I/O
-/// errors only end that connection).
-pub fn serve<'a, 't>(
-    listener: TcpListener,
-    monitor: &mut ShardedMonitor<'a>,
-    ts: &'t TransactionSchema,
-    config: &ServerConfig,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-) -> std::io::Result<NetStats> {
-    let health = Health::new();
-    serve_guarded(listener, monitor, ts, config, &health, maintenance)
-}
-
-/// [`serve`] with a caller-owned [`Health`]: the admission worker
-/// degrades it on persistent write-ahead failure, the `stats` verb and
-/// `rearm` verb read and clear it, and the caller can share the same
-/// handle with a [`Snapshotter`](super::Snapshotter) (via
+/// Attach the monitor's policy before serving. The admission pipeline
+/// is [`ServerConfig::ingress`] (see [`ingress::serve`]): its
+/// [`Health`] is the flag the `stats` and `rearm` verbs read and clear —
+/// share it with a [`Snapshotter`](super::Snapshotter) (via
 /// [`Snapshotter::spawn_with`](super::Snapshotter::spawn_with)) so
-/// checkpoint failures surface in the same place — this is what
-/// `migctl serve` does.
+/// checkpoint failures surface in the same place, as `migctl serve`
+/// does.
 ///
 /// # Errors
 /// Propagates the listener's fatal I/O errors (per-connection I/O
-/// errors only end that connection).
-pub fn serve_guarded<'a, 't>(
+/// errors only end that connection), and refuses a replica
+/// ([`ServerConfig::replica_of`]) without a write-ahead log or with a
+/// replicator of its own.
+pub fn serve(
     listener: TcpListener,
-    monitor: &mut ShardedMonitor<'a>,
-    ts: &'t TransactionSchema,
-    config: &ServerConfig,
-    health: &Health,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
+    monitor: &mut ShardedMonitor<'_>,
+    ts: &TransactionSchema,
+    config: &ServerConfig<'_>,
 ) -> std::io::Result<NetStats> {
     listener.set_nonblocking(true)?;
     // Re-arm the accept backlog: std's bind hardcodes 128, which makes
@@ -509,10 +461,10 @@ pub fn serve_guarded<'a, 't>(
     // Best-effort — the kernel caps it at `somaxconn`, and a listener
     // that somehow refuses stays at std's default.
     let _ = polling::set_backlog(listener.as_raw_fd(), 4096);
-    let alphabet = monitor.alphabet();
+    let (schema, alphabet) = (monitor.schema(), monitor.alphabet());
     let mut schema_line = format!(
         "ok schema components={} shards={} transactions",
-        monitor.schema().num_components(),
+        schema.num_components(),
         monitor.num_shards()
     );
     for t in ts.transactions() {
@@ -523,99 +475,75 @@ pub fn serve_guarded<'a, 't>(
         redefines: AtomicU64::new(monitor.redefine_total()),
         quarantined: AtomicU64::new(monitor.quarantined_total()),
     });
-    if let Some(m) = config.metrics.as_deref() {
+    let metrics = config.ingress.metrics.as_ref();
+    if let Some(m) = metrics {
         m.epoch.store(monitor.epoch(), Ordering::SeqCst);
         m.redefine_total.store(monitor.redefine_total(), Ordering::SeqCst);
         m.quarantined_objects.store(monitor.quarantined_total(), Ordering::SeqCst);
     }
-    if (config.repl.is_some() || config.replica_of.is_some()) && config.wal.is_none() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "replication requires the durable pipeline (serve with a wal handle)",
-        ));
-    }
-    if config.repl.is_some() && config.replica_of.is_some() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "a server is a primary (repl) or a replica (replica_of), not both",
-        ));
-    }
-    let replica = config.replica_of.as_deref().map(|a| Arc::new(super::repl::ReplicaCtl::new(a)));
-    let shared = ServerShared {
-        schema_line,
-        lanes: if monitor.routes_by_component() { monitor.num_shards() } else { 1 },
-        health,
-        metrics: config.metrics.clone(),
-        schema: monitor.schema(),
-        alphabet,
-        evo,
-        replica: replica.clone(),
-        repl: config.repl.clone(),
+    let durable = config.ingress.wal.as_ref();
+    let repl = durable.and_then(|d| d.repl.as_ref());
+    let replica = match (config.replica_of.as_deref(), durable) {
+        (None, _) => None,
+        (Some(_), None) => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "replication requires the durable pipeline (serve with a wal handle)",
+            ))
+        }
+        (Some(_), Some(_)) if repl.is_some() => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a server is a primary (repl) or a replica (replica_of), not both",
+            ))
+        }
+        (Some(upstream), Some(d)) => Some((Arc::new(super::repl::ReplicaCtl::new(upstream)), d)),
     };
     let ev = event::EventShared::new(config.io_threads.max(1))?;
     // Flags the replication side threads (acceptor / puller) to exit
     // once the event core returned; they are joined before the ingress
     // drains, so admin ops they posted are always answered.
     let repl_stop = std::sync::atomic::AtomicBool::new(false);
-    let (run_result, ingress_stats) = match config.wal.clone() {
-        Some(wal) => {
-            let puller_wal = wal.clone();
-            let out = ingress::serve_pipelined_repl(
-                monitor,
-                &config.ingress,
-                &config.durability,
-                health,
-                wal,
-                config.metrics.as_deref(),
-                config.repl.clone(),
-                config.checkpoint_every,
-                maintenance,
-                |client| {
-                    std::thread::scope(|rs| {
-                        if let Some(repl) = &config.repl {
-                            std::thread::Builder::new()
-                                .name("mig-repl-accept".into())
-                                .spawn_scoped(rs, || {
-                                    super::repl::acceptor(repl, client, &repl_stop);
-                                })
-                                .expect("spawn the replication acceptor");
-                        }
-                        if let Some(ctl) = &replica {
-                            let (wal, metrics) = (&puller_wal, config.metrics.as_ref());
-                            std::thread::Builder::new()
-                                .name("mig-repl-pull".into())
-                                .spawn_scoped(rs, move || {
-                                    super::repl::puller(ctl.upstream(), ctl, wal, client, metrics);
-                                })
-                                .expect("spawn the replication puller");
-                        }
-                        let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
-                        repl_stop.store(true, Ordering::SeqCst);
-                        if let Some(ctl) = &replica {
-                            ctl.request_stop();
-                        }
-                        out
+    let (run_result, ingress_stats) = ingress::serve(monitor, &config.ingress, |client| {
+        let shared = ServerShared {
+            schema_line,
+            lanes: client.lanes(),
+            health: &config.ingress.health,
+            metrics: metrics.cloned(),
+            schema,
+            alphabet,
+            evo,
+            replica: replica.as_ref().map(|(ctl, _)| ctl.clone()),
+            repl: repl.cloned(),
+        };
+        std::thread::scope(|rs| {
+            if let Some(repl) = repl {
+                std::thread::Builder::new()
+                    .name("mig-repl-accept".into())
+                    .spawn_scoped(rs, || super::repl::acceptor(repl, client, &repl_stop))
+                    .expect("spawn the replication acceptor");
+            }
+            if let Some((ctl, d)) = &replica {
+                std::thread::Builder::new()
+                    .name("mig-repl-pull".into())
+                    .spawn_scoped(rs, move || {
+                        super::repl::puller(ctl.upstream(), ctl, &d.log, client, metrics);
                     })
-                },
-            );
-            // Close the tee only after the pipeline returned: the
-            // worker drains and ships the tail *after* the event core
-            // stops accepting traffic.
-            if let Some(repl) = &config.repl {
-                repl.close();
+                    .expect("spawn the replication puller");
+            }
+            let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
+            repl_stop.store(true, Ordering::SeqCst);
+            if let Some((ctl, _)) = &replica {
+                ctl.request_stop();
             }
             out
-        }
-        None => ingress::serve_guarded(
-            monitor,
-            &config.ingress,
-            &config.durability,
-            health,
-            config.checkpoint_every,
-            maintenance,
-            |client| event::run(&listener, client, ts, alphabet, &shared, config, &ev),
-        ),
-    };
+        })
+    });
+    // Close the tee only after the pipeline returned: the worker drains
+    // and ships the tail *after* the event core stops accepting traffic.
+    if let Some(repl) = repl {
+        repl.close();
+    }
     run_result?;
     Ok(NetStats {
         connections: ev.connections.load(Ordering::SeqCst),
@@ -681,7 +609,7 @@ mod tests {
             let server = scope.spawn(|| {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2)
                     .with_policy(StepPolicy::EveryApplication);
-                serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+                serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
             let conn = TcpStream::connect(addr).unwrap();
             let mut w = conn.try_clone().unwrap();
@@ -724,7 +652,7 @@ mod tests {
         let stats = std::thread::scope(|scope| {
             let server = scope.spawn(|| {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
-                serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+                serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
             let mut first = TcpStream::connect(addr).unwrap();
             first.write_all(b"invoke Mk0(x)\nquit\n").unwrap();
@@ -757,7 +685,7 @@ mod tests {
         let stats = std::thread::scope(|scope| {
             let server = scope.spawn(|| {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
-                serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+                serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
             let mut flood = TcpStream::connect(addr).unwrap();
             let junk = vec![b'x'; MAX_LINE as usize + 4096];
@@ -808,7 +736,7 @@ mod tests {
             let server = scope.spawn(|| {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2)
                     .with_policy(StepPolicy::EveryApplication);
-                serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+                serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
             let mut conn = TcpStream::connect(addr).unwrap();
             // Text, then frame, then text again — one write.
@@ -844,33 +772,54 @@ mod tests {
         assert_eq!(stats.requests, 6);
     }
 
-    /// The durable pipeline behind the socket front end: acks arrive
-    /// only after the committer synced, `stats prom` exposes the
-    /// admission histograms length-prefixed, the flat `stats` line is
-    /// untouched, and the log alone recovers every acked op.
+    /// The admission pipeline behind the socket front end, with a WAL
+    /// and without: acks arrive only after the committer released them
+    /// (synced, with a WAL), `stats prom` exposes the admission
+    /// histograms length-prefixed, the flat `stats` line is untouched,
+    /// and the log alone recovers every acked op.
     #[test]
     fn durable_pipeline_serves_and_answers_stats_prom() {
-        use crate::enforce::{FsyncPolicy, Wal};
+        for durable in [true, false] {
+            pipeline_serves_and_answers_stats_prom(durable);
+        }
+    }
+
+    /// Sum of every series of a Prometheus payload whose line starts
+    /// with `prefix` (all `shard` labels).
+    fn prom_total(text: &str, prefix: &str) -> u64 {
+        text.lines()
+            .filter(|l| l.starts_with(prefix))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    }
+
+    fn pipeline_serves_and_answers_stats_prom(durable: bool) {
+        use crate::enforce::{DurableLog, FsyncPolicy, Wal};
         use std::io::Read;
+        use std::sync::Mutex;
         let s = multi_schema();
         let a = RoleAlphabet::new(&s, 0).unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
         let ts = parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
         let dir = std::env::temp_dir().join(format!("migratory-net-prom-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
+        let wal = durable
+            .then(|| Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch))));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let metrics = Arc::new(AdmissionMetrics::new(2));
         let config = ServerConfig {
-            wal: Some(wal.clone()),
-            metrics: Some(metrics.clone()),
+            ingress: IngressConfig {
+                wal: wal.clone().map(|log| DurableLog { log, repl: None }),
+                metrics: Some(metrics.clone()),
+                ..IngressConfig::default()
+            },
             ..ServerConfig::default()
         };
-        let stats = std::thread::scope(|scope| {
+        let (stats, text) = std::thread::scope(|scope| {
             let server = scope.spawn(|| {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
-                serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+                serve(listener, &mut m, &ts, &config).unwrap()
             });
             let conn = TcpStream::connect(addr).unwrap();
             let mut w = conn.try_clone().unwrap();
@@ -899,9 +848,17 @@ mod tests {
             line.clear();
             r.read_line(&mut line).unwrap();
             assert_eq!(line, "ok draining\n");
-            server.join().unwrap()
+            (server.join().unwrap(), text)
         });
         assert_eq!(stats.admitted, 2);
+        if !durable {
+            // Without a WAL the committer still stamps every admitted
+            // block and its commit latency, and never an fsync batch.
+            assert_eq!(prom_total(&text, "migratory_block_size_sum"), 2, "{text}");
+            assert!(prom_total(&text, "migratory_commit_latency_us_count") >= 1, "{text}");
+            assert_eq!(prom_total(&text, "migratory_fsync_batch_count"), 0, "{text}");
+            return;
+        }
         assert!(metrics.fsync_batch.count() >= 1, "committer stamped its batches");
         assert!(metrics.commit_latency_us.iter().map(|h| h.count()).sum::<u64>() >= 1);
         // Acked ⇒ durable: the log alone rebuilds both objects.

@@ -273,10 +273,10 @@ impl<'a> ShardedMonitor<'a> {
         self
     }
 
-    /// Swap the commit sink in place, returning the previous one. The
-    /// pipelined ingress ([`super::ingress::serve_pipelined`]) installs
-    /// its staging sink for the duration of a serve and restores the
-    /// caller's sink on exit.
+    /// Swap the commit sink in place, returning the previous one. An
+    /// ingress with a write-ahead log ([`super::ingress::serve`])
+    /// installs its staging sink for the duration of a serve and
+    /// restores the caller's sink on exit.
     pub(crate) fn set_sink(&mut self, sink: Option<SharedSink>) -> Option<SharedSink> {
         std::mem::replace(&mut self.sink, sink)
     }
@@ -1235,7 +1235,7 @@ impl<'a> ShardedMonitor<'a> {
     /// Rebuild **this** monitor's database and tracking state from a
     /// durable image ([`Wal::load`](super::Wal::load) output), in
     /// place — [`ShardedMonitor::recover`] as a method, preserving the
-    /// router and attached sink. The pipelined ingress
+    /// router and attached sink. An ingress with a write-ahead log
     /// calls this after a durability failure dropped appended-but-
     /// unsynced blocks: tracking state that ran ahead of the truncated
     /// log must be wound back to exactly the durable prefix, or the

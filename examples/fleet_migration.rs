@@ -289,7 +289,7 @@ fn main() {
     // advance only its own shard's clock.
     let rush: Vec<(&Transaction, Assignment)> = resolved.iter().take(4 * BATCH).cloned().collect();
     let t0 = Instant::now();
-    let cfg = IngressConfig { queue_capacity: 512, max_block: BATCH };
+    let cfg = IngressConfig { queue_capacity: 512, max_block: BATCH, ..Default::default() };
     let ((), stats) = ingress::serve(&mut monitor, &cfg, |client| {
         std::thread::scope(|scope| {
             for p in 0..4 {

@@ -7,9 +7,9 @@
 //! `src/bin/migctl.rs` only reads files and prints.
 
 use migratory_core::enforce::{
-    net, AckPolicy, AdmissionMetrics, CheckpointData, DurabilityPolicy, EnforceError, FsyncPolicy,
-    Health, IngressConfig, IoFaults, Replicator, ResiduePolicy, ShardedMonitor, Snapshotter,
-    StepPolicy, Wal,
+    net, AckPolicy, AdmissionMetrics, CheckpointData, DurabilityPolicy, DurableLog, EnforceError,
+    FsyncPolicy, Health, IngressConfig, IoFaults, Replicator, ResiduePolicy, ShardedMonitor,
+    Snapshotter, StepPolicy, Wal,
 };
 use migratory_core::{
     analyze_families, decide_with_families, AnalyzeOptions, Inventory, PatternKind, RoleAlphabet,
@@ -475,12 +475,11 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
         ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(flags.policy()?)
     };
 
-    // Durable mode: open the log for the pipelined committer and stand
-    // up the background snapshotter; establish the base checkpoint if
-    // the directory has none (first run, or a crash killed the base
-    // job). The server routes admission through the two-stage pipeline
-    // (`serve_pipelined`): the worker stages records, the committer
-    // appends, fsyncs per `--fsync`, and releases the acks.
+    // Durable mode: open the log for the committer and stand up the
+    // background snapshotter; establish the base checkpoint if the
+    // directory has none (first run, or a crash killed the base job).
+    // The admission worker stages records, the committer appends,
+    // fsyncs per `--fsync`, and releases the acks.
     let wal = match durable {
         Some(dir) => {
             let mut w = Wal::open(dir).map_err(|e| format!("{dir}: {e}"))?;
@@ -547,27 +546,10 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     // on the admission worker between blocks: an O(dirty) incremental
     // capture handed to the snapshotter, which encodes, fsyncs and
     // prunes covered WAL segments off the admission path.
-    let config = net::ServerConfig {
-        ingress: IngressConfig { queue_capacity: queue, max_block },
-        checkpoint_every: if wal.is_some() { checkpoint_every } else { 0 },
-        idle_timeout: (idle_timeout > 0)
-            .then(|| std::time::Duration::from_secs(idle_timeout as u64)),
-        max_conn_bytes: max_conn_bytes as u64,
-        max_conn_ops: max_conn_ops as u64,
-        max_connections,
-        auth,
-        io_threads,
-        durability: DurabilityPolicy { retries: retries as u32, backoff },
-        wal: wal.clone(),
-        metrics: Some(metrics.clone()),
-        repl: repl.clone(),
-        replica_of: replica_of.clone(),
-        ..Default::default()
-    };
     let maintenance_wal = wal.clone();
     let maintenance_health = health.clone();
     let snapshotter_slot = &mut snapshotter;
-    let stats = net::serve_guarded(listener, &mut monitor, &ts, &config, &health, move |m| {
+    let maintenance = move |m: &mut ShardedMonitor<'_>| {
         let (Some(wal), Some(snapshotter)) = (&maintenance_wal, snapshotter_slot.as_mut()) else {
             return;
         };
@@ -589,8 +571,32 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
                 eprintln!("migctl serve: could not stage checkpoint: {e}");
             }
         }
-    })
-    .map_err(|e| format!("serving on {local}: {e}"))?;
+    };
+    let config = net::ServerConfig {
+        ingress: IngressConfig {
+            queue_capacity: queue,
+            max_block,
+            durability: DurabilityPolicy { retries: retries as u32, backoff },
+            health: health.clone(),
+            wal: wal.clone().map(|log| DurableLog { log, repl: repl.clone() }),
+            metrics: Some(metrics.clone()),
+            checkpoint_every: if wal.is_some() { checkpoint_every } else { 0 },
+            maintenance: Some(Arc::new(Mutex::new(maintenance))),
+        },
+        idle_timeout: (idle_timeout > 0)
+            .then(|| std::time::Duration::from_secs(idle_timeout as u64)),
+        max_conn_bytes: max_conn_bytes as u64,
+        max_conn_ops: max_conn_ops as u64,
+        max_connections,
+        auth,
+        io_threads,
+        replica_of: replica_of.clone(),
+        ..Default::default()
+    };
+    let stats = net::serve(listener, &mut monitor, &ts, &config)
+        .map_err(|e| format!("serving on {local}: {e}"))?;
+    // The hook borrows the snapshotter; release it.
+    drop(config);
 
     // Drained: make the final state durable synchronously.
     if let Some(snapshotter) = snapshotter {

@@ -1,6 +1,6 @@
 //! The fault matrix: every injectable I/O site × {transient, persistent},
 //! exercised under pipelined load through the real admission path
-//! (`enforce::ingress::serve_guarded` with a real on-disk [`Wal`]).
+//! (`enforce::ingress::serve` with a real on-disk [`Wal`]).
 //!
 //! The invariants this file locks down:
 //!
@@ -18,8 +18,8 @@
 //!   acks) keep flowing, and recovery still replays the uncovered log.
 
 use migratory::core::enforce::{
-    ingress, CheckpointData, DurabilityPolicy, EnforceError, FaultKind, FaultSite, FsyncPolicy,
-    Health, IngressConfig, IoFaults, ShardedMonitor, Snapshotter, Wal,
+    ingress, CheckpointData, DurabilityPolicy, DurableLog, EnforceError, FaultKind, FaultSite,
+    FsyncPolicy, Health, IngressConfig, IoFaults, ShardedMonitor, Snapshotter, Wal,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment};
@@ -106,36 +106,39 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
     snapshotter.submit(base).unwrap();
 
     let policy = DurabilityPolicy { retries: 2, backoff: Duration::from_millis(1) };
-    let config = IngressConfig { queue_capacity: 64, max_block: 1 };
     let maintenance_wal = wal.clone();
     let maintenance_health = health.clone();
     let snapshotter_slot = &mut snapshotter;
-    let ((acked, refused, degraded), stats) = ingress::serve_guarded(
+    let ((acked, refused, degraded), stats) = ingress::serve(
         &mut monitor,
-        &config,
-        &policy,
-        &health,
-        2,
-        move |m| {
-            let delta = m.checkpoint_delta();
-            let touched = delta.oids();
-            match maintenance_wal
-                .lock()
-                .unwrap()
-                .begin_checkpoint(CheckpointData::Incremental(delta))
-            {
-                Ok(job) => {
-                    if let Err(e) = snapshotter_slot.submit(job) {
+        &IngressConfig {
+            queue_capacity: 64,
+            max_block: 1,
+            durability: policy,
+            health: health.clone(),
+            checkpoint_every: 2,
+            maintenance: Some(Arc::new(Mutex::new(move |m: &mut ShardedMonitor<'_>| {
+                let delta = m.checkpoint_delta();
+                let touched = delta.oids();
+                match maintenance_wal
+                    .lock()
+                    .unwrap()
+                    .begin_checkpoint(CheckpointData::Incremental(delta))
+                {
+                    Ok(job) => {
+                        if let Err(e) = snapshotter_slot.submit(job) {
+                            maintenance_health.checkpoint_failed(&e);
+                        }
+                    }
+                    Err(e) => {
+                        // The drained delta never reached the chain: restore
+                        // the dirty tracking or the next prune loses it.
+                        m.restore_dirty(&touched);
                         maintenance_health.checkpoint_failed(&e);
                     }
                 }
-                Err(e) => {
-                    // The drained delta never reached the chain: restore
-                    // the dirty tracking or the next prune loses it.
-                    m.restore_dirty(&touched);
-                    maintenance_health.checkpoint_failed(&e);
-                }
-            }
+            }))),
+            ..Default::default()
         },
         |client| {
             let mk = ts.get("Mk").unwrap();
@@ -183,8 +186,8 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
     }
 }
 
-/// [`run_case`] through the two-stage pipeline
-/// (`ingress::serve_pipelined`): the committer thread owns every WAL
+/// [`run_case`] with the WAL handed to the ingress
+/// (`IngressConfig::wal`): the committer thread owns every WAL
 /// call, acks are released only after its batch fsync, and a degraded
 /// server resyncs its tracking against the durable log when the
 /// operator re-arms. The driver posts serially (one op in flight) so
@@ -216,36 +219,38 @@ fn run_case_pipelined(
     snapshotter.submit(base).unwrap();
 
     let policy = DurabilityPolicy { retries: 2, backoff: Duration::from_millis(1) };
-    let config = IngressConfig { queue_capacity: 64, max_block: 1 };
     let maintenance_wal = wal.clone();
     let maintenance_health = health.clone();
     let snapshotter_slot = &mut snapshotter;
-    let ((acked, refused, degraded), stats) = ingress::serve_pipelined(
+    let ((acked, refused, degraded), stats) = ingress::serve(
         &mut monitor,
-        &config,
-        &policy,
-        &health,
-        wal.clone(),
-        None,
-        2,
-        move |m| {
-            let delta = m.checkpoint_delta();
-            let touched = delta.oids();
-            match maintenance_wal
-                .lock()
-                .unwrap()
-                .begin_checkpoint(CheckpointData::Incremental(delta))
-            {
-                Ok(job) => {
-                    if let Err(e) = snapshotter_slot.submit(job) {
+        &IngressConfig {
+            queue_capacity: 64,
+            max_block: 1,
+            durability: policy,
+            health: health.clone(),
+            wal: Some(DurableLog { log: wal.clone(), repl: None }),
+            checkpoint_every: 2,
+            maintenance: Some(Arc::new(Mutex::new(move |m: &mut ShardedMonitor<'_>| {
+                let delta = m.checkpoint_delta();
+                let touched = delta.oids();
+                match maintenance_wal
+                    .lock()
+                    .unwrap()
+                    .begin_checkpoint(CheckpointData::Incremental(delta))
+                {
+                    Ok(job) => {
+                        if let Err(e) = snapshotter_slot.submit(job) {
+                            maintenance_health.checkpoint_failed(&e);
+                        }
+                    }
+                    Err(e) => {
+                        m.restore_dirty(&touched);
                         maintenance_health.checkpoint_failed(&e);
                     }
                 }
-                Err(e) => {
-                    m.restore_dirty(&touched);
-                    maintenance_health.checkpoint_failed(&e);
-                }
-            }
+            }))),
+            ..Default::default()
         },
         |client| {
             let mk = ts.get("Mk").unwrap();

@@ -184,7 +184,7 @@ fn wire_soup_never_kills_the_server() {
     std::thread::scope(|scope| {
         let server = scope.spawn(|| {
             let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 2);
-            net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
         // A deterministic pile of hostile lines: truncations, splices,
         // reversals and byte noise around valid requests. None may start
@@ -320,7 +320,7 @@ fn mixed_dialect_soup_never_kills_the_server() {
     std::thread::scope(|scope| {
         let server = scope.spawn(|| {
             let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 2);
-            net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
         // One pipelined burst interleaving both dialects, hostile frames
         // included. Replies come back in order, each in its request's
@@ -463,7 +463,7 @@ fn redefine_soup_never_kills_the_server() {
     std::thread::scope(|scope| {
         let server = scope.spawn(|| {
             let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 2);
-            net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
         let conn = std::net::TcpStream::connect(addr).unwrap();
         let mut writer = conn.try_clone().unwrap();

@@ -106,7 +106,7 @@ fn concurrent_clients_get_correct_per_connection_replies() {
     let stats = std::thread::scope(|scope| {
         let server = scope.spawn(|| {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
         // The protocol promises no ordering *between* connections, so
         // the violating client must not start until the seed object's
@@ -179,11 +179,12 @@ fn graceful_drain_answers_all_inflight_tickets() {
                 ingress: migratory::core::enforce::IngressConfig {
                     queue_capacity: 64,
                     max_block: 8,
+                    ..Default::default()
                 },
                 ..Default::default()
             };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let mut c = Client::connect(addr);
         let mut burst = String::new();
@@ -222,9 +223,18 @@ fn durable_server_threads_are_named() {
     let addr = listener.local_addr().unwrap();
     let names = std::thread::scope(|scope| {
         let server = scope.spawn(|| {
-            let config = ServerConfig { wal: Some(wal.clone()), ..Default::default() };
+            let config = ServerConfig {
+                ingress: migratory::core::enforce::IngressConfig {
+                    wal: Some(migratory::core::enforce::DurableLog {
+                        log: wal.clone(),
+                        repl: None,
+                    }),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let mut c = Client::connect(addr);
         // An acked op has passed through the admission worker and the
@@ -429,7 +439,7 @@ fn idle_timeout_reaps_stalled_peer_without_disturbing_others() {
                 ..Default::default()
             };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let stalled = Client::connect(addr);
         let mut active = Client::connect(addr);
@@ -473,7 +483,7 @@ fn idle_timeout_reaps_binary_peer_in_binary_dialect() {
                 ..Default::default()
             };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let stalled = TcpStream::connect(addr).unwrap();
         let mut req = Vec::new();
@@ -510,7 +520,7 @@ fn op_quota_tears_down_peer_with_inflight_answered() {
         let server = scope.spawn(|| {
             let config = ServerConfig { max_conn_ops: 3, ..Default::default() };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let mut c = Client::connect(addr);
         let mut burst = String::new();
@@ -545,7 +555,7 @@ fn byte_quota_tears_down_peer_with_inflight_answered() {
             // the 5th crosses the budget.
             let config = ServerConfig { max_conn_bytes: 64, ..Default::default() };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let mut c = Client::connect(addr);
         let mut burst = String::new();
@@ -577,7 +587,7 @@ fn connection_cap_refuses_excess_sockets() {
         let server = scope.spawn(|| {
             let config = ServerConfig { max_connections: 1, ..Default::default() };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let mut keeper = Client::connect(addr);
         // A round trip guarantees the keeper is registered before the
@@ -607,7 +617,7 @@ fn auth_gate_refuses_until_handshake() {
         let server = scope.spawn(|| {
             let config = ServerConfig { auth: Some("sesame".to_owned()), ..Default::default() };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-            net::serve(listener, &mut m, &ts, &config, |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &config).unwrap()
         });
         let mut c = Client::connect(addr);
         c.send("invoke Mk0(x)");
@@ -906,7 +916,7 @@ fn protocol_document_session_is_live() {
     std::thread::scope(|scope| {
         let server = scope.spawn(|| {
             let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 2);
-            net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+            net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
         let mut c = Client::connect(addr);
         let mut pending_request: Option<String> = None;

@@ -30,7 +30,7 @@ use common::{random_inventory, random_schema, random_transaction};
 use migratory::core::enforce::repl::{acceptor, puller, HELLO, PREAMBLE};
 use migratory::core::enforce::wal::{decode_records, decode_stream};
 use migratory::core::enforce::{
-    ingress, AckPolicy, AdmissionMetrics, CheckpointData, DurabilityPolicy, Health, IngressConfig,
+    ingress, AckPolicy, AdmissionMetrics, CheckpointData, DurableLog, Health, IngressConfig,
     ReplicaCtl, Replicator, ResiduePolicy, ShardedMonitor, ShipFault, Wal,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
@@ -106,16 +106,16 @@ fn replica_byte_identity_round(seed: u64) {
         // the pull loop until the primary's driver signals stop.
         let replica = scope.spawn(|| {
             let mut rm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
-            let health = Health::new();
-            ingress::serve_pipelined(
+            let health = Arc::new(Health::new());
+            ingress::serve(
                 &mut rm,
-                &IngressConfig { queue_capacity: 64, max_block: 8 },
-                &DurabilityPolicy::default(),
-                &health,
-                wal_r.clone(),
-                None,
-                0,
-                |_| {},
+                &IngressConfig {
+                    queue_capacity: 64,
+                    max_block: 8,
+                    health: health.clone(),
+                    wal: Some(DurableLog { log: wal_r.clone(), repl: None }),
+                    ..Default::default()
+                },
                 |client| {
                     std::thread::scope(|ps| {
                         ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
@@ -135,22 +135,25 @@ fn replica_byte_identity_round(seed: u64) {
             let full = pm.checkpoint_full();
             wal_p.lock().unwrap().write_snapshot(&full).expect("base checkpoint");
         }
-        let health = Health::new();
+        let health = Arc::new(Health::new());
         let ckpt_wal = &wal_p;
-        ingress::serve_pipelined_repl(
+        ingress::serve(
             &mut pm,
-            &IngressConfig { queue_capacity: 64, max_block: 8 },
-            &DurabilityPolicy::default(),
-            &health,
-            wal_p.clone(),
-            None,
-            Some(repl.clone()),
-            4,
-            move |m| {
-                let delta = m.checkpoint_delta();
-                let job =
-                    ckpt_wal.lock().unwrap().begin_checkpoint(CheckpointData::Incremental(delta));
-                job.expect("stage incremental checkpoint").run().expect("checkpoint lands");
+            &IngressConfig {
+                queue_capacity: 64,
+                max_block: 8,
+                health: health.clone(),
+                wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
+                checkpoint_every: 4,
+                maintenance: Some(Arc::new(Mutex::new(move |m: &mut ShardedMonitor<'_>| {
+                    let delta = m.checkpoint_delta();
+                    let job = ckpt_wal
+                        .lock()
+                        .unwrap()
+                        .begin_checkpoint(CheckpointData::Incremental(delta));
+                    job.expect("stage incremental checkpoint").run().expect("checkpoint lands");
+                }))),
+                ..Default::default()
             },
             |client| {
                 std::thread::scope(|ps| {
@@ -749,16 +752,16 @@ fn fault_row(tag: &str, policy: AckPolicy, faults: &[ShipFault]) -> FaultRow {
     std::thread::scope(|scope| {
         let replica = scope.spawn(|| {
             let mut rm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
-            let health = Health::new();
-            ingress::serve_pipelined(
+            let health = Arc::new(Health::new());
+            ingress::serve(
                 &mut rm,
-                &IngressConfig { queue_capacity: 64, max_block: 8 },
-                &DurabilityPolicy::default(),
-                &health,
-                wal_r.clone(),
-                None,
-                0,
-                |_| {},
+                &IngressConfig {
+                    queue_capacity: 64,
+                    max_block: 8,
+                    health: health.clone(),
+                    wal: Some(DurableLog { log: wal_r.clone(), repl: None }),
+                    ..Default::default()
+                },
                 |client| {
                     std::thread::scope(|ps| {
                         ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
@@ -769,17 +772,16 @@ fn fault_row(tag: &str, policy: AckPolicy, faults: &[ShipFault]) -> FaultRow {
         });
 
         let mut pm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
-        let health = Health::new();
-        ingress::serve_pipelined_repl(
+        let health = Arc::new(Health::new());
+        ingress::serve(
             &mut pm,
-            &IngressConfig { queue_capacity: 64, max_block: 8 },
-            &DurabilityPolicy::default(),
-            &health,
-            wal_p.clone(),
-            None,
-            Some(repl.clone()),
-            0,
-            |_| {},
+            &IngressConfig {
+                queue_capacity: 64,
+                max_block: 8,
+                health: health.clone(),
+                wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
+                ..Default::default()
+            },
             |client| {
                 std::thread::scope(|ps| {
                     ps.spawn(|| acceptor(&repl, client, &stop_accept));

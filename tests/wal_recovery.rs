@@ -312,7 +312,7 @@ fn file_wal_recovers_every_truncation_to_a_committed_prefix() {
 /// of the batch fsync.
 #[test]
 fn pipelined_batch_acks_survive_any_crash_after_the_ack() {
-    use migratory::core::enforce::{ingress, DurabilityPolicy, FsyncPolicy, Health, IngressConfig};
+    use migratory::core::enforce::{ingress, DurableLog, FsyncPolicy, IngressConfig};
     let schema = migratory::model::schema::university_schema();
     let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
     let inv = Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* ∅*").unwrap();
@@ -324,20 +324,18 @@ fn pipelined_batch_acks_survive_any_crash_after_the_ack() {
     let dir = temp_dir("batch-ack");
     let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
     let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 2);
-    let health = Health::new();
     const N: usize = 24;
     // Serve serially; after each ack, read the durable horizon the
     // committer had published by that instant (it only grows, so any
     // later crash point is ≥ this cut).
-    let (horizons, stats) = ingress::serve_pipelined(
+    let (horizons, stats) = ingress::serve(
         &mut m,
-        &IngressConfig { queue_capacity: 8, max_block: 4 },
-        &DurabilityPolicy::default(),
-        &health,
-        wal.clone(),
-        None,
-        0,
-        |_| {},
+        &IngressConfig {
+            queue_capacity: 8,
+            max_block: 4,
+            wal: Some(DurableLog { log: wal.clone(), repl: None }),
+            ..Default::default()
+        },
         |client| {
             let mk = ts.get("Mk").unwrap();
             (0..N)
