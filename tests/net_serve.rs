@@ -1057,3 +1057,244 @@ fn over_cap_binary_violation_keeps_its_epoch_tail() {
     shut_down(served, &addr);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Every reply, byte for byte, in both dialects
+// ---------------------------------------------------------------------
+
+/// A frame built by hand: magic `0xB5`, kind, u32-LE length, payload.
+fn hand_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = vec![0xB5, kind];
+    out.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// One text request line and the exact reply line it must get.
+fn text_row(req: &str, reply: &str) -> (Vec<u8>, Vec<u8>) {
+    (format!("{req}\n").into_bytes(), format!("{reply}\n").into_bytes())
+}
+
+/// Asks the server at this address to shut down when dropped, so a
+/// failing assertion cannot leave an in-process server running and its
+/// thread scope waiting for it forever.
+struct ShutdownOnDrop<'a>(&'a str);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut c) = TcpStream::connect(self.0) {
+            let _ = c.write_all(b"shutdown\n");
+        }
+    }
+}
+
+/// Read one whole reply in whichever dialect it arrives: a frame when
+/// it starts with the magic byte `0xB5`, else one line.
+fn read_reply(r: &mut BufReader<TcpStream>) -> Vec<u8> {
+    use std::io::Read;
+    let mut reply = Vec::new();
+    if r.fill_buf().expect("a reply arrives").first() == Some(&0xB5) {
+        reply.resize(6, 0);
+        r.read_exact(&mut reply).expect("a frame header");
+        let len = u32::from_le_bytes([reply[2], reply[3], reply[4], reply[5]]) as usize;
+        reply.resize(6 + len, 0);
+        r.read_exact(&mut reply[6..]).expect("a frame payload");
+    } else {
+        r.read_until(b'\n', &mut reply).expect("a reply line");
+    }
+    reply
+}
+
+/// Send each request in turn on one connection and compare the exact
+/// reply bytes, reporting every row that differs. The last row is
+/// `shutdown`, after which the server must close the socket with nothing
+/// further.
+fn assert_reply_table(addr: &str, rows: &[(Vec<u8>, Vec<u8>)]) {
+    use std::io::Read;
+    let conn = connect_bounded(addr);
+    let mut writer = conn.try_clone().unwrap();
+    let mut reader = BufReader::new(conn);
+    let mut wrong = String::new();
+    for (req, want) in rows {
+        writer.write_all(req).unwrap();
+        let got = read_reply(&mut reader);
+        if got != *want {
+            wrong += &format!(
+                "\n  request `{}`\n     got `{}`\n    want `{}`",
+                req.escape_ascii(),
+                got.escape_ascii(),
+                want.escape_ascii()
+            );
+        }
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(wrong.is_empty(), "replies that differ:{wrong}");
+    assert!(rest.is_empty(), "bytes after the last reply: {}", rest.escape_ascii());
+}
+
+/// Every reply kind of both dialects, pinned byte for byte: each request
+/// kind with each of its refusals, on a primary and on a read-only
+/// replica (whose refusal of `invoke` and `redefine` wins over any
+/// payload error, and which still answers `query`), ending with the
+/// exact flat `stats` line and its request/outcome counts.
+#[test]
+fn every_reply_is_byte_identical_in_both_dialects() {
+    use migratory::core::enforce::net::frame;
+    use migratory::core::enforce::{DurableLog, IngressConfig};
+    use migratory::model::Value;
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    let inv_src = "∅* [R0]* ∅*";
+    let inv = Inventory::parse_init(&s, &a, inv_src).unwrap();
+    let ts = multi_transactions(&s);
+    let dir = std::env::temp_dir().join(format!("migratory-net-table-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = std::sync::Arc::new(std::sync::Mutex::new(Wal::open(&dir).unwrap()));
+    // A primary address nothing listens on: the replica's puller keeps
+    // failing to connect and retries with backoff.
+    let upstream = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+    let primary = TcpListener::bind("127.0.0.1:0").unwrap();
+    let replica = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (primary_addr, replica_addr) =
+        (primary.local_addr().unwrap().to_string(), replica.local_addr().unwrap().to_string());
+
+    let invoke = |name: &str, arg: &str| {
+        let mut out = Vec::new();
+        frame::encode_invoke_frame(&mut out, name, &[Value::str(arg)]);
+        out
+    };
+    let redefine = |payload: &[u8]| hand_frame(0x02, payload);
+    let query = |payload: &[u8]| hand_frame(0x03, payload);
+    let ok = |text: &str| hand_frame(0x81, text.as_bytes());
+    let violation = |text: &str| hand_frame(0x82, text.as_bytes());
+    let error = |text: &str| hand_frame(0x83, text.as_bytes());
+    let mut trailing = invoke("Mk0", "t");
+    trailing.push(0);
+    let trailing = hand_frame(0x01, &trailing[6..]);
+    let policy_src = |policy: u8, src: &[u8]| [&[policy][..], src].concat();
+    let redefine_usage = "usage: redefine <quarantine|certify-and-reset> <inventory source>";
+
+    let primary_rows = vec![
+        text_row("ping", "ok pong"),
+        text_row("auth anything", "ok authed"),
+        text_row("schema", "ok schema components=3 shards=3 transactions Mk0/1 Up0/1 Mk1/1 Mk2/1"),
+        text_row("rearm", "ok armed"),
+        text_row("invoke Mk0(a)", "ok"),
+        text_row("invoke Mk0", "error expected `Name(args…)`: `Mk0`"),
+        text_row("invoke Nope(1)", "error unknown transaction `Nope`"),
+        text_row(
+            "invoke Up0(a)",
+            "violation object o1 would follow the pattern [R0] [S0] ∉ 𝔏 \
+             (offending role set [S0]) [epoch 0]",
+        ),
+        text_row("redefine quarantine", &format!("error {redefine_usage}")),
+        text_row(
+            &format!("redefine bogus {inv_src}"),
+            "error redefine refused: unknown residue policy `bogus` \
+             (quarantine|certify-and-reset)",
+        ),
+        text_row(
+            "redefine quarantine [R0",
+            "error redefine refused: regex parse error at byte 0: unclosed `[`",
+        ),
+        text_row(&format!("redefine quarantine {inv_src}"), "ok epoch=1 residue=0"),
+        text_row("query", "error usage: query <Class>[(Attr=value,...)]"),
+        text_row("query Nope", "error unknown class `Nope`"),
+        text_row("query R0(Zz=1)", "error unknown attribute `Zz`"),
+        text_row("query R0(K0=a)", "ok query count=1 oids=o1"),
+        text_row("stats bogus", "error unknown stats form `bogus`"),
+        text_row(
+            "bogus",
+            "error unknown verb `bogus` \
+             (invoke|query|schema|stats|ping|auth|redefine|promote|rearm|quit|shutdown)",
+        ),
+        text_row(
+            "promote",
+            "error not a replica (promote targets a server started with --replica-of)",
+        ),
+        (invoke("Mk0", "b"), ok("")),
+        (hand_frame(0x01, &[0xff]), error("corrupt encoding: unexpected end")),
+        (invoke("Nope", "b"), error("unknown transaction `Nope`")),
+        (trailing.clone(), error("trailing bytes after invoke payload")),
+        (
+            invoke("Up0", "b"),
+            violation(
+                "object o2 would follow the pattern ∅ [R0] [S0] ∉ 𝔏 \
+                 (offending role set [S0]) [epoch 1]",
+            ),
+        ),
+        (redefine(b""), error("empty redefine payload")),
+        (
+            redefine(&policy_src(7, inv_src.as_bytes())),
+            error("redefine refused: unknown residue policy byte 7"),
+        ),
+        (redefine(&policy_src(0, &[0xff, 0xfe])), error("redefine payload is not UTF-8")),
+        (
+            redefine(&policy_src(0, b"[R0")),
+            error("redefine refused: regex parse error at byte 0: unclosed `[`"),
+        ),
+        (redefine(&policy_src(0, inv_src.as_bytes())), ok("epoch=2 residue=0")),
+        (query(&[0xff]), error("query payload is not UTF-8")),
+        (query(b"Nope"), error("unknown class `Nope`")),
+        (query(b"R0(Zz=1)"), error("unknown attribute `Zz`")),
+        (query(b"R0"), ok("query count=2 oids=o1,o2")),
+        (
+            hand_frame(0x07, b""),
+            error("unknown frame kind 0x07 (expected invoke 0x01, redefine 0x02, or query 0x03)"),
+        ),
+        text_row(
+            "stats",
+            "ok stats requests=35 admitted=2 rejected=2 errors=22 connections=1 lanes=3 \
+             degraded=no last_checkpoint=none epoch=2 redefines=2 quarantined=0",
+        ),
+        text_row("shutdown", "ok draining"),
+    ];
+
+    let refused = |verb: &str| {
+        format!("replica is read-only: {verb} refused (following {upstream}; `promote` to accept writes)")
+    };
+    let replica_rows = vec![
+        text_row("invoke Mk0(r)", &format!("error {}", refused("invoke"))),
+        text_row("invoke Mk0", &format!("error {}", refused("invoke"))),
+        (invoke("Mk0", "r"), error(&refused("invoke"))),
+        (hand_frame(0x01, &[0xff]), error(&refused("invoke"))),
+        (trailing, error(&refused("invoke"))),
+        text_row("redefine", &format!("error {}", refused("redefine"))),
+        text_row(&format!("redefine bogus {inv_src}"), &format!("error {}", refused("redefine"))),
+        (redefine(b""), error(&refused("redefine"))),
+        (redefine(&policy_src(7, b"")), error(&refused("redefine"))),
+        text_row("query R0", "ok query count=0 oids="),
+        (query(b"R0"), ok("query count=0 oids=")),
+        text_row(
+            "stats",
+            "ok stats requests=12 admitted=0 rejected=0 errors=9 connections=1 lanes=3 \
+             degraded=no last_checkpoint=none epoch=0 redefines=0 quarantined=0 \
+             repl=replica applied=0 horizon=0",
+        ),
+        text_row("shutdown", "ok draining"),
+    ];
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            net::serve(primary, &mut m, &ts, &ServerConfig::default()).unwrap()
+        });
+        scope.spawn(|| {
+            let config = ServerConfig {
+                ingress: IngressConfig {
+                    wal: Some(DurableLog { log: wal.clone(), repl: None }),
+                    ..Default::default()
+                },
+                replica_of: Some(upstream.clone()),
+                ..Default::default()
+            };
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            net::serve(replica, &mut m, &ts, &config).unwrap()
+        });
+        let _stop = [ShutdownOnDrop(&primary_addr), ShutdownOnDrop(&replica_addr)];
+        assert_reply_table(&primary_addr, &primary_rows);
+        assert_reply_table(&replica_addr, &replica_rows);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
