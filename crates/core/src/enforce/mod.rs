@@ -156,6 +156,10 @@
 // The enforcement stack is the crate's production surface: every public
 // item must carry documentation (CI compiles with `-D warnings`).
 #![warn(missing_docs)]
+// A function that needs many positional arguments gets a struct instead
+// (`IngressConfig`, the event thread's `Env`). `forbid`, not `deny`: a
+// nested `#[allow]` cannot reopen it.
+#![forbid(clippy::too_many_arguments)]
 
 mod delta;
 pub mod faults;

@@ -1,7 +1,9 @@
 //! Per-connection state machine: nonblocking read/write buffers,
 //! incremental request extraction (both dialects), and the seq-numbered
 //! reply slot queue that keeps replies in request order while admission
-//! outcomes arrive asynchronously.
+//! outcomes arrive asynchronously. A slot waiting for such an outcome
+//! records its request's [`Dialect`], so the outcome itself carries none
+//! and is encoded only when it fills the slot.
 //!
 //! A connection owns no thread. The event loop (`super::event`) polls
 //! its socket, feeds bytes in with [`Conn::fill_read_buffer`], pulls
@@ -35,13 +37,23 @@ const READ_CHUNK: usize = 16 * 1024;
 /// connections (level-triggered poll re-reports leftover data).
 const READ_BUDGET: usize = 4;
 
+/// The wire dialect a request arrived in, and so the one its reply is
+/// encoded in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Dialect {
+    /// Newline-terminated UTF-8 lines.
+    Text,
+    /// Length-prefixed [`frame`]s.
+    Binary,
+}
+
 /// One reply slot, FIFO per connection.
 pub(super) enum Slot {
-    /// An `invoke` whose admission outcome has not arrived yet; `binary`
-    /// records the request's dialect so the reply matches it.
+    /// A request whose outcome is decided on the admission side and has
+    /// not arrived yet (`invoke`, `redefine`, `promote`).
     Waiting {
-        /// Reply in the binary dialect (the request was a frame).
-        binary: bool,
+        /// The request's dialect, which the reply must match.
+        dialect: Dialect,
     },
     /// Reply bytes ready to flush (text line or encoded frame).
     Ready(Vec<u8>),
@@ -123,7 +135,7 @@ pub(super) struct Conn<'t> {
     /// idle-timeout reap — are encoded in it, so a binary client
     /// blocked in `read_frame` gets a decodable frame, not bytes that
     /// fail its magic check.
-    pub last_binary: bool,
+    pub last_dialect: Dialect,
     /// Close the socket once every slot resolved and flushed.
     pub close_after_flush: bool,
     /// The socket failed: drop the connection without further I/O.
@@ -174,7 +186,7 @@ impl<'t> Conn<'t> {
             authed,
             read_open: true,
             eof: false,
-            last_binary: false,
+            last_dialect: Dialect::Text,
             close_after_flush: false,
             dead: false,
             last_rx: now,
@@ -286,13 +298,12 @@ impl<'t> Conn<'t> {
         seq
     }
 
-    /// Resolve a waiting slot with its reply bytes. Whether the slot's
-    /// request was binary is returned so the caller can encode; the
-    /// caller then calls [`Conn::fill_slot`].
-    pub(super) fn waiting_dialect(&self, seq: u64) -> Option<bool> {
+    /// The dialect slot `seq` recorded, while it still waits: the
+    /// caller encodes the reply in it, then calls [`Conn::fill_slot`].
+    pub(super) fn waiting_dialect(&self, seq: u64) -> Option<Dialect> {
         let idx = usize::try_from(seq.checked_sub(self.seq_base)?).ok()?;
         match self.slots.get(idx) {
-            Some(Slot::Waiting { binary }) => Some(*binary),
+            Some(Slot::Waiting { dialect }) => Some(*dialect),
             _ => None,
         }
     }
@@ -546,12 +557,12 @@ mod tests {
     #[test]
     fn reply_slots_flush_in_request_order_only() {
         let (mut conn, _peer) = test_conn();
-        let s0 = conn.push_slot(Slot::Waiting { binary: false });
-        let s1 = conn.push_slot(Slot::Waiting { binary: true });
+        let s0 = conn.push_slot(Slot::Waiting { dialect: Dialect::Text });
+        let s1 = conn.push_slot(Slot::Waiting { dialect: Dialect::Binary });
         conn.push_slot(Slot::Stats { prom: false });
         // Out-of-order completion: slot 1 resolves first, but nothing
         // flushes past the still-waiting slot 0.
-        assert_eq!(conn.waiting_dialect(s1), Some(true));
+        assert_eq!(conn.waiting_dialect(s1), Some(Dialect::Binary));
         conn.fill_slot(s1, b"second".to_vec());
         conn.flush_slots(|_| unreachable!("stats cannot flush yet"));
         assert_eq!(conn.unsent(), 0);

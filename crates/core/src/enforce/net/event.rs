@@ -7,35 +7,48 @@
 //! lands in it. Three kinds of mail arrive:
 //!
 //! * **Connection handoffs** from thread 0's accept handling.
-//! * **Admission completions**: the ingress worker runs each `invoke`'s
-//!   [`Completion`] callback, which counts the outcome and mails it to
-//!   the owning thread (`conn`, `seq`) so the reply lands in the right
-//!   slot of the right connection.
+//! * **Outcomes** decided on the admission side — an `invoke`'s
+//!   admission, a `redefine`'s or `promote`'s verdict — counted where
+//!   they are decided and mailed to the owning thread (`conn`, `seq`) so
+//!   the reply lands in the right slot of the right connection.
 //! * **Space signals**: the worker drained a block, so a connection
 //!   parked on a full admission lane may retry its post.
 //!
-//! A `query` needs no mail: the event thread evaluates it under the
-//! ingress's shared monitor lock and fills its slot at once.
+//! Every request takes one path, whichever dialect carries it:
 //!
-//! The loop per thread: drain the inbox, apply completions, pump the
-//! **dirty** connections (retry parked posts, extract + dispatch
-//! requests, flush ready replies, write), reap expired deadlines, then
-//! `poll` the sockets whose interest survives the backpressure gates
-//! ([`Conn::wants_read`]). Per-iteration work is proportional to what
-//! actually happened: a connection nothing happened to is neither
+//! 1. **Extract** one text line or binary frame ([`Conn::extract`]).
+//! 2. **Decode** it into a [`Command`]: the checks both dialects share
+//!    (quotas, blank and `#` lines, the request count, the pre-auth
+//!    gate) run first, then the dialect's one decoder
+//!    ([`Env::decode_line`] or [`Env::decode_frame`]).
+//! 3. **Execute** the command ([`Env::execute`]): post an `invoke` or an
+//!    admin op, evaluate a `query` under the ingress's shared monitor
+//!    lock, or answer at once.
+//! 4. **Encode** the reply ([`Outcome::encode`]): immediate or mailed
+//!    back, every reply is an [`Outcome`] put in the dialect its slot
+//!    recorded.
+//!
+//! The loop per thread: drain the inbox, fill the slots outcomes arrived
+//! for, pump the **dirty** connections (retry parked posts, extract and
+//! serve requests, flush ready replies, write), reap expired deadlines,
+//! then `poll` the sockets whose interest survives the backpressure
+//! gates ([`Conn::wants_read`]). Per-iteration work is proportional to
+//! what actually happened: a connection nothing happened to is neither
 //! pumped nor polled (one parked on admission mail leaves the poll set
 //! entirely), and a burst of completions coalesces into one wakeup.
 //! Thread count is O(`io_threads` + shards) — independent of the number
 //! of connections, which is the point.
 
-use super::conn::{Conn, Extracted, Pending, ReadOutcome, Request, Slot};
-use super::frame;
-use super::{parse_invocation, stats_reply, ServerConfig, ServerShared, MAX_LINE};
+use super::conn::{Conn, Dialect, Extracted, Pending, ReadOutcome, Request, Slot};
+use super::{evolution, frame, parse_invocation, parse_query, stats_reply};
+use super::{ServerConfig, ServerShared, MAX_LINE};
 use crate::alphabet::RoleAlphabet;
-use crate::enforce::ingress::{Completion, IngressClient};
+use crate::enforce::ingress::IngressClient;
+use crate::enforce::repl::ReplicaCtl;
 use crate::enforce::{EnforceError, ResiduePolicy};
 use crate::Inventory;
 use migratory_lang::{Assignment, Transaction, TransactionSchema};
+use migratory_model::{ClassId, Condition};
 use polling::{Epoll, EpollEvent, Waker, EPOLLIN, EPOLLOUT};
 use std::collections::HashMap;
 use std::io::Write;
@@ -54,23 +67,53 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// it is force-closed.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// What fills a waiting reply slot when its mail arrives.
-pub(super) enum Reply {
-    /// An `invoke` admission outcome: rendered in the slot's dialect at
-    /// delivery (the violation diagnostic needs the alphabet).
-    Outcome(Result<(), EnforceError>),
-    /// Pre-rendered reply bytes (admin ops — `redefine`, `promote` —
-    /// render on the admission worker, where the dialect is already
-    /// captured).
-    Bytes(Vec<u8>),
+/// What a request came to, before it is put in a dialect: `ok`,
+/// `violation` or `error`, plus text.
+pub(super) enum Outcome {
+    /// An `invoke` admitted: `ok` with no text.
+    Admitted,
+    /// `ok` and its text.
+    Ok(String),
+    /// `error` and its message.
+    Error(String),
+    /// A refusal from the admission side: a violation, or an error such
+    /// as degraded mode. It renders only when encoded, on the event
+    /// thread — a violation's diagnostic needs the alphabet, and the
+    /// admission worker does not pay for it.
+    Refused(EnforceError),
 }
 
-/// A completed admission outcome on its way back to the owning event
-/// thread.
+impl Outcome {
+    /// Encode the reply in `dialect`: the line `<word> <text>\n` (the
+    /// bare word when there is no text), or a frame of the word's reply
+    /// kind carrying the text, shortened to the frame cap.
+    pub(super) fn encode(self, dialect: Dialect, alphabet: &RoleAlphabet) -> Vec<u8> {
+        let (kind, word, text) = match self {
+            Outcome::Admitted => (frame::REP_OK, "ok", String::new()),
+            Outcome::Ok(text) => (frame::REP_OK, "ok", text),
+            Outcome::Error(text) => (frame::REP_ERROR, "error", text),
+            Outcome::Refused(EnforceError::Violation(v)) => {
+                (frame::REP_VIOLATION, "violation", v.display(alphabet))
+            }
+            Outcome::Refused(e) => (frame::REP_ERROR, "error", e.to_string()),
+        };
+        match dialect {
+            Dialect::Text if text.is_empty() => [word, "\n"].concat().into_bytes(),
+            Dialect::Text => [word, " ", &text, "\n"].concat().into_bytes(),
+            Dialect::Binary => {
+                let mut out = Vec::new();
+                frame::encode_reply(&mut out, kind, &text);
+                out
+            }
+        }
+    }
+}
+
+/// An outcome on its way back to the event thread that owns its slot.
 pub(super) struct Done {
     conn: u64,
     seq: u64,
-    reply: Reply,
+    outcome: Outcome,
 }
 
 #[derive(Default)]
@@ -180,6 +223,18 @@ impl EventShared {
             inbox.waker.wake();
         }
     }
+
+    /// Count an outcome once, where it is decided — so the counters stay
+    /// truthful when its connection closed before the reply arrived.
+    fn count(&self, outcome: &Outcome) {
+        let counter = match outcome {
+            Outcome::Ok(_) => return,
+            Outcome::Admitted => &self.admitted,
+            Outcome::Refused(EnforceError::Violation(_)) => &self.rejected,
+            Outcome::Refused(_) | Outcome::Error(_) => &self.errors,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// Constant-time shared-secret comparison: fold both sides through
@@ -209,55 +264,39 @@ fn token_eq(expected: &str, got: &str) -> bool {
     (0..4).fold(0u64, |acc, i| acc | (a[i] ^ b[i])) == 0
 }
 
-/// Count an error reply (uniformly, at slot creation) and encode it in
-/// the request's dialect: `error <msg>\n` or a [`frame::REP_ERROR`]
-/// frame carrying `<msg>`.
-fn error_reply(ev: &EventShared, binary: bool, msg: &str) -> Vec<u8> {
-    ev.errors.fetch_add(1, Ordering::SeqCst);
-    reply(binary, frame::REP_ERROR, "error", msg)
+/// Split off a line's first whitespace-separated word; the rest comes
+/// back trimmed.
+fn split_word(line: &str) -> (&str, &str) {
+    line.split_once(char::is_whitespace).map_or((line, ""), |(word, rest)| (word, rest.trim()))
 }
 
-/// Encode a reply in the request's dialect: a `kind` frame carrying
-/// `text` (shortened to the frame cap), or the line `<word> <text>\n`.
-fn reply(binary: bool, kind: u8, word: &str, text: &str) -> Vec<u8> {
-    if !binary {
-        return format!("{word} {text}\n").into_bytes();
-    }
-    let mut out = Vec::new();
-    frame::encode_reply(&mut out, kind, text);
-    out
+/// One request, decoded from either dialect: the text verbs, of which
+/// `invoke`, `redefine` and `query` also come as binary frames.
+enum Command<'t> {
+    Invoke(&'t Transaction, Assignment),
+    Query(ClassId, Condition),
+    Redefine(ResiduePolicy, Inventory),
+    Schema,
+    Stats { prom: bool },
+    Ping,
+    Auth,
+    Rearm,
+    Promote,
+    Quit,
+    Shutdown,
 }
 
-/// Encode an admission outcome in the request's dialect. Counting
-/// already happened in the completion callback — this only formats.
-fn outcome_reply(
-    outcome: &Result<(), EnforceError>,
-    binary: bool,
-    alphabet: &RoleAlphabet,
-) -> Vec<u8> {
-    match outcome {
-        Ok(()) if binary => reply(true, frame::REP_OK, "ok", ""),
-        Ok(()) => b"ok\n".to_vec(),
-        Err(EnforceError::Violation(v)) => {
-            reply(binary, frame::REP_VIOLATION, "violation", &v.display(alphabet))
-        }
-        Err(e) => reply(binary, frame::REP_ERROR, "error", &e.to_string()),
-    }
-}
-
-/// Build an `invoke`'s completion callback: count the outcome (here, on
-/// the admission worker, so the counters stay truthful even if the
-/// connection died meanwhile) and mail it to the owning event thread.
-fn completion<'t>(ev: &Arc<EventShared>, owner: usize, conn: u64, seq: u64) -> Completion<'t> {
-    let ev = Arc::clone(ev);
-    Box::new(move |outcome| {
-        match &outcome {
-            Ok(()) => ev.admitted.fetch_add(1, Ordering::SeqCst),
-            Err(EnforceError::Violation(_)) => ev.rejected.fetch_add(1, Ordering::SeqCst),
-            Err(_) => ev.errors.fetch_add(1, Ordering::SeqCst),
-        };
-        ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Outcome(outcome) });
-    })
+/// An event thread's fixed environment: everything a request is served
+/// with besides its connection.
+struct Env<'a, 't, 's, 'i, 'h> {
+    /// This thread's index: the inbox its connections' outcomes are
+    /// mailed to.
+    me: usize,
+    ev: &'a Arc<EventShared>,
+    client: &'a IngressClient<'t, 's, 'i>,
+    ts: &'t TransactionSchema,
+    shared: &'a ServerShared<'a>,
+    config: &'a ServerConfig<'h>,
 }
 
 /// Run the event core: the calling thread becomes event thread 0 (which
@@ -268,7 +307,6 @@ pub(super) fn run<'t>(
     listener: &TcpListener,
     client: &IngressClient<'t, '_, '_>,
     ts: &'t TransactionSchema,
-    alphabet: &RoleAlphabet,
     shared: &ServerShared<'_>,
     config: &ServerConfig,
     ev: &Arc<EventShared>,
@@ -277,17 +315,16 @@ pub(super) fn run<'t>(
         let ev = Arc::clone(ev);
         client.on_space(move || ev.inboxes[i].signal_space());
     }
+    let env = |me| Env { me, ev, client, ts, shared, config };
     std::thread::scope(|scope| {
         for me in 1..ev.inboxes.len() {
-            let ev = Arc::clone(ev);
+            let env = env(me);
             std::thread::Builder::new()
                 .name(format!("mig-event-{me}"))
-                .spawn_scoped(scope, move || {
-                    event_thread(me, &ev, None, client, ts, alphabet, shared, config)
-                })
+                .spawn_scoped(scope, move || event_thread(&env, None))
                 .expect("spawn an event thread");
         }
-        event_thread(0, ev, Some(listener), client, ts, alphabet, shared, config)
+        event_thread(&env(0), Some(listener))
     })
 }
 
@@ -306,31 +343,42 @@ fn interest_of(c: &Conn<'_>, pipeline: usize) -> u32 {
     want
 }
 
-/// Register a connection's socket with the event thread's epoll
+/// Take a connection on at this event thread: start its drain when the
+/// server is draining, and register its socket with the thread's epoll
 /// instance under its connection id. A connection whose interest is
 /// currently empty stays registered with zero events — parked on inbox
 /// mail, invisible to `epoll_wait` — and closing the socket later
-/// deregisters it implicitly.
-fn register(ep: &Epoll, c: &mut Conn<'_>, pipeline: usize) -> std::io::Result<()> {
-    let want = interest_of(c, pipeline);
-    ep.add(c.stream.as_raw_fd(), want, c.id)?;
-    c.interest = want;
-    Ok(())
+/// deregisters it implicitly. A socket that cannot be registered (fd
+/// table churn) can never be polled, so it is dropped as if the accept
+/// had failed.
+fn adopt<'t>(
+    env: &Env<'_, 't, '_, '_, '_>,
+    conns: &mut HashMap<u64, Conn<'t>>,
+    ep: &Epoll,
+    (id, stream): (u64, TcpStream),
+    draining: bool,
+) {
+    let mut c = Conn::new(stream, id, env.config.auth.is_none());
+    if draining {
+        c.begin_drain(Instant::now() + DRAIN_TIMEOUT);
+    }
+    c.interest = interest_of(&c, env.pipeline());
+    if ep.add(c.stream.as_raw_fd(), c.interest, id).is_err() {
+        env.ev.live.fetch_sub(1, Ordering::SeqCst);
+        return;
+    }
+    conns.insert(id, c);
 }
 
 /// Accept until the listener runs dry; returns the listener's fatal
 /// error, if any (per-connection failures only skip that socket).
-#[allow(clippy::too_many_arguments)]
 fn accept_burst<'t>(
+    env: &Env<'_, 't, '_, '_, '_>,
     listener: &TcpListener,
-    me: usize,
     conns: &mut HashMap<u64, Conn<'t>>,
     ep: &Epoll,
-    pipeline: usize,
-    ev: &Arc<EventShared>,
-    config: &ServerConfig,
 ) -> std::io::Result<()> {
-    let threads = ev.inboxes.len();
+    let (ev, config) = (env.ev, env.config);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -344,12 +392,9 @@ fn accept_burst<'t>(
                     // counted anywhere — the socket never becomes a
                     // connection.)
                     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-                    let mut s = &stream;
-                    let _ = writeln!(
-                        s,
-                        "error server at connection capacity ({})",
-                        config.max_connections
-                    );
+                    let msg = format!("server at connection capacity ({})", config.max_connections);
+                    let line = Outcome::Error(msg).encode(Dialect::Text, env.shared.alphabet);
+                    let _ = (&stream).write_all(&line);
                     let _ = stream.shutdown(Shutdown::Both);
                     continue;
                 }
@@ -359,17 +404,10 @@ fn accept_burst<'t>(
                 ev.live.fetch_add(1, Ordering::SeqCst);
                 ev.connections.fetch_add(1, Ordering::SeqCst);
                 let id = ev.next_conn_id.fetch_add(1, Ordering::SeqCst);
-                let target = (id as usize) % threads;
-                if target == me {
-                    let mut c = Conn::new(stream, id, config.auth.is_none());
-                    if register(ep, &mut c, pipeline).is_err() {
-                        // Registration failure (fd table churn): the
-                        // socket can never be polled, so drop it as if
-                        // the accept had failed.
-                        ev.live.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    conns.insert(id, c);
+                let target = (id as usize) % ev.inboxes.len();
+                if target == env.me {
+                    // Not draining: the drain transition stops accepting.
+                    adopt(env, conns, ep, (id, stream), false);
                 } else {
                     ev.inboxes[target].push_conn(id, stream);
                 }
@@ -381,526 +419,387 @@ fn accept_burst<'t>(
     }
 }
 
-/// Post an `invoke` (or park it as the connection's pending op when its
-/// lane is full — which suppresses the connection's read interest until
-/// a space signal lets the retry through).
-fn post_invoke<'t>(
-    c: &mut Conn<'t>,
-    t: &'t Transaction,
-    args: Assignment,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-) {
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let done = completion(ev, me, c.id, seq);
-    if let Err((args, done)) = client.try_post_done(t, args, done) {
-        c.pending = Some(Pending { t, args, done });
+impl<'t> Env<'_, 't, '_, '_, '_> {
+    /// [`ServerConfig::pipeline`], at least 1.
+    fn pipeline(&self) -> usize {
+        self.config.pipeline.max(1)
     }
-}
 
-/// Post a `redefine` as an admin barrier op. The new-inventory source
-/// is parsed here on the event thread (a hostile payload is refused
-/// before it ever touches the admission worker); the op itself runs on
-/// the worker with exclusive monitor access, and the reply — rendered
-/// in the request's dialect — is mailed back only once the verdict is
-/// known *and* the write-ahead record is durable (or the attempt was
-/// refused/rolled back).
-#[allow(clippy::too_many_arguments)]
-fn post_redefine<'t>(
-    c: &mut Conn<'t>,
-    policy: ResiduePolicy,
-    source: &str,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    shared: &ServerShared<'_>,
-) {
-    let inv = match Inventory::parse_init(shared.schema, shared.alphabet, source) {
-        Ok(inv) => inv,
-        Err(e) => {
-            let r = error_reply(ev, binary, &format!("redefine refused: {e}"));
-            c.push_slot(Slot::Ready(r));
-            return;
+    /// Count an outcome decided here, on the event thread, and encode it
+    /// in `dialect`.
+    fn reply(&self, dialect: Dialect, outcome: Outcome) -> Vec<u8> {
+        self.ev.count(&outcome);
+        outcome.encode(dialect, self.shared.alphabet)
+    }
+
+    /// Queue a slot for an outcome decided on the admission side, and
+    /// return the one-shot that delivers it: it counts the outcome where
+    /// it is decided and mails it here, where it is encoded in the
+    /// dialect the slot recorded.
+    fn await_outcome(
+        &self,
+        c: &mut Conn<'t>,
+        dialect: Dialect,
+    ) -> impl FnOnce(Outcome) + Send + 'static {
+        let seq = c.push_slot(Slot::Waiting { dialect });
+        let (ev, owner, conn) = (Arc::clone(self.ev), self.me, c.id);
+        move |outcome| {
+            ev.count(&outcome);
+            ev.inboxes[owner].push_done(Done { conn, seq, outcome });
         }
-    };
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let (conn, owner) = (c.id, me);
-    let ev = Arc::clone(ev);
-    let evo = Arc::clone(&shared.evo);
-    let metrics = shared.metrics.clone();
-    client.post_admin(Box::new(move |gate| {
-        // Phase 1, on the admission worker between blocks: apply (or
-        // learn why not). Totals are read while the monitor is still
-        // exclusively ours — the durable flag arrives later.
-        let attempt = match gate {
-            Ok(m) => {
-                let result = m.redefine(&inv, policy);
-                let totals = (m.epoch(), m.redefine_total(), m.quarantined_total());
-                Ok((result, totals))
-            }
-            Err(reason) => Err(reason),
+    }
+
+    /// The split-brain guard: a replica refuses data writes until
+    /// promoted — two writable heads of the same chain must never
+    /// coexist. Checked before the payload is decoded, so the refusal
+    /// wins over any payload error.
+    fn writable(&self, verb: &str) -> Result<(), String> {
+        match self.shared.replica.as_ref().filter(|ctl| ctl.is_read_only()) {
+            None => Ok(()),
+            Some(ctl) => Err(format!(
+                "replica is read-only: {verb} refused (following {}; `promote` to accept writes)",
+                ctl.upstream()
+            )),
+        }
+    }
+
+    fn transaction(&self, name: &str) -> Result<&'t Transaction, String> {
+        self.ts.get(name).ok_or_else(|| format!("unknown transaction `{name}`"))
+    }
+
+    /// Parse a `redefine`'s new inventory here, on the event thread: a
+    /// hostile source is refused before it ever touches the admission
+    /// worker.
+    fn inventory(&self, src: &str) -> Result<Inventory, String> {
+        Inventory::parse_init(self.shared.schema, self.shared.alphabet, src)
+            .map_err(|e| format!("redefine refused: {e}"))
+    }
+
+    /// Serve one extracted request: the checks both dialects share, then
+    /// decode, execute and answer. Returns `false` when extraction on
+    /// this connection must stop (quit, shutdown, teardown).
+    fn dispatch(&self, c: &mut Conn<'t>, req: Request, wire: u64) -> bool {
+        let config = self.config;
+        let dialect = match req {
+            Request::Line(_) => Dialect::Text,
+            Request::Frame(..) => Dialect::Binary,
         };
-        Box::new(move |durable: bool| {
-            let bytes = match attempt {
-                Ok((Ok(out), totals)) if durable => {
-                    evo.epoch.store(totals.0, Ordering::SeqCst);
-                    evo.redefines.store(totals.1, Ordering::SeqCst);
-                    evo.quarantined.store(totals.2, Ordering::SeqCst);
-                    if let Some(m) = metrics.as_deref() {
-                        m.epoch.store(totals.0, Ordering::Relaxed);
-                        m.redefine_total.store(totals.1, Ordering::Relaxed);
-                        m.quarantined_objects.store(totals.2, Ordering::Relaxed);
-                    }
-                    let msg = format!("epoch={} residue={}", out.epoch, out.residue);
-                    reply(binary, frame::REP_OK, "ok", &msg)
-                }
-                // The record never became durable: the worker winds the
-                // monitor back to the durable image before admitting
-                // anything else, so the epoch this op minted is gone.
-                Ok((Ok(_), _)) => error_reply(
-                    &ev,
-                    binary,
-                    "redefinition rolled back: write-ahead log degraded before it became durable",
-                ),
-                Ok((Err(e), _)) => error_reply(&ev, binary, &e.to_string()),
-                Err(reason) => {
-                    error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
-                }
-            };
-            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
-        })
-    }));
-}
-
-/// Answer an indexed `query` here on the event thread: the scan runs
-/// under the ingress's shared monitor lock ([`IngressClient::read`]),
-/// between two of the admission worker's units of work, so it sees every
-/// acknowledged op and never a rejected op or part of a block. The
-/// reply is ready at once; replicas and degraded primaries serve it too.
-fn post_query(
-    c: &mut Conn<'_>,
-    class: migratory_model::ClassId,
-    cond: &migratory_model::Condition,
-    binary: bool,
-    client: &IngressClient<'_, '_, '_>,
-) {
-    use std::fmt::Write as _;
-    let oids = client.read(|m| m.db().sat(class, cond));
-    let mut msg = format!("query count={} oids=", oids.len());
-    for (i, oid) in oids.iter().take(32).enumerate() {
-        if i > 0 {
-            msg.push(',');
+        c.last_dialect = dialect;
+        c.bytes += wire;
+        if config.max_conn_bytes > 0 && c.bytes > config.max_conn_bytes {
+            let msg = format!(
+                "connection byte quota exceeded ({} bytes); closing",
+                config.max_conn_bytes
+            );
+            c.teardown(Some(self.reply(dialect, Outcome::Error(msg))));
+            return false;
         }
-        let _ = write!(msg, "{oid}");
-    }
-    c.push_slot(Slot::Ready(reply(binary, frame::REP_OK, "ok", &msg)));
-}
-
-/// Promote a replica to a writable primary. The pull loop is told to
-/// stop first; the flip itself rides an admin barrier op so it queues
-/// **behind** every apply batch the puller already posted — the
-/// shipped tail folds before the halt lands, and nothing of the acked
-/// stream is dropped. Phase 1 halts further applies and lifts the
-/// read-only refusal while the monitor is exclusively ours.
-#[allow(clippy::too_many_arguments)]
-fn post_promote<'t>(
-    c: &mut Conn<'t>,
-    ctl: &Arc<crate::enforce::repl::ReplicaCtl>,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    shared: &ServerShared<'_>,
-) {
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let (conn, owner) = (c.id, me);
-    let ev = Arc::clone(ev);
-    let ctl = Arc::clone(ctl);
-    let evo = Arc::clone(&shared.evo);
-    let metrics = shared.metrics.clone();
-    ctl.request_stop();
-    client.post_admin(Box::new(move |gate| {
-        let attempt = match gate {
-            Ok(m) => {
-                ctl.halt();
-                ctl.make_writable();
-                // The shipped history may carry redefinitions this
-                // server folded without going through its own
-                // `redefine` verb: refresh the evolution gauges so the
-                // promoted primary's `stats` tells the truth.
-                evo.epoch.store(m.epoch(), Ordering::SeqCst);
-                evo.redefines.store(m.redefine_total(), Ordering::SeqCst);
-                evo.quarantined.store(m.quarantined_total(), Ordering::SeqCst);
-                if let Some(mx) = metrics.as_deref() {
-                    mx.epoch.store(m.epoch(), Ordering::Relaxed);
-                    mx.redefine_total.store(m.redefine_total(), Ordering::Relaxed);
-                    mx.quarantined_objects.store(m.quarantined_total(), Ordering::Relaxed);
-                }
-                Ok((m.epoch(), ctl.applied()))
-            }
-            Err(reason) => Err(reason),
-        };
-        Box::new(move |_durable: bool| {
-            let bytes = match attempt {
-                Ok((epoch, applied)) => {
-                    let msg = format!("promoted epoch={epoch} applied={applied}");
-                    reply(binary, frame::REP_OK, "ok", &msg)
-                }
-                Err(reason) => {
-                    error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
-                }
-            };
-            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
-        })
-    }));
-}
-
-/// The split-brain guard: a replica refuses data writes until promoted
-/// — two writable heads of the same chain must never coexist. Returns
-/// the refusal message when `verb` must be bounced.
-fn replica_refusal(shared: &ServerShared<'_>, verb: &str) -> Option<String> {
-    shared.replica.as_ref().filter(|ctl| ctl.is_read_only()).map(|ctl| {
-        format!(
-            "replica is read-only: {verb} refused (following {}; `promote` to accept writes)",
-            ctl.upstream()
-        )
-    })
-}
-
-/// Dispatch one extracted request. Returns `false` when extraction on
-/// this connection must stop (quit, shutdown, teardown).
-#[allow(clippy::too_many_arguments)]
-fn dispatch<'t>(
-    c: &mut Conn<'t>,
-    req: Request,
-    wire: u64,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-    config: &ServerConfig,
-) -> bool {
-    let binary = matches!(req, Request::Frame(..));
-    c.last_binary = binary;
-    c.bytes += wire;
-    if config.max_conn_bytes > 0 && c.bytes > config.max_conn_bytes {
-        let msg =
-            format!("connection byte quota exceeded ({} bytes); closing", config.max_conn_bytes);
-        c.teardown(Some(error_reply(ev, binary, &msg)));
-        return false;
-    }
-    // Blank lines and comments get no reply (text dialect only — every
-    // frame is a request).
-    if let Request::Line(ref l) = req {
-        let t = l.trim();
-        if t.is_empty() || t.starts_with('#') {
-            return true;
-        }
-    }
-    ev.requests.fetch_add(1, Ordering::SeqCst);
-    c.ops += 1;
-    if config.max_conn_ops > 0 && c.ops > config.max_conn_ops {
-        let msg = format!(
-            "connection request quota exceeded ({} requests); closing",
-            config.max_conn_ops
-        );
-        c.teardown(Some(error_reply(ev, binary, &msg)));
-        return false;
-    }
-    if !c.authed {
-        // Nothing but the correct (text) handshake is served before
-        // auth — not even error details that would confirm verb names,
-        // and no binary traffic at all.
-        if let Request::Line(ref l) = req {
-            let line = l.trim();
-            let (verb, rest) = match line.split_once(char::is_whitespace) {
-                Some((v, r)) => (v, r.trim()),
-                None => (line, ""),
-            };
-            if verb == "auth" && config.auth.as_deref().is_some_and(|tok| token_eq(tok, rest)) {
-                c.authed = true;
-                c.push_slot(Slot::Ready(b"ok authed\n".to_vec()));
+        // Blank lines and comments get no reply (text dialect only — every
+        // frame is a request).
+        if let Request::Line(l) = &req {
+            let t = l.trim();
+            if t.is_empty() || t.starts_with('#') {
                 return true;
             }
         }
-        c.teardown(Some(error_reply(
-            ev,
-            binary,
-            "authentication required (send `auth <token>` first)",
-        )));
-        return false;
-    }
-    match req {
-        Request::Line(line) => dispatch_verb(c, line.trim(), me, ev, client, ts, shared),
-        Request::Frame(kind, payload) => {
-            dispatch_frame(c, kind, &payload, me, ev, client, ts, shared);
-            true
+        self.ev.requests.fetch_add(1, Ordering::SeqCst);
+        c.ops += 1;
+        if config.max_conn_ops > 0 && c.ops > config.max_conn_ops {
+            let msg = format!(
+                "connection request quota exceeded ({} requests); closing",
+                config.max_conn_ops
+            );
+            c.teardown(Some(self.reply(dialect, Outcome::Error(msg))));
+            return false;
+        }
+        if !c.authed {
+            // Nothing but the correct (text) handshake passes before auth —
+            // not even error details that would confirm verb names, and no
+            // binary traffic at all. The handshake is then served as `auth`.
+            if let Request::Line(l) = &req {
+                let (verb, token) = split_word(l.trim());
+                c.authed =
+                    verb == "auth" && config.auth.as_deref().is_some_and(|t| token_eq(t, token));
+            }
+            if !c.authed {
+                let msg = "authentication required (send `auth <token>` first)".to_owned();
+                c.teardown(Some(self.reply(dialect, Outcome::Error(msg))));
+                return false;
+            }
+        }
+        let cmd = match &req {
+            Request::Line(line) => self.decode_line(line.trim()),
+            Request::Frame(kind, payload) => self.decode_frame(*kind, payload),
+        };
+        match cmd {
+            Ok(cmd) => self.execute(c, dialect, cmd),
+            Err(msg) => {
+                c.push_slot(Slot::Ready(self.reply(dialect, Outcome::Error(msg))));
+                true
+            }
         }
     }
-}
 
-fn dispatch_verb<'t>(
-    c: &mut Conn<'t>,
-    line: &str,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-) -> bool {
-    let (verb, rest) = match line.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (line, ""),
-    };
-    match verb {
-        "invoke" => match replica_refusal(shared, "invoke") {
-            Some(msg) => {
-                let r = error_reply(ev, false, &msg);
-                c.push_slot(Slot::Ready(r));
+    /// The text dialect's decoder: `<verb> <rest>` into a command, or the
+    /// error to answer.
+    fn decode_line(&self, line: &str) -> Result<Command<'t>, String> {
+        let (verb, rest) = split_word(line);
+        Ok(match verb {
+            "invoke" => {
+                self.writable("invoke")?;
+                let (name, args) = parse_invocation(rest)?;
+                Command::Invoke(self.transaction(name)?, Assignment::new(args))
             }
-            None => match parse_invocation(rest) {
-                Ok((name, args)) => match ts.get(name) {
-                    Some(t) => post_invoke(c, t, Assignment::new(args), false, me, ev, client),
-                    None => {
-                        let r = error_reply(ev, false, &format!("unknown transaction `{name}`"));
-                        c.push_slot(Slot::Ready(r));
-                    }
-                },
-                Err(e) => {
-                    let r = error_reply(ev, false, &e);
-                    c.push_slot(Slot::Ready(r));
-                }
-            },
-        },
-        "query" => {
-            if rest.is_empty() {
-                let r = error_reply(ev, false, "usage: query <Class>[(Attr=value,...)]");
-                c.push_slot(Slot::Ready(r));
-            } else {
-                match super::parse_query(shared.schema, rest) {
-                    Ok((class, cond)) => post_query(c, class, &cond, false, client),
-                    Err(e) => {
-                        let r = error_reply(ev, false, &e);
-                        c.push_slot(Slot::Ready(r));
-                    }
-                }
+            "query" if rest.is_empty() => {
+                return Err("usage: query <Class>[(Attr=value,...)]".to_owned());
             }
-        }
-        "schema" => {
-            c.push_slot(Slot::Ready(format!("{}\n", shared.schema_line).into_bytes()));
-        }
-        "stats" => {
+            "query" => {
+                let (class, cond) = parse_query(self.shared.schema, rest)?;
+                Command::Query(class, cond)
+            }
+            "redefine" => {
+                // `redefine <quarantine|certify-and-reset> <inventory src>`:
+                // policy token first, the rest of the line is the source.
+                self.writable("redefine")?;
+                let (policy, src) = split_word(rest);
+                if policy.is_empty() || src.is_empty() {
+                    return Err(
+                        "usage: redefine <quarantine|certify-and-reset> <inventory source>"
+                            .to_owned(),
+                    );
+                }
+                let policy =
+                    ResiduePolicy::parse(policy).map_err(|e| format!("redefine refused: {e}"))?;
+                Command::Redefine(policy, self.inventory(src)?)
+            }
+            "schema" => Command::Schema,
             // `stats` is the flat test-locked line; `stats prom` is the
-            // Prometheus exposition, length-prefixed. Anything else
-            // after the verb is an error rather than silently flat.
-            let slot = match rest {
-                "" => Slot::Stats { prom: false },
-                "prom" => Slot::Stats { prom: true },
-                other => {
-                    Slot::Ready(error_reply(ev, false, &format!("unknown stats form `{other}`")))
-                }
-            };
-            c.push_slot(slot);
-        }
-        "ping" => {
-            c.push_slot(Slot::Ready(b"ok pong\n".to_vec()));
-        }
-        // Re-authenticating (or authing with no token configured) is a
-        // harmless no-op, so scripts can always send it first.
-        "auth" => {
-            c.push_slot(Slot::Ready(b"ok authed\n".to_vec()));
-        }
-        "redefine" => {
-            // `redefine <quarantine|certify-and-reset> <inventory src>`:
-            // policy token first, the rest of the line is the source.
-            let (policy, src) = match rest.split_once(char::is_whitespace) {
-                Some((p, s)) => (p, s.trim()),
-                None => (rest, ""),
-            };
-            if let Some(msg) = replica_refusal(shared, "redefine") {
-                let r = error_reply(ev, false, &msg);
-                c.push_slot(Slot::Ready(r));
-            } else if policy.is_empty() || src.is_empty() {
-                let r = error_reply(
-                    ev,
-                    false,
-                    "usage: redefine <quarantine|certify-and-reset> <inventory source>",
-                );
-                c.push_slot(Slot::Ready(r));
-            } else {
-                match ResiduePolicy::parse(policy) {
-                    Ok(p) => post_redefine(c, p, src, false, me, ev, client, shared),
-                    Err(e) => {
-                        let r = error_reply(ev, false, &format!("redefine refused: {e}"));
-                        c.push_slot(Slot::Ready(r));
-                    }
-                }
-            }
-        }
-        "rearm" => {
-            // Operator action: leave degraded read-only mode. If the
-            // fault persists, the next failing append re-degrades.
-            shared.health.rearm();
-            c.push_slot(Slot::Ready(b"ok armed\n".to_vec()));
-        }
-        "promote" => match &shared.replica {
-            None => {
-                let r = error_reply(
-                    ev,
-                    false,
-                    "not a replica (promote targets a server started with --replica-of)",
-                );
-                c.push_slot(Slot::Ready(r));
-            }
-            Some(ctl) => post_promote(c, ctl, false, me, ev, client, shared),
-        },
-        "quit" => {
-            c.teardown(Some(b"ok bye\n".to_vec()));
-            return false;
-        }
-        "shutdown" => {
-            c.push_slot(Slot::Ready(b"ok draining\n".to_vec()));
-            c.read_open = false;
-            ev.shutdown.store(true, Ordering::SeqCst);
-            ev.wake_all();
-            return false;
-        }
-        other => {
-            let r = error_reply(
-                ev,
-                false,
-                &format!(
+            // Prometheus exposition, length-prefixed. Anything else after
+            // the verb is an error rather than silently flat.
+            "stats" => match rest {
+                "" => Command::Stats { prom: false },
+                "prom" => Command::Stats { prom: true },
+                other => return Err(format!("unknown stats form `{other}`")),
+            },
+            "ping" => Command::Ping,
+            "auth" => Command::Auth,
+            "rearm" => Command::Rearm,
+            "promote" => Command::Promote,
+            "quit" => Command::Quit,
+            "shutdown" => Command::Shutdown,
+            other => {
+                return Err(format!(
                     "unknown verb `{other}` \
                      (invoke|query|schema|stats|ping|auth|redefine|promote|rearm|quit|shutdown)"
-                ),
-            );
-            c.push_slot(Slot::Ready(r));
+                ))
+            }
+        })
+    }
+
+    /// The binary dialect's decoder: a frame's kind and payload into a
+    /// command, or the error to answer.
+    fn decode_frame(&self, kind: u8, payload: &[u8]) -> Result<Command<'t>, String> {
+        match kind {
+            frame::REQ_INVOKE => {
+                self.writable("invoke")?;
+                let mut r = migratory_model::codec::Reader::new(payload);
+                let (name, args) =
+                    migratory_lang::codec::decode_invoke(&mut r).map_err(|e| e.to_string())?;
+                if !r.is_exhausted() {
+                    return Err("trailing bytes after invoke payload".to_owned());
+                }
+                Ok(Command::Invoke(self.transaction(&name)?, Assignment::new(args)))
+            }
+            frame::REQ_REDEFINE => {
+                self.writable("redefine")?;
+                let (&policy, src) = payload.split_first().ok_or("empty redefine payload")?;
+                let policy = ResiduePolicy::from_byte(policy)
+                    .map_err(|e| format!("redefine refused: {e}"))?;
+                let src = std::str::from_utf8(src).map_err(|_| "redefine payload is not UTF-8")?;
+                Ok(Command::Redefine(policy, self.inventory(src)?))
+            }
+            frame::REQ_QUERY => {
+                let body =
+                    std::str::from_utf8(payload).map_err(|_| "query payload is not UTF-8")?;
+                let (class, cond) = parse_query(self.shared.schema, body)?;
+                Ok(Command::Query(class, cond))
+            }
+            other => Err(format!(
+                "unknown frame kind {other:#04x} (expected invoke {:#04x}, \
+                 redefine {:#04x}, or query {:#04x})",
+                frame::REQ_INVOKE,
+                frame::REQ_REDEFINE,
+                frame::REQ_QUERY
+            )),
         }
     }
-    true
-}
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_frame<'t>(
-    c: &mut Conn<'t>,
-    kind: u8,
-    payload: &[u8],
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-) {
-    match kind {
-        frame::REQ_INVOKE => {
-            if let Some(msg) = replica_refusal(shared, "invoke") {
-                let rep = error_reply(ev, true, &msg);
-                c.push_slot(Slot::Ready(rep));
-                return;
+    /// Execute one decoded request and queue its reply slot. Returns
+    /// `false` when extraction on this connection must stop (quit,
+    /// shutdown).
+    fn execute(&self, c: &mut Conn<'t>, dialect: Dialect, cmd: Command<'t>) -> bool {
+        let outcome = match cmd {
+            Command::Invoke(t, args) => {
+                // A full lane parks the op as the connection's pending
+                // post, which suppresses its read interest until a space
+                // signal lets the retry through.
+                let answer = self.await_outcome(c, dialect);
+                let done = Box::new(move |o: Result<(), EnforceError>| {
+                    answer(o.map_or_else(Outcome::Refused, |()| Outcome::Admitted));
+                });
+                if let Err((args, done)) = self.client.try_post_done(t, args, done) {
+                    c.pending = Some(Pending { t, args, done });
+                }
+                return true;
             }
-            let mut r = migratory_model::codec::Reader::new(payload);
-            match migratory_lang::codec::decode_invoke(&mut r) {
-                Ok((name, args)) if r.is_exhausted() => match ts.get(&name) {
-                    Some(t) => post_invoke(c, t, Assignment::new(args), true, me, ev, client),
-                    None => {
-                        let rep = error_reply(ev, true, &format!("unknown transaction `{name}`"));
-                        c.push_slot(Slot::Ready(rep));
+            Command::Query(class, cond) => {
+                // The scan runs under the ingress's shared monitor lock
+                // ([`IngressClient::read`]), between two of the admission
+                // worker's units of work, so it sees every acknowledged op
+                // and never a rejected op or part of a block. Replicas and
+                // degraded primaries serve it too.
+                use std::fmt::Write as _;
+                let oids = self.client.read(|m| m.db().sat(class, &cond));
+                let mut text = format!("query count={} oids=", oids.len());
+                for (i, oid) in oids.iter().take(32).enumerate() {
+                    if i > 0 {
+                        text.push(',');
                     }
-                },
-                Ok(_) => {
-                    let rep = error_reply(ev, true, "trailing bytes after invoke payload");
-                    c.push_slot(Slot::Ready(rep));
+                    let _ = write!(text, "{oid}");
                 }
-                Err(e) => {
-                    let rep = error_reply(ev, true, &e.to_string());
-                    c.push_slot(Slot::Ready(rep));
-                }
+                Outcome::Ok(text)
             }
-        }
-        frame::REQ_REDEFINE if replica_refusal(shared, "redefine").is_some() => {
-            let msg = replica_refusal(shared, "redefine").expect("guard matched");
-            let rep = error_reply(ev, true, &msg);
-            c.push_slot(Slot::Ready(rep));
-        }
-        frame::REQ_REDEFINE => match payload.split_first() {
-            None => {
-                let rep = error_reply(ev, true, "empty redefine payload");
-                c.push_slot(Slot::Ready(rep));
+            Command::Redefine(policy, inv) => {
+                self.redefine(c, dialect, policy, inv);
+                return true;
             }
-            Some((pb, src)) => match (ResiduePolicy::from_byte(*pb), std::str::from_utf8(src)) {
-                (Err(e), _) => {
-                    let rep = error_reply(ev, true, &format!("redefine refused: {e}"));
-                    c.push_slot(Slot::Ready(rep));
-                }
-                (Ok(_), Err(_)) => {
-                    let rep = error_reply(ev, true, "redefine payload is not UTF-8");
-                    c.push_slot(Slot::Ready(rep));
-                }
-                (Ok(p), Ok(src)) => post_redefine(c, p, src, true, me, ev, client, shared),
-            },
-        },
-        frame::REQ_QUERY => match std::str::from_utf8(payload) {
-            Err(_) => {
-                let rep = error_reply(ev, true, "query payload is not UTF-8");
-                c.push_slot(Slot::Ready(rep));
+            Command::Schema => Outcome::Ok(self.shared.schema_line.clone()),
+            Command::Stats { prom } => {
+                c.push_slot(Slot::Stats { prom });
+                return true;
             }
-            Ok(q) => match super::parse_query(shared.schema, q) {
-                Ok((class, cond)) => post_query(c, class, &cond, true, client),
-                Err(e) => {
-                    let rep = error_reply(ev, true, &e);
-                    c.push_slot(Slot::Ready(rep));
+            Command::Ping => Outcome::Ok("pong".to_owned()),
+            // Re-authenticating (or authing with no token configured) is a
+            // harmless no-op, so scripts can always send it first.
+            Command::Auth => Outcome::Ok("authed".to_owned()),
+            Command::Rearm => {
+                // Operator action: leave degraded read-only mode. If the
+                // fault persists, the next failing append re-degrades.
+                self.shared.health.rearm();
+                Outcome::Ok("armed".to_owned())
+            }
+            Command::Promote => match &self.shared.replica {
+                Some(ctl) => {
+                    self.promote(c, dialect, ctl);
+                    return true;
                 }
-            },
-        },
-        other => {
-            let rep = error_reply(
-                ev,
-                true,
-                &format!(
-                    "unknown frame kind {other:#04x} (expected invoke {:#04x}, \
-                     redefine {:#04x}, or query {:#04x})",
-                    frame::REQ_INVOKE,
-                    frame::REQ_REDEFINE,
-                    frame::REQ_QUERY
+                None => Outcome::Error(
+                    "not a replica (promote targets a server started with --replica-of)".to_owned(),
                 ),
-            );
-            c.push_slot(Slot::Ready(rep));
-        }
+            },
+            Command::Quit => {
+                c.teardown(Some(self.reply(dialect, Outcome::Ok("bye".to_owned()))));
+                return false;
+            }
+            Command::Shutdown => {
+                c.push_slot(Slot::Ready(self.reply(dialect, Outcome::Ok("draining".to_owned()))));
+                c.read_open = false;
+                self.ev.shutdown.store(true, Ordering::SeqCst);
+                self.ev.wake_all();
+                return false;
+            }
+        };
+        c.push_slot(Slot::Ready(self.reply(dialect, outcome)));
+        true
+    }
+
+    /// Post a `redefine` as an admin barrier op: it runs on the admission
+    /// worker with exclusive monitor access, and its verdict is mailed
+    /// back only once it is known *and* the write-ahead record is durable
+    /// (or the attempt was refused or rolled back).
+    fn redefine(&self, c: &mut Conn<'t>, dialect: Dialect, policy: ResiduePolicy, inv: Inventory) {
+        let answer = self.await_outcome(c, dialect);
+        let evo = Arc::clone(&self.shared.evo);
+        let metrics = self.shared.metrics.clone();
+        self.client.post_admin(Box::new(move |gate| {
+            // Phase 1, on the admission worker between blocks: apply (or
+            // learn why not). Totals are read while the monitor is still
+            // exclusively ours — the durable flag arrives later.
+            let attempt = gate.map(|m| (m.redefine(&inv, policy), evolution(m)));
+            Box::new(move |durable: bool| {
+                answer(match attempt {
+                    Ok((Ok(out), totals)) if durable => {
+                        evo.publish(metrics.as_deref(), totals);
+                        Outcome::Ok(format!("epoch={} residue={}", out.epoch, out.residue))
+                    }
+                    // The record never became durable: the worker winds the
+                    // monitor back to the durable image before admitting
+                    // anything else, so the epoch this op minted is gone.
+                    Ok((Ok(_), _)) => Outcome::Error(
+                        "redefinition rolled back: write-ahead log degraded before it became \
+                         durable"
+                            .to_owned(),
+                    ),
+                    Ok((Err(e), _)) => Outcome::Refused(e),
+                    Err(reason) => Outcome::Refused(EnforceError::Degraded(reason)),
+                });
+            })
+        }));
+    }
+
+    /// Promote a replica to a writable primary. The pull loop is told to
+    /// stop first; the flip itself rides an admin barrier op so it queues
+    /// **behind** every apply batch the puller already posted — the
+    /// shipped tail folds before the halt lands, and nothing of the acked
+    /// stream is dropped. Phase 1 halts further applies and lifts the
+    /// read-only refusal while the monitor is exclusively ours.
+    fn promote(&self, c: &mut Conn<'t>, dialect: Dialect, ctl: &Arc<ReplicaCtl>) {
+        let answer = self.await_outcome(c, dialect);
+        let ctl = Arc::clone(ctl);
+        let evo = Arc::clone(&self.shared.evo);
+        let metrics = self.shared.metrics.clone();
+        ctl.request_stop();
+        self.client.post_admin(Box::new(move |gate| {
+            let attempt = gate.map(|m| {
+                ctl.halt();
+                ctl.make_writable();
+                // The shipped history may carry redefinitions this server
+                // folded without going through its own `redefine` verb:
+                // refresh the evolution gauges so the promoted primary's
+                // `stats` tells the truth.
+                evo.publish(metrics.as_deref(), evolution(m));
+                (m.epoch(), ctl.applied())
+            });
+            Box::new(move |_durable: bool| {
+                answer(match attempt {
+                    Ok((epoch, applied)) => {
+                        Outcome::Ok(format!("promoted epoch={epoch} applied={applied}"))
+                    }
+                    Err(reason) => Outcome::Refused(EnforceError::Degraded(reason)),
+                });
+            })
+        }));
     }
 }
 
 /// Drive one connection as far as it will go: retry a parked post,
-/// extract and dispatch buffered requests, flush resolved replies,
-/// write. Loops while progress is made, because writing can re-open the
-/// extraction gate (write-buffer high-water mark) for bytes that are
-/// already buffered and would otherwise never see a poll event.
-#[allow(clippy::too_many_arguments)]
-fn pump<'t>(
-    c: &mut Conn<'t>,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-    config: &ServerConfig,
-    pipeline: usize,
-) {
+/// extract and serve buffered requests, flush resolved replies,
+/// write. Loops while progress is made, because writing can re-open
+/// the extraction gate (write-buffer high-water mark) for bytes that
+/// are already buffered and would otherwise never see a poll event.
+fn pump<'t>(env: &Env<'_, 't, '_, '_, '_>, c: &mut Conn<'t>) {
     loop {
         if c.dead {
             return;
         }
         if let Some(p) = c.pending.take() {
-            if let Err((args, done)) = client.try_post_done(p.t, p.args, p.done) {
+            if let Err((args, done)) = env.client.try_post_done(p.t, p.args, p.done) {
                 c.pending = Some(Pending { t: p.t, args, done });
             }
         }
         let mut dispatched = false;
         let mut drained = false;
-        while c.may_extract(pipeline) {
+        while c.may_extract(env.pipeline()) {
             match c.extract() {
                 Extracted::None => {
                     drained = true;
@@ -908,20 +807,18 @@ fn pump<'t>(
                 }
                 Extracted::Some(req, wire) => {
                     dispatched = true;
-                    if !dispatch(c, req, wire, me, ev, client, ts, shared, config) {
+                    if !env.dispatch(c, req, wire) {
                         break;
                     }
                 }
                 Extracted::LineTooLong => {
-                    let r =
-                        error_reply(ev, false, &format!("request line exceeds {MAX_LINE} bytes"));
-                    c.teardown(Some(r));
+                    let msg = format!("request line exceeds {MAX_LINE} bytes");
+                    c.teardown(Some(env.reply(Dialect::Text, Outcome::Error(msg))));
                     break;
                 }
                 Extracted::FrameOversized(len) => {
                     let msg = format!("frame length {len} exceeds {} bytes", frame::MAX_PAYLOAD);
-                    let r = error_reply(ev, true, &msg);
-                    c.teardown(Some(r));
+                    c.teardown(Some(env.reply(Dialect::Binary, Outcome::Error(msg))));
                     break;
                 }
                 Extracted::BadUtf8 => {
@@ -944,7 +841,7 @@ fn pump<'t>(
             c.teardown(None);
         }
         c.compact();
-        c.flush_slots(|prom| stats_reply(ev, shared, prom));
+        c.flush_slots(|prom| stats_reply(env.ev, env.shared, prom));
         let unsent_before = c.unsent();
         if c.wants_write() {
             c.try_write();
@@ -958,18 +855,12 @@ fn pump<'t>(
 
 /// One event thread. `listener` is `Some` only for thread 0. The
 /// `Result` carries a fatal listener error (reported after the drain).
-#[allow(clippy::too_many_arguments)]
 fn event_thread<'t>(
-    me: usize,
-    ev: &Arc<EventShared>,
+    env: &Env<'_, 't, '_, '_, '_>,
     listener: Option<&TcpListener>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    alphabet: &RoleAlphabet,
-    shared: &ServerShared<'_>,
-    config: &ServerConfig,
 ) -> std::io::Result<()> {
-    let pipeline = config.pipeline.max(1);
+    let (me, ev, config) = (env.me, env.ev, env.config);
+    let pipeline = env.pipeline();
     let mut conns: HashMap<u64, Conn<'t>> = HashMap::new();
     let mut draining = false;
     let mut fatal: Option<std::io::Error> = None;
@@ -1023,27 +914,15 @@ fn event_thread<'t>(
                 ev.wake_all();
             }
         }
-        for (id, stream) in mail.conns {
-            let mut c = Conn::new(stream, id, config.auth.is_none());
-            if draining {
-                c.begin_drain(Instant::now() + DRAIN_TIMEOUT);
-            }
-            if register(&ep, &mut c, pipeline).is_err() {
-                ev.live.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            conns.insert(id, c);
+        for handoff in mail.conns {
+            adopt(env, &mut conns, &ep, handoff, draining);
         }
         for d in mail.dones {
-            // A completion for a connection that died meanwhile was
-            // already counted by the callback; nothing else to do.
+            // An outcome for a connection that died meanwhile was
+            // already counted where it was decided; nothing else to do.
             if let Some(c) = conns.get_mut(&d.conn) {
-                if let Some(binary) = c.waiting_dialect(d.seq) {
-                    let bytes = match d.reply {
-                        Reply::Outcome(o) => outcome_reply(&o, binary, alphabet),
-                        Reply::Bytes(b) => b,
-                    };
-                    c.fill_slot(d.seq, bytes);
+                if let Some(dialect) = c.waiting_dialect(d.seq) {
+                    c.fill_slot(d.seq, d.outcome.encode(dialect, env.shared.alphabet));
                     c.dirty = true;
                 }
             }
@@ -1072,8 +951,7 @@ fn event_thread<'t>(
                             // the connection's last-seen dialect so a
                             // binary client parked in `read_frame`
                             // receives a decodable frame.
-                            let r = error_reply(ev, c.last_binary, &msg);
-                            c.teardown(Some(r));
+                            c.teardown(Some(env.reply(c.last_dialect, Outcome::Error(msg))));
                             c.dirty = true;
                         }
                     }
@@ -1100,7 +978,7 @@ fn event_thread<'t>(
                 continue;
             }
             c.dirty = false;
-            pump(c, me, ev, client, ts, shared, config, pipeline);
+            pump(env, c);
             if c.dead || c.finished() {
                 gone.push(*id);
                 continue;
@@ -1128,7 +1006,7 @@ fn event_thread<'t>(
                 // writer's drained tickets; if the lane is still full
                 // the op is dropped with the connection.
                 if let Some(p) = c.pending.take() {
-                    let _ = client.try_post_done(p.t, p.args, p.done);
+                    let _ = env.client.try_post_done(p.t, p.args, p.done);
                 }
             }
         }
@@ -1140,14 +1018,8 @@ fn event_thread<'t>(
             if last.conns.is_empty() {
                 break;
             }
-            for (id, stream) in last.conns {
-                let mut c = Conn::new(stream, id, config.auth.is_none());
-                c.begin_drain(Instant::now() + DRAIN_TIMEOUT);
-                if register(&ep, &mut c, pipeline).is_err() {
-                    ev.live.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                conns.insert(id, c);
+            for handoff in last.conns {
+                adopt(env, &mut conns, &ep, handoff, true);
             }
             continue;
         }
@@ -1202,7 +1074,7 @@ fn event_thread<'t>(
                         continue;
                     }
                     let Some(l) = listener else { continue };
-                    if let Err(e) = accept_burst(l, me, &mut conns, &ep, pipeline, ev, config) {
+                    if let Err(e) = accept_burst(env, l, &mut conns, &ep) {
                         // Fatal listener error: stop accepting, drain
                         // what was accepted, report after.
                         fatal = Some(e);

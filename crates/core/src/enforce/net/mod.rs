@@ -327,10 +327,11 @@ pub fn parse_query(
 }
 
 /// Constraint-evolution gauges: read by the `stats` verb on the event
-/// threads, stored by the `redefine` admin op on the admission worker
-/// once its record is durable, and mirrored into the Prometheus
-/// metrics when those are configured. Seeded from the monitor at serve
-/// time, so a recovered server reports its recovered epoch.
+/// threads, published at serve time (so a recovered server reports its
+/// recovered epoch), by a `redefine` once its record is durable and by a
+/// `promote`, and mirrored into the Prometheus metrics when those are
+/// configured.
+#[derive(Default)]
 pub(super) struct EvolutionGauges {
     /// Current inventory epoch.
     pub(super) epoch: AtomicU64,
@@ -340,9 +341,30 @@ pub(super) struct EvolutionGauges {
     pub(super) quarantined: AtomicU64,
 }
 
+impl EvolutionGauges {
+    /// Publish a monitor's [`evolution`] totals here and to `metrics`.
+    fn publish(&self, metrics: Option<&AdmissionMetrics>, totals: [u64; 3]) {
+        let [epoch, redefines, quarantined] = totals;
+        self.epoch.store(epoch, Ordering::SeqCst);
+        self.redefines.store(redefines, Ordering::SeqCst);
+        self.quarantined.store(quarantined, Ordering::SeqCst);
+        if let Some(m) = metrics {
+            m.epoch.store(epoch, Ordering::Relaxed);
+            m.redefine_total.store(redefines, Ordering::Relaxed);
+            m.quarantined_objects.store(quarantined, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A monitor's evolution totals: epoch, redefinitions, quarantined
+/// objects.
+fn evolution(m: &ShardedMonitor<'_>) -> [u64; 3] {
+    [m.epoch(), m.redefine_total(), m.quarantined_total()]
+}
+
 /// Per-server state shared by every event thread.
 struct ServerShared<'h> {
-    /// Precomputed `schema` reply (the schema is immutable).
+    /// Precomputed `schema` reply text (the schema is immutable).
     schema_line: String,
     /// Admission lanes behind the server (for the `stats` reply).
     lanes: usize,
@@ -356,7 +378,8 @@ struct ServerShared<'h> {
     /// The schema behind the monitor: the `redefine` verb parses its
     /// new-inventory source against it on the event thread.
     schema: &'h Schema,
-    /// The role alphabet the inventory source is parsed over.
+    /// The role alphabet: `redefine` parses its inventory source over it,
+    /// and violation diagnostics render in it.
     alphabet: &'h RoleAlphabet,
     /// Evolution gauges for the `stats` line (`Arc`: the redefine admin
     /// op's completion outlives the event threads' borrows).
@@ -372,11 +395,11 @@ struct ServerShared<'h> {
     repl: Option<Arc<super::repl::Replicator>>,
 }
 
-/// The `stats` verb's reply, formatted at the requesting connection's
-/// flush moment.
+/// The `stats` verb's reply text, formatted at the requesting
+/// connection's flush moment.
 fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
     let mut line = format!(
-        "ok stats requests={} admitted={} rejected={} errors={} connections={} lanes={} \
+        "stats requests={} admitted={} rejected={} errors={} connections={} lanes={} \
          degraded={} last_checkpoint={} epoch={} redefines={} quarantined={}",
         ev.requests.load(Ordering::SeqCst),
         ev.admitted.load(Ordering::SeqCst),
@@ -417,17 +440,16 @@ fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
 /// knows where the multi-line payload ends); plain `stats` keeps its
 /// flat single-line form byte-for-byte.
 fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -> Vec<u8> {
-    if prom {
+    let (text, body) = if prom {
         let body =
             shared.metrics.as_deref().map(AdmissionMetrics::render_prometheus).unwrap_or_default();
-        let mut out = format!("ok prom {}\n", body.len()).into_bytes();
-        out.extend_from_slice(body.as_bytes());
-        out
+        (format!("prom {}", body.len()), body)
     } else {
-        let mut line = stats_line(ev, shared).into_bytes();
-        line.push(b'\n');
-        line
-    }
+        (stats_line(ev, shared), String::new())
+    };
+    let mut out = event::Outcome::Ok(text).encode(conn::Dialect::Text, shared.alphabet);
+    out.extend_from_slice(body.as_bytes());
+    out
 }
 
 /// Serve the wire protocol on `listener` until a client sends
@@ -463,24 +485,16 @@ pub fn serve(
     let _ = polling::set_backlog(listener.as_raw_fd(), 4096);
     let (schema, alphabet) = (monitor.schema(), monitor.alphabet());
     let mut schema_line = format!(
-        "ok schema components={} shards={} transactions",
+        "schema components={} shards={} transactions",
         schema.num_components(),
         monitor.num_shards()
     );
     for t in ts.transactions() {
         schema_line.push_str(&format!(" {}/{}", t.name, t.params.len()));
     }
-    let evo = Arc::new(EvolutionGauges {
-        epoch: AtomicU64::new(monitor.epoch()),
-        redefines: AtomicU64::new(monitor.redefine_total()),
-        quarantined: AtomicU64::new(monitor.quarantined_total()),
-    });
+    let evo = Arc::new(EvolutionGauges::default());
     let metrics = config.ingress.metrics.as_ref();
-    if let Some(m) = metrics {
-        m.epoch.store(monitor.epoch(), Ordering::SeqCst);
-        m.redefine_total.store(monitor.redefine_total(), Ordering::SeqCst);
-        m.quarantined_objects.store(monitor.quarantined_total(), Ordering::SeqCst);
-    }
+    evo.publish(metrics.map(|m| &**m), evolution(monitor));
     let durable = config.ingress.wal.as_ref();
     let repl = durable.and_then(|d| d.repl.as_ref());
     let replica = match (config.replica_of.as_deref(), durable) {
@@ -531,7 +545,7 @@ pub fn serve(
                     })
                     .expect("spawn the replication puller");
             }
-            let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
+            let out = event::run(&listener, client, ts, &shared, config, &ev);
             repl_stop.store(true, Ordering::SeqCst);
             if let Some((ctl, _)) = &replica {
                 ctl.request_stop();

@@ -88,13 +88,13 @@ serve       admits transactions over TCP (docs/PROTOCOL.md) through the sharded
             refuses writes until `promote`.
             Runs until a client sends the `shutdown` verb.
 client      drives a serve endpoint: --script sends each line as an `invoke`
-            (pipelined, replies in order; admin lines — redefine, rearm,
-            stats [prom], ping — are forwarded as protocol requests),
+            (pipelined, replies in order; request lines — query, redefine,
+            rearm, stats [prom], ping — are forwarded as protocol requests),
             --shutdown asks the server to drain, --auth performs the handshake
             first; with neither script nor shutdown, forwards raw protocol
-            lines from stdin. --binary sends script invocations (and redefine)
-            as length-prefixed binary frames (docs/PROTOCOL.md § Binary
-            framing) instead of text lines
+            lines from stdin. --binary sends script invocations (and query,
+            redefine) as length-prefixed binary frames (docs/PROTOCOL.md
+            § Binary framing) instead of text lines
 promote     flips a replica to a writable primary: the replica finishes folding
             the shipped tail, stops pulling, and starts accepting writes
 ";
@@ -661,14 +661,33 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
 }
 
 /// `migctl client`: drive a `migctl serve` endpoint. With `--script`,
-/// send each script line as a pipelined `invoke` — admin lines
-/// (`redefine`, `rearm`, `stats [prom]`, `ping`) go out as protocol
-/// requests instead — plus `shutdown` when `--shutdown` is given, and
-/// return every reply in order plus a tally; with `--shutdown` alone,
-/// just ask the server to drain; with neither, forward raw protocol
-/// lines from stdin, printing each reply.
+/// send each script line as a pipelined `invoke` — request lines
+/// (`query`, `redefine`, `rearm`, `stats [prom]`, `ping`) go out as
+/// protocol requests instead — plus `shutdown` when `--shutdown` is
+/// given, and return every reply in order plus a tally; with
+/// `--shutdown` alone, just ask the server to drain; with neither,
+/// forward raw protocol lines from stdin, printing each reply.
 pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String> {
     use std::io::{BufRead, BufReader, Write};
+
+    /// How a request's reply is read back.
+    #[derive(Clone, Copy)]
+    enum Expect {
+        Text,
+        Frame,
+        /// `stats prom`: an `ok prom <len>` header line followed by
+        /// `len` payload bytes.
+        Prom,
+    }
+
+    /// How the reply to a text request line is read back.
+    fn text_expect(line: &str) -> Expect {
+        if line.split_whitespace().eq(["stats", "prom"]) {
+            Expect::Prom
+        } else {
+            Expect::Text
+        }
+    }
 
     /// One reply line, newline-stripped; EOF is an error (replies are
     /// owed for every request, even across a graceful drain).
@@ -683,6 +702,40 @@ pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String>
                 Ok(line)
             }
             Err(e) => Err(format!("reading reply: {e}")),
+        }
+    }
+
+    /// One whole reply as text: a line, a decoded frame, or a `stats
+    /// prom` header line with its payload.
+    fn read_reply(r: &mut impl BufRead, expect: Expect) -> Result<String, String> {
+        match expect {
+            Expect::Text => read_reply_line(r),
+            Expect::Frame => {
+                let (kind, payload) =
+                    net::frame::read_frame(r).map_err(|e| format!("reading reply frame: {e}"))?;
+                let text = String::from_utf8_lossy(&payload);
+                Ok(match kind {
+                    net::frame::REP_OK if payload.is_empty() => "ok".to_owned(),
+                    net::frame::REP_OK => format!("ok {text}"),
+                    net::frame::REP_VIOLATION => format!("violation {text}"),
+                    _ => format!("error {text}"),
+                })
+            }
+            Expect::Prom => {
+                // An errored `stats prom` (quota, degraded handshake)
+                // answers a plain line instead of the framed header; pass
+                // it through.
+                let header = read_reply_line(r)?;
+                match header.strip_prefix("ok prom ").and_then(|len| len.parse::<usize>().ok()) {
+                    Some(len) => {
+                        let mut payload = vec![0u8; len];
+                        r.read_exact(&mut payload)
+                            .map_err(|e| format!("reading prom payload: {e}"))?;
+                        Ok(format!("{header}\n{}", String::from_utf8_lossy(&payload)))
+                    }
+                    None => Ok(header),
+                }
+            }
         }
     }
 
@@ -709,20 +762,13 @@ pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String>
         // order — a writer thread keeps sending while we read, so a
         // long script cannot deadlock on full socket buffers. The whole
         // request stream is encoded up front: text `invoke` lines, or
-        // with --binary one REQ_INVOKE frame per script line. Admin
-        // verbs (`redefine`, `rearm`, `stats [prom]`, `ping`) ride
-        // along: `redefine` becomes a REQ_REDEFINE frame under
-        // --binary, the rest stay text lines in either dialect (like
-        // `shutdown`), and replies always answer in their request's
-        // dialect — so the reader tracks what each request expects.
-        #[derive(Clone, Copy)]
-        enum Expect {
-            Text,
-            Frame,
-            /// `stats prom`: an `ok prom <len>` header line followed by
-            /// `len` payload bytes.
-            Prom,
-        }
+        // with --binary one REQ_INVOKE frame per script line. Other
+        // verbs (`query`, `redefine`, `rearm`, `stats [prom]`, `ping`)
+        // ride along: `query` and `redefine` become REQ_QUERY and
+        // REQ_REDEFINE frames under --binary, the rest stay text lines
+        // in either dialect (like `shutdown`), and replies always answer
+        // in their request's dialect — so the reader tracks what each
+        // request expects.
         let binary = flags.get("binary").is_some();
         let shutdown = flags.get("shutdown").is_some();
         let lines: Vec<&str> = src
@@ -750,13 +796,13 @@ pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String>
                     net::frame::encode_redefine_frame(&mut bytes, policy, regex);
                     expects.push(Expect::Frame);
                 }
-                "redefine" | "rearm" | "ping" | "stats" => {
+                "query" if binary => {
+                    net::frame::encode_query_frame(&mut bytes, rest);
+                    expects.push(Expect::Frame);
+                }
+                "query" | "redefine" | "rearm" | "ping" | "stats" => {
                     bytes.extend_from_slice(format!("{l}\n").as_bytes());
-                    expects.push(if verb == "stats" && rest == "prom" {
-                        Expect::Prom
-                    } else {
-                        Expect::Text
-                    });
+                    expects.push(text_expect(l));
                 }
                 _ if binary => {
                     let (name, args) = net::parse_invocation(l).map_err(err)?;
@@ -780,40 +826,7 @@ pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String>
                 let _ = writer.write_all(&bytes).and_then(|()| writer.flush());
             });
             for expect in &expects {
-                let reply = match expect {
-                    Expect::Text => read_reply_line(&mut reader)?,
-                    Expect::Frame => {
-                        let (kind, payload) = net::frame::read_frame(&mut reader)
-                            .map_err(|e| format!("reading reply frame: {e}"))?;
-                        let text = String::from_utf8_lossy(&payload);
-                        match kind {
-                            net::frame::REP_OK if payload.is_empty() => "ok".to_owned(),
-                            net::frame::REP_OK => format!("ok {text}"),
-                            net::frame::REP_VIOLATION => format!("violation {text}"),
-                            _ => format!("error {text}"),
-                        }
-                    }
-                    Expect::Prom => {
-                        // An errored `stats prom` (quota, degraded
-                        // handshake) answers a plain line instead of
-                        // the framed header; pass it through.
-                        let header = read_reply_line(&mut reader)?;
-                        match header
-                            .strip_prefix("ok prom ")
-                            .and_then(|len| len.parse::<usize>().ok())
-                        {
-                            Some(len) => {
-                                use std::io::Read as _;
-                                let mut payload = vec![0u8; len];
-                                reader
-                                    .read_exact(&mut payload)
-                                    .map_err(|e| format!("reading prom payload: {e}"))?;
-                                format!("{header}\n{}", String::from_utf8_lossy(&payload))
-                            }
-                            None => header,
-                        }
-                    }
-                };
+                let reply = read_reply(&mut reader, *expect)?;
                 match reply.split_whitespace().next() {
                     Some("ok") => ok += 1,
                     Some("violation") => violation += 1,
@@ -843,8 +856,8 @@ pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String>
             }
             writeln!(writer, "{line}").map_err(|e| e.to_string())?;
             writer.flush().map_err(|e| e.to_string())?;
-            let Ok(reply) = read_reply_line(&mut reader) else { break };
-            println!("{reply}");
+            let Ok(reply) = read_reply(&mut reader, text_expect(&line)) else { break };
+            println!("{}", reply.trim_end_matches('\n'));
             if line.trim() == "quit" {
                 break;
             }

@@ -1298,3 +1298,72 @@ fn every_reply_is_byte_identical_in_both_dialects() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// `migctl client`, through the real binary
+// ---------------------------------------------------------------------
+
+/// Run `migctl client --addr <addr> <args…>` with `stdin` piped in;
+/// returns its stdout, which must come with a successful exit.
+fn run_client(addr: &str, args: &[&str], stdin: &str) -> String {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_migctl"))
+        .args(["client", "--addr", addr])
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawn migctl client");
+    child.stdin.take().unwrap().write_all(stdin.as_bytes()).unwrap();
+    let out = child.wait_with_output().expect("client exits");
+    assert!(out.status.success(), "migctl client {args:?} failed");
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+/// The interactive client reads a `stats prom` reply whole — its header
+/// and its length-prefixed payload — so every later reply stays aligned
+/// with its request.
+#[test]
+fn interactive_client_reads_the_whole_stats_prom_reply() {
+    let dir = std::env::temp_dir().join(format!("migratory-net-client-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (child, addr) = spawn_serve(&dir, &[]);
+    let served = Served(child);
+
+    let out = run_client(&addr, &[], "stats prom\nping\nping\nquit\n");
+    let (header, rest) = out.split_once('\n').expect("a header line");
+    let len: usize = header.strip_prefix("ok prom ").expect(header).parse().unwrap();
+    let (payload, tail) = rest.split_at(len);
+    assert!(payload.contains("# TYPE migratory_commit_latency_us histogram"), "{payload}");
+    assert_eq!(tail, "ok pong\nok pong\nok bye\n", "replies after the payload stay aligned");
+    shut_down(served, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `query` script line goes out as a query in both dialects — a text
+/// line, or a query frame under `--binary` — not as an invocation.
+#[test]
+fn client_script_sends_query_lines_in_both_dialects() {
+    let dir = std::env::temp_dir().join(format!("migratory-net-query-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (child, addr) = spawn_serve(&dir, &[]);
+    let served = Served(child);
+
+    let script = dir.join("script.txt");
+    std::fs::write(&script, "Mk(a)\nquery PERSON\n").unwrap();
+    for flags in [&[][..], &["--binary"][..]] {
+        let mut args = vec!["--script", script.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let out = run_client(&addr, &args, "");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "two replies and the tally: {out}");
+        assert_eq!(lines[0], "ok", "{flags:?}");
+        assert!(lines[1].starts_with("ok query count="), "{flags:?}: {}", lines[1]);
+        assert_eq!(lines[2], "client: 2 ok, 0 violation(s), 0 error(s)", "{flags:?}");
+    }
+    shut_down(served, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
