@@ -135,8 +135,8 @@ pub fn left_quotient(x: &Dfa, y: &Nfa) -> Nfa {
 /// state set, complement-DFA state) lazily and stops at the first
 /// counterexample, returning it. Avoids materializing, determinizing, or
 /// minimizing the left language — the ablation partner of
-/// [`Dfa::witness_not_subset`] (DESIGN.md §6.3), which pays those costs
-/// up front but answers repeat queries cheaply.
+/// [`Dfa::witness_not_subset`] (`experiments micro` times both), which
+/// pays those costs up front but answers repeat queries cheaply.
 ///
 /// Returns `None` when the inclusion holds, otherwise a shortest-found
 /// witness in `L(nfa) ∖ L(dfa)` (BFS order, so of minimal length).

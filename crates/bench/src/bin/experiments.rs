@@ -1,33 +1,40 @@
-//! Regenerate every experiment row of EXPERIMENTS.md.
+//! Regenerate the experiment rows: the paper's theorems and worked
+//! examples, the enforcement engine's ablations, and the algorithm
+//! micro-benchmarks.
 //!
 //! Usage: `cargo run -p migratory-bench --bin experiments --release [-- <id>]`
-//! with ids: fig1-2, ex3.4, thm3.2, cor3.3, thm4.3, ex4.1, thm5.1,
-//! baseline, enforce, enforce-large, sat-heavy, batch-admit, persist,
-//! repl, serve, smoke, tail-smoke, flow, all (default).
+//! with ids: fig1-2, ex3.4, thm3.2, cor3.3, baseline, thm4.3, ex4.1,
+//! thm5.1, flow, micro, enforce, enforce-large, sat-heavy, batch-admit,
+//! redefine-latency, persist, smoke, tail-smoke, all (default: every
+//! theorem row, `micro`, `enforce`, `enforce-large` and `persist`).
 //!
 //! `enforce-large` additionally writes `BENCH_enforce.json` (throughput /
 //! latency trajectory of the delta monitor vs the reference monitor,
-//! the indexed-vs-scan `sat_heavy` comparison, and the sharded
-//! `batch_admit` comparison, on 10k–1M-object databases) to the current
-//! directory. `persist` writes `BENCH_persist.json` (time-to-recover
-//! from the checkpoint chain + WAL tail vs full history replay at
-//! 10k–1M objects, the admission-path checkpoint stall — O(dirty)
-//! incremental capture vs the old full-snapshot encode pause — and
-//! queued-ingress vs direct batch admission throughput).
-//! `sat-heavy` and `batch-admit` print their rows without touching any
-//! file; `smoke` runs tiny versions of all of them (the CI bench-smoke
-//! entry point).
+//! the indexed-vs-scan `sat_heavy` comparison, the sharded
+//! `batch_admit` comparison and the `redefine_latency` bound, on
+//! 10k–1M-object databases) to the current directory. `persist` writes
+//! `BENCH_persist.json` (time-to-recover from the checkpoint chain +
+//! WAL tail vs full history replay at 10k–1M objects, and the
+//! admission-path checkpoint stall). Both files open with the host's
+//! `available_parallelism()` and the `git describe --always --dirty` of
+//! the checkout. `sat-heavy`, `batch-admit` and `redefine-latency` print
+//! their rows without touching any file; `smoke` runs tiny versions of
+//! them, `recover` and `micro` (the CI bench-smoke entry point). The
+//! server over the wire is measured by `perfbench/` (`BENCHMARK.json`);
+//! `tail-smoke` is the CI tail-latency gate.
 
+use migratory_automata::{Dfa, Nfa, Regex};
 use migratory_bench::*;
 use migratory_chomsky::turing::machines;
+use migratory_chomsky::{cfg::grammars, to_gnf};
 use migratory_core::tm_compile::{compile_tm, drive_word, standard_tm_schema, TmSpec};
 use migratory_core::{
-    analyze_families, decide_with_families, explore, AnalyzeOptions, ExploreConfig, Inventory,
-    PatternKind,
+    analyze, analyze_families, decide_with_families, explore, synthesize, AnalyzeOptions,
+    ExploreConfig, Inventory, PatternKind,
 };
 use migratory_lang::Assignment;
 use migratory_model::Instance;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
@@ -69,38 +76,27 @@ fn main() {
         // History scales with the store: a checkpointed monitor recovers
         // in O(snapshot + tail) no matter how long the run was, while
         // "recovery by replay" pays for every letter ever admitted.
-        persist_row(
-            &[(10_000, 16_384, 512), (100_000, 32_768, 512), (1_000_000, 131_072, 512)],
-            &[(4_096, 16_384, 4)],
-            &[(250_000, 16_384, 4)],
-            &[(4_096, 65_536)],
-            &[1, 16, 256, 1_024],
-        );
-    }
-    if which == "repl" {
-        // Prints the BENCH_persist.json `repl` fragment for splicing.
-        println!("{}", repl_rows(&[(250_000, 16_384, 4)]));
-    }
-    if which == "serve" {
-        serve_rows(&[(4_096, 65_536)], &[1, 16, 256, 1_024]);
+        persist_row(&[(10_000, 16_384, 512), (100_000, 32_768, 512), (1_000_000, 131_072, 512)]);
     }
     if which == "tail-smoke" {
         tail_smoke();
     }
     if which == "smoke" {
-        // Tiny versions of the new workloads — the CI bench-smoke entry.
-        // `enforce_row` keeps the certified fast path compiled and run.
+        // Tiny versions of the kept rows — the CI bench-smoke entry.
+        // `enforce_row` keeps the certified fast path compiled and run;
+        // `micro` takes one sample of every micro-benchmark.
         enforce_row();
         sat_heavy_rows(&[(2_000, 400, 50)]);
         batch_admit_rows(&[(2_000, 256)]);
         redefine_latency_rows(&[(2_000, 16)]);
         recover_rows(&[(2_000, 200, 64)]);
-        ingress_rows(&[(512, 2_048, 4)]);
-        repl_rows(&[(512, 2_048, 4)]);
-        serve_rows(&[(256, 2_048)], &[1, 4]);
+        micro(1);
     }
     if all || which == "flow" {
         flow_families_row();
+    }
+    if all || which == "micro" {
+        micro(10);
     }
 }
 
@@ -281,6 +277,7 @@ fn enforce_large_row() {
     let redefine_latency = redefine_latency_rows(&[(10_000, 64), (100_000, 64), (1_000_000, 64)]);
     let json = format!(
         r#"{{
+{header}
   "bench": "enforce_large_db",
   "workload": "bulk-load n persons in one step, then alternating single-object specialize/generalize toggles",
   "inventory": "∅* ([PERSON] ∪ [STUDENT])* ∅*",
@@ -298,7 +295,8 @@ fn enforce_large_row() {
 {redefine_latency}
 }}
 "#,
-        rows.join(",\n")
+        rows.join(",\n"),
+        header = host_header(),
     );
     std::fs::write("BENCH_enforce.json", &json).expect("write BENCH_enforce.json");
     println!("  (wrote BENCH_enforce.json)");
@@ -604,33 +602,37 @@ fn redefine_latency_rows(configs: &[(usize, usize)]) -> String {
 }
 
 /// `persist`: the durability ablation — writes `BENCH_persist.json`
-/// with the `recover` (snapshot + WAL tail vs full history replay),
-/// `ingress` (queued vs direct admission) and `serve` (admission over
-/// TCP vs in-process ingress) comparisons.
-fn persist_row(
-    recover_cfgs: &[(usize, usize, usize)],
-    ingress_cfgs: &[(usize, usize, usize)],
-    repl_cfgs: &[(usize, usize, usize)],
-    serve_cfgs: &[(usize, usize)],
-    serve_conns: &[usize],
-) {
+/// with the `recover` (snapshot + WAL tail vs full history replay)
+/// comparison.
+fn persist_row(recover_cfgs: &[(usize, usize, usize)]) {
     let recover = recover_rows(recover_cfgs);
-    let ingress = ingress_rows(ingress_cfgs);
-    let repl = repl_rows(repl_cfgs);
-    let serve = serve_rows(serve_cfgs, serve_conns);
     let json = format!(
         r#"{{
+{}
   "bench": "persist",
-{recover},
-{ingress},
-{repl},
-{serve}
+{recover}
 }}
-"#
+"#,
+        host_header()
     );
     std::fs::write("BENCH_persist.json", &json).expect("write BENCH_persist.json");
     println!("  (wrote BENCH_persist.json)");
     println!();
+}
+
+/// The lines both `BENCH_*.json` files open with: the host's
+/// `available_parallelism()` and the checkout's `git describe --always
+/// --dirty` (`unknown` outside a git checkout).
+fn host_header() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |rev| rev.trim().to_owned());
+    format!("  \"available_parallelism\": {cpus},\n  \"git_describe\": \"{rev}\",")
 }
 
 /// `recover`: bulk-load n objects into a file-WAL-backed monitor, take
@@ -781,656 +783,6 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
     format!(
         r#"  "recover": {{
     "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history, background O(dirty) incremental checkpoint (checkpoint_stall_ms = admission-path blockage = capture_ms, the O(dirty) state clone, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; encode/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load + ShardedMonitor::recover with one shard (fold chain, replay tail) vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
-    "sizes": [
-{}
-    ]
-  }}"#,
-        rows.join(",\n")
-    )
-}
-
-/// `ingress`: queued concurrent admission (`enforce::ingress`, per-shard
-/// lanes, emergent batching, group commit) vs direct single-caller
-/// batch admission on the four-component fleet workload.
-/// `(objects per component, ops, producers)` per config; returns the
-/// `ingress` JSON fragment.
-fn ingress_rows(configs: &[(usize, usize, usize)]) -> String {
-    use migratory_core::enforce::{
-        ingress, AdmissionMetrics, DurableLog, FsyncPolicy, Histogram, IngressConfig,
-        ShardedMonitor, StepPolicy, Wal,
-    };
-    use std::sync::{Arc, Mutex};
-
-    println!("== perf-ingress: queued concurrent admission vs direct batches ==");
-    println!(
-        "{:>10} {:>8} {:>10} {:>12} {:>12} {:>14} {:>14} {:>7}",
-        "objects",
-        "ops",
-        "producers",
-        "direct/s",
-        "queued/s",
-        "durable q/s",
-        "pipelined/s",
-        "blocks"
-    );
-    let mut rows = Vec::new();
-    for &(per, ops, producers) in configs {
-        let (schema, alphabet, ts) = fleet();
-        let inv = Inventory::parse_init(&schema, &alphabet, FLEET_INVENTORY).unwrap();
-        let day = fleet_ops(ops, per);
-        let load = |m: &mut ShardedMonitor<'_>| {
-            for (mk, prefix) in
-                [("BuyTruck", "t"), ("HireDriver", "d"), ("OpenRoute", "r"), ("BuildDepot", "p")]
-            {
-                let t = ts.get(mk).unwrap();
-                let bulk: Vec<(&migratory_lang::Transaction, Assignment)> = (0..per)
-                    .map(|i| {
-                        (
-                            t,
-                            Assignment::new(vec![migratory_model::Value::str(&format!(
-                                "{prefix}{i}"
-                            ))]),
-                        )
-                    })
-                    .collect();
-                let (done, err) = m.try_apply_batch(bulk.iter().map(|(t, a)| (*t, a)));
-                assert_eq!((done, err), (per, None), "bulk load conforms");
-            }
-        };
-
-        // (a) Direct: one caller feeding try_apply_batch blocks of 256.
-        let direct_rate = {
-            let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                .with_policy(StepPolicy::OnlyChanging);
-            load(&mut m);
-            let t0 = Instant::now();
-            for chunk in day.chunks(256) {
-                let (done, err) =
-                    m.try_apply_batch(chunk.iter().map(|(name, a)| (ts.get(name).unwrap(), a)));
-                assert_eq!((done, err), (chunk.len(), None), "day conforms");
-            }
-            ops as f64 / t0.elapsed().as_secs_f64()
-        };
-
-        // (b/c) Queued: `producers` pipelining callers over per-shard
-        // lanes, volatile and WAL-durable.
-        let queued = |sink: Option<migratory_core::enforce::SharedSink>| -> (f64, usize) {
-            let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                .with_policy(StepPolicy::OnlyChanging);
-            if let Some(s) = sink {
-                m = m.with_sink(s);
-            }
-            load(&mut m);
-            let cfg = IngressConfig { queue_capacity: 1024, max_block: 256, ..Default::default() };
-            let t0 = Instant::now();
-            let ((), stats) = ingress::serve(&mut m, &cfg, |client| {
-                std::thread::scope(|scope| {
-                    for p in 0..producers {
-                        let day = &day;
-                        let ts = &ts;
-                        scope.spawn(move || {
-                            let tickets: Vec<_> = day
-                                .iter()
-                                .skip(p)
-                                .step_by(producers)
-                                .map(|(name, a)| client.post(ts.get(name).unwrap(), a.clone()))
-                                .collect();
-                            for t in tickets {
-                                t.wait().expect("day conforms");
-                            }
-                        });
-                    }
-                });
-            });
-            assert_eq!(stats.admitted, ops);
-            (ops as f64 / t0.elapsed().as_secs_f64(), stats.blocks)
-        };
-        let (queued_rate, blocks) = queued(None);
-        let wal_dir =
-            std::env::temp_dir().join(format!("migratory-bench-wal-{}-{per}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let wal = Wal::open(&wal_dir).expect("wal dir");
-        let (durable_rate, _) = queued(Some(Arc::new(Mutex::new(wal))));
-        let _ = std::fs::remove_dir_all(&wal_dir);
-
-        // (d) Pipelined group commit: same producers, but the WAL
-        // append + one-fsync-per-batch run on the committer thread and
-        // acks are released only once durable (`FsyncPolicy::Batch`).
-        // The (c) run above is the before-shape: append + sync inline
-        // on the admission worker, serialized into every block.
-        let (pipelined_rate, p50, p99, p999, amortization) = {
-            let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                .with_policy(StepPolicy::OnlyChanging);
-            load(&mut m);
-            let pipe_dir = std::env::temp_dir()
-                .join(format!("migratory-bench-pipe-{}-{per}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&pipe_dir);
-            let wal = Arc::new(Mutex::new(
-                Wal::open(&pipe_dir).expect("wal dir").with_fsync(FsyncPolicy::Batch),
-            ));
-            let metrics = Arc::new(AdmissionMetrics::new(4));
-            let t0 = Instant::now();
-            let ((), stats) = ingress::serve(
-                &mut m,
-                &IngressConfig {
-                    queue_capacity: 1024,
-                    max_block: 256,
-                    wal: Some(DurableLog { log: wal, repl: None }),
-                    metrics: Some(metrics.clone()),
-                    ..Default::default()
-                },
-                |client| {
-                    std::thread::scope(|scope| {
-                        for p in 0..producers {
-                            let day = &day;
-                            let ts = &ts;
-                            scope.spawn(move || {
-                                let tickets: Vec<_> = day
-                                    .iter()
-                                    .skip(p)
-                                    .step_by(producers)
-                                    .map(|(name, a)| client.post(ts.get(name).unwrap(), a.clone()))
-                                    .collect();
-                                for t in tickets {
-                                    t.wait().expect("day conforms");
-                                }
-                            });
-                        }
-                    });
-                },
-            );
-            assert_eq!(stats.admitted, ops);
-            let rate = ops as f64 / t0.elapsed().as_secs_f64();
-            let _ = std::fs::remove_dir_all(&pipe_dir);
-            let agg = Histogram::new();
-            for h in &metrics.commit_latency_us {
-                agg.merge(h);
-            }
-            let batches = metrics.fsync_batch.count().max(1);
-            #[allow(clippy::cast_precision_loss)]
-            let amortization = metrics.fsync_batch.sum() as f64 / batches as f64;
-            (
-                rate,
-                agg.quantile_bound(0.50),
-                agg.quantile_bound(0.99),
-                agg.quantile_bound(0.999),
-                amortization,
-            )
-        };
-
-        let objects = per * 4;
-        println!(
-            "{objects:>10} {ops:>8} {producers:>10} {direct_rate:>12.0} {queued_rate:>12.0} {durable_rate:>14.0} {pipelined_rate:>14.0} {blocks:>7}"
-        );
-        println!(
-            "  pipelined commit latency ≤ p50 {p50}µs / p99 {p99}µs / p99.9 {p999}µs, \
-             {amortization:.1} block(s)/sync"
-        );
-        rows.push(format!(
-            r#"      {{
-        "objects": {objects},
-        "ops": {ops},
-        "producers": {producers},
-        "direct_batch_apps_per_sec": {direct_rate:.0},
-        "queued_apps_per_sec": {queued_rate:.0},
-        "queued_durable_apps_per_sec": {durable_rate:.0},
-        "pipelined_durable_apps_per_sec": {pipelined_rate:.0},
-        "pipelined_blocks_per_sync": {amortization:.1},
-        "pipelined_commit_latency_us": {{ "p50": {p50}, "p99": {p99}, "p99.9": {p999} }},
-        "queued_blocks": {blocks}
-      }}"#
-        ));
-    }
-    println!();
-    format!(
-        r#"  "ingress": {{
-    "workload": "four-component fleet; a day of single-object ops admitted (a) by one caller in direct 256-blocks, (b) by N pipelining producers through the bounded per-shard ingress lanes (emergent batching), (c) same with a file WAL appended + synced inline on the admission worker, (d) same WAL behind the two-stage pipeline (committer thread, one fsync per batch, acks after durability; commit_latency_us = drain-to-durable-release, log2 bucket upper bounds)",
-    "sizes": [
-{}
-    ]
-  }}"#,
-        rows.join(",\n")
-    )
-}
-
-/// `repl`: the ack-policy dial — the same pipelined fleet day, with a
-/// live replica attached over loopback TCP (snapshot bootstrap, then
-/// every committed batch teed down the socket). `ack-on-local-fsync`
-/// ships asynchronously (an ok promises the local fsync only, the
-/// replica trails by its apply lag); `ack-on-replica-1` holds each
-/// batch's tickets until the standby has applied the bytes and made
-/// them durable in its own WAL — the ok now covers the survivor, and
-/// the round trip shows up in `ship_wait_us`. Both runs end with the
-/// replica's live state byte-identical to the primary's.
-/// `(objects per component, ops, producers)` per config; returns the
-/// `repl` JSON fragment.
-fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
-    use migratory_core::enforce::repl::{acceptor, puller};
-    use migratory_core::enforce::{
-        ingress, AckPolicy, AdmissionMetrics, DurableLog, FsyncPolicy, Health, Histogram,
-        IngressConfig, ReplicaCtl, Replicator, ShardedMonitor, StepPolicy, Wal,
-    };
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    println!("== perf-repl: the replication ack-policy dial ==");
-    println!(
-        "{:>10} {:>8} {:>10} {:>14} {:>14}",
-        "objects", "ops", "producers", "local-fsync/s", "replica-1/s"
-    );
-
-    struct Run {
-        rate: f64,
-        commit_p50: u64,
-        ship_p50: u64,
-    }
-    let run = |per: usize, ops: usize, producers: usize, policy: AckPolicy, tag: &str| -> Run {
-        let (schema, alphabet, ts) = fleet();
-        let inv = Inventory::parse_init(&schema, &alphabet, FLEET_INVENTORY).unwrap();
-        let day = fleet_ops(ops + 1, per);
-        let (warm, day) = day.split_first().expect("day is non-empty");
-        let pid = std::process::id();
-        let dir_p = std::env::temp_dir().join(format!("migratory-bench-repl-p-{pid}-{per}-{tag}"));
-        let dir_r = std::env::temp_dir().join(format!("migratory-bench-repl-r-{pid}-{per}-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir_p);
-        let _ = std::fs::remove_dir_all(&dir_r);
-        let wal_p = Arc::new(Mutex::new(
-            Wal::open(&dir_p).expect("primary wal").with_fsync(FsyncPolicy::Batch),
-        ));
-        let wal_r = Arc::new(Mutex::new(
-            Wal::open(&dir_r).expect("replica wal").with_fsync(FsyncPolicy::Batch),
-        ));
-        let metrics = Arc::new(AdmissionMetrics::new(4));
-        let repl = Arc::new(
-            Replicator::bind("127.0.0.1:0")
-                .expect("bind replicator")
-                .with_policy(policy)
-                .with_ack_timeout(Duration::from_secs(60))
-                .with_metrics(metrics.clone()),
-        );
-        let repl_addr = repl.local_addr().to_string();
-        let ctl = Arc::new(ReplicaCtl::new(&repl_addr));
-        let stop_accept = AtomicBool::new(false);
-        let cfg = IngressConfig { queue_capacity: 1024, max_block: 256, ..Default::default() };
-        let elapsed = Mutex::new(0f64);
-
-        let (primary_snap, replica_snap) = std::thread::scope(|scope| {
-            let replica = scope.spawn(|| {
-                let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                    .with_policy(StepPolicy::OnlyChanging);
-                let health = Arc::new(Health::new());
-                ingress::serve(
-                    &mut m,
-                    &IngressConfig {
-                        health: health.clone(),
-                        wal: Some(DurableLog { log: wal_r.clone(), repl: None }),
-                        ..cfg.clone()
-                    },
-                    |client| {
-                        std::thread::scope(|ps| {
-                            ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
-                            while !ctl.stopped() {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                        });
-                    },
-                );
-                assert!(!health.is_degraded(), "replica degraded: {}", health.reason());
-                m.snapshot().encode()
-            });
-
-            // The primary: bulk-load the fleet, base-checkpoint it (the
-            // bootstrap snapshot ships from a barrier, so the replica
-            // starts from exactly this state), then run the day.
-            let mut pm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                .with_policy(StepPolicy::OnlyChanging);
-            for (mk, prefix) in
-                [("BuyTruck", "t"), ("HireDriver", "d"), ("OpenRoute", "r"), ("BuildDepot", "p")]
-            {
-                let t = ts.get(mk).unwrap();
-                let bulk: Vec<(&migratory_lang::Transaction, Assignment)> = (0..per)
-                    .map(|i| {
-                        (
-                            t,
-                            Assignment::new(vec![migratory_model::Value::str(&format!(
-                                "{prefix}{i}"
-                            ))]),
-                        )
-                    })
-                    .collect();
-                let (done, err) = pm.try_apply_batch(bulk.iter().map(|(t, a)| (*t, a)));
-                assert_eq!((done, err), (per, None), "bulk load conforms");
-            }
-            wal_p.lock().unwrap().write_snapshot(&pm.checkpoint_full()).expect("base checkpoint");
-            let health = Arc::new(Health::new());
-            ingress::serve(
-                &mut pm,
-                &IngressConfig {
-                    health: health.clone(),
-                    wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
-                    metrics: Some(metrics.clone()),
-                    ..cfg.clone()
-                },
-                |client| {
-                    std::thread::scope(|ps| {
-                        ps.spawn(|| acceptor(&repl, client, &stop_accept));
-                        while repl.live_replicas() < 1 {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        // Warm-up: one op through the full tee, then
-                        // drain the standby to the shipped horizon —
-                        // the timed day below sees a warm, attached
-                        // replica, not its bootstrap snapshot fold.
-                        // (That fold is the warm-up batch's wait; it
-                        // owns the histograms' max, so the row reports
-                        // the p50 bound only.)
-                        client
-                            .post(ts.get(warm.0).unwrap(), warm.1.clone())
-                            .wait()
-                            .expect("warm-up conforms");
-                        while ctl.stream_horizon() < repl.horizon() {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        let t0 = Instant::now();
-                        std::thread::scope(|drivers| {
-                            for p in 0..producers {
-                                let (day, ts) = (&day, &ts);
-                                drivers.spawn(move || {
-                                    let tickets: Vec<_> = day
-                                        .iter()
-                                        .skip(p)
-                                        .step_by(producers)
-                                        .map(|(name, a)| {
-                                            client.post(ts.get(name).unwrap(), a.clone())
-                                        })
-                                        .collect();
-                                    for t in tickets {
-                                        t.wait().expect("day conforms");
-                                    }
-                                });
-                            }
-                        });
-                        *elapsed.lock().unwrap() = t0.elapsed().as_secs_f64();
-                        // Let the standby drain to the shipped horizon
-                        // (a no-op under replica-1, where every ack
-                        // already covered it) so both live states can
-                        // be compared byte for byte.
-                        while ctl.stream_horizon() < repl.horizon() {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        ctl.request_stop();
-                        stop_accept.store(true, Ordering::SeqCst);
-                    });
-                },
-            );
-            repl.close();
-            assert!(!health.is_degraded(), "primary degraded: {}", health.reason());
-            (pm.snapshot().encode(), replica.join().expect("replica thread"))
-        });
-        assert_eq!(primary_snap, replica_snap, "replica trails into byte-identity");
-        let _ = std::fs::remove_dir_all(&dir_p);
-        let _ = std::fs::remove_dir_all(&dir_r);
-
-        let commit = Histogram::new();
-        for h in &metrics.commit_latency_us {
-            commit.merge(h);
-        }
-        let secs = *elapsed.lock().unwrap();
-        Run {
-            rate: ops as f64 / secs,
-            commit_p50: commit.quantile_bound(0.50),
-            ship_p50: metrics.repl_ship_wait_us.quantile_bound(0.50),
-        }
-    };
-
-    let mut rows = Vec::new();
-    for &(per, ops, producers) in configs {
-        let local = run(per, ops, producers, AckPolicy::LocalFsync, "local");
-        let replica1 = run(per, ops, producers, AckPolicy::ReplicaK(1), "replica1");
-        let objects = per * 4;
-        println!(
-            "{objects:>10} {ops:>8} {producers:>10} {:>14.0} {:>14.0}",
-            local.rate, replica1.rate
-        );
-        println!(
-            "  replica-1 batch commit latency ≤ p50 {}µs (ship wait ≤ p50 {}µs)",
-            replica1.commit_p50, replica1.ship_p50
-        );
-        rows.push(format!(
-            r#"      {{
-        "objects": {objects},
-        "ops": {ops},
-        "producers": {producers},
-        "ack_local_fsync": {{ "apps_per_sec": {:.0}, "commit_latency_us_p50": {} }},
-        "ack_replica_1": {{ "apps_per_sec": {:.0}, "commit_latency_us_p50": {}, "ship_wait_us_p50": {} }},
-        "replica_byte_identical": true
-      }}"#,
-            local.rate,
-            local.commit_p50,
-            replica1.rate,
-            replica1.commit_p50,
-            replica1.ship_p50,
-        ));
-    }
-    println!();
-    format!(
-        r#"  "repl": {{
-    "workload": "four-component fleet behind the pipelined committer with a live replica attached over loopback TCP (snapshot bootstrap at a barrier, committed batches teed down the socket); a day of single-object ops from N pipelining producers, acked under ack-on-local-fsync (tee is asynchronous, ok promises the local fsync only) vs ack-on-replica-1 (tickets held until the standby applied the batch and made it durable in its own WAL; ship_wait_us = committer-side wait for the cumulative ack horizon, log2 bucket upper bound; p50 only — the dial's cost amortizes across a handful of emergent megabatches, so tails are single-sample noise and the warm-up batch, which pays the standby's bootstrap fold, owns the max); timed after a warm-up op + drain to the shipped horizon, and both runs end with the standby byte-identical to the primary",
-    "sizes": [
-{}
-    ]
-  }}"#,
-        rows.join(",\n")
-    )
-}
-
-/// `serve`: admission over the TCP wire front end (`enforce::net`,
-/// `migctl serve`'s engine) vs the in-process ingress — the cost of
-/// moving from linked callers to network-shaped callers that share
-/// nothing with the engine but the protocol. `(objects per component,
-/// ops)` per config; each config is measured at every connection count
-/// in `conn_counts`, in both wire dialects (text `invoke` lines and
-/// length-prefixed binary frames, `migratory-bench`'s epoll-multiplexed
-/// [`drive_tcp_mux`] driver), plus one WAL-durable run at the middle
-/// connection count. Returns the `serve` JSON fragment.
-fn serve_rows(configs: &[(usize, usize)], conn_counts: &[usize]) -> String {
-    use migratory_core::enforce::{
-        net, AdmissionMetrics, DurableLog, FsyncPolicy, Histogram, IngressConfig, ShardedMonitor,
-        StepPolicy, Wal,
-    };
-    use std::net::TcpListener;
-    use std::sync::{mpsc, Arc, Mutex};
-
-    println!("== perf-serve: admission over TCP vs in-process ingress ==");
-    println!(
-        "{:>10} {:>8} {:>6} {:>12} {:>12} {:>12}",
-        "objects", "ops", "conns", "inproc/s", "tcp/s", "tcp bin/s"
-    );
-    let mut rows = Vec::new();
-    for &(per, ops) in configs {
-        let (schema, alphabet, ts) = fleet();
-        let inv = Inventory::parse_init(&schema, &alphabet, FLEET_INVENTORY).unwrap();
-        let day = fleet_ops(ops, per);
-        let load = |m: &mut ShardedMonitor<'_>| {
-            for (mk, prefix) in
-                [("BuyTruck", "t"), ("HireDriver", "d"), ("OpenRoute", "r"), ("BuildDepot", "p")]
-            {
-                let t = ts.get(mk).unwrap();
-                let bulk: Vec<(&migratory_lang::Transaction, Assignment)> = (0..per)
-                    .map(|i| {
-                        (
-                            t,
-                            Assignment::new(vec![migratory_model::Value::str(&format!(
-                                "{prefix}{i}"
-                            ))]),
-                        )
-                    })
-                    .collect();
-                let (done, err) = m.try_apply_batch(bulk.iter().map(|(t, a)| (*t, a)));
-                assert_eq!((done, err), (per, None), "bulk load conforms");
-            }
-        };
-        let cfg = IngressConfig { queue_capacity: 1024, max_block: 256, ..Default::default() };
-
-        // (a) In-process baseline: 4 pipelining producer threads over
-        // the same lanes — the "callers link the crate" world.
-        let inproc_rate = {
-            let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                .with_policy(StepPolicy::OnlyChanging);
-            load(&mut m);
-            let t0 = Instant::now();
-            let ((), stats) = migratory_core::enforce::ingress::serve(&mut m, &cfg, |client| {
-                std::thread::scope(|scope| {
-                    for p in 0..4 {
-                        let day = &day;
-                        let ts = &ts;
-                        scope.spawn(move || {
-                            let tickets: Vec<_> = day
-                                .iter()
-                                .skip(p)
-                                .step_by(4)
-                                .map(|(name, a)| client.post(ts.get(name).unwrap(), a.clone()))
-                                .collect();
-                            for t in tickets {
-                                t.wait().expect("day conforms");
-                            }
-                        });
-                    }
-                });
-            });
-            assert_eq!(stats.admitted, ops);
-            ops as f64 / t0.elapsed().as_secs_f64()
-        };
-
-        // (b) Over the wire, volatile and durable: stand the server up
-        // in-process on an ephemeral port, drive it with `connections`
-        // multiplexed nonblocking TCP clients in either dialect, shut
-        // it down gracefully. A durable run hands the WAL to the
-        // server config, which routes admission through the two-stage
-        // pipeline (committer thread, one fsync per batch under
-        // `FsyncPolicy::Batch`) and stamps the shared metrics.
-        let serve_once = |connections: usize,
-                          binary: bool,
-                          durable: Option<(Arc<Mutex<Wal>>, Arc<AdmissionMetrics>)>|
-         -> (f64, migratory_core::enforce::net::NetStats) {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-            // Deepen the accept backlog before the driver exists:
-            // `serve` re-arms it too, but on one core the connect burst
-            // can outrun the server thread's first instruction, and any
-            // SYN the default 128-deep queue drops costs a full second
-            // of retransmit — the difference between a sweep that is
-            // flat to 1024 connections and one that collapses.
-            {
-                use std::os::fd::AsRawFd;
-                polling::set_backlog(listener.as_raw_fd(), 4096).expect("re-listen");
-            }
-            let addr = listener.local_addr().expect("bound address");
-            let scripts = if binary {
-                mux_binary_scripts(&day, connections)
-            } else {
-                mux_text_scripts(&day, connections)
-            };
-            let (ready_tx, ready_rx) = mpsc::channel();
-            std::thread::scope(|scope| {
-                let server = scope.spawn(|| {
-                    let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4)
-                        .with_policy(StepPolicy::OnlyChanging);
-                    load(&mut m);
-                    ready_tx.send(()).expect("driver listens");
-                    let (wal, metrics) = match durable {
-                        Some((log, mx)) => (Some(DurableLog { log, repl: None }), Some(mx)),
-                        None => (None, None),
-                    };
-                    let config = net::ServerConfig {
-                        ingress: IngressConfig { wal, metrics, ..cfg.clone() },
-                        ..Default::default()
-                    };
-                    net::serve(listener, &mut m, &ts, &config).expect("serve")
-                });
-                ready_rx.recv().expect("server loads");
-                let t0 = Instant::now();
-                let stats = drive_tcp_mux(addr, &scripts).expect("tcp drive");
-                let rate = ops as f64 / t0.elapsed().as_secs_f64();
-                assert_eq!(stats.ok, ops, "the whole day admits over the wire");
-                assert_eq!(shutdown_server(addr).expect("shutdown"), "ok draining");
-                (rate, server.join().expect("server thread"))
-            })
-        };
-
-        let mut tcp_rows = Vec::new();
-        let durable_conns = conn_counts[conn_counts.len() / 2];
-        for &conns in conn_counts {
-            let (rate, nstats) = serve_once(conns, false, None);
-            assert_eq!(nstats.admitted, ops);
-            let (binary_rate, bstats) = serve_once(conns, true, None);
-            assert_eq!(bstats.admitted, ops);
-            println!(
-                "{:>10} {ops:>8} {conns:>6} {inproc_rate:>12.0} {rate:>12.0} {binary_rate:>12.0}",
-                per * 4
-            );
-            tcp_rows.push(format!(
-                r#"          {{ "connections": {conns}, "apps_per_sec": {rate:.0}, "binary_apps_per_sec": {binary_rate:.0} }}"#
-            ));
-        }
-
-        // Durable runs through the two-stage pipeline at the middle
-        // connection count, one per fsync policy: `batch` (one
-        // fdatasync per committer batch — the group-commit headline)
-        // vs `always` (one per record — the price of the old
-        // sync-per-block shape). Admission latency percentiles come
-        // from the server-side commit histograms (drain → durable
-        // release), not from client timestamps: the driver pipelines
-        // everything up front, so client-side timing would measure its
-        // own queueing.
-        let mut durable_rows = Vec::new();
-        for policy in [FsyncPolicy::Batch, FsyncPolicy::Always] {
-            let wal_dir = std::env::temp_dir()
-                .join(format!("migratory-bench-serve-{}-{per}-{policy}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&wal_dir);
-            let wal =
-                Arc::new(Mutex::new(Wal::open(&wal_dir).expect("wal dir").with_fsync(policy)));
-            let metrics = Arc::new(AdmissionMetrics::new(4));
-            let (rate, _) = serve_once(durable_conns, false, Some((wal, metrics.clone())));
-            let _ = std::fs::remove_dir_all(&wal_dir);
-            let agg = Histogram::new();
-            for h in &metrics.commit_latency_us {
-                agg.merge(h);
-            }
-            let (p50, p99, p999) =
-                (agg.quantile_bound(0.50), agg.quantile_bound(0.99), agg.quantile_bound(0.999));
-            let batches = metrics.fsync_batch.count().max(1);
-            #[allow(clippy::cast_precision_loss)]
-            let amortization = metrics.fsync_batch.sum() as f64 / batches as f64;
-            println!(
-                "  durable fsync={policy} @ {durable_conns} conns: {rate:.0}/s, commit latency \
-                 ≤ p50 {p50}µs / p99 {p99}µs / p99.9 {p999}µs, {amortization:.1} block(s)/sync"
-            );
-            durable_rows.push(format!(
-                r#"          {{ "fsync": "{policy}", "connections": {durable_conns}, "apps_per_sec": {rate:.0}, "blocks_per_sync": {amortization:.1}, "commit_latency_us": {{ "p50": {p50}, "p99": {p99}, "p99.9": {p999} }} }}"#
-            ));
-        }
-        rows.push(format!(
-            r#"      {{
-        "objects": {},
-        "ops": {ops},
-        "inprocess_4producer_apps_per_sec": {inproc_rate:.0},
-        "tcp": [
-{}
-        ],
-        "tcp_durable": [
-{}
-        ]
-      }}"#,
-            per * 4,
-            tcp_rows.join(",\n"),
-            durable_rows.join(",\n")
-        ));
-    }
-    println!();
-    format!(
-        r#"  "serve": {{
-    "workload": "four-component fleet behind `enforce::net` on an ephemeral TCP port; a day of single-object ops pipelined by N concurrent connections from one epoll-multiplexed driver (migratory-bench drive_tcp_mux), every reply awaited — apps_per_sec = text `invoke` lines, binary_apps_per_sec = length-prefixed binary frames; vs the same day through the in-process ingress with 4 pipelining producers; tcp_durable rows = text dialect through the two-stage pipeline (admission worker + committer thread), acks released only after the batch fsync; commit_latency_us = server-side drain-to-durable-release histograms (log2 bucket upper bounds)",
     "sizes": [
 {}
     ]
@@ -1668,7 +1020,7 @@ fn cor3_3_baseline() {
         d.satisfies.holds(),
         start.elapsed()
     );
-    for depth in [2usize, 3, 4] {
+    for depth in [1usize, 2, 3, 4] {
         let start = Instant::now();
         let sets = explore(
             &schema,
@@ -1781,5 +1133,127 @@ fn thm5_1() {
             );
         }
     }
+    println!();
+}
+
+/// Median wall time of `samples` timed runs of `f` (at least one), after
+/// one untimed warm-up run.
+fn median_time<T>(samples: usize, mut f: impl FnMut() -> T) -> Duration {
+    std::hint::black_box(f());
+    let mut times: Vec<Duration> = (0..samples.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
+/// `((0|1)(0|1)…)*` nested with unions over three symbols: the DFA grows
+/// with `depth`.
+fn deep_regex(depth: usize) -> Regex {
+    let mut r = Regex::union([Regex::Sym(0), Regex::Sym(1)]);
+    for i in 0..depth {
+        r = Regex::concat([r.clone(), Regex::star(Regex::union([Regex::Sym(i as u32 % 3), r]))]);
+    }
+    r
+}
+
+/// `micro`: the algorithm micro-benchmarks that no theorem row times —
+/// the automata pipeline, GNF conversion, the three inclusion-check
+/// routes of a decision, the canonical vs naive assignment generator,
+/// synthesis by regex length, and the synthesize-then-analyze round
+/// trip. Each line is the median of `samples` runs after a warm-up.
+fn micro(samples: usize) {
+    println!("== micro: median of {samples} run(s) after a warm-up ==");
+    let row = |label: &str, t: Duration| println!("{label:>44}: {t:>12.2?}");
+
+    for depth in [2usize, 4, 6] {
+        let r = deep_regex(depth);
+        let t = median_time(samples, || Dfa::from_nfa(&Nfa::from_regex(&r, 3)).minimize());
+        row(&format!("dfa_pipeline/determinize_minimize/{depth}"), t);
+    }
+    let a = Dfa::from_nfa(&Nfa::from_regex(&deep_regex(5), 3)).minimize();
+    let b = Dfa::from_nfa(&Nfa::from_regex(&deep_regex(6), 3)).minimize();
+    row("dfa_pipeline/inclusion", median_time(samples, || a.is_subset_of(&b)));
+    row(
+        "dfa_pipeline/state_elimination",
+        median_time(samples, || migratory_automata::dfa_to_regex(&a)),
+    );
+
+    for (name, grammar) in [
+        ("anbn", grammars::anbn()),
+        ("dyck", grammars::dyck()),
+        ("palindromes", grammars::even_palindromes()),
+    ] {
+        row(&format!("cfg/to_gnf/{name}"), median_time(samples, || to_gnf(&grammar)));
+    }
+
+    // Both routes start from the analyzed migration graph: the heavy one
+    // determinizes and minimizes the family before a product check, the
+    // on-the-fly one explores NFA × complement lazily, and the amortized
+    // one is the heavy route's repeat query (family DFA already built).
+    let (schema, alphabet, ts) = slim_chain();
+    let inv = Inventory::parse_init(&schema, &alphabet, "∅* [P]* [S]* ([G] ∪ [S])* ∅*").unwrap();
+    let (analysis, fams) =
+        analyze_families(&schema, &alphabet, &ts, &AnalyzeOptions::default()).unwrap();
+    let family_nfa = || {
+        let ns = alphabet.num_symbols();
+        let imm = analysis.graph.walks_nfa(ns, alphabet.empty_symbol(), PatternKind::All);
+        let estar = Nfa::from_regex(&Regex::star(Regex::Sym(alphabet.empty_symbol())), ns);
+        migratory_automata::concat(&estar, &imm).expect("same alphabet")
+    };
+    let t = median_time(samples, || {
+        Dfa::from_nfa(&family_nfa()).minimize().witness_not_subset(inv.dfa())
+    });
+    row("inclusion_route/dfa_minimized", t);
+    let t = median_time(samples, || {
+        migratory_automata::nfa_witness_not_subset(&family_nfa(), inv.dfa()).unwrap()
+    });
+    row("inclusion_route/nfa_on_the_fly", t);
+    let t = median_time(samples, || fams.all.witness_not_subset(inv.dfa()));
+    row("inclusion_route/amortized_repeat", t);
+
+    // Canonical restricted-growth assignments vs the full value product:
+    // identical graphs and families, more ground runs. Restricted growth
+    // only bites with multi-parameter transactions, so the chain gains
+    // two- and three-parameter modifies.
+    let multi = migratory_lang::parse_transactions(
+        &schema,
+        r#"
+        transaction Mk(x) { create(P, { Id = x }); }
+        transaction Mv(x, y) { modify(P, { Id = x }, { Id = y }); }
+        transaction Mv3(x, y, z) {
+          modify(P, { Id = x }, { Id = y });
+          modify(P, { Id = z }, { Id = x });
+        }
+        transaction Up(x) { specialize(P, S, { Id = x }, {}); }
+        transaction Rm(x) { delete(P, { Id = x }); }
+    "#,
+    )
+    .expect("ablation workload validates");
+    for (mode, naive_assignments) in [("canonical", false), ("naive_product", true)] {
+        let opts = AnalyzeOptions { naive_assignments, ..Default::default() };
+        let t = median_time(samples, || analyze(&schema, &alphabet, &multi, &opts).unwrap());
+        row(&format!("analyze_assignments/{mode}"), t);
+    }
+
+    for k in 1..=4usize {
+        let (schema, alphabet) = synthesis_host(k.max(2));
+        let eta = chain_regex(&schema, &alphabet, k);
+        let t = median_time(samples, || synthesize(&schema, &alphabet, &eta).unwrap());
+        row(&format!("synthesize_chain/{k}"), t);
+    }
+
+    let (schema, alphabet) = synthesis_host(2);
+    let eta = chain_regex(&schema, &alphabet, 2);
+    let t = median_time(samples, || {
+        let synth = synthesize(&schema, &alphabet, &eta).unwrap();
+        analyze_families(&schema, &alphabet, &synth.transactions, &AnalyzeOptions::default())
+            .unwrap()
+    });
+    row("roundtrip/synthesize_then_analyze", t);
     println!();
 }

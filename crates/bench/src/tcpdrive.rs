@@ -1,27 +1,16 @@
-//! A concurrent TCP client driver for the `migctl serve` wire protocol
-//! (`core::enforce::net`, `docs/PROTOCOL.md`).
+//! A TCP client driver for the `migctl serve` text wire protocol
+//! (`core::enforce::net`, `docs/PROTOCOL.md`), used by `experiments
+//! tail-smoke`, the CI tail-latency gate.
 //!
-//! Two drivers share the reply-tally shape:
-//!
-//! * [`drive_tcp`] — two threads per connection (a writer pipelining
-//!   the whole request script, a reader tallying reply lines), the
-//!   way a small pool of pipelined network callers behaves;
-//! * [`drive_tcp_mux`] — one thread multiplexing every connection over
-//!   epoll with nonblocking sockets, mirroring the server's own event
-//!   core. This is the only way a 1024-connection sweep fits a small
-//!   machine, and it speaks both wire dialects: text `invoke`
-//!   lines ([`mux_text_scripts`]) and length-prefixed binary frames
-//!   ([`mux_binary_scripts`], `docs/PROTOCOL.md` § Binary framing).
-//!
-//! Used by the `experiments serve` connection sweep (apps/sec over TCP
-//! at 1/16/256/1024 connections, text vs binary) and the CI serve-smoke
-//! jobs.
+//! [`drive_tcp_mux`] runs one thread multiplexing every connection over
+//! epoll with nonblocking sockets, mirroring the server's own event
+//! core: each connection pipelines its pre-encoded `invoke` lines
+//! ([`mux_text_scripts`]) and tallies its reply lines.
 
-use migratory_core::enforce::net::frame;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// Reply tallies of one [`drive_tcp`] run, summed over connections.
+/// Reply tallies of one [`drive_tcp_mux`] run, summed over connections.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TcpDriveStats {
     /// Replies whose first token was `ok`.
@@ -32,218 +21,75 @@ pub struct TcpDriveStats {
     pub error: usize,
 }
 
-impl TcpDriveStats {
-    /// Total replies received.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.ok + self.violation + self.error
-    }
-}
-
-/// Drive one connection per script: connect, pipeline every request
-/// line, read one reply per request and tally its first token. Returns
-/// once every connection has received all its replies.
-///
-/// # Errors
-/// Fails on connect/write/read errors or a reply count short of the
-/// request count (server closed early).
-pub fn drive_tcp(
-    addr: impl ToSocketAddrs + Clone + Send + Sync,
-    scripts: &[Vec<String>],
-) -> std::io::Result<TcpDriveStats> {
-    let eof = || std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed early");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = scripts
-            .iter()
-            .map(|script| {
-                let addr = addr.clone();
-                scope.spawn(move || -> std::io::Result<TcpDriveStats> {
-                    let conn = TcpStream::connect(addr)?;
-                    conn.set_nodelay(true)?;
-                    let mut writer = BufWriter::new(conn.try_clone()?);
-                    let reader = BufReader::new(conn);
-                    std::thread::scope(|inner| {
-                        inner.spawn(move || {
-                            for line in script {
-                                if writeln!(writer, "{line}").is_err() {
-                                    return;
-                                }
-                            }
-                            let _ = writer.flush();
-                        });
-                        let mut stats = TcpDriveStats::default();
-                        let mut lines = reader.lines();
-                        for _ in 0..script.len() {
-                            let reply = lines.next().ok_or_else(eof)??;
-                            match reply.split_whitespace().next() {
-                                Some("ok") => stats.ok += 1,
-                                Some("violation") => stats.violation += 1,
-                                _ => stats.error += 1,
-                            }
-                        }
-                        Ok(stats)
-                    })
-                })
-            })
-            .collect();
-        let mut total = TcpDriveStats::default();
-        for h in handles {
-            let s = h.join().expect("driver thread panicked")?;
-            total.ok += s.ok;
-            total.violation += s.violation;
-            total.error += s.error;
-        }
-        Ok(total)
-    })
-}
-
-/// Split `ops` round-robin into `connections` request scripts of
-/// `invoke Name(args…)` lines — the same striping the in-process
-/// ingress benches use for their producers.
-#[must_use]
-pub fn invoke_scripts(
-    ops: &[(&'static str, migratory_lang::Assignment)],
-    connections: usize,
-) -> Vec<Vec<String>> {
-    let fmt = |(name, args): &(&str, migratory_lang::Assignment)| {
-        let rendered: Vec<String> = args
-            .values()
-            .map(|v| match v {
-                migratory_model::Value::Int(i) => i.to_string(),
-                other => format!("\"{other}\""),
-            })
-            .collect();
-        format!("invoke {name}({})", rendered.join(", "))
-    };
-    (0..connections.max(1))
-        .map(|c| ops.iter().skip(c).step_by(connections.max(1)).map(fmt).collect())
-        .collect()
-}
-
 /// One pre-encoded request stream for [`drive_tcp_mux`]: the raw bytes
-/// to pipeline down one connection, the reply count they are owed, and
-/// the dialect the replies will arrive in.
+/// to pipeline down one connection and the reply lines they are owed.
 pub struct MuxScript {
     /// The full request stream, ready for the wire.
     pub bytes: Vec<u8>,
-    /// Replies owed (one per request in `bytes`).
+    /// Replies owed (one per request line in `bytes`).
     pub expected: usize,
-    /// `true` when replies are binary frames, `false` for text lines.
-    pub binary: bool,
 }
 
-/// Split `ops` round-robin into `connections` text-dialect
-/// [`MuxScript`]s — [`invoke_scripts`] pre-joined for the mux driver.
+/// Split `ops` round-robin into `connections` [`MuxScript`]s of
+/// `invoke Name(args…)` lines.
 #[must_use]
 pub fn mux_text_scripts(
     ops: &[(&'static str, migratory_lang::Assignment)],
     connections: usize,
 ) -> Vec<MuxScript> {
-    invoke_scripts(ops, connections)
-        .into_iter()
-        .map(|lines| {
-            let mut bytes = Vec::new();
-            for line in &lines {
-                bytes.extend_from_slice(line.as_bytes());
-                bytes.push(b'\n');
-            }
-            MuxScript { bytes, expected: lines.len(), binary: false }
-        })
-        .collect()
-}
-
-/// Split `ops` round-robin into `connections` binary-dialect
-/// [`MuxScript`]s: one length-prefixed `REQ_INVOKE` frame per op.
-#[must_use]
-pub fn mux_binary_scripts(
-    ops: &[(&'static str, migratory_lang::Assignment)],
-    connections: usize,
-) -> Vec<MuxScript> {
-    (0..connections.max(1))
+    let connections = connections.max(1);
+    (0..connections)
         .map(|c| {
-            let mut bytes = Vec::new();
-            let mut expected = 0usize;
-            for (name, args) in ops.iter().skip(c).step_by(connections.max(1)) {
-                let values: Vec<migratory_model::Value> = args.values().cloned().collect();
-                frame::encode_invoke_frame(&mut bytes, name, &values);
-                expected += 1;
+            let mut script = MuxScript { bytes: Vec::new(), expected: 0 };
+            for (name, args) in ops.iter().skip(c).step_by(connections) {
+                let rendered: Vec<String> = args
+                    .values()
+                    .map(|v| match v {
+                        migratory_model::Value::Int(i) => i.to_string(),
+                        other => format!("\"{other}\""),
+                    })
+                    .collect();
+                script.bytes.extend_from_slice(
+                    format!("invoke {name}({})\n", rendered.join(", ")).as_bytes(),
+                );
+                script.expected += 1;
             }
-            MuxScript { bytes, expected, binary: true }
+            script
         })
         .collect()
 }
 
-/// Tally one connection's buffered reply bytes, consuming every
-/// complete reply (text line or binary frame) off the front of `buf`.
-fn drain_replies(
-    buf: &mut Vec<u8>,
-    binary: bool,
-    stats: &mut TcpDriveStats,
-) -> std::io::Result<usize> {
+/// Tally one connection's buffered reply lines, consuming every
+/// complete line off the front of `buf`; returns how many.
+fn drain_replies(buf: &mut Vec<u8>, stats: &mut TcpDriveStats) -> usize {
     let mut consumed = 0usize;
     let mut got = 0usize;
-    loop {
-        let rest = &buf[consumed..];
-        if rest.is_empty() {
-            break;
+    while let Some(nl) = buf[consumed..].iter().position(|&b| b == b'\n') {
+        let line = String::from_utf8_lossy(&buf[consumed..consumed + nl]);
+        match line.split_whitespace().next() {
+            Some("ok") => stats.ok += 1,
+            Some("violation") => stats.violation += 1,
+            _ => stats.error += 1,
         }
-        if binary {
-            if rest[0] != frame::MAGIC {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("expected a reply frame, got leading byte {:#04x}", rest[0]),
-                ));
-            }
-            match frame::scan(rest) {
-                frame::Scan::Incomplete => break,
-                frame::Scan::Oversized(len) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("oversized reply frame ({len} bytes)"),
-                    ));
-                }
-                frame::Scan::Frame { kind, payload_len } => {
-                    match kind {
-                        frame::REP_OK => stats.ok += 1,
-                        frame::REP_VIOLATION => stats.violation += 1,
-                        _ => stats.error += 1,
-                    }
-                    consumed += frame::HEADER_LEN + payload_len;
-                    got += 1;
-                }
-            }
-        } else {
-            let Some(nl) = rest.iter().position(|&b| b == b'\n') else { break };
-            let line = String::from_utf8_lossy(&rest[..nl]);
-            match line.split_whitespace().next() {
-                Some("ok") => stats.ok += 1,
-                Some("violation") => stats.violation += 1,
-                _ => stats.error += 1,
-            }
-            consumed += nl + 1;
-            got += 1;
-        }
+        consumed += nl + 1;
+        got += 1;
     }
     buf.drain(..consumed);
-    Ok(got)
+    got
 }
 
 /// Drive every script over its own connection from a single thread:
 /// nonblocking sockets multiplexed with epoll, requests written as the
-/// socket drains, replies tallied as they arrive. Scales to
-/// thousand-connection sweeps without a thousand threads, and mixes
-/// text- and binary-dialect connections freely in one run.
+/// socket drains, replies tallied as they arrive.
 ///
 /// Each socket is registered once and its interest narrowed as it
 /// progresses (write side dropped when the script is fully sent,
 /// deregistered when the last reply lands), so a wakeup costs
-/// O(ready connections) — the `poll(2)` version of this driver
-/// re-scanned every unfinished socket per call, which at 1024
-/// connections cost more than the server being measured.
+/// O(ready connections).
 ///
 /// # Errors
-/// Fails on connect/write/read errors, malformed reply frames, or a
-/// connection closing before its reply count is met.
+/// Fails on connect/write/read errors, or a connection closing before
+/// its reply count is met.
 pub fn drive_tcp_mux(
     addr: impl ToSocketAddrs,
     scripts: &[MuxScript],
@@ -338,7 +184,7 @@ pub fn drive_tcp_mux(
                         Err(e) => return Err(e),
                     }
                 }
-                c.got += drain_replies(&mut c.inbuf, s.binary, &mut stats)?;
+                c.got += drain_replies(&mut c.inbuf, &mut stats);
                 if c.got > s.expected {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,

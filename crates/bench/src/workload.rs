@@ -1,4 +1,4 @@
-//! Shared workload builders for benches and the experiments binary.
+//! Shared workload builders for the experiments binary and the examples.
 
 use migratory_core::RoleAlphabet;
 use migratory_lang::{parse_transactions, Assignment, Transaction, TransactionSchema};
@@ -217,8 +217,8 @@ pub fn ladder_scripts(spread: usize, max_depth: usize, steps: usize) -> (Script,
 
 /// A four-component "fleet" schema (trucks / drivers / routes / depots,
 /// each root ⊲ one subclass) with create + toggle transactions per
-/// component — the multi-component workload behind the sharded-ingress
-/// and durability benches (and `examples/fleet_migration`). The
+/// component — the multi-component workload behind `experiments
+/// tail-smoke` and `examples/fleet_migration`. The
 /// inventory below constrains component 0; other components read ∅
 /// under its alphabet.
 #[must_use]

@@ -13,7 +13,7 @@
 //!   from running every transaction on the canonical one-object database
 //!   `d_v` under assignments over constants ∪ {p₁…p_l} ∪ {ν₁…ν_m}.
 //!
-//! Two search modes are provided (the ablation of DESIGN.md §6):
+//! Two search modes are provided (an ablation `experiments thm3.2` times):
 //! *reachable-only* (default — only vertices reachable from creations are
 //! materialized) and *full-space* (the paper's whole `V_Σ`, exponential).
 //! Edge computation can optionally run on multiple threads.
@@ -40,8 +40,8 @@ pub struct AnalyzeOptions {
     /// Materialize the full separator space instead of only reachable
     /// vertices (ablation; exponential).
     pub full_space: bool,
-    /// Compute edges of each frontier in parallel with crossbeam scoped
-    /// threads.
+    /// Compute each frontier's edges on `available_parallelism()` scoped
+    /// threads, one contiguous chunk of the frontier each.
     pub parallel: bool,
     /// Abort when more than this many vertices get materialized.
     pub max_vertices: usize,
@@ -51,7 +51,7 @@ pub struct AnalyzeOptions {
     pub extra_constants: Vec<Value>,
     /// Enumerate the *full product* of assignment values instead of the
     /// deduplicated canonical (restricted-growth) generator — the ablation
-    /// of DESIGN.md §6.2. Identical results, strictly more ground runs.
+    /// `experiments micro` times. Identical results, more ground runs.
     pub naive_assignments: bool,
 }
 
@@ -208,28 +208,22 @@ pub fn analyze_with_witnesses(
     let naive = opts.naive_assignments;
     while !frontier.is_empty() {
         let batch = std::mem::take(&mut frontier);
+        let edges_of = |&v: &u32| {
+            (v, vertex_edges(schema, alphabet, ts, &constants, &keys[v as usize - 2], naive))
+        };
         let results: Vec<(u32, _)> = if opts.parallel && batch.len() > 1 {
+            // One thread per contiguous chunk, joined in frontier order,
+            // so vertices are numbered exactly as the sequential run does.
+            let workers = std::thread::available_parallelism().map_or(1, usize::from);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = batch
-                    .iter()
-                    .map(|&v| {
-                        let key = keys[v as usize - 2].clone();
-                        let constants = &constants;
-                        scope.spawn(move || {
-                            (v, vertex_edges(schema, alphabet, ts, constants, &key, naive))
-                        })
-                    })
+                    .chunks(batch.len().div_ceil(workers))
+                    .map(|part| scope.spawn(move || part.iter().map(edges_of).collect::<Vec<_>>()))
                     .collect();
-                handles.into_iter().map(|h| h.join().expect("no panics")).collect()
+                handles.into_iter().flat_map(|h| h.join().expect("no panics")).collect()
             })
         } else {
-            batch
-                .iter()
-                .map(|&v| {
-                    let key = keys[v as usize - 2].clone();
-                    (v, vertex_edges(schema, alphabet, ts, &constants, &key, naive))
-                })
-                .collect()
+            batch.iter().map(edges_of).collect()
         };
         for (v, (edges, runs)) in results {
             stats.runs += runs;
@@ -598,7 +592,7 @@ mod tests {
 
     #[test]
     fn naive_assignments_agree_with_canonical() {
-        // DESIGN.md §6.2: the restricted-growth canonical generator and
+        // The ablation: the restricted-growth canonical generator and
         // the full value product must produce identical graphs and
         // families; the product executes strictly more ground runs.
         let (schema, alphabet) = slim();
@@ -791,7 +785,7 @@ mod tests {
         // The paper's displayed form accidentally contains pure-∅ words
         // (λ ∈ ([S]+[G]*)* composes with ∅*); strict Definition 3.4
         // excludes them from immediate-start (ω₁ ≠ ∅), so intersect with
-        // "λ or non-∅ start". See EXPERIMENTS.md (ex3.4).
+        // "λ or non-∅ start".
         let empty_start = Dfa::from_nfa(&Nfa::from_regex(
             &Regex::concat([
                 Regex::Sym(alphabet.empty_symbol()),

@@ -2,7 +2,7 @@
 //! Theorem 4.8 and Example 4.1.
 //!
 //! Every context-free `L ⊆ Ω₊*` is the proper/immediate-start pattern
-//! family (up to the leading-∅ conventions of DESIGN.md §2) of a CSL⁺
+//! family (up to leading ∅ letters, before the object exists) of a CSL⁺
 //! schema. The construction runs the Greibach-normal-form grammar of `L`
 //! as a *leftmost derivation machine*: the class `S` stores the stack of
 //! pending nonterminals as a linked chain

@@ -235,8 +235,7 @@ mod tests {
         // adds C on top of U (specialize selects any G-object with the
         // right ID), producing the mixed role set [U,C]. The decision
         // procedure finds that counterexample. Encoding the phase in a
-        // selection attribute repairs the design — see EXPERIMENTS.md
-        // (ex3.5).
+        // selection attribute repairs the design, as (b) below checks.
         let mut b = SchemaBuilder::new();
         let g = b.class("G", &["ID", "Phase"]).unwrap();
         b.subclass("U", &[g], &[]).unwrap();

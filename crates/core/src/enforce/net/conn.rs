@@ -19,6 +19,7 @@ use super::frame;
 use super::MAX_LINE;
 use crate::enforce::ingress::Completion;
 use migratory_lang::{Assignment, Transaction};
+use migratory_model::{ClassId, Condition};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -57,14 +58,29 @@ pub(super) enum Slot {
     },
     /// Reply bytes ready to flush (text line or encoded frame).
     Ready(Vec<u8>),
-    /// A `stats` request: formatted at *flush* time, after every earlier
-    /// slot of this connection resolved — so a synchronously driven
-    /// connection reads its own counters deterministically.
+    /// A read answered at *flush* time, after every earlier slot of this
+    /// connection resolved — so it sees the effect of every earlier
+    /// request of its connection, and a synchronously driven connection
+    /// reads its own counters deterministically.
+    Deferred {
+        /// The request's dialect, which the reply must match.
+        dialect: Dialect,
+        /// The read to answer.
+        read: Deferred,
+    },
+}
+
+/// A request that reads server state, answered when its slot reaches
+/// the front of the queue ([`Slot::Deferred`]).
+pub(super) enum Deferred {
+    /// `stats`; `prom` replies with the length-prefixed Prometheus
+    /// exposition instead of the flat one-line form.
     Stats {
-        /// `stats prom` — reply with the length-prefixed Prometheus
-        /// exposition instead of the flat one-line form.
+        /// The Prometheus form.
         prom: bool,
     },
+    /// `query`: the objects of a class matching a condition.
+    Query(ClassId, Condition),
 }
 
 /// A parsed invoke the admission lane refused (lane full): retried by
@@ -316,22 +332,20 @@ impl<'t> Conn<'t> {
     }
 
     /// Move the ready prefix of the slot queue into the write buffer;
-    /// `stats_reply` formats a `stats` reply (flat or Prometheus, per
-    /// the slot's `prom` flag) at its flush moment. The returned bytes
-    /// are written verbatim — the formatter owns the framing.
-    pub(super) fn flush_slots(&mut self, stats_reply: impl Fn(bool) -> Vec<u8>) {
+    /// `resolve` answers a deferred read in its dialect at its flush
+    /// moment. The returned bytes are written verbatim — the resolver
+    /// owns the framing.
+    pub(super) fn flush_slots(&mut self, resolve: impl Fn(Dialect, Deferred) -> Vec<u8>) {
         while let Some(front) = self.slots.front() {
-            match front {
-                Slot::Waiting { .. } => break,
-                Slot::Ready(_) => {
-                    let Some(Slot::Ready(bytes)) = self.slots.pop_front() else { unreachable!() };
-                    self.wbuf.extend_from_slice(&bytes);
+            if let Slot::Waiting { .. } = front {
+                break;
+            }
+            match self.slots.pop_front() {
+                Some(Slot::Ready(bytes)) => self.wbuf.extend_from_slice(&bytes),
+                Some(Slot::Deferred { dialect, read }) => {
+                    self.wbuf.extend_from_slice(&resolve(dialect, read));
                 }
-                Slot::Stats { prom } => {
-                    let prom = *prom;
-                    self.slots.pop_front();
-                    self.wbuf.extend_from_slice(&stats_reply(prom));
-                }
+                _ => unreachable!("the front slot is resolved"),
             }
             self.seq_base += 1;
         }
@@ -559,15 +573,17 @@ mod tests {
         let (mut conn, _peer) = test_conn();
         let s0 = conn.push_slot(Slot::Waiting { dialect: Dialect::Text });
         let s1 = conn.push_slot(Slot::Waiting { dialect: Dialect::Binary });
-        conn.push_slot(Slot::Stats { prom: false });
+        let stats = Deferred::Stats { prom: false };
+        conn.push_slot(Slot::Deferred { dialect: Dialect::Text, read: stats });
         // Out-of-order completion: slot 1 resolves first, but nothing
         // flushes past the still-waiting slot 0.
         assert_eq!(conn.waiting_dialect(s1), Some(Dialect::Binary));
         conn.fill_slot(s1, b"second".to_vec());
-        conn.flush_slots(|_| unreachable!("stats cannot flush yet"));
+        conn.flush_slots(|_, _| unreachable!("stats cannot flush yet"));
         assert_eq!(conn.unsent(), 0);
         conn.fill_slot(s0, b"first|".to_vec());
-        conn.flush_slots(|prom| {
+        conn.flush_slots(|_, read| {
+            let Deferred::Stats { prom } = read else { unreachable!() };
             assert!(!prom);
             b"ok stats\n".to_vec()
         });

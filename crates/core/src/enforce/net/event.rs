@@ -3,8 +3,8 @@
 //!
 //! Each event thread owns a disjoint set of connections (assigned round
 //! robin at accept) plus an **inbox** — a mutex-protected mailbox paired
-//! with a self-pipe [`Waker`] that makes `poll(2)` return when something
-//! lands in it. Three kinds of mail arrive:
+//! with a self-pipe [`Waker`] that makes `epoll_wait` return when
+//! something lands in it. Three kinds of mail arrive:
 //!
 //! * **Connection handoffs** from thread 0's accept handling.
 //! * **Outcomes** decided on the admission side — an `invoke`'s
@@ -22,8 +22,9 @@
 //!    gate) run first, then the dialect's one decoder
 //!    ([`Env::decode_line`] or [`Env::decode_frame`]).
 //! 3. **Execute** the command ([`Env::execute`]): post an `invoke` or an
-//!    admin op, evaluate a `query` under the ingress's shared monitor
-//!    lock, or answer at once.
+//!    admin op, queue a `query` or `stats` to be answered when its slot
+//!    reaches the front ([`Env::resolve`], after every earlier request of
+//!    the connection), or answer at once.
 //! 4. **Encode** the reply ([`Outcome::encode`]): immediate or mailed
 //!    back, every reply is an [`Outcome`] put in the dialect its slot
 //!    recorded.
@@ -39,7 +40,7 @@
 //! Thread count is O(`io_threads` + shards) — independent of the number
 //! of connections, which is the point.
 
-use super::conn::{Conn, Dialect, Extracted, Pending, ReadOutcome, Request, Slot};
+use super::conn::{Conn, Deferred, Dialect, Extracted, Pending, ReadOutcome, Request, Slot};
 use super::{evolution, frame, parse_invocation, parse_query, stats_reply};
 use super::{ServerConfig, ServerShared, MAX_LINE};
 use crate::alphabet::RoleAlphabet;
@@ -48,7 +49,6 @@ use crate::enforce::repl::ReplicaCtl;
 use crate::enforce::{EnforceError, ResiduePolicy};
 use crate::Inventory;
 use migratory_lang::{Assignment, Transaction, TransactionSchema};
-use migratory_model::{ClassId, Condition};
 use polling::{Epoll, EpollEvent, Waker, EPOLLIN, EPOLLOUT};
 use std::collections::HashMap;
 use std::io::Write;
@@ -274,10 +274,10 @@ fn split_word(line: &str) -> (&str, &str) {
 /// `invoke`, `redefine` and `query` also come as binary frames.
 enum Command<'t> {
     Invoke(&'t Transaction, Assignment),
-    Query(ClassId, Condition),
+    /// `query` and `stats`, answered when their slot reaches the front.
+    Read(Deferred),
     Redefine(ResiduePolicy, Inventory),
     Schema,
-    Stats { prom: bool },
     Ping,
     Auth,
     Rearm,
@@ -555,7 +555,7 @@ impl<'t> Env<'_, 't, '_, '_, '_> {
             }
             "query" => {
                 let (class, cond) = parse_query(self.shared.schema, rest)?;
-                Command::Query(class, cond)
+                Command::Read(Deferred::Query(class, cond))
             }
             "redefine" => {
                 // `redefine <quarantine|certify-and-reset> <inventory src>`:
@@ -577,8 +577,8 @@ impl<'t> Env<'_, 't, '_, '_, '_> {
             // Prometheus exposition, length-prefixed. Anything else after
             // the verb is an error rather than silently flat.
             "stats" => match rest {
-                "" => Command::Stats { prom: false },
-                "prom" => Command::Stats { prom: true },
+                "" => Command::Read(Deferred::Stats { prom: false }),
+                "prom" => Command::Read(Deferred::Stats { prom: true }),
                 other => return Err(format!("unknown stats form `{other}`")),
             },
             "ping" => Command::Ping,
@@ -622,7 +622,7 @@ impl<'t> Env<'_, 't, '_, '_, '_> {
                 let body =
                     std::str::from_utf8(payload).map_err(|_| "query payload is not UTF-8")?;
                 let (class, cond) = parse_query(self.shared.schema, body)?;
-                Ok(Command::Query(class, cond))
+                Ok(Command::Read(Deferred::Query(class, cond)))
             }
             other => Err(format!(
                 "unknown frame kind {other:#04x} (expected invoke {:#04x}, \
@@ -652,32 +652,15 @@ impl<'t> Env<'_, 't, '_, '_, '_> {
                 }
                 return true;
             }
-            Command::Query(class, cond) => {
-                // The scan runs under the ingress's shared monitor lock
-                // ([`IngressClient::read`]), between two of the admission
-                // worker's units of work, so it sees every acknowledged op
-                // and never a rejected op or part of a block. Replicas and
-                // degraded primaries serve it too.
-                use std::fmt::Write as _;
-                let oids = self.client.read(|m| m.db().sat(class, &cond));
-                let mut text = format!("query count={} oids=", oids.len());
-                for (i, oid) in oids.iter().take(32).enumerate() {
-                    if i > 0 {
-                        text.push(',');
-                    }
-                    let _ = write!(text, "{oid}");
-                }
-                Outcome::Ok(text)
+            Command::Read(read) => {
+                c.push_slot(Slot::Deferred { dialect, read });
+                return true;
             }
             Command::Redefine(policy, inv) => {
                 self.redefine(c, dialect, policy, inv);
                 return true;
             }
             Command::Schema => Outcome::Ok(self.shared.schema_line.clone()),
-            Command::Stats { prom } => {
-                c.push_slot(Slot::Stats { prom });
-                return true;
-            }
             Command::Ping => Outcome::Ok("pong".to_owned()),
             // Re-authenticating (or authing with no token configured) is a
             // harmless no-op, so scripts can always send it first.
@@ -711,6 +694,30 @@ impl<'t> Env<'_, 't, '_, '_, '_> {
         };
         c.push_slot(Slot::Ready(self.reply(dialect, outcome)));
         true
+    }
+
+    /// Answer a deferred read as its slot reaches the front of the queue,
+    /// so it sees every earlier request of its connection. A `query`
+    /// scans under the ingress's shared monitor lock
+    /// ([`IngressClient::read`]), between two of the admission worker's
+    /// units of work, so it sees every acknowledged op and never a
+    /// rejected op or part of a block. Replicas and degraded primaries
+    /// serve it too.
+    fn resolve(&self, dialect: Dialect, read: Deferred) -> Vec<u8> {
+        use std::fmt::Write as _;
+        let (class, cond) = match read {
+            Deferred::Stats { prom } => return stats_reply(self.ev, self.shared, prom),
+            Deferred::Query(class, cond) => (class, cond),
+        };
+        let oids = self.client.read(|m| m.db().sat(class, &cond));
+        let mut text = format!("query count={} oids=", oids.len());
+        for (i, oid) in oids.iter().take(32).enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            let _ = write!(text, "{oid}");
+        }
+        self.reply(dialect, Outcome::Ok(text))
     }
 
     /// Post a `redefine` as an admin barrier op: it runs on the admission
@@ -841,7 +848,7 @@ fn pump<'t>(env: &Env<'_, 't, '_, '_, '_>, c: &mut Conn<'t>) {
             c.teardown(None);
         }
         c.compact();
-        c.flush_slots(|prom| stats_reply(env.ev, env.shared, prom));
+        c.flush_slots(|dialect, read| env.resolve(dialect, read));
         let unsent_before = c.unsent();
         if c.wants_write() {
             c.try_write();

@@ -580,6 +580,19 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
+    /// Asks the server at this address to shut down when dropped, so a
+    /// failing assertion cannot leave it running and its thread scope
+    /// waiting for it forever.
+    struct ShutdownOnDrop(std::net::SocketAddr);
+
+    impl Drop for ShutdownOnDrop {
+        fn drop(&mut self) {
+            if let Ok(mut c) = TcpStream::connect(self.0) {
+                let _ = c.write_all(b"shutdown\n");
+            }
+        }
+    }
+
     fn multi_schema() -> migratory_model::Schema {
         let mut b = SchemaBuilder::new();
         for r in 0..2 {
@@ -625,6 +638,7 @@ mod tests {
                     .with_policy(StepPolicy::EveryApplication);
                 serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
+            let _stop = ShutdownOnDrop(addr);
             let conn = TcpStream::connect(addr).unwrap();
             let mut w = conn.try_clone().unwrap();
             let mut replies = BufReader::new(conn).lines().map(|l| l.unwrap());
@@ -668,6 +682,7 @@ mod tests {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
                 serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
+            let _stop = ShutdownOnDrop(addr);
             let mut first = TcpStream::connect(addr).unwrap();
             first.write_all(b"invoke Mk0(x)\nquit\n").unwrap();
             let mut lines = Vec::new();
@@ -701,6 +716,7 @@ mod tests {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
                 serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
+            let _stop = ShutdownOnDrop(addr);
             let mut flood = TcpStream::connect(addr).unwrap();
             let junk = vec![b'x'; MAX_LINE as usize + 4096];
             // The server may reset mid-flood (it stops reading and
@@ -752,6 +768,7 @@ mod tests {
                     .with_policy(StepPolicy::EveryApplication);
                 serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
             });
+            let _stop = ShutdownOnDrop(addr);
             let mut conn = TcpStream::connect(addr).unwrap();
             // Text, then frame, then text again — one write.
             let mut wire = Vec::new();
@@ -835,6 +852,7 @@ mod tests {
                 let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
                 serve(listener, &mut m, &ts, &config).unwrap()
             });
+            let _stop = ShutdownOnDrop(addr);
             let conn = TcpStream::connect(addr).unwrap();
             let mut w = conn.try_clone().unwrap();
             let mut r = BufReader::new(conn);

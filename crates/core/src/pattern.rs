@@ -10,8 +10,8 @@
 //!   (its role set or attribute tuple changes);
 //! * **lazy** — every step from the second on changes the role set.
 //!
-//! The "from the second on" reading resolves an ambiguity in Definition
-//! 3.4 in favour of the closed forms of Theorem 3.2(2) — see DESIGN.md §2.
+//! The "from the second on" reading resolves Definition 3.4's ambiguity for
+//! Theorem 3.2(2)'s closed forms (`analyze::tests::example_3_4_families_closed_forms`).
 
 use crate::alphabet::RoleAlphabet;
 use migratory_model::{Instance, Oid, RoleSet, Schema};

@@ -19,7 +19,7 @@
 //!    `T_mig` migrates it through the role sets spelled by the accepted
 //!    word, deleting it at the word's end.
 //!
-//! Differences from the appendix (documented in DESIGN.md §3): the chain
+//! Differences from the appendix: the chain
 //! end is a *self-linked* cell instead of a `$` sentinel (expressible as
 //! `{A1 = x, A2 = x}` with a repeated variable, which keeps predecessor
 //! lookups unambiguous within CSL⁺), inequality atoms such as `A1 ≠ y`

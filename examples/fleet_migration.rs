@@ -46,7 +46,7 @@
 //! that `migctl serve` puts behind a TCP socket — to run this scenario
 //! with callers that share nothing with the process but the wire
 //! protocol, see `migctl serve`/`migctl client` (`docs/PROTOCOL.md`)
-//! and the `experiments serve` bench row.
+//! and the perfbench workloads (`perfbench/README.md`).
 
 use migratory::core::enforce::{
     ingress, CheckpointData, IngressConfig, ShardedMonitor, Snapshotter, StepPolicy, Wal,
@@ -98,8 +98,8 @@ fn parse_args() -> Options {
 fn main() {
     let opts = parse_args();
     // The schema, transactions and day schedule are the shared fleet
-    // workload from migratory-bench (also behind the persist/ingress
-    // experiment rows), so example and benches cannot drift apart.
+    // workload from migratory-bench (also behind `experiments
+    // tail-smoke`), so example and bench cannot drift apart.
     let (schema, alphabet, ts) = fleet();
     assert_eq!(schema.num_components(), 4);
     let inventory =

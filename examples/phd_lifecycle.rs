@@ -5,7 +5,8 @@
 //! preserve the sequential phases: applying T3 to an unscreened student
 //! *adds* CANDIDATE on top of UNSCREENED. The decision procedure exhibits
 //! the mixed-role counterexample; selecting on a phase attribute repairs
-//! the design in pure SL. (See EXPERIMENTS.md, row ex3.5.)
+//! the design in pure SL. (`decide::tests::example_3_5_requires_phase_encoding`
+//! checks both.)
 //!
 //! Run with `cargo run --example phd_lifecycle`.
 

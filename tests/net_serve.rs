@@ -55,6 +55,32 @@ impl Client {
     }
 }
 
+/// The shared secret of `auth_gate_refuses_until_handshake`'s server.
+const TOKEN: &str = "sesame";
+
+/// Asks the server at this address to shut down when dropped, so a
+/// failing assertion cannot leave an in-process server running and its
+/// thread scope waiting for it forever. It authenticates first (a no-op
+/// on a server without a token) and retries while the server refuses
+/// it at its connection cap; a server that is gone or draining ends it.
+struct ShutdownOnDrop<A: std::net::ToSocketAddrs>(A);
+
+impl<A: std::net::ToSocketAddrs> Drop for ShutdownOnDrop<A> {
+    fn drop(&mut self) {
+        for _ in 0..100 {
+            let Ok(conn) = TcpStream::connect(&self.0) else { return };
+            let _ = conn.set_read_timeout(Some(std::time::Duration::from_secs(5)));
+            let _ = (&conn).write_all(format!("auth {TOKEN}\nshutdown\n").as_bytes());
+            let mut reply = String::new();
+            let _ = BufReader::new(conn).read_line(&mut reply);
+            if !reply.starts_with("error server at connection capacity") {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+    }
+}
+
 /// Three independent root classes (3 components → 3 shards/lanes).
 fn multi_schema() -> Schema {
     parse_schema(
@@ -108,6 +134,7 @@ fn concurrent_clients_get_correct_per_connection_replies() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         // The protocol promises no ordering *between* connections, so
         // the violating client must not start until the seed object's
         // create is acknowledged — an `Up0` racing ahead of `Mk0(seed)`
@@ -186,6 +213,7 @@ fn graceful_drain_answers_all_inflight_tickets() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut c = Client::connect(addr);
         let mut burst = String::new();
         for i in 0..BURST {
@@ -203,6 +231,58 @@ fn graceful_drain_answers_all_inflight_tickets() {
     });
     assert_eq!(stats.admitted, BURST);
     assert_eq!(stats.ingress.admitted, BURST, "the monitor committed them all");
+}
+
+/// A `query` pipelined behind `invoke`s on the same connection, all in
+/// one write, counts every one of them: an earlier request's effect is
+/// visible to a later request of the same connection
+/// (`docs/PROTOCOL.md` § Transport), in either dialect.
+#[test]
+fn pipelined_query_sees_every_earlier_invoke_of_its_connection() {
+    use migratory::core::enforce::net::frame;
+    use migratory::model::Value;
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+    let ts = multi_transactions(&s);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    const N: usize = 200;
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
+        });
+        let _stop = ShutdownOnDrop(addr);
+        let want = format!("query count={N} oids=");
+
+        let mut c = Client::connect(addr);
+        let mut burst: String = (0..N).map(|i| format!("invoke Mk0(t{i})\n")).collect();
+        burst.push_str("query R0\n");
+        c.writer.write_all(burst.as_bytes()).unwrap();
+        for _ in 0..N {
+            assert_eq!(c.recv(), "ok");
+        }
+        let reply = c.recv();
+        assert!(reply.starts_with(&format!("ok {want}")), "text: {reply}");
+
+        let mut wire = Vec::new();
+        for i in 0..N {
+            frame::encode_invoke_frame(&mut wire, "Mk1", &[Value::str(&format!("b{i}"))]);
+        }
+        frame::encode_query_frame(&mut wire, "R1");
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(&wire).unwrap();
+        for _ in 0..N {
+            assert_eq!(frame::read_frame(&mut conn).unwrap(), (frame::REP_OK, Vec::new()));
+        }
+        let (kind, payload) = frame::read_frame(&mut conn).unwrap();
+        let reply = String::from_utf8(payload).unwrap();
+        assert!(kind == frame::REP_OK && reply.starts_with(&want), "binary: {kind:#04x} {reply}");
+
+        assert_eq!(c.ask("shutdown"), "ok draining");
+        server.join().unwrap();
+    });
 }
 
 /// The threads of a durable server carry names, so per-thread CPU in
@@ -236,6 +316,7 @@ fn durable_server_threads_are_named() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut c = Client::connect(addr);
         // An acked op has passed through the admission worker and the
         // committer, so both are running.
@@ -441,6 +522,7 @@ fn idle_timeout_reaps_stalled_peer_without_disturbing_others() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let stalled = Client::connect(addr);
         let mut active = Client::connect(addr);
         // The active connection works, in order, for well past the idle
@@ -485,6 +567,7 @@ fn idle_timeout_reaps_binary_peer_in_binary_dialect() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let stalled = TcpStream::connect(addr).unwrap();
         let mut req = Vec::new();
         frame::encode_invoke_frame(&mut req, "Mk0", &[migratory::model::Value::str("bin")]);
@@ -522,6 +605,7 @@ fn op_quota_tears_down_peer_with_inflight_answered() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut c = Client::connect(addr);
         let mut burst = String::new();
         for i in 0..6 {
@@ -557,6 +641,7 @@ fn byte_quota_tears_down_peer_with_inflight_answered() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut c = Client::connect(addr);
         let mut burst = String::new();
         for i in 0..6 {
@@ -589,6 +674,7 @@ fn connection_cap_refuses_excess_sockets() {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut keeper = Client::connect(addr);
         // A round trip guarantees the keeper is registered before the
         // excess socket races it to the accept loop.
@@ -615,10 +701,11 @@ fn auth_gate_refuses_until_handshake() {
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
         let server = scope.spawn(|| {
-            let config = ServerConfig { auth: Some("sesame".to_owned()), ..Default::default() };
+            let config = ServerConfig { auth: Some(TOKEN.to_owned()), ..Default::default() };
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &config).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut c = Client::connect(addr);
         c.send("invoke Mk0(x)");
         let replies = c.drain_to_eof();
@@ -918,6 +1005,7 @@ fn protocol_document_session_is_live() {
             let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 2);
             net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
         });
+        let _stop = ShutdownOnDrop(addr);
         let mut c = Client::connect(addr);
         let mut pending_request: Option<String> = None;
         for line in session.lines() {
@@ -1073,19 +1161,6 @@ fn hand_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 /// One text request line and the exact reply line it must get.
 fn text_row(req: &str, reply: &str) -> (Vec<u8>, Vec<u8>) {
     (format!("{req}\n").into_bytes(), format!("{reply}\n").into_bytes())
-}
-
-/// Asks the server at this address to shut down when dropped, so a
-/// failing assertion cannot leave an in-process server running and its
-/// thread scope waiting for it forever.
-struct ShutdownOnDrop<'a>(&'a str);
-
-impl Drop for ShutdownOnDrop<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut c) = TcpStream::connect(self.0) {
-            let _ = c.write_all(b"shutdown\n");
-        }
-    }
 }
 
 /// Read one whole reply in whichever dialect it arrives: a frame when

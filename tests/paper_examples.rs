@@ -1,5 +1,5 @@
 //! End-to-end reproduction of the paper's worked examples, wired across
-//! all crates (the per-figure index lives in EXPERIMENTS.md).
+//! all crates (`experiments` times them, one row id per figure or theorem).
 
 use migratory::automata::{Dfa, Nfa, Regex};
 use migratory::core::{
