@@ -36,7 +36,8 @@
 //! sync overlaps the staging of the next blocks. Without one the
 //! committer answers tickets in commit order as they arrive, and a
 //! [`CommitSink`](super::CommitSink) the caller attached to the monitor
-//! appends inside `try_apply_batch`, on the worker.
+//! appends inside `try_apply_batch`, on the worker. The ingress also
+//! keeps the log's checkpoint chain (see [`serve`]).
 //!
 //! # Backpressure
 //!
@@ -71,7 +72,7 @@
 //! The monitor sits behind one `RwLock`. The worker holds it exclusively
 //! for each unit of work — a block's whole `try_apply_batch` (which
 //! applies the block in place before validating it), an admin op's first
-//! half, a resync, a maintenance call — and answers tickets only after
+//! half, a resync, a checkpoint capture — and answers tickets only after
 //! releasing it. [`IngressClient::read`] shares it on the caller's
 //! thread. A read sees every op whose ticket was answered, may see ops
 //! whose ticket is still pending, and never sees a rejected op or part
@@ -115,7 +116,7 @@ use super::health::Health;
 use super::metrics::AdmissionMetrics;
 use super::repl::Replicator;
 use super::sharded::ShardedMonitor;
-use super::wal::{self, Wal, WalError};
+use super::wal::{self, CheckpointData, CheckpointJob, Snapshotter, Wal, WalError};
 use super::{EnforceError, ResiduePolicy};
 use migratory_lang::{Assignment, Transaction};
 use migratory_model::Schema;
@@ -127,22 +128,21 @@ use std::time::{Duration, Instant};
 
 /// Tuning knobs and wiring of [`serve`]. The default is a volatile
 /// ingress with a [`Health`] of its own: no write-ahead log, no
-/// metrics, no maintenance.
+/// metrics, no checkpoints.
 #[derive(Clone)]
-pub struct IngressConfig<'h> {
+pub struct IngressConfig {
     /// Per-lane queue bound; [`IngressClient::post`] blocks when its
     /// lane is full.
     pub queue_capacity: usize,
     /// Largest block drained into one
     /// [`ShardedMonitor::try_apply_batch`] call.
     pub max_block: usize,
-    /// How failing write-ahead appends and syncs are retried before the
-    /// ingress degrades.
+    /// How failing write-ahead appends and syncs, and failing
+    /// checkpoint jobs, are retried before the ingress gives up on them.
     pub durability: DurabilityPolicy,
     /// Degraded-mode flag: set when the [`DurabilityPolicy`] budget runs
-    /// out, cleared by [`Health::rearm`]. Share it with a
-    /// [`Snapshotter`](super::Snapshotter) so checkpoint failures
-    /// surface in the same place.
+    /// out, cleared by [`Health::rearm`]. Checkpoint outcomes are
+    /// recorded here too.
     pub health: Arc<Health>,
     /// The write-ahead log the committer appends to, with its optional
     /// replication tee. The monitor's sink is replaced by a staging
@@ -151,17 +151,15 @@ pub struct IngressConfig<'h> {
     pub wal: Option<DurableLog>,
     /// Admission histograms: queue depths, block sizes and commit
     /// latencies; fsync batch sizes with a `wal`; checkpoint stalls
-    /// with a `maintenance` hook.
+    /// with a checkpoint cadence.
     pub metrics: Option<Arc<AdmissionMetrics>>,
-    /// Admitted blocks between `maintenance` calls; 0 = never.
+    /// Admitted blocks between the incremental checkpoints of the
+    /// `wal`'s chain; 0 = never checkpoint (see [`serve`]). Ignored
+    /// without a `wal`.
     pub checkpoint_every: usize,
-    /// Called on the admission worker every `checkpoint_every` blocks
-    /// with exclusive access to the monitor, behind a flush barrier
-    /// (see [`serve`]).
-    pub maintenance: Option<Maintenance<'h>>,
 }
 
-impl Default for IngressConfig<'_> {
+impl Default for IngressConfig {
     fn default() -> Self {
         IngressConfig {
             queue_capacity: 1024,
@@ -171,14 +169,12 @@ impl Default for IngressConfig<'_> {
             wal: None,
             metrics: None,
             checkpoint_every: 0,
-            maintenance: None,
         }
     }
 }
 
-impl std::fmt::Debug for IngressConfig<'_> {
-    // Manual impl: `Wal` owns raw file handles and the hook is a
-    // closure; show presence only.
+impl std::fmt::Debug for IngressConfig {
+    // Manual impl: `Wal` owns raw file handles; show presence only.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngressConfig")
             .field("queue_capacity", &self.queue_capacity)
@@ -189,7 +185,6 @@ impl std::fmt::Debug for IngressConfig<'_> {
             .field("repl", &self.wal.as_ref().is_some_and(|d| d.repl.is_some()))
             .field("metrics", &self.metrics.is_some())
             .field("checkpoint_every", &self.checkpoint_every)
-            .field("maintenance", &self.maintenance.is_some())
             .finish()
     }
 }
@@ -199,8 +194,8 @@ impl std::fmt::Debug for IngressConfig<'_> {
 pub struct DurableLog {
     /// The log the committer appends to and syncs (one sync per batch
     /// under [`FsyncPolicy::Batch`](super::FsyncPolicy::Batch), per
-    /// record under `Always`, never under `Off`) — the same handle a
-    /// maintenance hook checkpoints through.
+    /// record under `Always`, never under `Off`) — the same handle the
+    /// ingress checkpoints through.
     pub log: Arc<Mutex<Wal>>,
     /// Replication tee: every synced batch is also shipped
     /// ([`Replicator::ship_and_wait`]), and under
@@ -208,11 +203,6 @@ pub struct DurableLog {
     /// tickets are released only once enough standbys acknowledged it.
     pub repl: Option<Arc<Replicator>>,
 }
-
-/// The periodic maintenance hook of [`IngressConfig::maintenance`] —
-/// how a long-running server captures incremental checkpoints behind
-/// live traffic.
-pub type Maintenance<'h> = Arc<Mutex<dyn for<'m> FnMut(&mut ShardedMonitor<'m>) + Send + 'h>>;
 
 /// How the ingress treats a failing write-ahead append or sync (see
 /// [`serve`]): transient errors are retried with bounded linear
@@ -256,6 +246,9 @@ pub struct IngressStats {
     /// Write-ahead append retries (transient durability faults absorbed
     /// by the [`DurabilityPolicy`]).
     pub retries: usize,
+    /// The final checkpoint was written at drain (never without a
+    /// checkpoint cadence; see [`serve`]).
+    pub final_checkpoint: bool,
 }
 
 /// A boxed one-shot completion callback: how an event-driven caller
@@ -366,7 +359,7 @@ struct Shared<'t, 's, 'm> {
 }
 
 impl<'t, 's, 'm> Shared<'t, 's, 'm> {
-    fn new(monitor: &'m mut ShardedMonitor<'s>, config: &IngressConfig<'_>) -> Shared<'t, 's, 'm> {
+    fn new(monitor: &'m mut ShardedMonitor<'s>, config: &IngressConfig) -> Shared<'t, 's, 'm> {
         let lanes = match monitor.component_lanes() {
             Some(_) => monitor.num_shards(),
             None => 1,
@@ -645,19 +638,23 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
 /// after the rearm (and at drain-out), so recovery's byte-identity
 /// contract holds at every fault site.
 ///
-/// Every [`IngressConfig::checkpoint_every`] admitted blocks the worker
-/// calls [`IngressConfig::maintenance`] with exclusive access to the
-/// monitor, after the block's tickets went to the committer and behind
-/// a flush barrier: the hook never delays the replies of the block that
-/// triggered it, and a checkpoint never covers records that are not yet
-/// durable. `migctl serve` captures an O(dirty)
-/// [`CheckpointDelta`](super::CheckpointDelta) there and hands it to a
-/// background [`Snapshotter`](super::Snapshotter) while producers keep
-/// posting (their ops queue in the lanes for the duration of the
-/// capture).
+/// With a write-ahead log and a non-zero
+/// [`IngressConfig::checkpoint_every`], the ingress keeps the log's
+/// checkpoint chain. Its jobs run on a [`Snapshotter`] (retried on the
+/// [`DurabilityPolicy`] budget, reported to [`IngressConfig::health`]);
+/// the worker stages a full checkpoint while the log has no base (at
+/// start, else at the next cadence or at drain), otherwise an O(dirty)
+/// [`CheckpointDelta`](super::CheckpointDelta) every `checkpoint_every`
+/// blocks, after the block's tickets went to the committer and behind a
+/// flush barrier: a capture never delays the replies of the block that
+/// triggered it, and never covers records that are not yet durable. At
+/// drain it writes a final checkpoint synchronously
+/// ([`IngressStats::final_checkpoint`]) unless a background job failed
+/// (the chain must not continue past a hole) or the monitor is ahead of
+/// the durable log.
 pub fn serve<'t, 'a, R>(
     monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig<'_>,
+    config: &IngressConfig,
     drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
 ) -> (R, IngressStats) {
     let staged: Arc<Mutex<Vec<u8>>> = Arc::default();
@@ -1031,13 +1028,25 @@ fn flush_committer(tx: &mpsc::Sender<Msg<'_>>) -> bool {
 /// state change and are answered here directly.
 fn worker_loop<'t, 'a>(
     shared: &Shared<'t, 'a, '_>,
-    config: &IngressConfig<'_>,
+    config: &IngressConfig,
     pipe: &Pipeline<'_>,
     tx: &mpsc::Sender<Msg<'t>>,
 ) -> IngressStats {
     let max_block = config.max_block.max(1);
     let mut stats = IngressStats::default();
     let mut cursor = 0usize;
+    // The checkpoint chain (see `serve`), with a base right away.
+    let mut chain = pipe.log.filter(|_| config.checkpoint_every > 0).map(|log| {
+        let mut jobs = Snapshotter::spawn_with(
+            pipe.policy.retries,
+            pipe.policy.backoff,
+            Some(config.health.clone()),
+        );
+        if !lock(log).has_base() {
+            checkpoint(log, pipe.health, &mut shared.exclusive(), |job| jobs.submit(job));
+        }
+        (log, jobs)
+    });
     loop {
         let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, pipe.metrics) {
             Work::Drained => {
@@ -1045,10 +1054,18 @@ fn worker_loop<'t, 'a>(
                 // answered (durable or refused) before serve returns.
                 let _ = flush_committer(tx);
                 // Resolve a pending divergence even in degraded mode,
-                // so the caller's final checkpoint snapshots exactly
-                // the durable state.
+                // so the final checkpoint covers exactly the durable
+                // state.
                 if pipe.needs_resync.swap(false, Ordering::SeqCst) {
                     try_resync(shared, pipe);
+                }
+                if let Some((log, jobs)) = chain.take() {
+                    // A failed background job left a hole the chain
+                    // must not continue past.
+                    let landed = jobs.finish().is_ok();
+                    stats.final_checkpoint = landed
+                        && !pipe.needs_resync.load(Ordering::SeqCst)
+                        && checkpoint(log, pipe.health, &mut shared.exclusive(), |job| job.run());
                 }
                 return stats;
             }
@@ -1167,20 +1184,47 @@ fn worker_loop<'t, 'a>(
                 }
             }
         }
-        // Maintenance rides the block cadence, but behind a flush
+        // Checkpoints ride the block cadence, but behind a flush
         // barrier: a checkpoint must neither capture tracking state
         // whose records a broken committer dropped, nor seal a log
         // whose unsynced tail the checkpoint claims to cover.
-        if let Some(hook) = &config.maintenance {
-            let every = config.checkpoint_every;
-            if every > 0 && stats.blocks.is_multiple_of(every) && flush_committer(tx) {
+        if let Some((log, jobs)) = &mut chain {
+            if stats.blocks.is_multiple_of(config.checkpoint_every) && flush_committer(tx) {
                 let m0 = Instant::now();
-                (*lock(hook))(&mut shared.exclusive());
+                checkpoint(log, pipe.health, &mut shared.exclusive(), |job| jobs.submit(job));
                 if let Some(m) = pipe.metrics {
                     m.checkpoint_stall_us
                         .record(u64::try_from(m0.elapsed().as_micros()).unwrap_or(u64::MAX));
                 }
             }
+        }
+    }
+}
+
+/// Capture one checkpoint of `m` for `log`'s chain — a full base while
+/// the log has none, else the increment since the last capture — stage
+/// it, and hand the job to `run`. A failure is recorded in `health`; a
+/// staging failure also re-marks the captured objects dirty, so the
+/// next capture covers them. Returns whether `run` succeeded.
+fn checkpoint(
+    log: &Mutex<Wal>,
+    health: &Health,
+    m: &mut ShardedMonitor<'_>,
+    run: impl FnOnce(CheckpointJob) -> Result<(), WalError>,
+) -> bool {
+    let (data, touched) = if lock(log).has_base() {
+        let delta = m.checkpoint_delta();
+        let touched = delta.oids();
+        (CheckpointData::Incremental(delta), touched)
+    } else {
+        (CheckpointData::Full(m.checkpoint_full()), Vec::new())
+    };
+    let staged = lock(log).begin_checkpoint(data).inspect_err(|_| m.restore_dirty(&touched));
+    match staged.and_then(run) {
+        Ok(()) => true,
+        Err(e) => {
+            health.checkpoint_failed(&e);
+            false
         }
     }
 }
@@ -1249,30 +1293,31 @@ mod tests {
         assert!(stats.blocks <= 3 * PER);
     }
 
-    /// The maintenance hook fires on the block cadence, on the worker,
-    /// with exclusive monitor access — the primitive behind background
-    /// checkpoints under a live server.
+    /// A durable ingress keeps its log's checkpoint chain: a base at
+    /// start, an increment every `checkpoint_every` blocks (each one a
+    /// stamped capture) and a final checkpoint at drain — and the chain
+    /// plus the tail recover the served monitor byte for byte.
     #[test]
-    fn maintenance_hook_fires_every_n_blocks() {
+    fn durable_ingress_checkpoints_every_n_blocks() {
+        use crate::enforce::Wal;
         let s = multi_schema();
         let a = RoleAlphabet::new(&s, 0).unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* ([R0] ∪ [S0])* ∅*").unwrap();
         let ts = parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
         let mk = ts.get("Mk0").unwrap();
+        let dir = pipelined_temp_dir("cadence");
+        let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
+        let metrics = Arc::new(AdmissionMetrics::new(3));
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let mut calls = 0usize;
-        let mut clocks_seen = Vec::new();
         const OPS: usize = 24;
         let ((), stats) = serve(
             &mut m,
             &IngressConfig {
                 queue_capacity: 4,
                 max_block: 1,
+                wal: Some(DurableLog { log: wal, repl: None }),
+                metrics: Some(metrics.clone()),
                 checkpoint_every: 4,
-                maintenance: Some(Arc::new(Mutex::new(|m: &mut ShardedMonitor<'_>| {
-                    calls += 1;
-                    clocks_seen.push(m.clock(0));
-                }))),
                 ..Default::default()
             },
             |client| {
@@ -1284,11 +1329,21 @@ mod tests {
             },
         );
         assert_eq!(stats.blocks, OPS, "max_block = 1: one block per op");
-        assert_eq!(calls, OPS / 4, "hook fires every 4 blocks");
-        assert!(
-            clocks_seen.windows(2).all(|w| w[0] < w[1]),
-            "each call sees strictly more committed letters: {clocks_seen:?}"
-        );
+        assert!(stats.final_checkpoint, "the drain wrote the final checkpoint");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".bin"))
+            .collect();
+        files.sort();
+        let deltas = files.iter().filter(|n| n.starts_with("delta-")).count();
+        assert!(files.contains(&"snapshot.bin".to_owned()), "the base is on disk: {files:?}");
+        assert_eq!(deltas, OPS / 4 + 1, "6 increments and the final one: {files:?}");
+        assert_eq!(metrics.checkpoint_stall_us.count(), (OPS / 4) as u64, "one stamp a capture");
+        let (snap, tail) = Wal::load(&dir).unwrap();
+        let r = ShardedMonitor::recover(&s, &a, &inv, PatternKind::All, 3, snap, tail).unwrap();
+        assert_eq!(r.snapshot().encode(), m.snapshot().encode());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

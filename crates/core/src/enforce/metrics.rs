@@ -158,8 +158,8 @@ pub struct AdmissionMetrics {
     /// Records covered by one committer `fdatasync` (group-commit
     /// amortization factor).
     pub fsync_batch: Histogram,
-    /// Microseconds the admission worker spent inside the maintenance
-    /// hook (checkpoint capture + log seal) — the stall every queued op
+    /// Microseconds the admission worker spent in each cadence
+    /// checkpoint (capture + log seal) — the stall every queued op
     /// behind it observes.
     pub checkpoint_stall_us: Histogram,
     /// Current constraint-inventory epoch (gauge; bumped by each

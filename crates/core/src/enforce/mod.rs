@@ -138,7 +138,8 @@
 //!   [`ShardedMonitor::try_apply_batch`] blocks (emergent batching,
 //!   one group commit per block), violations reject only their own op,
 //!   and a committer releases the admitted ops — with a write-ahead log,
-//!   once their batch is appended and synced.
+//!   once their batch is appended and synced. A durable ingress also
+//!   keeps the log's checkpoint chain on the block cadence.
 //! * [`net`] — the wire front end: a TCP server (`migctl serve`)
 //!   mapping each connection onto an ingress producer, so admission
 //!   requests arrive from parties that share nothing with the engine but
@@ -174,9 +175,7 @@ pub mod wal;
 
 pub use faults::{FaultKind, FaultSite, IoFaults};
 pub use health::{CheckpointHealth, Health};
-pub use ingress::{
-    Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats, Maintenance,
-};
+pub use ingress::{Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats};
 pub use metrics::{AdmissionMetrics, Histogram};
 pub use reference::ReferenceMonitor;
 pub use repl::{AckPolicy, ReplicaCtl, Replicator, ShipFault};

@@ -288,7 +288,7 @@ enum Command<'t> {
 
 /// An event thread's fixed environment: everything a request is served
 /// with besides its connection.
-struct Env<'a, 't, 's, 'i, 'h> {
+struct Env<'a, 't, 's, 'i> {
     /// This thread's index: the inbox its connections' outcomes are
     /// mailed to.
     me: usize,
@@ -296,7 +296,7 @@ struct Env<'a, 't, 's, 'i, 'h> {
     client: &'a IngressClient<'t, 's, 'i>,
     ts: &'t TransactionSchema,
     shared: &'a ServerShared<'a>,
-    config: &'a ServerConfig<'h>,
+    config: &'a ServerConfig,
 }
 
 /// Run the event core: the calling thread becomes event thread 0 (which
@@ -352,7 +352,7 @@ fn interest_of(c: &Conn<'_>, pipeline: usize) -> u32 {
 /// table churn) can never be polled, so it is dropped as if the accept
 /// had failed.
 fn adopt<'t>(
-    env: &Env<'_, 't, '_, '_, '_>,
+    env: &Env<'_, 't, '_, '_>,
     conns: &mut HashMap<u64, Conn<'t>>,
     ep: &Epoll,
     (id, stream): (u64, TcpStream),
@@ -373,7 +373,7 @@ fn adopt<'t>(
 /// Accept until the listener runs dry; returns the listener's fatal
 /// error, if any (per-connection failures only skip that socket).
 fn accept_burst<'t>(
-    env: &Env<'_, 't, '_, '_, '_>,
+    env: &Env<'_, 't, '_, '_>,
     listener: &TcpListener,
     conns: &mut HashMap<u64, Conn<'t>>,
     ep: &Epoll,
@@ -419,7 +419,7 @@ fn accept_burst<'t>(
     }
 }
 
-impl<'t> Env<'_, 't, '_, '_, '_> {
+impl<'t> Env<'_, 't, '_, '_> {
     /// [`ServerConfig::pipeline`], at least 1.
     fn pipeline(&self) -> usize {
         self.config.pipeline.max(1)
@@ -794,7 +794,7 @@ impl<'t> Env<'_, 't, '_, '_, '_> {
 /// write. Loops while progress is made, because writing can re-open
 /// the extraction gate (write-buffer high-water mark) for bytes that
 /// are already buffered and would otherwise never see a poll event.
-fn pump<'t>(env: &Env<'_, 't, '_, '_, '_>, c: &mut Conn<'t>) {
+fn pump<'t>(env: &Env<'_, 't, '_, '_>, c: &mut Conn<'t>) {
     loop {
         if c.dead {
             return;
@@ -863,7 +863,7 @@ fn pump<'t>(env: &Env<'_, 't, '_, '_, '_>, c: &mut Conn<'t>) {
 /// One event thread. `listener` is `Some` only for thread 0. The
 /// `Result` carries a fatal listener error (reported after the drain).
 fn event_thread<'t>(
-    env: &Env<'_, 't, '_, '_, '_>,
+    env: &Env<'_, 't, '_, '_>,
     listener: Option<&TcpListener>,
 ) -> std::io::Result<()> {
     let (me, ev, config) = (env.me, env.ev, env.config);

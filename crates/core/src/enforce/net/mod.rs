@@ -84,12 +84,12 @@
 //!
 //! Everything durable is configured in [`ServerConfig::ingress`]: the
 //! write-ahead log the committer appends to and syncs before any ack
-//! is written, the replication tee that ships each synced batch, and a
-//! maintenance hook the admission worker calls every
-//! [`IngressConfig::checkpoint_every`] blocks with exclusive access to
-//! the monitor — the `migctl serve` front end uses it to capture
-//! O(dirty) incremental checkpoints and hand them to a background
-//! [`Snapshotter`](super::Snapshotter) while traffic keeps flowing.
+//! is written, the replication tee that ships each synced batch, and
+//! the log's checkpoint cadence — every
+//! [`IngressConfig::checkpoint_every`] blocks the ingress captures an
+//! O(dirty) incremental checkpoint and hands it to its background
+//! [`Snapshotter`](super::Snapshotter) while traffic keeps flowing
+//! (see [`ingress::serve`]).
 //!
 //! ```
 //! use migratory_core::enforce::net::{self, ServerConfig};
@@ -141,12 +141,12 @@ use std::time::Duration;
 
 /// Tuning knobs of [`serve`].
 #[derive(Clone)]
-pub struct ServerConfig<'h> {
+pub struct ServerConfig {
     /// The admission pipeline behind the socket front end: lanes, the
     /// write-ahead log and its replication tee, the durability policy
     /// and [`Health`] flag that degraded mode reads, the `stats prom`
-    /// metrics, and the checkpoint cadence with its hook.
-    pub ingress: IngressConfig<'h>,
+    /// metrics, and the log's checkpoint cadence.
+    pub ingress: IngressConfig,
     /// Event threads multiplexing the client sockets (thread 0 also
     /// owns the listener). Clamped to at least 1.
     pub io_threads: usize,
@@ -179,7 +179,7 @@ pub struct ServerConfig<'h> {
     pub replica_of: Option<String>,
 }
 
-impl std::fmt::Debug for ServerConfig<'_> {
+impl std::fmt::Debug for ServerConfig {
     // Manual impl: the auth token is a secret.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
@@ -196,7 +196,7 @@ impl std::fmt::Debug for ServerConfig<'_> {
     }
 }
 
-impl Default for ServerConfig<'_> {
+impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             ingress: IngressConfig::default(),
@@ -369,7 +369,7 @@ struct ServerShared<'h> {
     /// Admission lanes behind the server (for the `stats` reply).
     lanes: usize,
     /// Degraded-mode flag and checkpoint status, shared with the
-    /// admission worker and (via the caller) the snapshotter.
+    /// admission worker and its snapshotter.
     health: &'h Health,
     /// Admission histograms for the `stats prom` verb (absent when the
     /// server was configured without them — `stats prom` then returns
@@ -460,11 +460,8 @@ fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -
 ///
 /// Attach the monitor's policy before serving. The admission pipeline
 /// is [`ServerConfig::ingress`] (see [`ingress::serve`]): its
-/// [`Health`] is the flag the `stats` and `rearm` verbs read and clear —
-/// share it with a [`Snapshotter`](super::Snapshotter) (via
-/// [`Snapshotter::spawn_with`](super::Snapshotter::spawn_with)) so
-/// checkpoint failures surface in the same place, as `migctl serve`
-/// does.
+/// [`Health`] is the flag the `stats` and `rearm` verbs read and clear,
+/// and where the ingress records its checkpoint outcomes.
 ///
 /// # Errors
 /// Propagates the listener's fatal I/O errors (per-connection I/O
@@ -475,7 +472,7 @@ pub fn serve(
     listener: TcpListener,
     monitor: &mut ShardedMonitor<'_>,
     ts: &TransactionSchema,
-    config: &ServerConfig<'_>,
+    config: &ServerConfig,
 ) -> std::io::Result<NetStats> {
     listener.set_nonblocking(true)?;
     // Re-arm the accept backlog: std's bind hardcodes 128, which makes

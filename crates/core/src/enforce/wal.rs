@@ -1491,7 +1491,11 @@ impl Snapshotter {
     /// advance past a hole — but now the stop is *visible*: the `stats`
     /// verb reports `last_checkpoint=failed` instead of nothing.
     #[must_use]
-    pub fn spawn_with(retries: u32, backoff: Duration, health: Option<Arc<Health>>) -> Snapshotter {
+    pub(crate) fn spawn_with(
+        retries: u32,
+        backoff: Duration,
+        health: Option<Arc<Health>>,
+    ) -> Snapshotter {
         let (tx, rx) = mpsc::channel::<CheckpointJob>();
         let worker = std::thread::Builder::new()
             .name("mig-snapshot".into())
@@ -1580,7 +1584,6 @@ pub struct Wal {
     dir: PathBuf,
     log: std::fs::File,
     policy: FsyncPolicy,
-    buf: Vec<u8>,
     /// End of the last whole record — the append position, and where a
     /// failed append rolls back to.
     end: u64,
@@ -1663,7 +1666,6 @@ impl Wal {
             dir,
             log,
             policy: FsyncPolicy::Off,
-            buf: Vec::new(),
             end: valid as u64,
             synced: valid as u64,
             next_seq: max_seq + 1,
@@ -1673,34 +1675,15 @@ impl Wal {
         })
     }
 
-    /// Append the staged record in `buf`, rolling the file back to the
-    /// last whole record on any failure so a half-written frame never
-    /// poisons later appends. This is the **synchronous** sink path
-    /// (one caller, acked on return), so any policy stricter than
-    /// [`FsyncPolicy::Off`] syncs per record — there is no later batch
-    /// boundary that could cover the ack.
-    fn append(&mut self) -> Result<(), WalError> {
-        let res = (|| -> Result<(), WalError> {
-            self.faults.check(FaultSite::AppendWrite)?;
-            self.log.write_all(&self.buf)?;
-            self.log.flush()?;
-            if self.policy != FsyncPolicy::Off {
-                self.faults.check(FaultSite::AppendSync)?;
-                self.log.sync_data()?;
-            }
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                self.end += self.buf.len() as u64;
-                self.synced = self.end;
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.log.set_len(self.end);
-                Err(e)
-            }
-        }
+    /// Append `record` and sync it: the **synchronous** sink path (acked
+    /// on return, so no later batch sync could cover it). A failed sync
+    /// truncates the record again.
+    fn append_synced(&mut self, record: &[u8]) -> Result<(), WalError> {
+        self.append_bytes(record).and_then(|()| {
+            self.sync().inspect_err(|_| {
+                self.rollback_unsynced();
+            })
+        })
     }
 
     /// Append pre-framed record bytes **without** syncing (unless the
@@ -1942,15 +1925,15 @@ impl Wal {
 
 impl CommitSink for Wal {
     fn committed(&mut self, block: &BlockRef<'_>) -> Result<(), WalError> {
-        self.buf.clear();
-        encode_record(&mut self.buf, block)?;
-        self.append()
+        let mut buf = Vec::new();
+        encode_record(&mut buf, block)?;
+        self.append_synced(&buf)
     }
 
     fn certified(&mut self, steps: usize) -> Result<(), WalError> {
-        self.buf.clear();
-        encode_certify_record(&mut self.buf, steps);
-        self.append()
+        let mut buf = Vec::new();
+        encode_certify_record(&mut buf, steps);
+        self.append_synced(&buf)
     }
 
     fn redefined(
@@ -1960,9 +1943,9 @@ impl CommitSink for Wal {
         shards: &[(u32, usize)],
         inventory: &[u8],
     ) -> Result<(), WalError> {
-        self.buf.clear();
-        encode_redefine_record(&mut self.buf, epoch, policy, shards, inventory)?;
-        self.append()
+        let mut buf = Vec::new();
+        encode_redefine_record(&mut buf, epoch, policy, shards, inventory)?;
+        self.append_synced(&buf)
     }
 }
 

@@ -7,9 +7,8 @@
 //! `src/bin/migctl.rs` only reads files and prints.
 
 use migratory_core::enforce::{
-    net, AckPolicy, AdmissionMetrics, CheckpointData, DurabilityPolicy, DurableLog, EnforceError,
-    FsyncPolicy, Health, IngressConfig, IoFaults, Replicator, ResiduePolicy, ShardedMonitor,
-    Snapshotter, StepPolicy, Wal,
+    net, AckPolicy, AdmissionMetrics, DurabilityPolicy, DurableLog, EnforceError, FsyncPolicy,
+    Health, IngressConfig, IoFaults, Replicator, ResiduePolicy, ShardedMonitor, StepPolicy, Wal,
 };
 use migratory_core::{
     analyze_families, decide_with_families, AnalyzeOptions, Inventory, PatternKind, RoleAlphabet,
@@ -61,12 +60,13 @@ enforce     replays a script under the runtime monitor, reporting rejections;
 serve       admits transactions over TCP (docs/PROTOCOL.md) through the sharded
             ingress; --durable DIR write-ahead-logs every block through a
             pipelined committer thread (group commit) and runs background
-            incremental checkpoints every B blocks (default 16); --fsync sets
-            what an `ok` ack means: `batch` (default — one fdatasync per
-            committer batch, acks survive power loss), `always` (one fdatasync
-            per record), `off` (flushed to the OS only: acks survive a process
-            crash, not power loss). --recover resumes from DIR's checkpoint
-            chain + WAL tail.
+            incremental checkpoints every B blocks (default 16; 0 = never);
+            --fsync sets what an `ok` ack means: `batch` (default — one
+            fdatasync per committer batch, acks survive power loss), `always`
+            (one fdatasync per record), `off` (flushed to the OS only: acks
+            survive a process crash, not power loss). --recover resumes from
+            DIR's checkpoint chain + WAL tail; without it DIR must be absent
+            or empty.
             Failing appends/checkpoints retry --retries times (default 4) with
             --retry-backoff-ms linear backoff (default 20); persistent failure
             degrades the server to read-only until an operator sends `rearm`.
@@ -383,6 +383,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:4191";
 /// can connect) and returns a summary once a client's `shutdown`
 /// drained the server.
 pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String, String> {
+    use std::path::Path;
     use std::sync::{Arc, Mutex};
 
     let (schema, alphabet) = load(schema_src, flags.component()?)?;
@@ -448,6 +449,20 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     };
     let ack_timeout =
         std::time::Duration::from_millis(flags.usize_or("ack-timeout-ms", 5000)? as u64);
+    // A fresh monitor restarts every shard clock at 0, so a later
+    // recovery would skip the records it logs as covered by an earlier
+    // server's chain: only `--recover` may reopen a written log (a
+    // replica's bootstrap writes its primary's snapshot as a new base).
+    if let Some(dir) = durable.filter(|d| !recover && replica_of.is_none() && Path::new(d).exists())
+    {
+        let (snap, tail) = Wal::load(dir).map_err(|e| format!("loading {dir}: {e}"))?;
+        if snap.is_some() || !tail.is_empty() {
+            return Err(format!(
+                "{dir} holds the log of an earlier server: resume it with --recover, \
+                 or serve on an empty directory"
+            ));
+        }
+    }
 
     // Build the monitor: fresh, or rebuilt from the checkpoint chain +
     // WAL tail (no history replay). Recovery restores the policy the
@@ -475,11 +490,9 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
         ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards).with_policy(flags.policy()?)
     };
 
-    // Durable mode: open the log for the committer and stand up the
-    // background snapshotter; establish the base checkpoint if the
-    // directory has none (first run, or a crash killed the base job).
-    // The admission worker stages records, the committer appends,
-    // fsyncs per `--fsync`, and releases the acks.
+    // Durable mode: open the log for the ingress. The admission worker
+    // stages records, the committer appends, fsyncs per `--fsync`, and
+    // releases the acks; the ingress also keeps the checkpoint chain.
     let wal = match durable {
         Some(dir) => {
             let mut w = Wal::open(dir).map_err(|e| format!("{dir}: {e}"))?;
@@ -492,19 +505,6 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     };
     let metrics = Arc::new(AdmissionMetrics::new(monitor.num_shards()));
     let health = Arc::new(Health::new());
-    let mut snapshotter = wal
-        .as_ref()
-        .map(|_| Snapshotter::spawn_with(retries as u32, backoff, Some(health.clone())));
-    if let (Some(wal), Some(snapshotter)) = (&wal, &mut snapshotter) {
-        if !wal.lock().expect("wal poisoned").has_base() {
-            let job = wal
-                .lock()
-                .expect("wal poisoned")
-                .begin_checkpoint(CheckpointData::Full(monitor.checkpoint_full()))
-                .map_err(|e| format!("base checkpoint: {e}"))?;
-            snapshotter.submit(job).map_err(|e| format!("base checkpoint: {e}"))?;
-        }
-    }
 
     // Primary role: bind the replication listener before announcing
     // anything, so a replica pointed at the printed address always
@@ -542,36 +542,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    // Serve until a client sends `shutdown`. The maintenance hook runs
-    // on the admission worker between blocks: an O(dirty) incremental
-    // capture handed to the snapshotter, which encodes, fsyncs and
-    // prunes covered WAL segments off the admission path.
-    let maintenance_wal = wal.clone();
-    let maintenance_health = health.clone();
-    let snapshotter_slot = &mut snapshotter;
-    let maintenance = move |m: &mut ShardedMonitor<'_>| {
-        let (Some(wal), Some(snapshotter)) = (&maintenance_wal, snapshotter_slot.as_mut()) else {
-            return;
-        };
-        let delta = m.checkpoint_delta();
-        let touched = delta.oids();
-        match wal.lock().expect("wal poisoned").begin_checkpoint(CheckpointData::Incremental(delta))
-        {
-            Ok(job) => {
-                if let Err(e) = snapshotter.submit(job) {
-                    maintenance_health.checkpoint_failed(&e);
-                    eprintln!("migctl serve: background checkpoint failed: {e}");
-                }
-            }
-            Err(e) => {
-                // The drained delta never reached the chain: restore the
-                // dirty tracking so the next cadence re-captures it.
-                m.restore_dirty(&touched);
-                maintenance_health.checkpoint_failed(&e);
-                eprintln!("migctl serve: could not stage checkpoint: {e}");
-            }
-        }
-    };
+    // Serve until a client sends `shutdown`.
     let config = net::ServerConfig {
         ingress: IngressConfig {
             queue_capacity: queue,
@@ -580,8 +551,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
             health: health.clone(),
             wal: wal.clone().map(|log| DurableLog { log, repl: repl.clone() }),
             metrics: Some(metrics.clone()),
-            checkpoint_every: if wal.is_some() { checkpoint_every } else { 0 },
-            maintenance: Some(Arc::new(Mutex::new(maintenance))),
+            checkpoint_every,
         },
         idle_timeout: (idle_timeout > 0)
             .then(|| std::time::Duration::from_secs(idle_timeout as u64)),
@@ -595,21 +565,12 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     };
     let stats = net::serve(listener, &mut monitor, &ts, &config)
         .map_err(|e| format!("serving on {local}: {e}"))?;
-    // The hook borrows the snapshotter; release it.
-    drop(config);
-
-    // Drained: make the final state durable synchronously.
-    if let Some(snapshotter) = snapshotter {
-        snapshotter.finish().map_err(|e| format!("final background checkpoint: {e}"))?;
-    }
-    if let Some(wal) = &wal {
-        let delta = monitor.checkpoint_delta();
-        wal.lock()
-            .expect("wal poisoned")
-            .begin_checkpoint(CheckpointData::Incremental(delta))
-            .map_err(|e| format!("final checkpoint: {e}"))?
-            .run()
-            .map_err(|e| format!("final checkpoint: {e}"))?;
+    // Drained: the ingress wrote the final checkpoint unless a
+    // checkpoint failed first.
+    let final_checkpoint = stats.ingress.final_checkpoint;
+    if wal.is_some() && checkpoint_every > 0 && !final_checkpoint {
+        let why = health.checkpoint().failed.unwrap_or_else(|| health.reason());
+        return Err(format!("final checkpoint: {why}"));
     }
     // Tail-latency recap from the admission histograms (log2-granular
     // upper bounds, hence "≤"): the worst lane at each quantile.
@@ -655,7 +616,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
         stats.ingress.retries,
         monitor.clocks(),
         monitor.db().num_objects(),
-        if wal.is_some() { "; final checkpoint written" } else { "" },
+        if final_checkpoint { "; final checkpoint written" } else { "" },
         notes,
     ))
 }

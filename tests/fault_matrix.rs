@@ -18,8 +18,8 @@
 //!   acks) keep flowing, and recovery still replays the uncovered log.
 
 use migratory::core::enforce::{
-    ingress, CheckpointData, DurabilityPolicy, DurableLog, EnforceError, FaultKind, FaultSite,
-    FsyncPolicy, Health, IngressConfig, IoFaults, ShardedMonitor, Snapshotter, Wal,
+    ingress, DurabilityPolicy, DurableLog, EnforceError, FaultKind, FaultSite, FsyncPolicy, Health,
+    IngressConfig, IoFaults, ShardedMonitor, Wal,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment};
@@ -49,8 +49,9 @@ struct Outcome {
     retries: usize,
     /// The sticky checkpoint failure, if the pipeline recorded one.
     checkpoint_failed: Option<String>,
-    /// Result of `Snapshotter::finish` (Err = the worker gave up).
-    finish_failed: bool,
+    /// The ingress wrote its final checkpoint at drain (it does not
+    /// after a background job gave up).
+    final_checkpoint: bool,
 }
 
 /// A fresh monitor fed exactly `acked`, in order — the uncrashed oracle.
@@ -79,10 +80,11 @@ fn recovered(dir: &std::path::Path) -> Vec<u8> {
         .encode()
 }
 
-/// Run one matrix cell: serve 16 pipelined creations (one per block,
-/// so WAL calls are deterministic) with `site` scheduled to fail from
-/// its `from_nth`-th call on, incremental checkpoints every 2 blocks,
-/// an append retry budget of 2 and a checkpoint retry budget of 3. If
+/// Run one matrix cell on the sink path (the WAL attached to the
+/// monitor, so appends run on the admission worker and the ingress
+/// keeps no checkpoint chain): serve 16 pipelined creations (one per
+/// block, so WAL calls are deterministic) with `site` scheduled to fail
+/// from its `from_nth`-th call on and an append retry budget of 2. If
 /// the run degrades, clear the fault, re-arm, and push 4 more ops.
 fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKind) -> Outcome {
     let schema = parse_schema(SCHEMA).unwrap();
@@ -93,22 +95,10 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
 
     let faults = IoFaults::new().fail(site, from_nth, kind);
     let wal = Wal::open(dir).unwrap().with_fsync(FsyncPolicy::Always).with_faults(faults.clone());
-    let wal = Arc::new(Mutex::new(wal));
-    monitor = monitor.with_sink(wal.clone());
+    monitor = monitor.with_sink(Arc::new(Mutex::new(wal)));
     let health = Arc::new(Health::new());
-    let mut snapshotter =
-        Snapshotter::spawn_with(3, Duration::from_millis(1), Some(health.clone()));
-    let base = wal
-        .lock()
-        .unwrap()
-        .begin_checkpoint(CheckpointData::Full(monitor.checkpoint_full()))
-        .expect("staging the base checkpoint does no I/O");
-    snapshotter.submit(base).unwrap();
 
     let policy = DurabilityPolicy { retries: 2, backoff: Duration::from_millis(1) };
-    let maintenance_wal = wal.clone();
-    let maintenance_health = health.clone();
-    let snapshotter_slot = &mut snapshotter;
     let ((acked, refused, degraded), stats) = ingress::serve(
         &mut monitor,
         &IngressConfig {
@@ -116,28 +106,6 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
             max_block: 1,
             durability: policy,
             health: health.clone(),
-            checkpoint_every: 2,
-            maintenance: Some(Arc::new(Mutex::new(move |m: &mut ShardedMonitor<'_>| {
-                let delta = m.checkpoint_delta();
-                let touched = delta.oids();
-                match maintenance_wal
-                    .lock()
-                    .unwrap()
-                    .begin_checkpoint(CheckpointData::Incremental(delta))
-                {
-                    Ok(job) => {
-                        if let Err(e) = snapshotter_slot.submit(job) {
-                            maintenance_health.checkpoint_failed(&e);
-                        }
-                    }
-                    Err(e) => {
-                        // The drained delta never reached the chain: restore
-                        // the dirty tracking or the next prune loses it.
-                        m.restore_dirty(&touched);
-                        maintenance_health.checkpoint_failed(&e);
-                    }
-                }
-            }))),
             ..Default::default()
         },
         |client| {
@@ -174,7 +142,6 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
             (acked, refused, degraded)
         },
     );
-    let finish_failed = snapshotter.finish().is_err();
     drop(monitor);
     Outcome {
         acked,
@@ -182,7 +149,7 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
         degraded,
         retries: stats.retries,
         checkpoint_failed: health.checkpoint().failed,
-        finish_failed,
+        final_checkpoint: stats.final_checkpoint,
     }
 }
 
@@ -190,9 +157,12 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
 /// (`IngressConfig::wal`): the committer thread owns every WAL
 /// call, acks are released only after its batch fsync, and a degraded
 /// server resyncs its tracking against the durable log when the
-/// operator re-arms. The driver posts serially (one op in flight) so
-/// the committer's WAL call sequence is deterministic — append/sync
-/// call N belongs to op N — and every cell's counts are exact.
+/// operator re-arms. The ingress keeps the checkpoint chain — a base at
+/// start, an increment every 2 blocks, a final checkpoint at drain —
+/// with its jobs retried on the durability policy's budget of 2. The
+/// driver posts serially (one op in flight) so the committer's WAL call
+/// sequence is deterministic — append/sync call N belongs to op N —
+/// and every cell's counts are exact.
 fn run_case_pipelined(
     dir: &std::path::Path,
     site: FaultSite,
@@ -207,21 +177,9 @@ fn run_case_pipelined(
 
     let faults = IoFaults::new().fail(site, from_nth, kind);
     let wal = Wal::open(dir).unwrap().with_fsync(FsyncPolicy::Batch).with_faults(faults.clone());
-    let wal = Arc::new(Mutex::new(wal));
     let health = Arc::new(Health::new());
-    let mut snapshotter =
-        Snapshotter::spawn_with(3, Duration::from_millis(1), Some(health.clone()));
-    let base = wal
-        .lock()
-        .unwrap()
-        .begin_checkpoint(CheckpointData::Full(monitor.checkpoint_full()))
-        .expect("staging the base checkpoint does no I/O");
-    snapshotter.submit(base).unwrap();
 
     let policy = DurabilityPolicy { retries: 2, backoff: Duration::from_millis(1) };
-    let maintenance_wal = wal.clone();
-    let maintenance_health = health.clone();
-    let snapshotter_slot = &mut snapshotter;
     let ((acked, refused, degraded), stats) = ingress::serve(
         &mut monitor,
         &IngressConfig {
@@ -229,27 +187,8 @@ fn run_case_pipelined(
             max_block: 1,
             durability: policy,
             health: health.clone(),
-            wal: Some(DurableLog { log: wal.clone(), repl: None }),
+            wal: Some(DurableLog { log: Arc::new(Mutex::new(wal)), repl: None }),
             checkpoint_every: 2,
-            maintenance: Some(Arc::new(Mutex::new(move |m: &mut ShardedMonitor<'_>| {
-                let delta = m.checkpoint_delta();
-                let touched = delta.oids();
-                match maintenance_wal
-                    .lock()
-                    .unwrap()
-                    .begin_checkpoint(CheckpointData::Incremental(delta))
-                {
-                    Ok(job) => {
-                        if let Err(e) = snapshotter_slot.submit(job) {
-                            maintenance_health.checkpoint_failed(&e);
-                        }
-                    }
-                    Err(e) => {
-                        m.restore_dirty(&touched);
-                        maintenance_health.checkpoint_failed(&e);
-                    }
-                }
-            }))),
             ..Default::default()
         },
         |client| {
@@ -280,7 +219,6 @@ fn run_case_pipelined(
             (acked, refused, degraded)
         },
     );
-    let finish_failed = snapshotter.finish().is_err();
     drop(monitor);
     Outcome {
         acked,
@@ -288,7 +226,7 @@ fn run_case_pipelined(
         degraded,
         retries: stats.retries,
         checkpoint_failed: health.checkpoint().failed,
-        finish_failed,
+        final_checkpoint: stats.final_checkpoint,
     }
 }
 
@@ -309,32 +247,15 @@ fn is_append_site(site: FaultSite) -> bool {
 
 #[test]
 fn every_site_transient_is_absorbed_and_byte_identical() {
-    for site in FaultSite::ALL {
-        // Append calls are per-op (from the 6th op); checkpoint calls
-        // are per-job (from the 2nd job, so the base succeeds).
-        let from_nth = if is_append_site(site) { 6 } else { 2 };
+    // The sink path checkpoints nothing: only its append sites apply.
+    for site in [FaultSite::AppendWrite, FaultSite::AppendSync] {
         with_dir(&format!("t-{site}"), |dir| {
-            let out = run_case(dir, site, from_nth, FaultKind::Transient(1));
+            let out = run_case(dir, site, 6, FaultKind::Transient(1));
             assert_eq!(out.acked.len(), 16, "{site}: a transient fault loses no ops");
             assert_eq!(out.refused, 0, "{site}: a transient fault refuses nothing");
             assert!(!out.degraded, "{site}: a transient fault never degrades");
-            if is_append_site(site) {
-                assert!(out.retries >= 1, "{site}: the absorbed failure cost a retry");
-                assert!(out.checkpoint_failed.is_none(), "{site}: checkpoints unaffected");
-                assert!(!out.finish_failed, "{site}: the snapshotter outlives the fault");
-            }
-            // Staging faults (seal) are recorded even when the next
-            // cadence succeeds; job-side faults are retried invisibly.
-            if matches!(
-                site,
-                FaultSite::CheckpointWrite
-                    | FaultSite::CheckpointSync
-                    | FaultSite::CheckpointRename
-                    | FaultSite::CheckpointPrune
-            ) {
-                assert!(out.checkpoint_failed.is_none(), "{site}: absorbed by the job retry");
-                assert!(!out.finish_failed, "{site}: the snapshotter outlives the fault");
-            }
+            assert!(out.retries >= 1, "{site}: the absorbed failure cost a retry");
+            assert!(out.checkpoint_failed.is_none(), "{site}: checkpoints unaffected");
             assert_eq!(
                 recovered(dir),
                 oracle(&out.acked),
@@ -367,40 +288,10 @@ fn persistent_append_faults_degrade_then_resume_byte_identical() {
 }
 
 #[test]
-fn persistent_checkpoint_faults_surface_without_blocking_admission() {
-    for site in [
-        FaultSite::SealRename,
-        FaultSite::CheckpointWrite,
-        FaultSite::CheckpointSync,
-        FaultSite::CheckpointRename,
-        FaultSite::CheckpointPrune,
-    ] {
-        with_dir(&format!("p-{site}"), |dir| {
-            let out = run_case(dir, site, 2, FaultKind::Persistent);
-            assert_eq!(out.acked.len(), 16, "{site}: checkpoint faults never refuse writes");
-            assert_eq!(out.refused, 0, "{site}: admission is not the checkpoint pipeline");
-            assert!(!out.degraded, "{site}: degraded mode is for the append path");
-            assert!(
-                out.checkpoint_failed.is_some(),
-                "{site}: a dead checkpoint pipeline is visible, not silent"
-            );
-            if !matches!(site, FaultSite::SealRename) {
-                // The worker exhausted its retries and stopped; seal
-                // faults fail at staging, so the worker never sees them.
-                assert!(out.finish_failed, "{site}: finish reports the job the worker gave up on");
-            }
-            assert_eq!(
-                recovered(dir),
-                oracle(&out.acked),
-                "{site}: the uncovered log replays — nothing acked is lost"
-            );
-        });
-    }
-}
-
-#[test]
 fn pipelined_every_site_transient_is_absorbed_and_byte_identical() {
     for site in FaultSite::ALL {
+        // Append calls are per-op (from the 6th op); checkpoint calls
+        // are per-job (from the 2nd job, so the base succeeds).
         let from_nth = if is_append_site(site) { 6 } else { 2 };
         with_dir(&format!("pt-{site}"), |dir| {
             let out = run_case_pipelined(dir, site, from_nth, FaultKind::Transient(1));
@@ -409,9 +300,14 @@ fn pipelined_every_site_transient_is_absorbed_and_byte_identical() {
             assert!(!out.degraded, "{site}: a transient fault never degrades");
             if is_append_site(site) {
                 assert!(out.retries >= 1, "{site}: the committer absorbed it with a retry");
-                assert!(out.checkpoint_failed.is_none(), "{site}: checkpoints unaffected");
-                assert!(!out.finish_failed, "{site}: the snapshotter outlives the fault");
             }
+            // Staging faults (seal) are recorded even when the next
+            // cadence succeeds; append and job-side faults are retried
+            // invisibly.
+            if !matches!(site, FaultSite::SealRename) {
+                assert!(out.checkpoint_failed.is_none(), "{site}: checkpoints unaffected");
+            }
+            assert!(out.final_checkpoint, "{site}: the checkpoint chain outlives the fault");
             assert_eq!(
                 recovered(dir),
                 oracle(&out.acked),
@@ -463,6 +359,9 @@ fn pipelined_persistent_checkpoint_faults_do_not_block_the_committer() {
                 out.checkpoint_failed.is_some(),
                 "{site}: a dead checkpoint pipeline is visible, not silent"
             );
+            // The chain must not continue past the checkpoint that
+            // never landed.
+            assert!(!out.final_checkpoint, "{site}: no final checkpoint after the failure");
             assert_eq!(
                 recovered(dir),
                 oracle(&out.acked),

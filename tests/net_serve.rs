@@ -6,7 +6,8 @@
 //! * graceful drain answers every in-flight ticket before the socket
 //!   closes;
 //! * a kill → `--recover` → re-serve round trip is byte-identical
-//!   (driven through the real `migctl` binary over a real socket);
+//!   (driven through the real `migctl` binary over a real socket), and
+//!   a log an earlier server wrote is refused without `--recover`;
 //! * the worked session in `docs/PROTOCOL.md` is executed verbatim —
 //!   the protocol document cannot drift from the server.
 
@@ -290,7 +291,6 @@ fn pipelined_query_sees_every_earlier_invoke_of_its_connection() {
 #[cfg(target_os = "linux")]
 #[test]
 fn durable_server_threads_are_named() {
-    use migratory::core::enforce::Snapshotter;
     let s = multi_schema();
     let a = RoleAlphabet::new(&s, 0).unwrap();
     let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
@@ -298,7 +298,6 @@ fn durable_server_threads_are_named() {
     let dir = std::env::temp_dir().join(format!("migratory-net-names-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let wal = std::sync::Arc::new(std::sync::Mutex::new(Wal::open(&dir).unwrap()));
-    let snapshotter = Snapshotter::spawn();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let names = std::thread::scope(|scope| {
@@ -309,6 +308,7 @@ fn durable_server_threads_are_named() {
                         log: wal.clone(),
                         repl: None,
                     }),
+                    checkpoint_every: 16,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -330,7 +330,6 @@ fn durable_server_threads_are_named() {
         server.join().unwrap();
         names
     });
-    snapshotter.finish().unwrap();
     for want in ["mig-admit", "mig-commit", "mig-snapshot", "mig-event-1"] {
         assert!(names.iter().any(|n| n == want), "no thread named {want} in {names:?}");
     }
@@ -356,32 +355,56 @@ transaction Rm(x) { delete(PERSON, { SSN = x }); }
 
 const UNI_INV: &str = "∅* [PERSON]* [STUDENT]* ∅*";
 
-/// Spawn `migctl serve` on an ephemeral port and return (child, addr).
-fn spawn_serve(dir: &std::path::Path, extra: &[&str]) -> (std::process::Child, String) {
+/// Kills the served `migctl` when dropped, so a failing test leaves no
+/// server behind.
+struct Served(std::process::Child);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawn `migctl serve` on an ephemeral port and return (server, addr).
+fn spawn_serve(dir: &std::path::Path, extra: &[&str]) -> (Served, String) {
     spawn_serve_with(dir, (UNI_SCHEMA, UNI_TX, UNI_INV), extra)
+}
+
+/// The `migctl serve` command over the given (schema, transactions,
+/// inventory), written to `dir`, on an ephemeral port.
+fn serve_command(
+    dir: &std::path::Path,
+    (schema_src, tx_src, inv): (&str, &str, &str),
+    extra: &[&str],
+) -> std::process::Command {
+    let schema = dir.join("schema.mig");
+    let tx = dir.join("transactions.sl");
+    std::fs::write(&schema, schema_src).unwrap();
+    std::fs::write(&tx, tx_src).unwrap();
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"));
+    cmd.arg("serve")
+        .arg(&schema)
+        .arg(&tx)
+        .args(["--inventory", inv, "--addr", "127.0.0.1:0", "--shards", "2"])
+        .args(extra);
+    cmd
 }
 
 /// [`spawn_serve`] over the given (schema, transactions, inventory).
 fn spawn_serve_with(
     dir: &std::path::Path,
-    (schema_src, tx_src, inv): (&str, &str, &str),
+    sources: (&str, &str, &str),
     extra: &[&str],
-) -> (std::process::Child, String) {
-    let schema = dir.join("schema.mig");
-    let tx = dir.join("transactions.sl");
-    std::fs::write(&schema, schema_src).unwrap();
-    std::fs::write(&tx, tx_src).unwrap();
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
-        .arg("serve")
-        .arg(&schema)
-        .arg(&tx)
-        .args(["--inventory", inv, "--addr", "127.0.0.1:0", "--shards", "2"])
-        .args(extra)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .expect("spawn migctl serve");
-    let stdout = child.stdout.take().expect("piped stdout");
+) -> (Served, String) {
+    let mut child = Served(
+        serve_command(dir, sources, extra)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::inherit())
+            .spawn()
+            .expect("spawn migctl serve"),
+    );
+    let stdout = child.0.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let addr = loop {
         let line = lines.next().expect("serve prints its address").expect("read stdout");
@@ -454,8 +477,8 @@ fn kill_recover_reserve_roundtrip_is_byte_identical() {
             script.push(("St", key));
         }
     }
-    child.kill().expect("SIGKILL the server");
-    child.wait().expect("reap");
+    child.0.kill().expect("SIGKILL the server");
+    child.0.wait().expect("reap");
 
     // Everything acknowledged before the kill is durable — and nothing
     // else: the folded chain + tail equals a monitor fed exactly the
@@ -487,7 +510,7 @@ fn kill_recover_reserve_roundtrip_is_byte_identical() {
         script.push(("Rm", "k0".to_owned()));
         assert_eq!(c.ask("shutdown"), "ok draining");
     }
-    let status = child.wait().expect("server drains and exits");
+    let status = child.0.wait().expect("server drains and exits");
     assert!(status.success(), "graceful shutdown exits cleanly");
 
     let script_refs: Vec<(&str, &str)> = script.iter().map(|(n, k)| (*n, k.as_str())).collect();
@@ -496,6 +519,65 @@ fn kill_recover_reserve_roundtrip_is_byte_identical() {
         expected_state(&script_refs),
         "stage 2: the re-served state must be byte-identical to the full acked history"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file of `dir`, by name, with its bytes.
+fn dir_files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A fresh server restarts every shard clock at 0, so the records it
+/// would log on a directory an earlier server wrote sit below that
+/// server's checkpoint and a later `--recover` skips them: acked ops
+/// would vanish. Without `--recover` the binary refuses such a
+/// directory, names `--recover`, and leaves every file as it was.
+#[test]
+fn serve_without_recover_refuses_a_used_log() {
+    let dir = std::env::temp_dir().join(format!("migratory-net-reuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal_dir = dir.join("wal");
+    let durable = ["--durable", wal_dir.to_str().unwrap(), "--checkpoint-every", "4"];
+    let (mut child, addr) = spawn_serve(&dir, &durable);
+    {
+        let mut c = Client::connect(&*addr);
+        for i in 0..10 {
+            assert_eq!(c.ask(&format!("invoke Mk(a{i})")), "ok");
+        }
+        assert_eq!(c.ask("shutdown"), "ok draining");
+    }
+    assert!(child.0.wait().expect("server drains and exits").success());
+    let before = dir_files(&wal_dir);
+
+    let mut second = Served(
+        serve_command(&dir, (UNI_SCHEMA, UNI_TX, UNI_INV), &durable)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn migctl serve"),
+    );
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = second.0.try_wait().expect("poll the second server") {
+            break status;
+        }
+        assert!(std::time::Instant::now() < deadline, "the second server kept serving");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut second.0.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success(), "a used log without --recover is refused");
+    assert!(stderr.contains("--recover"), "the refusal names --recover: {stderr}");
+    assert_eq!(dir_files(&wal_dir), before, "the refused start touched no file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -784,7 +866,7 @@ fn persistent_append_failure_degrades_to_read_only() {
         assert!(st.contains("degraded=no"), "re-armed: {st}");
         assert_eq!(c.ask("shutdown"), "ok draining");
     }
-    let status = child.wait().expect("server drains and exits");
+    let status = child.0.wait().expect("server drains and exits");
     assert!(status.success(), "a degraded run still drains cleanly");
     let script_refs: Vec<(&str, &str)> = script.iter().map(|(n, k)| (*n, k.as_str())).collect();
     assert_eq!(
@@ -887,8 +969,8 @@ fn redefine_under_live_traffic_survives_kill_and_recover() {
             "stats surface the evolution state: {st}"
         );
     }
-    child.kill().expect("SIGKILL the server");
-    child.wait().expect("reap");
+    child.0.kill().expect("SIGKILL the server");
+    child.0.wait().expect("reap");
 
     // The redefinition was logged write-ahead: folding the log into a
     // monitor seeded with the *base* inventory replays the swap and is
@@ -923,7 +1005,7 @@ fn redefine_under_live_traffic_survives_kill_and_recover() {
         post.push(("Mk", key));
         assert_eq!(c.ask("shutdown"), "ok draining");
     }
-    let status = child.wait().expect("server drains and exits");
+    let status = child.0.wait().expect("server drains and exits");
     assert!(status.success(), "graceful shutdown exits cleanly");
 
     let post_refs: Vec<(&str, &str)> = post.iter().map(|(n, k)| (*n, k.as_str())).collect();
@@ -1031,17 +1113,6 @@ fn protocol_document_session_is_live() {
 // Binary replies past the frame cap, through the real binary
 // ---------------------------------------------------------------------
 
-/// Kills the served `migctl` when dropped, so a failing test leaves no
-/// server behind.
-struct Served(std::process::Child);
-
-impl Drop for Served {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// Connect with a read timeout: a server that stopped answering fails
 /// the test instead of hanging it.
 fn connect_bounded(addr: &str) -> TcpStream {
@@ -1071,8 +1142,7 @@ fn over_cap_error_reply_is_shortened_and_the_server_keeps_serving() {
     let dir = std::env::temp_dir().join(format!("migratory-net-overcap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let (child, addr) = spawn_serve(&dir, &[]);
-    let served = Served(child);
+    let (served, addr) = spawn_serve(&dir, &[]);
 
     let name = "x".repeat(65_525);
     let mut req = Vec::new();
@@ -1115,8 +1185,7 @@ fn over_cap_binary_violation_keeps_its_epoch_tail() {
          transaction Sp(x) {{ specialize({p}, {q}, {{ K = x }}, {{ }}); }}"
     );
     let inv = format!("∅* [{p}]* ∅*");
-    let (child, addr) = spawn_serve_with(&dir, (&schema, &tx, &inv), &[]);
-    let served = Served(child);
+    let (served, addr) = spawn_serve_with(&dir, (&schema, &tx, &inv), &[]);
 
     let conn = connect_bounded(&addr);
     let mut c = Client { writer: conn.try_clone().unwrap(), replies: BufReader::new(conn).lines() };
@@ -1404,8 +1473,7 @@ fn interactive_client_reads_the_whole_stats_prom_reply() {
     let dir = std::env::temp_dir().join(format!("migratory-net-client-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let (child, addr) = spawn_serve(&dir, &[]);
-    let served = Served(child);
+    let (served, addr) = spawn_serve(&dir, &[]);
 
     let out = run_client(&addr, &[], "stats prom\nping\nping\nquit\n");
     let (header, rest) = out.split_once('\n').expect("a header line");
@@ -1424,8 +1492,7 @@ fn client_script_sends_query_lines_in_both_dialects() {
     let dir = std::env::temp_dir().join(format!("migratory-net-query-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let (child, addr) = spawn_serve(&dir, &[]);
-    let served = Served(child);
+    let (served, addr) = spawn_serve(&dir, &[]);
 
     let script = dir.join("script.txt");
     std::fs::write(&script, "Mk(a)\nquery PERSON\n").unwrap();

@@ -30,8 +30,8 @@ use common::{random_inventory, random_schema, random_transaction};
 use migratory::core::enforce::repl::{acceptor, puller, HELLO, PREAMBLE};
 use migratory::core::enforce::wal::{decode_records, decode_stream};
 use migratory::core::enforce::{
-    ingress, AckPolicy, AdmissionMetrics, CheckpointData, DurableLog, Health, IngressConfig,
-    ReplicaCtl, Replicator, ResiduePolicy, ShardedMonitor, ShipFault, Wal,
+    ingress, AckPolicy, AdmissionMetrics, DurableLog, Health, IngressConfig, ReplicaCtl,
+    Replicator, ResiduePolicy, ShardedMonitor, ShipFault, Wal,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment, Transaction};
@@ -127,17 +127,12 @@ fn replica_byte_identity_round(seed: u64) {
             rm.snapshot().encode()
         });
 
-        // The primary: pipelined committer + replicator tee, with an
-        // incremental checkpoint every 4 blocks (exercising chain +
-        // tail shipping on reconnect, and pruning under live shipping).
+        // The primary: pipelined committer + replicator tee, with a
+        // checkpoint every 4 blocks (exercising chain + tail shipping on
+        // reconnect, and pruning under live shipping).
         let mut pm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
-        {
-            let full = pm.checkpoint_full();
-            wal_p.lock().unwrap().write_snapshot(&full).expect("base checkpoint");
-        }
         let health = Arc::new(Health::new());
-        let ckpt_wal = &wal_p;
-        ingress::serve(
+        let ((), stats) = ingress::serve(
             &mut pm,
             &IngressConfig {
                 queue_capacity: 64,
@@ -145,14 +140,6 @@ fn replica_byte_identity_round(seed: u64) {
                 health: health.clone(),
                 wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
                 checkpoint_every: 4,
-                maintenance: Some(Arc::new(Mutex::new(move |m: &mut ShardedMonitor<'_>| {
-                    let delta = m.checkpoint_delta();
-                    let job = ckpt_wal
-                        .lock()
-                        .unwrap()
-                        .begin_checkpoint(CheckpointData::Incremental(delta));
-                    job.expect("stage incremental checkpoint").run().expect("checkpoint lands");
-                }))),
                 ..Default::default()
             },
             |client| {
@@ -186,6 +173,7 @@ fn replica_byte_identity_round(seed: u64) {
         );
         repl.close();
         assert!(!health.is_degraded(), "primary degraded: {}", health.reason());
+        assert!(health.checkpoint().failed.is_none() && stats.final_checkpoint, "checkpoints land");
         (pm.snapshot().encode(), replica.join().expect("replica thread"))
     });
 
@@ -389,27 +377,37 @@ impl Client {
     }
 }
 
+/// Kills the served `migctl` when dropped, so a failing test leaves no
+/// server behind.
+struct Served(std::process::Child);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawn `migctl serve` with replication flags; scrape the client
 /// address and (for a primary) the replication address off the banner.
-fn spawn_repl_serve(
-    dir: &std::path::Path,
-    extra: &[&str],
-) -> (std::process::Child, String, String) {
+fn spawn_repl_serve(dir: &std::path::Path, extra: &[&str]) -> (Served, String, String) {
     let schema = dir.join("uni.mig");
     let tx = dir.join("uni.sl");
     std::fs::write(&schema, REPL_SCHEMA).unwrap();
     std::fs::write(&tx, REPL_TX).unwrap();
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
-        .arg("serve")
-        .arg(&schema)
-        .arg(&tx)
-        .args(["--inventory", REPL_INV, "--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .expect("spawn migctl serve");
-    let stdout = child.stdout.take().expect("piped stdout");
+    let mut child = Served(
+        std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
+            .arg("serve")
+            .arg(&schema)
+            .arg(&tx)
+            .args(["--inventory", REPL_INV, "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::inherit())
+            .spawn()
+            .expect("spawn migctl serve"),
+    );
+    let stdout = child.0.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let mut addr = String::new();
     let mut repl_addr = String::new();
@@ -536,8 +534,8 @@ fn kill_primary_promote_replica_and_redrive_both_dialects() {
 
     // Kill the old primary outright — no shutdown courtesy — and flip
     // the replica with the real `migctl promote`.
-    primary.kill().expect("SIGKILL the primary");
-    primary.wait().expect("reap");
+    primary.0.kill().expect("SIGKILL the primary");
+    primary.0.wait().expect("reap");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
         .args(["promote", "--addr", &r_addr])
         .output()
@@ -597,7 +595,7 @@ fn kill_primary_promote_replica_and_redrive_both_dialects() {
         let mut c = Client::connect(&r_addr);
         assert_eq!(c.ask("shutdown"), "ok draining");
     }
-    replica.wait().expect("replica drains");
+    replica.0.wait().expect("replica drains");
 
     // Byte-identity: the promoted server's durable state equals a fresh
     // oracle fed exactly the acked script (redefine included).
@@ -701,9 +699,9 @@ fn following_standby_query_sees_every_write_the_primary_acked() {
     }
 
     assert_eq!(text.ask("shutdown"), "ok draining");
-    standby.wait().expect("standby drains");
+    standby.0.wait().expect("standby drains");
     assert_eq!(writer.ask("shutdown"), "ok draining");
-    primary.wait().expect("primary drains");
+    primary.0.wait().expect("primary drains");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
