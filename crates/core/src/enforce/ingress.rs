@@ -647,10 +647,11 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
 /// [`CheckpointDelta`](super::CheckpointDelta) every `checkpoint_every`
 /// blocks, after the block's tickets went to the committer and behind a
 /// flush barrier: a capture never delays the replies of the block that
-/// triggered it, and never covers records that are not yet durable. At
-/// drain it writes a final checkpoint synchronously
-/// ([`IngressStats::final_checkpoint`]) unless a background job failed
-/// (the chain must not continue past a hole) or the monitor is ahead of
+/// triggered it, and never covers records that are not yet durable.
+/// Once a background job failed (the chain must not continue past a
+/// hole) the worker stops capturing and sealing, and at drain it writes
+/// no final checkpoint; otherwise the drain writes one synchronously
+/// ([`IngressStats::final_checkpoint`]) unless the monitor is ahead of
 /// the durable log.
 pub fn serve<'t, 'a, R>(
     monitor: &mut ShardedMonitor<'a>,
@@ -1187,9 +1188,14 @@ fn worker_loop<'t, 'a>(
         // Checkpoints ride the block cadence, but behind a flush
         // barrier: a checkpoint must neither capture tracking state
         // whose records a broken committer dropped, nor seal a log
-        // whose unsynced tail the checkpoint claims to cover.
+        // whose unsynced tail the checkpoint claims to cover. Once the
+        // snapshotter gave up, no job can land: capturing and sealing
+        // would only pile up sealed segments for recovery to replay.
         if let Some((log, jobs)) = &mut chain {
-            if stats.blocks.is_multiple_of(config.checkpoint_every) && flush_committer(tx) {
+            if !jobs.has_failed()
+                && stats.blocks.is_multiple_of(config.checkpoint_every)
+                && flush_committer(tx)
+            {
                 let m0 = Instant::now();
                 checkpoint(log, pipe.health, &mut shared.exclusive(), |job| jobs.submit(job));
                 if let Some(m) = pipe.metrics {

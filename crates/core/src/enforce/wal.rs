@@ -136,7 +136,8 @@ use migratory_model::{ClassSet, Instance, ModelError, Oid, Tuple};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Errors of the durability layer.
@@ -1301,6 +1302,10 @@ fn decode_state(r: &mut Reader<'_>, next: Oid) -> Result<DeltaState, WalError> {
 
 const LIVE_LOG: &str = "wal.log";
 const BASE_FILE: &str = "snapshot.bin";
+/// Makes a base job's sequence check and its rename onto [`BASE_FILE`]
+/// one step for every base writer of the process (see
+/// [`CheckpointJob::run`]).
+static BASE_RENAME: Mutex<()> = Mutex::new(());
 /// A pre-created empty segment the next seal renames into place, so
 /// the admission path pays two renames instead of a file creation
 /// (which journals directory metadata synchronously on some
@@ -1416,6 +1421,14 @@ impl CheckpointJob {
     /// Takes `&self` so a failed run can be retried: every step is
     /// idempotent (`create` truncates the temp file, the rename and the
     /// prunes re-apply cleanly).
+    ///
+    /// A base never replaces a newer one: a full job that finds
+    /// `snapshot.bin` at a higher sequence drops its file instead of
+    /// renaming it into place. Two base writers can race on one
+    /// directory — a `--replica-of` standby's start-time base job on the
+    /// snapshotter, and the bootstrap writing the primary's snapshot
+    /// inline — and the newer base covers every segment the older one
+    /// would, so the prune below stays safe.
     pub fn run(&self) -> Result<(), WalError> {
         let (body, target) = match &self.data {
             CheckpointData::Full(snap) => (snap.encode(), self.dir.join(BASE_FILE)),
@@ -1436,7 +1449,16 @@ impl CheckpointJob {
             f.sync_all()?;
         }
         self.faults.check(FaultSite::CheckpointRename)?;
-        std::fs::rename(&tmp, &target)?;
+        if matches!(self.data, CheckpointData::Full(_)) {
+            let _serial = BASE_RENAME.lock().unwrap_or_else(PoisonError::into_inner);
+            if peek_checkpoint_seq(&target).is_some_and(|newer| newer > self.seq) {
+                std::fs::remove_file(&tmp)?;
+            } else {
+                std::fs::rename(&tmp, &target)?;
+            }
+        } else {
+            std::fs::rename(&tmp, &target)?;
+        }
         // Persist the rename itself before dropping the records it
         // supersedes (directory fsync; best-effort where unsupported).
         if let Ok(d) = std::fs::File::open(&self.dir) {
@@ -1472,6 +1494,9 @@ pub struct Snapshotter {
     worker: Option<std::thread::JoinHandle<Result<(), WalError>>>,
     /// First failure, surfaced by every later `submit`/`finish`.
     error: Option<WalError>,
+    /// Set by the worker when it gives up on a job, before it reports
+    /// the failure to `health`.
+    failed: Arc<AtomicBool>,
 }
 
 impl Snapshotter {
@@ -1497,6 +1522,8 @@ impl Snapshotter {
         health: Option<Arc<Health>>,
     ) -> Snapshotter {
         let (tx, rx) = mpsc::channel::<CheckpointJob>();
+        let failed = Arc::new(AtomicBool::new(false));
+        let gave_up = Arc::clone(&failed);
         let worker = std::thread::Builder::new()
             .name("mig-snapshot".into())
             .spawn(move || {
@@ -1515,6 +1542,7 @@ impl Snapshotter {
                                 std::thread::sleep(backoff.saturating_mul(attempt));
                             }
                             Err(e) => {
+                                gave_up.store(true, Ordering::SeqCst);
                                 if let Some(h) = &health {
                                     h.checkpoint_failed(&e);
                                 }
@@ -1526,7 +1554,13 @@ impl Snapshotter {
                 Ok(())
             })
             .expect("spawn snapshotter thread");
-        Snapshotter { tx: Some(tx), worker: Some(worker), error: None }
+        Snapshotter { tx: Some(tx), worker: Some(worker), error: None, failed }
+    }
+
+    /// Whether a job failed for good: every later `submit` is refused,
+    /// so a caller can skip staging the job at all.
+    pub(crate) fn has_failed(&self) -> bool {
+        self.error.is_some() || self.failed.load(Ordering::SeqCst)
     }
 
     /// Queue a checkpoint job. Fails — and keeps failing, without

@@ -377,7 +377,7 @@ impl<'a> TextCursor<'a> {
                             c => buf.push(c),
                         }
                     }
-                    Value::Str(buf.as_str().into())
+                    Value::str(&buf)
                 }
                 t => return Err(corrupt(format!("unknown value tag `{t}`"))),
             };

@@ -59,6 +59,7 @@ use crate::ids::{AttrId, ClassId, DenseId, Oid};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One heap slot: an object's class set and attribute tuple, both empty
@@ -104,17 +105,72 @@ struct Indexes {
     /// `o(P)` per dense class index (slots grow on demand).
     classes: Vec<BTreeSet<Oid>>,
     /// Per dense attribute index, the objects holding each value.
-    /// Entries are removed when their set drains, so `len` of an entry is
-    /// an exact selectivity count.
-    values: Vec<HashMap<Value, BTreeSet<Oid>>>,
+    /// Entries are removed when their last holder goes, so `len` of an
+    /// entry is an exact selectivity count.
+    values: Vec<HashMap<Value, Holders>>,
+}
+
+/// The objects holding one value of one attribute. A value one object
+/// holds — every key — keeps that oid inline; a set is boxed only while
+/// two or more objects share the value, and goes back inline at one.
+/// Iteration ascends (`<ₒ` order) either way.
+#[derive(Clone)]
+enum Holders {
+    One(Oid),
+    /// At least two oids. Boxed so that a holder stays 16 bytes: the
+    /// set's own 24 would grow the map entry of every unshared value.
+    #[allow(clippy::box_collection, reason = "keeps the common lone holder at 16 bytes")]
+    Many(Box<BTreeSet<Oid>>),
+}
+
+impl Holders {
+    fn len(&self) -> usize {
+        match self {
+            Holders::One(_) => 1,
+            Holders::Many(set) => set.len(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Oid> + '_ {
+        let (one, many) = match self {
+            Holders::One(o) => (Some(*o), None),
+            Holders::Many(set) => (None, Some(set.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn insert(&mut self, o: Oid) {
+        match self {
+            Holders::One(held) if *held == o => {}
+            Holders::One(held) => *self = Holders::Many(Box::new(BTreeSet::from([*held, o]))),
+            Holders::Many(set) => {
+                set.insert(o);
+            }
+        }
+    }
+
+    /// Remove `o`; returns whether no holder is left.
+    fn remove(&mut self, o: Oid) -> bool {
+        match self {
+            Holders::One(held) => *held == o,
+            Holders::Many(set) => {
+                set.remove(&o);
+                if set.len() == 1 {
+                    let lone = *set.first().expect("one holder left");
+                    *self = Holders::One(lone);
+                }
+                false
+            }
+        }
+    }
 }
 
 impl Indexes {
-    fn holders(&self, a: AttrId, v: &Value) -> Option<&BTreeSet<Oid>> {
+    fn holders(&self, a: AttrId, v: &Value) -> Option<&Holders> {
         self.values.get(a.index())?.get(v)
     }
 
-    fn values_of(&mut self, a: AttrId) -> &mut HashMap<Value, BTreeSet<Oid>> {
+    fn values_of(&mut self, a: AttrId) -> &mut HashMap<Value, Holders> {
         if self.values.len() <= a.index() {
             self.values.resize_with(a.index() + 1, HashMap::new);
         }
@@ -139,16 +195,18 @@ impl Indexes {
     }
 
     fn add_value(&mut self, o: Oid, a: AttrId, v: Value) {
-        self.values_of(a).entry(v).or_default().insert(o);
+        match self.values_of(a).entry(v) {
+            Entry::Vacant(e) => {
+                e.insert(Holders::One(o));
+            }
+            Entry::Occupied(mut e) => e.get_mut().insert(o),
+        }
     }
 
     fn remove_value(&mut self, o: Oid, a: AttrId, v: &Value) {
         let Some(map) = self.values.get_mut(a.index()) else { return };
-        if let Some(set) = map.get_mut(v) {
-            set.remove(&o);
-            if set.is_empty() {
-                map.remove(v);
-            }
+        if map.get_mut(v).is_some_and(|holders| holders.remove(o)) {
+            map.remove(v);
         }
     }
 
@@ -380,7 +438,7 @@ impl Instance {
     /// lookup — the planner's selectivity estimate, which is exact).
     #[must_use]
     pub fn num_objects_with(&self, a: AttrId, v: &Value) -> usize {
-        self.index.holders(a, v).map_or(0, BTreeSet::len)
+        self.index.holders(a, v).map_or(0, Holders::len)
     }
 
     /// `Sat(Γ, d, P)` — the objects of `o(P)` whose tuples satisfy the
@@ -395,9 +453,8 @@ impl Instance {
     pub fn sat(&self, p: ClassId, gamma: &Condition) -> Vec<Oid> {
         match self.plan(p, gamma) {
             SatPlan::Empty => Vec::new(),
-            SatPlan::ValueEntry(set) => set
+            SatPlan::ValueEntry(holders) => holders
                 .iter()
-                .copied()
                 .filter(|&o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma))
                 .collect(),
             SatPlan::ClassEntry(set) => {
@@ -412,9 +469,9 @@ impl Instance {
     pub fn sat_exists(&self, p: ClassId, gamma: &Condition) -> bool {
         match self.plan(p, gamma) {
             SatPlan::Empty => false,
-            SatPlan::ValueEntry(set) => {
-                set.iter().any(|&o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma))
-            }
+            SatPlan::ValueEntry(holders) => holders
+                .iter()
+                .any(|o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma)),
             SatPlan::ClassEntry(set) => set.iter().any(|&o| self.member_satisfies(o, gamma)),
         }
     }
@@ -433,7 +490,7 @@ impl Instance {
     /// Choose the cheapest driver for `Sat(Γ, d, P)`.
     fn plan<'s>(&'s self, p: ClassId, gamma: &Condition) -> SatPlan<'s> {
         let class_entry = self.index.classes.get(p.index());
-        let mut best: Option<&'s BTreeSet<Oid>> = None;
+        let mut best: Option<&'s Holders> = None;
         for atom in gamma.atoms() {
             if atom.op != CmpOp::Eq {
                 continue;
@@ -442,9 +499,9 @@ impl Instance {
             match self.index.holders(atom.attr, v) {
                 // An equality atom nobody satisfies: Sat is empty, full stop.
                 None => return SatPlan::Empty,
-                Some(set) => {
-                    if best.is_none_or(|b| set.len() < b.len()) {
-                        best = Some(set);
+                Some(holders) => {
+                    if best.is_none_or(|b| holders.len() < b.len()) {
+                        best = Some(holders);
                     }
                 }
             }
@@ -851,20 +908,20 @@ impl Instance {
         let mut indexed_values = 0usize;
         for (ai, map) in self.index.values.iter().enumerate() {
             let a = AttrId::from_index(ai);
-            for (v, set) in map {
-                if set.is_empty() {
+            for (v, holders) in map {
+                if matches!(holders, Holders::Many(set) if set.len() < 2) {
                     return Err(ModelError::InvariantViolated(format!(
-                        "value index keeps a drained entry for ({a}, {v})"
+                        "value index keeps a set of fewer than two holders for ({a}, {v})"
                     )));
                 }
-                for &o in set {
+                for o in holders.iter() {
                     if self.value(o, a) != Some(v) {
                         return Err(ModelError::InvariantViolated(format!(
                             "value index lists {o} under ({a}, {v}) but the heap disagrees"
                         )));
                     }
                 }
-                indexed_values += set.len();
+                indexed_values += holders.len();
             }
         }
         let heap_values: usize = self.entries().map(|(_, _, t)| t.len()).sum();
@@ -883,7 +940,7 @@ enum SatPlan<'s> {
     Empty,
     /// Drive from a value-index entry (class membership still checked per
     /// candidate).
-    ValueEntry(&'s BTreeSet<Oid>),
+    ValueEntry(&'s Holders),
     /// Drive from the class index (condition checked per candidate).
     ClassEntry(&'s BTreeSet<Oid>),
 }
@@ -1285,6 +1342,50 @@ mod tests {
         // {o1, o3} sorts after {o1, o2} whatever the slab looks like.
         let (_, two) = sample();
         assert!(two < db);
+    }
+
+    #[test]
+    fn a_value_holder_takes_no_allocation_of_its_own() {
+        assert!(std::mem::size_of::<Holders>() <= 16);
+    }
+
+    #[test]
+    fn shared_values_box_a_set_and_go_back_inline_at_one() {
+        let (schema, mut db) = sample();
+        let person = schema.class_id("PERSON").unwrap();
+        let ssn = schema.attr_id("SSN").unwrap();
+        let name = schema.attr_id("Name").unwrap();
+        let holders = |db: &Instance, v: &str| {
+            db.index.holders(name, &Value::str(v)).map(|h| matches!(h, Holders::Many(_)))
+        };
+        assert_eq!(holders(&db, "John"), Some(false), "a lone holder is inline");
+        let mut shared = Vec::new();
+        for k in ["5", "6"] {
+            shared.push(db.create(
+                ClassSet::singleton(person),
+                BTreeMap::from([(ssn, Value::str(k)), (name, Value::str("John"))]),
+            ));
+        }
+        assert_eq!(holders(&db, "John"), Some(true), "three holders share a set");
+        db.check_invariants(&schema).unwrap();
+        let by_name = Condition::from_atoms([Atom::eq_const(name, "John")]);
+        assert_eq!(db.sat(person, &by_name), vec![Oid(1), shared[0], shared[1]]);
+        db.delete_object(Oid(1));
+        db.set_values(shared[1], [(name, Value::str("Jim"))]);
+        assert_eq!(holders(&db, "John"), Some(false), "back inline at one");
+        assert_eq!(holders(&db, "Jim"), Some(true));
+        db.check_invariants(&schema).unwrap();
+        assert_eq!(db.sat(person, &by_name), vec![shared[0]]);
+        db.delete_object(shared[0]);
+        assert_eq!(holders(&db, "John"), None, "the entry goes with its last holder");
+        db.check_invariants(&schema).unwrap();
+        // A set of one is a malformed holder, caught by the audit.
+        let jim = db.index.values[name.index()].get_mut(&Value::str("Jim")).unwrap();
+        *jim = Holders::Many(Box::new(BTreeSet::from([Oid(2)])));
+        db.heap[shared[1].0 as usize - 1].1.set(name, Value::str("Ann"));
+        db.index.add_value(shared[1], name, Value::str("Ann"));
+        let err = db.check_invariants(&schema).unwrap_err();
+        assert!(format!("{err:?}").contains("fewer than two"), "got {err:?}");
     }
 
     #[test]

@@ -76,4 +76,4 @@ pub use instance::Instance;
 pub use roleset::RoleSet;
 pub use schema::{Schema, SchemaBuilder};
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{SmallStr, Value};

@@ -6,7 +6,7 @@
 //!
 //! * 64-bit integers (the paper freely uses ℕ ⊆ 𝒰, e.g. in the branching
 //!   construction of Lemma 3.4),
-//! * interned strings, and
+//! * strings ([`SmallStr`]), and
 //! * *fresh* values `⊥ₖ` — the `p₁…p_l` / `ν₁…ν_m` values that the proofs
 //!   of Lemma 3.9 and Theorem 4.3 draw from outside the constants of a
 //!   transaction schema. Keeping them in a separate variant makes
@@ -14,10 +14,22 @@
 //!   construction.
 //!
 //! Equality is plain structural equality across the union; the domain is
-//! totally ordered (ints < strings < fresh) so instances and canonical
-//! databases have a deterministic form.
+//! totally ordered (ints < strings < fresh, strings byte-wise) so
+//! instances and canonical databases have a deterministic form.
+//!
+//! # Layout
+//!
+//! A [`Value`] is 24 bytes. A string of up to [`SmallStr::INLINE`] bytes
+//! — every key of a typical workload — is stored inside the value, so
+//! cloning it copies bytes instead of touching a shared reference count,
+//! and an instance holding a million keys holds no allocation for any of
+//! them. A longer string lives behind an `Arc<str>` that clones share.
+//! Equality, order and hashing read the bytes alone, so the two forms
+//! are indistinguishable to every caller.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A constant of the universal domain 𝒰.
@@ -25,19 +37,127 @@ use std::sync::Arc;
 pub enum Value {
     /// An integer constant.
     Int(i64),
-    /// A string constant (cheaply clonable).
-    Str(Arc<str>),
+    /// A string constant (cheaply clonable; short ones inline).
+    Str(SmallStr),
     /// A fresh value minted by an algorithm, guaranteed distinct from every
     /// `Int`/`Str` constant and from every other `Fresh` with a different
     /// tag. Used for the `pⱼ` and `νᵢ` values of Lemma 3.9.
     Fresh(u32),
 }
 
+/// The string of a [`Value::Str`]: up to [`SmallStr::INLINE`] bytes
+/// stored inline, a longer string behind a shared `Arc<str>`. Derefs to
+/// `str`; equality, order and hashing are those of the string's bytes,
+/// which agree with `str`'s.
+#[derive(Clone)]
+pub struct SmallStr(Repr);
+
+/// The two forms of a [`SmallStr`]. A string's length alone picks its
+/// form, so equal strings always share one.
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the string; the rest is zero.
+    Inline {
+        len: u8,
+        bytes: [u8; SmallStr::INLINE],
+    },
+    Shared(Arc<str>),
+}
+
+impl SmallStr {
+    /// The longest string, in bytes, stored inside the value: what fits
+    /// beside a length byte and the [`Value`] tag in 24 bytes.
+    pub const INLINE: usize = 22;
+
+    /// The string `s`, inline if it fits.
+    #[must_use]
+    pub fn new(s: &str) -> SmallStr {
+        if s.len() > Self::INLINE {
+            return SmallStr(Repr::Shared(Arc::from(s)));
+        }
+        let mut bytes = [0u8; Self::INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        SmallStr(Repr::Inline { len: s.len() as u8, bytes })
+    }
+
+    /// The string's UTF-8 bytes.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// The string. An inline string's bytes are checked as UTF-8 on the
+    /// way out (they were copied from a `str`); comparisons and hashing
+    /// read [`SmallStr::as_bytes`] and skip the check.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("inline bytes came from a str")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// Whether the string is stored inline (at most [`SmallStr::INLINE`]
+    /// bytes long).
+    #[must_use]
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+}
+
+impl Deref for SmallStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for SmallStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for SmallStr {}
+
+impl PartialOrd for SmallStr {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SmallStr {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for SmallStr {
+    /// As `str` hashes: the bytes, then `0xff` (which no UTF-8 string
+    /// contains) to keep the encoding prefix-free.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Debug for SmallStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 impl Value {
     /// String constant constructor.
     #[must_use]
     pub fn str(s: &str) -> Self {
-        Value::Str(Arc::from(s))
+        Value::Str(SmallStr::new(s))
     }
 
     /// Integer constant constructor.
@@ -67,7 +187,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(Arc::from(s.as_str()))
+        Value::str(&s)
     }
 }
 
@@ -81,7 +201,7 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => f.write_str(s),
             Value::Fresh(t) => write!(f, "⊥{t}"),
         }
     }
@@ -134,6 +254,28 @@ mod tests {
         assert!(Value::str("zzz") < Value::fresh(0));
         assert!(Value::int(-1) < Value::int(0));
         assert!(Value::str("a") < Value::str("b"));
+    }
+
+    #[test]
+    fn strings_compare_by_bytes_across_forms() {
+        let short = Value::str("b");
+        let long = Value::str(&"a".repeat(SmallStr::INLINE + 1));
+        assert!(matches!(&short, Value::Str(s) if s.is_inline()));
+        assert!(matches!(&long, Value::Str(s) if !s.is_inline()));
+        assert!(long < short, "byte-wise, not by form or length");
+        assert_eq!(Value::str(&"a".repeat(40)), Value::from("a".repeat(40)));
+        let state = std::hash::RandomState::new();
+        use std::hash::BuildHasher as _;
+        assert_eq!(state.hash_one(SmallStr::new("héllo")), state.hash_one("héllo"));
+        assert_eq!(state.hash_one(SmallStr::new(&"é".repeat(20))), state.hash_one("é".repeat(20)));
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        // The inline form must not grow the value it saves an
+        // allocation for.
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 24);
     }
 
     #[test]

@@ -370,3 +370,82 @@ fn pipelined_persistent_checkpoint_faults_do_not_block_the_committer() {
         });
     }
 }
+
+#[test]
+fn pipelined_sealed_segments_stop_accruing_once_the_snapshotter_gave_up() {
+    // One block per op and a checkpoint every block; the second
+    // checkpoint write (the first increment) fails for good, so the
+    // snapshotter gives up after its retries. From then on no job can
+    // land, and the worker must neither capture nor seal: the
+    // sealed-segment count stops growing once `Health` records the
+    // failure, and the uncovered segments replay the acked history.
+    with_dir("seal-stop", |dir| {
+        let schema = parse_schema(SCHEMA).unwrap();
+        let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+        let inv = Inventory::parse_init(&schema, &alphabet, INV).unwrap();
+        let ts = parse_transactions(&schema, TX).unwrap();
+        let mut monitor = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, SHARDS);
+        let faults = IoFaults::new().fail(FaultSite::CheckpointWrite, 2, FaultKind::Persistent);
+        let wal = Wal::open(dir).unwrap().with_fsync(FsyncPolicy::Batch).with_faults(faults);
+        let health = Arc::new(Health::new());
+        let sealed = || {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref().unwrap().file_name().to_string_lossy().starts_with("sealed-")
+                })
+                .count()
+        };
+        let ((acked, after_failure), stats) = ingress::serve(
+            &mut monitor,
+            &IngressConfig {
+                queue_capacity: 64,
+                max_block: 1,
+                durability: DurabilityPolicy { retries: 2, backoff: Duration::from_millis(1) },
+                health: health.clone(),
+                wal: Some(DurableLog { log: Arc::new(Mutex::new(wal)), repl: None }),
+                checkpoint_every: 1,
+                ..Default::default()
+            },
+            |client| {
+                let mk = ts.get("Mk").unwrap();
+                let mut acked: Vec<String> = Vec::new();
+                let post = |acked: &mut Vec<String>| {
+                    let key = format!("k{:04}", acked.len());
+                    client
+                        .post(mk, Assignment::new(vec![Value::str(&key)]))
+                        .wait()
+                        .expect("checkpoint faults never refuse writes");
+                    acked.push(key);
+                };
+                while health.checkpoint().failed.is_none() {
+                    assert!(acked.len() < 2000, "the persistent checkpoint fault never surfaced");
+                    post(&mut acked);
+                }
+                // The worker admits the next block only after the
+                // cadence of the one before it, which may have started
+                // before the failure: once this op is acked, every
+                // later cadence sees the failed snapshotter.
+                post(&mut acked);
+                let after_failure = sealed();
+                for _ in 0..20 {
+                    post(&mut acked);
+                    assert_eq!(
+                        sealed(),
+                        after_failure,
+                        "a cadence sealed the log after the failure"
+                    );
+                }
+                (acked, after_failure)
+            },
+        );
+        drop(monitor);
+        assert_eq!(sealed(), after_failure, "nor does the drain seal it");
+        assert!(!stats.final_checkpoint, "no final checkpoint after the failure");
+        assert_eq!(
+            recovered(dir),
+            oracle(&acked),
+            "the uncovered segments replay exactly the acked history"
+        );
+    });
+}

@@ -320,3 +320,164 @@ fn one_shard_recovery_rebuilds_golden_snapshot() {
         .unwrap();
     assert_eq!(hex(&m.snapshot().encode()), ONE_SHARD_SNAPSHOT);
 }
+
+/// Keys on both sides of a string value's 22-byte inline bound: 22 and
+/// 23 bytes, 40 bytes, and a 23-byte key whose last character, two
+/// bytes of UTF-8, straddles the bound.
+const KEY_22: &str = "twenty-two-bytes-key-a";
+const KEY_23: &str = "twenty-three-bytes-keyb";
+const KEY_40: &str = "a forty-byte key, held behind a pointer.";
+const KEY_STRADDLE: &str = "twenty-one-bytes-key-é";
+
+/// The long-key script: a two-shard monitor whose keys and string
+/// constants sit on both sides of the inline bound. A create block, two
+/// specializations, then modifies that move a long and a straddling
+/// value into another attribute, and a delete. These fixtures were
+/// generated before strings of up to 22 bytes were stored inside the
+/// value, and must keep passing unedited.
+fn run_long_key_script() -> Outputs {
+    assert_eq!(
+        [KEY_22, KEY_23, KEY_40, KEY_STRADDLE].map(str::len),
+        [22, 23, 40, 23],
+        "key lengths in bytes"
+    );
+    assert!(!KEY_STRADDLE.is_char_boundary(22), "the last character straddles the bound");
+    let schema = university_schema();
+    let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+    let base =
+        Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+    let ts = parse_transactions(
+        &schema,
+        r#"
+        transaction Mk(x) { create(PERSON, { SSN = x, Name = "a name longer than the inline bound" }); }
+        transaction St(x) {
+          specialize(PERSON, STUDENT, { SSN = x }, { Major = "Électrotechnique et réseaux", FirstEnroll = 1 });
+        }
+        transaction Rn(x, y) { modify(PERSON, { SSN = x }, { Name = y }); }
+        transaction Rm(x) { delete(PERSON, { SSN = x }); }
+    "#,
+    )
+    .unwrap();
+    let records = Arc::new(Mutex::new(RecordBytes::default()));
+    let sink: SharedSink = records.clone();
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &base, PatternKind::All, 2).with_sink(sink);
+    let args = |ks: &[&str]| Assignment::new(ks.iter().map(|k| Value::str(k)).collect());
+    let mk = ts.get("Mk").unwrap();
+    let creates: Vec<Assignment> =
+        [KEY_22, KEY_23, KEY_40, KEY_STRADDLE].iter().map(|k| args(&[k])).collect();
+    assert_eq!(m.try_apply_batch(creates.iter().map(|a| (mk, a))), (4, None));
+    m.try_apply(ts.get("St").unwrap(), &args(&[KEY_STRADDLE])).unwrap();
+    m.try_apply(ts.get("St").unwrap(), &args(&[KEY_40])).unwrap();
+    let first_increment = m.checkpoint_delta().encode();
+    m.try_apply(ts.get("Rn").unwrap(), &args(&[KEY_23, KEY_40])).unwrap();
+    m.try_apply(ts.get("Rn").unwrap(), &args(&[KEY_22, KEY_STRADDLE])).unwrap();
+    m.try_apply(ts.get("Rm").unwrap(), &args(&[KEY_40])).unwrap();
+    assert_eq!(m.db().num_objects(), 3);
+    let second_increment = m.checkpoint_delta().encode();
+    let snapshot = m.snapshot().encode();
+    let records = std::mem::take(&mut records.lock().unwrap().0);
+    Outputs { snapshot, records, first_increment, second_increment }
+}
+
+const LONG_KEY_SNAPSHOT: &str = concat!(
+    "4d47534e50330000000001a20106000000060000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000050000000200000003000000020000000200000001040000000200",
+    "0000020000000200000002000000020000000104000000050000000200000002000000020000000200000005",
+    "030101020001167477656e74792d74776f2d62797465732d6b65792d610101177477656e74792d6f6e652d62",
+    "797465732d6b65792dc3a90201020001177477656e74792d74687265652d62797465732d6b65796201012861",
+    "20666f7274792d62797465206b65792c2068656c6420626568696e64206120706f696e7465722e0405040001",
+    "177477656e74792d6f6e652d62797465732d6b65792dc3a901012361206e616d65206c6f6e67657220746861",
+    "6e2074686520696e6c696e6520626f756e6404011dc3896c656374726f746563686e697175652065742072c3",
+    "a973656175780500020209000002020201010102040402020104030503000000000101010103030102020101",
+    "0103030200090000020101010101010303020301030306000903000000000101010104000102020101010400",
+    "0200",
+);
+const LONG_KEY_RECORDS: &str = concat!(
+    "3d0100003946ee610004010201010601020001167477656e74792d74776f2d62797465732d6b65792d610101",
+    "2361206e616d65206c6f6e676572207468616e2074686520696e6c696e6520626f756e640203010206010200",
+    "01177477656e74792d74687265652d62797465732d6b65796201012361206e616d65206c6f6e676572207468",
+    "616e2074686520696e6c696e6520626f756e64030401030601020001286120666f7274792d62797465206b65",
+    "792c2068656c6420626568696e64206120706f696e7465722e01012361206e616d65206c6f6e676572207468",
+    "616e2074686520696e6c696e6520626f756e64040501040601020001177477656e74792d6f6e652d62797465",
+    "732d6b65792dc3a901012361206e616d65206c6f6e676572207468616e2074686520696e6c696e6520626f75",
+    "6e64020000040001020301000400010203b7000000e495e0ed0001050501040701020001177477656e74792d",
+    "6f6e652d62797465732d6b65792dc3a901012361206e616d65206c6f6e676572207468616e2074686520696e",
+    "6c696e6520626f756e6405040001177477656e74792d6f6e652d62797465732d6b65792dc3a901012361206e",
+    "616d65206c6f6e676572207468616e2074686520696e6c696e6520626f756e6404011dc3896c656374726f74",
+    "6563686e697175652065742072c3a97365617578050002020004010001040100d9000000d473c47d00010505",
+    "01030701020001286120666f7274792d62797465206b65792c2068656c6420626568696e64206120706f696e",
+    "7465722e01012361206e616d65206c6f6e676572207468616e2074686520696e6c696e6520626f756e640504",
+    "0001286120666f7274792d62797465206b65792c2068656c6420626568696e64206120706f696e7465722e01",
+    "012361206e616d65206c6f6e676572207468616e2074686520696e6c696e6520626f756e6404011dc3896c65",
+    "6374726f746563686e697175652065742072c3a9736561757805000202000501000105010099000000878527",
+    "800001050501020701020001177477656e74792d74687265652d62797465732d6b65796201012361206e616d",
+    "65206c6f6e676572207468616e2074686520696e6c696e6520626f756e6401020001177477656e74792d7468",
+    "7265652d62797465732d6b6579620101286120666f7274792d62797465206b65792c2068656c642062656869",
+    "6e64206120706f696e7465722e020006010001060100860000002a09c04e0001050501010701020001167477",
+    "656e74792d74776f2d62797465732d6b65792d6101012361206e616d65206c6f6e676572207468616e207468",
+    "6520696e6c696e6520626f756e6401020001167477656e74792d74776f2d62797465732d6b65792d61010117",
+    "7477656e74792d6f6e652d62797465732d6b65792dc3a90200070100010701008600000041db2c9000010505",
+    "01030505040001286120666f7274792d62797465206b65792c2068656c6420626568696e64206120706f696e",
+    "7465722e01012361206e616d65206c6f6e676572207468616e2074686520696e6c696e6520626f756e640401",
+    "1dc3896c656374726f746563686e697175652065742072c3a97365617578050002020008010001080100",
+);
+const LONG_KEY_FIRST_INCREMENT: &str = concat!(
+    "4d47444c54320000000001a20106000000060000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000050000000200000003000000020000000200000001040000000200",
+    "0000020000000200000002000000020000000104000000050000000200000002000000020000000200000005",
+    "04010101020001167477656e74792d74776f2d62797465732d6b65792d6101012361206e616d65206c6f6e67",
+    "6572207468616e2074686520696e6c696e6520626f756e64020101020001177477656e74792d74687265652d",
+    "62797465732d6b65796201012361206e616d65206c6f6e676572207468616e2074686520696e6c696e652062",
+    "6f756e64030105040001286120666f7274792d62797465206b65792c2068656c6420626568696e6420612070",
+    "6f696e7465722e01012361206e616d65206c6f6e676572207468616e2074686520696e6c696e6520626f756e",
+    "6404011dc3896c656374726f746563686e697175652065742072c3a973656175780500020401050400011774",
+    "77656e74792d6f6e652d62797465732d6b65792dc3a901012361206e616d65206c6f6e676572207468616e20",
+    "74686520696e6c696e6520626f756e6404011dc3896c656374726f746563686e697175652065742072c3a973",
+    "6561757805000202060000020202010101020404020201040305030000000001010101030301020201010103",
+    "030200060000020101010101010303020201030306030000000001010101030301020201010103030200",
+);
+const LONG_KEY_SECOND_INCREMENT: &str = concat!(
+    "4d47444c54320000000001a20106000000060000000000000001000000000100000002000000030000000200",
+    "0000020000000104000000010000000200000003000000020000000200000000020000000200000002000000",
+    "0200000002000000020000000104000000050000000200000003000000020000000200000001040000000200",
+    "0000020000000200000002000000020000000104000000050000000200000002000000020000000200000005",
+    "03010101020001167477656e74792d74776f2d62797465732d6b65792d610101177477656e74792d6f6e652d",
+    "62797465732d6b65792dc3a9020101020001177477656e74792d74687265652d62797465732d6b6579620101",
+    "286120666f7274792d62797465206b65792c2068656c6420626568696e64206120706f696e7465722e030002",
+    "0900000102020101010203000000000101010103030102020101010303020009000002010101010101030302",
+    "03010303060009030000000001010101040001020201010104000200",
+);
+
+#[test]
+fn long_key_snapshot_bytes_match_golden() {
+    assert_eq!(hex(&run_long_key_script().snapshot), LONG_KEY_SNAPSHOT);
+}
+
+#[test]
+fn long_key_log_record_bytes_match_golden() {
+    assert_eq!(hex(&run_long_key_script().records), LONG_KEY_RECORDS);
+}
+
+#[test]
+fn long_key_checkpoint_increment_bytes_match_golden() {
+    let out = run_long_key_script();
+    assert_eq!(hex(&out.first_increment), LONG_KEY_FIRST_INCREMENT);
+    assert_eq!(hex(&out.second_increment), LONG_KEY_SECOND_INCREMENT);
+}
+
+/// Folding the long-key log rebuilds the golden snapshot: the decoder
+/// reads each key back into the form its length calls for.
+#[test]
+fn long_key_recovery_rebuilds_golden_snapshot() {
+    let out = run_long_key_script();
+    let schema = university_schema();
+    let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+    let base =
+        Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+    let records = wal::decode_records(&out.records).unwrap();
+    let m = ShardedMonitor::recover(&schema, &alphabet, &base, PatternKind::All, 2, None, records)
+        .unwrap();
+    assert_eq!(hex(&m.snapshot().encode()), LONG_KEY_SNAPSHOT);
+}

@@ -776,6 +776,43 @@ fn crashed_base_checkpoint_job_recovers_and_reestablishes_base() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A base job staged before a newer base landed — a standby's
+/// start-time base, racing the bootstrap that writes the primary's
+/// snapshot inline — leaves the newer `snapshot.bin` in place when it
+/// runs last, and leaves no temp file behind.
+#[test]
+fn a_stale_base_job_never_replaces_a_newer_base() {
+    let schema = migratory::model::schema::university_schema();
+    let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
+    let inv = Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* ∅*").unwrap();
+    let ts = parse_transactions(
+        &schema,
+        r#"transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }"#,
+    )
+    .unwrap();
+    let dir = temp_dir("stale-base");
+    let mut wal = Wal::open(&dir).unwrap();
+    let mut live = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
+    let stale = wal.begin_checkpoint(CheckpointData::Full(live.checkpoint_full())).unwrap();
+    for k in ["1", "2"] {
+        live.try_apply(ts.get("Mk").unwrap(), &Assignment::new(vec![Value::str(k)])).unwrap();
+    }
+    wal.write_snapshot(&live.checkpoint_full()).unwrap();
+    stale.run().unwrap();
+    let (snap, tail) = Wal::load(&dir).unwrap();
+    assert!(tail.is_empty());
+    let recovered =
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail).unwrap();
+    assert_eq!(recovered.snapshot().encode(), live.snapshot().encode(), "the newer base stays");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "the stale job left {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Compaction rewrites every record's cohort slot without touching the
 /// objects; the incremental-checkpoint chain must still fold
 /// byte-identically (the shard flips to a full record capture).
