@@ -77,8 +77,11 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
             encode_i64(out, *i);
         }
         Value::Str(s) => {
+            // `encode_str`'s bytes, read without re-checking an inline
+            // string's UTF-8.
             out.push(1);
-            encode_str(out, s);
+            encode_u64(out, s.as_bytes().len() as u64);
+            out.extend_from_slice(s.as_bytes());
         }
         Value::Fresh(t) => {
             out.push(2);

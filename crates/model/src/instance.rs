@@ -42,7 +42,12 @@
 //!   value to the objects holding it, which turns the equality atoms of a
 //!   selection condition into point lookups that borrow the probe value.
 //!   The maps keep std's keyed hasher, because values come from clients,
-//!   and no output depends on their iteration order.
+//!   and no output depends on their iteration order. A value one object
+//!   holds — every key — keeps that oid inline in its 40-byte map entry
+//!   (the 24-byte [`Value`], short strings included, and a 16-byte
+//!   holder); a boxed ordered set exists only while two or more objects
+//!   share the value. So a key costs no allocation of its own, and a
+//!   point lookup is one hash probe and then the heap slot.
 //!
 //! [`Instance::sat`] plans from the condition: it drives from the most
 //! selective indexed equality atom (falling back to the class index) and
@@ -117,9 +122,11 @@ struct Indexes {
 #[derive(Clone)]
 enum Holders {
     One(Oid),
-    /// At least two oids. Boxed so that a holder stays 16 bytes: the
-    /// set's own 24 would grow the map entry of every unshared value.
-    #[allow(clippy::box_collection, reason = "keeps the common lone holder at 16 bytes")]
+    /// At least two oids, boxed so that a holder stays 16 bytes.
+    #[allow(
+        clippy::box_collection,
+        reason = "the set's own 24 bytes would grow the map entry of every unshared value"
+    )]
     Many(Box<BTreeSet<Oid>>),
 }
 

@@ -28,6 +28,11 @@
 //! survives as [`Instance::sat_scan`], the oracle for property tests and
 //! the benchmark baseline (`sat_heavy` in `BENCH_enforce.json`).
 //!
+//! A key costs no allocation of its own: a [`Value`] is 24 bytes and
+//! keeps strings of up to [`SmallStr::INLINE`] bytes inline, and the
+//! value index keeps the lone holder of an unshared value inline too,
+//! boxing a set only for values two or more objects share.
+//!
 //! ## Quick tour
 //!
 //! ```
