@@ -56,7 +56,7 @@ pub struct SmallStr(Repr);
 /// form, so equal strings always share one.
 #[derive(Clone)]
 enum Repr {
-    /// `bytes[..len]` is the string; the rest is zero.
+    /// `bytes[..len]` is the string.
     Inline {
         len: u8,
         bytes: [u8; SmallStr::INLINE],
