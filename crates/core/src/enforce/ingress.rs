@@ -1219,8 +1219,8 @@ fn checkpoint(
     run: impl FnOnce(CheckpointJob) -> Result<(), WalError>,
 ) -> bool {
     let (data, touched) = if lock(log).has_base() {
-        let delta = m.checkpoint_delta();
-        let touched = delta.oids();
+        let mut delta = m.checkpoint_delta();
+        let touched = std::mem::take(&mut delta.oids);
         (CheckpointData::Incremental(delta), touched)
     } else {
         (CheckpointData::Full(m.checkpoint_full()), Vec::new())

@@ -989,9 +989,10 @@ impl<'a> ShardedMonitor<'a> {
 
     /// Capture an **incremental checkpoint**: the objects and tracking
     /// records dirtied since the last capture (or recovery), each
-    /// shard's cohort tables and letter clock — O(dirty), never O(db).
-    /// Drains the dirty sets: the caller must make the returned
-    /// increment durable (or fall back to a full
+    /// shard's cohort tables and letter clock — O(dirty), never O(db),
+    /// encoded once into the increment's bytes straight from the heap
+    /// and the records. Drains the dirty sets: the caller must make the
+    /// returned increment durable (or fall back to a full
     /// [`ShardedMonitor::checkpoint_full`]) before capturing again, or
     /// the chain loses these changes.
     pub fn checkpoint_delta(&mut self) -> CheckpointDelta {
@@ -1002,7 +1003,7 @@ impl<'a> ShardedMonitor<'a> {
             self.policy,
             self.certified,
             self.certified_at,
-            evolution,
+            &evolution,
         )
     }
 

@@ -50,16 +50,21 @@
 //!   only the objects and records dirtied since the previous
 //!   checkpoint, plus each shard's (small) cohort tables and clock.
 //!   Each increment is a consistent point-in-time capture; folding
-//!   base + increments with [`Snapshot::apply`] reproduces the full
+//!   base + increments in order ([`Wal::load`]) reproduces the full
 //!   state byte-identically.
 //!
 //! Capturing an increment ([`ShardedMonitor::checkpoint_delta`])
-//! costs O(dirty), not O(db) —
-//! that is the *only* work on the admission path.
+//! costs O(dirty), not O(db), and is the *only* work on the admission
+//! path: it encodes the increment's bytes once, in the capture's
+//! exclusive section, reading each dirtied object's class set and
+//! tuple in place from the heap and each dirtied record from its
+//! shard's table — no object, tuple or record is cloned.
 //! [`Wal::begin_checkpoint`] then rotates the live log (a rename) and
-//! returns a [`CheckpointJob`] whose encode/write/fsync/prune runs
-//! anywhere — inline, or handed to a [`Snapshotter`] thread so the
-//! admission path never pays the encoding pause. The log is segmented:
+//! returns a [`CheckpointJob`] whose frame/write/fsync/prune runs
+//! anywhere — inline, or handed to a [`Snapshotter`] thread; the job
+//! writes the captured bytes as they are, and a full base's encoding
+//! also happens there, so the admission path never pays the full
+//! snapshot's encoding pause. The log is segmented:
 //! rotation seals `wal.log` into `sealed-N.log`, and the job deletes
 //! sealed segments once the checkpoint that covers them is durable.
 //! WAL truncation cadence therefore no longer pays the full-snapshot
@@ -343,6 +348,12 @@ impl WalRecord {
 
 /// IEEE CRC-32, table-driven.
 fn crc32(bytes: &[u8]) -> u32 {
+    crc32_parts(&[bytes])
+}
+
+/// IEEE CRC-32 of the concatenation of `parts`, without concatenating
+/// them.
+fn crc32_parts(parts: &[&[u8]]) -> u32 {
     const fn table() -> [u32; 256] {
         let mut t = [0u32; 256];
         let mut i = 0;
@@ -360,7 +371,7 @@ fn crc32(bytes: &[u8]) -> u32 {
     }
     static TABLE: [u32; 256] = table();
     let mut c = !0u32;
-    for &b in bytes {
+    for &b in parts.iter().copied().flatten() {
         c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     !c
@@ -746,13 +757,13 @@ impl Snapshot {
         Ok(Snapshot { policy, certified, certified_at, evolution, db, shards })
     }
 
-    /// Fold one incremental checkpoint into this snapshot: replace the
-    /// dirtied objects and records, each shard's cohort tables and
-    /// clock, and the monitor flags. The increment is a consistent
-    /// capture taken *after* this snapshot's instant, so folding
-    /// base + increments in order reproduces the live state
+    /// Fold one decoded incremental checkpoint into this snapshot:
+    /// replace the dirtied objects and records, each shard's cohort
+    /// tables and clock, and the monitor flags. The increment is a
+    /// consistent capture taken *after* this snapshot's instant, so
+    /// folding base + increments in order reproduces the live state
     /// byte-identically.
-    pub fn apply(&mut self, d: CheckpointDelta) -> Result<(), WalError> {
+    pub(crate) fn apply(&mut self, d: DecodedDelta) -> Result<(), WalError> {
         // Objects are minted from o1 and lie below the counter. The
         // checksum vouches only for the bytes, so an increment breaking
         // this is corruption — not a panic in `set_next` below.
@@ -886,7 +897,7 @@ fn decode_flags(r: &mut Reader<'_>) -> Result<(StepPolicy, bool, Option<usize>),
 // Incremental checkpoints
 // ---------------------------------------------------------------------
 
-/// One shard's share of an incremental checkpoint.
+/// One shard's share of a decoded incremental checkpoint.
 pub(crate) struct ShardDelta {
     pub(crate) steps: usize,
     pub(crate) pre_state: u32,
@@ -907,19 +918,18 @@ pub(crate) struct ShardDelta {
 /// objects, changed tracking records, and each shard's (small) cohort
 /// tables and letter clock. Produced by
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta)
-/// in O(dirty); folded back with [`Snapshot::apply`].
+/// in O(dirty), which encodes it once, straight from the heap and the
+/// records: the increment *is* its canonical bytes, and
+/// [`CheckpointJob::run`] frames and writes them as they are.
+/// [`Wal::load`] decodes and folds them back.
 pub struct CheckpointDelta {
-    pub(crate) policy: StepPolicy,
-    pub(crate) certified: bool,
-    pub(crate) certified_at: Option<usize>,
-    /// Always the complete evolution state, never a diff: an increment
-    /// can cover (and prune) a sealed segment holding a redefinition
-    /// record, so the chain itself must carry the upgrade.
-    pub(crate) evolution: Evolution,
-    pub(crate) next_oid: u64,
-    /// Dirtied objects: current heap state, or `None` when deleted.
-    pub(crate) objects: BTreeMap<Oid, Option<(ClassSet, Tuple)>>,
-    pub(crate) shards: Vec<ShardDelta>,
+    /// The canonical encoding (current format, v2).
+    bytes: Vec<u8>,
+    /// The objects the increment covers, deletion tombstones included,
+    /// ascending.
+    pub(crate) oids: Vec<Oid>,
+    /// Each shard's letter clock at the capture instant.
+    clocks: Vec<usize>,
 }
 
 impl CheckpointDelta {
@@ -927,62 +937,36 @@ impl CheckpointDelta {
     /// proportional to this, never to the database size.
     #[must_use]
     pub fn num_dirty_objects(&self) -> usize {
-        self.objects.len()
+        self.oids.len()
     }
 
-    /// The oids this increment touches, deletion tombstones included.
-    /// Capture these **before** staging the delta: if
+    /// The oids this increment touches, deletion tombstones included,
+    /// ascending. Capture these **before** staging the delta: if
     /// [`Wal::begin_checkpoint`] fails, hand them back via
     /// [`ShardedMonitor::restore_dirty`](super::ShardedMonitor::restore_dirty)
     /// so the next capture re-covers them and the chain has no hole.
     #[must_use]
-    pub fn oids(&self) -> Vec<Oid> {
-        self.objects.keys().copied().collect()
+    pub fn oids(&self) -> &[Oid] {
+        &self.oids
     }
 
     /// The per-shard letter clocks at the capture instant.
     #[must_use]
-    pub fn clocks(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.steps).collect()
+    pub fn clocks(&self) -> &[usize] {
+        &self.clocks
     }
 
-    /// Canonical binary encoding (current format, v2).
+    /// The canonical binary encoding (current format, v2): a copy of
+    /// the bytes written at capture.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(DELTA_MAGIC);
-        out.push(flags_byte(self.policy, self.certified, self.certified_at));
-        if let Some(at) = self.certified_at {
-            encode_u64(&mut out, at as u64);
-        }
-        self.evolution.encode(&mut out);
-        encode_u64(&mut out, self.next_oid);
-        encode_u64(&mut out, self.objects.len() as u64);
-        for (o, state) in &self.objects {
-            encode_u64(&mut out, o.0);
-            match state {
-                Some((classes, tuple)) => {
-                    out.push(1);
-                    encode_idset(&mut out, *classes);
-                    encode_tuple(&mut out, tuple);
-                }
-                None => out.push(0),
-            }
-        }
-        encode_u64(&mut out, self.shards.len() as u64);
-        for s in &self.shards {
-            encode_u64(&mut out, s.steps as u64);
-            encode_u64(&mut out, u64::from(s.pre_state));
-            out.push(u8::from(s.pre_exempt) | (u8::from(s.full) << 1));
-            encode_record_map(&mut out, s.records.iter());
-            encode_cohort_tables(&mut out, &s.cohorts, &s.by_key, &s.free);
-        }
-        out
+        self.bytes.clone()
     }
 
     /// Decode [`CheckpointDelta::encode`] bytes — the current v2
-    /// format, or a pre-evolution v1 increment.
-    pub fn decode(bytes: &[u8]) -> Result<CheckpointDelta, WalError> {
+    /// format, or a pre-evolution v1 increment — into the structured
+    /// form `Snapshot::apply` folds.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedDelta, WalError> {
         let v2 = bytes.len() >= DELTA_MAGIC.len() && &bytes[..DELTA_MAGIC.len()] == DELTA_MAGIC;
         let v1 =
             bytes.len() >= DELTA_MAGIC_V1.len() && &bytes[..DELTA_MAGIC_V1.len()] == DELTA_MAGIC_V1;
@@ -1040,15 +1024,64 @@ impl CheckpointDelta {
         if !r.is_exhausted() {
             return Err(WalError::Corrupt("trailing bytes in checkpoint delta".into()));
         }
-        Ok(CheckpointDelta {
-            policy,
-            certified,
-            certified_at,
-            evolution,
-            next_oid,
-            objects,
-            shards,
-        })
+        Ok(DecodedDelta { policy, certified, certified_at, evolution, next_oid, objects, shards })
+    }
+}
+
+/// An increment decoded for `Snapshot::apply`: the only place its
+/// structured form exists.
+pub(crate) struct DecodedDelta {
+    pub(crate) policy: StepPolicy,
+    pub(crate) certified: bool,
+    pub(crate) certified_at: Option<usize>,
+    /// Always the complete evolution state, never a diff: an increment
+    /// can cover (and prune) a sealed segment holding a redefinition
+    /// record, so the chain itself must carry the upgrade.
+    pub(crate) evolution: Evolution,
+    pub(crate) next_oid: u64,
+    /// Dirtied objects: current heap state, or `None` when deleted.
+    pub(crate) objects: BTreeMap<Oid, Option<(ClassSet, Tuple)>>,
+    pub(crate) shards: Vec<ShardDelta>,
+}
+
+#[cfg(test)]
+impl DecodedDelta {
+    /// The structured encoder, kept as the reference the capture's
+    /// direct encoding is compared against (and to write edited
+    /// increments in tests).
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(DELTA_MAGIC);
+        out.push(flags_byte(self.policy, self.certified, self.certified_at));
+        if let Some(at) = self.certified_at {
+            encode_u64(&mut out, at as u64);
+        }
+        self.evolution.encode(&mut out);
+        encode_u64(&mut out, self.next_oid);
+        encode_u64(&mut out, self.objects.len() as u64);
+        for (o, state) in &self.objects {
+            encode_u64(&mut out, o.0);
+            match state {
+                Some((classes, tuple)) => {
+                    out.push(1);
+                    encode_idset(&mut out, *classes);
+                    encode_tuple(&mut out, tuple);
+                }
+                None => out.push(0),
+            }
+        }
+        encode_u64(&mut out, self.shards.len() as u64);
+        for s in &self.shards {
+            encode_u64(&mut out, s.steps as u64);
+            encode_u64(&mut out, u64::from(s.pre_state));
+            out.push(u8::from(s.pre_exempt) | (u8::from(s.full) << 1));
+            encode_u64(&mut out, s.records.len() as u64);
+            for (o, rec) in &s.records {
+                encode_obj_record(&mut out, *o, rec);
+            }
+            encode_cohort_tables(&mut out, &s.cohorts, &s.by_key, &s.free);
+        }
+        out
     }
 }
 
@@ -1056,52 +1089,78 @@ impl CheckpointDelta {
 /// partitions, draining each partition's dirty set — the implementation
 /// behind
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta).
-/// O(dirty): only dirtied objects are re-read from the heap, only
-/// dirtied records cloned (all of them after a compaction), plus the
-/// bounded cohort tables.
+/// O(dirty): the v2 bytes are written in one pass, each dirtied
+/// object's class set and tuple read in place from the heap and each
+/// dirtied record (every record after a compaction) from its shard's
+/// table, plus the bounded cohort tables. Nothing is cloned.
 pub(crate) fn capture_delta(
     db: &Instance,
     shards: &mut [DeltaState],
     policy: StepPolicy,
     certified: bool,
     certified_at: Option<usize>,
-    evolution: Evolution,
+    evolution: &Evolution,
 ) -> CheckpointDelta {
-    let mut objects: BTreeMap<Oid, Option<(ClassSet, Tuple)>> = BTreeMap::new();
-    let mut out_shards = Vec::with_capacity(shards.len());
-    for s in shards.iter_mut() {
-        let dirty = std::mem::take(&mut s.dirty);
-        let full = std::mem::replace(&mut s.all_dirty, false);
-        for &o in &dirty {
-            objects
-                .entry(o)
-                .or_insert_with(|| db.occurs(o).then(|| (db.role_set(o), db.tuple_of(o))));
+    let oids = dirty_union(shards);
+    let mut out = Vec::with_capacity(64 + 48 * oids.len());
+    out.extend_from_slice(DELTA_MAGIC);
+    out.push(flags_byte(policy, certified, certified_at));
+    if let Some(at) = certified_at {
+        encode_u64(&mut out, at as u64);
+    }
+    evolution.encode(&mut out);
+    encode_u64(&mut out, db.next_oid().0);
+    encode_u64(&mut out, oids.len() as u64);
+    for &o in &oids {
+        encode_u64(&mut out, o.0);
+        match db.tuple_ref(o) {
+            Some(tuple) => {
+                out.push(1);
+                encode_idset(&mut out, db.role_set(o));
+                encode_tuple(&mut out, tuple);
+            }
+            None => out.push(0),
         }
-        let records = if full {
-            s.records.iter().cloned().collect()
+    }
+    encode_u64(&mut out, shards.len() as u64);
+    let mut clocks = Vec::with_capacity(shards.len());
+    for s in shards.iter_mut() {
+        let full = std::mem::replace(&mut s.all_dirty, false);
+        encode_u64(&mut out, s.steps as u64);
+        encode_u64(&mut out, u64::from(s.pre_state));
+        out.push(u8::from(s.pre_exempt) | (u8::from(full) << 1));
+        if full {
+            encode_u64(&mut out, s.records.len() as u64);
+            for (o, rec) in s.records.iter() {
+                encode_obj_record(&mut out, *o, rec);
+            }
         } else {
-            dirty.iter().filter_map(|&o| s.records.get(o).map(|r| (o, r.clone()))).collect()
-        };
-        out_shards.push(ShardDelta {
-            steps: s.steps,
-            pre_state: s.pre_state,
-            pre_exempt: s.pre_exempt,
-            full,
-            records,
-            cohorts: s.cohorts.clone(),
-            by_key: s.by_key.clone(),
-            free: s.free.clone(),
-        });
+            let dirty = || s.dirty.iter().filter_map(|&o| Some((o, s.records.get(o)?)));
+            encode_u64(&mut out, dirty().count() as u64);
+            for (o, rec) in dirty() {
+                encode_obj_record(&mut out, o, rec);
+            }
+        }
+        encode_cohort_tables(&mut out, &s.cohorts, &s.by_key, &s.free);
+        s.dirty.clear();
+        clocks.push(s.steps);
     }
-    CheckpointDelta {
-        policy,
-        certified,
-        certified_at,
-        evolution,
-        next_oid: db.next_oid().0,
-        objects,
-        shards: out_shards,
+    CheckpointDelta { bytes: out, oids, clocks }
+}
+
+/// The union of the partitions' dirty sets, ascending: a merge of
+/// sorted sets, in which an oid two sets hold (`restore_dirty` marks
+/// the first partition's) appears once.
+fn dirty_union(shards: &[DeltaState]) -> Vec<Oid> {
+    let mut heads: Vec<_> = shards.iter().map(|s| s.dirty.iter().peekable()).collect();
+    let mut oids = Vec::with_capacity(shards.iter().map(|s| s.dirty.len()).sum());
+    while let Some(o) = heads.iter_mut().filter_map(|h| h.peek().copied().copied()).min() {
+        for h in &mut heads {
+            h.next_if_eq(&&o);
+        }
+        oids.push(o);
     }
+    oids
 }
 
 /// Encode one shard's tracking state verbatim — clock, slot table, key
@@ -1113,27 +1172,25 @@ fn encode_state(out: &mut Vec<u8>, s: &DeltaState) {
     encode_u64(out, s.steps as u64);
     encode_u64(out, u64::from(s.pre_state));
     out.push(u8::from(s.pre_exempt));
-    encode_record_map(out, s.records.iter());
+    encode_u64(out, s.records.len() as u64);
+    for (o, rec) in s.records.iter() {
+        encode_obj_record(out, *o, rec);
+    }
     encode_cohort_tables(out, &s.cohorts, &s.by_key, &s.free);
     // `last_touched` and the dirty set are deliberately NOT encoded:
     // diagnostics and checkpoint bookkeeping, not durable state.
 }
 
-/// Encode records given in ascending oid order.
-fn encode_record_map<'r>(
-    out: &mut Vec<u8>,
-    records: impl ExactSizeIterator<Item = &'r (Oid, ObjRecord)>,
-) {
-    encode_u64(out, records.len() as u64);
-    for (o, rec) in records {
-        encode_u64(out, o.0);
-        encode_u64(out, rec.creation_step as u64);
-        encode_u64(out, u64::from(rec.cohort));
-        encode_u64(out, rec.segments.len() as u64);
-        for &(letter, from) in &rec.segments {
-            encode_u64(out, u64::from(letter));
-            encode_u64(out, from as u64);
-        }
+/// Encode one tracking record; a record map is its count, then its
+/// records in ascending oid order.
+fn encode_obj_record(out: &mut Vec<u8>, o: Oid, rec: &ObjRecord) {
+    encode_u64(out, o.0);
+    encode_u64(out, rec.creation_step as u64);
+    encode_u64(out, u64::from(rec.cohort));
+    encode_u64(out, rec.segments.len() as u64);
+    for &(letter, from) in &rec.segments {
+        encode_u64(out, u64::from(letter));
+        encode_u64(out, from as u64);
     }
 }
 
@@ -1326,19 +1383,23 @@ fn seq_of(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
 }
 
-/// Frame a checkpoint payload (`[len][crc][seq + body]`; increments
-/// prepend the **parent** checkpoint sequence they chain onto to the
-/// body, so the chain survives sequence numbers swallowed by crashed
-/// jobs).
-fn frame_checkpoint(seq: u64, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(body.len() + 10);
-    encode_u64(&mut payload, seq);
-    payload.extend_from_slice(body);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&u32::try_from(payload.len()).expect("fits u32").to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+/// The frame header of a checkpoint file whose body is `body`: a file
+/// is `[len][crc][seq + body]`, where increments prepend the **parent**
+/// checkpoint sequence they chain onto to the body, so the chain
+/// survives sequence numbers swallowed by crashed jobs. The header ends
+/// with those sequence numbers; `body` follows it unframed and uncopied.
+fn checkpoint_header(seq: u64, parent: Option<u64>, body: &[u8]) -> Vec<u8> {
+    let mut seqs = Vec::with_capacity(20);
+    encode_u64(&mut seqs, seq);
+    if let Some(parent) = parent {
+        encode_u64(&mut seqs, parent);
+    }
+    let len = u32::try_from(seqs.len() + body.len()).expect("fits u32");
+    let mut head = Vec::with_capacity(8 + seqs.len());
+    head.extend_from_slice(&len.to_le_bytes());
+    head.extend_from_slice(&crc32_parts(&[&seqs, body]).to_le_bytes());
+    head.extend_from_slice(&seqs);
+    head
 }
 
 /// Unframe a checkpoint file into `(seq, body)`.
@@ -1416,11 +1477,13 @@ impl CheckpointJob {
         self.seq
     }
 
-    /// Encode and durably write the checkpoint, then prune the log
+    /// Frame and durably write the checkpoint, then prune the log
     /// segments (and, for a full snapshot, the increments) it covers.
-    /// Takes `&self` so a failed run can be retried: every step is
-    /// idempotent (`create` truncates the temp file, the rename and the
-    /// prunes re-apply cleanly).
+    /// An increment's bytes were encoded at capture and are written as
+    /// they are; a full snapshot is encoded here. Takes `&self` so a
+    /// failed run can be retried: every step is idempotent (`create`
+    /// truncates the temp file, the rename and the prunes re-apply
+    /// cleanly).
     ///
     /// A base never replaces a newer one: a full job that finds
     /// `snapshot.bin` at a higher sequence drops its file instead of
@@ -1430,21 +1493,23 @@ impl CheckpointJob {
     /// inline — and the newer base covers every segment the older one
     /// would, so the prune below stays safe.
     pub fn run(&self) -> Result<(), WalError> {
-        let (body, target) = match &self.data {
-            CheckpointData::Full(snap) => (snap.encode(), self.dir.join(BASE_FILE)),
+        let encoded;
+        let (body, parent, target) = match &self.data {
+            CheckpointData::Full(snap) => {
+                encoded = snap.encode();
+                (encoded.as_slice(), None, self.dir.join(BASE_FILE))
+            }
             CheckpointData::Incremental(delta) => {
-                let mut body = Vec::new();
-                encode_u64(&mut body, self.parent);
-                body.extend_from_slice(&delta.encode());
-                (body, self.dir.join(delta_name(self.seq)))
+                (delta.bytes.as_slice(), Some(self.parent), self.dir.join(delta_name(self.seq)))
             }
         };
-        let framed = frame_checkpoint(self.seq, &body);
+        let head = checkpoint_header(self.seq, parent, body);
         let tmp = self.dir.join(format!("checkpoint-{:08}.tmp", self.seq));
         {
             self.faults.check(FaultSite::CheckpointWrite)?;
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&framed)?;
+            f.write_all(&head)?;
+            f.write_all(body)?;
             self.faults.check(FaultSite::CheckpointSync)?;
             f.sync_all()?;
         }
@@ -2249,7 +2314,7 @@ mod tests {
         let base = m.checkpoint_full();
         m.try_apply(mk, &key("c")).unwrap();
         let good = m.checkpoint_delta().encode();
-        let fold = |edit: &dyn Fn(&mut CheckpointDelta)| {
+        let fold = |edit: &dyn Fn(&mut DecodedDelta)| {
             let mut d = CheckpointDelta::decode(&good).unwrap();
             edit(&mut d);
             // The edited increment encodes and decodes like any other.
@@ -2344,7 +2409,7 @@ mod tests {
         let base = m.checkpoint_full();
         m.try_apply(ts.get("St").unwrap(), &key("a")).unwrap();
         let good = m.checkpoint_delta().encode();
-        let fold = |edit: &dyn Fn(&mut CheckpointDelta)| {
+        let fold = |edit: &dyn Fn(&mut DecodedDelta)| {
             let mut d = CheckpointDelta::decode(&good).unwrap();
             edit(&mut d);
             let d = CheckpointDelta::decode(&d.encode()).expect("structurally valid");
@@ -2361,5 +2426,51 @@ mod tests {
         // The counter falls onto the base's record of the deleted o2,
         // which no heap object guards.
         assert!(matches!(fold(&|d| d.next_oid = 2), Err(WalError::Corrupt(_))));
+    }
+
+    /// The capture writes an increment's bytes in one pass, straight
+    /// from the heap and the records. On a four-shard (oid-striped)
+    /// monitor with deletes, and once with an object marked dirty in
+    /// two shards and every record table full (`restore_dirty`), the
+    /// bytes must decode into exactly the dirtied state, re-encode
+    /// byte for byte through the structured reference encoder, and fold
+    /// onto the base into the live snapshot.
+    #[test]
+    fn captured_increment_matches_the_reference_encoder() {
+        let (schema, alphabet, inv, ts) = university();
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 4);
+        let (mk, st, rm) = (ts.get("Mk").unwrap(), ts.get("St").unwrap(), ts.get("Rm").unwrap());
+        let keys: Vec<_> = (0..12).map(|i| key(&format!("k{i}"))).collect();
+        assert_eq!(m.try_apply_batch(keys.iter().map(|k| (mk, k))), (12, None));
+        let mut base = m.checkpoint_full();
+        let check = |m: &mut super::super::ShardedMonitor<'_>, base: &mut Snapshot, full: bool| {
+            let d = m.checkpoint_delta();
+            let bytes = d.encode();
+            let decoded = CheckpointDelta::decode(&bytes).unwrap();
+            assert_eq!(decoded.encode(), bytes, "the reference encoder agrees");
+            assert!(decoded.objects.keys().eq(d.oids()), "the covered oids");
+            for (&o, state) in &decoded.objects {
+                let live = m.db().occurs(o).then(|| (m.db().role_set(o), m.db().tuple_of(o)));
+                assert_eq!(*state, live, "{o} as the heap holds it");
+            }
+            assert_eq!(d.clocks(), m.clocks());
+            assert!(decoded.shards.iter().all(|s| s.full == full));
+            base.apply(decoded).unwrap();
+            assert_eq!(base.encode(), m.snapshot().encode(), "base + increment is the live state");
+        };
+        for k in ["k1", "k6", "k7"] {
+            m.try_apply(st, &key(k)).unwrap();
+        }
+        for k in ["k2", "k11"] {
+            m.try_apply(rm, &key(k)).unwrap();
+        }
+        m.try_apply(mk, &key("k12")).unwrap();
+        check(&mut m, &mut base, false);
+        m.try_apply(st, &key("k3")).unwrap();
+        // o2 (deleted) and o5 belong to stripes 2 and 1; restoring them
+        // marks them in stripe 0's set too, and every table full.
+        m.restore_dirty(&[Oid(2), Oid(5)]);
+        check(&mut m, &mut base, true);
     }
 }
