@@ -60,6 +60,13 @@ use migratory_automata::Dfa;
 use migratory_lang::{Delta, ObjectDelta};
 use migratory_model::{ClassSet, Oid, RoleSet, Schema};
 use std::collections::{BTreeMap, BTreeSet, HashMap, TryReserveError, VecDeque};
+use std::ops::Range;
+
+/// One touch of a staged block: the object, the 1-based shard-local
+/// index of the letter that touches it, and its change. A shard's
+/// touches are stably sorted by oid, so each object's touches form one
+/// run, in letter order.
+pub(crate) type Touch<'d> = (Oid, usize, &'d ObjectDelta);
 
 /// The always-present cohort of exempt objects (never stepped, never
 /// checked).
@@ -381,10 +388,11 @@ impl DeltaState {
     /// one pass, **in shard-local time**: the never-created class's walk
     /// starts from this partition's own clock, each touched object's
     /// interleaved touch/untouched chain is replayed exactly, and each
-    /// untouched cohort is advanced `k` DFA steps once. `touched` maps
-    /// each touched object to its `(local letter index, change)` pairs,
-    /// where local indices are 1-based positions among the `k` letters
-    /// *this partition* reads. Read-only; returns `Err(())` on the first
+    /// untouched cohort is advanced `k` DFA steps once. `touched` holds
+    /// this partition's [`Touch`]es, sorted by oid: each object's run
+    /// of `(local letter index, change)` pairs, where local indices are
+    /// 1-based positions among the `k` letters *this partition* reads.
+    /// Read-only; returns `Err(())` on the first
     /// violation (callers locate the violating letter and diagnose it
     /// with [`diagnose_step`]) and the staged changes to
     /// [`commit_batch`](Self::commit_batch) otherwise.
@@ -392,7 +400,7 @@ impl DeltaState {
         &self,
         ctx: &BatchCtx<'_>,
         k: usize,
-        touched: &BTreeMap<Oid, Vec<(usize, &ObjectDelta)>>,
+        touched: &[Touch<'_>],
     ) -> Result<BatchStage, ()> {
         let dfa = ctx.dfa;
         let empty = ctx.alphabet.empty_symbol();
@@ -417,9 +425,14 @@ impl DeltaState {
         // at least one committed letter), so the whole table folds.
         let fold_all = matches!(ctx.kind, PatternKind::Proper | PatternKind::Lazy);
         let mut moves: Vec<BatchMove> = Vec::with_capacity(touched.len());
-        let mut leaving: HashMap<u32, usize> = HashMap::new();
+        // Every chain's new segments, in move order; a touch adds at
+        // most one.
+        let mut segments: Vec<(u32, usize)> = Vec::with_capacity(touched.len());
+        // Members leaving each root cohort, by cohort slot.
+        let mut leaving = vec![0usize; self.cohorts.len()];
 
-        for (&oid, touches) in touched {
+        for run in touched.chunk_by(|a, b| a.0 == b.0) {
+            let oid = run[0].0;
             // Chain state of this object across the batch.
             let mut chain: Option<ChainState> = self.records.get(oid).map(|rec| {
                 let root = self.find_ro(rec.cohort);
@@ -428,16 +441,16 @@ impl DeltaState {
                     role: rec.current_role(),
                     exempt: root == EXEMPT,
                     synced: 0,
-                    segments: Vec::new(),
+                    first_segment: segments.len(),
                     existing: true,
                     creation_step: 0,
                     start_root: root,
                 }
             });
             if let Some(ch) = &chain {
-                *leaving.entry(ch.start_root).or_insert(0) += 1;
+                leaving[ch.start_root as usize] += 1;
             }
-            for &(j, od) in touches {
+            for &(_, j, od) in run {
                 let idx = steps0 + j;
                 let after_sym = match od.after_classes() {
                     Some(cs) => classes_symbol(ctx.schema, ctx.alphabet, cs),
@@ -463,11 +476,12 @@ impl DeltaState {
                             role: after_sym,
                             exempt,
                             synced: j,
-                            segments: vec![(after_sym, idx)],
+                            first_segment: segments.len(),
                             existing: false,
                             creation_step: idx,
                             start_root: EXEMPT,
                         });
+                        segments.push((after_sym, idx));
                     }
                     Some(ch) => {
                         // Untouched gap since the last sync point. Gap
@@ -504,7 +518,7 @@ impl DeltaState {
                             }
                         }
                         if role_changed {
-                            ch.segments.push((after_sym, idx));
+                            segments.push((after_sym, idx));
                         }
                         ch.role = after_sym;
                         ch.synced = j;
@@ -525,16 +539,14 @@ impl DeltaState {
                 }
             }
             let target = if ch.exempt { Target::Exempt } else { Target::Key(ch.state, ch.role) };
+            let new_segments = ch.first_segment..segments.len();
             moves.push(if ch.existing {
-                BatchMove::Move { oid, segments: std::mem::take(&mut ch.segments), target }
+                BatchMove::Move { oid, segments: new_segments, target }
             } else {
                 BatchMove::Insert {
                     oid,
-                    record: ObjRecord {
-                        creation_step: ch.creation_step,
-                        segments: std::mem::take(&mut ch.segments),
-                        cohort: EXEMPT, // assigned on commit
-                    },
+                    creation_step: ch.creation_step,
+                    segments: new_segments,
                     target,
                 }
             });
@@ -544,8 +556,7 @@ impl DeltaState {
         let mut advanced: Vec<(u32, u32)> = Vec::new();
         let mut emptied: Vec<u32> = Vec::new();
         for (&(cstate, role), &root) in &self.by_key {
-            let remaining =
-                self.cohorts[root as usize].size - leaving.get(&root).copied().unwrap_or(0);
+            let remaining = self.cohorts[root as usize].size - leaving[root as usize];
             if remaining == 0 {
                 if !fold_all {
                     emptied.push(root);
@@ -563,12 +574,13 @@ impl DeltaState {
         }
 
         Ok(BatchStage {
+            touched: moves.len(),
             moves,
+            segments,
             leaving,
             advanced,
             emptied,
             fold_all,
-            touched: touched.len(),
             k,
             pre_state: pre.state,
             pre_exempt: pre.exempt,
@@ -582,6 +594,7 @@ impl DeltaState {
     pub(crate) fn commit_batch(&mut self, stage: BatchStage) {
         let BatchStage {
             moves,
+            segments,
             mut leaving,
             advanced,
             emptied,
@@ -600,7 +613,7 @@ impl DeltaState {
             // cohorts into the sink, recycling slots nobody routes
             // through.
             for (_, root) in std::mem::take(&mut self.by_key) {
-                let leave = leaving.remove(&root).unwrap_or(0);
+                let leave = std::mem::take(&mut leaving[root as usize]);
                 let untouched = self.cohorts[root as usize].size - leave;
                 self.cohorts[root as usize].size = 0;
                 if untouched == 0 {
@@ -610,15 +623,13 @@ impl DeltaState {
                     self.cohorts[EXEMPT as usize].size += untouched;
                 }
             }
-            // Leftover entries are touched members leaving the sink
-            // itself; their moves below re-target them, so debit now.
-            for (root, n) in leaving.drain() {
-                debug_assert_eq!(root, EXEMPT);
-                self.cohorts[EXEMPT as usize].size -= n;
-            }
+            // What is left are touched members leaving the sink itself;
+            // their moves below re-target them, so debit now.
+            debug_assert!(leaving.iter().enumerate().all(|(c, &n)| n == 0 || c == EXEMPT as usize));
+            self.cohorts[EXEMPT as usize].size -= leaving[EXEMPT as usize];
         } else {
-            for (root, n) in leaving.drain() {
-                self.cohorts[root as usize].size -= n;
+            for (cohort, &n) in self.cohorts.iter_mut().zip(&leaving) {
+                cohort.size -= n;
             }
             let mut new_keys: BTreeMap<(u32, u32), u32> = BTreeMap::new();
             for &(root, new_state) in &advanced {
@@ -646,19 +657,19 @@ impl DeltaState {
         }
         for mv in moves {
             match mv {
-                BatchMove::Insert { oid, mut record, target } => {
+                BatchMove::Insert { oid, creation_step, segments: new, target } => {
                     let c = self.cohort_for(target);
                     self.cohorts[c as usize].size += 1;
-                    record.cohort = c;
-                    self.records.insert(oid, record);
+                    let segments = segments[new].to_vec();
+                    self.records.insert(oid, ObjRecord { creation_step, segments, cohort: c });
                     self.dirty.insert(oid);
                 }
-                BatchMove::Move { oid, segments, target } => {
+                BatchMove::Move { oid, segments: new, target } => {
                     let c = self.cohort_for(target);
                     self.cohorts[c as usize].size += 1;
                     let rec = self.records.get_mut(oid).expect("tracked");
                     rec.cohort = c;
-                    rec.segments.extend(segments);
+                    rec.segments.extend_from_slice(&segments[new]);
                     self.dirty.insert(oid);
                 }
             }
@@ -1027,33 +1038,28 @@ impl DeltaState {
     }
 }
 
-/// Advance `state` by `m` repetitions of `letter` in O(min(m, |Q|)):
-/// repeating one letter must enter a cycle within |Q| steps, so the walk
-/// is cut short with modular arithmetic once a state repeats (detected
-/// through a position map, keeping the walk linear). Checking acceptance
-/// of the *returned* state is equivalent to checking every intermediate
-/// one, because reachable non-accepting states of a prefix-closed
-/// language's DFA are traps.
+/// Advance `state` by `m` repetitions of `letter` in O(min(m, |Q|))
+/// steps and no allocation: repeating one letter must enter a cycle
+/// within |Q| steps, so the walk remembers its state at each
+/// power-of-two step (Brent's cycle detection) and, once it meets that
+/// state again, skips the remaining whole laps of the cycle with
+/// modular arithmetic. Checking acceptance of the *returned* state is
+/// equivalent to checking every intermediate one, because reachable
+/// non-accepting states of a prefix-closed language's DFA are traps.
 fn advance_many(dfa: &Dfa, mut state: u32, letter: u32, m: usize) -> u32 {
-    // Small advances — the per-application k = 1 staging chief among
-    // them — step directly: cycle bookkeeping costs two allocations and
-    // only pays off once the walk could exceed the DFA size.
-    if m <= 8 {
-        for _ in 0..m {
-            state = dfa.step(state, letter);
-        }
-        return state;
-    }
-    let mut seen: Vec<u32> = vec![state];
-    let mut pos_of: HashMap<u32, usize> = HashMap::from([(state, 0)]);
+    let (mut mark, mut marked_at) = (state, 0);
     for step in 1..=m {
         state = dfa.step(state, letter);
-        if let Some(&pos) = pos_of.get(&state) {
-            let cycle = seen.len() - pos;
-            return seen[pos + (m - step) % cycle];
+        if state == mark {
+            // The walk repeats every `step - marked_at` steps from here.
+            for _ in 0..(m - step) % (step - marked_at) {
+                state = dfa.step(state, letter);
+            }
+            return state;
         }
-        pos_of.insert(state, seen.len());
-        seen.push(state);
+        if step.is_power_of_two() {
+            (mark, marked_at) = (state, step);
+        }
     }
     state
 }
@@ -1065,8 +1071,9 @@ struct ChainState {
     exempt: bool,
     /// Effective batch step the chain is synced through.
     synced: usize,
-    /// `(letter, global step)` segments to append on commit.
-    segments: Vec<(u32, usize)>,
+    /// Where the chain's `(letter, global step)` segments, appended on
+    /// commit, start in the stage's segment list.
+    first_segment: usize,
     existing: bool,
     creation_step: usize,
     start_root: u32,
@@ -1136,7 +1143,10 @@ pub(crate) struct BatchCtx<'a> {
 /// The staged outcome of [`DeltaState::stage_batch`].
 pub(crate) struct BatchStage {
     moves: Vec<BatchMove>,
-    leaving: HashMap<u32, usize>,
+    /// The new segments of every move, each move's a contiguous range.
+    segments: Vec<(u32, usize)>,
+    /// Members leaving each root cohort, indexed by cohort slot.
+    leaving: Vec<usize>,
     /// `(root, state after k untouched letters)` for surviving cohorts.
     advanced: Vec<(u32, u32)>,
     emptied: Vec<u32>,
@@ -1151,8 +1161,8 @@ pub(crate) struct BatchStage {
 
 /// Final placement of one touched object after a staged batch.
 enum BatchMove {
-    Insert { oid: Oid, record: ObjRecord, target: Target },
-    Move { oid: Oid, segments: Vec<(u32, usize)>, target: Target },
+    Insert { oid: Oid, creation_step: usize, segments: Range<usize>, target: Target },
+    Move { oid: Oid, segments: Range<usize>, target: Target },
 }
 
 /// The staged outcome of [`DeltaState::stage_bulk_creates`]: one letter
@@ -1410,6 +1420,43 @@ mod tests {
                 let rebuilt = Records::from_sorted(want).unwrap();
                 assert_eq!(rebuilt, table);
                 assert_eq!(rebuilt.slots, table.slots, "both derive the same slot table");
+            }
+        }
+    }
+
+    /// `advance_many` against stepping `m` times, on seeded random DFAs
+    /// (sizes 1–40, so tails and cycles of every length occur): every
+    /// state and letter, every `m` from 0 to 4·|Q|, and a few large `m`.
+    #[test]
+    fn advance_many_agrees_with_repeated_stepping() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
+        for _dfa in 0..60 {
+            let states: u32 = rng.random_range(1..41);
+            let symbols: u32 = rng.random_range(1..4);
+            let trans = (0..states * symbols).map(|_| rng.random_range(0..states)).collect();
+            let accept = (0..states).map(|_| rng.random_range(0..2) == 1).collect();
+            let dfa = Dfa::from_parts(symbols, trans, accept, 0);
+            let large = [10_007, 1 << 20, usize::MAX];
+            for q in 0..states {
+                for letter in 0..symbols {
+                    // `walk[m]` is the state after `m` naive steps.
+                    let mut walk = vec![q];
+                    for _ in 0..4 * states {
+                        walk.push(dfa.step(*walk.last().unwrap(), letter));
+                    }
+                    for (m, &want) in walk.iter().enumerate() {
+                        assert_eq!(advance_many(&dfa, q, letter, m), want, "q{q} ×{m} of {letter}");
+                    }
+                    // Past 4·|Q| the walk is periodic with the cycle
+                    // length, which divides some period ≤ |Q| found by
+                    // looking back from the end of `walk`.
+                    let n = walk.len() - 1;
+                    let period = (1..=states as usize).find(|&p| walk[n] == walk[n - p]).unwrap();
+                    for m in large {
+                        let want = walk[n - period + (m - n) % period];
+                        assert_eq!(advance_many(&dfa, q, letter, m), want, "q{q} ×{m} of {letter}");
+                    }
+                }
             }
         }
     }

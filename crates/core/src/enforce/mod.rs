@@ -400,22 +400,23 @@ mod tests {
     use crate::explore::{explore, ExploreConfig};
     use crate::{Inventory, PatternKind};
     use delta::EXEMPT;
-    use migratory_lang::{parse_transactions, ObjectDelta, TransactionSchema};
+    use migratory_lang::{parse_transactions, TransactionSchema};
     use migratory_model::schema::university_schema;
     use migratory_model::{RoleSet, Value};
-    use std::collections::BTreeMap;
 
-    /// A block's tracked change-set entries by object, each with its
-    /// 1-based step — the unrouted one-shard `stage_batch` input.
-    fn touched_map<'d>(deltas: &[&'d Delta]) -> BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> {
-        let mut touched: BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> = BTreeMap::new();
+    /// A block's tracked change-set entries, each with its 1-based
+    /// step, sorted by object — the unrouted one-shard `stage_batch`
+    /// input.
+    fn touches<'d>(deltas: &[&'d Delta]) -> Vec<delta::Touch<'d>> {
+        let mut touched = Vec::new();
         for (j, d) in deltas.iter().enumerate() {
             for od in d.objects() {
                 if delta::tracked(od) {
-                    touched.entry(od.oid).or_default().push((j + 1, od));
+                    touched.push((od.oid, j + 1, od));
                 }
             }
         }
+        touched.sort_by_key(|&(o, _, _)| o);
         touched
     }
 
@@ -516,7 +517,7 @@ mod tests {
             let state = &m.shards[0];
             let generic = {
                 let mut st = state.clone();
-                let touched = touched_map(&[&d]);
+                let touched = touches(&[&d]);
                 let stage = st.stage_batch(&ctx, 1, &touched).expect("conforming");
                 st.commit_batch(stage);
                 st
@@ -542,7 +543,7 @@ mod tests {
         let ctx =
             delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind: PatternKind::All };
         let state = &m.shards[0];
-        assert!(state.stage_batch(&ctx, 1, &touched_map(&[&d])).is_err());
+        assert!(state.stage_batch(&ctx, 1, &touches(&[&d])).is_err());
         assert!(state.stage_bulk_creates(&ctx, d.objects().iter()).is_err());
     }
 

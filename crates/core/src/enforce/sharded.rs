@@ -79,7 +79,7 @@
 //! at a certification marker.
 
 use super::delta::{
-    diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, EXEMPT,
+    diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, Touch, EXEMPT,
 };
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
@@ -91,7 +91,6 @@ use migratory_lang::{
     apply_transaction, Assignment, Delta, ObjectDelta, Transaction, TransactionSchema,
 };
 use migratory_model::{Instance, Oid, Schema};
-use std::collections::BTreeMap;
 use std::sync::PoisonError;
 
 /// An effective block staged read-only on every participating shard:
@@ -676,19 +675,22 @@ impl<'a> ShardedMonitor<'a> {
     }
 
     /// Per-shard letter assignment of an effective block: which shards
-    /// participate in each delta, and each touched object's
-    /// **shard-local** letter index. A delta is a letter for the shards
-    /// of the tracked objects it touches (its fallback shard when it
-    /// touches none); under oid striping every stripe reads every
-    /// letter — the stripes split one component.
-    #[allow(clippy::type_complexity)]
+    /// participate in each delta, and each shard's [`Touch`]es — every
+    /// touched object with its **shard-local** letter index, stably
+    /// sorted by oid. A delta is a letter for the shards of the tracked
+    /// objects it touches (its fallback shard when it touches none);
+    /// under oid striping every stripe reads every letter — the stripes
+    /// split one component.
     fn assign_letters<'d>(
         &self,
         effective: &[(usize, &'d Delta)],
-    ) -> (Vec<Vec<u32>>, Vec<BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>>>) {
+    ) -> (Vec<Vec<u32>>, Vec<Vec<Touch<'d>>>) {
         let n = self.shards.len();
         let mut letters: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut touched: Vec<BTreeMap<Oid, Vec<(usize, &ObjectDelta)>>> = vec![BTreeMap::new(); n];
+        let mut touched: Vec<Vec<Touch<'d>>> = vec![Vec::new(); n];
+        // Reserving what is left of the block on a shard's first letter
+        // and first touch allocates each list once.
+        let mut untouched: usize = effective.iter().map(|(_, d)| d.objects().len()).sum();
         let stripe = matches!(self.router, Router::OidStripe { .. });
         let mut participating: Vec<usize> = Vec::new();
         for (j, (fallback, d)) in effective.iter().enumerate() {
@@ -709,14 +711,20 @@ impl<'a> ShardedMonitor<'a> {
                 }
             }
             for &s in &participating {
+                letters[s].reserve(effective.len() - j);
                 letters[s].push(j as u32);
             }
             for od in d.objects() {
                 if super::delta::tracked(od) {
                     let s = self.route(od);
-                    touched[s].entry(od.oid).or_default().push((letters[s].len(), od));
+                    touched[s].reserve(untouched);
+                    touched[s].push((od.oid, letters[s].len(), od));
                 }
+                untouched -= 1;
             }
+        }
+        for t in &mut touched {
+            t.sort_by_key(|&(o, _, _)| o);
         }
         (letters, touched)
     }
@@ -1268,8 +1276,8 @@ impl<'a> ShardedMonitor<'a> {
     }
 
     /// Replay one logged block's tracking work: rebuild each
-    /// participating shard's touched map in shard-local letter indices
-    /// from the record's letter assignment, stage, and commit.
+    /// participating shard's touches in shard-local letter indices from
+    /// the record's letter assignment, stage, and commit.
     /// Admission already proved the block admissible, so a failing
     /// stage (or a letter assignment that disagrees with routing) means
     /// the log and snapshot do not belong together.
@@ -1285,31 +1293,36 @@ impl<'a> ShardedMonitor<'a> {
             }
             return Ok(());
         }
-        // (delta index → shard-local letter index) per shard.
-        let mut local: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); self.shards.len()];
+        // The shard-local letter index of delta `j` on shard `s` at
+        // `local[s * deltas + j]`; 0 when it is not a letter there.
+        let deltas = block.deltas.len();
+        let mut local = vec![0usize; self.shards.len() * deltas];
         for sl in &block.shards {
             for (pos, &j) in sl.letters.iter().enumerate() {
-                if j as usize >= block.deltas.len() {
+                if j as usize >= deltas {
                     return Err(WalError::Mismatch("letter index out of range".into()));
                 }
-                local[sl.shard as usize].insert(j, pos + 1);
+                local[sl.shard as usize * deltas + j as usize] = pos + 1;
             }
         }
-        let mut touched: Vec<BTreeMap<Oid, Vec<(usize, &ObjectDelta)>>> =
-            vec![BTreeMap::new(); self.shards.len()];
+        let mut touched: Vec<Vec<Touch<'_>>> = vec![Vec::new(); self.shards.len()];
         for (j, d) in block.deltas.iter().enumerate() {
             for od in d.objects() {
                 if !super::delta::tracked(od) {
                     continue;
                 }
                 let s = self.route(od);
-                let Some(&lj) = local[s].get(&(j as u32)) else {
+                let lj = local[s * deltas + j];
+                if lj == 0 {
                     return Err(WalError::Mismatch(
                         "logged letter assignment disagrees with object routing".into(),
                     ));
-                };
-                touched[s].entry(od.oid).or_default().push((lj, od));
+                }
+                touched[s].push((od.oid, lj, od));
             }
+        }
+        for t in &mut touched {
+            t.sort_by_key(|&(o, _, _)| o);
         }
         let ctx = BatchCtx {
             schema: self.schema,

@@ -16,7 +16,6 @@
 use crate::ast::{Assignment, AtomicUpdate, GuardedUpdate, Literal, Transaction};
 use crate::error::LangError;
 use migratory_model::{ClassSet, Instance, Oid, Schema, Tuple};
-use std::collections::BTreeMap;
 
 /// Observer of object mutations during an application. The interpreter
 /// reports every object it is *about* to mutate (with its pre-state still
@@ -40,20 +39,48 @@ impl Recorder for NoRecord {
     fn minted(&mut self, _o: Oid) {}
 }
 
-/// Captures the before-image of each object on its first touch.
+/// Captures the before-image of each object on its first touch, as the
+/// [`ObjectDelta`] the application will return: touches are appended in
+/// order (a repeat of the previous touch's object is skipped, without
+/// reading its tuple), and [`DeltaRecorder::finish`] sorts them stably
+/// by oid, keeps each object's first touch and fills in the
+/// after-images — one `Vec` for the whole change-set.
 #[derive(Default)]
 struct DeltaRecorder {
-    touched: BTreeMap<Oid, Option<(ClassSet, Tuple)>>,
+    objects: Vec<ObjectDelta>,
+}
+
+impl DeltaRecorder {
+    fn record(&mut self, oid: Oid, before: Option<(ClassSet, Tuple)>) {
+        self.objects.push(ObjectDelta { oid, before, after: None, tuple_changed: false });
+    }
+
+    /// The change-set against `db`, the post-state.
+    fn finish(mut self, db: &Instance) -> Vec<ObjectDelta> {
+        self.objects.sort_by_key(|od| od.oid);
+        self.objects.dedup_by_key(|od| od.oid);
+        for od in &mut self.objects {
+            od.after = db.occurs(od.oid).then(|| (db.role_set(od.oid), db.tuple_of(od.oid)));
+            od.tuple_changed = match (&od.before, &od.after) {
+                (Some((_, t_before)), Some((_, t_after))) => t_after != t_before,
+                (None, Some(_)) | (Some(_), None) => true,
+                // Minted and deleted within one application: never
+                // observable (patterns read post-states only).
+                (None, None) => false,
+            };
+        }
+        self.objects
+    }
 }
 
 impl Recorder for DeltaRecorder {
     fn touch(&mut self, db: &Instance, o: Oid) {
-        self.touched
-            .entry(o)
-            .or_insert_with(|| db.occurs(o).then(|| (db.role_set(o), db.tuple_of(o))));
+        if self.objects.last().is_none_or(|od| od.oid != o) {
+            self.record(o, db.occurs(o).then(|| (db.role_set(o), db.tuple_of(o))));
+        }
     }
     fn minted(&mut self, o: Oid) {
-        self.touched.entry(o).or_insert(None);
+        self.record(o, None);
     }
 }
 
@@ -336,22 +363,7 @@ pub fn apply_transaction_delta(
     let old_next = db.next_oid().0;
     let mut rec = DeltaRecorder::default();
     apply_transaction_rec(schema, db, t, args, &mut rec)?;
-    let objects = rec
-        .touched
-        .into_iter()
-        .map(|(oid, before)| {
-            let after = db.occurs(oid).then(|| (db.role_set(oid), db.tuple_of(oid)));
-            let tuple_changed = match (&before, &after) {
-                (Some((_, t_before)), Some((_, t_after))) => t_after != t_before,
-                (None, Some(_)) | (Some(_), None) => true,
-                // Minted and deleted within one application: never
-                // observable (patterns read post-states only).
-                (None, None) => false,
-            };
-            ObjectDelta { oid, before, after, tuple_changed }
-        })
-        .collect();
-    Ok(Delta { old_next, new_next: db.next_oid().0, objects })
+    Ok(Delta { old_next, new_next: db.next_oid().0, objects: rec.finish(db) })
 }
 
 /// Chunked evaluation below this many steps stays on the calling thread:

@@ -206,28 +206,24 @@ impl Condition {
     ///
     /// Non-satisfiable conditions are the paper's `E`; every operator maps
     /// a database to itself when its condition is `E`.
+    ///
+    /// One pass over the atoms, which are ordered by (attribute,
+    /// operator, term) with `=` before `≠`: per attribute, every equality
+    /// is read before any inequality, so the first equality fixes the
+    /// value the others must agree with and the inequalities must avoid.
     #[must_use]
     pub fn is_satisfiable(&self) -> bool {
         debug_assert!(self.is_ground(), "satisfiability is defined on ground conditions");
-        let mut eq: BTreeMap<AttrId, &Value> = BTreeMap::new();
+        let mut agreed: Option<(AttrId, &Value)> = None;
         for a in &self.atoms {
-            if a.op == CmpOp::Eq {
-                if let Term::Const(v) = &a.term {
-                    if let Some(prev) = eq.insert(a.attr, v) {
-                        if prev != v {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        for a in &self.atoms {
-            if a.op == CmpOp::Ne {
-                if let Term::Const(v) = &a.term {
-                    if eq.get(&a.attr) == Some(&v) {
-                        return false;
-                    }
-                }
+            let Term::Const(v) = &a.term else { continue };
+            let fixed = agreed.filter(|&(attr, _)| attr == a.attr).map(|(_, fixed)| fixed);
+            match (a.op, fixed) {
+                (CmpOp::Eq, None) => agreed = Some((a.attr, v)),
+                // Conflicting equalities, or the agreed value excluded.
+                (CmpOp::Eq, Some(fixed)) if fixed != v => return false,
+                (CmpOp::Ne, Some(fixed)) if fixed == v => return false,
+                _ => {}
             }
         }
         true
@@ -318,6 +314,54 @@ mod tests {
         // Mixed attributes independent.
         assert!(Condition::from_atoms([Atom::eq_const(a(0), 1), Atom::ne_const(a(1), 1)])
             .is_satisfiable());
+    }
+
+    /// The rule `is_satisfiable` implemented before it became one pass:
+    /// collect each attribute's equality constants in a map, failing on
+    /// a second, different one, then fail on any inequality excluding
+    /// the agreed constant.
+    fn map_rule(c: &Condition) -> bool {
+        let mut eq: BTreeMap<AttrId, &Value> = BTreeMap::new();
+        for at in c.atoms().filter(|at| at.op == CmpOp::Eq) {
+            let v = at.term.as_const().unwrap();
+            if eq.insert(at.attr, v).is_some_and(|prev| prev != v) {
+                return false;
+            }
+        }
+        c.atoms()
+            .filter(|at| at.op == CmpOp::Ne)
+            .all(|at| eq.get(&at.attr) != at.term.as_const().as_ref())
+    }
+
+    /// Every condition over two attributes and three constants — each
+    /// subset of the twelve possible atoms, so repeated, conflicting and
+    /// `≠`-excluded equalities all occur, alone and together.
+    #[test]
+    fn satisfiability_agrees_with_the_map_rule() {
+        let values = [Value::int(1), Value::int(2), Value::str("a")];
+        let atoms: Vec<Atom> = [a(0), a(1)]
+            .into_iter()
+            .flat_map(|attr| {
+                values.iter().flat_map(move |v| {
+                    [Atom::eq_const(attr, v.clone()), Atom::ne_const(attr, v.clone())]
+                })
+            })
+            .collect();
+        let mut satisfiable = 0;
+        for subset in 0u32..1 << atoms.len() {
+            let c: Condition = atoms
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| subset >> i & 1 == 1)
+                .map(|(_, at)| at.clone())
+                .collect();
+            assert_eq!(c.is_satisfiable(), map_rule(&c), "{c:?}");
+            satisfiable += usize::from(c.is_satisfiable());
+        }
+        // Per attribute: no equality (2^3 inequality sets) or exactly one
+        // (3 constants × 2^2 inequalities avoiding it), so 20 of the 64
+        // atom sets of one attribute are satisfiable, and 20² of all.
+        assert_eq!(satisfiable, 400);
     }
 
     #[test]

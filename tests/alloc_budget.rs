@@ -1,19 +1,27 @@
-//! Allocation budgets of the admission worker's hot paths, counted by a
-//! counting global allocator whose counter is thread-local (each test
-//! thread sees only its own allocations) and allocates nothing itself:
-//! capturing an increment of a four-shard monitor encodes straight from
-//! the heap and the records, so it takes a number of allocations that
-//! does not grow with the dirty count.
+//! Allocation budgets of the admission worker's two hot paths, counted
+//! by a counting global allocator whose counter is thread-local (each
+//! test thread sees only its own allocations) and allocates nothing
+//! itself:
 //!
-//! The count covers `alloc`, `alloc_zeroed` and `realloc` calls; frees
-//! are not counted.
+//! * capturing an increment of a four-shard monitor encodes straight
+//!   from the heap and the records, so it takes a number of allocations
+//!   that does not grow with the dirty count;
+//! * a steady-state block of 64 toggles through `try_apply_batch`, with
+//!   a sink that stages each record's bytes the way the durable ingress
+//!   does, stays under a per-op budget.
+//!
+//! Both count `alloc`, `alloc_zeroed` and `realloc` calls; frees are
+//! not counted.
 
-use migratory::core::enforce::ShardedMonitor;
+use migratory::core::enforce::{
+    wal, BlockRef, CommitSink, ResiduePolicy, ShardedMonitor, SharedSink, WalError,
+};
 use migratory::core::{Inventory, PatternKind};
 use migratory::lang::Assignment;
 use migratory_bench::workload::{bulk_create, toggle_step, toggle_transactions, university};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
 
 /// The system allocator, counting each allocation on the calling
 /// thread.
@@ -70,7 +78,34 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// Objects bulk-loaded before the measurement.
+/// Stages each record's framed bytes in one buffer, as the durable
+/// ingress's sink does on the admission worker; the caller drains it
+/// after each block.
+#[derive(Default)]
+struct Staging(Vec<u8>);
+
+impl CommitSink for Staging {
+    fn committed(&mut self, block: &BlockRef<'_>) -> Result<(), WalError> {
+        wal::encode_record(&mut self.0, block)
+    }
+
+    fn certified(&mut self, steps: usize) -> Result<(), WalError> {
+        wal::encode_certify_record(&mut self.0, steps);
+        Ok(())
+    }
+
+    fn redefined(
+        &mut self,
+        epoch: u64,
+        policy: ResiduePolicy,
+        shards: &[(u32, usize)],
+        inventory: &[u8],
+    ) -> Result<(), WalError> {
+        wal::encode_redefine_record(&mut self.0, epoch, policy, shards, inventory)
+    }
+}
+
+/// Objects bulk-loaded before either measurement.
 const OBJECTS: usize = 10_000;
 /// Ops per admitted block, the ingress's default block size.
 const BLOCK: usize = 64;
@@ -113,5 +148,38 @@ fn capture_allocations_do_not_grow_with_the_dirty_count() {
     assert!(
         large <= small + 3,
         "capturing 8,000 dirty objects took {large} allocations, 1,000 took {small}"
+    );
+}
+
+/// Allocations per admitted op of a steady-state toggle block, at most.
+const PER_OP_BUDGET: f64 = 12.0;
+
+#[test]
+fn a_steady_state_toggle_block_stays_under_its_per_op_budget() {
+    let (schema, alphabet, _) = university();
+    let inv = Inventory::parse_init(&schema, &alphabet, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
+    let ts = toggle_transactions(&schema);
+    let staging = Arc::new(Mutex::new(Staging::default()));
+    let sink: SharedSink = staging.clone();
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 4).with_sink(sink);
+    m.try_apply(&bulk_create(&schema, OBJECTS), &Assignment::empty()).unwrap();
+    // Warm up: every buffer that persists across blocks reaches its
+    // steady size.
+    let mut at = 0;
+    for _ in 0..32 {
+        toggle(&mut m, &ts, at, at + BLOCK);
+        staging.lock().unwrap().0.clear();
+        at += BLOCK;
+    }
+    let steps: Vec<(&'static str, Assignment)> =
+        (at..at + BLOCK).map(|i| toggle_step(i, OBJECTS)).collect();
+    let ((done, err), n) =
+        allocations(|| m.try_apply_batch(steps.iter().map(|(t, a)| (ts.get(t).unwrap(), a))));
+    assert_eq!((done, err.is_none()), (BLOCK, true), "toggles conform");
+    assert!(!staging.lock().unwrap().0.is_empty(), "the block was staged");
+    let per_op = n as f64 / BLOCK as f64;
+    assert!(
+        per_op <= PER_OP_BUDGET,
+        "a block of {BLOCK} toggles took {n} allocations, {per_op:.2} per op"
     );
 }
