@@ -120,9 +120,11 @@
 //! * [`wal`] — a write-ahead log of committed [`Delta`] blocks (each
 //!   carrying its participating shards' clock offsets and letter
 //!   assignments) plus a checkpoint chain: a full base [`Snapshot`] and
-//!   **incremental** [`CheckpointDelta`]s capturing only the dirtied
-//!   state, written by a background [`Snapshotter`] so the admission
-//!   path pays O(dirty), never the full-snapshot pause. A monitor
+//!   **incremental** [`CheckpointDelta`]s holding only the dirtied
+//!   state, encoded once at capture straight from the heap and the
+//!   records, and written by a background [`Snapshotter`] — so the
+//!   admission path pays one O(dirty) encode, never a clone of the
+//!   state nor the full-snapshot pause. A monitor
 //!   accepts a pluggable [`CommitSink`] ([`ShardedMonitor::with_sink`];
 //!   no-op when absent) that receives each admitted block *before*
 //!   tracking state commits, and recovers from the folded chain + tail

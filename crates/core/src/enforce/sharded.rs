@@ -690,7 +690,7 @@ impl<'a> ShardedMonitor<'a> {
         let mut touched: Vec<Vec<Touch<'d>>> = vec![Vec::new(); n];
         // Reserving what is left of the block on a shard's first letter
         // and first touch allocates each list once.
-        let mut untouched: usize = effective.iter().map(|(_, d)| d.objects().len()).sum();
+        let mut unrouted: usize = effective.iter().map(|(_, d)| d.objects().len()).sum();
         let stripe = matches!(self.router, Router::OidStripe { .. });
         let mut participating: Vec<usize> = Vec::new();
         for (j, (fallback, d)) in effective.iter().enumerate() {
@@ -717,10 +717,10 @@ impl<'a> ShardedMonitor<'a> {
             for od in d.objects() {
                 if super::delta::tracked(od) {
                     let s = self.route(od);
-                    touched[s].reserve(untouched);
+                    touched[s].reserve(unrouted);
                     touched[s].push((od.oid, letters[s].len(), od));
                 }
-                untouched -= 1;
+                unrouted -= 1;
             }
         }
         for t in &mut touched {
