@@ -782,7 +782,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
     println!();
     format!(
         r#"  "recover": {{
-    "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history, background O(dirty) incremental checkpoint (checkpoint_stall_ms = admission-path blockage = capture_ms, the O(dirty) state clone, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; encode/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load + ShardedMonitor::recover with one shard (fold chain, replay tail) vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
+    "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history, background O(dirty) incremental checkpoint (checkpoint_stall_ms = admission-path blockage = capture_ms, the O(dirty) encode of the increment straight from the heap and the records, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; write/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load + ShardedMonitor::recover with one shard (fold chain, replay tail) vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
     "sizes": [
 {}
     ]
