@@ -371,8 +371,10 @@ fn crc32_parts(parts: &[&[u8]]) -> u32 {
     }
     static TABLE: [u32; 256] = table();
     let mut c = !0u32;
-    for &b in parts.iter().copied().flatten() {
-        c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    for part in parts {
+        for &b in *part {
+            c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
     }
     !c
 }
