@@ -105,7 +105,7 @@ pub fn canonical_db(
     let rs = alphabet.role_set(key.role);
     let attrs = attrs_of_role(schema, rs);
     debug_assert_eq!(attrs.len(), key.choices.len());
-    let mut values = std::collections::BTreeMap::new();
+    let mut values = Tuple::new();
     let mut free_i = 0usize;
     for (&a, choice) in attrs.iter().zip(&key.choices) {
         let v = match choice {
@@ -116,7 +116,7 @@ pub fn canonical_db(
                 Value::Fresh(u32::from(class))
             }
         };
-        values.insert(a, v);
+        values.set(a, v);
     }
     let mut db = Instance::empty();
     db.create(rs.classes(), values);

@@ -221,8 +221,7 @@ fn apply_atomic_rec<R: Recorder>(
             }
             // o'(P) = o(P) ∪ {oᵢ}; values from Γ's equalities. Creation is
             // unconditional: a fresh identifier is always minted.
-            let values = gamma.value_map();
-            let oid = db.create(migratory_model::ClassSet::singleton(*class), values);
+            let oid = db.create(migratory_model::ClassSet::singleton(*class), gamma.value_map());
             rec.minted(oid);
         }
         AtomicUpdate::Delete { class, gamma } => {
@@ -413,30 +412,21 @@ pub fn apply_bulk_creates(
     // against the agreed value, is the same decision in one sweep.
     let eval = |g: &GuardedUpdate| -> Option<(ClassSet, Tuple)> {
         let AtomicUpdate::Create { class, gamma } = &g.update else { unreachable!("all creates") };
-        let mut vals: Vec<(migratory_model::AttrId, migratory_model::Value)> =
-            Vec::with_capacity(gamma.len());
+        let mut vals = Tuple::new();
         for a in gamma.atoms() {
             let v = match &a.term {
                 migratory_model::Term::Const(v) => v.clone(),
                 migratory_model::Term::Var(x) => assign(*x),
             };
-            match a.op {
-                migratory_model::CmpOp::Eq => match vals.iter().find(|(at, _)| *at == a.attr) {
-                    Some((_, agreed)) => {
-                        if *agreed != v {
-                            return None; // conflicting equalities: E
-                        }
-                    }
-                    None => vals.push((a.attr, v)),
-                },
-                migratory_model::CmpOp::Ne => {
-                    if vals.iter().any(|(at, agreed)| *at == a.attr && *agreed == v) {
-                        return None; // inequality excludes the agreed value: E
-                    }
-                }
+            match (a.op, vals.get(a.attr)) {
+                (migratory_model::CmpOp::Eq, None) => vals.set(a.attr, v),
+                // Conflicting equalities, or the agreed value excluded: E.
+                (migratory_model::CmpOp::Eq, Some(agreed)) if *agreed != v => return None,
+                (migratory_model::CmpOp::Ne, Some(agreed)) if *agreed == v => return None,
+                _ => {}
             }
         }
-        Some((ClassSet::singleton(*class), Tuple::from_pairs(vals)))
+        Some((ClassSet::singleton(*class), vals))
     };
     let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let rows: Vec<(ClassSet, Tuple)> = if workers > 1 && t.steps.len() >= BULK_PARALLEL_THRESHOLD {

@@ -209,20 +209,29 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read a [`Tuple`].
+    /// Read a [`Tuple`]. A tuple of one pair is read straight into its
+    /// inline form, with no allocation.
     pub fn tuple(&mut self) -> Result<Tuple, ModelError> {
         let n = self.count()?;
+        if n == 1 {
+            let a = self.attr()?;
+            return Ok(Tuple::one(a, self.value()?));
+        }
         let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let a = self.u64()?;
-            let a = usize::try_from(a)
-                .ok()
-                .filter(|&i| i <= u32::MAX as usize)
-                .map(AttrId::from_index)
-                .ok_or_else(|| Self::corrupt("attribute index out of range"))?;
+            let a = self.attr()?;
             pairs.push((a, self.value()?));
         }
         Ok(Tuple::from_pairs(pairs))
+    }
+
+    fn attr(&mut self) -> Result<AttrId, ModelError> {
+        let a = self.u64()?;
+        usize::try_from(a)
+            .ok()
+            .filter(|&i| i <= u32::MAX as usize)
+            .map(AttrId::from_index)
+            .ok_or_else(|| Self::corrupt("attribute index out of range"))
     }
 
     /// Read an [`IdSet`] bitmask.

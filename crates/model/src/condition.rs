@@ -10,7 +10,7 @@ use crate::bitset::AttrSet;
 use crate::ids::{AttrId, VarId};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The right-hand side of an atomic condition: a constant or a variable.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -230,19 +230,20 @@ impl Condition {
     }
 
     /// For a **ground satisfiable** condition: the value assigned to each
-    /// defined attribute (used by `create`, `modify`, `specialize` to set
-    /// attribute values).
+    /// defined attribute, as the tuple `create`, `modify` and
+    /// `specialize` write (the first equality of an attribute wins).
+    /// One equality makes a tuple held inline, with no allocation.
     #[must_use]
-    pub fn value_map(&self) -> BTreeMap<AttrId, Value> {
-        let mut m = BTreeMap::new();
-        for a in &self.atoms {
-            if a.op == CmpOp::Eq {
-                if let Term::Const(v) = &a.term {
-                    m.entry(a.attr).or_insert_with(|| v.clone());
-                }
+    pub fn value_map(&self) -> Tuple {
+        // Atoms ascend by attribute, so the pairs come out sorted.
+        let mut last = None;
+        Tuple::from_sorted(self.atoms.iter().filter_map(|a| match &a.term {
+            Term::Const(v) if a.op == CmpOp::Eq && last != Some(a.attr) => {
+                last = Some(a.attr);
+                Some((a.attr, v.clone()))
             }
-        }
-        m
+            _ => None,
+        }))
     }
 
     /// Whether a tuple satisfies this **ground** condition (`t ⊨ Γ`).
@@ -270,6 +271,7 @@ impl FromIterator<Atom> for Condition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn a(i: u32) -> AttrId {
         AttrId(i)
@@ -396,8 +398,8 @@ mod tests {
         ]);
         let m = c.value_map();
         assert_eq!(m.len(), 2);
-        assert_eq!(m[&a(0)], Value::int(1));
-        assert_eq!(m[&a(1)], Value::str("v"));
+        assert_eq!(m.get(a(0)), Some(&Value::int(1)));
+        assert_eq!(m.get(a(1)), Some(&Value::str("v")));
     }
 
     #[test]

@@ -65,7 +65,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// One heap slot: an object's class set and attribute tuple, both empty
 /// when the slot is vacant.
@@ -575,16 +575,15 @@ impl Instance {
     }
 
     /// Create a new object with the given class memberships and attribute
-    /// values, consuming the next abstract object. Returns its identifier.
-    pub fn create(&mut self, classes: ClassSet, values: BTreeMap<AttrId, Value>) -> Oid {
+    /// values (a [`Tuple`], or a map of them), consuming the next
+    /// abstract object. Returns its identifier.
+    pub fn create(&mut self, classes: ClassSet, values: impl Into<Tuple>) -> Oid {
         debug_assert!(!classes.is_empty(), "created objects must belong to a class");
         let oid = Oid(self.next);
         self.next += 1;
-        self.index.add_classes(oid, classes);
-        for (&a, v) in &values {
-            self.index.add_value(oid, a, v.clone());
-        }
-        self.place(oid, classes, Tuple::from_pairs(values));
+        let tuple = values.into();
+        self.index.add_object(oid, classes, &tuple);
+        self.place(oid, classes, tuple);
         oid
     }
 
@@ -957,6 +956,7 @@ mod tests {
     use super::*;
     use crate::condition::Atom;
     use crate::schema::university_schema;
+    use std::collections::BTreeMap;
     use std::hash::BuildHasher as _;
 
     fn sample() -> (Schema, Instance) {
@@ -1091,7 +1091,7 @@ mod tests {
         let (_, mut oracle) = sample();
         let mut bulk = oracle.clone();
         for (cs, t) in &rows {
-            oracle.create(*cs, t.iter().map(|(a, v)| (a, v.clone())).collect());
+            oracle.create(*cs, t.clone());
         }
         let start = bulk.next_oid();
         let first = bulk.bulk_create(&rows);

@@ -36,7 +36,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use migratory_model::{SchemaBuilder, Instance, Value};
+//! use migratory_model::{SchemaBuilder, Instance, Tuple, Value};
 //!
 //! // Fig. 1 of the paper: the university schema.
 //! let mut b = SchemaBuilder::new();
@@ -50,7 +50,7 @@
 //! assert_eq!(schema.attr_star(student).len(), 4); // SSN, Name, Major, FirstEnroll
 //!
 //! let mut db = Instance::empty();
-//! let values = schema.attrs_of(person).iter()
+//! let values: Tuple = schema.attrs_of(person).iter()
 //!     .map(|&a| (a, Value::from("x")))
 //!     .collect();
 //! let oid = db.create(schema.up_closure_of(person), values);

@@ -160,12 +160,10 @@ fn invariants_oid_counter_monotone() {
     let cs = RoleSet::closure_of_named(&schema, &["PERSON"]).unwrap().classes();
     let o = db.create(
         cs,
-        [
+        Tuple::from_pairs([
             (schema.attr_id("SSN").unwrap(), Value::str("2")),
             (schema.attr_id("Name").unwrap(), Value::str("m")),
-        ]
-        .into_iter()
-        .collect(),
+        ]),
     );
     assert_eq!(o, Oid(100), "creation uses the forced counter");
     assert!(db.check_invariants(&schema).is_ok());
