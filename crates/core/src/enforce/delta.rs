@@ -81,9 +81,66 @@ pub(crate) struct ObjRecord {
     /// when the role symbol changes, so length is the number of role
     /// *changes*, not the run length. The last segment extends to the
     /// current step.
-    pub(crate) segments: Vec<(u32, usize)>,
+    pub(crate) segments: Segments,
     /// Cohort the object currently belongs to (follow `parent` links).
     pub(crate) cohort: u32,
+}
+
+/// The segments of one [`ObjRecord`], ascending by step and never
+/// empty: the one segment of an object whose role never changed — most
+/// objects — held inline, so the record is 40 bytes with no allocation
+/// of its own; two or more in a `Vec`, which never holds exactly one
+/// (segments are only ever appended). Derefs to the segment slice;
+/// equality and `Debug` read the segments, never the form.
+#[derive(Clone)]
+pub(crate) enum Segments {
+    One((u32, usize)),
+    Many(Vec<(u32, usize)>),
+}
+
+impl Segments {
+    /// The segments of `s`, which holds at least one.
+    pub(crate) fn from_slice(s: &[(u32, usize)]) -> Segments {
+        debug_assert!(!s.is_empty(), "a record has a segment");
+        match s {
+            [one] => Segments::One(*one),
+            _ => Segments::Many(s.to_vec()),
+        }
+    }
+
+    /// Append `more` (each segment starts after the last one).
+    pub(crate) fn extend_from_slice(&mut self, more: &[(u32, usize)]) {
+        match self {
+            Segments::Many(v) => v.extend_from_slice(more),
+            Segments::One(_) if more.is_empty() => {}
+            Segments::One(first) => *self = Segments::Many([&[*first], more].concat()),
+        }
+    }
+}
+
+impl std::ops::Deref for Segments {
+    type Target = [(u32, usize)];
+
+    fn deref(&self) -> &[(u32, usize)] {
+        match self {
+            Segments::One(one) => std::slice::from_ref(one),
+            Segments::Many(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Segments {
+    fn eq(&self, other: &Segments) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Segments {}
+
+impl std::fmt::Debug for Segments {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl ObjRecord {
@@ -660,7 +717,7 @@ impl DeltaState {
                 BatchMove::Insert { oid, creation_step, segments: new, target } => {
                     let c = self.cohort_for(target);
                     self.cohorts[c as usize].size += 1;
-                    let segments = segments[new].to_vec();
+                    let segments = Segments::from_slice(&segments[new]);
                     self.records.insert(oid, ObjRecord { creation_step, segments, cohort: c });
                     self.dirty.insert(oid);
                 }
@@ -756,7 +813,7 @@ impl DeltaState {
                 od.oid,
                 ObjRecord {
                     creation_step: idx,
-                    segments: vec![(sym, idx)],
+                    segments: Segments::One((sym, idx)),
                     cohort: EXEMPT, // assigned on commit
                 },
                 ti,
@@ -1385,7 +1442,7 @@ mod tests {
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
     fn rec(tag: usize) -> ObjRecord {
-        ObjRecord { creation_step: tag, segments: vec![(1, tag)], cohort: EXEMPT }
+        ObjRecord { creation_step: tag, segments: Segments::One((1, tag)), cohort: EXEMPT }
     }
 
     /// The record table against a `BTreeMap` oracle: ascending appends

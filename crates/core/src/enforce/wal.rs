@@ -131,7 +131,7 @@
 //! [`ShardedMonitor::resync`]: super::ShardedMonitor::resync
 //! [`ShardedMonitor::replay_record`]: super::ShardedMonitor::replay_record
 
-use super::delta::{Cohort, DeltaState, ObjRecord, Records};
+use super::delta::{Cohort, DeltaState, ObjRecord, Records, Segments};
 use super::faults::{FaultSite, IoFaults};
 use super::health::Health;
 use super::{ResiduePolicy, StepPolicy};
@@ -1190,7 +1190,7 @@ fn encode_obj_record(out: &mut Vec<u8>, o: Oid, rec: &ObjRecord) {
     encode_u64(out, rec.creation_step as u64);
     encode_u64(out, u64::from(rec.cohort));
     encode_u64(out, rec.segments.len() as u64);
-    for &(letter, from) in &rec.segments {
+    for &(letter, from) in rec.segments.iter() {
         encode_u64(out, u64::from(letter));
         encode_u64(out, from as u64);
     }
@@ -1252,15 +1252,22 @@ fn decode_record_map(r: &mut Reader<'_>) -> Result<Vec<(Oid, ObjRecord)>, WalErr
         let creation_step = usize_of(r.u64()?, "creation step")?;
         let cohort = u32_of(r.u64()?, "cohort")?;
         let m = r.count()?;
-        let mut segments = Vec::with_capacity(m);
-        for _ in 0..m {
-            let letter = u32_of(r.u64()?, "letter")?;
-            let from = usize_of(r.u64()?, "segment start")?;
-            segments.push((letter, from));
-        }
-        if segments.is_empty() {
-            return Err(WalError::Corrupt(format!("record {o} has no segments")));
-        }
+        let mut segment = || -> Result<(u32, usize), WalError> {
+            Ok((u32_of(r.u64()?, "letter")?, usize_of(r.u64()?, "segment start")?))
+        };
+        // One segment — every object whose role never changed — is read
+        // straight into the record's inline form.
+        let segments = match m {
+            0 => return Err(WalError::Corrupt(format!("record {o} has no segments"))),
+            1 => Segments::One(segment()?),
+            _ => {
+                let mut segments = Vec::with_capacity(m);
+                for _ in 0..m {
+                    segments.push(segment()?);
+                }
+                Segments::Many(segments)
+            }
+        };
         entries.push((o, ObjRecord { creation_step, segments, cohort }));
     }
     Ok(entries)
