@@ -305,8 +305,9 @@ pub(crate) enum Target {
 #[derive(Clone, PartialEq, Eq, Default)]
 pub(crate) struct DeltaState {
     /// One record per object that has occurred in this partition, in an
-    /// oid-indexed [`Records`] table: 48 B per row, plus a 4 B slot per
-    /// oid up to the partition's highest record.
+    /// oid-indexed [`Records`] table: 48 B per row, which holds an
+    /// object's one segment inline (two or more take one allocation),
+    /// plus a 4 B slot per oid up to the partition's highest record.
     pub(crate) records: Records,
     pub(crate) cohorts: Vec<Cohort>,
     /// Root non-exempt cohorts, by (DFA state, last role symbol). A
@@ -1443,6 +1444,39 @@ mod tests {
 
     fn rec(tag: usize) -> ObjRecord {
         ObjRecord { creation_step: tag, segments: Segments::One((1, tag)), cohort: EXEMPT }
+    }
+
+    /// One segment inline keeps a record row at 48 bytes: the
+    /// segments' two forms share the vector's 24 bytes.
+    #[test]
+    fn an_inline_segment_grows_no_row() {
+        assert_eq!(std::mem::size_of::<Segments>(), 24);
+        assert_eq!(std::mem::size_of::<(Oid, ObjRecord)>(), 48);
+    }
+
+    /// Every way to reach a segment list — from a staged slice, by
+    /// appending to one inline segment, one at a time or all at once —
+    /// compares, prints and derefs alike, and two or more never stay
+    /// inline.
+    #[test]
+    fn segment_forms_agree() {
+        let all: Vec<(u32, usize)> = (0..5).map(|i| (i % 3, 2 * i as usize + 1)).collect();
+        for n in 1..=all.len() {
+            let want = &all[..n];
+            let staged = Segments::from_slice(want);
+            let mut at_once = Segments::One(want[0]);
+            at_once.extend_from_slice(&want[1..]);
+            let mut one_by_one = Segments::One(want[0]);
+            for seg in &want[1..] {
+                one_by_one.extend_from_slice(std::slice::from_ref(seg));
+            }
+            for segs in [&staged, &at_once, &one_by_one] {
+                assert_eq!(&**segs, want);
+                assert_eq!(segs, &staged);
+                assert_eq!(format!("{segs:?}"), format!("{want:?}"));
+                assert_eq!(matches!(segs, Segments::One(_)), n == 1, "form of {n}");
+            }
+        }
     }
 
     /// The record table against a `BTreeMap` oracle: ascending appends

@@ -2482,4 +2482,47 @@ mod tests {
         m.restore_dirty(&[Oid(2), Oid(5)]);
         check(&mut m, &mut base, true);
     }
+
+    /// The same records built by staging (one block creates and
+    /// specializes `a`, so its two segments are inserted together), by
+    /// segment growth (one letter per block, so the second is appended
+    /// to the first, held inline until then) and by `decode_record_map`
+    /// compare equal, print alike and encode to the same bytes.
+    #[test]
+    fn records_built_three_ways_compare_and_encode_alike() {
+        let (schema, alphabet, inv, ts) = university();
+        let (mk, st) = (ts.get("Mk").unwrap(), ts.get("St").unwrap());
+        let script = [(mk, key("a")), (st, key("a")), (mk, key("b"))];
+        let monitor = || {
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 1)
+        };
+        let mut staged = monitor();
+        let (done, err) = staged.try_apply_batch(script.iter().map(|(t, a)| (*t, a)));
+        assert_eq!((done, err.is_none()), (script.len(), true), "one block");
+        let mut grown = monitor();
+        for (t, a) in &script {
+            grown.try_apply(t, a).unwrap();
+        }
+        let encode = |records: &Records| {
+            let mut out = Vec::new();
+            encode_u64(&mut out, records.len() as u64);
+            for (o, rec) in records.iter() {
+                encode_obj_record(&mut out, *o, rec);
+            }
+            out
+        };
+        let (staged, grown) = (staged.snapshot(), grown.snapshot());
+        let (s, g) = (&staged.shards[0].records, &grown.shards[0].records);
+        let segments = |o: u64| s.get(Oid(o)).unwrap().segments.len();
+        assert_eq!((segments(1), segments(2)), (2, 1), "a changed role once, b never");
+        assert_eq!(s, g);
+        assert_eq!(format!("{s:?}"), format!("{g:?}"));
+        let bytes = encode(s);
+        assert_eq!(encode(g), bytes);
+        let decoded = Records::from_sorted(decode_record_map(&mut Reader::new(&bytes)).unwrap())
+            .expect("slots fit");
+        assert_eq!(&decoded, s);
+        assert_eq!(format!("{decoded:?}"), format!("{s:?}"));
+        assert_eq!(encode(&decoded), bytes);
+    }
 }

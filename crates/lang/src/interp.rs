@@ -243,7 +243,7 @@ fn apply_atomic_rec<R: Recorder>(
             let values = set.value_map();
             for o in db.sat(*class, select) {
                 rec.touch(db, o);
-                db.set_values(o, values.clone());
+                db.set_values(o, values.iter().map(|(a, v)| (a, v.clone())));
             }
         }
         AtomicUpdate::Generalize { class, gamma } => {
@@ -274,7 +274,7 @@ fn apply_atomic_rec<R: Recorder>(
                 .collect();
             for o in targets {
                 rec.touch(db, o);
-                db.add_classes(o, add, values.clone());
+                db.add_classes(o, add, values.iter().map(|(a, v)| (a, v.clone())));
             }
         }
     }

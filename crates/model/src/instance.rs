@@ -20,7 +20,11 @@
 //! so the oids an instance has ever held are dense. The *heap* is
 //! therefore a slab with one slot per minted oid: slot `oid − 1` holds
 //! the object's class set (its role set `Rs(o, d)`) and its attribute
-//! tuple. An empty class set marks a *vacant* slot — an object deleted,
+//! tuple, 48 bytes in all. A [`Tuple`] of one attribute — every object
+//! of a schema whose classes carry one key — holds its pair inside
+//! those bytes, so such an object costs its slot and no allocation;
+//! a tuple of two or more attributes adds one exactly-sized vector.
+//! An empty class set marks a *vacant* slot — an object deleted,
 //! or never minted into this instance — and the last slot always holds
 //! an occurring object. Looking an object up is one array index, and
 //! slot order is the `<ₒ` order the canonical-database machinery of

@@ -239,38 +239,6 @@ impl From<std::collections::BTreeMap<AttrId, Value>> for Tuple {
     }
 }
 
-impl IntoIterator for Tuple {
-    type Item = (AttrId, Value);
-    type IntoIter = IntoIter;
-
-    fn into_iter(self) -> IntoIter {
-        match self.0 {
-            Repr::One(pair) => IntoIter { one: Some(pair), many: Vec::new().into_iter() },
-            Repr::Many(values) => IntoIter { one: None, many: values.into_iter() },
-        }
-    }
-}
-
-/// The owned `(attribute, value)` pairs of a [`Tuple`], in attribute
-/// order.
-pub struct IntoIter {
-    one: Option<Pair>,
-    many: std::vec::IntoIter<Pair>,
-}
-
-impl Iterator for IntoIter {
-    type Item = (AttrId, Value);
-
-    fn next(&mut self) -> Option<(AttrId, Value)> {
-        self.one.take().or_else(|| self.many.next()).map(|p| (p.attr, p.value))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::from(self.one.is_some()) + self.many.len();
-        (n, Some(n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
