@@ -114,38 +114,34 @@ impl Tuple {
     /// Set the value of attribute `a`.
     pub fn set(&mut self, a: AttrId, v: Value) {
         let pair = Pair { attr: a, value: v };
-        match &mut self.0 {
-            Repr::One(held) if held.attr == a => *held = pair,
-            Repr::One(_) => {
-                let Repr::One(held) = std::mem::take(self).0 else { unreachable!("one pair") };
-                let values = if held.attr < a { vec![held, pair] } else { vec![pair, held] };
-                self.0 = Repr::Many(values);
+        self.0 = match std::mem::take(self).0 {
+            Repr::One(held) if held.attr == a => Repr::One(pair),
+            Repr::One(held) if held.attr < a => Repr::Many(vec![held, pair]),
+            Repr::One(held) => Repr::Many(vec![pair, held]),
+            Repr::Many(values) if values.is_empty() => Repr::One(pair),
+            Repr::Many(mut values) => {
+                match values.binary_search_by_key(&a, |p| p.attr) {
+                    Ok(i) => values[i] = pair,
+                    Err(i) => values.insert(i, pair),
+                }
+                Repr::Many(values)
             }
-            Repr::Many(values) if values.is_empty() => self.0 = Repr::One(pair),
-            Repr::Many(values) => match values.binary_search_by_key(&a, |p| p.attr) {
-                Ok(i) => values[i] = pair,
-                Err(i) => values.insert(i, pair),
-            },
-        }
+        };
     }
 
     /// Remove the value of attribute `a`, returning it if present. A
     /// tuple left with one pair holds it inline again.
     pub fn unset(&mut self, a: AttrId) -> Option<Value> {
         let i = self.index_of(a).ok()?;
-        match &mut self.0 {
-            Repr::One(_) => {
-                let Repr::One(held) = std::mem::take(self).0 else { unreachable!("one pair") };
-                Some(held.value)
-            }
-            Repr::Many(values) => {
+        let (rest, removed) = match std::mem::take(self).0 {
+            Repr::One(held) => (Tuple::new(), held.value),
+            Repr::Many(mut values) => {
                 let removed = values.remove(i).value;
-                if values.len() == 1 {
-                    *self = Tuple::from_vec(std::mem::take(values));
-                }
-                Some(removed)
+                (Tuple::from_vec(values), removed)
             }
-        }
+        };
+        *self = rest;
+        Some(removed)
     }
 
     /// Number of attributes with a value.
