@@ -212,13 +212,7 @@ impl std::fmt::Debug for Tuple {
     /// As the former derive printed the pair vector:
     /// `Tuple { values: [(AttrId(0), Int(1))] }`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Pairs<'t>(&'t Tuple);
-        impl std::fmt::Debug for Pairs<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list().entries(self.0.iter()).finish()
-            }
-        }
-        f.debug_struct("Tuple").field("values", &Pairs(self)).finish()
+        f.debug_struct("Tuple").field("values", &self.iter().collect::<Vec<_>>()).finish()
     }
 }
 
