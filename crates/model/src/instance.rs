@@ -38,20 +38,33 @@
 //! [`Instance::remove_classes`], [`Instance::set_values`],
 //! [`Instance::put_object`]; the bulk paths [`Instance::bulk_create`],
 //! [`Instance::restrict`], [`Instance::from_objects`] and
-//! [`Instance::decode_snapshot`] build them wholesale):
+//! [`Instance::decode_snapshot`] build them wholesale). Neither keeps a
+//! copy of what the heap holds:
 //!
-//! * the **class index** — `o(P)` materialized per class as an ordered
-//!   set, behind [`Instance::objects_in`], which answers in `<ₒ` order;
-//! * the **value index** — per attribute, a hash map from each stored
-//!   value to the objects holding it, which turns the equality atoms of a
-//!   selection condition into point lookups that borrow the probe value.
-//!   The maps keep std's keyed hasher, because values come from clients,
-//!   and no output depends on their iteration order. A value one object
-//!   holds — every key — keeps that oid inline in its 40-byte map entry
-//!   (the 24-byte [`Value`], short strings included, and a 16-byte
-//!   holder); a boxed ordered set exists only while two or more objects
-//!   share the value. So a key costs no allocation of its own, and a
-//!   point lookup is one hash probe and then the heap slot.
+//! * the **class index** — `o(P)` materialized per class as a bitmap
+//!   over heap slots (bit `i` is the object in slot `i`) with a count,
+//!   behind [`Instance::objects_in`], which answers in `<ₒ` order. A
+//!   bitmap costs one bit per slot of the slab whatever its membership,
+//!   and grows to cover the whole slab at once;
+//! * the **value index** — per attribute, an open-addressing table of
+//!   16-byte entries, one per stored value, each holding the objects
+//!   that hold the value and a tag of the value's hash. The value itself
+//!   is not stored: an entry's key is the value in its first holder's
+//!   heap slot. The table probes linearly from the home slot the tag
+//!   picks, stays at most half full, deletes by shifting the rest of a
+//!   cluster back, and grows by re-placing entries by tag, without
+//!   reading the heap. Tags come from std's keyed hasher, because values
+//!   come from clients, and no output depends on the table's order. A
+//!   value one object holds — every key — keeps that oid inline in its
+//!   entry; a boxed ordered set exists only while two or more objects
+//!   share the value. So a key costs 16 bytes of table at most half
+//!   full and no allocation of its own, and a point lookup hashes the
+//!   probe value, walks its cluster comparing tags, and reads the heap
+//!   slot of each entry whose tag matches.
+//!
+//! So that an entry's key can be read, the heap holds a value before it
+//! is indexed; and since removal finds an entry by its tag and the
+//! departing holder, a slot can be emptied before it is de-indexed.
 //!
 //! [`Instance::sat`] plans from the condition: it drives from the most
 //! selective indexed equality atom (falling back to the class index) and
@@ -59,7 +72,9 @@
 //! expected O(candidates) instead of a full heap scan. The pre-index
 //! full scan survives as [`Instance::sat_scan`] — the semantic oracle for
 //! property tests and the benchmark baseline. Index/heap consistency is
-//! part of [`Instance::check_invariants`].
+//! part of [`Instance::check_invariants`], which also checks each value
+//! entry's tag against its key's hash: the tag is the only record of
+//! which value a keyless entry stands for.
 
 use crate::bitset::ClassSet;
 use crate::condition::{CmpOp, Condition, Term};
@@ -68,8 +83,8 @@ use crate::ids::{AttrId, ClassId, DenseId, Oid};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::hash::{BuildHasher as _, RandomState};
 
 /// One heap slot: an object's class set and attribute tuple, both empty
 /// when the slot is vacant.
@@ -108,53 +123,138 @@ pub struct Instance {
 }
 
 /// The class and value indexes, apart from the heap so a mutation can
-/// read a slot while it updates them.
+/// read a slot while it updates them. Neither copies what the heap
+/// holds, so every method that needs a value reads it from the heap,
+/// passed in.
 #[derive(Clone, Default)]
 struct Indexes {
-    /// `o(P)` per dense class index (slots grow on demand).
-    classes: Vec<BTreeSet<Oid>>,
+    /// `o(P)` per dense class index (grown on demand).
+    classes: Vec<Members>,
     /// Per dense attribute index, the objects holding each value.
     /// Entries are removed when their last holder goes, so `len` of an
     /// entry is an exact selectivity count.
-    values: Vec<HashMap<Value, Holders>>,
+    values: Vec<ValueTable>,
+    /// Hashes values into tags, keyed because values come from clients;
+    /// clones share the key, so a cloned table's tags stay valid.
+    hasher: RandomState,
 }
 
-/// The objects holding one value of one attribute. A value one object
-/// holds — every key — keeps that oid inline; a set is boxed only while
-/// two or more objects share the value, and goes back inline at one.
-/// Iteration ascends (`<ₒ` order) either way.
-#[derive(Clone)]
+/// One class's members: bit `i` is the object in heap slot `i`, so
+/// iteration ascends in `<ₒ` order, and the count answers
+/// [`Instance::num_objects_in`] in O(1).
+#[derive(Clone, Default)]
+struct Members {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Members {
+    /// Add the object in slot `i` of a slab of `slab` slots. A bitmap
+    /// that must grow covers the whole slab at once, so a class whose
+    /// members join out of slot order grows no more often than the slab.
+    fn insert(&mut self, i: usize, slab: usize) {
+        let w = i / 64;
+        if self.words.len() <= w {
+            self.words.resize(slab.div_ceil(64).max(w + 1), 0);
+        }
+        let bit = 1 << (i % 64);
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        if let Some(word) = self.words.get_mut(i / 64) {
+            let bit = 1 << (i % 64);
+            if *word & bit != 0 {
+                *word &= !bit;
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// The members in `<ₒ` order; stops at the last one rather than at
+    /// the end of the bitmap.
+    fn iter(&self) -> impl Iterator<Item = Oid> + '_ {
+        let set_bits = self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest.checked_sub(1)?;
+                Some(oid_at(w * 64 + b))
+            })
+        });
+        set_bits.take(self.len)
+    }
+}
+
+/// One entry of a [`ValueTable`]: the tag of its value's hash and the
+/// objects holding the value. A value one object holds — every key —
+/// keeps that oid inline; a set is boxed only while two or more objects
+/// share the value, and goes back inline at one. Iteration ascends
+/// (`<ₒ` order) either way.
+#[derive(Clone, Debug, PartialEq)]
 enum Holders {
-    One(Oid),
-    /// At least two oids, boxed so that a holder stays 16 bytes.
-    #[allow(
-        clippy::box_collection,
-        reason = "the set's own 24 bytes would grow the map entry of every unshared value"
-    )]
-    Many(Box<BTreeSet<Oid>>),
+    One {
+        tag: u32,
+        oid: Oid,
+    },
+    /// At least two oids, boxed so that an entry stays 16 bytes.
+    Many {
+        tag: u32,
+        #[allow(
+            clippy::box_collection,
+            reason = "the set's own 24 bytes would grow every slot of every table"
+        )]
+        set: Box<BTreeSet<Oid>>,
+    },
 }
 
 impl Holders {
+    fn tag(&self) -> u32 {
+        match self {
+            Holders::One { tag, .. } | Holders::Many { tag, .. } => *tag,
+        }
+    }
+
+    /// The least holder, whose heap slot holds the entry's key.
+    fn first(&self) -> Oid {
+        match self {
+            Holders::One { oid, .. } => *oid,
+            Holders::Many { set, .. } => *set.first().expect("a shared value has holders"),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
-            Holders::One(_) => 1,
-            Holders::Many(set) => set.len(),
+            Holders::One { .. } => 1,
+            Holders::Many { set, .. } => set.len(),
+        }
+    }
+
+    fn contains(&self, o: Oid) -> bool {
+        match self {
+            Holders::One { oid, .. } => *oid == o,
+            Holders::Many { set, .. } => set.contains(&o),
         }
     }
 
     fn iter(&self) -> impl Iterator<Item = Oid> + '_ {
         let (one, many) = match self {
-            Holders::One(o) => (Some(*o), None),
-            Holders::Many(set) => (None, Some(set.iter().copied())),
+            Holders::One { oid, .. } => (Some(*oid), None),
+            Holders::Many { set, .. } => (None, Some(set.iter().copied())),
         };
         one.into_iter().chain(many.into_iter().flatten())
     }
 
     fn insert(&mut self, o: Oid) {
         match self {
-            Holders::One(held) if *held == o => {}
-            Holders::One(held) => *self = Holders::Many(Box::new(BTreeSet::from([*held, o]))),
-            Holders::Many(set) => {
+            Holders::One { oid, .. } if *oid == o => {}
+            Holders::One { tag, oid } => {
+                *self = Holders::Many { tag: *tag, set: Box::new(BTreeSet::from([*oid, o])) }
+            }
+            Holders::Many { set, .. } => {
                 set.insert(o);
             }
         }
@@ -163,12 +263,12 @@ impl Holders {
     /// Remove `o`; returns whether no holder is left.
     fn remove(&mut self, o: Oid) -> bool {
         match self {
-            Holders::One(held) => *held == o,
-            Holders::Many(set) => {
+            Holders::One { oid, .. } => *oid == o,
+            Holders::Many { tag, set } => {
                 set.remove(&o);
                 if set.len() == 1 {
                     let lone = *set.first().expect("one holder left");
-                    *self = Holders::One(lone);
+                    *self = Holders::One { tag: *tag, oid: lone };
                 }
                 false
             }
@@ -176,81 +276,223 @@ impl Holders {
     }
 }
 
-impl Indexes {
-    fn holders(&self, a: AttrId, v: &Value) -> Option<&Holders> {
-        self.values.get(a.index())?.get(v)
+/// One attribute's value index: an open-addressing table of
+/// [`Holders`] with linear probing, at most half full. An entry's home
+/// is its tag modulo the table size, and every entry sits in the cluster
+/// its home starts, reachable from the home with no vacant slot in
+/// between: placement takes the first vacant slot from the home, and
+/// removal shifts the rest of the cluster back. The table reads no
+/// value, so it can grow by re-placing entries by tag alone; callers
+/// match values by reading each candidate's first holder from the heap.
+#[derive(Clone, Default)]
+struct ValueTable {
+    /// Empty, or a power of two of slots.
+    slots: Vec<Option<Holders>>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl ValueTable {
+    /// The smallest table that is allocated.
+    const MIN_SLOTS: usize = 8;
+
+    fn home(&self, tag: u32) -> usize {
+        tag as usize & (self.slots.len() - 1)
     }
 
-    fn values_of(&mut self, a: AttrId) -> &mut HashMap<Value, Holders> {
+    fn next(&self, i: usize) -> usize {
+        (i + 1) & (self.slots.len() - 1)
+    }
+
+    /// The slot of the first entry on `tag`'s probe path that carries
+    /// `tag` and satisfies `is_key`. The walk ends at a vacant slot,
+    /// which a table at most half full always has.
+    fn find(&self, tag: u32, mut is_key: impl FnMut(&Holders) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut i = self.home(tag);
+        while let Some(h) = &self.slots[i] {
+            if h.tag() == tag && is_key(h) {
+                return Some(i);
+            }
+            i = self.next(i);
+        }
+        None
+    }
+
+    /// Whether the entry in slot `pos` is reachable from its home with
+    /// no vacant slot in between.
+    fn reachable(&self, pos: usize) -> bool {
+        let Some(entry) = &self.slots[pos] else { return false };
+        let mut i = self.home(entry.tag());
+        while i != pos {
+            if self.slots[i].is_none() {
+                return false;
+            }
+            i = self.next(i);
+        }
+        true
+    }
+
+    /// Enter `holders`, whose value the table does not hold yet.
+    fn insert(&mut self, holders: Holders) {
+        self.reserve(1);
+        self.place(holders);
+        self.len += 1;
+    }
+
+    /// Put `holders` in the first vacant slot from its home.
+    fn place(&mut self, holders: Holders) {
+        let mut i = self.home(holders.tag());
+        while self.slots[i].is_some() {
+            i = self.next(i);
+        }
+        self.slots[i] = Some(holders);
+    }
+
+    /// Make room for `additional` more entries, the table at most half
+    /// full.
+    fn reserve(&mut self, additional: usize) {
+        let needed = self.len.saturating_add(additional).saturating_mul(2);
+        if needed > self.slots.len() {
+            self.resize(needed.next_power_of_two().max(Self::MIN_SLOTS));
+        }
+    }
+
+    /// Give back slots a table left over half empty by
+    /// [`ValueTable::reserve`] does not need.
+    fn shrink_to_fit(&mut self) {
+        let needed = (2 * self.len).next_power_of_two().max(Self::MIN_SLOTS);
+        if needed < self.slots.len() {
+            self.resize(needed);
+        }
+    }
+
+    /// Re-place every entry by its tag in a table of `slots` slots.
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![None; slots]);
+        for holders in old.into_iter().flatten() {
+            self.place(holders);
+        }
+    }
+
+    /// Take the entry in slot `pos`, then shift the rest of its cluster
+    /// back: an entry moves into the hole unless its home lies after the
+    /// hole, cyclically, so every entry stays reachable from its home.
+    fn remove_at(&mut self, pos: usize) -> Holders {
+        let taken = self.slots[pos].take().expect("removal takes an occupied slot");
+        self.len -= 1;
+        let mask = self.slots.len() - 1;
+        let (mut hole, mut i) = (pos, self.next(pos));
+        while let Some(h) = &self.slots[i] {
+            let home = self.home(h.tag());
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[i].take();
+                hole = i;
+            }
+            i = self.next(i);
+        }
+        taken
+    }
+}
+
+/// The value of attribute `a` in the heap slot of `h`'s first holder:
+/// the key of the entry `h`.
+fn key_of<'h>(heap: &'h [Slot], a: AttrId, h: &Holders) -> Option<&'h Value> {
+    heap.get(slot_index(h.first()))?.1.get(a)
+}
+
+impl Indexes {
+    /// The tag of `v`: the low half of its keyed hash.
+    fn tag(&self, v: &Value) -> u32 {
+        self.hasher.hash_one(v) as u32
+    }
+
+    /// The entry of value `v` of attribute `a`, if some object holds it.
+    fn holders<'s>(&'s self, heap: &[Slot], a: AttrId, v: &Value) -> Option<&'s Holders> {
+        let table = self.values.get(a.index())?;
+        let pos = table.find(self.tag(v), |h| key_of(heap, a, h) == Some(v))?;
+        table.slots[pos].as_ref()
+    }
+
+    fn table_mut(&mut self, a: AttrId) -> &mut ValueTable {
         if self.values.len() <= a.index() {
-            self.values.resize_with(a.index() + 1, HashMap::new);
+            self.values.resize_with(a.index() + 1, ValueTable::default);
         }
         &mut self.values[a.index()]
     }
 
-    fn add_classes(&mut self, o: Oid, cs: ClassSet) {
+    /// Index slot `i`'s membership in `cs`, `slab` being the heap's
+    /// length.
+    fn add_classes(&mut self, i: usize, cs: ClassSet, slab: usize) {
         for c in cs.iter() {
             if self.classes.len() <= c.index() {
-                self.classes.resize_with(c.index() + 1, BTreeSet::new);
+                self.classes.resize_with(c.index() + 1, Members::default);
             }
-            self.classes[c.index()].insert(o);
+            self.classes[c.index()].insert(i, slab);
         }
     }
 
-    fn remove_classes(&mut self, o: Oid, cs: ClassSet) {
+    fn remove_classes(&mut self, i: usize, cs: ClassSet) {
         for c in cs.iter() {
-            if let Some(set) = self.classes.get_mut(c.index()) {
-                set.remove(&o);
+            if let Some(members) = self.classes.get_mut(c.index()) {
+                members.remove(i);
             }
         }
     }
 
-    fn add_value(&mut self, o: Oid, a: AttrId, v: Value) {
-        match self.values_of(a).entry(v) {
-            Entry::Vacant(e) => {
-                e.insert(Holders::One(o));
-            }
-            Entry::Occupied(mut e) => e.get_mut().insert(o),
+    /// Index `o`'s value `v` of attribute `a`, which `o`'s heap slot
+    /// already holds: entries are matched by reading keys from the heap.
+    fn add_value(&mut self, heap: &[Slot], o: Oid, a: AttrId, v: &Value) {
+        debug_assert_eq!(heap[slot_index(o)].1.get(a), Some(v), "the heap holds a value first");
+        let tag = self.tag(v);
+        let table = self.table_mut(a);
+        match table.find(tag, |h| key_of(heap, a, h) == Some(v)) {
+            Some(pos) => table.slots[pos].as_mut().expect("found entries occupy").insert(o),
+            None => table.insert(Holders::One { tag, oid: o }),
         }
     }
 
+    /// De-index `o`'s value `v` of attribute `a`. The entry is found by
+    /// its tag and its holder `o`, reading no heap slot, so `o`'s slot
+    /// may already be empty.
     fn remove_value(&mut self, o: Oid, a: AttrId, v: &Value) {
-        let Some(map) = self.values.get_mut(a.index()) else { return };
-        if map.get_mut(v).is_some_and(|holders| holders.remove(o)) {
-            map.remove(v);
+        let tag = self.tag(v);
+        let Some(table) = self.values.get_mut(a.index()) else { return };
+        let Some(pos) = table.find(tag, |h| h.contains(o)) else { return };
+        if table.slots[pos].as_mut().expect("found entries occupy").remove(o) {
+            table.remove_at(pos);
         }
     }
 
-    fn add_object(&mut self, o: Oid, cs: ClassSet, t: &Tuple) {
-        self.add_classes(o, cs);
+    /// Index the state the heap holds in occurring slot `i`.
+    fn add_object(&mut self, heap: &[Slot], i: usize) {
+        let (cs, t) = &heap[i];
+        self.add_classes(i, *cs, heap.len());
         for (a, v) in t.iter() {
-            self.add_value(o, a, v.clone());
+            self.add_value(heap, oid_at(i), a, v);
         }
     }
 
-    fn remove_object(&mut self, o: Oid, cs: ClassSet, t: &Tuple) {
-        self.remove_classes(o, cs);
+    fn remove_object(&mut self, i: usize, cs: ClassSet, t: &Tuple) {
+        self.remove_classes(i, cs);
         for (a, v) in t.iter() {
-            self.remove_value(o, a, v);
+            self.remove_value(oid_at(i), a, v);
         }
     }
 
-    /// Index occurring `rows` in bulk. Their oids ascend, past every oid
-    /// indexed so far, so each class gets one sorted run appended. Each
-    /// attribute's map is reserved up front for the rows carrying it, so
-    /// a million-entry map does not rehash as it grows; that count only
-    /// bounds the new distinct values, so a map left under half full
-    /// gives the slack back.
-    fn add_rows<'r>(&mut self, rows: impl Iterator<Item = (Oid, &'r Slot)> + Clone) {
-        let mut per_class: Vec<Vec<Oid>> = Vec::new();
+    /// Index the occurring slots of `heap[from..]` in bulk. Each
+    /// attribute's table is reserved up front for the rows carrying it,
+    /// so a million-entry table does not grow step by step; that count
+    /// only bounds the new distinct values, so a table left over half
+    /// empty gives the slack back.
+    fn add_rows(&mut self, heap: &[Slot], from: usize) {
+        let rows = || (from..heap.len()).filter(|&i| !heap[i].0.is_empty());
         let mut per_attr: Vec<usize> = Vec::new();
-        for (o, (cs, t)) in rows.clone() {
-            for c in cs.iter() {
-                if per_class.len() <= c.index() {
-                    per_class.resize_with(c.index() + 1, Vec::new);
-                }
-                per_class[c.index()].push(o);
-            }
+        for i in rows() {
+            let (cs, t) = &heap[i];
+            self.add_classes(i, *cs, heap.len());
             for (a, _) in t.iter() {
                 if per_attr.len() <= a.index() {
                     per_attr.resize(a.index() + 1, 0);
@@ -258,26 +500,19 @@ impl Indexes {
                 per_attr[a.index()] += 1;
             }
         }
-        if self.classes.len() < per_class.len() {
-            self.classes.resize_with(per_class.len(), BTreeSet::new);
-        }
-        for (set, oids) in self.classes.iter_mut().zip(per_class) {
-            set.append(&mut BTreeSet::from_iter(oids));
-        }
-        let reserved: Vec<AttrId> =
-            (0..per_attr.len()).filter(|&a| per_attr[a] > 0).map(AttrId::from_index).collect();
-        for &a in &reserved {
-            self.values_of(a).reserve(per_attr[a.index()]);
-        }
-        for (o, (_, t)) in rows {
-            for (a, v) in t.iter() {
-                self.add_value(o, a, v.clone());
+        for (a, &n) in per_attr.iter().enumerate() {
+            if n > 0 {
+                self.table_mut(AttrId::from_index(a)).reserve(n);
             }
         }
-        for a in reserved {
-            let map = &mut self.values[a.index()];
-            if map.capacity() > 2 * map.len() {
-                map.shrink_to_fit();
+        for i in rows() {
+            for (a, v) in heap[i].1.iter() {
+                self.add_value(heap, oid_at(i), a, v);
+            }
+        }
+        for (a, &n) in per_attr.iter().enumerate() {
+            if n > 0 {
+                self.values[a].shrink_to_fit();
             }
         }
     }
@@ -436,20 +671,20 @@ impl Instance {
     /// Iterate objects of class `P` (the set `o(P)`) in `<ₒ` order —
     /// served from the class index, O(|o(P)|) instead of O(|d|).
     pub fn objects_in(&self, p: ClassId) -> impl Iterator<Item = Oid> + '_ {
-        self.index.classes.get(p.index()).into_iter().flatten().copied()
+        self.index.classes.get(p.index()).into_iter().flat_map(Members::iter)
     }
 
     /// Number of objects of class `P` (index lookup, O(1)).
     #[must_use]
     pub fn num_objects_in(&self, p: ClassId) -> usize {
-        self.index.classes.get(p.index()).map_or(0, BTreeSet::len)
+        self.index.classes.get(p.index()).map_or(0, |members| members.len)
     }
 
     /// Number of objects holding the value `v` for attribute `a` (index
     /// lookup — the planner's selectivity estimate, which is exact).
     #[must_use]
     pub fn num_objects_with(&self, a: AttrId, v: &Value) -> usize {
-        self.index.holders(a, v).map_or(0, Holders::len)
+        self.index.holders(&self.heap, a, v).map_or(0, Holders::len)
     }
 
     /// `Sat(Γ, d, P)` — the objects of `o(P)` whose tuples satisfy the
@@ -468,8 +703,8 @@ impl Instance {
                 .iter()
                 .filter(|&o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma))
                 .collect(),
-            SatPlan::ClassEntry(set) => {
-                set.iter().copied().filter(|&o| self.member_satisfies(o, gamma)).collect()
+            SatPlan::ClassEntry(members) => {
+                members.iter().filter(|&o| self.member_satisfies(o, gamma)).collect()
             }
         }
     }
@@ -483,7 +718,7 @@ impl Instance {
             SatPlan::ValueEntry(holders) => holders
                 .iter()
                 .any(|o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma)),
-            SatPlan::ClassEntry(set) => set.iter().any(|&o| self.member_satisfies(o, gamma)),
+            SatPlan::ClassEntry(members) => members.iter().any(|o| self.member_satisfies(o, gamma)),
         }
     }
 
@@ -507,7 +742,7 @@ impl Instance {
                 continue;
             }
             let Term::Const(v) = &atom.term else { continue };
-            match self.index.holders(atom.attr, v) {
+            match self.index.holders(&self.heap, atom.attr, v) {
                 // An equality atom nobody satisfies: Sat is empty, full stop.
                 None => return SatPlan::Empty,
                 Some(holders) => {
@@ -526,7 +761,7 @@ impl Instance {
                 SatPlan::ValueEntry(v)
             }
             (Some(v), Some(c)) => {
-                if c.len() <= v.len() {
+                if c.len <= v.len() {
                     SatPlan::ClassEntry(c)
                 } else {
                     SatPlan::ValueEntry(v)
@@ -553,8 +788,9 @@ impl Instance {
     // the class and value indexes exactly synchronized with the heap.
     // ------------------------------------------------------------------
 
-    /// Store an already-indexed state in `o`'s slot, growing the slab
-    /// with vacant slots as needed.
+    /// Store a state in `o`'s slot, growing the slab with vacant slots
+    /// as needed, then index it from the slot. The slot must hold no
+    /// indexed state.
     fn place(&mut self, o: Oid, classes: ClassSet, tuple: Tuple) {
         let i = slot_index(o);
         if self.heap.len() <= i {
@@ -565,13 +801,14 @@ impl Instance {
             self.live += 1;
         }
         *slot = (classes, tuple);
+        self.index.add_object(&self.heap, i);
     }
 
-    /// Vacate occurring slot `i`: de-index its state, then drop the
-    /// trailing vacant slots so the last slot occurs again.
+    /// Vacate occurring slot `i`: empty it, de-index the state it held,
+    /// then drop the trailing vacant slots so the last slot occurs again.
     fn vacate(&mut self, i: usize) {
         let (cs, t) = std::mem::take(&mut self.heap[i]);
-        self.index.remove_object(oid_at(i), cs, &t);
+        self.index.remove_object(i, cs, &t);
         self.live -= 1;
         while self.heap.last().is_some_and(|(cs, _)| cs.is_empty()) {
             self.heap.pop();
@@ -585,9 +822,7 @@ impl Instance {
         debug_assert!(!classes.is_empty(), "created objects must belong to a class");
         let oid = Oid(self.next);
         self.next += 1;
-        let tuple = values.into();
-        self.index.add_object(oid, classes, &tuple);
-        self.place(oid, classes, tuple);
+        self.place(oid, classes, values.into());
         oid
     }
 
@@ -597,9 +832,9 @@ impl Instance {
     ///
     /// Semantically identical to calling [`Instance::create`] once per
     /// row, but the rows are appended to the slab in one piece and
-    /// indexed in bulk: each class gets one sorted run, and each
-    /// attribute's map is reserved for the batch before it is filled —
-    /// which is what makes million-object bulk loads cheap.
+    /// indexed in bulk: each attribute's table is reserved for the batch
+    /// before it is filled — which is what makes million-object bulk
+    /// loads cheap.
     pub fn bulk_create(&mut self, rows: &[(ClassSet, Tuple)]) -> Oid {
         let first = Oid(self.next);
         if rows.is_empty() {
@@ -609,11 +844,11 @@ impl Instance {
         self.next += rows.len() as u64;
         let start = slot_index(first);
         assert!(self.heap.len() <= start, "a live object sits at or above the counter");
-        self.index.add_rows((start..).map(oid_at).zip(rows));
         self.heap.reserve(start + rows.len() - self.heap.len());
         self.heap.resize_with(start, Default::default);
         self.heap.extend_from_slice(rows);
         self.live += rows.len();
+        self.index.add_rows(&self.heap, start);
         debug_assert!(self.check_index_invariants().is_ok(), "bulk_create desynced the indexes");
         first
     }
@@ -642,7 +877,7 @@ impl Instance {
             self.vacate(i);
             return;
         }
-        self.index.remove_classes(o, cs.intersection(remove));
+        self.index.remove_classes(i, cs.intersection(remove));
         *cs = rest;
         for a in clear_attrs {
             if let Some(v) = t.unset(a) {
@@ -660,8 +895,9 @@ impl Instance {
         values: impl IntoIterator<Item = (AttrId, Value)>,
     ) {
         let Some(i) = self.live_index(o) else { return };
+        let slab = self.heap.len();
         let cs = &mut self.heap[i].0;
-        self.index.add_classes(o, add.difference(*cs));
+        self.index.add_classes(i, add.difference(*cs), slab);
         *cs = cs.union(add);
         for (a, v) in values {
             self.set_value_at(i, a, v);
@@ -677,8 +913,9 @@ impl Instance {
         }
     }
 
-    /// Set one attribute value of occurring slot `i` on the heap and both
-    /// sides of the value index. Writing back the stored value is a no-op.
+    /// Set one attribute value of occurring slot `i` on the heap, then
+    /// move `o` from the old value's index entry to the new one's.
+    /// Writing back the stored value is a no-op.
     fn set_value_at(&mut self, i: usize, a: AttrId, v: Value) {
         let o = oid_at(i);
         let t = &mut self.heap[i].1;
@@ -687,8 +924,9 @@ impl Instance {
             Some(old) => self.index.remove_value(o, a, old),
             None => {}
         }
-        t.set(a, v.clone());
-        self.index.add_value(o, a, v);
+        t.set(a, v);
+        let v = self.heap[i].1.get(a).expect("the value was just set");
+        self.index.add_value(&self.heap, o, a, v);
     }
 
     /// Restore an object's raw state — membership and attribute tuple —
@@ -704,9 +942,8 @@ impl Instance {
         debug_assert!(!classes.is_empty(), "restored objects must belong to a class");
         if let Some(i) = self.live_index(o) {
             let (cs, t) = &self.heap[i];
-            self.index.remove_object(o, *cs, t);
+            self.index.remove_object(i, *cs, t);
         }
-        self.index.add_object(o, classes, &tuple);
         self.place(o, classes, tuple);
         // Schema-free half of `check_invariants` — the schema is not in
         // scope here, but index/heap agreement is auditable and this is
@@ -717,10 +954,9 @@ impl Instance {
     /// Build an instance from a slab whose last slot occurs and whose
     /// vacant slots are empty, deriving both indexes in bulk.
     fn from_slab(heap: Vec<Slot>, next: u64) -> Instance {
-        let occurring = || heap.iter().enumerate().filter(|(_, (cs, _))| !cs.is_empty());
         let mut index = Indexes::default();
-        index.add_rows(occurring().map(|(i, s)| (oid_at(i), s)));
-        let live = occurring().count();
+        index.add_rows(&heap, 0);
+        let live = heap.iter().filter(|(cs, _)| !cs.is_empty()).count();
         let db = Instance { heap, live, next, index };
         debug_assert!(db.check_index_invariants().is_ok(), "bulk-built indexes are stale");
         db
@@ -885,60 +1121,97 @@ impl Instance {
 
     /// Verify the slab's shape (the last slot occurs, vacant slots hold
     /// no values, `live` counts the occurring slots) and that both
-    /// secondary indexes agree exactly with the heap (every heap fact
-    /// indexed, every index entry backed by the heap).
+    /// secondary indexes agree exactly with the heap: every heap fact
+    /// indexed, every index entry backed by the heap, each class's count
+    /// its members', and each value table well formed — each entry's tag
+    /// the hash of the value its first holder holds, each entry reachable
+    /// from its home, no value entered twice, the table at most half
+    /// full.
     fn check_index_invariants(&self) -> Result<(), ModelError> {
+        let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
         if self.heap.last().is_some_and(|(cs, _)| cs.is_empty())
             || self.heap.iter().any(|(cs, t)| cs.is_empty() && !t.is_empty())
             || self.entries().count() != self.live
         {
-            return Err(ModelError::InvariantViolated(
+            return violated(
                 "heap slab ends in, or keeps values in, a vacant slot, or miscounts live ones"
                     .into(),
-            ));
+            );
         }
         let mut indexed_memberships = 0usize;
-        for (ci, set) in self.index.classes.iter().enumerate() {
+        for (ci, members) in self.index.classes.iter().enumerate() {
             let c = ClassId::from_index(ci);
-            for &o in set {
-                if !self.role_set(o).contains(c) {
-                    return Err(ModelError::InvariantViolated(format!(
-                        "class index lists {o} under {c} but the heap disagrees"
-                    )));
-                }
+            let bits: usize = members.words.iter().map(|w| w.count_ones() as usize).sum();
+            if bits != members.len {
+                return violated(format!(
+                    "class index counts {} members of {c} but holds {bits}",
+                    members.len
+                ));
             }
-            indexed_memberships += set.len();
+            if let Some(o) = members.iter().find(|&o| !self.role_set(o).contains(c)) {
+                return violated(format!("class index lists {o} under {c} but the heap disagrees"));
+            }
+            indexed_memberships += bits;
         }
         let heap_memberships: usize = self.entries().map(|(_, cs, _)| cs.len()).sum();
         if indexed_memberships != heap_memberships {
-            return Err(ModelError::InvariantViolated(format!(
+            return violated(format!(
                 "class index covers {indexed_memberships} memberships, heap has {heap_memberships}"
-            )));
+            ));
         }
         let mut indexed_values = 0usize;
-        for (ai, map) in self.index.values.iter().enumerate() {
+        for (ai, table) in self.index.values.iter().enumerate() {
             let a = AttrId::from_index(ai);
-            for (v, holders) in map {
-                if matches!(holders, Holders::Many(set) if set.len() < 2) {
-                    return Err(ModelError::InvariantViolated(format!(
-                        "value index keeps a set of fewer than two holders for ({a}, {v})"
-                    )));
+            let size = table.slots.len();
+            let occupied = table.slots.iter().flatten().count();
+            if occupied != table.len
+                || (size != 0 && !size.is_power_of_two())
+                || 2 * occupied > size
+            {
+                return violated(format!(
+                    "value index of {a} counts {} entries, holds {occupied} in {size} slots",
+                    table.len
+                ));
+            }
+            for (pos, holders) in table.slots.iter().enumerate() {
+                let Some(holders) = holders else { continue };
+                if matches!(holders, Holders::Many { set, .. } if set.len() < 2) {
+                    return violated(format!(
+                        "value index keeps a set of fewer than two holders for {a} in slot {pos}"
+                    ));
                 }
-                for o in holders.iter() {
-                    if self.value(o, a) != Some(v) {
-                        return Err(ModelError::InvariantViolated(format!(
-                            "value index lists {o} under ({a}, {v}) but the heap disagrees"
-                        )));
-                    }
+                let Some(v) = key_of(&self.heap, a, holders) else {
+                    return violated(format!(
+                        "value index lists {} under {a} but the heap holds no such value",
+                        holders.first()
+                    ));
+                };
+                if let Some(o) = holders.iter().find(|&o| self.value(o, a) != Some(v)) {
+                    return violated(format!(
+                        "value index lists {o} under ({a}, {v}) but the heap disagrees"
+                    ));
+                }
+                if holders.tag() != self.index.tag(v) {
+                    return violated(format!(
+                        "value index entry of ({a}, {v}) carries the tag of another value"
+                    ));
+                }
+                if !table.reachable(pos) {
+                    return violated(format!(
+                        "value index entry of ({a}, {v}) in slot {pos} is unreachable from its home"
+                    ));
+                }
+                if table.find(holders.tag(), |h| key_of(&self.heap, a, h) == Some(v)) != Some(pos) {
+                    return violated(format!("value index enters ({a}, {v}) twice"));
                 }
                 indexed_values += holders.len();
             }
         }
         let heap_values: usize = self.entries().map(|(_, _, t)| t.len()).sum();
         if indexed_values != heap_values {
-            return Err(ModelError::InvariantViolated(format!(
+            return violated(format!(
                 "value index covers {indexed_values} values, heap has {heap_values}"
-            )));
+            ));
         }
         Ok(())
     }
@@ -952,7 +1225,7 @@ enum SatPlan<'s> {
     /// candidate).
     ValueEntry(&'s Holders),
     /// Drive from the class index (condition checked per candidate).
-    ClassEntry(&'s BTreeSet<Oid>),
+    ClassEntry(&'s Members),
 }
 
 #[cfg(test)]
@@ -961,7 +1234,6 @@ mod tests {
     use crate::condition::Atom;
     use crate::schema::university_schema;
     use std::collections::BTreeMap;
-    use std::hash::BuildHasher as _;
 
     fn sample() -> (Schema, Instance) {
         let schema = university_schema();
@@ -1244,6 +1516,49 @@ mod tests {
         db.heap[0].1.set(ssn, Value::str("8888"));
         let err = db.check_invariants(&schema).unwrap_err();
         assert!(format!("{err:?}").contains("index"), "got {err:?}");
+        // The entry keeps no value, so only its tag tells that the value
+        // its holder's slot now holds is not the one it was entered for.
+        assert!(format!("{err:?}").contains("tag of another value"), "got {err:?}");
+    }
+
+    #[test]
+    fn an_entry_moved_past_a_vacant_slot_is_caught() {
+        let (schema, mut db) = sample();
+        let ssn = schema.attr_id("SSN").unwrap();
+        let pos = entry_slot(&db, ssn, &Value::str("1234"));
+        // Move the entry to the next vacant slot: the slot it left lies
+        // between its home and where it now sits.
+        let table = &mut db.index.values[ssn.index()];
+        let entry = table.slots[pos].take();
+        let mut to = table.next(pos);
+        while table.slots[to].is_some() {
+            to = table.next(to);
+        }
+        table.slots[to] = entry;
+        let err = db.check_invariants(&schema).unwrap_err();
+        assert!(format!("{err:?}").contains("unreachable from its home"), "got {err:?}");
+    }
+
+    #[test]
+    fn a_value_entered_twice_is_caught() {
+        let (schema, mut db) = sample();
+        let person = schema.class_id("PERSON").unwrap();
+        let ssn = schema.attr_id("SSN").unwrap();
+        let name = schema.attr_id("Name").unwrap();
+        let john = Value::str("John");
+        let o3 = db.create(
+            ClassSet::singleton(person),
+            BTreeMap::from([(ssn, Value::str("3")), (name, john.clone())]),
+        );
+        // Split John's two holders into two entries of the same value:
+        // every count, holder and tag still agrees with the heap.
+        let pos = entry_slot(&db, name, &john);
+        let table = &mut db.index.values[name.index()];
+        let tag = table.slots[pos].as_ref().unwrap().tag();
+        table.slots[pos] = Some(Holders::One { tag, oid: Oid(1) });
+        table.insert(Holders::One { tag, oid: o3 });
+        let err = db.check_invariants(&schema).unwrap_err();
+        assert!(format!("{err:?}").contains("twice"), "got {err:?}");
     }
 
     #[test]
@@ -1357,7 +1672,16 @@ mod tests {
 
     #[test]
     fn a_value_holder_takes_no_allocation_of_its_own() {
-        assert!(std::mem::size_of::<Holders>() <= 16);
+        assert_eq!(std::mem::size_of::<Holders>(), 16);
+        // A vacant table slot takes the niche of the holder's tag.
+        assert_eq!(std::mem::size_of::<Option<Holders>>(), 16);
+    }
+
+    /// The slot of the entry of `v` in `a`'s value table.
+    fn entry_slot(db: &Instance, a: AttrId, v: &Value) -> usize {
+        db.index.values[a.index()]
+            .find(db.index.tag(v), |h| key_of(&db.heap, a, h) == Some(v))
+            .expect("the value is indexed")
     }
 
     #[test]
@@ -1367,7 +1691,9 @@ mod tests {
         let ssn = schema.attr_id("SSN").unwrap();
         let name = schema.attr_id("Name").unwrap();
         let holders = |db: &Instance, v: &str| {
-            db.index.holders(name, &Value::str(v)).map(|h| matches!(h, Holders::Many(_)))
+            db.index
+                .holders(&db.heap, name, &Value::str(v))
+                .map(|h| matches!(h, Holders::Many { .. }))
         };
         assert_eq!(holders(&db, "John"), Some(false), "a lone holder is inline");
         let mut shared = Vec::new();
@@ -1391,12 +1717,178 @@ mod tests {
         assert_eq!(holders(&db, "John"), None, "the entry goes with its last holder");
         db.check_invariants(&schema).unwrap();
         // A set of one is a malformed holder, caught by the audit.
-        let jim = db.index.values[name.index()].get_mut(&Value::str("Jim")).unwrap();
-        *jim = Holders::Many(Box::new(BTreeSet::from([Oid(2)])));
-        db.heap[shared[1].0 as usize - 1].1.set(name, Value::str("Ann"));
-        db.index.add_value(shared[1], name, Value::str("Ann"));
+        let pos = entry_slot(&db, name, &Value::str("Jim"));
+        let jim = db.index.values[name.index()].slots[pos].as_mut().unwrap();
+        *jim = Holders::Many { tag: jim.tag(), set: Box::new(BTreeSet::from([Oid(2)])) };
+        let ann = Value::str("Ann");
+        db.heap[shared[1].0 as usize - 1].1.set(name, ann.clone());
+        db.index.add_value(&db.heap, shared[1], name, &ann);
         let err = db.check_invariants(&schema).unwrap_err();
         assert!(format!("{err:?}").contains("fewer than two"), "got {err:?}");
+    }
+
+    /// A [`ValueTable`] driven with chosen tags, one value per tag, and
+    /// compared after every step with a `BTreeMap` from tag to holders.
+    #[derive(Default)]
+    struct TableOracle {
+        table: ValueTable,
+        oracle: BTreeMap<u32, BTreeSet<Oid>>,
+    }
+
+    impl TableOracle {
+        fn add(&mut self, tag: u32, o: u64) {
+            match self.table.find(tag, |_| true) {
+                Some(pos) => self.table.slots[pos].as_mut().unwrap().insert(Oid(o)),
+                None => self.table.insert(Holders::One { tag, oid: Oid(o) }),
+            }
+            self.oracle.entry(tag).or_default().insert(Oid(o));
+            self.check();
+        }
+
+        fn remove(&mut self, tag: u32, o: u64) {
+            let pos = self.table.find(tag, |h| h.contains(Oid(o))).expect("a held pair");
+            if self.table.slots[pos].as_mut().unwrap().remove(Oid(o)) {
+                self.table.remove_at(pos);
+            }
+            let set = self.oracle.get_mut(&tag).unwrap();
+            set.remove(&Oid(o));
+            if set.is_empty() {
+                self.oracle.remove(&tag);
+            }
+            self.check();
+        }
+
+        /// The tag in each slot, `None` where vacant.
+        fn layout(&self) -> Vec<Option<u32>> {
+            self.table.slots.iter().map(|s| s.as_ref().map(Holders::tag)).collect()
+        }
+
+        fn check(&self) {
+            let t = &self.table;
+            let held: BTreeMap<u32, BTreeSet<Oid>> =
+                t.slots.iter().flatten().map(|h| (h.tag(), h.iter().collect())).collect();
+            assert_eq!(held, self.oracle);
+            assert_eq!(t.slots.iter().flatten().count(), t.len);
+            assert_eq!(t.len, self.oracle.len());
+            assert!(t.slots.is_empty() || t.slots.len().is_power_of_two());
+            assert!(2 * t.len <= t.slots.len());
+            for (pos, h) in t.slots.iter().enumerate() {
+                let Some(h) = h else { continue };
+                assert!(t.reachable(pos), "slot {pos} unreachable in {:?}", self.layout());
+                assert_eq!(t.find(h.tag(), |_| true), Some(pos));
+                assert!(!matches!(h, Holders::Many { set, .. } if set.len() < 2));
+            }
+        }
+    }
+
+    #[test]
+    fn value_table_entries_homing_to_one_slot_probe_on_and_shift_back() {
+        let mut t = TableOracle::default();
+        // 3, 11, 19 and 27 all home to slot 3 of 8; 5 homes to slot 5.
+        for (tag, o) in [(3, 1), (11, 2), (19, 3)] {
+            t.add(tag, o);
+        }
+        assert_eq!(t.layout()[3..6], [Some(3), Some(11), Some(19)]);
+        // The first of the cluster: both others shift back.
+        t.remove(3, 1);
+        assert_eq!(t.layout()[3..6], [Some(11), Some(19), None]);
+        t.add(5, 4);
+        t.add(27, 5);
+        assert_eq!(t.layout()[3..7], [Some(11), Some(19), Some(5), Some(27)]);
+        // A middle one: 5 stays home, 27 moves back past it.
+        t.remove(19, 3);
+        assert_eq!(t.layout()[3..7], [Some(11), Some(27), Some(5), None]);
+        // The last one: nothing moves.
+        t.remove(5, 4);
+        assert_eq!(t.layout()[3..6], [Some(11), Some(27), None]);
+        t.remove(11, 2);
+        assert_eq!(t.layout()[3..5], [Some(27), None]);
+        t.remove(27, 5);
+        assert_eq!(t.table.len, 0);
+    }
+
+    #[test]
+    fn value_table_cluster_wrapping_past_the_last_slot_shifts_back_across_the_wrap() {
+        let mut t = TableOracle::default();
+        // 6, 14 and 22 home to slot 6 of 8 and wrap; 0 homes to slot 0.
+        for (tag, o) in [(6, 1), (14, 2), (22, 3), (0, 4)] {
+            t.add(tag, o);
+        }
+        let wrapped = |l: Vec<Option<u32>>| [l[6], l[7], l[0], l[1]];
+        assert_eq!(wrapped(t.layout()), [Some(6), Some(14), Some(22), Some(0)]);
+        t.remove(6, 1);
+        assert_eq!(wrapped(t.layout()), [Some(14), Some(22), Some(0), None]);
+        t.add(30, 5);
+        assert_eq!(wrapped(t.layout()), [Some(14), Some(22), Some(0), Some(30)]);
+        t.remove(22, 3);
+        assert_eq!(wrapped(t.layout()), [Some(14), Some(30), Some(0), None]);
+        t.remove(0, 4);
+        assert_eq!(wrapped(t.layout()), [Some(14), Some(30), None, None]);
+        t.remove(30, 5);
+        t.remove(14, 2);
+        assert!(t.layout().iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn value_table_growth_re_places_a_wrapped_cluster_by_tag() {
+        let mut t = TableOracle::default();
+        for (tag, o) in [(6, 1), (14, 2), (22, 3), (30, 4)] {
+            t.add(tag, o);
+        }
+        assert_eq!(t.table.slots.len(), 8);
+        // A fifth entry would fill more than half: 16 slots, each entry
+        // re-placed in old slot order from its tag modulo 16, so 22 (old
+        // slot 0) takes slot 6 before 6 (old slot 6) comes to it.
+        t.add(5, 5);
+        assert_eq!(t.table.slots.len(), 16);
+        let l = t.layout();
+        assert_eq!(
+            [l[5], l[6], l[7], l[14], l[15]],
+            [Some(5), Some(22), Some(6), Some(30), Some(14)]
+        );
+        t.remove(22, 3);
+        assert_eq!(t.layout()[5..8], [Some(5), Some(6), None]);
+    }
+
+    #[test]
+    fn value_table_shared_values_box_a_set_and_keep_their_slot() {
+        let mut t = TableOracle::default();
+        for o in 1..=5 {
+            t.add(2, o);
+        }
+        t.add(10, 6);
+        assert!(matches!(t.table.slots[2], Some(Holders::Many { .. })));
+        for o in 1..=4 {
+            t.remove(2, o);
+        }
+        assert_eq!(t.table.slots[2], Some(Holders::One { tag: 2, oid: Oid(5) }));
+        t.remove(2, 5);
+        assert_eq!(t.layout()[2..4], [Some(10), None]);
+    }
+
+    #[test]
+    fn value_table_agrees_with_the_oracle_over_a_seeded_history() {
+        let mut t = TableOracle::default();
+        let mut held: Vec<(u32, u64)> = Vec::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for o in 1..2_000 {
+            if held.is_empty() || draw(3) != 0 {
+                // Few distinct low bits: long clusters that wrap.
+                let tag = (draw(40) as u32) << 5 | draw(4) as u32;
+                t.add(tag, o);
+                held.push((tag, o));
+            } else {
+                let (tag, o) = held.swap_remove(draw(held.len() as u64) as usize);
+                t.remove(tag, o);
+            }
+        }
+        assert!(t.table.slots.len() >= 64, "the table grew");
     }
 
     #[test]

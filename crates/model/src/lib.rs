@@ -17,21 +17,26 @@
 //! ## Indexed storage
 //!
 //! [`Instance`] is an *indexed* store: besides the per-object heap it
-//! maintains a class-membership index (`o(P)` materialized, behind
-//! [`Instance::objects_in`]) and an attribute-value index (objects per
-//! `(attribute, value)` pair), both kept exactly consistent by every
-//! mutation path and audited by [`Instance::check_invariants`]. The
-//! selection semantics `Sat(Γ, d, P)` ([`Instance::sat`]) *plans* from
-//! the condition — most selective indexed equality atom first, class
-//! index as fallback — so point selects and guard-literal evaluation
-//! cost O(candidates · log |d|) instead of a heap scan; the scan
-//! survives as [`Instance::sat_scan`], the oracle for property tests and
-//! the benchmark baseline (`sat_heavy` in `BENCH_enforce.json`).
+//! maintains a class-membership index (`o(P)` materialized as a bitmap
+//! over heap slots, behind [`Instance::objects_in`]) and an
+//! attribute-value index (per attribute, a hash table of the objects
+//! holding each value), both kept exactly consistent by every mutation
+//! path and audited by [`Instance::check_invariants`]. Neither copies
+//! what the heap holds: a value's table entry keeps its holders and a
+//! tag of the value's keyed hash, and reads the value itself from its
+//! first holder's heap slot. The selection semantics `Sat(Γ, d, P)`
+//! ([`Instance::sat`]) *plans* from the condition — most selective
+//! indexed equality atom first, class index as fallback — so point
+//! selects and guard-literal evaluation cost expected O(candidates)
+//! instead of a heap scan; the scan survives as [`Instance::sat_scan`],
+//! the oracle for property tests and the benchmark baseline (`sat_heavy`
+//! in `BENCH_enforce.json`).
 //!
 //! A key costs no allocation of its own: a [`Value`] is 24 bytes and
-//! keeps strings of up to [`SmallStr::INLINE`] bytes inline, and the
-//! value index keeps the lone holder of an unshared value inline too,
-//! boxing a set only for values two or more objects share.
+//! keeps strings of up to [`SmallStr::INLINE`] bytes inline in its heap
+//! slot, and its 16-byte table entry keeps the lone holder of an
+//! unshared value inline, boxing a set only for values two or more
+//! objects share.
 //!
 //! ## Quick tour
 //!

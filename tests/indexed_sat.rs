@@ -16,7 +16,7 @@ use migratory::model::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher as _, RandomState};
 
 /// A random single-component hierarchy: root `C0(K, A)` plus 1–4
@@ -35,26 +35,40 @@ fn random_schema(rng: &mut StdRng) -> (Schema, Vec<ClassId>) {
     (b.build().expect("valid hierarchy"), classes)
 }
 
-/// A random value from a small pool (collisions intended) plus a miss
-/// value that is never stored.
-fn random_value(rng: &mut StdRng) -> Value {
+/// The values a history draws from.
+#[derive(Clone, Copy, Debug)]
+enum Pool {
+    /// Seven values, so that objects share them and holder sets form.
+    Narrow,
+    /// Seven hundred, so that value tables double several times and
+    /// clusters form.
+    Wide,
+}
+
+/// A random value from `pool` (collisions intended) plus a miss value
+/// that is never stored.
+fn random_value(rng: &mut StdRng, pool: Pool) -> Value {
+    let (ints, strs) = match pool {
+        Pool::Narrow => (3, 4),
+        Pool::Wide => (300, 400),
+    };
     match rng.random_range(0u32..6) {
         0 => Value::str("nope"),
-        1 | 2 => Value::int(i64::from(rng.random_range(0u32..3))),
-        _ => Value::str(&format!("v{}", rng.random_range(0u32..4))),
+        1 | 2 => Value::int(i64::from(rng.random_range(0u32..ints))),
+        _ => Value::str(&format!("v{}", rng.random_range(0u32..strs))),
     }
 }
 
 /// A random ground condition of 0–3 atoms over the schema's attributes —
 /// mixing indexed equalities, inequalities and guaranteed misses.
-fn random_condition(rng: &mut StdRng, schema: &Schema) -> Condition {
+fn random_condition(rng: &mut StdRng, schema: &Schema, pool: Pool) -> Condition {
     let attrs: Vec<AttrId> = schema.all_attrs().collect();
     Condition::from_atoms((0..rng.random_range(0usize..4)).map(|_| {
         let a = attrs[rng.random_range(0..attrs.len())];
         if rng.random_range(0u32..3) == 0 {
-            Atom::ne_const(a, random_value(rng))
+            Atom::ne_const(a, random_value(rng, pool))
         } else {
-            Atom::eq_const(a, random_value(rng))
+            Atom::eq_const(a, random_value(rng, pool))
         }
     }))
 }
@@ -66,6 +80,7 @@ fn values_for(
     cs: migratory::model::ClassSet,
     already: &Instance,
     o: Option<Oid>,
+    pool: Pool,
 ) -> BTreeMap<AttrId, Value> {
     let mut m = BTreeMap::new();
     for a in schema.attrs_of_class_set(cs).iter() {
@@ -74,7 +89,7 @@ fn values_for(
             None => true,
         };
         if missing {
-            m.insert(a, random_value(rng));
+            m.insert(a, random_value(rng, pool));
         }
     }
     m
@@ -82,7 +97,13 @@ fn values_for(
 
 /// One random mutation through a randomly chosen `Instance` primitive,
 /// keeping Definition 2.2 well-formedness.
-fn random_mutation(rng: &mut StdRng, schema: &Schema, classes: &[ClassId], db: &mut Instance) {
+fn random_mutation(
+    rng: &mut StdRng,
+    schema: &Schema,
+    classes: &[ClassId],
+    db: &mut Instance,
+    pool: Pool,
+) {
     let existing: Vec<Oid> = db.objects().collect();
     let pick = |rng: &mut StdRng, v: &[Oid]| v[rng.random_range(0..v.len())];
     match rng.random_range(0u32..6) {
@@ -90,7 +111,7 @@ fn random_mutation(rng: &mut StdRng, schema: &Schema, classes: &[ClassId], db: &
         0 | 1 => {
             let c = classes[rng.random_range(0..classes.len())];
             let cs = schema.up_closure_of(c);
-            let values = values_for(rng, schema, cs, db, None);
+            let values = values_for(rng, schema, cs, db, None, pool);
             db.create(cs, values);
         }
         // delete
@@ -101,7 +122,7 @@ fn random_mutation(rng: &mut StdRng, schema: &Schema, classes: &[ClassId], db: &
             let c = classes[rng.random_range(0..classes.len())];
             let add = schema.up_closure_of(c);
             let merged = db.role_set(o).union(add);
-            let values = values_for(rng, schema, merged, db, Some(o));
+            let values = values_for(rng, schema, merged, db, Some(o), pool);
             db.add_classes(o, add, values);
         }
         // generalize-style remove_classes (non-root classes only, so the
@@ -120,7 +141,7 @@ fn random_mutation(rng: &mut StdRng, schema: &Schema, classes: &[ClassId], db: &
             let defined: Vec<AttrId> = db.tuple_of(o).iter().map(|(a, _)| a).collect();
             if !defined.is_empty() {
                 let a = defined[rng.random_range(0..defined.len())];
-                db.set_values(o, [(a, random_value(rng))]);
+                db.set_values(o, [(a, random_value(rng, pool))]);
             }
         }
         _ => {}
@@ -137,10 +158,16 @@ fn literal_oracle(db: &Instance, l: &Literal) -> bool {
 
 /// Compare every query path against the scan oracle on the current
 /// database.
-fn assert_sat_agrees(rng: &mut StdRng, schema: &Schema, classes: &[ClassId], db: &Instance) {
+fn assert_sat_agrees(
+    rng: &mut StdRng,
+    schema: &Schema,
+    classes: &[ClassId],
+    db: &Instance,
+    pool: Pool,
+) {
     for _ in 0..4 {
         let p = classes[rng.random_range(0..classes.len())];
-        let gamma = random_condition(rng, schema);
+        let gamma = random_condition(rng, schema, pool);
         let planned = db.sat(p, &gamma);
         let scanned = db.sat_scan(p, &gamma);
         assert_eq!(planned, scanned, "sat({p}, {gamma:?}) diverged from the scan oracle");
@@ -209,59 +236,72 @@ fn apply_and_undo(schema: &Schema, db: &mut Instance, update: AtomicUpdate, ctx:
     assert_live_objects_decide(db, &format!("{ctx} undone"));
 }
 
-/// 60 random mutation histories through the raw `Instance` primitives:
+/// Random mutation histories through the raw `Instance` primitives:
 /// after every mutation the indexes must pass `check_invariants`, all
 /// planned queries must agree with the full-scan oracle, and the live
 /// objects alone must decide equality, hashing, order and bytes;
 /// `restrict` and `from_objects` must rebuild consistent indexes for
 /// random subsets. Each history ends by deleting its highest oid and
 /// undoing that, then creating an object and undoing that, which winds
-/// the counter back over the freed oid.
+/// the counter back over the freed oid. Sixty short histories draw from
+/// the narrow pool; three long ones from the wide pool, so that an
+/// attribute's value table holds over 64 values (at least 256 slots).
 #[test]
 fn indexed_sat_agrees_with_scan_oracle_under_random_mutations() {
-    let mut rng = StdRng::seed_from_u64(0x1d3_0001);
-    let mut top_deletes_undone = 0;
-    for case in 0..60 {
-        let (schema, classes) = random_schema(&mut rng);
-        let mut db = Instance::empty();
-        for step in 0..rng.random_range(8usize..30) {
-            random_mutation(&mut rng, &schema, &classes, &mut db);
-            db.check_invariants(&schema)
-                .unwrap_or_else(|e| panic!("case {case} step {step}: {e:?}"));
-            assert_sat_agrees(&mut rng, &schema, &classes, &db);
-            assert_live_objects_decide(&db, &format!("case {case} step {step}"));
-        }
-        let k = schema.attr_id("K").expect("root key");
-        if let Some(top) = db.objects().last() {
-            let key = db.value(top, k).expect("every object has K").clone();
-            let gamma = Condition::from_atoms([Atom::eq_const(k, key)]);
-            let ctx = format!("case {case}: delete top {top}");
-            apply_and_undo(
-                &schema,
-                &mut db,
-                AtomicUpdate::Delete { class: classes[0], gamma },
-                &ctx,
+    for (seed, pool, cases, steps) in
+        [(0x1d3_0001, Pool::Narrow, 60, 8..30), (0x1d3_0003, Pool::Wide, 3, 1000..1200)]
+    {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut top_deletes_undone = 0;
+        let mut most_keys = 0;
+        for case in 0..cases {
+            let (schema, classes) = random_schema(&mut rng);
+            let mut db = Instance::empty();
+            for step in 0..rng.random_range(steps.clone()) {
+                random_mutation(&mut rng, &schema, &classes, &mut db, pool);
+                db.check_invariants(&schema)
+                    .unwrap_or_else(|e| panic!("{pool:?} case {case} step {step}: {e:?}"));
+                assert_sat_agrees(&mut rng, &schema, &classes, &db, pool);
+                assert_live_objects_decide(&db, &format!("{pool:?} case {case} step {step}"));
+            }
+            let k = schema.attr_id("K").expect("root key");
+            let keys: BTreeSet<&Value> = db.objects().filter_map(|o| db.value(o, k)).collect();
+            most_keys = most_keys.max(keys.len());
+            if let Some(top) = db.objects().last() {
+                let key = db.value(top, k).expect("every object has K").clone();
+                let gamma = Condition::from_atoms([Atom::eq_const(k, key)]);
+                let ctx = format!("{pool:?} case {case}: delete top {top}");
+                apply_and_undo(
+                    &schema,
+                    &mut db,
+                    AtomicUpdate::Delete { class: classes[0], gamma },
+                    &ctx,
+                );
+                top_deletes_undone += 1;
+            }
+            let a = schema.attr_id("A").expect("root attr");
+            let gamma = Condition::from_atoms([Atom::eq_const(k, "fresh"), Atom::eq_const(a, "v")]);
+            let ctx = format!("{pool:?} case {case}: create");
+            let create = AtomicUpdate::Create { class: classes[0], gamma };
+            apply_and_undo(&schema, &mut db, create, &ctx);
+            // Restriction onto a random subset rebuilds the indexes.
+            let keep: Vec<Oid> = db.objects().filter(|_| rng.random_range(0u32..2) == 0).collect();
+            let restricted = db.restrict(&keep);
+            restricted.check_invariants(&schema).expect("restricted indexes consistent");
+            assert_eq!(restricted.num_objects(), keep.len());
+            assert_sat_agrees(&mut rng, &schema, &classes, &restricted, pool);
+            // Rebuilding from raw objects yields index-consistent storage too.
+            let rebuilt = Instance::from_objects(
+                db.objects().map(|o| (o, db.role_set(o), db.tuple_of(o))).collect::<Vec<_>>(),
             );
-            top_deletes_undone += 1;
+            rebuilt.check_invariants(&schema).expect("from_objects indexes consistent");
+            assert_sat_agrees(&mut rng, &schema, &classes, &rebuilt, pool);
         }
-        let a = schema.attr_id("A").expect("root attr");
-        let gamma = Condition::from_atoms([Atom::eq_const(k, "fresh"), Atom::eq_const(a, "v")]);
-        let ctx = format!("case {case}: create");
-        apply_and_undo(&schema, &mut db, AtomicUpdate::Create { class: classes[0], gamma }, &ctx);
-        // Restriction onto a random subset rebuilds the indexes.
-        let keep: Vec<Oid> = db.objects().filter(|_| rng.random_range(0u32..2) == 0).collect();
-        let restricted = db.restrict(&keep);
-        restricted.check_invariants(&schema).expect("restricted indexes consistent");
-        assert_eq!(restricted.num_objects(), keep.len());
-        assert_sat_agrees(&mut rng, &schema, &classes, &restricted);
-        // Rebuilding from raw objects yields index-consistent storage too.
-        let rebuilt = Instance::from_objects(
-            db.objects().map(|o| (o, db.role_set(o), db.tuple_of(o))).collect::<Vec<_>>(),
-        );
-        rebuilt.check_invariants(&schema).expect("from_objects indexes consistent");
-        assert_sat_agrees(&mut rng, &schema, &classes, &rebuilt);
+        assert!(top_deletes_undone > 0, "no {pool:?} history deleted and restored its highest oid");
+        if matches!(pool, Pool::Wide) {
+            assert!(most_keys > 64, "the widest {pool:?} history held {most_keys} keys");
+        }
     }
-    assert!(top_deletes_undone > 0, "no history deleted and restored its highest oid");
 }
 
 /// The interpreter's mutation paths (including the delta recorder's
@@ -292,7 +332,10 @@ fn interpreter_and_undo_keep_indexes_consistent() {
                 2 => AtomicUpdate::Modify {
                     class: root,
                     select: Condition::from_atoms([Atom::eq_const(k, key)]),
-                    set: Condition::from_atoms([Atom::eq_const(a, random_value(&mut rng))]),
+                    set: Condition::from_atoms([Atom::eq_const(
+                        a,
+                        random_value(&mut rng, Pool::Narrow),
+                    )]),
                 },
                 _ => {
                     let c = classes[rng.random_range(0..classes.len())];
@@ -318,13 +361,13 @@ fn interpreter_and_undo_keep_indexes_consistent() {
                 .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
             db.check_invariants(&schema)
                 .unwrap_or_else(|e| panic!("case {case} step {step} post-apply: {e:?}"));
-            assert_sat_agrees(&mut rng, &schema, &classes, &db);
+            assert_sat_agrees(&mut rng, &schema, &classes, &db, Pool::Narrow);
             if rng.random_range(0u32..2) == 0 {
                 delta.undo(&mut db);
                 assert_eq!(db, before, "case {case} step {step}: undo mismatch");
                 db.check_invariants(&schema)
                     .unwrap_or_else(|e| panic!("case {case} step {step} post-undo: {e:?}"));
-                assert_sat_agrees(&mut rng, &schema, &classes, &db);
+                assert_sat_agrees(&mut rng, &schema, &classes, &db, Pool::Narrow);
             }
         }
     }
