@@ -57,10 +57,11 @@
 //!   come from clients, and no output depends on the table's order. A
 //!   value one object holds — every key — keeps that oid inline in its
 //!   entry; a boxed ordered set exists only while two or more objects
-//!   share the value. So a key costs 16 bytes of table at most half
-//!   full and no allocation of its own, and a point lookup hashes the
-//!   probe value, walks its cluster comparing tags, and reads the heap
-//!   slot of each entry whose tag matches.
+//!   share the value. So a key costs one 16-byte entry in a table at
+//!   least half empty (32–64 bytes of table) and no allocation of its
+//!   own, and a point lookup hashes the probe value, walks its cluster
+//!   comparing tags, and reads the heap slot of each entry whose tag
+//!   matches.
 //!
 //! So that an entry's key can be read, the heap holds a value before it
 //! is indexed; and since removal finds an entry by its tag and the
