@@ -279,10 +279,10 @@ impl Holders {
 
 /// One attribute's value index: an open-addressing table of
 /// [`Holders`] with linear probing, at most half full. An entry's home
-/// is its tag modulo the table size, and every entry sits in the cluster
-/// its home starts, reachable from the home with no vacant slot in
-/// between: placement takes the first vacant slot from the home, and
-/// removal shifts the rest of the cluster back. The table reads no
+/// is its tag modulo the table size, and every entry is reachable from
+/// its home with no vacant slot in between: placement takes the first
+/// vacant slot from the home, and removal shifts the rest of the
+/// cluster back. The table reads no
 /// value, so it can grow by re-placing entries by tag alone; callers
 /// match values by reading each candidate's first holder from the heap.
 #[derive(Clone, Default)]
@@ -361,8 +361,8 @@ impl ValueTable {
         }
     }
 
-    /// Give back slots a table left over half empty by
-    /// [`ValueTable::reserve`] does not need.
+    /// Shrink to the smallest table that holds the entries at most half
+    /// full, where [`ValueTable::reserve`] left it larger.
     fn shrink_to_fit(&mut self) {
         let needed = (2 * self.len).next_power_of_two().max(Self::MIN_SLOTS);
         if needed < self.slots.len() {
@@ -378,11 +378,11 @@ impl ValueTable {
         }
     }
 
-    /// Take the entry in slot `pos`, then shift the rest of its cluster
-    /// back: an entry moves into the hole unless its home lies after the
-    /// hole, cyclically, so every entry stays reachable from its home.
-    fn remove_at(&mut self, pos: usize) -> Holders {
-        let taken = self.slots[pos].take().expect("removal takes an occupied slot");
+    /// Empty slot `pos`, then shift the rest of its cluster back: an
+    /// entry moves into the hole unless its home lies after the hole,
+    /// cyclically, so every entry stays reachable from its home.
+    fn remove_at(&mut self, pos: usize) {
+        self.slots[pos].take().expect("removal empties an occupied slot");
         self.len -= 1;
         let mask = self.slots.len() - 1;
         let (mut hole, mut i) = (pos, self.next(pos));
@@ -394,7 +394,6 @@ impl ValueTable {
             }
             i = self.next(i);
         }
-        taken
     }
 }
 
