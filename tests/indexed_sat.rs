@@ -38,10 +38,11 @@ fn random_schema(rng: &mut StdRng) -> (Schema, Vec<ClassId>) {
 /// The values a history draws from.
 #[derive(Clone, Copy, Debug)]
 enum Pool {
-    /// Seven values, so that objects share them and holder sets form.
+    /// Three ints and four strings, so that objects share values and
+    /// holder sets form.
     Narrow,
-    /// Seven hundred, so that value tables double several times and
-    /// clusters form.
+    /// Three hundred ints and four hundred strings, so that value tables
+    /// double several times and clusters form.
     Wide,
 }
 
