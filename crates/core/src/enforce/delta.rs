@@ -2,11 +2,13 @@
 //!
 //! A [`DeltaState`] tracks one *partition* of the object population:
 //! one shard of a [`ShardedMonitor`](super::ShardedMonitor) (the whole
-//! database when the monitor has one shard). It owns the run-length-encoded per-object records and the cohort table
+//! database when the monitor has one shard). It owns the cohort table
 //! (objects grouped by indistinguishable (DFA state, role symbol)
-//! pairs), **and its own letter clock**: `steps` counts the letters
-//! this partition has read, and the never-created class's DFA walk
-//! (`pre_state`, `pre_exempt`) advances in the same shard-local time.
+//! pairs) over its objects' run-length-encoded records, which live in
+//! the monitor's one [`Records`] table, **and its own letter clock**:
+//! `steps` counts the letters this partition has read, and the
+//! never-created class's DFA walk (`pre_state`, `pre_exempt`) advances
+//! in the same shard-local time.
 //! Every step index stored in a record — creation steps, RLE segment
 //! starts — is a position on the owning partition's clock, so disjoint
 //! partitions share *no* mutable state at all (Lemma 3.5: objects
@@ -32,18 +34,21 @@
 //! the sharded monitor stage every participating shard before touching
 //! any; commits are only applied once every shard has accepted.
 //!
-//! The records sit in a [`Records`] table indexed by oid, not in a
-//! search tree. Oids are minted once, in ascending order, from the
-//! counter (Definition 2.2), so a partition's records only ever grow at
-//! the top: a new record appends a row, finding one is two array reads
-//! (slot, then row), and staging, commit, diagnosis, compaction and
-//! checkpoint capture walk or probe plain arrays in ascending oid order.
+//! The records of every partition sit in **one** [`Records`] table per
+//! monitor, indexed like the heap, not in a search tree and not per
+//! partition. Oids are minted once, in ascending order, from the counter
+//! (Definition 2.2), so entry `o − 1` holds oid `o`'s record, tagged with
+//! the partition that tracks it: finding a record is one array read, and
+//! a partition walks its own records in ascending oid order by filtering
+//! the table. The whole-partition paths — compaction, a full checkpoint
+//! capture, the diagnosis fallback — therefore cost O(table), not
+//! O(partition), the trade the heap's per-class bitmaps make too.
 //!
 //! For incremental checkpoints (`enforce::wal`), the state also keeps a
 //! **dirty set**: the oids whose record or database state may have
 //! changed since the last checkpoint capture. [`DeltaState::compact`]
 //! rewrites every record's cohort slot, so it flips `all_dirty` and the
-//! next capture carries the full record table.
+//! next capture carries the partition's full record table.
 //!
 //! [`diagnose_step`] reports the first violation of the reference
 //! engine's ascending-oid rejection scan over the partitions that read
@@ -72,23 +77,25 @@ pub(crate) type Touch<'d> = (Oid, usize, &'d ObjectDelta);
 /// checked).
 pub(crate) const EXEMPT: u32 = 0;
 
-/// Run-length-encoded tracking record of one object.
+/// Run-length-encoded tracking record of one object: 32 bytes, and no
+/// allocation of its own while its role never changed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct ObjRecord {
-    /// 1-based step at which the object was created.
-    pub(crate) creation_step: usize,
     /// `(letter, from_step)` segments; a new segment is appended only
     /// when the role symbol changes, so length is the number of role
-    /// *changes*, not the run length. The last segment extends to the
-    /// current step.
+    /// *changes*, not the run length. The first segment starts at the
+    /// object's creation step; the last extends to the current step.
     pub(crate) segments: Segments,
-    /// Cohort the object currently belongs to (follow `parent` links).
+    /// Cohort the object currently belongs to (follow `parent` links) in
+    /// its partition's cohort table.
     pub(crate) cohort: u32,
+    /// The partition that tracks the object.
+    pub(crate) shard: u32,
 }
 
 /// The segments of one [`ObjRecord`], ascending by step and never
 /// empty: the one segment of an object whose role never changed — most
-/// objects — held inline, so the record is 40 bytes with no allocation
+/// objects — held inline, so the record is 32 bytes with no allocation
 /// of its own; two or more in a `Vec`, which never holds exactly one
 /// (segments are only ever appended). Derefs to the segment slice;
 /// equality and `Debug` read the segments, never the form.
@@ -144,6 +151,12 @@ impl std::fmt::Debug for Segments {
 }
 
 impl ObjRecord {
+    /// 1-based step, on its partition's clock, at which the object was
+    /// created: where its first segment starts.
+    pub(crate) fn creation_step(&self) -> usize {
+        self.segments[0].1
+    }
+
     pub(crate) fn current_role(&self) -> u32 {
         self.segments.last().expect("non-empty").0
     }
@@ -151,7 +164,7 @@ impl ObjRecord {
     /// Reconstruct the full pattern through global step `upto`.
     pub(crate) fn pattern_through(&self, empty: u32, upto: usize) -> MigrationPattern {
         let mut p = Vec::with_capacity(upto);
-        p.resize(self.creation_step - 1, empty);
+        p.resize(self.creation_step() - 1, empty);
         for (i, &(letter, from)) in self.segments.iter().enumerate() {
             let end = match self.segments.get(i + 1) {
                 Some(&(_, next_from)) => next_from - 1,
@@ -163,124 +176,90 @@ impl ObjRecord {
     }
 }
 
-/// Slot-table entry of an oid without a record.
-const VACANT: u32 = u32::MAX;
-
-/// The slot of `o`: oids are minted from o1, so slot `o − 1`.
-fn slot_index(o: Oid) -> usize {
-    let i = o.0.checked_sub(1).expect("o0 is never minted and has no slot");
-    usize::try_from(i).expect("oid fits the address space")
-}
-
-/// The slot-table entry of row `row`.
-fn row_entry(row: usize) -> u32 {
-    u32::try_from(row).ok().filter(|&r| r != VACANT).expect("under 2^32 − 1 records a partition")
-}
-
-/// One partition's tracking records, indexed by oid: rows of
-/// `(oid, record)` in ascending oid order, plus a slot table whose entry
-/// `o − 1` holds the row of oid `o` ([`VACANT`] when `o` has no record).
-/// Oids are minted once, in ascending order (Definition 2.2), so the
-/// engine only ever appends a row at the top: finding a record is two
-/// array reads, and iterating in oid order is a slice walk. The slot
-/// table reaches the highest record, never past it.
-#[derive(Clone, Default, Debug)]
+/// The tracking records of every partition of one monitor, indexed like
+/// the heap: entry `o − 1` holds oid `o`'s record, which names the
+/// partition tracking it, or `None` when `o` has no record. Oids are
+/// minted once, in ascending order (Definition 2.2), so the engine only
+/// fills entries it has never filled: finding a record is one array
+/// read, and a partition walks its own records in ascending oid order
+/// by filtering the whole table, O(table). The table reaches the
+/// highest record, never past it, so equal record sets compare equal.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub(crate) struct Records {
-    rows: Vec<(Oid, ObjRecord)>,
-    slots: Vec<u32>,
+    table: Vec<Option<ObjRecord>>,
 }
 
-/// Rows only: the slot table is derived from them.
-impl PartialEq for Records {
-    fn eq(&self, other: &Records) -> bool {
-        self.rows == other.rows
-    }
+/// The entry of `o`: oids are minted from o1, so entry `o − 1`.
+fn entry_index(o: Oid) -> Option<usize> {
+    usize::try_from(o.0.checked_sub(1)?).ok()
 }
-
-impl Eq for Records {}
 
 impl Records {
-    /// The table of `rows`, which must be in strictly ascending oid
-    /// order above o0 (the order [`iter`](Self::iter) yields and the
-    /// codec checks). Fails only when the slot table cannot be
-    /// allocated.
-    pub(crate) fn from_sorted(rows: Vec<(Oid, ObjRecord)>) -> Result<Records, TryReserveError> {
-        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows ascend");
-        let mut slots = Vec::new();
-        if let Some(&(top, _)) = rows.last() {
-            slots.try_reserve_exact(slot_index(top) + 1)?;
-            slots.resize(slot_index(top) + 1, VACANT);
-        }
-        for (row, &(o, _)) in rows.iter().enumerate() {
-            slots[slot_index(o)] = row_entry(row);
-        }
-        Ok(Records { rows, slots })
+    /// The record of `o`, whichever partition tracks it.
+    pub(crate) fn find(&self, o: Oid) -> Option<&ObjRecord> {
+        self.table.get(entry_index(o)?)?.as_ref()
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
+    /// The record of `o` if partition `shard` tracks it.
+    pub(crate) fn get(&self, shard: u32, o: Oid) -> Option<&ObjRecord> {
+        self.find(o).filter(|rec| rec.shard == shard)
+    }
+
+    pub(crate) fn get_mut(&mut self, shard: u32, o: Oid) -> Option<&mut ObjRecord> {
+        self.table.get_mut(entry_index(o)?)?.as_mut().filter(|rec| rec.shard == shard)
     }
 
     /// The highest oid with a record.
     pub(crate) fn last_oid(&self) -> Option<Oid> {
-        self.rows.last().map(|&(o, _)| o)
+        (!self.table.is_empty()).then_some(Oid(self.table.len() as u64))
     }
 
     /// Every record, in ascending oid order.
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, (Oid, ObjRecord)> {
-        self.rows.iter()
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Oid, &ObjRecord)> {
+        self.table.iter().zip(1..).filter_map(|(entry, o)| Some((Oid(o), entry.as_ref()?)))
     }
 
-    /// Every record mutably, in ascending oid order.
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut ObjRecord> {
-        self.rows.iter_mut().map(|(_, rec)| rec)
+    /// Partition `shard`'s records, in ascending oid order.
+    pub(crate) fn of_shard(&self, shard: u32) -> impl Iterator<Item = (Oid, &ObjRecord)> {
+        self.iter().filter(move |(_, rec)| rec.shard == shard)
     }
 
-    fn row_of(&self, o: Oid) -> Option<usize> {
-        let i = usize::try_from(o.0.checked_sub(1)?).ok()?;
-        match *self.slots.get(i)? {
-            VACANT => None,
-            row => Some(row as usize),
+    /// Partition `shard`'s records mutably, in ascending oid order.
+    pub(crate) fn of_shard_mut(&mut self, shard: u32) -> impl Iterator<Item = &mut ObjRecord> {
+        self.table.iter_mut().filter_map(move |entry| entry.as_mut().filter(|r| r.shard == shard))
+    }
+
+    /// The entry of `o` (never o0), growing the table to reach it. Fails
+    /// only when the table cannot grow that far: the fallible allocation
+    /// the decoders run, so that a corrupt oid is an error, not an abort.
+    /// The caller fills a grown entry, or drops the table on an error:
+    /// the table never reaches past its highest record.
+    pub(crate) fn try_entry(&mut self, o: Oid) -> Result<&mut Option<ObjRecord>, TryReserveError> {
+        let i = entry_index(o).expect("o0 is never minted and has no entry");
+        if i >= self.table.len() {
+            self.table.try_reserve(i + 1 - self.table.len())?;
+            self.table.resize(i + 1, None);
         }
+        Ok(&mut self.table[i])
     }
 
-    pub(crate) fn get(&self, o: Oid) -> Option<&ObjRecord> {
-        self.row_of(o).map(|row| &self.rows[row].1)
-    }
-
-    pub(crate) fn get_mut(&mut self, o: Oid) -> Option<&mut ObjRecord> {
-        let row = self.row_of(o)?;
-        Some(&mut self.rows[row].1)
-    }
-
-    /// Make room in the slot table for oids up to `top` without growing
-    /// it: the fallible allocation the decoders run before inserting,
-    /// so that a corrupt oid is an error, not an abort. (Rows need no
-    /// such guard: each one was decoded from bytes.)
-    pub(crate) fn try_reserve(&mut self, top: Oid) -> Result<(), TryReserveError> {
-        let want = usize::try_from(top.0).unwrap_or(usize::MAX);
-        self.slots.try_reserve(want.saturating_sub(self.slots.len()))
-    }
-
-    /// Set the record of `o` (never o0), replacing any existing one.
+    /// Set the record of `o`, which has none (the engine's case: `o`
+    /// was minted after every record of its partition).
     pub(crate) fn insert(&mut self, o: Oid, rec: ObjRecord) {
-        if let Some(row) = self.row_of(o) {
-            self.rows[row].1 = rec;
-        } else if self.last_oid().is_none_or(|top| o > top) {
-            // The engine's only case: a fresh oid tops every record.
-            let i = slot_index(o);
-            self.slots.resize(i + 1, VACANT);
-            self.slots[i] = row_entry(self.rows.len());
-            self.rows.push((o, rec));
-        } else {
-            // Below the top (only a hand-edited increment gets here):
-            // keep the rows sorted and re-slot every shifted row.
-            let at = self.rows.partition_point(|&(p, _)| p < o);
-            self.rows.insert(at, (o, rec));
-            for (row, &(p, _)) in self.rows.iter().enumerate().skip(at) {
-                self.slots[slot_index(p)] = row_entry(row);
+        let entry = self.try_entry(o).expect("the record table grows");
+        debug_assert!(entry.is_none(), "{o} already has a record");
+        *entry = Some(rec);
+    }
+
+    /// Drop partition `shard`'s records, O(table).
+    pub(crate) fn clear_shard(&mut self, shard: u32) {
+        for entry in &mut self.table {
+            if entry.as_ref().is_some_and(|rec| rec.shard == shard) {
+                *entry = None;
             }
         }
+        let len = self.table.iter().rposition(Option::is_some).map_or(0, |i| i + 1);
+        self.table.truncate(len);
     }
 }
 
@@ -304,11 +283,12 @@ pub(crate) enum Target {
 
 #[derive(Clone, PartialEq, Eq, Default)]
 pub(crate) struct DeltaState {
-    /// One record per object that has occurred in this partition, in an
-    /// oid-indexed [`Records`] table: 48 B per row, which holds an
-    /// object's one segment inline (two or more take one allocation),
-    /// plus a 4 B slot per oid up to the partition's highest record.
-    pub(crate) records: Records,
+    /// This partition's index among the monitor's: the shard its records
+    /// name in the monitor's [`Records`] table.
+    pub(crate) shard: u32,
+    /// Records of this partition in that table: one per object that has
+    /// occurred in it.
+    pub(crate) tracked: usize,
     pub(crate) cohorts: Vec<Cohort>,
     /// Root non-exempt cohorts, by (DFA state, last role symbol). A
     /// `BTreeMap` on purpose: cohort sweeps iterate this table, and
@@ -346,10 +326,11 @@ pub(crate) struct DeltaState {
 }
 
 impl DeltaState {
-    /// A fresh partition at letter clock 0, with the never-created walk
-    /// starting from the inventory DFA's start state.
-    pub(crate) fn new(pre_state: u32, pre_exempt: bool) -> DeltaState {
+    /// A fresh partition `shard` at letter clock 0, with the
+    /// never-created walk starting from the inventory DFA's start state.
+    pub(crate) fn new(shard: u32, pre_state: u32, pre_exempt: bool) -> DeltaState {
         DeltaState {
+            shard,
             // Slot 0 is the exempt sink.
             cohorts: vec![Cohort { state: 0, last_role: 0, size: 0, parent: EXEMPT }],
             pre_state,
@@ -396,19 +377,20 @@ impl DeltaState {
     /// Whether dead slots (freed + unreachable forwarders) dominate the
     /// table: live slots are bounded by the record count plus the sink.
     pub(crate) fn needs_compaction(&self) -> bool {
-        self.cohorts.len() > 64 && self.cohorts.len() > 2 * (self.records.len() + 1)
+        self.cohorts.len() > 64 && self.cohorts.len() > 2 * (self.tracked + 1)
     }
 
     /// Rebuild the cohort table with only live cohorts: every record is
     /// redirected to its root, forwarding chains disappear, and dead
-    /// slots are dropped. O(records) — run only when the table has
-    /// outgrown the record count, so the cost amortizes to O(1) per
-    /// application.
-    pub(crate) fn compact(&mut self) {
-        let mut records = std::mem::take(&mut self.records);
+    /// slots are dropped. O(table), a filtered walk of the monitor's
+    /// `records`, run only once the cohort table has outgrown twice the
+    /// partition's record count: the cost amortizes over the cohort
+    /// slots allocated since the last compaction, to O(1) each when the
+    /// partition holds a fixed share of the table (oid striping).
+    pub(crate) fn compact(&mut self, records: &mut Records) {
         let mut remap: HashMap<u32, u32> = HashMap::new();
         let mut table: Vec<Cohort> = vec![self.cohorts[EXEMPT as usize].clone()];
-        for rec in records.values_mut() {
+        for rec in records.of_shard_mut(self.shard) {
             let root = self.find(rec.cohort);
             rec.cohort = if root == EXEMPT {
                 EXEMPT
@@ -426,7 +408,6 @@ impl DeltaState {
                 })
             };
         }
-        self.records = records;
         // Every populated by_key root has members, so it was remapped;
         // anything else is dead and dropped with its key.
         self.by_key =
@@ -442,11 +423,12 @@ impl DeltaState {
     // Batch staging
     // -----------------------------------------------------------------
 
-    /// Validate `k` effective letters over this partition's objects in
-    /// one pass, **in shard-local time**: the never-created class's walk
-    /// starts from this partition's own clock, each touched object's
-    /// interleaved touch/untouched chain is replayed exactly, and each
-    /// untouched cohort is advanced `k` DFA steps once. `touched` holds
+    /// Validate `k` effective letters over this partition's objects,
+    /// whose records `records` holds, in one pass, **in shard-local
+    /// time**: the never-created class's walk starts from this
+    /// partition's own clock, each touched object's interleaved
+    /// touch/untouched chain is replayed exactly, and each untouched
+    /// cohort is advanced `k` DFA steps once. `touched` holds
     /// this partition's [`Touch`]es, sorted by oid: each object's run
     /// of `(local letter index, change)` pairs, where local indices are
     /// 1-based positions among the `k` letters *this partition* reads.
@@ -457,6 +439,7 @@ impl DeltaState {
     pub(crate) fn stage_batch(
         &self,
         ctx: &BatchCtx<'_>,
+        records: &Records,
         k: usize,
         touched: &[Touch<'_>],
     ) -> Result<BatchStage, ()> {
@@ -492,7 +475,7 @@ impl DeltaState {
         for run in touched.chunk_by(|a, b| a.0 == b.0) {
             let oid = run[0].0;
             // Chain state of this object across the batch.
-            let mut chain: Option<ChainState> = self.records.get(oid).map(|rec| {
+            let mut chain: Option<ChainState> = records.get(self.shard, oid).map(|rec| {
                 let root = self.find_ro(rec.cohort);
                 ChainState {
                     state: self.cohorts[root as usize].state,
@@ -501,7 +484,6 @@ impl DeltaState {
                     synced: 0,
                     first_segment: segments.len(),
                     existing: true,
-                    creation_step: 0,
                     start_root: root,
                 }
             });
@@ -536,7 +518,6 @@ impl DeltaState {
                             synced: j,
                             first_segment: segments.len(),
                             existing: false,
-                            creation_step: idx,
                             start_root: EXEMPT,
                         });
                         segments.push((after_sym, idx));
@@ -601,12 +582,7 @@ impl DeltaState {
             moves.push(if ch.existing {
                 BatchMove::Move { oid, segments: new_segments, target }
             } else {
-                BatchMove::Insert {
-                    oid,
-                    creation_step: ch.creation_step,
-                    segments: new_segments,
-                    target,
-                }
+                BatchMove::Insert { oid, segments: new_segments, target }
             });
         }
 
@@ -646,10 +622,10 @@ impl DeltaState {
     }
 
     /// Write a staged batch: debit leavers, advance or fold the untouched
-    /// cohorts, place every touched object, and advance this partition's
-    /// letter clock by the staged `k` (a single application's commit is
-    /// the `k = 1` case).
-    pub(crate) fn commit_batch(&mut self, stage: BatchStage) {
+    /// cohorts, place every touched object in `records`, and advance this
+    /// partition's letter clock by the staged `k` (a single application's
+    /// commit is the `k = 1` case).
+    pub(crate) fn commit_batch(&mut self, records: &mut Records, stage: BatchStage) {
         let BatchStage {
             moves,
             segments,
@@ -715,17 +691,18 @@ impl DeltaState {
         }
         for mv in moves {
             match mv {
-                BatchMove::Insert { oid, creation_step, segments: new, target } => {
+                BatchMove::Insert { oid, segments: new, target } => {
                     let c = self.cohort_for(target);
                     self.cohorts[c as usize].size += 1;
                     let segments = Segments::from_slice(&segments[new]);
-                    self.records.insert(oid, ObjRecord { creation_step, segments, cohort: c });
+                    records.insert(oid, ObjRecord { segments, cohort: c, shard: self.shard });
+                    self.tracked += 1;
                     self.dirty.insert(oid);
                 }
                 BatchMove::Move { oid, segments: new, target } => {
                     let c = self.cohort_for(target);
                     self.cohorts[c as usize].size += 1;
-                    let rec = self.records.get_mut(oid).expect("tracked");
+                    let rec = records.get_mut(self.shard, oid).expect("tracked");
                     rec.cohort = c;
                     rec.segments.extend_from_slice(&segments[new]);
                     self.dirty.insert(oid);
@@ -733,7 +710,7 @@ impl DeltaState {
             }
         }
         if self.needs_compaction() {
-            self.compact();
+            self.compact(records);
         }
     }
 
@@ -813,9 +790,9 @@ impl DeltaState {
             inserts.push((
                 od.oid,
                 ObjRecord {
-                    creation_step: idx,
                     segments: Segments::One((sym, idx)),
                     cohort: EXEMPT, // assigned on commit
+                    shard: self.shard,
                 },
                 ti,
             ));
@@ -857,9 +834,10 @@ impl DeltaState {
     /// Write back a staged bulk-creation letter. Mirrors
     /// [`commit_batch`](Self::commit_batch) with no leavers and
     /// insert-only moves, replacing the per-move loop with one cohort
-    /// allocation per distinct target and a plain append of the new
-    /// records — created oids are minted above every tracked oid.
-    pub(crate) fn commit_bulk_creates(&mut self, stage: BulkCreateStage) {
+    /// allocation per distinct target and a plain fill of the new
+    /// records' entries — created oids are minted above every tracked
+    /// oid.
+    pub(crate) fn commit_bulk_creates(&mut self, records: &mut Records, stage: BulkCreateStage) {
         let BulkCreateStage {
             targets,
             inserts,
@@ -919,21 +897,15 @@ impl DeltaState {
                 c
             })
             .collect();
-        debug_assert!(
-            match (self.records.last_oid(), inserts.first()) {
-                (Some(last), Some(&(first, _, _))) => last < first,
-                _ => true,
-            },
-            "created oids must follow every tracked oid"
-        );
         let mut fresh_dirty: BTreeSet<Oid> = inserts.iter().map(|&(oid, _, _)| oid).collect();
+        self.tracked += inserts.len();
         for (oid, mut record, ti) in inserts {
             record.cohort = slots[ti as usize];
-            self.records.insert(oid, record);
+            records.insert(oid, record);
         }
         self.dirty.append(&mut fresh_dirty);
         if self.needs_compaction() {
-            self.compact();
+            self.compact(records);
         }
     }
 }
@@ -1033,11 +1005,13 @@ impl DeltaState {
     /// state), fold residue into the exempt sink — or, under
     /// `certify-and-reset` (`reset`), grandfather the residue's old
     /// history and restart its walk at `δ_new(start, role)` when that
-    /// state is accepting. Object records are **never** touched; their
-    /// cohort slots keep forwarding through the same roots. Returns
-    /// `(residue, quarantined)` object counts.
+    /// state is accepting. Object records are **never** touched, unless
+    /// the cohort table then needs compaction; their cohort slots keep
+    /// forwarding through the same roots. Returns `(residue,
+    /// quarantined)` object counts.
     pub(crate) fn apply_redefine(
         &mut self,
+        records: &mut Records,
         fates: &[CohortFate],
         new_dfa: &Dfa,
         new_pre: u32,
@@ -1090,7 +1064,7 @@ impl DeltaState {
         }
         self.by_key = new_keys;
         if self.needs_compaction() {
-            self.compact();
+            self.compact(records);
         }
         (residue, quarantined)
     }
@@ -1133,7 +1107,6 @@ struct ChainState {
     /// commit, start in the stage's segment list.
     first_segment: usize,
     existing: bool,
-    creation_step: usize,
     start_root: u32,
 }
 
@@ -1217,9 +1190,10 @@ pub(crate) struct BatchStage {
     pre_exempt: bool,
 }
 
-/// Final placement of one touched object after a staged batch.
+/// Final placement of one touched object after a staged batch. A
+/// created object's first segment starts at its creation step.
 enum BatchMove {
-    Insert { oid: Oid, creation_step: usize, segments: Range<usize>, target: Target },
+    Insert { oid: Oid, segments: Range<usize>, target: Target },
     Move { oid: Oid, segments: Range<usize>, target: Target },
 }
 
@@ -1269,9 +1243,10 @@ pub(crate) struct DiagParams<'a> {
 /// violation of the reference engine's scan over each reading
 /// partition's sub-run — the never-created class first, then every
 /// letter-reading object in ascending oid order. `parts` are the
-/// partitions, `reads[i]` whether partition `i` reads this letter, and
-/// `route` the partition of a tracked object. Tracking state is the
-/// pre-letter state; `delta` maps touched objects to their changes.
+/// partitions, `records` their records, `reads[i]` whether partition `i`
+/// reads this letter, and `route` the partition of a tracked object.
+/// Tracking state is the pre-letter state; `delta` maps touched objects
+/// to their changes.
 ///
 /// The scan is O(touched + |cohorts|), not O(objects): an untouched
 /// object reads its own role again, so under `Proper` and `Lazy` it is
@@ -1281,21 +1256,22 @@ pub(crate) struct DiagParams<'a> {
 /// violate, only the touched objects with a record (in the delta's
 /// ascending-oid order) and the creations are checked. Only when some
 /// untouched cohort leaves the inventory does the scan fall back to
-/// every record of the reading partitions, merged in ascending oid
-/// order — the reported object may be an untouched one with a lower
-/// oid than any touched violator.
+/// every record of the reading partitions, one ascending pass over the
+/// table — the reported object may be an untouched one with a lower oid
+/// than any touched violator.
 pub(crate) fn diagnose_step(
     p: &DiagParams<'_>,
     parts: &[DeltaState],
+    records: &Records,
     reads: &[bool],
     route: impl Fn(&ObjectDelta) -> usize,
     delta: &Delta,
 ) -> Violation {
     let empty = p.alphabet.empty_symbol();
-    let reading = || parts.iter().enumerate().filter(|&(i, _)| reads[i]);
+    let reading = || parts.iter().filter(|st| reads[st.shard as usize]);
 
     // The reference engine checks the never-created class first.
-    for (_, st) in reading() {
+    for st in reading() {
         let pre =
             never_created_walk(p.dfa, empty, p.kind, st.pre_state, st.pre_exempt, st.steps, 1);
         if pre.violation_at.is_some() {
@@ -1309,16 +1285,15 @@ pub(crate) fn diagnose_step(
     }
 
     // Existing objects (every record predates this step).
-    let existing = if reading().any(|(i, st)| untouched_violates(p, i, st, &route, delta)) {
-        // Full scan over the reading partitions' records, merged in
+    let existing = if reading().any(|st| untouched_violates(p, st, records, &route, delta)) {
+        // Full scan over the reading partitions' records, in
         // ascending oid order.
-        let mut all: Vec<(Oid, &ObjRecord, &DeltaState)> = reading()
-            .flat_map(|(_, st)| st.records.iter().map(move |(o, rec)| (*o, rec, st)))
-            .collect();
-        all.sort_unstable_by_key(|&(o, _, _)| o);
-        all.into_iter()
-            .filter_map(|(o, rec, st)| {
+        records
+            .iter()
+            .filter(|(_, rec)| reads[rec.shard as usize])
+            .filter_map(|(o, rec)| {
                 let od = delta.objects().binary_search_by_key(&o, |od| od.oid).ok();
+                let st = &parts[rec.shard as usize];
                 existing_violation(p, st, o, rec, od.map(|i| &delta.objects()[i]))
             })
             .next()
@@ -1329,7 +1304,7 @@ pub(crate) fn diagnose_step(
             .filter(|od| tracked(od))
             .filter_map(|od| {
                 let st = &parts[route(od)];
-                let rec = st.records.get(od.oid)?;
+                let rec = records.get(st.shard, od.oid)?;
                 existing_violation(p, st, od.oid, rec, Some(od))
             })
             .next()
@@ -1362,7 +1337,7 @@ pub(crate) fn diagnose_step(
     unreachable!("diagnose_step called without a violating object")
 }
 
-/// Whether an **untouched** object of partition `part` violates this
+/// Whether an **untouched** object of partition `st` violates this
 /// letter — O(|cohorts|), plus O(touched) per failing cohort. Untouched
 /// objects repeat their role, so they are exempt from their second
 /// letter on under `Proper`/`Lazy` (a record implies a committed
@@ -1370,8 +1345,8 @@ pub(crate) fn diagnose_step(
 /// the letter does not touch steps to a non-accepting state.
 fn untouched_violates(
     p: &DiagParams<'_>,
-    part: usize,
     st: &DeltaState,
+    records: &Records,
     route: &impl Fn(&ObjectDelta) -> usize,
     delta: &Delta,
 ) -> bool {
@@ -1386,8 +1361,10 @@ fn untouched_violates(
         let touched = delta
             .objects()
             .iter()
-            .filter(|od| tracked(od) && route(od) == part)
-            .filter(|od| st.records.get(od.oid).is_some_and(|r| st.find_ro(r.cohort) == root))
+            .filter(|od| tracked(od) && route(od) == st.shard as usize)
+            .filter(|od| {
+                records.get(st.shard, od.oid).is_some_and(|r| st.find_ro(r.cohort) == root)
+            })
             .count();
         st.cohorts[root as usize].size > touched
     })
@@ -1442,16 +1419,17 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
-    fn rec(tag: usize) -> ObjRecord {
-        ObjRecord { creation_step: tag, segments: Segments::One((1, tag)), cohort: EXEMPT }
+    fn rec(shard: u32, tag: usize) -> ObjRecord {
+        ObjRecord { segments: Segments::One((1, tag)), cohort: EXEMPT, shard }
     }
 
-    /// One segment inline keeps a record row at 48 bytes: the
-    /// segments' two forms share the vector's 24 bytes.
+    /// One segment inline keeps a table entry at 32 bytes: the
+    /// segments' two forms share the vector's 24 bytes, and an empty
+    /// entry takes no tag of its own.
     #[test]
     fn an_inline_segment_grows_no_row() {
         assert_eq!(std::mem::size_of::<Segments>(), 24);
-        assert_eq!(std::mem::size_of::<(Oid, ObjRecord)>(), 48);
+        assert_eq!(std::mem::size_of::<Option<ObjRecord>>(), 32);
     }
 
     /// Every way to reach a segment list — from a staged slice, by
@@ -1479,38 +1457,73 @@ mod tests {
         }
     }
 
-    /// The record table against a `BTreeMap` oracle: ascending appends
-    /// (the engine's case), replacements and inserts below the top.
+    /// The record table against one `BTreeMap` per partition: fresh
+    /// oids above the top interleaved across partitions (the engine's
+    /// case), replacements and fills below the top through `try_entry`
+    /// (only a hand-edited increment does the latter), and dropping a
+    /// partition's records. Every lookup — another partition's oid
+    /// included — each partition's walk in oid order, the whole table's
+    /// and its equality with the same records inserted afresh agree.
     #[test]
     fn records_agree_with_a_btreemap_oracle() {
+        const SHARDS: u32 = 3;
         let mut rng = StdRng::seed_from_u64(2_718_281);
         for _run in 0..40 {
             let mut table = Records::default();
-            let mut oracle: BTreeMap<Oid, ObjRecord> = BTreeMap::new();
+            let mut oracle: Vec<BTreeMap<Oid, ObjRecord>> = vec![BTreeMap::new(); SHARDS as usize];
             for step in 0..120 {
-                let top = oracle.keys().next_back().map_or(0, |o| o.0);
-                let o = match rng.random_range(0..4) {
-                    // Append above the top, sometimes with a gap.
-                    0 | 1 => Oid(top + rng.random_range(1..4)),
-                    // Replace an existing record, or insert below the top.
-                    _ => Oid(rng.random_range(1..top + 2)),
-                };
-                table.insert(o, rec(step));
-                oracle.insert(o, rec(step));
-                let max = oracle.keys().next_back().map_or(0, |o| o.0);
-                for i in 0..=max + 2 {
-                    assert_eq!(table.get(Oid(i)), oracle.get(&Oid(i)), "get o{i}");
-                    assert_eq!(table.get_mut(Oid(i)), oracle.get_mut(&Oid(i)), "get_mut o{i}");
+                let top = table.last_oid().map_or(0, |o| o.0);
+                let shard = rng.random_range(0..SHARDS);
+                match rng.random_range(0..6) {
+                    // A fresh oid above the top, sometimes with a gap.
+                    0..=2 => {
+                        let o = Oid(top + rng.random_range(1..4));
+                        table.insert(o, rec(shard, step));
+                        oracle[shard as usize].insert(o, rec(shard, step));
+                    }
+                    // Replace a record (its partition keeps it) or fill
+                    // an entry at or below the top.
+                    3 | 4 => {
+                        let o = Oid(rng.random_range(1..top + 2));
+                        let owner = oracle.iter().position(|m| m.contains_key(&o));
+                        let shard = owner.map_or(shard, |s| s as u32);
+                        *table.try_entry(o).unwrap() = Some(rec(shard, step));
+                        oracle[shard as usize].insert(o, rec(shard, step));
+                    }
+                    _ => {
+                        table.clear_shard(shard);
+                        oracle[shard as usize].clear();
+                    }
                 }
-                let want: Vec<(Oid, ObjRecord)> =
-                    oracle.iter().map(|(&o, r)| (o, r.clone())).collect();
-                assert!(table.iter().eq(want.iter()), "ascending iteration");
-                assert_eq!(table.len(), oracle.len());
-                assert_eq!(table.last_oid(), oracle.keys().next_back().copied());
-                assert!(table.slots.len() as u64 <= max, "slot table past the highest record");
-                let rebuilt = Records::from_sorted(want).unwrap();
-                assert_eq!(rebuilt, table);
-                assert_eq!(rebuilt.slots, table.slots, "both derive the same slot table");
+                let mut all: Vec<(Oid, &ObjRecord)> =
+                    oracle.iter().flatten().map(|(&o, r)| (o, r)).collect();
+                all.sort_by_key(|&(o, _)| o);
+                let max = all.last().map_or(0, |&(o, _)| o.0);
+                assert_eq!(table.last_oid().map_or(0, |o| o.0), max, "the highest record");
+                for i in 0..=max + 2 {
+                    let o = Oid(i);
+                    for s in 0..SHARDS {
+                        let want = oracle[s as usize].get(&o);
+                        assert_eq!(table.get(s, o), want, "o{i} of partition {s}");
+                        assert_eq!(table.get_mut(s, o).map(|r| &*r), want, "o{i} of {s}, mutably");
+                    }
+                    let any = all.iter().find(|&&(p, _)| p == o).map(|&(_, r)| r);
+                    assert_eq!(table.find(o), any, "o{i} of any partition");
+                }
+                for s in 0..SHARDS {
+                    let want = &oracle[s as usize];
+                    assert!(
+                        table.of_shard(s).eq(want.iter().map(|(&o, r)| (o, r))),
+                        "{s} in order"
+                    );
+                    assert!(table.of_shard_mut(s).map(|r| &*r).eq(want.values()), "{s}, mutably");
+                }
+                assert!(table.iter().eq(all.iter().copied()), "the whole table in oid order");
+                let mut afresh = Records::default();
+                for &(o, r) in &all {
+                    afresh.insert(o, r.clone());
+                }
+                assert_eq!(afresh, table, "no entry past the highest record");
             }
         }
     }

@@ -516,19 +516,19 @@ mod tests {
             let mut dbx = m.db().clone();
             let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
             let ctx = delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind };
-            let state = &m.shards[0];
+            let (state, records) = (&m.shards[0], &m.records);
             let generic = {
-                let mut st = state.clone();
+                let (mut st, mut records) = (state.clone(), records.clone());
                 let touched = touches(&[&d]);
-                let stage = st.stage_batch(&ctx, 1, &touched).expect("conforming");
-                st.commit_batch(stage);
-                st
+                let stage = st.stage_batch(&ctx, &records, 1, &touched).expect("conforming");
+                st.commit_batch(&mut records, stage);
+                (st, records)
             };
             let bulked = {
-                let mut st = state.clone();
+                let (mut st, mut records) = (state.clone(), records.clone());
                 let stage = st.stage_bulk_creates(&ctx, d.objects().iter()).expect("conforming");
-                st.commit_bulk_creates(stage);
-                st
+                st.commit_bulk_creates(&mut records, stage);
+                (st, records)
             };
             assert!(
                 generic == bulked,
@@ -545,7 +545,7 @@ mod tests {
         let ctx =
             delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind: PatternKind::All };
         let state = &m.shards[0];
-        assert!(state.stage_batch(&ctx, 1, &touches(&[&d])).is_err());
+        assert!(state.stage_batch(&ctx, &m.records, 1, &touches(&[&d])).is_err());
         assert!(state.stage_bulk_creates(&ctx, d.objects().iter()).is_err());
     }
 
@@ -994,11 +994,11 @@ mod tests {
         );
         // Histories are run-length encoded: 51 steps, but o1's record
         // holds a single segment ([P] since step 1).
-        let rec = state.records.get(Oid(1)).unwrap();
+        let rec = m.records.get(0, Oid(1)).unwrap();
         assert_eq!(rec.segments.len(), 1, "no per-step history growth");
         assert_eq!(m.pattern_of(Oid(1)).unwrap().len(), 51, "full pattern reconstructs");
         // o8 (= k7) changed role once: two segments.
-        let touched = state.records.get(Oid(8)).unwrap();
+        let touched = m.records.get(0, Oid(8)).unwrap();
         assert_eq!(touched.segments.len(), 2);
     }
 

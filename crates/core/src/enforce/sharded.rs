@@ -11,7 +11,8 @@
 //! even a step counter.
 //!
 //! A [`ShardedMonitor`] exploits exactly that. It keeps one
-//! `DeltaState` tracking partition per shard, routed
+//! `DeltaState` tracking partition per shard — their records share one
+//! oid-indexed table, each tagged with its shard — routed
 //!
 //! * by the schema's **weakly-connected role components** when it has
 //!   more than one — an object's classes stay inside a single component
@@ -79,7 +80,8 @@
 //! at a certification marker.
 
 use super::delta::{
-    diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, Touch, EXEMPT,
+    diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, Records, Touch,
+    EXEMPT,
 };
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
@@ -197,6 +199,8 @@ pub struct ShardedMonitor<'a> {
     /// The tracking partitions — each with its **own letter clock**;
     /// no shared counter exists.
     pub(super) shards: Vec<DeltaState>,
+    /// Every shard's tracking records, one table indexed by oid.
+    pub(super) records: Records,
     router: Router,
     /// Where committed blocks are logged before tracking state is
     /// written (`None`: volatile monitor).
@@ -245,7 +249,13 @@ impl<'a> ShardedMonitor<'a> {
             redefine_total: 0,
             quarantined_total: 0,
             db: Instance::empty(),
-            shards: (0..n).map(|_| DeltaState::new(start, pre_exempt)).collect(),
+            shards: (0..n)
+                .map(|i| {
+                    let shard = u32::try_from(i).expect("a shard index fits in u32");
+                    DeltaState::new(shard, start, pre_exempt)
+                })
+                .collect(),
+            records: Records::default(),
             router,
             sink: None,
             certified: false,
@@ -328,7 +338,7 @@ impl<'a> ShardedMonitor<'a> {
             .map(|(shard, s)| ShardStats {
                 shard,
                 clock: s.steps,
-                tracked_objects: s.records.len(),
+                tracked_objects: s.tracked,
                 live_cohorts: s.by_key.len(),
                 exempt_objects: s.cohorts[EXEMPT as usize].size,
                 last_touched: s.last_touched,
@@ -344,10 +354,9 @@ impl<'a> ShardedMonitor<'a> {
     /// so they must not add repeat letters here either.
     #[must_use]
     pub fn pattern_of(&self, o: Oid) -> Option<MigrationPattern> {
-        self.shards.iter().find_map(|s| {
-            let horizon = self.certified_at.unwrap_or(s.steps);
-            s.records.get(o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), horizon))
-        })
+        let rec = self.records.find(o)?;
+        let horizon = self.certified_at.unwrap_or(self.shards[rec.shard as usize].steps);
+        Some(rec.pattern_through(self.alphabet.empty_symbol(), horizon))
     }
 
     /// Whether the monitor runs in the certified fast path.
@@ -663,7 +672,7 @@ impl<'a> ShardedMonitor<'a> {
         let reset = policy == ResiduePolicy::CertifyAndReset;
         let (mut residue, mut quarantined) = (0usize, 0usize);
         for (state, new_pre) in self.shards.iter_mut().zip(pre_walks) {
-            let (r, q) = state.apply_redefine(&fates, new_dfa, new_pre, reset);
+            let (r, q) = state.apply_redefine(&mut self.records, &fates, new_dfa, new_pre, reset);
             residue += r;
             quarantined += q;
         }
@@ -762,7 +771,8 @@ impl<'a> ShardedMonitor<'a> {
                 if letters.is_empty() {
                     return Ok(None);
                 }
-                state.stage_batch(&ctx, letters.len(), touched).map(|s| Some(ShardStage::Batch(s)))
+                let stage = state.stage_batch(&ctx, &self.records, letters.len(), touched);
+                stage.map(|s| Some(ShardStage::Batch(s)))
             })
             .collect::<Result<_, ()>>()
             .ok()?;
@@ -840,10 +850,11 @@ impl<'a> ShardedMonitor<'a> {
             let deltas: Vec<&Delta> = effective.iter().map(|&(_, d)| d).collect();
             self.log_block(&deltas, &shard_letters)?;
         }
+        let records = &mut self.records;
         for (state, stage) in self.shards.iter_mut().zip(stages) {
             match stage {
-                Some(ShardStage::Batch(stage)) => state.commit_batch(stage),
-                Some(ShardStage::Bulk(stage)) => state.commit_bulk_creates(stage),
+                Some(ShardStage::Batch(stage)) => state.commit_batch(records, stage),
+                Some(ShardStage::Bulk(stage)) => state.commit_bulk_creates(records, stage),
                 None => {}
             }
         }
@@ -879,7 +890,7 @@ impl<'a> ShardedMonitor<'a> {
             kind: self.kind,
             epoch: self.epoch,
         };
-        diagnose_step(&params, &self.shards, &reads, |od| self.route(od), letter.1)
+        diagnose_step(&params, &self.shards, &self.records, &reads, |od| self.route(od), letter.1)
     }
 
     /// Whether this monitor routes objects by weakly-connected role
@@ -967,6 +978,7 @@ impl<'a> ShardedMonitor<'a> {
             evolution: self.evolution(),
             db: self.db.clone(),
             shards: self.shards.clone(),
+            records: self.records.clone(),
         }
     }
 
@@ -1008,6 +1020,7 @@ impl<'a> ShardedMonitor<'a> {
         wal::capture_delta(
             &self.db,
             &mut self.shards,
+            &self.records,
             self.policy,
             self.certified,
             self.certified_at,
@@ -1070,22 +1083,21 @@ impl<'a> ShardedMonitor<'a> {
     ) -> Result<ShardedMonitor<'a>, WalError> {
         let mut m = Self::new(schema, alphabet, inventory, kind, shards);
         if let Some(snap) = snapshot {
-            let Snapshot { policy, certified, certified_at, evolution, db, shards: states } = snap;
-            if states.len() != m.shards.len() {
+            let Snapshot { policy, certified, certified_at, evolution, db, shards, records } = snap;
+            if shards.len() != m.shards.len() {
                 return Err(WalError::Mismatch(format!(
                     "snapshot has {} shards, this monitor partitions into {}",
-                    states.len(),
+                    shards.len(),
                     m.shards.len()
                 )));
             }
-            if certified && states.len() != 1 {
+            if certified && shards.len() != 1 {
                 return Err(WalError::Mismatch(format!(
                     "snapshot is certified with {} shards — only a one-shard monitor certifies",
-                    states.len()
+                    shards.len()
                 )));
             }
-            m.db = db;
-            m.shards = states;
+            (m.db, m.shards, m.records) = (db, shards, records);
             m.policy = policy;
             m.certified = certified;
             m.certified_at = certified_at;
@@ -1334,12 +1346,12 @@ impl<'a> ShardedMonitor<'a> {
         for sl in &block.shards {
             let s = sl.shard as usize;
             let stage = self.shards[s]
-                .stage_batch(&ctx, sl.letters.len(), &touched[s])
+                .stage_batch(&ctx, &self.records, sl.letters.len(), &touched[s])
                 .map_err(|()| WalError::Mismatch("logged block does not admit".into()))?;
             stages.push((s, stage));
         }
         for (s, stage) in stages {
-            self.shards[s].commit_batch(stage);
+            self.shards[s].commit_batch(&mut self.records, stage);
         }
         Ok(())
     }

@@ -682,6 +682,8 @@ pub struct Snapshot {
     pub(crate) evolution: Evolution,
     pub(crate) db: Instance,
     pub(crate) shards: Vec<DeltaState>,
+    /// Every shard's tracking records, one table indexed by oid.
+    pub(crate) records: Records,
 }
 
 impl Snapshot {
@@ -730,7 +732,7 @@ impl Snapshot {
         self.db.encode_snapshot(&mut out);
         encode_u64(&mut out, self.shards.len() as u64);
         for s in &self.shards {
-            encode_state(&mut out, s);
+            encode_state(&mut out, s, &self.records);
         }
         out
     }
@@ -750,13 +752,14 @@ impl Snapshot {
         let db = Instance::decode_snapshot(&mut r)?;
         let n = r.count()?;
         let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(decode_state(&mut r, db.next_oid())?);
+        let mut records = Records::default();
+        for shard in 0..u32_of(n as u64, "shard count")? {
+            shards.push(decode_state(&mut r, db.next_oid(), shard, &mut records)?);
         }
         if !r.is_exhausted() {
             return Err(WalError::Corrupt("trailing bytes in snapshot".into()));
         }
-        Ok(Snapshot { policy, certified, certified_at, evolution, db, shards })
+        Ok(Snapshot { policy, certified, certified_at, evolution, db, shards, records })
     }
 
     /// Fold one decoded incremental checkpoint into this snapshot:
@@ -780,9 +783,9 @@ impl Snapshot {
             )));
         }
         // Records are kept only for minted objects, so the same bounds
-        // hold for them (their rows ascend: first and last suffice).
-        for sd in &d.shards {
-            check_record_bounds(&sd.records, Oid(d.next_oid), "increment")?;
+        // hold for them.
+        for &(o, _) in d.shards.iter().flat_map(|sd| &sd.records) {
+            check_record_bound(o, Oid(d.next_oid), "increment")?;
         }
         if d.shards.len() != self.shards.len() {
             return Err(WalError::Mismatch(format!(
@@ -798,6 +801,10 @@ impl Snapshot {
                     sd.steps, s.steps
                 )));
             }
+            // The increment's own records point into its own cohort
+            // table (checked at decode), so an older record can point
+            // past it only when a partial increment shortens the table.
+            let shortened = !sd.full && sd.cohorts.len() < s.cohorts.len();
             s.steps = sd.steps;
             s.pre_state = sd.pre_state;
             s.pre_exempt = sd.pre_exempt;
@@ -805,19 +812,25 @@ impl Snapshot {
             s.by_key = sd.by_key;
             s.free = sd.free;
             if sd.full {
-                s.records = Records::from_sorted(sd.records).map_err(|_| too_many_slots())?;
-            } else {
-                if let Some(&(top, _)) = sd.records.last() {
-                    s.records.try_reserve(top).map_err(|_| too_many_slots())?;
-                }
-                for (o, rec) in sd.records {
-                    s.records.insert(o, rec);
-                }
+                self.records.clear_shard(s.shard);
+                s.tracked = 0;
             }
-            for (_, rec) in s.records.iter() {
-                if (rec.cohort as usize) >= s.cohorts.len() {
-                    return Err(WalError::Corrupt("record points at missing cohort".into()));
+            for (o, rec) in sd.records {
+                let entry = self.records.try_entry(o).map_err(|_| too_many_slots())?;
+                match entry {
+                    Some(old) if old.shard != s.shard => return Err(claimed_twice(o)),
+                    Some(_) => {}
+                    None => s.tracked += 1,
                 }
+                *entry = Some(rec);
+            }
+            if shortened
+                && self
+                    .records
+                    .of_shard(s.shard)
+                    .any(|(_, rec)| rec.cohort as usize >= s.cohorts.len())
+            {
+                return Err(WalError::Corrupt("record points at missing cohort".into()));
             }
         }
         for (o, state) in d.objects {
@@ -840,8 +853,8 @@ impl Snapshot {
         }
         self.db.set_next(d.next_oid);
         // A base record may sit at or above a counter that moved back;
-        // the highest record of each shard settles it in O(1).
-        if self.shards.iter().any(|s| s.records.last_oid().is_some_and(|o| o.0 >= d.next_oid)) {
+        // the highest record settles it in O(1).
+        if self.records.last_oid().is_some_and(|o| o.0 >= d.next_oid) {
             return Err(WalError::Corrupt(format!(
                 "a tracking record is not below the counter o{}",
                 d.next_oid
@@ -998,14 +1011,14 @@ impl CheckpointDelta {
         }
         let n = r.count()?;
         let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
+        for shard in 0..u32_of(n as u64, "shard count")? {
             let steps = usize_of(r.u64()?, "shard clock")?;
             let pre_state = u32_of(r.u64()?, "pre state")?;
             let bits = r.byte()?;
             if bits & !0x03 != 0 {
                 return Err(WalError::Corrupt("unknown shard-delta bits".into()));
             }
-            let records = decode_record_map(&mut r)?;
+            let records = decode_record_map(&mut r, shard)?;
             let (cohorts, by_key, free) = decode_cohort_tables(&mut r)?;
             for (_, rec) in &records {
                 if (rec.cohort as usize) >= cohorts.len() {
@@ -1093,11 +1106,13 @@ impl DecodedDelta {
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta).
 /// O(dirty): the v2 bytes are written in one pass, each dirtied
 /// object's class set and tuple read in place from the heap and each
-/// dirtied record (every record after a compaction) from its shard's
-/// table, plus the bounded cohort tables. Nothing is cloned.
+/// dirtied record from the record table, looked up once, plus the
+/// bounded cohort tables. Nothing is cloned. A shard whose every record
+/// is dirty (after a compaction) is written whole, O(table).
 pub(crate) fn capture_delta(
     db: &Instance,
     shards: &mut [DeltaState],
+    records: &Records,
     policy: StepPolicy,
     certified: bool,
     certified_at: Option<usize>,
@@ -1126,22 +1141,18 @@ pub(crate) fn capture_delta(
     }
     encode_u64(&mut out, shards.len() as u64);
     let mut clocks = Vec::with_capacity(shards.len());
+    let mut dirty: Vec<(Oid, &ObjRecord)> = Vec::new();
     for s in shards.iter_mut() {
         let full = std::mem::replace(&mut s.all_dirty, false);
         encode_u64(&mut out, s.steps as u64);
         encode_u64(&mut out, u64::from(s.pre_state));
         out.push(u8::from(s.pre_exempt) | (u8::from(full) << 1));
         if full {
-            encode_u64(&mut out, s.records.len() as u64);
-            for (o, rec) in s.records.iter() {
-                encode_obj_record(&mut out, *o, rec);
-            }
+            encode_record_map(&mut out, s.tracked, records.of_shard(s.shard));
         } else {
-            let dirty = || s.dirty.iter().filter_map(|&o| Some((o, s.records.get(o)?)));
-            encode_u64(&mut out, dirty().count() as u64);
-            for (o, rec) in dirty() {
-                encode_obj_record(&mut out, o, rec);
-            }
+            dirty.clear();
+            dirty.extend(s.dirty.iter().filter_map(|&o| Some((o, records.get(s.shard, o)?))));
+            encode_record_map(&mut out, dirty.len(), dirty.iter().copied());
         }
         encode_cohort_tables(&mut out, &s.cohorts, &s.by_key, &s.free);
         s.dirty.clear();
@@ -1165,29 +1176,42 @@ fn dirty_union(shards: &[DeltaState]) -> Vec<Oid> {
     oids
 }
 
-/// Encode one shard's tracking state verbatim — clock, slot table, key
-/// map, free list and all. The engine is deterministic (ordered
-/// iteration everywhere), so replay from a verbatim state reproduces
-/// slot assignment exactly; nothing needs canonicalizing beyond the
-/// ordered maps themselves.
-fn encode_state(out: &mut Vec<u8>, s: &DeltaState) {
+/// Encode one shard's tracking state verbatim — clock, records (a
+/// filtered walk of `records`), slot table, key map, free list and all.
+/// The engine is deterministic (ordered iteration everywhere), so replay
+/// from a verbatim state reproduces slot assignment exactly; nothing
+/// needs canonicalizing beyond the ordered maps themselves.
+fn encode_state(out: &mut Vec<u8>, s: &DeltaState, records: &Records) {
     encode_u64(out, s.steps as u64);
     encode_u64(out, u64::from(s.pre_state));
     out.push(u8::from(s.pre_exempt));
-    encode_u64(out, s.records.len() as u64);
-    for (o, rec) in s.records.iter() {
-        encode_obj_record(out, *o, rec);
-    }
+    encode_record_map(out, s.tracked, records.of_shard(s.shard));
     encode_cohort_tables(out, &s.cohorts, &s.by_key, &s.free);
     // `last_touched` and the dirty set are deliberately NOT encoded:
     // diagnostics and checkpoint bookkeeping, not durable state.
 }
 
-/// Encode one tracking record; a record map is its count, then its
-/// records in ascending oid order.
+/// Encode a record map: its count `n`, then its records, which ascend
+/// by oid and number `n`.
+fn encode_record_map<'r>(
+    out: &mut Vec<u8>,
+    n: usize,
+    records: impl Iterator<Item = (Oid, &'r ObjRecord)>,
+) {
+    encode_u64(out, n as u64);
+    let mut written = 0;
+    for (o, rec) in records {
+        encode_obj_record(out, o, rec);
+        written += 1;
+    }
+    debug_assert_eq!(written, n, "a record map's count matches its records");
+}
+
+/// Encode one tracking record. Its creation step is written as its own
+/// field, which is always its first segment's start.
 fn encode_obj_record(out: &mut Vec<u8>, o: Oid, rec: &ObjRecord) {
     encode_u64(out, o.0);
-    encode_u64(out, rec.creation_step as u64);
+    encode_u64(out, rec.creation_step() as u64);
     encode_u64(out, u64::from(rec.cohort));
     encode_u64(out, rec.segments.len() as u64);
     for &(letter, from) in rec.segments.iter() {
@@ -1240,48 +1264,60 @@ fn usize_of(v: u64, what: &str) -> Result<usize, WalError> {
     usize::try_from(v).map_err(|_| WalError::Corrupt(format!("{what} out of range")))
 }
 
-/// Decode records, checking that they ascend by oid.
-fn decode_record_map(r: &mut Reader<'_>) -> Result<Vec<(Oid, ObjRecord)>, WalError> {
+/// Decode an increment's record map of shard `shard`.
+fn decode_record_map(r: &mut Reader<'_>, shard: u32) -> Result<Vec<(Oid, ObjRecord)>, WalError> {
     let n = r.count()?;
     let mut entries: Vec<(Oid, ObjRecord)> = Vec::with_capacity(n);
     for _ in 0..n {
-        let o = Oid(r.u64()?);
-        if entries.last().is_some_and(|&(p, _)| o <= p) {
-            return Err(WalError::Corrupt("records out of oid order".into()));
-        }
-        let creation_step = usize_of(r.u64()?, "creation step")?;
-        let cohort = u32_of(r.u64()?, "cohort")?;
-        let m = r.count()?;
-        let mut segment = || -> Result<(u32, usize), WalError> {
-            Ok((u32_of(r.u64()?, "letter")?, usize_of(r.u64()?, "segment start")?))
-        };
-        // One segment — every object whose role never changed — is read
-        // straight into the record's inline form.
-        let segments = match m {
-            0 => return Err(WalError::Corrupt(format!("record {o} has no segments"))),
-            1 => Segments::One(segment()?),
-            _ => {
-                let mut segments = Vec::with_capacity(m);
-                for _ in 0..m {
-                    segments.push(segment()?);
-                }
-                Segments::Many(segments)
-            }
-        };
-        entries.push((o, ObjRecord { creation_step, segments, cohort }));
+        entries.push(decode_obj_record(r, shard, entries.last().map(|&(o, _)| o))?);
     }
     Ok(entries)
 }
 
-/// Reject ascending `records` that name o0 or an oid at or above the
-/// counter `next`: an object never minted has no history.
-fn check_record_bounds(
-    records: &[(Oid, ObjRecord)],
-    next: Oid,
-    what: &str,
-) -> Result<(), WalError> {
-    let (first, last) = (records.first(), records.last());
-    if first.is_some_and(|(o, _)| o.0 == 0) || last.is_some_and(|&(o, _)| o >= next) {
+/// Decode one tracking record of shard `shard`, which must follow oid
+/// `after` in its map. A record whose stored creation step is not its
+/// first segment's start is corrupt: the table keeps the segment only.
+fn decode_obj_record(
+    r: &mut Reader<'_>,
+    shard: u32,
+    after: Option<Oid>,
+) -> Result<(Oid, ObjRecord), WalError> {
+    let o = Oid(r.u64()?);
+    if after.is_some_and(|p| o <= p) {
+        return Err(WalError::Corrupt("records out of oid order".into()));
+    }
+    let creation_step = r.u64()?;
+    let cohort = u32_of(r.u64()?, "cohort")?;
+    let m = r.count()?;
+    let mut segment = || -> Result<(u32, usize), WalError> {
+        Ok((u32_of(r.u64()?, "letter")?, usize_of(r.u64()?, "segment start")?))
+    };
+    // One segment — every object whose role never changed — is read
+    // straight into the record's inline form.
+    let segments = match m {
+        0 => return Err(WalError::Corrupt(format!("record {o} has no segments"))),
+        1 => Segments::One(segment()?),
+        _ => {
+            let mut segments = Vec::with_capacity(m);
+            for _ in 0..m {
+                segments.push(segment()?);
+            }
+            Segments::Many(segments)
+        }
+    };
+    if creation_step != segments[0].1 as u64 {
+        return Err(WalError::Corrupt(format!(
+            "record {o} is created at step {creation_step}, its first segment starts at {}",
+            segments[0].1
+        )));
+    }
+    Ok((o, ObjRecord { segments, cohort, shard }))
+}
+
+/// Reject a tracking record of o0 or of an oid at or above the counter
+/// `next`: an object never minted has no history.
+fn check_record_bound(o: Oid, next: Oid, what: &str) -> Result<(), WalError> {
+    if o.0 == 0 || o >= next {
         return Err(WalError::Corrupt(format!(
             "{what} has a tracking record outside o1 ≤ o < {next}"
         )));
@@ -1291,6 +1327,10 @@ fn check_record_bounds(
 
 fn too_many_slots() -> WalError {
     WalError::Corrupt("tracking records need more slots than fit".into())
+}
+
+fn claimed_twice(o: Oid) -> WalError {
+    WalError::Corrupt(format!("two shards hold a tracking record of {o}"))
 }
 
 type CohortTables = (Vec<Cohort>, BTreeMap<(u32, u32), u32>, Vec<u32>);
@@ -1332,9 +1372,14 @@ fn decode_cohort_tables(r: &mut Reader<'_>) -> Result<CohortTables, WalError> {
     Ok((cohorts, by_key, free))
 }
 
-/// Decode one shard's tracking state of a snapshot whose heap counter
-/// is `next`.
-fn decode_state(r: &mut Reader<'_>, next: Oid) -> Result<DeltaState, WalError> {
+/// Decode shard `shard`'s tracking state of a snapshot whose heap
+/// counter is `next`, placing its records straight into `records`.
+fn decode_state(
+    r: &mut Reader<'_>,
+    next: Oid,
+    shard: u32,
+    records: &mut Records,
+) -> Result<DeltaState, WalError> {
     let steps = usize_of(r.u64()?, "shard clock")?;
     let pre_state = u32_of(r.u64()?, "pre state")?;
     let pre_exempt = match r.byte()? {
@@ -1342,16 +1387,26 @@ fn decode_state(r: &mut Reader<'_>, next: Oid) -> Result<DeltaState, WalError> {
         1 => true,
         b => return Err(WalError::Corrupt(format!("bad pre-exempt byte {b}"))),
     };
-    let records = decode_record_map(r)?;
-    check_record_bounds(&records, next, "snapshot")?;
-    let (cohorts, by_key, free) = decode_cohort_tables(r)?;
-    for (_, rec) in &records {
-        if (rec.cohort as usize) >= cohorts.len() {
-            return Err(WalError::Corrupt("record points at missing cohort".into()));
+    let n = r.count()?;
+    let (mut last, mut top_cohort) = (None, None);
+    for _ in 0..n {
+        let (o, rec) = decode_obj_record(r, shard, last)?;
+        check_record_bound(o, next, "snapshot")?;
+        top_cohort = top_cohort.max(Some(rec.cohort));
+        let entry = records.try_entry(o).map_err(|_| too_many_slots())?;
+        if entry.is_some() {
+            return Err(claimed_twice(o));
         }
+        *entry = Some(rec);
+        last = Some(o);
+    }
+    let (cohorts, by_key, free) = decode_cohort_tables(r)?;
+    if top_cohort.is_some_and(|c| c as usize >= cohorts.len()) {
+        return Err(WalError::Corrupt("record points at missing cohort".into()));
     }
     Ok(DeltaState {
-        records: Records::from_sorted(records).map_err(|_| too_many_slots())?,
+        shard,
+        tracked: n,
         cohorts,
         by_key,
         free,
@@ -2394,8 +2449,9 @@ mod tests {
         assert!(Snapshot::decode(&snap.encode()).is_ok(), "the untouched snapshot decodes");
         for o in [Oid(2), Oid(3)] {
             let mut bad = snap.clone();
-            let rec = bad.shards[0].records.get(Oid(1)).unwrap().clone();
-            bad.shards[0].records.insert(o, rec);
+            let rec = bad.records.find(Oid(1)).unwrap().clone();
+            bad.records.insert(o, rec);
+            bad.shards[0].tracked += 1;
             assert!(
                 matches!(Snapshot::decode(&bad.encode()), Err(WalError::Corrupt(_))),
                 "a record at {o} with the counter at o2"
@@ -2505,24 +2561,98 @@ mod tests {
         }
         let encode = |records: &Records| {
             let mut out = Vec::new();
-            encode_u64(&mut out, records.len() as u64);
-            for (o, rec) in records.iter() {
-                encode_obj_record(&mut out, *o, rec);
-            }
+            encode_record_map(&mut out, records.iter().count(), records.of_shard(0));
             out
         };
         let (staged, grown) = (staged.snapshot(), grown.snapshot());
-        let (s, g) = (&staged.shards[0].records, &grown.shards[0].records);
-        let segments = |o: u64| s.get(Oid(o)).unwrap().segments.len();
+        let (s, g) = (&staged.records, &grown.records);
+        let segments = |o: u64| s.find(Oid(o)).unwrap().segments.len();
         assert_eq!((segments(1), segments(2)), (2, 1), "a changed role once, b never");
         assert_eq!(s, g);
         assert_eq!(format!("{s:?}"), format!("{g:?}"));
         let bytes = encode(s);
         assert_eq!(encode(g), bytes);
-        let decoded = Records::from_sorted(decode_record_map(&mut Reader::new(&bytes)).unwrap())
-            .expect("slots fit");
+        let mut decoded = Records::default();
+        for (o, rec) in decode_record_map(&mut Reader::new(&bytes), 0).unwrap() {
+            decoded.insert(o, rec);
+        }
         assert_eq!(&decoded, s);
         assert_eq!(format!("{decoded:?}"), format!("{s:?}"));
         assert_eq!(encode(&decoded), bytes);
+    }
+
+    /// A record whose stored creation step is not where its first
+    /// segment starts is corrupt, in an increment as in a snapshot: the
+    /// table keeps the segment alone, so such a record could not encode
+    /// back to its bytes.
+    #[test]
+    fn record_created_off_its_first_segment_is_corrupt() {
+        let (schema, alphabet, inv, ts) = university();
+        let (mk, st) = (ts.get("Mk").unwrap(), ts.get("St").unwrap());
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 1);
+        m.try_apply(mk, &key("a")).unwrap();
+        m.try_apply(mk, &key("b")).unwrap();
+        let base = m.checkpoint_full();
+        m.try_apply(st, &key("a")).unwrap();
+        let good = m.checkpoint_delta().encode();
+        let snap = m.snapshot().encode();
+        // o1's record: created at step 1, specialized at step 3.
+        let rec = m.records.find(Oid(1)).unwrap();
+        assert_eq!((rec.creation_step(), rec.segments.len()), (1, 2));
+        let mut want = Vec::new();
+        encode_obj_record(&mut want, Oid(1), rec);
+        let edit = |bytes: &[u8]| {
+            let at: Vec<usize> = (0..bytes.len() - want.len())
+                .filter(|&i| bytes[i..i + want.len()] == want[..])
+                .collect();
+            assert_eq!(at.len(), 1, "o1's record occurs once");
+            let mut bad = bytes.to_vec();
+            // The creation step's one varint byte follows o1's.
+            bad[at[0] + 1] += 1;
+            bad
+        };
+        assert!(base.clone().apply(CheckpointDelta::decode(&good).unwrap()).is_ok());
+        assert!(matches!(CheckpointDelta::decode(&edit(&good)), Err(WalError::Corrupt(_))));
+        assert!(Snapshot::decode(&snap).is_ok());
+        assert!(matches!(Snapshot::decode(&edit(&snap)), Err(WalError::Corrupt(_))));
+    }
+
+    /// A partial increment that shortens a shard's cohort table below a
+    /// cohort an older record — one the increment does not carry —
+    /// points at breaks the chain; the untouched increment folds.
+    #[test]
+    fn partial_increment_shortening_cohorts_under_an_old_record_is_corrupt() {
+        let (schema, alphabet, inv, ts) = university();
+        let (mk, st) = (ts.get("Mk").unwrap(), ts.get("St").unwrap());
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 1);
+        m.try_apply(mk, &key("a")).unwrap();
+        m.try_apply(mk, &key("b")).unwrap();
+        m.try_apply(st, &key("a")).unwrap();
+        let base = m.checkpoint_full();
+        m.try_apply(mk, &key("c")).unwrap();
+        let good = m.checkpoint_delta().encode();
+        let fold = |cut: usize| {
+            let mut d = CheckpointDelta::decode(&good).unwrap();
+            let sd = &mut d.shards[0];
+            assert!(!sd.full);
+            sd.cohorts.truncate(cut);
+            sd.by_key.retain(|_, id| (*id as usize) < cut);
+            sd.free.retain(|&id| (id as usize) < cut);
+            base.clone().apply(CheckpointDelta::decode(&d.encode()).expect("structurally valid"))
+        };
+        let d = CheckpointDelta::decode(&good).unwrap();
+        let (own, len) = (&d.shards[0].records, d.shards[0].cohorts.len());
+        // Cut the table just past the cohorts of the increment's own
+        // records, and under the cohort of an older one.
+        let cut = own.iter().map(|(_, rec)| rec.cohort as usize + 1).max().unwrap();
+        assert!(cut < len, "the cut shortens the table");
+        assert!(base.records.iter().any(|(_, rec)| rec.cohort as usize >= cut), "under a record");
+        assert!(fold(len).is_ok(), "the untouched increment folds");
+        assert_eq!(
+            fold(cut).err(),
+            Some(WalError::Corrupt("record points at missing cohort".into()))
+        );
     }
 }
