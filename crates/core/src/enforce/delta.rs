@@ -713,201 +713,6 @@ impl DeltaState {
             self.compact(records);
         }
     }
-
-    /// Stage **one** letter consisting purely of creations — the bulk-load
-    /// fast path. Semantically the `k = 1` [`stage_batch`](Self::stage_batch)
-    /// over a touched map of `Insert`-only chains, but without building the
-    /// per-object map: every creation in one letter shares the same
-    /// never-created context, so exemption is uniform and the DFA step is
-    /// computed once per *distinct role symbol* instead of once per object.
-    /// Must produce a state byte-identical to the generic path — WAL
-    /// replay goes through [`stage_batch`](Self::stage_batch), and the
-    /// recovery oracles compare snapshot encodings.
-    pub(crate) fn stage_bulk_creates<'d>(
-        &self,
-        ctx: &BatchCtx<'_>,
-        objects: impl Iterator<Item = &'d ObjectDelta>,
-    ) -> Result<BulkCreateStage, ()> {
-        let dfa = ctx.dfa;
-        let empty = ctx.alphabet.empty_symbol();
-        let pre = never_created_walk(
-            dfa,
-            empty,
-            ctx.kind,
-            self.pre_state,
-            self.pre_exempt,
-            self.steps,
-            1,
-        );
-        if pre.violation_at.is_some() {
-            return Err(());
-        }
-        let (pre_state0, pre_exempt0) = pre.trace[0];
-        let idx = self.steps + 1;
-        // One letter, one creation context: exemption is the same for
-        // every object of the batch (the created-chain arm of
-        // `stage_batch`, hoisted out of the loop).
-        let exempt = match ctx.kind {
-            PatternKind::All => false,
-            PatternKind::ImmediateStart => idx > 1,
-            PatternKind::Proper | PatternKind::Lazy => pre_exempt0,
-        };
-        // Bulk loads repeat a handful of class sets over millions of
-        // objects: cache symbol + target per distinct set (linear scan —
-        // the cache stays tiny) so `RoleSet::new` and `dfa.step` run once
-        // per distinct set. Targets keep first-occurrence order, which is
-        // the order the generic per-move commit allocates cohort slots in.
-        let mut by_classes: Vec<(ClassSet, u32, u32)> = Vec::new();
-        let mut targets: Vec<(Target, usize)> = Vec::new();
-        let mut inserts: Vec<(Oid, ObjRecord, u32)> = Vec::new();
-        for od in objects {
-            debug_assert!(od.created(), "bulk staging admits only creations");
-            let cs = od.after_classes().expect("created objects occur after the step");
-            let (sym, ti) = match by_classes.iter().find(|&&(c, _, _)| c == cs) {
-                Some(&(_, sym, ti)) => (sym, ti),
-                None => {
-                    let sym = classes_symbol(ctx.schema, ctx.alphabet, cs);
-                    let state = dfa.step(pre_state0, sym);
-                    if !exempt && !dfa.is_accepting(state) {
-                        return Err(());
-                    }
-                    let target = if exempt { Target::Exempt } else { Target::Key(state, sym) };
-                    // Distinct class sets can share a role symbol; reuse
-                    // the target slot so allocation order still matches
-                    // the generic path.
-                    let ti = match targets.iter().position(|&(t, _)| t == target) {
-                        Some(i) => i as u32,
-                        None => {
-                            targets.push((target, 0));
-                            (targets.len() - 1) as u32
-                        }
-                    };
-                    by_classes.push((cs, sym, ti));
-                    (sym, ti)
-                }
-            };
-            targets[ti as usize].1 += 1;
-            inserts.push((
-                od.oid,
-                ObjRecord {
-                    segments: Segments::One((sym, idx)),
-                    cohort: EXEMPT, // assigned on commit
-                    shard: self.shard,
-                },
-                ti,
-            ));
-        }
-
-        // Untouched cohort sweep — `stage_batch`'s, with no leavers.
-        let fold_all = matches!(ctx.kind, PatternKind::Proper | PatternKind::Lazy);
-        let mut advanced: Vec<(u32, u32)> = Vec::new();
-        let mut emptied: Vec<u32> = Vec::new();
-        for (&(cstate, role), &root) in &self.by_key {
-            let remaining = self.cohorts[root as usize].size;
-            if remaining == 0 {
-                if !fold_all {
-                    emptied.push(root);
-                }
-                continue;
-            }
-            if fold_all {
-                continue;
-            }
-            let st = advance_many(dfa, cstate, role, 1);
-            if !dfa.is_accepting(st) {
-                return Err(());
-            }
-            advanced.push((root, st));
-        }
-
-        Ok(BulkCreateStage {
-            targets,
-            inserts,
-            advanced,
-            emptied,
-            fold_all,
-            pre_state: pre.state,
-            pre_exempt: pre.exempt,
-        })
-    }
-
-    /// Write back a staged bulk-creation letter. Mirrors
-    /// [`commit_batch`](Self::commit_batch) with no leavers and
-    /// insert-only moves, replacing the per-move loop with one cohort
-    /// allocation per distinct target and a plain fill of the new
-    /// records' entries — created oids are minted above every tracked
-    /// oid.
-    pub(crate) fn commit_bulk_creates(&mut self, records: &mut Records, stage: BulkCreateStage) {
-        let BulkCreateStage {
-            targets,
-            inserts,
-            advanced,
-            emptied,
-            fold_all,
-            pre_state,
-            pre_exempt,
-        } = stage;
-        self.last_touched = inserts.len();
-        self.steps += 1;
-        self.pre_state = pre_state;
-        self.pre_exempt = pre_exempt;
-        if fold_all {
-            for (_, root) in std::mem::take(&mut self.by_key) {
-                let untouched = self.cohorts[root as usize].size;
-                self.cohorts[root as usize].size = 0;
-                if untouched == 0 {
-                    self.free.push(root);
-                } else {
-                    self.cohorts[root as usize].parent = EXEMPT;
-                    self.cohorts[EXEMPT as usize].size += untouched;
-                }
-            }
-        } else {
-            let mut new_keys: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-            for &(root, new_state) in &advanced {
-                let role = self.cohorts[root as usize].last_role;
-                self.cohorts[root as usize].state = new_state;
-                match new_keys.entry((new_state, role)) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(root);
-                    }
-                    std::collections::btree_map::Entry::Occupied(e) => {
-                        let survivor = *e.get();
-                        let sz = self.cohorts[root as usize].size;
-                        self.cohorts[root as usize].parent = survivor;
-                        self.cohorts[root as usize].size = 0;
-                        self.cohorts[survivor as usize].size += sz;
-                    }
-                }
-            }
-            self.by_key = new_keys;
-            for &root in &emptied {
-                debug_assert_eq!(self.cohorts[root as usize].size, 0);
-                self.free.push(root);
-            }
-        }
-        // Allocate each distinct target once, in first-occurrence
-        // (ascending-oid) order — the slots the generic per-move commit
-        // would pick.
-        let slots: Vec<u32> = targets
-            .iter()
-            .map(|&(target, members)| {
-                let c = self.cohort_for(target);
-                self.cohorts[c as usize].size += members;
-                c
-            })
-            .collect();
-        let mut fresh_dirty: BTreeSet<Oid> = inserts.iter().map(|&(oid, _, _)| oid).collect();
-        self.tracked += inserts.len();
-        for (oid, mut record, ti) in inserts {
-            record.cohort = slots[ti as usize];
-            records.insert(oid, record);
-        }
-        self.dirty.append(&mut fresh_dirty);
-        if self.needs_compaction() {
-            self.compact(records);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1195,24 +1000,6 @@ pub(crate) struct BatchStage {
 enum BatchMove {
     Insert { oid: Oid, segments: Range<usize>, target: Target },
     Move { oid: Oid, segments: Range<usize>, target: Target },
-}
-
-/// The staged outcome of [`DeltaState::stage_bulk_creates`]: one letter
-/// of pure creations, grouped by placement target.
-pub(crate) struct BulkCreateStage {
-    /// `(target, member count)` in first-occurrence (ascending-oid)
-    /// order — the cohort allocation order of the generic commit.
-    targets: Vec<(Target, usize)>,
-    /// `(oid, record, index into targets)`, ascending by oid; cohort
-    /// slots are assigned on commit.
-    inserts: Vec<(Oid, ObjRecord, u32)>,
-    /// `(root, state after one untouched letter)` for surviving cohorts.
-    advanced: Vec<(u32, u32)>,
-    emptied: Vec<u32>,
-    fold_all: bool,
-    /// Never-created walk endpoint, written back on commit.
-    pre_state: u32,
-    pre_exempt: bool,
 }
 
 /// The role-set symbol of a raw class set (∅ when absent or outside the

@@ -189,39 +189,9 @@ pub use wal::{
 
 use crate::alphabet::RoleAlphabet;
 use crate::pattern::MigrationPattern;
-use migratory_lang::{
-    apply_bulk_creates, apply_transaction_delta, Assignment, Delta, LangError, Transaction,
-};
-use migratory_model::{Instance, Oid, Schema};
+use migratory_lang::LangError;
+use migratory_model::Oid;
 use std::sync::{Arc, Mutex};
-
-/// Transactions with at least this many steps are probed for the
-/// create-only bulk-load fast path
-/// ([`migratory_lang::apply_bulk_creates`]). Below it, the general
-/// interpreter's per-object inserts are cheaper than the bulk path's
-/// class-index merge (`BTreeSet::append` is O(existing + new) regardless
-/// of batch size).
-pub(crate) const BULK_APPLY_THRESHOLD: usize = 4096;
-
-/// Apply `t[args]` to `db` and return the exact change-set, routing
-/// large create-only transactions through the bulk loader — parallel
-/// chunked condition evaluation plus one bulk append to the heap and
-/// indexes. The produced [`Delta`] (and database post-state) is
-/// identical to [`apply_transaction_delta`]'s, so everything downstream
-/// (tracking, WAL encoding, rollback) is unaffected by the routing.
-pub(crate) fn apply_delta_bulk(
-    schema: &Schema,
-    db: &mut Instance,
-    t: &Transaction,
-    args: &Assignment,
-) -> Result<Delta, LangError> {
-    if t.steps.len() >= BULK_APPLY_THRESHOLD {
-        if let Some(bulk) = apply_bulk_creates(schema, db, t, args) {
-            return bulk;
-        }
-    }
-    apply_transaction_delta(schema, db, t, args)
-}
 
 /// A shared, pluggable commit sink handle (see [`wal::CommitSink`]).
 /// `Arc<Mutex<…>>` so a monitor stays cloneable and the pipelined
@@ -402,25 +372,9 @@ mod tests {
     use crate::explore::{explore, ExploreConfig};
     use crate::{Inventory, PatternKind};
     use delta::EXEMPT;
-    use migratory_lang::{parse_transactions, TransactionSchema};
+    use migratory_lang::{parse_transactions, Assignment, Transaction, TransactionSchema};
     use migratory_model::schema::university_schema;
-    use migratory_model::{RoleSet, Value};
-
-    /// A block's tracked change-set entries, each with its 1-based
-    /// step, sorted by object — the unrouted one-shard `stage_batch`
-    /// input.
-    fn touches<'d>(deltas: &[&'d Delta]) -> Vec<delta::Touch<'d>> {
-        let mut touched = Vec::new();
-        for (j, d) in deltas.iter().enumerate() {
-            for od in d.objects() {
-                if delta::tracked(od) {
-                    touched.push((od.oid, j + 1, od));
-                }
-            }
-        }
-        touched.sort_by_key(|&(o, _, _)| o);
-        touched
-    }
+    use migratory_model::{RoleSet, Schema, Value};
 
     fn setup() -> (Schema, RoleAlphabet) {
         let s = university_schema();
@@ -483,83 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn bulk_create_staging_matches_generic_staging() {
-        // The bulk-load fast path must produce tracking state *equal* to
-        // the generic `stage_batch`/`commit_batch` path — WAL replay runs
-        // the generic path and recovery compares snapshot bytes.
-        use migratory_lang::{apply_transaction_delta, AtomicUpdate};
-        use migratory_model::{Atom, Condition};
-        let (s, a) = setup();
-        let ts = uni_transactions(&s);
-        let person = s.class_id("PERSON").unwrap();
-        let student = s.class_id("STUDENT").unwrap();
-        let ssn = s.attr_id("SSN").unwrap();
-        // Mixed classes: the bulk stage must group by role symbol and
-        // allocate cohorts in the generic first-occurrence order.
-        let mixed: Vec<AtomicUpdate> = (0..40)
-            .map(|i| AtomicUpdate::Create {
-                class: if i % 3 == 0 { student } else { person },
-                gamma: Condition::from_atoms([Atom::eq_const(ssn, format!("b{i}"))]),
-            })
-            .collect();
-        let bulk = Transaction::sl("B", &[], mixed);
-        let none = Assignment::empty();
-        for kind in
-            [PatternKind::All, PatternKind::ImmediateStart, PatternKind::Proper, PatternKind::Lazy]
-        {
-            let inv = Inventory::parse_init(&s, &a, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
-            let mut m = ShardedMonitor::new(&s, &a, &inv, kind, 1);
-            // Seed regular letters so cohorts and the ∅ walk are mid-run.
-            m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
-            m.try_apply(ts.get("St").unwrap(), &arg("1")).unwrap();
-            m.try_apply(ts.get("Mk").unwrap(), &arg("2")).unwrap();
-            let mut dbx = m.db().clone();
-            let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
-            let ctx = delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind };
-            let (state, records) = (&m.shards[0], &m.records);
-            let generic = {
-                let (mut st, mut records) = (state.clone(), records.clone());
-                let touched = touches(&[&d]);
-                let stage = st.stage_batch(&ctx, &records, 1, &touched).expect("conforming");
-                st.commit_batch(&mut records, stage);
-                (st, records)
-            };
-            let bulked = {
-                let (mut st, mut records) = (state.clone(), records.clone());
-                let stage = st.stage_bulk_creates(&ctx, d.objects().iter()).expect("conforming");
-                st.commit_bulk_creates(&mut records, stage);
-                (st, records)
-            };
-            assert!(
-                generic == bulked,
-                "bulk staging diverged from the generic path under {kind:?}"
-            );
-        }
-        // Both paths agree on rejection too: [PERSON] creations against
-        // an inventory admitting only [STUDENT] letters (exemption never
-        // saves a creation under All).
-        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
-        let m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
-        let mut dbx = m.db().clone();
-        let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
-        let ctx =
-            delta::BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind: PatternKind::All };
-        let state = &m.shards[0];
-        assert!(state.stage_batch(&ctx, &m.records, 1, &touches(&[&d])).is_err());
-        assert!(state.stage_bulk_creates(&ctx, d.objects().iter()).is_err());
-    }
-
-    #[test]
-    fn bulk_threshold_violation_matches_reference() {
-        // Above the routing threshold the public path takes the bulk
-        // loader end to end; a violating load must report the reference
-        // engine's exact Violation and leave the database untouched.
+    fn large_create_only_violation_matches_reference() {
+        // One create-only transaction of thousands of steps is one
+        // letter of thousands of creations; a violating load must report
+        // the reference engine's exact Violation and leave the database
+        // untouched.
         use migratory_lang::AtomicUpdate;
         use migratory_model::{Atom, Condition};
         let (s, a) = setup();
         let person = s.class_id("PERSON").unwrap();
         let ssn = s.attr_id("SSN").unwrap();
-        let n = BULK_APPLY_THRESHOLD + 10;
+        let n = 4106;
         let updates: Vec<AtomicUpdate> = (0..n)
             .map(|i| AtomicUpdate::Create {
                 class: person,
@@ -582,8 +470,8 @@ mod tests {
             other => panic!("expected violations, got {other:?}"),
         }
         assert_eq!(md.db().num_objects(), 0, "violating bulk load must roll back");
-        // The same load against a permitting inventory admits through
-        // the bulk path and matches the reference database.
+        // The same load against a permitting inventory admits and
+        // matches the reference database.
         let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
         let mut md = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
         let mut mr = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);

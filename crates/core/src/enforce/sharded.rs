@@ -80,8 +80,7 @@
 //! at a certification marker.
 
 use super::delta::{
-    diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, Records, Touch,
-    EXEMPT,
+    diagnose_step, BatchCtx, BatchStage, DeltaState, DiagParams, Records, Touch, EXEMPT,
 };
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
@@ -90,7 +89,8 @@ use crate::error::CoreError;
 use crate::inventory::Inventory;
 use crate::pattern::{MigrationPattern, PatternKind};
 use migratory_lang::{
-    apply_transaction, Assignment, Delta, ObjectDelta, Transaction, TransactionSchema,
+    apply_transaction, apply_transaction_delta, Assignment, Delta, ObjectDelta, Transaction,
+    TransactionSchema,
 };
 use migratory_model::{Instance, Oid, Schema};
 use std::sync::PoisonError;
@@ -103,13 +103,7 @@ struct StagedBlock {
     /// letters (empty: the shard does not participate).
     letters: Vec<Vec<u32>>,
     /// Per shard, its staged tracking changes.
-    stages: Vec<Option<ShardStage>>,
-}
-
-/// One shard's staged share of a block.
-enum ShardStage {
-    Batch(BatchStage),
-    Bulk(BulkCreateStage),
+    stages: Vec<Option<BatchStage>>,
 }
 
 /// How objects are assigned to shards.
@@ -451,17 +445,13 @@ impl<'a> ShardedMonitor<'a> {
     /// Apply each `t[args]` in order to the database, stopping at the
     /// first transaction that fails to apply (it leaves the database
     /// untouched), and return the exact change-sets of those applied.
-    /// Transactions above [`super::BULK_APPLY_THRESHOLD`] create-only
-    /// steps go through the bulk loader (see [`super::apply_delta_bulk`]);
-    /// the deltas — and everything downstream of them (tracking, WAL
-    /// encoding, rollback) — are identical either way.
     fn apply_deltas(
         &mut self,
         items: &[(&Transaction, &Assignment)],
     ) -> (Vec<Delta>, Option<EnforceError>) {
         let mut deltas = Vec::with_capacity(items.len());
         for (t, args) in items {
-            match super::apply_delta_bulk(self.schema, &mut self.db, t, args) {
+            match apply_transaction_delta(self.schema, &mut self.db, t, args) {
                 Ok(d) => deltas.push(d),
                 Err(e) => return (deltas, Some(e.into())),
             }
@@ -751,16 +741,6 @@ impl<'a> ShardedMonitor<'a> {
             dfa: self.inventory.dfa(),
             kind: self.kind,
         };
-        // A lone all-creations letter above the bulk threshold takes the
-        // bulk-staging path: same participation rule, same WAL record,
-        // byte-identical tracking state, no per-object touched map.
-        if let [(fallback, d)] = *effective {
-            if d.objects().len() >= super::BULK_APPLY_THRESHOLD
-                && d.objects().iter().all(ObjectDelta::created)
-            {
-                return self.stage_bulk_creates(&ctx, fallback, d);
-            }
-        }
         let (letters, touched) = self.assign_letters(effective);
         let stages = self
             .shards
@@ -771,57 +751,10 @@ impl<'a> ShardedMonitor<'a> {
                 if letters.is_empty() {
                     return Ok(None);
                 }
-                let stage = state.stage_batch(&ctx, &self.records, letters.len(), touched);
-                stage.map(|s| Some(ShardStage::Batch(s)))
+                state.stage_batch(&ctx, &self.records, letters.len(), touched).map(Some)
             })
             .collect::<Result<_, ()>>()
             .ok()?;
-        Some(StagedBlock { letters, stages })
-    }
-
-    /// Bulk-creation staging of one all-creations letter: partition the
-    /// created objects per shard (ascending oid order is preserved) and
-    /// stage each participating shard through
-    /// [`DeltaState::stage_bulk_creates`]. Commits to the same WAL
-    /// record and the same per-shard tracking state as the generic
-    /// path, byte for byte.
-    fn stage_bulk_creates(
-        &self,
-        ctx: &BatchCtx<'_>,
-        fallback: usize,
-        d: &Delta,
-    ) -> Option<StagedBlock> {
-        let n = self.shards.len();
-        let mut routed: Vec<Vec<&ObjectDelta>> = vec![Vec::new(); n];
-        for od in d.objects() {
-            routed[self.route(od)].push(od);
-        }
-        // Under oid striping every stripe reads every letter; under
-        // component routing only the shards of the touched objects do
-        // (the fallback shard when the delta somehow touches none).
-        let mut participating: Vec<bool> = match &self.router {
-            Router::OidStripe { .. } => vec![true; n],
-            Router::Component { .. } => routed.iter().map(|r| !r.is_empty()).collect(),
-        };
-        if !participating.contains(&true) {
-            participating[fallback] = true;
-        }
-        let stages = self
-            .shards
-            .iter()
-            .zip(&routed)
-            .zip(&participating)
-            .map(|((state, routed), &part)| {
-                if !part {
-                    return Ok(None);
-                }
-                state
-                    .stage_bulk_creates(ctx, routed.iter().copied())
-                    .map(|s| Some(ShardStage::Bulk(s)))
-            })
-            .collect::<Result<_, ()>>()
-            .ok()?;
-        let letters = participating.iter().map(|&p| if p { vec![0] } else { Vec::new() }).collect();
         Some(StagedBlock { letters, stages })
     }
 
@@ -852,10 +785,8 @@ impl<'a> ShardedMonitor<'a> {
         }
         let records = &mut self.records;
         for (state, stage) in self.shards.iter_mut().zip(stages) {
-            match stage {
-                Some(ShardStage::Batch(stage)) => state.commit_batch(records, stage),
-                Some(ShardStage::Bulk(stage)) => state.commit_bulk_creates(records, stage),
-                None => {}
+            if let Some(stage) = stage {
+                state.commit_batch(records, stage);
             }
         }
         Ok(())

@@ -365,99 +365,6 @@ pub fn apply_transaction_delta(
     Ok(Delta { old_next, new_next: db.next_oid().0, objects: rec.finish(db) })
 }
 
-/// Chunked evaluation below this many steps stays on the calling thread:
-/// spawning scoped workers costs more than evaluating a few conditions.
-const BULK_PARALLEL_THRESHOLD: usize = 4096;
-
-/// Bulk fast path of [`apply_transaction_delta`] for **create-only SL
-/// transactions** — every step unguarded and an [`AtomicUpdate::Create`].
-/// Returns `None` when the transaction has any other shape (callers fall
-/// back to the general interpreter); otherwise the result is the exact
-/// [`Delta`] (and database post-state) the general path would produce.
-///
-/// Where the general path pays O(log |db|) per created object (individual
-/// heap and index inserts), this one evaluates every step's condition in
-/// parallel chunks on [`std::thread::scope`] workers — substitution,
-/// satisfiability and value extraction are pure, read-only work — then
-/// mints the identifiers in step order with one bulk append to the heap
-/// and indexes ([`Instance::bulk_create`]). Creation never reads
-/// the database, so chunk evaluation commutes with step order and the
-/// serial mint keeps identifier assignment identical to the sequential
-/// semantics.
-pub fn apply_bulk_creates(
-    schema: &Schema,
-    db: &mut Instance,
-    t: &Transaction,
-    args: &Assignment,
-) -> Option<Result<Delta, LangError>> {
-    let _ = schema; // validated upstream, same as the general path
-    let all_creates = !t.steps.is_empty()
-        && t.steps
-            .iter()
-            .all(|g| g.guards.is_empty() && matches!(g.update, AtomicUpdate::Create { .. }));
-    if !all_creates {
-        return None;
-    }
-    if args.len() != t.params.len() {
-        return Some(Err(LangError::ArityMismatch { expected: t.params.len(), got: args.len() }));
-    }
-    let assign = |x: migratory_model::VarId| args.get(x).clone();
-    // Per step: the created class and tuple, or `None` for an
-    // unsatisfiable condition (the paper's `E` — the identity, which
-    // mints nothing). One pass over the sorted atoms instead of
-    // `substitute` + `is_satisfiable` + `value_map` (three tree
-    // allocations per row): atoms sort by (attr, op, term) with Eq < Ne,
-    // so per attribute every equality precedes every inequality —
-    // first-wins equality with a conflict check, then inequalities
-    // against the agreed value, is the same decision in one sweep.
-    let eval = |g: &GuardedUpdate| -> Option<(ClassSet, Tuple)> {
-        let AtomicUpdate::Create { class, gamma } = &g.update else { unreachable!("all creates") };
-        let mut vals = Tuple::new();
-        for a in gamma.atoms() {
-            let v = match &a.term {
-                migratory_model::Term::Const(v) => v.clone(),
-                migratory_model::Term::Var(x) => assign(*x),
-            };
-            match (a.op, vals.get(a.attr)) {
-                (migratory_model::CmpOp::Eq, None) => vals.set(a.attr, v),
-                // Conflicting equalities, or the agreed value excluded: E.
-                (migratory_model::CmpOp::Eq, Some(agreed)) if *agreed != v => return None,
-                (migratory_model::CmpOp::Ne, Some(agreed)) if *agreed == v => return None,
-                _ => {}
-            }
-        }
-        Some((ClassSet::singleton(*class), vals))
-    };
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let rows: Vec<(ClassSet, Tuple)> = if workers > 1 && t.steps.len() >= BULK_PARALLEL_THRESHOLD {
-        let chunk = t.steps.len().div_ceil(workers);
-        let mut parts: Vec<Vec<Option<(ClassSet, Tuple)>>> =
-            vec![Vec::new(); t.steps.len().div_ceil(chunk)];
-        std::thread::scope(|scope| {
-            for (slot, steps) in parts.iter_mut().zip(t.steps.chunks(chunk)) {
-                let eval = &eval;
-                scope.spawn(move || *slot = steps.iter().map(eval).collect());
-            }
-        });
-        parts.into_iter().flatten().flatten().collect()
-    } else {
-        t.steps.iter().filter_map(eval).collect()
-    };
-    let old_next = db.next_oid().0;
-    let first = db.bulk_create(&rows);
-    let objects = rows
-        .into_iter()
-        .enumerate()
-        .map(|(i, (cs, tuple))| ObjectDelta {
-            oid: Oid(first.0 + i as u64),
-            before: None,
-            after: Some((cs, tuple)),
-            tuple_changed: true,
-        })
-        .collect();
-    Some(Ok(Delta { old_next, new_next: db.next_oid().0, objects }))
-}
-
 /// Functional form of [`apply_transaction`].
 pub fn run(
     schema: &Schema,

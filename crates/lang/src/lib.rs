@@ -54,8 +54,8 @@ pub use ast::{
 pub use codec::{decode_delta, delta_from_text, delta_to_text, encode_delta};
 pub use error::LangError;
 pub use interp::{
-    apply_atomic, apply_bulk_creates, apply_guarded, apply_transaction, apply_transaction_delta,
-    run, run_trace, satisfies_literal, Delta, ObjectDelta,
+    apply_atomic, apply_guarded, apply_transaction, apply_transaction_delta, run, run_trace,
+    satisfies_literal, Delta, ObjectDelta,
 };
 pub use mig::{mig_ops, migto_ops};
 pub use parser::parse_transactions;

@@ -36,10 +36,9 @@
 //! **incrementally by every mutation path** ([`Instance::create`],
 //! [`Instance::delete_object`], [`Instance::add_classes`],
 //! [`Instance::remove_classes`], [`Instance::set_values`],
-//! [`Instance::put_object`]; the bulk paths [`Instance::bulk_create`],
-//! [`Instance::restrict`], [`Instance::from_objects`] and
-//! [`Instance::decode_snapshot`] build them wholesale). Neither keeps a
-//! copy of what the heap holds:
+//! [`Instance::put_object`]; [`Instance::restrict`],
+//! [`Instance::from_objects`] and [`Instance::decode_snapshot`] build
+//! them wholesale). Neither keeps a copy of what the heap holds:
 //!
 //! * the **class index** — `o(P)` materialized per class as a bitmap
 //!   over heap slots (bit `i` is the object in slot `i`) with a count,
@@ -84,7 +83,7 @@ use crate::ids::{AttrId, ClassId, DenseId, Oid};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher as _, RandomState};
 
 /// One heap slot: an object's class set and attribute tuple, both empty
@@ -163,6 +162,10 @@ impl Members {
             self.words[w] |= bit;
             self.len += 1;
         }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words.get(i / 64).is_some_and(|word| word & (1 << (i % 64)) != 0)
     }
 
     fn remove(&mut self, i: usize) {
@@ -482,13 +485,13 @@ impl Indexes {
         }
     }
 
-    /// Index the occurring slots of `heap[from..]` in bulk. Each
-    /// attribute's table is reserved up front for the rows carrying it,
-    /// so a million-entry table does not grow step by step; that count
-    /// only bounds the new distinct values, so a table left over half
-    /// empty gives the slack back.
-    fn add_rows(&mut self, heap: &[Slot], from: usize) {
-        let rows = || (from..heap.len()).filter(|&i| !heap[i].0.is_empty());
+    /// Index the occurring slots of `heap` in bulk. Each attribute's
+    /// table is reserved up front for the rows carrying it, so a
+    /// million-entry table does not grow step by step; that count only
+    /// bounds the distinct values, so a table left over half empty gives
+    /// the slack back.
+    fn add_rows(&mut self, heap: &[Slot]) {
+        let rows = || (0..heap.len()).filter(|&i| !heap[i].0.is_empty());
         let mut per_attr: Vec<usize> = Vec::new();
         for i in rows() {
             let (cs, t) = &heap[i];
@@ -501,34 +504,14 @@ impl Indexes {
             }
         }
         for (a, &n) in per_attr.iter().enumerate() {
-            if n > 0 {
-                self.table_mut(AttrId::from_index(a)).reserve(n);
-            }
+            self.table_mut(AttrId::from_index(a)).reserve(n);
         }
         for i in rows() {
             for (a, v) in heap[i].1.iter() {
                 self.add_value(heap, oid_at(i), a, v);
             }
         }
-        for (a, &n) in per_attr.iter().enumerate() {
-            if n > 0 {
-                self.values[a].shrink_to_fit();
-            }
-        }
-    }
-}
-
-/// Formats `(key, value)` pairs as a map, as `BTreeMap`'s `Debug` does.
-struct MapView<I>(I);
-
-impl<K, V, I> std::fmt::Debug for MapView<I>
-where
-    K: std::fmt::Debug,
-    V: std::fmt::Debug,
-    I: Iterator<Item = (K, V)> + Clone,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.0.clone()).finish()
+        self.values.iter_mut().for_each(ValueTable::shrink_to_fit);
     }
 }
 
@@ -572,9 +555,12 @@ impl std::hash::Hash for Instance {
 
 impl std::fmt::Debug for Instance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let membership: BTreeMap<Oid, &ClassSet> =
+            self.entries().map(|(o, cs, _)| (o, cs)).collect();
+        let attrs: BTreeMap<Oid, &Tuple> = self.entries().map(|(o, _, t)| (o, t)).collect();
         f.debug_struct("Instance")
-            .field("membership", &MapView(self.entries().map(|(o, cs, _)| (o, cs))))
-            .field("attrs", &MapView(self.entries().map(|(o, _, t)| (o, t))))
+            .field("membership", &membership)
+            .field("attrs", &attrs)
             .field("next", &self.next)
             .finish_non_exhaustive()
     }
@@ -752,21 +738,13 @@ impl Instance {
                 }
             }
         }
+        // A class with no members but value hits drives from the value
+        // entry: the per-candidate class check empties it uniformly.
         match (best, class_entry) {
-            (None, None) => SatPlan::Empty,
+            (Some(v), Some(c)) if c.len <= v.len() => SatPlan::ClassEntry(c),
+            (Some(v), _) => SatPlan::ValueEntry(v),
             (None, Some(c)) => SatPlan::ClassEntry(c),
-            (Some(v), None) => {
-                // Value hits exist but the class has no members: empty —
-                // but the per-candidate class check handles it uniformly.
-                SatPlan::ValueEntry(v)
-            }
-            (Some(v), Some(c)) => {
-                if c.len <= v.len() {
-                    SatPlan::ClassEntry(c)
-                } else {
-                    SatPlan::ValueEntry(v)
-                }
-            }
+            (None, None) => SatPlan::Empty,
         }
     }
 
@@ -824,33 +802,6 @@ impl Instance {
         self.next += 1;
         self.place(oid, classes, values.into());
         oid
-    }
-
-    /// Create a batch of objects at once, minting consecutive ascending
-    /// identifiers from the next-object counter. Returns the first minted
-    /// identifier (row `i` became `Oid(first.0 + i)`).
-    ///
-    /// Semantically identical to calling [`Instance::create`] once per
-    /// row, but the rows are appended to the slab in one piece and
-    /// indexed in bulk: each attribute's table is reserved for the batch
-    /// before it is filled — which is what makes million-object bulk
-    /// loads cheap.
-    pub fn bulk_create(&mut self, rows: &[(ClassSet, Tuple)]) -> Oid {
-        let first = Oid(self.next);
-        if rows.is_empty() {
-            return first;
-        }
-        debug_assert!(rows.iter().all(|(cs, _)| !cs.is_empty()), "objects need a class");
-        self.next += rows.len() as u64;
-        let start = slot_index(first);
-        assert!(self.heap.len() <= start, "a live object sits at or above the counter");
-        self.heap.reserve(start + rows.len() - self.heap.len());
-        self.heap.resize_with(start, Default::default);
-        self.heap.extend_from_slice(rows);
-        self.live += rows.len();
-        self.index.add_rows(&self.heap, start);
-        debug_assert!(self.check_index_invariants().is_ok(), "bulk_create desynced the indexes");
-        first
     }
 
     /// Remove an object entirely (class memberships and attribute values).
@@ -940,22 +891,25 @@ impl Instance {
     /// Panics on `o₀`, which is never minted.
     pub fn put_object(&mut self, o: Oid, classes: ClassSet, tuple: Tuple) {
         debug_assert!(!classes.is_empty(), "restored objects must belong to a class");
+        // The values the write de-indexes, kept for the debug audit only.
+        let before = cfg!(debug_assertions).then(|| self.tuple_ref(o).cloned()).flatten();
         if let Some(i) = self.live_index(o) {
             let (cs, t) = &self.heap[i];
             self.index.remove_object(i, *cs, t);
         }
         self.place(o, classes, tuple);
-        // Schema-free half of `check_invariants` — the schema is not in
-        // scope here, but index/heap agreement is auditable and this is
-        // the rollback/restore primitive where drift would be fatal.
-        debug_assert!(self.check_index_invariants().is_ok(), "put_object desynced the indexes");
+        // Drift would be fatal here; audit what the write touched.
+        debug_assert!(
+            self.check_object_invariants(o, before.as_ref()).is_ok(),
+            "put_object desynced the indexes"
+        );
     }
 
     /// Build an instance from a slab whose last slot occurs and whose
     /// vacant slots are empty, deriving both indexes in bulk.
     fn from_slab(heap: Vec<Slot>, next: u64) -> Instance {
         let mut index = Indexes::default();
-        index.add_rows(&heap, 0);
+        index.add_rows(&heap);
         let live = heap.iter().filter(|(cs, _)| !cs.is_empty()).count();
         let db = Instance { heap, live, next, index };
         debug_assert!(db.check_index_invariants().is_ok(), "bulk-built indexes are stale");
@@ -1121,12 +1075,11 @@ impl Instance {
 
     /// Verify the slab's shape (the last slot occurs, vacant slots hold
     /// no values, `live` counts the occurring slots) and that both
-    /// secondary indexes agree exactly with the heap: every heap fact
-    /// indexed, every index entry backed by the heap, each class's count
-    /// its members', and each value table well formed — each entry's tag
-    /// the hash of the value its first holder holds, each entry reachable
-    /// from its home, no value entered twice, the table at most half
-    /// full.
+    /// secondary indexes agree exactly with the heap: each class's count
+    /// its members', every index entry backed by the heap, each value
+    /// table at most half full with every entry well formed
+    /// ([`Instance::check_entry`]), and every occurring object indexed
+    /// ([`Instance::check_indexed`]).
     fn check_index_invariants(&self) -> Result<(), ModelError> {
         let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
         if self.heap.last().is_some_and(|(cs, _)| cs.is_empty())
@@ -1138,7 +1091,6 @@ impl Instance {
                     .into(),
             );
         }
-        let mut indexed_memberships = 0usize;
         for (ci, members) in self.index.classes.iter().enumerate() {
             let c = ClassId::from_index(ci);
             let bits: usize = members.words.iter().map(|w| w.count_ones() as usize).sum();
@@ -1151,15 +1103,7 @@ impl Instance {
             if let Some(o) = members.iter().find(|&o| !self.role_set(o).contains(c)) {
                 return violated(format!("class index lists {o} under {c} but the heap disagrees"));
             }
-            indexed_memberships += bits;
         }
-        let heap_memberships: usize = self.entries().map(|(_, cs, _)| cs.len()).sum();
-        if indexed_memberships != heap_memberships {
-            return violated(format!(
-                "class index covers {indexed_memberships} memberships, heap has {heap_memberships}"
-            ));
-        }
-        let mut indexed_values = 0usize;
         for (ai, table) in self.index.values.iter().enumerate() {
             let a = AttrId::from_index(ai);
             let size = table.slots.len();
@@ -1175,43 +1119,98 @@ impl Instance {
             }
             for (pos, holders) in table.slots.iter().enumerate() {
                 let Some(holders) = holders else { continue };
-                if matches!(holders, Holders::Many { set, .. } if set.len() < 2) {
-                    return violated(format!(
-                        "value index keeps a set of fewer than two holders for {a} in slot {pos}"
-                    ));
-                }
-                let Some(v) = key_of(&self.heap, a, holders) else {
-                    return violated(format!(
-                        "value index lists {} under {a} but the heap holds no such value",
-                        holders.first()
-                    ));
-                };
+                let v = self.check_entry(a, table, pos)?;
                 if let Some(o) = holders.iter().find(|&o| self.value(o, a) != Some(v)) {
                     return violated(format!(
                         "value index lists {o} under ({a}, {v}) but the heap disagrees"
                     ));
                 }
-                if holders.tag() != self.index.tag(v) {
-                    return violated(format!(
-                        "value index entry of ({a}, {v}) carries the tag of another value"
-                    ));
-                }
-                if !table.reachable(pos) {
-                    return violated(format!(
-                        "value index entry of ({a}, {v}) in slot {pos} is unreachable from its home"
-                    ));
-                }
-                if table.find(holders.tag(), |h| key_of(&self.heap, a, h) == Some(v)) != Some(pos) {
-                    return violated(format!("value index enters ({a}, {v}) twice"));
-                }
-                indexed_values += holders.len();
             }
         }
-        let heap_values: usize = self.entries().map(|(_, _, t)| t.len()).sum();
-        if indexed_values != heap_values {
+        self.objects().try_for_each(|o| self.check_indexed(o))
+    }
+
+    /// Check the entry in slot `pos` of `a`'s value table and return its
+    /// key: a set holds two or more oids, the first holder holds a key,
+    /// the key hashes to the entry's tag, the entry is reachable from its
+    /// home, and no other entry on its probe path has the same key.
+    fn check_entry(&self, a: AttrId, table: &ValueTable, pos: usize) -> Result<&Value, ModelError> {
+        let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
+        let holders = table.slots[pos].as_ref().expect("an entry occupies its slot");
+        if matches!(holders, Holders::Many { set, .. } if set.len() < 2) {
             return violated(format!(
-                "value index covers {indexed_values} values, heap has {heap_values}"
+                "value index keeps a set of fewer than two holders for {a} in slot {pos}"
             ));
+        }
+        let Some(v) = key_of(&self.heap, a, holders) else {
+            return violated(format!(
+                "value index lists {} under {a} but the heap holds no such value",
+                holders.first()
+            ));
+        };
+        if holders.tag() != self.index.tag(v) {
+            return violated(format!(
+                "value index entry of ({a}, {v}) carries the tag of another value"
+            ));
+        }
+        if !table.reachable(pos) {
+            return violated(format!(
+                "value index entry of ({a}, {v}) in slot {pos} is unreachable from its home"
+            ));
+        }
+        if table.find(holders.tag(), |h| key_of(&self.heap, a, h) == Some(v)) != Some(pos) {
+            return violated(format!("value index enters ({a}, {v}) twice"));
+        }
+        Ok(v)
+    }
+
+    /// Check that occurring object `o`'s class bits are its class set
+    /// and that each value it holds is entered with it.
+    fn check_indexed(&self, o: Oid) -> Result<(), ModelError> {
+        let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
+        let i = slot_index(o);
+        let (cs, t) = &self.heap[i];
+        let indexed = |c: ClassId| self.index.classes.get(c.index()).is_some_and(|m| m.contains(i));
+        let classes = (0..self.index.classes.len()).map(ClassId::from_index);
+        if cs.iter().chain(classes).any(|c| indexed(c) != cs.contains(c)) {
+            return violated(format!("class index and heap disagree on {o}"));
+        }
+        for (a, v) in t.iter() {
+            if !self.index.holders(&self.heap, a, v).is_some_and(|h| h.contains(o)) {
+                return violated(format!("value index misses {o} under ({a}, {v})"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Audit a write that left `o` occurring and replaced its values
+    /// `before`, in O(touched) where [`Instance::check_index_invariants`]
+    /// is O(instance): the slab still ends in an occurring slot, `o` is
+    /// indexed ([`Instance::check_indexed`]), and for each value of
+    /// `before` and of `o`, every entry from the home of the value's tag
+    /// to the next vacant slot passes [`Instance::check_entry`] and lists
+    /// `o` only under `o`'s value. A removal's backward shift moves
+    /// entries only within that run.
+    fn check_object_invariants(&self, o: Oid, before: Option<&Tuple>) -> Result<(), ModelError> {
+        let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
+        if !self.occurs(o) || self.heap.last().is_some_and(|(cs, _)| cs.is_empty()) {
+            return violated(format!("{o} does not occur, or the slab ends in a vacant slot"));
+        }
+        self.check_indexed(o)?;
+        let t = &self.heap[slot_index(o)].1;
+        for (a, v) in before.into_iter().flat_map(Tuple::iter).chain(t.iter()) {
+            // An indexed value's table keeps its slots for good.
+            let Some(table) = self.index.values.get(a.index()) else { continue };
+            let mut pos = table.home(self.index.tag(v));
+            while let Some(holders) = &table.slots[pos] {
+                let key = self.check_entry(a, table, pos)?;
+                if holders.contains(o) && t.get(a) != Some(key) {
+                    return violated(format!(
+                        "value index lists {o} under ({a}, {key}) but the heap disagrees"
+                    ));
+                }
+                pos = table.next(pos);
+            }
         }
         Ok(())
     }
@@ -1336,7 +1335,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_create_matches_one_by_one_creation() {
+    fn from_objects_matches_one_by_one_creation() {
         let schema = university_schema();
         let person = schema.class_id("PERSON").unwrap();
         let student = schema.class_id("STUDENT").unwrap();
@@ -1362,35 +1361,38 @@ mod tests {
                 (cs, Tuple::from_pairs(pairs))
             })
             .collect();
-        // Oracle: one `create` per row, over a non-empty starting db so the
-        // merge paths (existing keys, existing heap) are exercised.
+        // Oracle: one `create` per row, over a non-empty starting db, so
+        // the rebuild meets keys of the sample and of the rows, and one
+        // value forty objects share.
         let (_, mut oracle) = sample();
-        let mut bulk = oracle.clone();
         for (cs, t) in &rows {
             oracle.create(*cs, t.clone());
         }
-        let start = bulk.next_oid();
-        let first = bulk.bulk_create(&rows);
-        assert_eq!(first, start);
-        assert_eq!(bulk, oracle, "heap triple identical to per-row creation");
-        bulk.check_invariants(&schema).unwrap();
-        assert_eq!(bulk.num_objects_with(name, &Value::str("dup")), 40);
-        assert_eq!(bulk.num_objects_in(student), 14);
-        // Appending a second batch on top of the first merges again.
-        let more: Vec<(ClassSet, Tuple)> = (0..5)
-            .map(|i| {
-                (
-                    ClassSet::singleton(person),
-                    Tuple::from_pairs(vec![
-                        (ssn, Value::str(&format!("t{i}"))),
-                        (name, Value::str("dup")),
-                    ]),
-                )
-            })
-            .collect();
-        bulk.bulk_create(&more);
-        bulk.check_invariants(&schema).unwrap();
-        assert_eq!(bulk.num_objects_with(name, &Value::str("dup")), 45);
+        // The bulk build decoding a snapshot runs: reserve each table for
+        // every row, fill it, then give back the slack.
+        let mut rebuilt = Instance::from_objects(
+            oracle
+                .objects()
+                .map(|o| (o, oracle.role_set(o), oracle.tuple_of(o)))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(rebuilt, oracle, "heap triple identical to per-row creation");
+        rebuilt.check_invariants(&schema).unwrap();
+        assert_eq!(rebuilt.num_objects_with(name, &Value::str("dup")), 40);
+        assert_eq!(rebuilt.num_objects_in(student), 14);
+        assert_eq!(rebuilt.num_objects_in(person), 42);
+        // Creating on top of the rebuilt instance grows its tables again.
+        for i in 0..5 {
+            rebuilt.create(
+                ClassSet::singleton(person),
+                Tuple::from_pairs(vec![
+                    (ssn, Value::str(&format!("t{i}"))),
+                    (name, Value::str("dup")),
+                ]),
+            );
+        }
+        rebuilt.check_invariants(&schema).unwrap();
+        assert_eq!(rebuilt.num_objects_with(name, &Value::str("dup")), 45);
     }
 
     #[test]
@@ -1513,12 +1515,16 @@ mod tests {
         let (schema, mut db) = sample();
         // Heap mutated behind the indexes' back: both directions caught.
         let ssn = schema.attr_id("SSN").unwrap();
+        let before = db.heap[0].1.clone();
         db.heap[0].1.set(ssn, Value::str("8888"));
         let err = db.check_invariants(&schema).unwrap_err();
         assert!(format!("{err:?}").contains("index"), "got {err:?}");
         // The entry keeps no value, so only its tag tells that the value
         // its holder's slot now holds is not the one it was entered for.
         assert!(format!("{err:?}").contains("tag of another value"), "got {err:?}");
+        // The audit of the written slot alone finds the new value missing.
+        let err = db.check_object_invariants(Oid(1), Some(&before)).unwrap_err();
+        assert!(format!("{err:?}").contains("value index misses o1"), "got {err:?}");
     }
 
     #[test]
@@ -1537,6 +1543,10 @@ mod tests {
         table.slots[to] = entry;
         let err = db.check_invariants(&schema).unwrap_err();
         assert!(format!("{err:?}").contains("unreachable from its home"), "got {err:?}");
+        // The holder's own audit walks from the home, stops at the slot
+        // the entry left and so misses the value.
+        let err = db.check_object_invariants(Oid(1), None).unwrap_err();
+        assert!(format!("{err:?}").contains("value index misses o1"), "got {err:?}");
     }
 
     #[test]
@@ -1558,6 +1568,9 @@ mod tests {
         table.slots[pos] = Some(Holders::One { tag, oid: Oid(1) });
         table.insert(Holders::One { tag, oid: o3 });
         let err = db.check_invariants(&schema).unwrap_err();
+        assert!(format!("{err:?}").contains("twice"), "got {err:?}");
+        // The first holder's audit walks John's probe path past both.
+        let err = db.check_object_invariants(Oid(1), None).unwrap_err();
         assert!(format!("{err:?}").contains("twice"), "got {err:?}");
     }
 

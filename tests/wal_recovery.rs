@@ -1067,13 +1067,13 @@ fn recovery_rejects_wal_gaps() {
     assert!(err.to_string().contains("gap"), "got {err}");
 }
 
-/// The bulk-load fast path (create-only transactions above the routing
-/// threshold stage without a per-object touched map) must stay on the
-/// durability contract: WAL **replay** runs the generic staging path,
-/// so a recovered monitor is byte-identical only if the two paths
-/// produce the same tracking state. Load above the threshold, mix in
-/// regular follow-up letters, and crash-check single and sharded
-/// monitors over a folding (Proper) and a non-folding (All) kind.
+/// One large create-only transaction — a single letter of thousands of
+/// creations, as an in-process bulk load writes — must stay on the
+/// durability contract: a recovered monitor replays the logged letter
+/// and must reach the live monitor's tracking state byte for byte. Load
+/// thousands of objects in one letter, mix in regular follow-up
+/// letters, and crash-check single and sharded monitors over a folding
+/// (Proper) and a non-folding (All) kind.
 #[test]
 fn bulk_load_recovery_is_byte_identical() {
     let schema = migratory::model::schema::university_schema();
@@ -1094,7 +1094,7 @@ fn bulk_load_recovery_is_byte_identical() {
         "#,
     )
     .unwrap();
-    // Above the bulk threshold (4096).
+    // One letter of 4,200 creations.
     let bulk = {
         use migratory::lang::AtomicUpdate;
         use migratory::model::{Atom, Condition};
