@@ -117,8 +117,9 @@
 //! tracking state *is* the constraint — further layers make it survive
 //! crashes and serve concurrent callers:
 //!
-//! * [`wal`] — a write-ahead log of committed [`Delta`] blocks (each
-//!   carrying its participating shards' clock offsets and letter
+//! * [`wal`] — a write-ahead log of committed
+//!   [`Delta`](migratory_lang::Delta) blocks (each carrying its
+//!   participating shards' clock offsets and letter
 //!   assignments) plus a checkpoint chain: a full base [`Snapshot`] and
 //!   **incremental** [`CheckpointDelta`]s holding only the dirtied
 //!   state, encoded once at capture straight from the heap and the

@@ -83,7 +83,7 @@ use crate::ids::{AttrId, ClassId, DenseId, Oid};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::hash::{BuildHasher as _, RandomState};
 
 /// One heap slot: an object's class set and attribute tuple, both empty
@@ -515,6 +515,20 @@ impl Indexes {
     }
 }
 
+/// Formats `(key, value)` pairs as a map, as `BTreeMap`'s `Debug` does.
+struct MapView<I>(I);
+
+impl<K, V, I> std::fmt::Debug for MapView<I>
+where
+    K: std::fmt::Debug,
+    V: std::fmt::Debug,
+    I: Iterator<Item = (K, V)> + Clone,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.0.clone()).finish()
+    }
+}
+
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
         self.next == other.next && self.live == other.live && self.entries().eq(other.entries())
@@ -555,12 +569,9 @@ impl std::hash::Hash for Instance {
 
 impl std::fmt::Debug for Instance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let membership: BTreeMap<Oid, &ClassSet> =
-            self.entries().map(|(o, cs, _)| (o, cs)).collect();
-        let attrs: BTreeMap<Oid, &Tuple> = self.entries().map(|(o, _, t)| (o, t)).collect();
         f.debug_struct("Instance")
-            .field("membership", &membership)
-            .field("attrs", &attrs)
+            .field("membership", &MapView(self.entries().map(|(o, cs, _)| (o, cs))))
+            .field("attrs", &MapView(self.entries().map(|(o, _, t)| (o, t))))
             .field("next", &self.next)
             .finish_non_exhaustive()
     }
@@ -738,13 +749,21 @@ impl Instance {
                 }
             }
         }
-        // A class with no members but value hits drives from the value
-        // entry: the per-candidate class check empties it uniformly.
         match (best, class_entry) {
-            (Some(v), Some(c)) if c.len <= v.len() => SatPlan::ClassEntry(c),
-            (Some(v), _) => SatPlan::ValueEntry(v),
-            (None, Some(c)) => SatPlan::ClassEntry(c),
             (None, None) => SatPlan::Empty,
+            (None, Some(c)) => SatPlan::ClassEntry(c),
+            (Some(v), None) => {
+                // Value hits exist but the class has no members: empty —
+                // but the per-candidate class check handles it uniformly.
+                SatPlan::ValueEntry(v)
+            }
+            (Some(v), Some(c)) => {
+                if c.len <= v.len() {
+                    SatPlan::ClassEntry(c)
+                } else {
+                    SatPlan::ValueEntry(v)
+                }
+            }
         }
     }
 
@@ -1074,12 +1093,10 @@ impl Instance {
     }
 
     /// Verify the slab's shape (the last slot occurs, vacant slots hold
-    /// no values, `live` counts the occurring slots) and that both
-    /// secondary indexes agree exactly with the heap: each class's count
-    /// its members', every index entry backed by the heap, each value
-    /// table at most half full with every entry well formed
-    /// ([`Instance::check_entry`]), and every occurring object indexed
-    /// ([`Instance::check_indexed`]).
+    /// no values, `live` counts the occurring slots) and that both indexes
+    /// agree exactly with the heap: each class's count its members', every
+    /// entry backed by the heap and well formed ([`Instance::check_entry`]),
+    /// each value table at most half full, and every object indexed.
     fn check_index_invariants(&self) -> Result<(), ModelError> {
         let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
         if self.heap.last().is_some_and(|(cs, _)| cs.is_empty())
@@ -1183,14 +1200,13 @@ impl Instance {
         Ok(())
     }
 
-    /// Audit a write that left `o` occurring and replaced its values
-    /// `before`, in O(touched) where [`Instance::check_index_invariants`]
-    /// is O(instance): the slab still ends in an occurring slot, `o` is
-    /// indexed ([`Instance::check_indexed`]), and for each value of
-    /// `before` and of `o`, every entry from the home of the value's tag
-    /// to the next vacant slot passes [`Instance::check_entry`] and lists
-    /// `o` only under `o`'s value. A removal's backward shift moves
-    /// entries only within that run.
+    /// Audit, in O(touched), a write that left `o` occurring and replaced
+    /// its values `before`: the slab still ends in an occurring slot, `o`
+    /// is indexed ([`Instance::check_indexed`]), and for each value of
+    /// `before` and of `o`, every entry from the home of its tag across
+    /// the next vacant slot to the end of the run behind it — the cluster
+    /// a removal's backward shift rearranges — passes
+    /// [`Instance::check_entry`] and lists `o` only under `o`'s value.
     fn check_object_invariants(&self, o: Oid, before: Option<&Tuple>) -> Result<(), ModelError> {
         let violated = |msg: String| Err(ModelError::InvariantViolated(msg));
         if !self.occurs(o) || self.heap.last().is_some_and(|(cs, _)| cs.is_empty()) {
@@ -1199,15 +1215,20 @@ impl Instance {
         self.check_indexed(o)?;
         let t = &self.heap[slot_index(o)].1;
         for (a, v) in before.into_iter().flat_map(Tuple::iter).chain(t.iter()) {
-            // An indexed value's table keeps its slots for good.
+            // Tables keep their slots, half or more vacant, for good.
             let Some(table) = self.index.values.get(a.index()) else { continue };
-            let mut pos = table.home(self.index.tag(v));
-            while let Some(holders) = &table.slots[pos] {
-                let key = self.check_entry(a, table, pos)?;
-                if holders.contains(o) && t.get(a) != Some(key) {
-                    return violated(format!(
-                        "value index lists {o} under ({a}, {key}) but the heap disagrees"
-                    ));
+            let (mut pos, mut holes) = (table.home(self.index.tag(v)), 0);
+            while holes < 2 {
+                match &table.slots[pos] {
+                    Some(holders) => {
+                        let key = self.check_entry(a, table, pos)?;
+                        if holders.contains(o) && t.get(a) != Some(key) {
+                            return violated(format!(
+                                "value index lists {o} under ({a}, {key}) but the heap disagrees"
+                            ));
+                        }
+                    }
+                    None => holes += 1,
                 }
                 pos = table.next(pos);
             }
