@@ -151,13 +151,19 @@ pub struct IngressConfig {
     pub wal: Option<DurableLog>,
     /// Admission histograms: queue depths, block sizes and commit
     /// latencies; fsync batch sizes with a `wal`; checkpoint stalls
-    /// with a checkpoint cadence.
+    /// with a checkpoint budget.
     pub metrics: Option<Arc<AdmissionMetrics>>,
-    /// Admitted blocks between the incremental checkpoints of the
-    /// `wal`'s chain; 0 = never checkpoint (see [`serve`]). Ignored
-    /// without a `wal`.
-    pub checkpoint_every: usize,
+    /// Log bytes written since the last checkpoint of the `wal`'s chain
+    /// that trigger the next one; 0 = never checkpoint (see [`serve`]).
+    /// Ignored without a `wal`.
+    pub checkpoint_bytes: usize,
 }
+
+/// `migctl serve`'s [`IngressConfig::checkpoint_bytes`]: one increment
+/// per 128 KiB of log. On `replica-mixed` it took captures from ~340 to
+/// 20 a run and server CPU per op down by ~15%; 256 KiB saved less
+/// (`docs/ARCHITECTURE.md`, "Claimed vs measured").
+pub const DEFAULT_CHECKPOINT_BYTES: usize = 128 << 10;
 
 impl Default for IngressConfig {
     fn default() -> Self {
@@ -168,7 +174,7 @@ impl Default for IngressConfig {
             health: Arc::default(),
             wal: None,
             metrics: None,
-            checkpoint_every: 0,
+            checkpoint_bytes: 0,
         }
     }
 }
@@ -184,7 +190,7 @@ impl std::fmt::Debug for IngressConfig {
             .field("wal", &self.wal.is_some())
             .field("repl", &self.wal.as_ref().is_some_and(|d| d.repl.is_some()))
             .field("metrics", &self.metrics.is_some())
-            .field("checkpoint_every", &self.checkpoint_every)
+            .field("checkpoint_bytes", &self.checkpoint_bytes)
             .finish()
     }
 }
@@ -639,15 +645,20 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
 /// contract holds at every fault site.
 ///
 /// With a write-ahead log and a non-zero
-/// [`IngressConfig::checkpoint_every`], the ingress keeps the log's
+/// [`IngressConfig::checkpoint_bytes`], the ingress keeps the log's
 /// checkpoint chain. Its jobs run on a [`Snapshotter`] (retried on the
 /// [`DurabilityPolicy`] budget, reported to [`IngressConfig::health`]);
 /// the worker stages a full checkpoint while the log has no base (at
-/// start, else at the next cadence or at drain), otherwise an O(dirty)
-/// [`CheckpointDelta`](super::CheckpointDelta) every `checkpoint_every`
-/// blocks, after the block's tickets went to the committer and behind a
-/// flush barrier: a capture never delays the replies of the block that
-/// triggered it, and never covers records that are not yet durable.
+/// start, else at the next capture or at drain), otherwise an O(dirty)
+/// [`CheckpointDelta`](super::CheckpointDelta). One rule decides when:
+/// after every admitted block and every admin op, once the record bytes
+/// the worker forwarded to the committer since the last capture reach
+/// `checkpoint_bytes`, it captures — after the tickets went to the
+/// committer and behind a flush barrier, so a capture never delays the
+/// replies of the work that triggered it, and never covers records that
+/// are not yet durable. Counting log bytes keeps the checkpoint work per
+/// op flat whatever the block size, and covers a `--replica-of` standby,
+/// which folds replicated records as admin ops and admits no blocks.
 /// Once a background job failed (the chain must not continue past a
 /// hole) the worker stops capturing and sealing, and at drain it writes
 /// no final checkpoint; otherwise the drain writes one synchronously
@@ -1036,8 +1047,10 @@ fn worker_loop<'t, 'a>(
     let max_block = config.max_block.max(1);
     let mut stats = IngressStats::default();
     let mut cursor = 0usize;
+    // Record bytes forwarded to the committer since the last capture.
+    let mut logged = 0usize;
     // The checkpoint chain (see `serve`), with a base right away.
-    let mut chain = pipe.log.filter(|_| config.checkpoint_every > 0).map(|log| {
+    let mut chain = pipe.log.filter(|_| config.checkpoint_bytes > 0).map(|log| {
         let mut jobs = Snapshotter::spawn_with(
             pipe.policy.retries,
             pipe.policy.backoff,
@@ -1049,7 +1062,7 @@ fn worker_loop<'t, 'a>(
         (log, jobs)
     });
     loop {
-        let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, pipe.metrics) {
+        match shared.next_work(cursor, max_block, &mut stats, pipe.metrics) {
             Work::Drained => {
                 // Drain barrier: every forwarded ticket must be
                 // answered (durable or refused) before serve returns.
@@ -1085,6 +1098,7 @@ fn worker_loop<'t, 'a>(
                     // is released only once the record is durable.
                     let bytes = std::mem::take(&mut *lock(&pipe.staged));
                     if !bytes.is_empty() {
+                        logged += bytes.len();
                         tx.send(Msg::Commit {
                             bytes,
                             answers: Vec::new(),
@@ -1102,100 +1116,24 @@ fn worker_loop<'t, 'a>(
                     };
                     op(Err(reason))(true);
                 }
-                continue;
             }
-            Work::Block(lane, block) => (lane, block),
-        };
-        cursor = lane + 1;
-        stats.blocks += 1;
-
-        resync_if_rearmed(shared, pipe, tx);
-        if pipe.health.is_degraded() {
-            // Degraded read-only mode: refuse before touching the
-            // engine. Lanes keep draining so every producer is answered
-            // promptly instead of backing up against a dead disk.
-            pipe.refuse(block.into_iter().map(|op| op.reply), &pipe.health.reason());
-            continue;
-        }
-
-        let t0 = Instant::now();
-        let mut ops = block;
-        let mut attempts = 0u32;
-        loop {
-            // The whole call is one exclusive section: it applies the
-            // block in place before validating it.
-            let (done, err) =
-                shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
-            stats.admitted += done;
-            let mut rest = ops.into_iter();
-            let answers: Vec<Answer<'t>> = rest.by_ref().take(done).map(|op| op.reply).collect();
-            let bytes = std::mem::take(&mut *lock(&pipe.staged));
-            if !answers.is_empty() || !bytes.is_empty() {
-                if let Some(h) = pipe.metrics.and_then(|m| m.block_size.get(lane)) {
-                    h.record(done as u64);
-                }
-                // The committer owns these acks now: released in commit
-                // order, and with a log only once the bytes are durable.
-                tx.send(Msg::Commit { bytes, answers, lane, t0 })
-                    .expect("committer outlives the worker");
-            }
-            match err {
-                None => {
-                    debug_assert_eq!(rest.len(), 0, "without an error every op commits");
-                    break;
-                }
-                // The block's record was refused — staging past the
-                // record cap, or an append by a sink the caller attached
-                // to the monitor: nothing past `done` reached the log
-                // and every survivor was rolled back, so re-admitting
-                // them is safe. Retry with bounded backoff; an exhausted
-                // budget degrades the server.
-                Some(EnforceError::Durability(e)) => {
-                    let rest: Vec<Op<'t>> = rest.collect();
-                    if attempts < pipe.policy.retries {
-                        attempts += 1;
-                        stats.retries += 1;
-                        std::thread::sleep(pipe.policy.backoff.saturating_mul(attempts));
-                        ops = rest;
-                        continue;
-                    }
-                    let site = if pipe.log.is_some() { "staging" } else { "append" };
-                    let reason = format!("write-ahead {site} failed after {attempts} retries: {e}");
-                    pipe.health.degrade(&reason);
-                    pipe.refuse(rest.into_iter().map(|op| op.reply), &reason);
-                    break;
-                }
-                Some(e) => {
-                    stats.rejected += 1;
-                    if let Some(op) = rest.next() {
-                        op.reply.answer(Err(e));
-                    }
-                    // Ops behind the violator were rolled back
-                    // unattempted: back to the front of their lane,
-                    // order preserved.
-                    let rest: Vec<Op<'t>> = rest.collect();
-                    if !rest.is_empty() {
-                        stats.requeued += rest.len();
-                        let mut st = shared.state.lock().expect("ingress poisoned");
-                        for op in rest.into_iter().rev() {
-                            st.lanes[lane].push_front(op);
-                        }
-                    }
-                    break;
-                }
+            Work::Block(lane, block) => {
+                cursor = lane + 1;
+                stats.blocks += 1;
+                logged += admit_block(shared, pipe, tx, &mut stats, lane, block);
             }
         }
-        // Checkpoints ride the block cadence, but behind a flush
-        // barrier: a checkpoint must neither capture tracking state
-        // whose records a broken committer dropped, nor seal a log
-        // whose unsynced tail the checkpoint claims to cover. Once the
-        // snapshotter gave up, no job can land: capturing and sealing
-        // would only pile up sealed segments for recovery to replay.
-        if let Some((log, jobs)) = &mut chain {
-            if !jobs.has_failed()
-                && stats.blocks.is_multiple_of(config.checkpoint_every)
-                && flush_committer(tx)
-            {
+        // The one cadence rule (see `serve`). The budget restarts
+        // whenever it is reached, so a broken pipeline or a failing disk
+        // is tried once per budget, not once per block. The capture
+        // waits behind a flush barrier: it must neither capture tracking
+        // state whose records a broken committer dropped, nor seal a log
+        // whose unsynced tail it claims to cover. Once the snapshotter
+        // gave up, no job can land: capturing and sealing would only
+        // pile up sealed segments for recovery to replay.
+        if let Some((log, jobs)) = chain.as_mut().filter(|_| logged >= config.checkpoint_bytes) {
+            logged = 0;
+            if !jobs.has_failed() && flush_committer(tx) {
                 let m0 = Instant::now();
                 checkpoint(log, pipe.health, &mut shared.exclusive(), |job| jobs.submit(job));
                 if let Some(m) = pipe.metrics {
@@ -1205,6 +1143,95 @@ fn worker_loop<'t, 'a>(
             }
         }
     }
+}
+
+/// Admit one drained block (see [`worker_loop`]) and return the record
+/// bytes it forwarded to the committer.
+fn admit_block<'t>(
+    shared: &Shared<'t, '_, '_>,
+    pipe: &Pipeline<'_>,
+    tx: &mpsc::Sender<Msg<'t>>,
+    stats: &mut IngressStats,
+    lane: usize,
+    block: Vec<Op<'t>>,
+) -> usize {
+    resync_if_rearmed(shared, pipe, tx);
+    if pipe.health.is_degraded() {
+        // Degraded read-only mode: refuse before touching the engine.
+        // Lanes keep draining so every producer is answered promptly
+        // instead of backing up against a dead disk.
+        pipe.refuse(block.into_iter().map(|op| op.reply), &pipe.health.reason());
+        return 0;
+    }
+    let mut logged = 0;
+    let t0 = Instant::now();
+    let mut ops = block;
+    let mut attempts = 0u32;
+    loop {
+        // The whole call is one exclusive section: it applies the
+        // block in place before validating it.
+        let (done, err) = shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
+        stats.admitted += done;
+        let mut rest = ops.into_iter();
+        let answers: Vec<Answer<'t>> = rest.by_ref().take(done).map(|op| op.reply).collect();
+        let bytes = std::mem::take(&mut *lock(&pipe.staged));
+        if !answers.is_empty() || !bytes.is_empty() {
+            if let Some(h) = pipe.metrics.and_then(|m| m.block_size.get(lane)) {
+                h.record(done as u64);
+            }
+            logged += bytes.len();
+            // The committer owns these acks now: released in commit
+            // order, and with a log only once the bytes are durable.
+            tx.send(Msg::Commit { bytes, answers, lane, t0 })
+                .expect("committer outlives the worker");
+        }
+        match err {
+            None => {
+                debug_assert_eq!(rest.len(), 0, "without an error every op commits");
+                break;
+            }
+            // The block's record was refused — staging past the
+            // record cap, or an append by a sink the caller attached
+            // to the monitor: nothing past `done` reached the log
+            // and every survivor was rolled back, so re-admitting
+            // them is safe. Retry with bounded backoff; an exhausted
+            // budget degrades the server.
+            Some(EnforceError::Durability(e)) => {
+                let rest: Vec<Op<'t>> = rest.collect();
+                if attempts < pipe.policy.retries {
+                    attempts += 1;
+                    stats.retries += 1;
+                    std::thread::sleep(pipe.policy.backoff.saturating_mul(attempts));
+                    ops = rest;
+                    continue;
+                }
+                let site = if pipe.log.is_some() { "staging" } else { "append" };
+                let reason = format!("write-ahead {site} failed after {attempts} retries: {e}");
+                pipe.health.degrade(&reason);
+                pipe.refuse(rest.into_iter().map(|op| op.reply), &reason);
+                break;
+            }
+            Some(e) => {
+                stats.rejected += 1;
+                if let Some(op) = rest.next() {
+                    op.reply.answer(Err(e));
+                }
+                // Ops behind the violator were rolled back
+                // unattempted: back to the front of their lane,
+                // order preserved.
+                let rest: Vec<Op<'t>> = rest.collect();
+                if !rest.is_empty() {
+                    stats.requeued += rest.len();
+                    let mut st = shared.state.lock().expect("ingress poisoned");
+                    for op in rest.into_iter().rev() {
+                        st.lanes[lane].push_front(op);
+                    }
+                }
+                break;
+            }
+        }
+    }
+    logged
 }
 
 /// Capture one checkpoint of `m` for `log`'s chain — a full base while
@@ -1300,22 +1327,40 @@ mod tests {
     }
 
     /// A durable ingress keeps its log's checkpoint chain: a base at
-    /// start, an increment every `checkpoint_every` blocks (each one a
-    /// stamped capture) and a final checkpoint at drain — and the chain
-    /// plus the tail recover the served monitor byte for byte.
+    /// start, an increment each time the log written since the last
+    /// capture reaches `checkpoint_bytes` (each one a stamped capture)
+    /// and a final checkpoint at drain — and the chain plus the tail
+    /// recover the served monitor byte for byte. The expected captures
+    /// come from the rule replayed over the same one-op blocks' records,
+    /// logged through a sink.
     #[test]
-    fn durable_ingress_checkpoints_every_n_blocks() {
+    fn durable_ingress_checkpoints_every_budget_of_log() {
         use crate::enforce::Wal;
         let s = multi_schema();
         let a = RoleAlphabet::new(&s, 0).unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* ([R0] ∪ [S0])* ∅*").unwrap();
         let ts = parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
         let mk = ts.get("Mk0").unwrap();
+        let key = |i: usize| Assignment::new(vec![Value::str(&format!("{i}"))]);
+        const OPS: usize = 24;
+        const BUDGET: usize = 100;
+        let sink = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut dry =
+            ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3).with_sink(sink.clone());
+        let (mut logged, mut captures) = (0, 0);
+        for i in 0..OPS {
+            let before = sink.lock().unwrap().log_len();
+            dry.try_apply(mk, &key(i)).unwrap();
+            logged += sink.lock().unwrap().log_len() - before;
+            if logged >= BUDGET {
+                (logged, captures) = (0, captures + 1);
+            }
+        }
+        assert!(captures >= 4, "the budget is reached mid-stream: {captures} captures");
         let dir = pipelined_temp_dir("cadence");
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
         let metrics = Arc::new(AdmissionMetrics::new(3));
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        const OPS: usize = 24;
         let ((), stats) = serve(
             &mut m,
             &IngressConfig {
@@ -1323,14 +1368,12 @@ mod tests {
                 max_block: 1,
                 wal: Some(DurableLog { log: wal, repl: None }),
                 metrics: Some(metrics.clone()),
-                checkpoint_every: 4,
+                checkpoint_bytes: BUDGET,
                 ..Default::default()
             },
             |client| {
                 for i in 0..OPS {
-                    client
-                        .submit(mk, Assignment::new(vec![Value::str(&format!("{i}"))]))
-                        .expect("creation conforms");
+                    client.submit(mk, key(i)).expect("creation conforms");
                 }
             },
         );
@@ -1344,12 +1387,78 @@ mod tests {
         files.sort();
         let deltas = files.iter().filter(|n| n.starts_with("delta-")).count();
         assert!(files.contains(&"snapshot.bin".to_owned()), "the base is on disk: {files:?}");
-        assert_eq!(deltas, OPS / 4 + 1, "6 increments and the final one: {files:?}");
-        assert_eq!(metrics.checkpoint_stall_us.count(), (OPS / 4) as u64, "one stamp a capture");
+        assert_eq!(deltas, captures + 1, "{captures} increments and the final one: {files:?}");
+        assert_eq!(metrics.checkpoint_stall_us.count(), captures as u64, "one stamp a capture");
         let (snap, tail) = Wal::load(&dir).unwrap();
         let r = ShardedMonitor::recover(&s, &a, &inv, PatternKind::All, 3, snap, tail).unwrap();
         assert_eq!(r.snapshot().encode(), m.snapshot().encode());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checkpoint work follows the log, not the block count: one op
+    /// sequence served at `max_block` 1 and at `max_block` 64 takes
+    /// captures at rates per logged byte within 2× of each other (a
+    /// block cadence takes them 64 times as often per op at `max_block`
+    /// 1). The worker is held while the sequence is queued, so each
+    /// block holds `max_block` ops; a replicator with no standby counts
+    /// every logged byte in its horizon.
+    #[test]
+    fn captures_per_logged_byte_do_not_depend_on_the_block_size() {
+        use crate::enforce::Wal;
+        let s = multi_schema();
+        let a = RoleAlphabet::new(&s, 0).unwrap();
+        let inv = Inventory::parse_init(&s, &a, "∅* ([R0] ∪ [S0])* ∅*").unwrap();
+        let ts = parse_transactions(&s, "transaction Mk0(x) { create(R0, { K0 = x }); }").unwrap();
+        let mk = ts.get("Mk0").unwrap();
+        const OPS: usize = 4096;
+        let run = |max_block: usize| -> (u64, u64) {
+            let dir = pipelined_temp_dir(&format!("per-byte-{max_block}"));
+            let repl = Arc::new(Replicator::bind("127.0.0.1:0").unwrap());
+            let metrics = Arc::new(AdmissionMetrics::new(3));
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            let config = IngressConfig {
+                queue_capacity: OPS,
+                max_block,
+                wal: Some(DurableLog {
+                    log: Arc::new(Mutex::new(Wal::open(&dir).unwrap())),
+                    repl: Some(repl.clone()),
+                }),
+                metrics: Some(metrics.clone()),
+                checkpoint_bytes: 4 << 10,
+                ..Default::default()
+            };
+            let ((), stats) = serve(&mut m, &config, |client| {
+                let (held_tx, held_rx) = mpsc::channel();
+                let (release_tx, release_rx) = mpsc::channel::<()>();
+                client.post_admin(Box::new(move |_| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Box::new(|_| {})
+                }));
+                held_rx.recv().unwrap();
+                let tickets: Vec<_> = (0..OPS)
+                    .map(|i| client.post(mk, Assignment::new(vec![Value::str(&format!("{i}"))])))
+                    .collect();
+                release_tx.send(()).unwrap();
+                for t in tickets {
+                    t.wait().expect("creation conforms");
+                }
+            });
+            assert_eq!(stats.blocks, OPS.div_ceil(max_block), "full blocks of {max_block}");
+            repl.close();
+            let _ = std::fs::remove_dir_all(&dir);
+            (metrics.checkpoint_stall_us.count(), repl.horizon())
+        };
+        let (c1, logged1) = run(1);
+        let (c64, logged64) = run(64);
+        assert!(c64 >= 4, "the budget is reached mid-stream at max_block 64: {c64} captures");
+        #[allow(clippy::cast_precision_loss)]
+        let (per1, per64) = (c1 as f64 / logged1 as f64, c64 as f64 / logged64 as f64);
+        assert!(
+            per1 <= 2.0 * per64 && per64 <= 2.0 * per1,
+            "captures per logged byte: {c1} / {logged1} B at max_block 1, \
+             {c64} / {logged64} B at max_block 64"
+        );
     }
 
     #[test]

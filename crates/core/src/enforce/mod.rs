@@ -178,7 +178,9 @@ pub mod wal;
 
 pub use faults::{FaultKind, FaultSite, IoFaults};
 pub use health::{CheckpointHealth, Health};
-pub use ingress::{Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats};
+pub use ingress::{
+    Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats, DEFAULT_CHECKPOINT_BYTES,
+};
 pub use metrics::{AdmissionMetrics, Histogram};
 pub use reference::ReferenceMonitor;
 pub use repl::{AckPolicy, ReplicaCtl, Replicator, ShipFault};

@@ -85,11 +85,12 @@
 //! Everything durable is configured in [`ServerConfig::ingress`]: the
 //! write-ahead log the committer appends to and syncs before any ack
 //! is written, the replication tee that ships each synced batch, and
-//! the log's checkpoint cadence — every
-//! [`IngressConfig::checkpoint_every`] blocks the ingress captures an
-//! O(dirty) incremental checkpoint and hands it to its background
-//! [`Snapshotter`](super::Snapshotter) while traffic keeps flowing
-//! (see [`ingress::serve`]).
+//! the log's checkpoint budget — each time the log grows by
+//! [`IngressConfig::checkpoint_bytes`] the ingress captures an O(dirty)
+//! incremental checkpoint and hands it to its background
+//! [`Snapshotter`](super::Snapshotter) while traffic keeps flowing, on
+//! a primary and on a [`ServerConfig::replica_of`] standby alike (see
+//! [`ingress::serve`]).
 //!
 //! ```
 //! use migratory_core::enforce::net::{self, ServerConfig};

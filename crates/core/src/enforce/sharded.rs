@@ -994,6 +994,13 @@ impl<'a> ShardedMonitor<'a> {
     /// log pruning can never double-apply a record (see
     /// [`ShardedMonitor::replay_record`]).
     ///
+    /// The adopted heap is checked against `schema` first, once, in
+    /// O(objects) ([`Instance::check_schema`](migratory_model::Instance::check_schema)):
+    /// a snapshot written under another schema that does not fit it is
+    /// a [`WalError::Mismatch`], before any schema table is indexed with
+    /// its class ids. Recovery, [`ShardedMonitor::resync`] and a
+    /// standby's bootstrap all come through here.
+    ///
     /// `snapshot: None` recovers from an empty monitor (a log that
     /// predates the first checkpoint); the policy then defaults to
     /// [`StepPolicy::EveryApplication`] — logged blocks hold only
@@ -1028,6 +1035,9 @@ impl<'a> ShardedMonitor<'a> {
                     shards.len()
                 )));
             }
+            db.check_schema(schema).map_err(|e| {
+                WalError::Mismatch(format!("snapshot does not fit the schema: {e}"))
+            })?;
             (m.db, m.shards, m.records) = (db, shards, records);
             m.policy = policy;
             m.certified = certified;

@@ -938,8 +938,8 @@ pub(crate) struct ShardDelta {
 /// [`CheckpointJob::run`] frames and writes them as they are.
 /// [`Wal::load`] decodes and folds them back.
 pub struct CheckpointDelta {
-    /// The canonical encoding (current format, v2).
-    bytes: Vec<u8>,
+    /// The canonical encoding (current format, v2), in [`Pieces`].
+    pieces: Vec<Vec<u8>>,
     /// The objects the increment covers, deletion tombstones included,
     /// ascending.
     pub(crate) oids: Vec<Oid>,
@@ -975,7 +975,7 @@ impl CheckpointDelta {
     /// the bytes written at capture.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        self.bytes.clone()
+        self.pieces.concat()
     }
 
     /// Decode [`CheckpointDelta::encode`] bytes — the current v2
@@ -1109,6 +1109,12 @@ impl DecodedDelta {
 /// dirtied record from the record table, looked up once, plus the
 /// bounded cohort tables. Nothing is cloned. A shard whose every record
 /// is dirty (after a compaction) is written whole, O(table).
+///
+/// The bytes go into [`Pieces`], and a shard's dirty records are
+/// counted and then encoded in a second walk, not collected, so no
+/// buffer of a capture grows past glibc's 128 KiB mmap threshold with
+/// the dirty set. Freeing a mapped chunk raises that threshold, and
+/// later transients below the raised one then fragment the heap.
 pub(crate) fn capture_delta(
     db: &Instance,
     shards: &mut [DeltaState],
@@ -1119,46 +1125,103 @@ pub(crate) fn capture_delta(
     evolution: &Evolution,
 ) -> CheckpointDelta {
     let oids = dirty_union(shards);
-    let mut out = Vec::with_capacity(64 + 48 * oids.len());
-    out.extend_from_slice(DELTA_MAGIC);
-    out.push(flags_byte(policy, certified, certified_at));
+    let mut out = Pieces::new(64 + DELTA_BYTES_PER_OBJECT * oids.len());
+    let head = out.next_item();
+    head.extend_from_slice(DELTA_MAGIC);
+    head.push(flags_byte(policy, certified, certified_at));
     if let Some(at) = certified_at {
-        encode_u64(&mut out, at as u64);
+        encode_u64(head, at as u64);
     }
-    evolution.encode(&mut out);
-    encode_u64(&mut out, db.next_oid().0);
-    encode_u64(&mut out, oids.len() as u64);
+    evolution.encode(head);
+    encode_u64(head, db.next_oid().0);
+    encode_u64(head, oids.len() as u64);
     for &o in &oids {
-        encode_u64(&mut out, o.0);
+        let out = out.next_item();
+        encode_u64(out, o.0);
         match db.tuple_ref(o) {
             Some(tuple) => {
                 out.push(1);
-                encode_idset(&mut out, db.role_set(o));
-                encode_tuple(&mut out, tuple);
+                encode_idset(out, db.role_set(o));
+                encode_tuple(out, tuple);
             }
             None => out.push(0),
         }
     }
-    encode_u64(&mut out, shards.len() as u64);
+    encode_u64(out.next_item(), shards.len() as u64);
     let mut clocks = Vec::with_capacity(shards.len());
-    let mut dirty: Vec<(Oid, &ObjRecord)> = Vec::new();
     for s in shards.iter_mut() {
         let full = std::mem::replace(&mut s.all_dirty, false);
-        encode_u64(&mut out, s.steps as u64);
-        encode_u64(&mut out, u64::from(s.pre_state));
-        out.push(u8::from(s.pre_exempt) | (u8::from(full) << 1));
+        let head = out.next_item();
+        encode_u64(head, s.steps as u64);
+        encode_u64(head, u64::from(s.pre_state));
+        head.push(u8::from(s.pre_exempt) | (u8::from(full) << 1));
         if full {
-            encode_record_map(&mut out, s.tracked, records.of_shard(s.shard));
+            out.record_map(s.tracked, records.of_shard(s.shard));
         } else {
-            dirty.clear();
-            dirty.extend(s.dirty.iter().filter_map(|&o| Some((o, records.get(s.shard, o)?))));
-            encode_record_map(&mut out, dirty.len(), dirty.iter().copied());
+            let dirty = || s.dirty.iter().filter_map(|&o| Some((o, records.get(s.shard, o)?)));
+            out.record_map(dirty().count(), dirty());
         }
-        encode_cohort_tables(&mut out, &s.cohorts, &s.by_key, &s.free);
+        encode_cohort_tables(out.next_item(), &s.cohorts, &s.by_key, &s.free);
         s.dirty.clear();
         clocks.push(s.steps);
     }
-    CheckpointDelta { bytes: out, oids, clocks }
+    CheckpointDelta { pieces: out.done(), oids, clocks }
+}
+
+/// Bytes [`capture_delta`] reserves per dirty object: about what one
+/// takes in an increment (object plus tracking record; `durable-1m`'s
+/// chain averages about 30 B).
+const DELTA_BYTES_PER_OBJECT: usize = 32;
+
+/// The capacity of an increment's pieces. A piece that outgrew it would
+/// double to 128 KiB, which glibc maps, so [`Pieces`] starts a new one
+/// [`PIECE_SLACK`] before it is full.
+const PIECE: usize = 64 << 10;
+
+/// Room an item may take past the point where [`Pieces`] closes a
+/// piece: more than an object or tracking record of ordinary size.
+const PIECE_SLACK: usize = 4 << 10;
+
+/// An increment's bytes as [`capture_delta`] writes them: pieces of at
+/// most [`PIECE`] bytes, in order. The file's checksum runs over the
+/// pieces and the job writes them one after another, so the file holds
+/// the same bytes as from one buffer.
+struct Pieces {
+    done: Vec<Vec<u8>>,
+    cur: Vec<u8>,
+}
+
+impl Pieces {
+    /// Start with `estimate` bytes reserved, at most [`PIECE`].
+    fn new(estimate: usize) -> Pieces {
+        Pieces { done: Vec::new(), cur: Vec::with_capacity(estimate.min(PIECE)) }
+    }
+
+    /// The buffer the next item goes into: a fresh piece once the
+    /// current one is within [`PIECE_SLACK`] of [`PIECE`].
+    fn next_item(&mut self) -> &mut Vec<u8> {
+        if self.cur.len() >= PIECE - PIECE_SLACK {
+            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(PIECE));
+            self.done.push(full);
+        }
+        &mut self.cur
+    }
+
+    /// [`encode_record_map`], one record an item.
+    fn record_map<'r>(&mut self, n: usize, records: impl Iterator<Item = (Oid, &'r ObjRecord)>) {
+        encode_u64(self.next_item(), n as u64);
+        let mut written = 0;
+        for (o, rec) in records {
+            encode_obj_record(self.next_item(), o, rec);
+            written += 1;
+        }
+        debug_assert_eq!(written, n, "a record map's count matches its records");
+    }
+
+    fn done(mut self) -> Vec<Vec<u8>> {
+        self.done.push(self.cur);
+        self.done
+    }
 }
 
 /// The union of the partitions' dirty sets, ascending: a merge of
@@ -1452,16 +1515,18 @@ fn seq_of(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
 /// checkpoint sequence they chain onto to the body, so the chain
 /// survives sequence numbers swallowed by crashed jobs. The header ends
 /// with those sequence numbers; `body` follows it unframed and uncopied.
-fn checkpoint_header(seq: u64, parent: Option<u64>, body: &[u8]) -> Vec<u8> {
+fn checkpoint_header(seq: u64, parent: Option<u64>, body: &[&[u8]]) -> Vec<u8> {
     let mut seqs = Vec::with_capacity(20);
     encode_u64(&mut seqs, seq);
     if let Some(parent) = parent {
         encode_u64(&mut seqs, parent);
     }
-    let len = u32::try_from(seqs.len() + body.len()).expect("fits u32");
+    let body_len: usize = body.iter().map(|piece| piece.len()).sum();
+    let len = u32::try_from(seqs.len() + body_len).expect("fits u32");
+    let parts: Vec<&[u8]> = std::iter::once(seqs.as_slice()).chain(body.iter().copied()).collect();
     let mut head = Vec::with_capacity(8 + seqs.len());
     head.extend_from_slice(&len.to_le_bytes());
-    head.extend_from_slice(&crc32_parts(&[&seqs, body]).to_le_bytes());
+    head.extend_from_slice(&crc32_parts(&parts).to_le_bytes());
     head.extend_from_slice(&seqs);
     head
 }
@@ -1558,22 +1623,26 @@ impl CheckpointJob {
     /// would, so the prune below stays safe.
     pub fn run(&self) -> Result<(), WalError> {
         let encoded;
-        let (body, parent, target) = match &self.data {
+        let (body, parent, target): (Vec<&[u8]>, _, _) = match &self.data {
             CheckpointData::Full(snap) => {
                 encoded = snap.encode();
-                (encoded.as_slice(), None, self.dir.join(BASE_FILE))
+                (vec![&encoded], None, self.dir.join(BASE_FILE))
             }
-            CheckpointData::Incremental(delta) => {
-                (delta.bytes.as_slice(), Some(self.parent), self.dir.join(delta_name(self.seq)))
-            }
+            CheckpointData::Incremental(delta) => (
+                delta.pieces.iter().map(Vec::as_slice).collect(),
+                Some(self.parent),
+                self.dir.join(delta_name(self.seq)),
+            ),
         };
-        let head = checkpoint_header(self.seq, parent, body);
+        let head = checkpoint_header(self.seq, parent, &body);
         let tmp = self.dir.join(format!("checkpoint-{:08}.tmp", self.seq));
         {
             self.faults.check(FaultSite::CheckpointWrite)?;
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(&head)?;
-            f.write_all(body)?;
+            for piece in &body {
+                f.write_all(piece)?;
+            }
             self.faults.check(FaultSite::CheckpointSync)?;
             f.sync_all()?;
         }
@@ -2537,6 +2606,41 @@ mod tests {
         // marks them in stripe 0's set too, and every table full.
         m.restore_dirty(&[Oid(2), Oid(5)]);
         check(&mut m, &mut base, true);
+    }
+
+    /// An increment far past glibc's 128 KiB mmap threshold is captured
+    /// in pieces that each stay below it — none needs more room than
+    /// [`PIECE`] plus one item's — and written as one file's bytes: they
+    /// decode, re-encode through the reference encoder and fold onto
+    /// the base into the live state.
+    #[test]
+    fn large_increment_is_captured_in_pieces_below_the_mmap_threshold() {
+        let (schema, alphabet, inv, ts) = university();
+        let mut m =
+            super::super::ShardedMonitor::new(&schema, &alphabet, &inv, crate::PatternKind::All, 2);
+        let mut base = m.checkpoint_full();
+        let keys: Vec<_> = (0..20_000).map(|i| key(&format!("k{i}"))).collect();
+        let mk = ts.get("Mk").unwrap();
+        assert_eq!(m.try_apply_batch(keys.iter().map(|k| (mk, k))), (20_000, None));
+        let d = m.checkpoint_delta();
+        assert!(d.pieces.len() > 4, "{} pieces", d.pieces.len());
+        for piece in &d.pieces {
+            assert!(piece.len() < PIECE && piece.capacity() < 128 << 10, "{}", piece.capacity());
+        }
+        let dir = std::env::temp_dir().join(format!("migratory-pieces-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.write_snapshot(&base).unwrap();
+        let bytes = d.encode();
+        wal.begin_checkpoint(CheckpointData::Incremental(d)).unwrap().run().unwrap();
+        let decoded = CheckpointDelta::decode(&bytes).unwrap();
+        assert_eq!(decoded.encode(), bytes, "the reference encoder agrees");
+        base.apply(decoded).unwrap();
+        assert_eq!(base.encode(), m.snapshot().encode(), "base + increment is the live state");
+        let (loaded, tail) = Wal::load(&dir).unwrap();
+        assert!(tail.is_empty());
+        assert_eq!(loaded.unwrap().encode(), m.snapshot().encode(), "the file folds alike");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The same records built by staging (one block creates and

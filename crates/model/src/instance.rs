@@ -1058,8 +1058,26 @@ impl Instance {
     ///    the classes it belongs to;
     /// 4. every occurring object `<ₒ`-smaller than `next`;
     /// 5. the class and value indexes agree exactly with the heap.
+    ///
+    /// The first four are [`Instance::check_schema`].
     pub fn check_invariants(&self, schema: &Schema) -> Result<(), ModelError> {
+        self.check_schema(schema)?;
+        self.check_index_invariants()
+    }
+
+    /// Check the heap against `schema`: invariants 1–4 of
+    /// [`Instance::check_invariants`], in one pass over the objects. Each
+    /// object's classes are bounded by the schema's before any of its
+    /// tables is read, so a heap built under another schema is an `Err`,
+    /// not a panic. Recovery runs this on the state it adopts.
+    pub fn check_schema(&self, schema: &Schema) -> Result<(), ModelError> {
         for (o, &cs, t) in self.entries() {
+            if let Some(c) = cs.iter().find(|c| c.index() >= schema.num_classes()) {
+                return Err(ModelError::InvariantViolated(format!(
+                    "object {o} belongs to class {c}, past the schema's {} classes",
+                    schema.num_classes()
+                )));
+            }
             if !schema.is_up_closed(cs) {
                 return Err(ModelError::InvariantViolated(format!(
                     "membership of {o} is not isa-closed"
@@ -1089,7 +1107,7 @@ impl Instance {
                 )));
             }
         }
-        self.check_index_invariants()
+        Ok(())
     }
 
     /// Verify the slab's shape (the last slot occurs, vacant slots hold
@@ -1285,6 +1303,28 @@ mod tests {
         assert_eq!(db.next_oid(), Oid(3));
         assert!(db.occurs(Oid(1)) && db.occurs(Oid(2)) && !db.occurs(Oid(3)));
         db.check_invariants(&schema).unwrap();
+    }
+
+    /// The schema half of the audit bounds every class id before it
+    /// reads a schema table: a heap built under a larger schema is an
+    /// `Err` against a smaller one, not an index panic.
+    #[test]
+    fn check_schema_refuses_a_class_past_the_schema() {
+        let (schema, mut db) = sample();
+        db.check_schema(&schema).unwrap();
+        let mut b = crate::schema::SchemaBuilder::new();
+        b.class("PERSON", &["SSN", "Name"]).unwrap();
+        let small = b.build().unwrap();
+        let last = ClassId::from_index(schema.num_classes() - 1);
+        let attrs = schema.attrs_of_class_set(schema.up_closure_of(last));
+        db.create(
+            schema.up_closure_of(last),
+            attrs.iter().map(|a| (a, Value::str("v"))).collect::<BTreeMap<_, _>>(),
+        );
+        db.check_invariants(&schema).unwrap();
+        let err = db.check_schema(&small).unwrap_err().to_string();
+        assert!(err.contains("past the schema"), "{err}");
+        assert!(db.check_invariants(&small).is_err());
     }
 
     #[test]

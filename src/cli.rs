@@ -9,6 +9,7 @@
 use migratory_core::enforce::{
     net, AckPolicy, AdmissionMetrics, DurabilityPolicy, DurableLog, EnforceError, FsyncPolicy,
     Health, IngressConfig, IoFaults, Replicator, ResiduePolicy, ShardedMonitor, StepPolicy, Wal,
+    DEFAULT_CHECKPOINT_BYTES,
 };
 use migratory_core::{
     analyze_families, decide_with_families, AnalyzeOptions, Inventory, PatternKind, RoleAlphabet,
@@ -30,7 +31,7 @@ USAGE:
   migctl enforce    <schema> <transactions> --inventory <regex> --script <file> [--kind K]
   migctl serve      <schema> <transactions> --inventory <regex> [--kind K] [--component N]
                     [--addr HOST:PORT] [--shards N] [--policy P] [--queue N] [--max-block N]
-                    [--durable DIR] [--fsync batch|always|off] [--recover] [--checkpoint-every B]
+                    [--durable DIR] [--fsync batch|always|off] [--recover] [--checkpoint-bytes B]
                     [--retries N] [--retry-backoff-ms MS] [--inject PLAN]
                     [--idle-timeout SECS] [--max-conn-bytes N] [--max-conn-ops N]
                     [--max-connections N] [--auth TOKEN] [--io-threads N]
@@ -60,7 +61,8 @@ enforce     replays a script under the runtime monitor, reporting rejections;
 serve       admits transactions over TCP (docs/PROTOCOL.md) through the sharded
             ingress; --durable DIR write-ahead-logs every block through a
             pipelined committer thread (group commit) and runs background
-            incremental checkpoints every B blocks (default 16; 0 = never);
+            incremental checkpoints every B bytes of log, on a primary and
+            on a --replica-of standby alike (default 131072; 0 = never);
             --fsync sets what an `ok` ack means: `batch` (default — one
             fdatasync per committer batch, acks survive power loss), `always`
             (one fdatasync per record), `off` (flushed to the OS only: acks
@@ -393,7 +395,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     let shards = flags.usize_or("shards", schema.num_components().max(1))?;
     let queue = flags.usize_or("queue", 1024)?;
     let max_block = flags.usize_or("max-block", 256)?;
-    let checkpoint_every = flags.usize_or("checkpoint-every", 16)?;
+    let checkpoint_bytes = flags.usize_or("checkpoint-bytes", DEFAULT_CHECKPOINT_BYTES)?;
     let retries = flags.usize_or("retries", 4)?;
     let backoff = std::time::Duration::from_millis(flags.usize_or("retry-backoff-ms", 20)? as u64);
     let idle_timeout = flags.usize_or("idle-timeout", 0)?;
@@ -551,7 +553,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
             health: health.clone(),
             wal: wal.clone().map(|log| DurableLog { log, repl: repl.clone() }),
             metrics: Some(metrics.clone()),
-            checkpoint_every,
+            checkpoint_bytes,
         },
         idle_timeout: (idle_timeout > 0)
             .then(|| std::time::Duration::from_secs(idle_timeout as u64)),
@@ -568,7 +570,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     // Drained: the ingress wrote the final checkpoint unless a
     // checkpoint failed first.
     let final_checkpoint = stats.ingress.final_checkpoint;
-    if wal.is_some() && checkpoint_every > 0 && !final_checkpoint {
+    if wal.is_some() && checkpoint_bytes > 0 && !final_checkpoint {
         let why = health.checkpoint().failed.unwrap_or_else(|| health.reason());
         return Err(format!("final checkpoint: {why}"));
     }

@@ -158,7 +158,8 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
 /// call, acks are released only after its batch fsync, and a degraded
 /// server resyncs its tracking against the durable log when the
 /// operator re-arms. The ingress keeps the checkpoint chain — a base at
-/// start, an increment every 2 blocks, a final checkpoint at drain —
+/// start, an increment every 64 bytes of log (every 2 of these 32-byte
+/// one-op blocks), a final checkpoint at drain —
 /// with its jobs retried on the durability policy's budget of 2. The
 /// driver posts serially (one op in flight) so the committer's WAL call
 /// sequence is deterministic — append/sync call N belongs to op N —
@@ -188,7 +189,7 @@ fn run_case_pipelined(
             durability: policy,
             health: health.clone(),
             wal: Some(DurableLog { log: Arc::new(Mutex::new(wal)), repl: None }),
-            checkpoint_every: 2,
+            checkpoint_bytes: 64,
             ..Default::default()
         },
         |client| {
@@ -404,7 +405,7 @@ fn pipelined_sealed_segments_stop_accruing_once_the_snapshotter_gave_up() {
                 durability: DurabilityPolicy { retries: 2, backoff: Duration::from_millis(1) },
                 health: health.clone(),
                 wal: Some(DurableLog { log: Arc::new(Mutex::new(wal)), repl: None }),
-                checkpoint_every: 1,
+                checkpoint_bytes: 1,
                 ..Default::default()
             },
             |client| {

@@ -308,7 +308,7 @@ fn durable_server_threads_are_named() {
                         log: wal.clone(),
                         repl: None,
                     }),
-                    checkpoint_every: 16,
+                    checkpoint_bytes: migratory::core::enforce::DEFAULT_CHECKPOINT_BYTES,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -463,7 +463,7 @@ fn kill_recover_reserve_roundtrip_is_byte_identical() {
     // without any shutdown courtesy.
     let mut script: Vec<(&str, String)> = Vec::new();
     let (mut child, addr) =
-        spawn_serve(&dir, &["--durable", wal_dir.to_str().unwrap(), "--checkpoint-every", "4"]);
+        spawn_serve(&dir, &["--durable", wal_dir.to_str().unwrap(), "--checkpoint-bytes", "128"]);
     {
         let mut c = Client::connect(&*addr);
         for i in 0..40 {
@@ -493,7 +493,7 @@ fn kill_recover_reserve_roundtrip_is_byte_identical() {
     // Stage 2: re-serve with --recover, keep working, drain gracefully.
     let (mut child, addr) = spawn_serve(
         &dir,
-        &["--durable", wal_dir.to_str().unwrap(), "--recover", "--checkpoint-every", "4"],
+        &["--durable", wal_dir.to_str().unwrap(), "--recover", "--checkpoint-bytes", "128"],
     );
     {
         let mut c = Client::connect(&*addr);
@@ -546,7 +546,7 @@ fn serve_without_recover_refuses_a_used_log() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let wal_dir = dir.join("wal");
-    let durable = ["--durable", wal_dir.to_str().unwrap(), "--checkpoint-every", "4"];
+    let durable = ["--durable", wal_dir.to_str().unwrap(), "--checkpoint-bytes", "128"];
     let (mut child, addr) = spawn_serve(&dir, &durable);
     {
         let mut c = Client::connect(&*addr);
@@ -935,7 +935,7 @@ fn redefine_under_live_traffic_survives_kill_and_recover() {
     let mut pre: Vec<(&str, String)> = Vec::new();
     let mut post: Vec<(&str, String)> = Vec::new();
     let (mut child, addr) =
-        spawn_serve(&dir, &["--durable", wal_dir.to_str().unwrap(), "--checkpoint-every", "4"]);
+        spawn_serve(&dir, &["--durable", wal_dir.to_str().unwrap(), "--checkpoint-bytes", "128"]);
     {
         let mut c = Client::connect(&*addr);
         for i in 0..6 {
@@ -988,7 +988,7 @@ fn redefine_under_live_traffic_survives_kill_and_recover() {
     // keeps being enforced.
     let (mut child, addr) = spawn_serve(
         &dir,
-        &["--durable", wal_dir.to_str().unwrap(), "--recover", "--checkpoint-every", "4"],
+        &["--durable", wal_dir.to_str().unwrap(), "--recover", "--checkpoint-bytes", "128"],
     );
     {
         let mut c = Client::connect(&*addr);

@@ -128,8 +128,9 @@ fn replica_byte_identity_round(seed: u64) {
         });
 
         // The primary: pipelined committer + replicator tee, with a
-        // checkpoint every 4 blocks (exercising chain + tail shipping on
-        // reconnect, and pruning under live shipping).
+        // checkpoint every 128 bytes of log, about every 4 blocks
+        // (exercising chain + tail shipping on reconnect, and pruning
+        // under live shipping).
         let mut pm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
         let health = Arc::new(Health::new());
         let ((), stats) = ingress::serve(
@@ -139,7 +140,7 @@ fn replica_byte_identity_round(seed: u64) {
                 max_block: 8,
                 health: health.clone(),
                 wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
-                checkpoint_every: 4,
+                checkpoint_bytes: 128,
                 ..Default::default()
             },
             |client| {
@@ -449,8 +450,8 @@ fn kill_primary_promote_replica_and_redrive_both_dialects() {
         &[
             "--durable",
             wal_p.to_str().unwrap(),
-            "--checkpoint-every",
-            "4",
+            "--checkpoint-bytes",
+            "128",
             "--repl-addr",
             "127.0.0.1:0",
             "--ack",
@@ -902,6 +903,129 @@ fn local_fsync_policy_rides_out_ship_faults_without_refusals() {
             "{tag}: the converged replica is byte-identical to the acked history"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// A standby keeps its own checkpoint chain
+// ---------------------------------------------------------------------
+
+/// A standby folds replicated records as admin ops and admits no
+/// blocks; the byte budget covers it all the same. Fed many budgets of
+/// replicated log under `ack-on-replica-1`, it writes increments of its
+/// own while it follows, its live `wal.log` never holds more than the
+/// budget plus one shipped batch, and its durable image still recovers
+/// byte-identically to the acked history.
+#[test]
+fn standby_checkpoints_by_log_bytes_and_recovers_byte_identically() {
+    const BUDGET: u64 = 1024;
+    const OPS: usize = 300;
+    let schema = parse_schema(REPL_SCHEMA).expect("schema");
+    let alphabet = RoleAlphabet::new(&schema, 0).expect("alphabet");
+    let inv = Inventory::parse_init(&schema, &alphabet, REPL_INV).expect("inventory");
+    let ts = parse_transactions(&schema, REPL_TX).expect("transactions");
+    let mk = ts.get("Mk").expect("Mk");
+    let key = |i: usize| Assignment::new(vec![Value::str(&format!("s{i}"))]);
+
+    let dir_p = temp_dir("standby-ckpt-p");
+    let dir_r = temp_dir("standby-ckpt-r");
+    let wal_p = Arc::new(Mutex::new(Wal::open(&dir_p).expect("primary wal")));
+    let wal_r = Arc::new(Mutex::new(Wal::open(&dir_r).expect("standby wal")));
+    let repl = Arc::new(
+        Replicator::bind("127.0.0.1:0")
+            .expect("bind replicator")
+            .with_policy(AckPolicy::ReplicaK(1))
+            .with_ack_timeout(Duration::from_secs(20)),
+    );
+    let repl_addr = repl.local_addr().to_string();
+    let ctl = Arc::new(ReplicaCtl::new(&repl_addr));
+    let stop_accept = AtomicBool::new(false);
+    let increments = || {
+        std::fs::read_dir(&dir_r)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("delta-"))
+            .count()
+    };
+    // A seal renames the live log away for a moment: count that as 0.
+    let live_len = || std::fs::metadata(dir_r.join("wal.log")).map_or(0, |m| m.len());
+
+    let (following, standby_final) = std::thread::scope(|scope| {
+        let standby = scope.spawn(|| {
+            let mut rm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
+            let health = Arc::new(Health::new());
+            let ((), stats) = ingress::serve(
+                &mut rm,
+                &IngressConfig {
+                    health: health.clone(),
+                    wal: Some(DurableLog { log: wal_r.clone(), repl: None }),
+                    checkpoint_bytes: BUDGET as usize,
+                    ..Default::default()
+                },
+                |client| {
+                    std::thread::scope(|ps| {
+                        ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
+                        wait_for(60, "the primary's stop signal", || ctl.stopped());
+                    });
+                },
+            );
+            assert!(!health.is_degraded(), "standby degraded: {}", health.reason());
+            assert!(health.checkpoint().failed.is_none(), "the standby's checkpoints land");
+            stats.final_checkpoint
+        });
+
+        let mut pm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
+        let (following, _) = ingress::serve(
+            &mut pm,
+            &IngressConfig {
+                wal: Some(DurableLog { log: wal_p.clone(), repl: Some(repl.clone()) }),
+                ..Default::default()
+            },
+            |client| {
+                std::thread::scope(|ps| {
+                    ps.spawn(|| acceptor(&repl, client, &stop_accept));
+                    wait_for(20, "the standby to register", || repl.live_replicas() >= 1);
+                    let mut max_batch = 0;
+                    for i in 0..OPS {
+                        let shipped = repl.horizon();
+                        client.post(mk, key(i)).wait().expect("creations conform");
+                        // Acked under replica-1: the standby folded the
+                        // batch and made it durable.
+                        max_batch = max_batch.max(repl.horizon() - shipped);
+                        let live = live_len();
+                        assert!(
+                            live < BUDGET + max_batch,
+                            "op {i}: the standby's wal.log holds {live} B, over the budget \
+                             {BUDGET} plus one batch of {max_batch}"
+                        );
+                    }
+                    assert!(repl.horizon() > 8 * BUDGET, "the stream spans many budgets");
+                    let following = increments();
+                    ctl.request_stop();
+                    stop_accept.store(true, Ordering::SeqCst);
+                    following
+                })
+            },
+        );
+        repl.close();
+        (following, standby.join().expect("standby thread"))
+    });
+    assert!(following >= 4, "the standby wrote {following} increments while it followed");
+    assert!(standby_final, "the standby wrote its final checkpoint at drain");
+
+    let mut oracle = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
+    for i in 0..OPS {
+        oracle.try_apply(mk, &key(i)).expect("creations conform");
+    }
+    let (snap, tail) = Wal::load(&dir_r).expect("standby wal reloads");
+    let recovered =
+        ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, tail)
+            .expect("standby recovers");
+    assert_eq!(
+        recovered.snapshot().encode(),
+        oracle.snapshot().encode(),
+        "the standby's chain and tail recover the acked history"
+    );
+    let _ = std::fs::remove_dir_all(&dir_p);
+    let _ = std::fs::remove_dir_all(&dir_r);
 }
 
 // ---------------------------------------------------------------------

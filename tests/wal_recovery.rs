@@ -1612,3 +1612,66 @@ fn crash_between_redefine_append_and_swap_replays_the_redefinition() {
             .expect("divergent post-crash history must be detected");
     assert!(matches!(err, WalError::Mismatch(_)), "got {err}");
 }
+
+/// Recovery checks the heap it adopts against the schema it runs under
+/// (`Instance::check_schema`, once, in O(objects)): a snapshot that does
+/// not fit is a `WalError::Mismatch`, not a served state. An employee
+/// written under one declaration order, recovered under one that swaps
+/// `EMPLOYEE` with a `STUDENT` of two attributes, would read as a
+/// student missing `Year`; under a schema without `EMPLOYEE` it names a
+/// class past the schema, which must be an `Err`, not a panic.
+#[test]
+fn recovery_refuses_a_snapshot_that_does_not_fit_the_schema() {
+    use migratory::model::text::parse_schema;
+    let schema = |classes: &str| parse_schema(&format!("schema U {{ {classes} }}")).unwrap();
+    let written = schema(
+        "class PERSON { SSN } class STUDENT isa PERSON { Major, Year } \
+         class EMPLOYEE isa PERSON { Dept }",
+    );
+    let alphabet = RoleAlphabet::new(&written, 0).unwrap();
+    let inv = Inventory::parse_init(&written, &alphabet, "∅* [PERSON]* [EMPLOYEE]* ∅*").unwrap();
+    let ts = parse_transactions(
+        &written,
+        r#"
+        transaction Mk(x) { create(PERSON, { SSN = x }); }
+        transaction Em(x) { specialize(PERSON, EMPLOYEE, { SSN = x }, { Dept = "d" }); }
+    "#,
+    )
+    .unwrap();
+    let mut live = ShardedMonitor::new(&written, &alphabet, &inv, PatternKind::All, 1);
+    for (name, k) in [("Mk", "a"), ("Mk", "b"), ("Em", "a")] {
+        live.try_apply(ts.get(name).unwrap(), &Assignment::new(vec![Value::str(k)])).unwrap();
+    }
+    let recovered = ShardedMonitor::recover(
+        &written,
+        &alphabet,
+        &inv,
+        PatternKind::All,
+        1,
+        Some(live.snapshot()),
+        [],
+    )
+    .expect("the writing schema recovers");
+    assert_eq!(recovered.snapshot().encode(), live.snapshot().encode());
+
+    for (classes, what) in [
+        (
+            "class PERSON { SSN } class EMPLOYEE isa PERSON { Dept } \
+             class STUDENT isa PERSON { Major, Year }",
+            "has no value",
+        ),
+        ("class PERSON { SSN } class STUDENT isa PERSON { Major, Year }", "past the schema"),
+    ] {
+        let other = schema(classes);
+        let alphabet = RoleAlphabet::new(&other, 0).unwrap();
+        let inv = Inventory::parse_init(&other, &alphabet, "∅* [PERSON]* ∅*").unwrap();
+        let snap = Some(live.snapshot());
+        match ShardedMonitor::recover(&other, &alphabet, &inv, PatternKind::All, 1, snap, []) {
+            Err(e @ WalError::Mismatch(_)) => {
+                assert!(e.to_string().contains(what), "{classes}: got {e}");
+            }
+            Err(e) => panic!("{classes}: a misfit is a mismatch, got {e}"),
+            Ok(_) => panic!("{classes}: the snapshot was adopted"),
+        }
+    }
+}
