@@ -1114,7 +1114,10 @@ impl DecodedDelta {
 /// counted and then encoded in a second walk, not collected, so no
 /// buffer of a capture grows past glibc's 128 KiB mmap threshold with
 /// the dirty set. Freeing a mapped chunk raises that threshold, and
-/// later transients below the raised one then fragment the heap.
+/// later transients below the raised one then fragment the heap. The
+/// covered oids stay one `Vec` (8 B each, kept for
+/// [`ShardedMonitor::restore_dirty`](super::ShardedMonitor::restore_dirty)):
+/// it reaches the threshold only in a capture of over 16,384 objects.
 pub(crate) fn capture_delta(
     db: &Instance,
     shards: &mut [DeltaState],
