@@ -909,6 +909,17 @@ fn local_fsync_policy_rides_out_ship_faults_without_refusals() {
 // A standby keeps its own checkpoint chain
 // ---------------------------------------------------------------------
 
+/// Stops a replication pair when dropped: the standby's pull loop and
+/// the primary's acceptor.
+struct StopOnDrop<'a>(&'a ReplicaCtl, &'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.request_stop();
+        self.1.store(true, Ordering::SeqCst);
+    }
+}
+
 /// A standby folds replicated records as admin ops and admits no
 /// blocks; the byte budget covers it all the same. Fed many budgets of
 /// replicated log under `ack-on-replica-1`, it writes increments of its
@@ -981,6 +992,9 @@ fn standby_checkpoints_by_log_bytes_and_recovers_byte_identically() {
             },
             |client| {
                 std::thread::scope(|ps| {
+                    // Stop both sides on the way out, a failed assertion
+                    // included, or the scope would wait on the acceptor.
+                    let _stop = StopOnDrop(&ctl, &stop_accept);
                     ps.spawn(|| acceptor(&repl, client, &stop_accept));
                     wait_for(20, "the standby to register", || repl.live_replicas() >= 1);
                     let mut max_batch = 0;
@@ -998,10 +1012,7 @@ fn standby_checkpoints_by_log_bytes_and_recovers_byte_identically() {
                         );
                     }
                     assert!(repl.horizon() > 8 * BUDGET, "the stream spans many budgets");
-                    let following = increments();
-                    ctl.request_stop();
-                    stop_accept.store(true, Ordering::SeqCst);
-                    following
+                    increments()
                 })
             },
         );
