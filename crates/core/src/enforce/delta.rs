@@ -281,7 +281,7 @@ pub(crate) enum Target {
     Key(u32, u32),
 }
 
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, Default)]
 pub(crate) struct DeltaState {
     /// This partition's index among the monitor's: the shard its records
     /// name in the monitor's [`Records`] table.
@@ -319,10 +319,48 @@ pub(crate) struct DeltaState {
     /// the last checkpoint capture (drained by
     /// `checkpoint_delta`). Not part of the durable, byte-compared
     /// state.
-    pub(crate) dirty: BTreeSet<Oid>,
+    pub(crate) dirty: DirtySet,
     /// Every record is dirty: set by [`DeltaState::compact`], which
     /// rewrites cohort slots of records the batch never touched.
     pub(crate) all_dirty: bool,
+}
+
+/// A partition's dirty oids ([`DeltaState::dirty`]): a vector that keeps
+/// its capacity across captures, so marking an oid appends and allocates
+/// nothing once the vector reached its steady size. [`DirtySet::sorted`]
+/// sorts and deduplicates it in place for a capture, which walks the
+/// oids in ascending order. A full vector is deduplicated before it
+/// grows, and then grown to at least twice its distinct oids, so it
+/// holds at most four times as many oids as are dirty and each insert
+/// costs amortized O(log n).
+#[derive(Clone, Default, Debug)]
+pub(crate) struct DirtySet(Vec<Oid>);
+
+impl DirtySet {
+    pub(crate) fn insert(&mut self, o: Oid) {
+        if self.0.len() == self.0.capacity() && !self.0.is_empty() {
+            self.sorted();
+            self.0.reserve(self.0.len());
+        }
+        self.0.push(o);
+    }
+
+    pub(crate) fn extend(&mut self, oids: impl IntoIterator<Item = Oid>) {
+        for o in oids {
+            self.insert(o);
+        }
+    }
+
+    /// The marked oids, ascending, each once.
+    pub(crate) fn sorted(&mut self) -> &[Oid] {
+        self.0.sort_unstable();
+        self.0.dedup();
+        &self.0
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 impl DeltaState {

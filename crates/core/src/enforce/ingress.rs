@@ -123,7 +123,7 @@ use migratory_model::Schema;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs and wiring of [`serve`]. The default is a volatile
@@ -257,38 +257,39 @@ pub struct IngressStats {
     pub final_checkpoint: bool,
 }
 
-/// A boxed one-shot completion callback: how an event-driven caller
-/// (the `enforce::net` poll loop) receives an op's outcome without
-/// parking a thread on a channel. Invoked exactly once: on the
-/// committer once the op's block committed (durably, with a
+/// Where an event-driven caller (the `enforce::net` poll loop) wants an
+/// op's outcome delivered: its event thread, connection and reply
+/// slot. A plain value, so posting an op costs no allocation for its
+/// reply: the ingress hands it back with the outcome to the one handler
+/// the caller registered ([`IngressClient::on_done`]) — exactly once,
+/// on the committer once the op's block committed (durably, with a
 /// write-ahead log) or a failing log refused it, and on the admission
-/// worker when the monitor rejected the op or the ingress was degraded
-/// — so keep it cheap: stash the outcome and wake the owning event
-/// thread.
-pub type Completion<'t> = Box<dyn FnOnce(Result<(), EnforceError>) + Send + 't>;
-
-/// How an op's outcome travels back to its producer.
-enum Answer<'t> {
-    /// A synchronous caller parked on a [`Ticket`].
-    Chan(mpsc::Sender<Result<(), EnforceError>>),
-    /// An event-driven caller's completion callback.
-    Done(Completion<'t>),
+/// worker when the monitor rejected the op or the ingress was degraded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Completion {
+    /// The caller's event thread.
+    pub thread: usize,
+    /// The connection on that thread.
+    pub conn: u64,
+    /// The connection's reply slot.
+    pub slot: u64,
 }
 
-impl<'t> Answer<'t> {
-    fn answer(self, outcome: Result<(), EnforceError>) {
-        match self {
-            // A producer that dropped its ticket simply doesn't care.
-            Answer::Chan(tx) => drop(tx.send(outcome)),
-            Answer::Done(f) => f(outcome),
-        }
-    }
+/// The handler [`IngressClient::on_done`] registers.
+type DoneFn<'t> = Box<dyn Fn(Completion, Result<(), EnforceError>) + Send + Sync + 't>;
+
+/// How an op's outcome travels back to its producer.
+enum Answer {
+    /// A synchronous caller parked on a [`Ticket`].
+    Chan(mpsc::Sender<Result<(), EnforceError>>),
+    /// An event-driven caller's address, for the registered handler.
+    Done(Completion),
 }
 
 struct Op<'t> {
     t: &'t Transaction,
     args: Assignment,
-    reply: Answer<'t>,
+    reply: Answer,
 }
 
 /// An administrative **barrier operation** (see
@@ -333,8 +334,8 @@ struct State<'t, 's> {
 enum Work<'t, 's> {
     /// An administrative barrier op (runs before any queued block).
     Admin(AdminOp<'t, 's>),
-    /// A drained block from one lane.
-    Block(usize, Vec<Op<'t>>),
+    /// A block drained from this lane into the worker's block buffer.
+    Block(usize),
     /// Closed and empty: exit.
     Drained,
 }
@@ -466,12 +467,14 @@ impl<'t, 's, 'm> Shared<'t, 's, 'm> {
 
     /// Pull the admission worker's next unit of work: a pending admin
     /// op (a barrier — served ahead of the lanes), else one block
-    /// round-robin over non-empty lanes, else park until either
-    /// arrives. `Drained` fills the final stats fields on the way out.
+    /// round-robin over non-empty lanes, drained into `block`, else park
+    /// until either arrives. `Drained` fills the final stats fields on
+    /// the way out.
     fn next_work(
         &self,
         cursor: usize,
         max_block: usize,
+        block: &mut Vec<Op<'t>>,
         stats: &mut IngressStats,
         metrics: Option<&AdmissionMetrics>,
     ) -> Work<'t, 's> {
@@ -487,7 +490,7 @@ impl<'t, 's, 'm> Shared<'t, 's, 'm> {
                         h.record(st.lanes[lane].len() as u64);
                     }
                     let take = st.lanes[lane].len().min(max_block);
-                    let block: Vec<Op<'t>> = st.lanes[lane].drain(..take).collect();
+                    block.extend(st.lanes[lane].drain(..take));
                     // Wake only who waits for space: parked producers, and
                     // listeners if any post was refused since the last
                     // drain (a retry refused again re-arms the flag).
@@ -502,7 +505,7 @@ impl<'t, 's, 'm> Shared<'t, 's, 'm> {
                             f();
                         }
                     }
-                    return Work::Block(lane, block);
+                    return Work::Block(lane);
                 }
                 None if st.closed => {
                     stats.lanes = st.lanes.len();
@@ -524,6 +527,7 @@ impl<'t, 's, 'm> Shared<'t, 's, 'm> {
 /// share one reference across any number of producer threads.
 pub struct IngressClient<'t, 's, 'sh> {
     shared: &'sh Shared<'t, 's, 'sh>,
+    pipe: &'sh Pipeline<'sh, 't>,
 }
 
 /// A pending admission outcome (see [`IngressClient::post`]).
@@ -550,23 +554,32 @@ impl<'t> IngressClient<'t, '_, '_> {
     }
 
     /// Non-blocking [`IngressClient::post`] for event-driven callers: on
-    /// success the op is queued and `done` will be invoked exactly once
-    /// with its outcome (see [`Completion`]); when the op's lane is
-    /// at capacity the pieces are handed back unqueued so the caller can
-    /// park them and retry after an [`IngressClient::on_space`] wakeup —
-    /// backpressure without a blocked thread.
+    /// success the op is queued and its outcome will be handed, with
+    /// `done`, to the handler registered with [`IngressClient::on_done`]
+    /// exactly once (see [`Completion`]); when the op's lane is at
+    /// capacity the arguments are handed back unqueued so the caller can
+    /// park the op and retry after an [`IngressClient::on_space`] wakeup
+    /// — backpressure without a blocked thread.
     pub fn try_post_done(
         &self,
         t: &'t Transaction,
         args: Assignment,
-        done: Completion<'t>,
-    ) -> Result<(), (Assignment, Completion<'t>)> {
-        self.shared.try_enqueue(Op { t, args, reply: Answer::Done(done) }).map_err(|op| {
-            match op.reply {
-                Answer::Done(done) => (op.args, done),
-                Answer::Chan(_) => unreachable!("constructed with Answer::Done above"),
-            }
-        })
+        done: Completion,
+    ) -> Result<(), Assignment> {
+        self.shared.try_enqueue(Op { t, args, reply: Answer::Done(done) }).map_err(|op| op.args)
+    }
+
+    /// Register the handler that receives the outcome of every op posted
+    /// with [`IngressClient::try_post_done`], with its [`Completion`].
+    /// It runs on the admission worker and the committer: keep it to
+    /// stashing the outcome and waking its owner.
+    ///
+    /// # Panics
+    /// Panics if a handler is already registered.
+    pub fn on_done(&self, f: impl Fn(Completion, Result<(), EnforceError>) + Send + Sync + 't) {
+        if self.pipe.on_done.set(Box::new(f)).is_err() {
+            panic!("an ingress takes one completion handler");
+        }
     }
 
     /// Register a persistent lane-space listener, fired by the admission
@@ -669,7 +682,7 @@ pub fn serve<'t, 'a, R>(
     config: &IngressConfig,
     drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
 ) -> (R, IngressStats) {
-    let staged: Arc<Mutex<Vec<u8>>> = Arc::default();
+    let staged: Arc<Mutex<Staged>> = Arc::default();
     let restore = config.wal.as_ref().map(|_| {
         monitor.set_sink(Some(Arc::new(Mutex::new(StagedSink { staged: staged.clone() }))))
     });
@@ -680,12 +693,13 @@ pub fn serve<'t, 'a, R>(
         policy: config.durability,
         metrics: config.metrics.as_deref(),
         staged,
+        on_done: OnceLock::new(),
         needs_resync: AtomicBool::new(false),
         refused: AtomicUsize::new(0),
         retries: AtomicUsize::new(0),
     };
     let shared = Shared::new(monitor, config);
-    let (tx, rx) = mpsc::channel::<Msg<'t>>();
+    let (tx, rx) = mpsc::channel::<Msg>();
     let (out, mut stats) = std::thread::scope(|scope| {
         let pipe = &pipe;
         let committer = std::thread::Builder::new()
@@ -703,7 +717,7 @@ pub fn serve<'t, 'a, R>(
         // worker before propagating, and a worker parked on `ready` with
         // `closed` unset would deadlock the join forever.
         let guard = CloseGuard(&shared);
-        let out = drive(&IngressClient { shared: &shared });
+        let out = drive(&IngressClient { shared: &shared, pipe });
         drop(guard);
         let stats = worker.join().expect("admission worker panicked");
         // The worker's sender is gone; dropping ours closes the channel
@@ -751,24 +765,24 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// The commit sink of an ingress with a write-ahead log: instead of
 /// appending (and syncing) on the admission worker, each admitted
-/// block's framed record bytes are accumulated here — synchronously,
-/// inside `try_apply_batch` — and the worker hands the buffer to the
-/// committer thread after tracking commits. Encoding is the only
-/// fallible step (a block past the record cap), so the admission path
-/// itself can no longer block on the disk.
+/// block's framed record bytes are accumulated in the [`Staged`]
+/// hand-off — synchronously, inside `try_apply_batch` — and the
+/// committer thread takes them after tracking commits. Encoding is the
+/// only fallible step (a block past the record cap), so the admission
+/// path itself can no longer block on the disk.
 struct StagedSink {
-    staged: Arc<Mutex<Vec<u8>>>,
+    staged: Arc<Mutex<Staged>>,
 }
 
 impl wal::CommitSink for StagedSink {
     fn committed(&mut self, block: &wal::BlockRef<'_>) -> Result<(), WalError> {
         // `encode_record` leaves the buffer untouched on `Err`, so a
         // refused oversized block never poisons neighbouring records.
-        wal::encode_record(&mut lock(&self.staged), block)
+        wal::encode_record(&mut lock(&self.staged).bytes, block)
     }
 
     fn certified(&mut self, steps: usize) -> Result<(), WalError> {
-        wal::encode_certify_record(&mut lock(&self.staged), steps);
+        wal::encode_certify_record(&mut lock(&self.staged).bytes, steps);
         Ok(())
     }
 
@@ -779,18 +793,33 @@ impl wal::CommitSink for StagedSink {
         shards: &[(u32, usize)],
         inventory: &[u8],
     ) -> Result<(), WalError> {
-        wal::encode_redefine_record(&mut lock(&self.staged), epoch, policy, shards, inventory)
+        let out = &mut lock(&self.staged).bytes;
+        wal::encode_redefine_record(out, epoch, policy, shards, inventory)
     }
+}
+
+/// The worker's hand-off to the committer besides its messages: record
+/// bytes the [`StagedSink`] wrote and tickets of admitted blocks, both
+/// in commit order. The first `claimed` bytes are already announced by
+/// a [`Msg::Commit`]; the committer takes each round's share from the
+/// front. Both buffers keep their capacity, so handing a block over
+/// allocates nothing.
+#[derive(Default)]
+struct Staged {
+    bytes: Vec<u8>,
+    claimed: usize,
+    answers: VecDeque<Answer>,
 }
 
 /// Worker → committer hand-off. One channel with one producer (the
 /// admission worker), so message order **is** commit order.
-enum Msg<'t> {
-    /// An admitted block: its framed record bytes (one record, also
-    /// when a violation cut the block short — its conforming prefix
-    /// commits as one block; none without a log) and the tickets to
-    /// release once the bytes are durable.
-    Commit { bytes: Vec<u8>, answers: Vec<Answer<'t>>, lane: usize, t0: Instant },
+enum Msg {
+    /// An admitted block: how many record bytes (one record, also when
+    /// a violation cut the block short — its conforming prefix commits
+    /// as one block; none without a log) and how many tickets of the
+    /// [`Staged`] hand-off are its own, the tickets to release once the
+    /// bytes are durable.
+    Commit { bytes: usize, answers: usize, lane: usize, t0: Instant },
     /// Barrier: reply once everything before it was appended and synced
     /// (or refused). `false` means a durability failure broke the
     /// pipeline and the worker must not checkpoint the monitor's
@@ -803,7 +832,7 @@ enum Msg<'t> {
 
 /// State shared between the admission worker, the committer and the
 /// staging sink.
-struct Pipeline<'w> {
+struct Pipeline<'w, 't> {
     /// The write-ahead log the committer appends to; `None` for a
     /// volatile ingress, whose committer only answers tickets.
     log: Option<&'w Mutex<Wal>>,
@@ -815,9 +844,12 @@ struct Pipeline<'w> {
     health: &'w Health,
     policy: DurabilityPolicy,
     metrics: Option<&'w AdmissionMetrics>,
-    /// The [`StagedSink`] buffer the worker drains after each
-    /// `try_apply_batch` (always empty without a log).
-    staged: Arc<Mutex<Vec<u8>>>,
+    /// The hand-off: the [`StagedSink`]'s bytes (always empty without a
+    /// log) and the tickets of admitted blocks.
+    staged: Arc<Mutex<Staged>>,
+    /// The handler of [`Answer::Done`] outcomes
+    /// ([`IngressClient::on_done`]).
+    on_done: OnceLock<DoneFn<'t>>,
     /// Set by the committer when a failure dropped appended-but-unsynced
     /// records: monitor tracking ran ahead of the durable log and must
     /// be wound back before the next commit.
@@ -830,7 +862,46 @@ struct Pipeline<'w> {
     retries: AtomicUsize,
 }
 
-impl Pipeline<'_> {
+impl Pipeline<'_, '_> {
+    /// Deliver one op's outcome to its producer.
+    fn answer(&self, answer: Answer, outcome: Result<(), EnforceError>) {
+        match answer {
+            // A producer that dropped its ticket simply doesn't care.
+            Answer::Chan(tx) => drop(tx.send(outcome)),
+            Answer::Done(done) => {
+                let on_done = self.on_done.get().expect("on_done registered before try_post_done");
+                on_done(done, outcome);
+            }
+        }
+    }
+
+    /// Announce the bytes staged since the last claim and queue
+    /// `answers` behind the earlier blocks' tickets, for one
+    /// [`Msg::Commit`]: returns how many of each.
+    fn claim(&self, answers: impl IntoIterator<Item = Answer>) -> (usize, usize) {
+        let mut st = lock(&self.staged);
+        let bytes = st.bytes.len() - st.claimed;
+        st.claimed = st.bytes.len();
+        let queued = st.answers.len();
+        st.answers.extend(answers);
+        (bytes, st.answers.len() - queued)
+    }
+
+    /// Move the first `bytes` claimed bytes and `answers` tickets of the
+    /// hand-off to the committer's buffers.
+    fn take_claimed(
+        &self,
+        bytes: usize,
+        answers: usize,
+        into: (&mut Vec<u8>, &mut VecDeque<Answer>),
+    ) {
+        let mut st = lock(&self.staged);
+        into.0.extend_from_slice(&st.bytes[..bytes]);
+        st.bytes.drain(..bytes);
+        st.claimed -= bytes;
+        into.1.extend(st.answers.drain(..answers));
+    }
+
     /// Run a WAL operation under the retry budget: transient faults are
     /// absorbed with bounded linear backoff. The lock is released
     /// across each backoff sleep — the worker may need it meanwhile.
@@ -852,10 +923,10 @@ impl Pipeline<'_> {
     }
 
     /// Answer every ticket `Degraded` and count the refusals.
-    fn refuse<'t>(&self, answers: impl IntoIterator<Item = Answer<'t>>, reason: &str) {
+    fn refuse(&self, answers: impl IntoIterator<Item = Answer>, reason: &str) {
         for a in answers {
             self.refused.fetch_add(1, Ordering::Relaxed);
-            a.answer(Err(EnforceError::Degraded(reason.to_owned())));
+            self.answer(a, Err(EnforceError::Degraded(reason.to_owned())));
         }
     }
 
@@ -865,22 +936,13 @@ impl Pipeline<'_> {
     /// monitor committed tracking for every forwarded block, so it now
     /// runs ahead of the durable log — and answer every affected
     /// ticket.
-    fn fail_batch<'t>(
-        &self,
-        e: &WalError,
-        site: &str,
-        appended: &mut Vec<(Vec<Answer<'t>>, usize, Instant)>,
-        also: Vec<Answer<'t>>,
-    ) {
+    fn fail_batch(&self, e: &WalError, site: &str, affected: impl IntoIterator<Item = Answer>) {
         let reason =
             format!("write-ahead {site} failed after {} retries: {e}", self.policy.retries);
         lock(self.log.expect("only a write-ahead log fails")).rollback_unsynced();
         self.needs_resync.store(true, Ordering::SeqCst);
         self.health.degrade(&reason);
-        for (answers, _, _) in appended.drain(..) {
-            self.refuse(answers, &reason);
-        }
-        self.refuse(also, &reason);
+        self.refuse(affected, &reason);
     }
 }
 
@@ -893,38 +955,58 @@ impl Pipeline<'_> {
 /// released as it arrives, in commit order. An exhausted append or
 /// sync rolls the unsynced suffix back, degrades the server, and
 /// answers every affected ticket `Degraded`.
-fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
+fn committer_loop(pipe: &Pipeline<'_, '_>, rx: &mpsc::Receiver<Msg>) {
     // Only a log can break the pipeline.
     let mut broken = pipe.log.is_some() && pipe.health.is_degraded();
+    // Per-round buffers, kept across rounds: a round allocates nothing
+    // once they reach their steady size.
+    let mut msgs: Vec<Msg> = Vec::new();
+    // The round's share of the hand-off: record bytes and tickets, in
+    // commit order.
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut answers: VecDeque<Answer> = VecDeque::new();
+    // Blocks appended this round, awaiting the batch sync: each one's
+    // ticket count, lane and admission time; their tickets, in order.
+    let mut appended: Vec<(usize, usize, Instant)> = Vec::new();
+    let mut held: Vec<Answer> = Vec::new();
+    let mut flushes: Vec<mpsc::Sender<bool>> = Vec::new();
     while let Ok(first) = rx.recv() {
-        let mut msgs = vec![first];
+        msgs.push(first);
         while let Ok(m) = rx.try_recv() {
             msgs.push(m);
         }
-        // Blocks appended this round, awaiting the batch sync.
-        let mut appended: Vec<(Vec<Answer<'t>>, usize, Instant)> = Vec::new();
-        let mut flushes: Vec<mpsc::Sender<bool>> = Vec::new();
+        let (nb, na) = msgs.iter().fold((0, 0), |(nb, na), m| match m {
+            Msg::Commit { bytes, answers, .. } => (nb + bytes, na + answers),
+            _ => (nb, na),
+        });
+        pipe.take_claimed(nb, na, (&mut bytes, &mut answers));
         // Record bytes appended this round, in commit order: the
-        // replication tee ships exactly what the log carries.
-        let mut shipped: Vec<u8> = Vec::new();
-        for msg in msgs {
+        // replication tee ships exactly what the log carries. Appends
+        // stop at a failure, so they are one run of `bytes`.
+        let (mut at, mut shipped) = (0, None::<std::ops::Range<usize>>);
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::Reset => broken = false,
                 Msg::Flush(reply) => flushes.push(reply),
-                Msg::Commit { answers, .. } if broken => {
-                    pipe.refuse(answers, &pipe.health.reason());
-                }
-                Msg::Commit { bytes, answers, lane, t0 } => {
-                    match pipe.retry(|w| w.append_bytes(&bytes)) {
+                Msg::Commit { bytes: n, answers: k, lane, t0 } => {
+                    let record = at..at + n;
+                    at += n;
+                    let tickets = answers.drain(..k);
+                    if broken {
+                        pipe.refuse(tickets, &pipe.health.reason());
+                        continue;
+                    }
+                    match pipe.retry(|w| w.append_bytes(&bytes[record.clone()])) {
                         Ok(()) => {
-                            if pipe.repl.is_some() {
-                                shipped.extend_from_slice(&bytes);
-                            }
-                            appended.push((answers, lane, t0));
+                            let from = shipped.map_or(record.start, |r| r.start);
+                            shipped = Some(from..record.end);
+                            held.extend(tickets);
+                            appended.push((k, lane, t0));
                         }
                         Err(e) => {
                             broken = true;
-                            pipe.fail_batch(&e, "append", &mut appended, answers);
+                            appended.clear();
+                            pipe.fail_batch(&e, "append", held.drain(..).chain(tickets));
                         }
                     }
                 }
@@ -941,8 +1023,8 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
                     // rolled back; the tickets are refused (the caller
                     // must treat the op as in doubt) and the server
                     // degrades until the operator rearms.
-                    let tee = match pipe.repl {
-                        Some(repl) if !shipped.is_empty() => repl.ship_and_wait(&shipped),
+                    let tee = match (pipe.repl, shipped.filter(|r| !r.is_empty())) {
+                        (Some(repl), Some(r)) => repl.ship_and_wait(&bytes[r]),
                         _ => Ok(()),
                     };
                     match tee {
@@ -950,7 +1032,8 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
                             if let Some(m) = pipe.metrics.filter(|_| pipe.log.is_some()) {
                                 m.fsync_batch.record(appended.len() as u64);
                             }
-                            for (answers, lane, t0) in appended {
+                            let mut tickets = held.drain(..);
+                            for (k, lane, t0) in appended.drain(..) {
                                 if let Some(h) =
                                     pipe.metrics.and_then(|m| m.commit_latency_us.get(lane))
                                 {
@@ -958,8 +1041,8 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
                                         u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
                                     );
                                 }
-                                for a in answers {
-                                    a.answer(Ok(()));
+                                for a in tickets.by_ref().take(k) {
+                                    pipe.answer(a, Ok(()));
                                 }
                             }
                         }
@@ -973,22 +1056,23 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
                             broken = true;
                             pipe.needs_resync.store(true, Ordering::SeqCst);
                             pipe.health.degrade(&reason);
-                            for (answers, _, _) in appended.drain(..) {
-                                pipe.refuse(answers, &reason);
-                            }
+                            appended.clear();
+                            pipe.refuse(held.drain(..), &reason);
                         }
                     }
                 }
                 Err(e) => {
                     broken = true;
-                    pipe.fail_batch(&e, "sync", &mut appended, Vec::new());
+                    appended.clear();
+                    pipe.fail_batch(&e, "sync", held.drain(..));
                 }
             }
         }
+        bytes.clear();
         // Answered after the batch: everything posted before the
         // barrier is durable (the reply may over-cover later commits of
         // the same batch — harmless).
-        for reply in flushes {
+        for reply in flushes.drain(..) {
             let _ = reply.send(!broken);
         }
     }
@@ -999,7 +1083,7 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
 /// which covers only the rebuild. `false` re-degrades and leaves the
 /// resync pending: a log that cannot even be read back is operator
 /// territory.
-fn try_resync(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>) -> bool {
+fn try_resync(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_, '_>) -> bool {
     let log = pipe.log.expect("only a write-ahead log flags a resync");
     let dir = lock(log).dir().to_path_buf();
     match Wal::load(&dir).and_then(|(snap, tail)| shared.exclusive().resync(snap, tail)) {
@@ -1016,7 +1100,7 @@ fn try_resync(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>) -> bool {
 /// back to the durable log before anything builds on it — tracking
 /// committed blocks whose records were dropped — and resume the
 /// committer.
-fn resync_if_rearmed(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>, tx: &mpsc::Sender<Msg<'_>>) {
+fn resync_if_rearmed(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_, '_>, tx: &mpsc::Sender<Msg>) {
     if pipe.needs_resync.load(Ordering::SeqCst) && !pipe.health.is_degraded() {
         let _ = flush_committer(tx);
         if pipe.needs_resync.swap(false, Ordering::SeqCst) && try_resync(shared, pipe) {
@@ -1028,7 +1112,7 @@ fn resync_if_rearmed(shared: &Shared<'_, '_, '_>, pipe: &Pipeline<'_>, tx: &mpsc
 /// Send a flush barrier and wait it out. `true` when the committer is
 /// healthy (everything prior released, and durable with a log);
 /// `false` on a broken pipeline or a committer that already exited.
-fn flush_committer(tx: &mpsc::Sender<Msg<'_>>) -> bool {
+fn flush_committer(tx: &mpsc::Sender<Msg>) -> bool {
     let (ftx, frx) = mpsc::channel();
     tx.send(Msg::Flush(ftx)).is_ok() && frx.recv() == Ok(true)
 }
@@ -1041,12 +1125,14 @@ fn flush_committer(tx: &mpsc::Sender<Msg<'_>>) -> bool {
 fn worker_loop<'t, 'a>(
     shared: &Shared<'t, 'a, '_>,
     config: &IngressConfig,
-    pipe: &Pipeline<'_>,
-    tx: &mpsc::Sender<Msg<'t>>,
+    pipe: &Pipeline<'_, '_>,
+    tx: &mpsc::Sender<Msg>,
 ) -> IngressStats {
     let max_block = config.max_block.max(1);
     let mut stats = IngressStats::default();
     let mut cursor = 0usize;
+    // The drained block, kept across blocks with its capacity.
+    let mut block = Vec::new();
     // Record bytes forwarded to the committer since the last capture.
     let mut logged = 0usize;
     // The checkpoint chain (see `serve`), with a base right away.
@@ -1062,7 +1148,7 @@ fn worker_loop<'t, 'a>(
         (log, jobs)
     });
     loop {
-        match shared.next_work(cursor, max_block, &mut stats, pipe.metrics) {
+        match shared.next_work(cursor, max_block, &mut block, &mut stats, pipe.metrics) {
             Work::Drained => {
                 // Drain barrier: every forwarded ticket must be
                 // answered (durable or refused) before serve returns.
@@ -1096,16 +1182,11 @@ fn worker_loop<'t, 'a>(
                     // Whatever the op staged through the sink rides the
                     // committer like a block with no tickets; its reply
                     // is released only once the record is durable.
-                    let bytes = std::mem::take(&mut *lock(&pipe.staged));
-                    if !bytes.is_empty() {
-                        logged += bytes.len();
-                        tx.send(Msg::Commit {
-                            bytes,
-                            answers: Vec::new(),
-                            lane: 0,
-                            t0: Instant::now(),
-                        })
-                        .expect("committer outlives the worker");
+                    let (bytes, answers) = pipe.claim([]);
+                    if bytes > 0 {
+                        logged += bytes;
+                        tx.send(Msg::Commit { bytes, answers, lane: 0, t0: Instant::now() })
+                            .expect("committer outlives the worker");
                     }
                     done(flush_committer(tx));
                 } else {
@@ -1117,10 +1198,10 @@ fn worker_loop<'t, 'a>(
                     op(Err(reason))(true);
                 }
             }
-            Work::Block(lane, block) => {
+            Work::Block(lane) => {
                 cursor = lane + 1;
                 stats.blocks += 1;
-                logged += admit_block(shared, pipe, tx, &mut stats, lane, block);
+                logged += admit_block(shared, pipe, tx, &mut stats, lane, &mut block);
             }
         }
         // The one cadence rule (see `serve`). The budget restarts
@@ -1145,41 +1226,40 @@ fn worker_loop<'t, 'a>(
     }
 }
 
-/// Admit one drained block (see [`worker_loop`]) and return the record
-/// bytes it forwarded to the committer.
+/// Admit one drained block (see [`worker_loop`]), leaving `block` empty,
+/// and return the record bytes it forwarded to the committer.
 fn admit_block<'t>(
     shared: &Shared<'t, '_, '_>,
-    pipe: &Pipeline<'_>,
-    tx: &mpsc::Sender<Msg<'t>>,
+    pipe: &Pipeline<'_, '_>,
+    tx: &mpsc::Sender<Msg>,
     stats: &mut IngressStats,
     lane: usize,
-    block: Vec<Op<'t>>,
+    block: &mut Vec<Op<'t>>,
 ) -> usize {
     resync_if_rearmed(shared, pipe, tx);
     if pipe.health.is_degraded() {
         // Degraded read-only mode: refuse before touching the engine.
         // Lanes keep draining so every producer is answered promptly
         // instead of backing up against a dead disk.
-        pipe.refuse(block.into_iter().map(|op| op.reply), &pipe.health.reason());
+        pipe.refuse(block.drain(..).map(|op| op.reply), &pipe.health.reason());
         return 0;
     }
     let mut logged = 0;
     let t0 = Instant::now();
-    let mut ops = block;
     let mut attempts = 0u32;
     loop {
         // The whole call is one exclusive section: it applies the
         // block in place before validating it.
-        let (done, err) = shared.exclusive().try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
+        let (done, err) =
+            shared.exclusive().try_apply_batch(block.iter().map(|op| (op.t, &op.args)));
         stats.admitted += done;
-        let mut rest = ops.into_iter();
-        let answers: Vec<Answer<'t>> = rest.by_ref().take(done).map(|op| op.reply).collect();
-        let bytes = std::mem::take(&mut *lock(&pipe.staged));
-        if !answers.is_empty() || !bytes.is_empty() {
+        let mut rest = block.drain(..);
+        let (bytes, answers) = pipe.claim(rest.by_ref().take(done).map(|op| op.reply));
+        if answers > 0 || bytes > 0 {
             if let Some(h) = pipe.metrics.and_then(|m| m.block_size.get(lane)) {
                 h.record(done as u64);
             }
-            logged += bytes.len();
+            logged += bytes;
             // The committer owns these acks now: released in commit
             // order, and with a log only once the bytes are durable.
             tx.send(Msg::Commit { bytes, answers, lane, t0 })
@@ -1197,33 +1277,32 @@ fn admit_block<'t>(
             // them is safe. Retry with bounded backoff; an exhausted
             // budget degrades the server.
             Some(EnforceError::Durability(e)) => {
-                let rest: Vec<Op<'t>> = rest.collect();
                 if attempts < pipe.policy.retries {
+                    let rest: Vec<Op<'t>> = rest.collect();
+                    block.extend(rest);
                     attempts += 1;
                     stats.retries += 1;
                     std::thread::sleep(pipe.policy.backoff.saturating_mul(attempts));
-                    ops = rest;
                     continue;
                 }
                 let site = if pipe.log.is_some() { "staging" } else { "append" };
                 let reason = format!("write-ahead {site} failed after {attempts} retries: {e}");
                 pipe.health.degrade(&reason);
-                pipe.refuse(rest.into_iter().map(|op| op.reply), &reason);
+                pipe.refuse(rest.map(|op| op.reply), &reason);
                 break;
             }
             Some(e) => {
                 stats.rejected += 1;
                 if let Some(op) = rest.next() {
-                    op.reply.answer(Err(e));
+                    pipe.answer(op.reply, Err(e));
                 }
                 // Ops behind the violator were rolled back
                 // unattempted: back to the front of their lane,
                 // order preserved.
-                let rest: Vec<Op<'t>> = rest.collect();
-                if !rest.is_empty() {
+                if rest.len() > 0 {
                     stats.requeued += rest.len();
                     let mut st = shared.state.lock().expect("ingress poisoned");
-                    for op in rest.into_iter().rev() {
+                    for op in rest.rev() {
                         st.lanes[lane].push_front(op);
                     }
                 }
@@ -1654,13 +1733,13 @@ mod tests {
         }
     }
 
-    /// A completion that logs `tag` once its op admitted.
-    fn logged(log: &Arc<Mutex<Vec<&'static str>>>, tag: &'static str) -> Completion<'static> {
-        let log = log.clone();
-        Box::new(move |r| {
-            r.expect("creation conforms");
-            log.lock().unwrap().push(tag);
-        })
+    /// The tags of [`refused_post_hears_next_drain`]'s ops, by the slot
+    /// their completion names.
+    const TAGS: [&str; 4] = ["a", "b", "c", "d"];
+
+    /// A completion addressed to slot `i`: the op tagged `TAGS[i]`.
+    fn tagged(slot: u64) -> Completion {
+        Completion { thread: 0, conn: 0, slot }
     }
 
     /// Park the admission worker inside an admin barrier until the
@@ -1698,12 +1777,9 @@ mod tests {
             let key = |k: &str| Assignment::new(vec![Value::str(k)]);
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             let cfg = IngressConfig { queue_capacity: 1, max_block: 1, ..Default::default() };
-            let log = Arc::new(Mutex::new(Vec::new()));
             let ((), stats) = serve(&mut m, &cfg, |client| {
-                client
-                    .try_post_done(mk, key("a"), logged(&log, "a"))
-                    .ok()
-                    .expect("empty lane accepts");
+                client.on_done(|_, r| r.expect("creation conforms"));
+                client.try_post_done(mk, key("a"), tagged(0)).expect("empty lane accepts");
                 until(client, drained);
                 let gate_tx = hold_worker(client);
                 let t_b = client.post(mk, key("b")); // fills the lane
@@ -1758,23 +1834,23 @@ mod tests {
                 listener_log.lock().unwrap().push("space");
                 let _ = space_tx.send(());
             });
-            client
-                .try_post_done(mk0, key("a"), logged(&log, "a"))
-                .ok()
-                .expect("empty lane accepts");
+            // Each op logs its tag once admitted.
+            let done_log = log.clone();
+            client.on_done(move |done, r| {
+                r.expect("creation conforms");
+                done_log.lock().unwrap().push(TAGS[done.slot as usize]);
+            });
+            client.try_post_done(mk0, key("a"), tagged(0)).expect("empty lane accepts");
             until(client, drained);
             let gate_tx = hold_worker(client);
-            client.try_post_done(mk0, key("b"), logged(&log, "b")).ok().expect("lane has space");
+            client.try_post_done(mk0, key("b"), tagged(1)).expect("lane has space");
             let refused = client
-                .try_post_done(mk0, key("c"), logged(&log, "c"))
+                .try_post_done(mk0, key("c"), tagged(2))
                 .expect_err("lane at capacity must refuse, not block");
             if other_lane {
                 // The round-robin resumes after lane 0, so lane 1 drains
                 // before b's lane does.
-                client
-                    .try_post_done(mk1, key("d"), logged(&log, "d"))
-                    .ok()
-                    .expect("lane 1 is empty");
+                client.try_post_done(mk1, key("d"), tagged(3)).expect("lane 1 is empty");
             }
             gate_tx.send(()).unwrap();
             space_rx.recv().unwrap();
@@ -1786,8 +1862,8 @@ mod tests {
                 }
             }
             let mut retry = Some(refused);
-            while let Some((args, done)) = retry.take() {
-                if let Err(back) = client.try_post_done(mk0, args, done) {
+            while let Some(args) = retry.take() {
+                if let Err(back) = client.try_post_done(mk0, args, tagged(2)) {
                     // Refused again: that re-arms the listeners.
                     space_rx.recv().unwrap();
                     retry = Some(back);
@@ -1826,9 +1902,11 @@ mod tests {
                 client.post(mk, key("a")).wait().expect("post wakes the worker");
                 until(client, parked);
                 let (tx, rx) = mpsc::channel();
-                let done: Completion<'_> = Box::new(move |r| tx.send(r).unwrap());
-                client.try_post_done(mk, key("b"), done).ok().expect("lane has space");
-                rx.recv().unwrap().expect("try_post_done wakes the worker");
+                client.on_done(move |done, r| tx.send((done, r)).unwrap());
+                client.try_post_done(mk, key("b"), tagged(1)).expect("lane has space");
+                let (done, r) = rx.recv().unwrap();
+                r.expect("try_post_done wakes the worker");
+                assert_eq!(done, tagged(1), "the outcome comes back with its completion");
                 until(client, parked);
                 let (tx, rx) = mpsc::channel();
                 client.post_admin(Box::new(move |gate| {

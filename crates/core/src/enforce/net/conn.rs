@@ -7,14 +7,20 @@
 //!
 //! A connection owns no thread. The event loop (`super::event`) polls
 //! its socket, feeds bytes in with [`Conn::fill_read_buffer`], pulls
-//! requests out with [`Conn::extract`], parks at most one parsed-but-
+//! requests out with [`ReadBuf::extract`], parks at most one parsed-but-
 //! unposted invoke in [`Conn::pending`] when its admission lane is full
 //! (backpressure as poll-interest suppression: a connection with a
 //! pending post stops reading), and flushes the **ready prefix** of the
 //! slot queue to the write buffer — so replies never overtake each
 //! other within a connection, exactly the old reader/writer pair's
 //! FIFO-channel guarantee, without the two threads.
+//!
+//! Neither direction copies a request or a reply: a request is decoded
+//! from the read buffer it arrived in, and a decided reply waits in its
+//! slot as an [`Outcome`] that is encoded straight into the write buffer
+//! when the slot flushes.
 
+use super::event::Outcome;
 use super::frame;
 use super::MAX_LINE;
 use crate::enforce::ingress::Completion;
@@ -56,8 +62,13 @@ pub(super) enum Slot {
         /// The request's dialect, which the reply must match.
         dialect: Dialect,
     },
-    /// Reply bytes ready to flush (text line or encoded frame).
-    Ready(Vec<u8>),
+    /// A decided reply, encoded in `dialect` when the slot flushes.
+    Ready {
+        /// The request's dialect, which the reply must match.
+        dialect: Dialect,
+        /// The reply.
+        outcome: Outcome,
+    },
     /// A read answered at *flush* time, after every earlier slot of this
     /// connection resolved — so it sees the effect of every earlier
     /// request of its connection, and a synchronously driven connection
@@ -90,24 +101,24 @@ pub(super) struct Pending<'t> {
     pub t: &'t Transaction,
     /// Its argument assignment.
     pub args: Assignment,
-    /// The completion callback handed back by the refused post.
-    pub done: Completion<'t>,
+    /// Where its outcome goes.
+    pub done: Completion,
 }
 
-/// One request extracted from the read buffer.
-pub(super) enum Request {
+/// One request extracted from the read buffer, borrowed from it.
+pub(super) enum Request<'b> {
     /// A complete text line (raw, newline stripped, not yet trimmed).
-    Line(String),
+    Line(&'b str),
     /// A complete binary frame: kind and payload.
-    Frame(u8, Vec<u8>),
+    Frame(u8, &'b [u8]),
 }
 
-/// Result of one [`Conn::extract`] call.
-pub(super) enum Extracted {
+/// Result of one [`ReadBuf::extract`] call.
+pub(super) enum Extracted<'b> {
     /// No complete request buffered; read more.
     None,
     /// One request, and the wire bytes it consumed (for byte quotas).
-    Some(Request, u64),
+    Some(Request<'b>, u64),
     /// A text line crossed [`MAX_LINE`] without a newline — refused
     /// during accumulation, not after a full read.
     LineTooLong,
@@ -187,10 +198,21 @@ pub(super) struct Conn<'t> {
     /// Sequence number of the front slot (completions address slots by
     /// the sequence assigned at request parse).
     pub seq_base: u64,
-    rbuf: Vec<u8>,
-    rpos: usize,
+    /// Bytes read and not yet extracted.
+    pub rbuf: ReadBuf,
     wbuf: Vec<u8>,
     wpos: usize,
+}
+
+/// A connection's read buffer: bytes from the socket, of which the
+/// first `pos` were extracted. Kept apart from the rest of the
+/// connection so that a request borrowed from it can be served while
+/// the connection changes: the event loop moves it out of the
+/// connection for an extraction pass and back after.
+#[derive(Default)]
+pub(super) struct ReadBuf {
+    bytes: Vec<u8>,
+    pos: usize,
 }
 
 impl<'t> Conn<'t> {
@@ -215,8 +237,7 @@ impl<'t> Conn<'t> {
             interest: 0,
             slots: VecDeque::new(),
             seq_base: 0,
-            rbuf: Vec::new(),
-            rpos: 0,
+            rbuf: ReadBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
         }
@@ -238,7 +259,7 @@ impl<'t> Conn<'t> {
                     return ReadOutcome::Eof;
                 }
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.rbuf.bytes.extend_from_slice(&chunk[..n]);
                     self.last_rx = Instant::now();
                     if n < chunk.len() {
                         break;
@@ -250,60 +271,6 @@ impl<'t> Conn<'t> {
             }
         }
         ReadOutcome::Progress
-    }
-
-    /// Pull the next complete request off the read buffer. The dialect
-    /// is decided per request by its first byte: [`frame::MAGIC`] (a
-    /// UTF-8 continuation byte no text line can start with) selects the
-    /// binary dialect, anything else the text dialect.
-    pub(super) fn extract(&mut self) -> Extracted {
-        let buf = &self.rbuf[self.rpos..];
-        let Some(&first) = buf.first() else { return Extracted::None };
-        if first == frame::MAGIC {
-            return match frame::scan(buf) {
-                frame::Scan::Incomplete => Extracted::None,
-                frame::Scan::Oversized(len) => Extracted::FrameOversized(len),
-                frame::Scan::Frame { kind, payload_len } => {
-                    let start = self.rpos + frame::HEADER_LEN;
-                    let payload = self.rbuf[start..start + payload_len].to_vec();
-                    let wire = (frame::HEADER_LEN + payload_len) as u64;
-                    self.rpos += wire as usize;
-                    Extracted::Some(Request::Frame(kind, payload), wire)
-                }
-            };
-        }
-        // Text: one newline-terminated line, capped *during*
-        // accumulation — a cap's worth of bytes without a newline is
-        // refused now, not after the line completes.
-        let horizon = buf.len().min(MAX_LINE as usize);
-        match buf[..horizon].iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                let raw = &buf[..nl];
-                let wire = (nl + 1) as u64;
-                let Ok(text) = std::str::from_utf8(raw) else {
-                    return Extracted::BadUtf8;
-                };
-                let line = text.strip_suffix('\r').unwrap_or(text).to_owned();
-                self.rpos += wire as usize;
-                Extracted::Some(Request::Line(line), wire)
-            }
-            None if buf.len() >= MAX_LINE as usize => Extracted::LineTooLong,
-            None => Extracted::None,
-        }
-    }
-
-    /// Reclaim consumed read-buffer bytes (called once per event-loop
-    /// iteration, not per request, to keep extraction O(request)).
-    pub(super) fn compact(&mut self) {
-        if self.rpos == 0 {
-            return;
-        }
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-        } else {
-            self.rbuf.drain(..self.rpos);
-        }
-        self.rpos = 0;
     }
 
     /// Append a slot; returns the sequence number completions use to
@@ -324,27 +291,30 @@ impl<'t> Conn<'t> {
         }
     }
 
-    /// Replace the waiting slot `seq` with ready reply bytes.
-    pub(super) fn fill_slot(&mut self, seq: u64, bytes: Vec<u8>) {
+    /// Fill the waiting slot `seq` (whose dialect
+    /// [`Conn::waiting_dialect`] returned) with its outcome.
+    pub(super) fn fill_slot(&mut self, seq: u64, dialect: Dialect, outcome: Outcome) {
         let idx = (seq - self.seq_base) as usize;
         debug_assert!(matches!(self.slots[idx], Slot::Waiting { .. }));
-        self.slots[idx] = Slot::Ready(bytes);
+        self.slots[idx] = Slot::Ready { dialect, outcome };
     }
 
-    /// Move the ready prefix of the slot queue into the write buffer;
-    /// `resolve` answers a deferred read in its dialect at its flush
-    /// moment. The returned bytes are written verbatim — the resolver
-    /// owns the framing.
-    pub(super) fn flush_slots(&mut self, resolve: impl Fn(Dialect, Deferred) -> Vec<u8>) {
+    /// Move the ready prefix of the slot queue into the write buffer:
+    /// `encode` writes a decided outcome in its dialect, `resolve`
+    /// answers a deferred read in its dialect at its flush moment. Both
+    /// append to the write buffer they are given and own the framing.
+    pub(super) fn flush_slots(
+        &mut self,
+        encode: impl Fn(&mut Vec<u8>, Dialect, Outcome),
+        resolve: impl Fn(&mut Vec<u8>, Dialect, Deferred),
+    ) {
         while let Some(front) = self.slots.front() {
             if let Slot::Waiting { .. } = front {
                 break;
             }
             match self.slots.pop_front() {
-                Some(Slot::Ready(bytes)) => self.wbuf.extend_from_slice(&bytes),
-                Some(Slot::Deferred { dialect, read }) => {
-                    self.wbuf.extend_from_slice(&resolve(dialect, read));
-                }
+                Some(Slot::Ready { dialect, outcome }) => encode(&mut self.wbuf, dialect, outcome),
+                Some(Slot::Deferred { dialect, read }) => resolve(&mut self.wbuf, dialect, read),
                 _ => unreachable!("the front slot is resolved"),
             }
             self.seq_base += 1;
@@ -415,9 +385,9 @@ impl<'t> Conn<'t> {
 
     /// Answer-and-close: append a final reply (when given), stop
     /// extracting, and close once everything in flight has flushed.
-    pub(super) fn teardown(&mut self, reply: Option<Vec<u8>>) {
-        if let Some(bytes) = reply {
-            self.push_slot(Slot::Ready(bytes));
+    pub(super) fn teardown(&mut self, reply: Option<Slot>) {
+        if let Some(slot) = reply {
+            self.push_slot(slot);
         }
         self.read_open = false;
         self.close_after_flush = true;
@@ -441,6 +411,63 @@ impl<'t> Conn<'t> {
     }
 }
 
+impl ReadBuf {
+    /// Pull the next complete request off the read buffer. The dialect
+    /// is decided per request by its first byte: [`frame::MAGIC`] (a
+    /// UTF-8 continuation byte no text line can start with) selects the
+    /// binary dialect, anything else the text dialect.
+    pub(super) fn extract(&mut self) -> Extracted<'_> {
+        let buf = &self.bytes[self.pos..];
+        let Some(&first) = buf.first() else { return Extracted::None };
+        if first == frame::MAGIC {
+            return match frame::scan(buf) {
+                frame::Scan::Incomplete => Extracted::None,
+                frame::Scan::Oversized(len) => Extracted::FrameOversized(len),
+                frame::Scan::Frame { kind, payload_len } => {
+                    let wire = frame::HEADER_LEN + payload_len;
+                    self.pos += wire;
+                    Extracted::Some(
+                        Request::Frame(kind, &buf[frame::HEADER_LEN..wire]),
+                        wire as u64,
+                    )
+                }
+            };
+        }
+        // Text: one newline-terminated line, capped *during*
+        // accumulation — a cap's worth of bytes without a newline is
+        // refused now, not after the line completes.
+        let horizon = buf.len().min(MAX_LINE as usize);
+        match buf[..horizon].iter().position(|&b| b == b'\n') {
+            Some(nl) => {
+                let Ok(text) = std::str::from_utf8(&buf[..nl]) else {
+                    return Extracted::BadUtf8;
+                };
+                self.pos += nl + 1;
+                Extracted::Some(
+                    Request::Line(text.strip_suffix('\r').unwrap_or(text)),
+                    nl as u64 + 1,
+                )
+            }
+            None if buf.len() >= MAX_LINE as usize => Extracted::LineTooLong,
+            None => Extracted::None,
+        }
+    }
+
+    /// Reclaim consumed read-buffer bytes (called once per event-loop
+    /// iteration, not per request, to keep extraction O(request)).
+    pub(super) fn compact(&mut self) {
+        if self.pos == 0 {
+            return;
+        }
+        if self.pos == self.bytes.len() {
+            self.bytes.clear();
+        } else {
+            self.bytes.drain(..self.pos);
+        }
+        self.pos = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,7 +484,7 @@ mod tests {
     /// Feed bytes directly into the read buffer (unit tests bypass the
     /// socket).
     fn feed(conn: &mut Conn<'_>, bytes: &[u8]) {
-        conn.rbuf.extend_from_slice(bytes);
+        conn.rbuf.bytes.extend_from_slice(bytes);
     }
 
     #[test]
@@ -471,7 +498,7 @@ mod tests {
             feed(&mut conn, &wire[..cut]);
             let mut got = Vec::new();
             loop {
-                match conn.extract() {
+                match conn.rbuf.extract() {
                     Extracted::Some(Request::Line(l), _) => got.push(format!("line:{l}")),
                     Extracted::Some(Request::Frame(k, p), _) => {
                         got.push(format!("frame:{k}:{}", p.len()));
@@ -482,7 +509,7 @@ mod tests {
             }
             feed(&mut conn, &wire[cut..]);
             loop {
-                match conn.extract() {
+                match conn.rbuf.extract() {
                     Extracted::Some(Request::Line(l), _) => got.push(format!("line:{l}")),
                     Extracted::Some(Request::Frame(k, p), _) => {
                         got.push(format!("frame:{k}:{}", p.len()));
@@ -491,7 +518,7 @@ mod tests {
                     _ => panic!("clean wire bytes never error"),
                 }
             }
-            conn.compact();
+            conn.rbuf.compact();
             assert_eq!(got.len(), 3, "split at {cut}: {got:?}");
             assert_eq!(got[0], "line:invoke Mk(1)");
             assert!(got[1].starts_with(&format!("frame:{}:", frame::REQ_INVOKE)));
@@ -505,15 +532,15 @@ mod tests {
         // Exactly the cap, no newline yet: refused immediately — the
         // peer could stream forever otherwise.
         feed(&mut conn, &vec![b'x'; MAX_LINE as usize]);
-        assert!(matches!(conn.extract(), Extracted::LineTooLong));
+        assert!(matches!(conn.rbuf.extract(), Extracted::LineTooLong));
         // One byte under the cap is still awaiting its newline…
         let (mut conn, _peer) = test_conn();
         feed(&mut conn, &vec![b'x'; MAX_LINE as usize - 1]);
-        assert!(matches!(conn.extract(), Extracted::None));
+        assert!(matches!(conn.rbuf.extract(), Extracted::None));
         // …and the newline completes it: a line of cap-1 bytes + `\n`
         // totals MAX_LINE wire bytes, the longest accepted request.
         feed(&mut conn, b"\n");
-        match conn.extract() {
+        match conn.rbuf.extract() {
             Extracted::Some(Request::Line(l), wire) => {
                 assert_eq!(wire, MAX_LINE);
                 assert_eq!(l.len(), MAX_LINE as usize - 1);
@@ -529,14 +556,14 @@ mod tests {
         header.extend_from_slice(&(frame::MAX_PAYLOAD + 1).to_le_bytes());
         feed(&mut conn, &header);
         // Six header bytes and not one payload byte: already refused.
-        assert!(matches!(conn.extract(), Extracted::FrameOversized(_)));
+        assert!(matches!(conn.rbuf.extract(), Extracted::FrameOversized(_)));
     }
 
     #[test]
     fn non_utf8_line_reports_bad_utf8() {
         let (mut conn, _peer) = test_conn();
         feed(&mut conn, &[0xc3, 0x28, 0xff, 0xfe, b'\n']);
-        assert!(matches!(conn.extract(), Extracted::BadUtf8));
+        assert!(matches!(conn.rbuf.extract(), Extracted::BadUtf8));
     }
 
     #[test]
@@ -560,12 +587,12 @@ mod tests {
         assert!(conn.may_extract(8));
         assert!(!conn.wants_read(8));
         let mut lines = Vec::new();
-        while let Extracted::Some(Request::Line(l), _) = conn.extract() {
-            lines.push(l);
+        while let Extracted::Some(Request::Line(l), _) = conn.rbuf.extract() {
+            lines.push(l.to_owned());
         }
         assert_eq!(lines.len(), 2, "both pre-FIN requests extract");
         assert_eq!(lines[1], "ping");
-        assert!(matches!(conn.extract(), Extracted::None));
+        assert!(matches!(conn.rbuf.extract(), Extracted::None));
     }
 
     #[test]
@@ -576,18 +603,23 @@ mod tests {
         let stats = Deferred::Stats { prom: false };
         conn.push_slot(Slot::Deferred { dialect: Dialect::Text, read: stats });
         // Out-of-order completion: slot 1 resolves first, but nothing
-        // flushes past the still-waiting slot 0.
+        // flushes past the still-waiting slot 0. Each outcome is written
+        // in the dialect its slot recorded.
+        let encode = |out: &mut Vec<u8>, dialect, outcome| {
+            let Outcome::Ok(text) = outcome else { unreachable!("only oks here") };
+            out.extend_from_slice(format!("{dialect:?}:{text}|").as_bytes());
+        };
         assert_eq!(conn.waiting_dialect(s1), Some(Dialect::Binary));
-        conn.fill_slot(s1, b"second".to_vec());
-        conn.flush_slots(|_, _| unreachable!("stats cannot flush yet"));
+        conn.fill_slot(s1, Dialect::Binary, Outcome::Ok("second".to_owned()));
+        conn.flush_slots(encode, |_, _, _| unreachable!("stats cannot flush yet"));
         assert_eq!(conn.unsent(), 0);
-        conn.fill_slot(s0, b"first|".to_vec());
-        conn.flush_slots(|_, read| {
+        conn.fill_slot(s0, Dialect::Text, Outcome::Ok("first".to_owned()));
+        conn.flush_slots(encode, |out, _, read| {
             let Deferred::Stats { prom } = read else { unreachable!() };
             assert!(!prom);
-            b"ok stats\n".to_vec()
+            out.extend_from_slice(b"ok stats\n");
         });
-        assert_eq!(conn.unsent(), b"first|secondok stats\n".len());
+        assert_eq!(conn.wbuf, b"Text:first|Binary:second|ok stats\n");
         assert_eq!(conn.seq_base, 3);
         assert!(conn.slots.is_empty());
     }

@@ -10,13 +10,17 @@
 //! * **Outcomes** decided on the admission side — an `invoke`'s
 //!   admission, a `redefine`'s or `promote`'s verdict — counted where
 //!   they are decided and mailed to the owning thread (`conn`, `seq`) so
-//!   the reply lands in the right slot of the right connection.
+//!   the reply lands in the right slot of the right connection. An
+//!   `invoke` names that address as a plain
+//!   [`Completion`](crate::enforce::ingress::Completion), which the
+//!   ingress hands back to the one handler [`run`] registers.
 //! * **Space signals**: the worker drained a block, so a connection
 //!   parked on a full admission lane may retry its post.
 //!
 //! Every request takes one path, whichever dialect carries it:
 //!
-//! 1. **Extract** one text line or binary frame ([`Conn::extract`]).
+//! 1. **Extract** one text line or binary frame, borrowed from the
+//!    connection's read buffer ([`ReadBuf::extract`](super::conn::ReadBuf::extract)).
 //! 2. **Decode** it into a [`Command`]: the checks both dialects share
 //!    (quotas, blank and `#` lines, the request count, the pre-auth
 //!    gate) run first, then the dialect's one decoder
@@ -27,7 +31,8 @@
 //!    the connection), or answer at once.
 //! 4. **Encode** the reply ([`Outcome::encode`]): immediate or mailed
 //!    back, every reply is an [`Outcome`] put in the dialect its slot
-//!    recorded.
+//!    recorded, written straight into the write buffer when its slot
+//!    flushes.
 //!
 //! The loop per thread: drain the inbox, fill the slots outcomes arrived
 //! for, pump the **dirty** connections (retry parked posts, extract and
@@ -44,7 +49,7 @@ use super::conn::{Conn, Deferred, Dialect, Extracted, Pending, ReadOutcome, Requ
 use super::{evolution, frame, parse_invocation, parse_query, stats_reply};
 use super::{ServerConfig, ServerShared, MAX_LINE};
 use crate::alphabet::RoleAlphabet;
-use crate::enforce::ingress::IngressClient;
+use crate::enforce::ingress::{Completion, IngressClient};
 use crate::enforce::repl::ReplicaCtl;
 use crate::enforce::{EnforceError, ResiduePolicy};
 use crate::Inventory;
@@ -84,10 +89,10 @@ pub(super) enum Outcome {
 }
 
 impl Outcome {
-    /// Encode the reply in `dialect`: the line `<word> <text>\n` (the
-    /// bare word when there is no text), or a frame of the word's reply
-    /// kind carrying the text, shortened to the frame cap.
-    pub(super) fn encode(self, dialect: Dialect, alphabet: &RoleAlphabet) -> Vec<u8> {
+    /// Append the reply in `dialect` to `out`: the line `<word> <text>\n`
+    /// (the bare word when there is no text), or a frame of the word's
+    /// reply kind carrying the text, shortened to the frame cap.
+    pub(super) fn encode(self, out: &mut Vec<u8>, dialect: Dialect, alphabet: &RoleAlphabet) {
         let (kind, word, text) = match self {
             Outcome::Admitted => (frame::REP_OK, "ok", String::new()),
             Outcome::Ok(text) => (frame::REP_OK, "ok", text),
@@ -98,13 +103,15 @@ impl Outcome {
             Outcome::Refused(e) => (frame::REP_ERROR, "error", e.to_string()),
         };
         match dialect {
-            Dialect::Text if text.is_empty() => [word, "\n"].concat().into_bytes(),
-            Dialect::Text => [word, " ", &text, "\n"].concat().into_bytes(),
-            Dialect::Binary => {
-                let mut out = Vec::new();
-                frame::encode_reply(&mut out, kind, &text);
-                out
+            Dialect::Text => {
+                out.extend_from_slice(word.as_bytes());
+                if !text.is_empty() {
+                    out.push(b' ');
+                    out.extend_from_slice(text.as_bytes());
+                }
+                out.push(b'\n');
             }
+            Dialect::Binary => frame::encode_reply(out, kind, &text),
         }
     }
 }
@@ -116,6 +123,8 @@ pub(super) struct Done {
     outcome: Outcome,
 }
 
+/// An inbox's mail. The owner takes it by swapping in its own emptied
+/// buffers ([`Inbox::take`]), so both keep their capacity.
 #[derive(Default)]
 struct InboxQ {
     dones: Vec<Done>,
@@ -165,20 +174,27 @@ impl Inbox {
         self.push(|q| q.space = true);
     }
 
-    fn take(&self) -> InboxQ {
+    /// Move the mail into `mail`, whose queues the caller emptied, and
+    /// leave those emptied buffers here for the next deliveries.
+    fn take(&self, mail: &mut InboxQ) {
         // Drain the pipe *before* taking the queue: a producer racing in
         // between leaves at worst a spurious wake byte behind, never a
-        // push without one. `mem::take` resets `signaled`, re-arming the
-        // next producer's wake.
+        // push without one. Clearing `signaled` re-arms the next
+        // producer's wake.
         self.waker.drain();
-        std::mem::take(&mut *lock_q(self))
+        let mut q = lock_q(self);
+        std::mem::swap(&mut q.dones, &mut mail.dones);
+        std::mem::swap(&mut q.conns, &mut mail.conns);
+        mail.space = std::mem::take(&mut q.space);
+        q.signaled = false;
     }
 }
 
-/// State shared by every event thread and (via `Arc` clones inside
-/// completion callbacks) the admission worker. `'static` on purpose:
-/// completions may outlive the event threads — a force-closed
-/// connection's outcomes still count, they just have nowhere to go.
+/// State shared by every event thread and (via `Arc` clones inside the
+/// completion handler and admin callbacks) the admission worker.
+/// `'static` on purpose: completions may outlive the event threads — a
+/// force-closed connection's outcomes still count, they just have
+/// nowhere to go.
 pub(super) struct EventShared {
     pub(super) inboxes: Vec<Inbox>,
     /// Set by the `shutdown` verb (or a fatal listener error): stop
@@ -315,6 +331,14 @@ pub(super) fn run<'t>(
         let ev = Arc::clone(ev);
         client.on_space(move || ev.inboxes[i].signal_space());
     }
+    // Every invoke's outcome: counted where it is decided, mailed to the
+    // slot its completion names.
+    let done_ev = Arc::clone(ev);
+    client.on_done(move |done: Completion, outcome| {
+        let outcome = outcome.map_or_else(Outcome::Refused, |()| Outcome::Admitted);
+        done_ev.count(&outcome);
+        done_ev.inboxes[done.thread].push_done(Done { conn: done.conn, seq: done.slot, outcome });
+    });
     let env = |me| Env { me, ev, client, ts, shared, config };
     std::thread::scope(|scope| {
         for me in 1..ev.inboxes.len() {
@@ -393,7 +417,8 @@ fn accept_burst<'t>(
                     // connection.)
                     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                     let msg = format!("server at connection capacity ({})", config.max_connections);
-                    let line = Outcome::Error(msg).encode(Dialect::Text, env.shared.alphabet);
+                    let mut line = Vec::new();
+                    Outcome::Error(msg).encode(&mut line, Dialect::Text, env.shared.alphabet);
                     let _ = (&stream).write_all(&line);
                     let _ = stream.shutdown(Shutdown::Both);
                     continue;
@@ -425,17 +450,17 @@ impl<'t> Env<'_, 't, '_, '_> {
         self.config.pipeline.max(1)
     }
 
-    /// Count an outcome decided here, on the event thread, and encode it
-    /// in `dialect`.
-    fn reply(&self, dialect: Dialect, outcome: Outcome) -> Vec<u8> {
+    /// Count an outcome decided here, on the event thread, as the slot
+    /// that answers in `dialect`.
+    fn reply(&self, dialect: Dialect, outcome: Outcome) -> Slot {
         self.ev.count(&outcome);
-        outcome.encode(dialect, self.shared.alphabet)
+        Slot::Ready { dialect, outcome }
     }
 
-    /// Queue a slot for an outcome decided on the admission side, and
-    /// return the one-shot that delivers it: it counts the outcome where
-    /// it is decided and mails it here, where it is encoded in the
-    /// dialect the slot recorded.
+    /// Queue a slot for an admin op's outcome, decided on the admission
+    /// side, and return the one-shot that delivers it: it counts the
+    /// outcome where it is decided and mails it here, where it is
+    /// encoded in the dialect the slot recorded.
     fn await_outcome(
         &self,
         c: &mut Conn<'t>,
@@ -478,7 +503,7 @@ impl<'t> Env<'_, 't, '_, '_> {
     /// Serve one extracted request: the checks both dialects share, then
     /// decode, execute and answer. Returns `false` when extraction on
     /// this connection must stop (quit, shutdown, teardown).
-    fn dispatch(&self, c: &mut Conn<'t>, req: Request, wire: u64) -> bool {
+    fn dispatch(&self, c: &mut Conn<'t>, req: Request<'_>, wire: u64) -> bool {
         let config = self.config;
         let dialect = match req {
             Request::Line(_) => Dialect::Text,
@@ -496,7 +521,7 @@ impl<'t> Env<'_, 't, '_, '_> {
         }
         // Blank lines and comments get no reply (text dialect only — every
         // frame is a request).
-        if let Request::Line(l) = &req {
+        if let Request::Line(l) = req {
             let t = l.trim();
             if t.is_empty() || t.starts_with('#') {
                 return true;
@@ -516,7 +541,7 @@ impl<'t> Env<'_, 't, '_, '_> {
             // Nothing but the correct (text) handshake passes before auth —
             // not even error details that would confirm verb names, and no
             // binary traffic at all. The handshake is then served as `auth`.
-            if let Request::Line(l) = &req {
+            if let Request::Line(l) = req {
                 let (verb, token) = split_word(l.trim());
                 c.authed =
                     verb == "auth" && config.auth.as_deref().is_some_and(|t| token_eq(t, token));
@@ -527,14 +552,14 @@ impl<'t> Env<'_, 't, '_, '_> {
                 return false;
             }
         }
-        let cmd = match &req {
+        let cmd = match req {
             Request::Line(line) => self.decode_line(line.trim()),
-            Request::Frame(kind, payload) => self.decode_frame(*kind, payload),
+            Request::Frame(kind, payload) => self.decode_frame(kind, payload),
         };
         match cmd {
             Ok(cmd) => self.execute(c, dialect, cmd),
             Err(msg) => {
-                c.push_slot(Slot::Ready(self.reply(dialect, Outcome::Error(msg))));
+                c.push_slot(self.reply(dialect, Outcome::Error(msg)));
                 true
             }
         }
@@ -548,7 +573,7 @@ impl<'t> Env<'_, 't, '_, '_> {
             "invoke" => {
                 self.writable("invoke")?;
                 let (name, args) = parse_invocation(rest)?;
-                Command::Invoke(self.transaction(name)?, Assignment::new(args))
+                Command::Invoke(self.transaction(name)?, args)
             }
             "query" if rest.is_empty() => {
                 return Err("usage: query <Class>[(Attr=value,...)]".to_owned());
@@ -608,7 +633,7 @@ impl<'t> Env<'_, 't, '_, '_> {
                 if !r.is_exhausted() {
                     return Err("trailing bytes after invoke payload".to_owned());
                 }
-                Ok(Command::Invoke(self.transaction(&name)?, Assignment::new(args)))
+                Ok(Command::Invoke(self.transaction(name)?, args))
             }
             frame::REQ_REDEFINE => {
                 self.writable("redefine")?;
@@ -643,11 +668,9 @@ impl<'t> Env<'_, 't, '_, '_> {
                 // A full lane parks the op as the connection's pending
                 // post, which suppresses its read interest until a space
                 // signal lets the retry through.
-                let answer = self.await_outcome(c, dialect);
-                let done = Box::new(move |o: Result<(), EnforceError>| {
-                    answer(o.map_or_else(Outcome::Refused, |()| Outcome::Admitted));
-                });
-                if let Err((args, done)) = self.client.try_post_done(t, args, done) {
+                let slot = c.push_slot(Slot::Waiting { dialect });
+                let done = Completion { thread: self.me, conn: c.id, slot };
+                if let Err(args) = self.client.try_post_done(t, args, done) {
                     c.pending = Some(Pending { t, args, done });
                 }
                 return true;
@@ -685,14 +708,14 @@ impl<'t> Env<'_, 't, '_, '_> {
                 return false;
             }
             Command::Shutdown => {
-                c.push_slot(Slot::Ready(self.reply(dialect, Outcome::Ok("draining".to_owned()))));
+                c.push_slot(self.reply(dialect, Outcome::Ok("draining".to_owned())));
                 c.read_open = false;
                 self.ev.shutdown.store(true, Ordering::SeqCst);
                 self.ev.wake_all();
                 return false;
             }
         };
-        c.push_slot(Slot::Ready(self.reply(dialect, outcome)));
+        c.push_slot(self.reply(dialect, outcome));
         true
     }
 
@@ -703,21 +726,28 @@ impl<'t> Env<'_, 't, '_, '_> {
     /// units of work, so it sees every acknowledged op and never a
     /// rejected op or part of a block. Replicas and degraded primaries
     /// serve it too.
-    fn resolve(&self, dialect: Dialect, read: Deferred) -> Vec<u8> {
-        use std::fmt::Write as _;
+    fn resolve(&self, out: &mut Vec<u8>, dialect: Dialect, read: Deferred) {
         let (class, cond) = match read {
-            Deferred::Stats { prom } => return stats_reply(self.ev, self.shared, prom),
+            Deferred::Stats { prom } => return stats_reply(out, self.ev, self.shared, prom),
             Deferred::Query(class, cond) => (class, cond),
         };
         let oids = self.client.read(|m| m.db().sat(class, &cond));
-        let mut text = format!("query count={} oids=", oids.len());
-        for (i, oid) in oids.iter().take(32).enumerate() {
-            if i > 0 {
-                text.push(',');
+        // `ok query count=<N> oids=<o1,o2,...>`, the first 32 oids,
+        // written in place: well under the frame cap.
+        let text = |out: &mut Vec<u8>| {
+            let _ = write!(out, "query count={} oids=", oids.len());
+            for (i, oid) in oids.iter().take(32).enumerate() {
+                let _ = write!(out, "{}{oid}", if i > 0 { "," } else { "" });
             }
-            let _ = write!(text, "{oid}");
+        };
+        match dialect {
+            Dialect::Text => {
+                out.extend_from_slice(b"ok ");
+                text(out);
+                out.push(b'\n');
+            }
+            Dialect::Binary => frame::encode_with(out, frame::REP_OK, text),
         }
-        self.reply(dialect, Outcome::Ok(text))
     }
 
     /// Post a `redefine` as an admin barrier op: it runs on the admission
@@ -800,14 +830,17 @@ fn pump<'t>(env: &Env<'_, 't, '_, '_>, c: &mut Conn<'t>) {
             return;
         }
         if let Some(p) = c.pending.take() {
-            if let Err((args, done)) = env.client.try_post_done(p.t, p.args, p.done) {
-                c.pending = Some(Pending { t: p.t, args, done });
+            if let Err(args) = env.client.try_post_done(p.t, p.args, p.done) {
+                c.pending = Some(Pending { args, ..p });
             }
         }
         let mut dispatched = false;
         let mut drained = false;
+        // Requests are served borrowed from the read buffer, held apart
+        // from the connection for the pass.
+        let mut rbuf = std::mem::take(&mut c.rbuf);
         while c.may_extract(env.pipeline()) {
-            match c.extract() {
+            match rbuf.extract() {
                 Extracted::None => {
                     drained = true;
                     break;
@@ -844,11 +877,15 @@ fn pump<'t>(env: &Env<'_, 't, '_, '_>, c: &mut Conn<'t>) {
         // the extraction loop stopped at a backpressure gate instead,
         // the buffer may still yield requests once the gate reopens, so
         // the teardown waits for a later pump.
+        rbuf.compact();
+        c.rbuf = rbuf;
         if drained && c.eof && c.read_open {
             c.teardown(None);
         }
-        c.compact();
-        c.flush_slots(|dialect, read| env.resolve(dialect, read));
+        c.flush_slots(
+            |out, dialect, outcome| outcome.encode(out, dialect, env.shared.alphabet),
+            |out, dialect, read| env.resolve(out, dialect, read),
+        );
         let unsent_before = c.unsent();
         if c.wants_write() {
             c.try_write();
@@ -893,8 +930,9 @@ fn event_thread<'t>(
         listening = true;
     }
     let mut events = vec![EpollEvent::zeroed(); 1024];
+    let mut mail = InboxQ::default();
     loop {
-        let mail = ev.inboxes[me].take();
+        ev.inboxes[me].take(&mut mail);
         // Drain transition: first iteration after `shutdown` was set.
         // Thread 0 reaches it only after its last accept burst, so its
         // `accept_done` store means no further handoffs will ever be
@@ -921,15 +959,15 @@ fn event_thread<'t>(
                 ev.wake_all();
             }
         }
-        for handoff in mail.conns {
+        for handoff in mail.conns.drain(..) {
             adopt(env, &mut conns, &ep, handoff, draining);
         }
-        for d in mail.dones {
+        for d in mail.dones.drain(..) {
             // An outcome for a connection that died meanwhile was
             // already counted where it was decided; nothing else to do.
             if let Some(c) = conns.get_mut(&d.conn) {
                 if let Some(dialect) = c.waiting_dialect(d.seq) {
-                    c.fill_slot(d.seq, d.outcome.encode(dialect, env.shared.alphabet));
+                    c.fill_slot(d.seq, dialect, d.outcome);
                     c.dirty = true;
                 }
             }
@@ -1021,11 +1059,12 @@ fn event_thread<'t>(
             // One final take after observing `accept_done`: a handoff
             // mailed before thread 0's transition may still be parked
             // here. Completions need no processing (already counted).
-            let last = ev.inboxes[me].take();
-            if last.conns.is_empty() {
+            ev.inboxes[me].take(&mut mail);
+            mail.dones.clear();
+            if mail.conns.is_empty() {
                 break;
             }
-            for handoff in last.conns {
+            for handoff in mail.conns.drain(..) {
                 adopt(env, &mut conns, &ep, handoff, true);
             }
             continue;

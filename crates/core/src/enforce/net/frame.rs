@@ -127,6 +127,21 @@ pub fn encode(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Append one frame whose payload `write` appends to `out` in place:
+/// the header goes first and gets the payload's length once it is
+/// written.
+///
+/// # Panics
+/// Panics if the payload exceeds [`MAX_PAYLOAD`], as [`encode`] does.
+pub(crate) fn encode_with(out: &mut Vec<u8>, kind: u8, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    encode(out, kind, b"");
+    write(out);
+    let len = u32::try_from(out.len() - start - HEADER_LEN).expect("payload fits a u32");
+    assert!(len <= MAX_PAYLOAD, "frame payload exceeds the request cap");
+    out[start + 2..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Append one reply frame carrying `text`, shortened to fit
 /// [`MAX_PAYLOAD`]. Reply texts have no bound of their own: a violation
 /// diagnostic quotes the object's whole pattern, which grows with its
@@ -218,7 +233,7 @@ mod tests {
         let mut r = migratory_model::codec::Reader::new(&bytes[HEADER_LEN..]);
         let (name, args) = migratory_lang::codec::decode_invoke(&mut r).unwrap();
         assert_eq!(name, "Mk");
-        assert_eq!(args, vec![Value::int(7), Value::str("x")]);
+        assert_eq!(args.as_slice(), [Value::int(7), Value::str("x")]);
     }
 
     #[test]

@@ -132,7 +132,7 @@ use super::ingress::{self, IngressConfig, IngressStats};
 use super::metrics::AdmissionMetrics;
 use super::sharded::ShardedMonitor;
 use crate::alphabet::RoleAlphabet;
-use migratory_lang::TransactionSchema;
+use migratory_lang::{Assignment, TransactionSchema};
 use migratory_model::{Schema, Value};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
@@ -243,8 +243,9 @@ pub const MAX_LINE: u64 = 64 * 1024;
 /// decimal integers, anything else a bare string. This is the argument
 /// grammar of both the `invoke` wire verb and `migctl enforce`'s script
 /// lines (the CLI delegates here), so scripts replay over the wire
-/// unchanged.
-pub fn parse_invocation(line: &str) -> Result<(&str, Vec<Value>), String> {
+/// unchanged. The arguments are collected without a vector when there
+/// is one.
+pub fn parse_invocation(line: &str) -> Result<(&str, Assignment), String> {
     let line = line.trim();
     let err = |msg: &str| format!("{msg}: `{line}`");
     let open = line.find('(').ok_or_else(|| err("expected `Name(args…)`"))?;
@@ -257,21 +258,19 @@ pub fn parse_invocation(line: &str) -> Result<(&str, Vec<Value>), String> {
         return Err(err("empty transaction name"));
     }
     let inner = &line[open + 1..close];
-    let mut args = Vec::new();
-    if !inner.trim().is_empty() {
-        for part in inner.split(',') {
+    let parts = inner.split(',').filter(|_| !inner.trim().is_empty());
+    let args = parts
+        .map(|part| {
             let part = part.trim();
-            let v = if let Some(stripped) = part.strip_prefix('"').and_then(|p| p.strip_suffix('"'))
-            {
+            if let Some(stripped) = part.strip_prefix('"').and_then(|p| p.strip_suffix('"')) {
                 Value::str(stripped)
             } else if let Ok(i) = part.parse::<i64>() {
                 Value::int(i)
             } else {
                 Value::str(part)
-            };
-            args.push(v);
-        }
-    }
+            }
+        })
+        .collect();
     Ok((name, args))
 }
 
@@ -307,7 +306,7 @@ pub fn parse_query(
         }
     };
     let class = schema.class_id(name).ok_or_else(|| format!("unknown class `{name}`"))?;
-    let mut atoms = Vec::new();
+    let mut cond = Condition::empty();
     if !inner.trim().is_empty() {
         for part in inner.split(',') {
             let (attr, value) = part.split_once('=').ok_or_else(|| err("expected `Attr=value`"))?;
@@ -321,10 +320,10 @@ pub fn parse_query(
             } else {
                 Value::str(value)
             };
-            atoms.push(Atom::eq_const(attr, v));
+            cond.push(Atom::eq_const(attr, v));
         }
     }
-    Ok((class, Condition::from_atoms(atoms)))
+    Ok((class, cond))
 }
 
 /// Constraint-evolution gauges: read by the `stats` verb on the event
@@ -440,7 +439,7 @@ fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
 /// text exposition (framed `ok prom <len>\n<payload>` so the reader
 /// knows where the multi-line payload ends); plain `stats` keeps its
 /// flat single-line form byte-for-byte.
-fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -> Vec<u8> {
+fn stats_reply(out: &mut Vec<u8>, ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) {
     let (text, body) = if prom {
         let body =
             shared.metrics.as_deref().map(AdmissionMetrics::render_prometheus).unwrap_or_default();
@@ -448,9 +447,8 @@ fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -
     } else {
         (stats_line(ev, shared), String::new())
     };
-    let mut out = event::Outcome::Ok(text).encode(conn::Dialect::Text, shared.alphabet);
+    event::Outcome::Ok(text).encode(out, conn::Dialect::Text, shared.alphabet);
     out.extend_from_slice(body.as_bytes());
-    out
 }
 
 /// Serve the wire protocol on `listener` until a client sends
@@ -604,7 +602,7 @@ mod tests {
     fn invocation_parsing_matches_script_grammar() {
         let (name, args) = parse_invocation("Mk(1, \"two words\", bare)").unwrap();
         assert_eq!(name, "Mk");
-        assert_eq!(args, vec![Value::int(1), Value::str("two words"), Value::str("bare")]);
+        assert_eq!(args.as_slice(), [Value::int(1), Value::str("two words"), Value::str("bare")]);
         let (name, args) = parse_invocation("  Noop()  ").unwrap();
         assert_eq!((name, args.len()), ("Noop", 0));
         assert!(parse_invocation("Mk 1").is_err());

@@ -398,30 +398,31 @@ pub const MAX_RECORD_LEN: usize = 1 << 28;
 /// rolls back cleanly (split the batch) instead of writing a record
 /// recovery would refuse.
 pub fn encode_record(out: &mut Vec<u8>, block: &BlockRef<'_>) -> Result<(), WalError> {
-    let mut payload = Vec::new();
-    payload.push(TAG_BLOCK);
-    encode_u64(&mut payload, block.deltas.len() as u64);
-    for d in block.deltas {
-        migratory_lang::encode_delta(&mut payload, d);
-    }
-    encode_u64(&mut payload, block.shards.len() as u64);
-    for sl in block.shards {
-        encode_u64(&mut payload, u64::from(sl.shard));
-        encode_u64(&mut payload, sl.steps0 as u64);
-        encode_u64(&mut payload, sl.letters.len() as u64);
-        for &i in &sl.letters {
-            encode_u64(&mut payload, u64::from(i));
+    framed(out, |payload| {
+        payload.push(TAG_BLOCK);
+        encode_u64(payload, block.deltas.len() as u64);
+        for d in block.deltas {
+            migratory_lang::encode_delta(payload, d);
         }
-    }
-    frame(out, &payload)
+        encode_u64(payload, block.shards.len() as u64);
+        for sl in block.shards {
+            encode_u64(payload, u64::from(sl.shard));
+            encode_u64(payload, sl.steps0 as u64);
+            encode_u64(payload, sl.letters.len() as u64);
+            for &i in &sl.letters {
+                encode_u64(payload, u64::from(i));
+            }
+        }
+    })
 }
 
 /// Append one framed certification-marker record.
 pub fn encode_certify_record(out: &mut Vec<u8>, steps: usize) {
-    let mut payload = Vec::new();
-    payload.push(TAG_CERTIFY);
-    encode_u64(&mut payload, steps as u64);
-    frame(out, &payload).expect("a certification marker is a dozen bytes");
+    framed(out, |payload| {
+        payload.push(TAG_CERTIFY);
+        encode_u64(payload, steps as u64);
+    })
+    .expect("a certification marker is a dozen bytes");
 }
 
 /// Append one framed redefinition record: the epoch moved to, the
@@ -434,31 +435,42 @@ pub fn encode_redefine_record(
     shards: &[(u32, usize)],
     inventory: &[u8],
 ) -> Result<(), WalError> {
-    let mut payload = Vec::new();
-    payload.push(TAG_REDEFINE);
-    encode_u64(&mut payload, epoch);
-    payload.push(policy.as_byte());
-    encode_u64(&mut payload, shards.len() as u64);
-    for &(shard, steps) in shards {
-        encode_u64(&mut payload, u64::from(shard));
-        encode_u64(&mut payload, steps as u64);
-    }
-    encode_u64(&mut payload, inventory.len() as u64);
-    payload.extend_from_slice(inventory);
-    frame(out, &payload)
+    framed(out, |payload| {
+        payload.push(TAG_REDEFINE);
+        encode_u64(payload, epoch);
+        payload.push(policy.as_byte());
+        encode_u64(payload, shards.len() as u64);
+        for &(shard, steps) in shards {
+            encode_u64(payload, u64::from(shard));
+            encode_u64(payload, steps as u64);
+        }
+        encode_u64(payload, inventory.len() as u64);
+        payload.extend_from_slice(inventory);
+    })
 }
 
-fn frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WalError> {
+/// Append one framed record whose payload `write` appends to `out`: the
+/// payload is written in place, behind room for the header, which is
+/// filled in once the payload's length and checksum are known. A
+/// payload over the record cap is taken back out, leaving `out`'s bytes
+/// as they were.
+fn framed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), WalError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    write(out);
+    let payload = &out[start + 8..];
     if payload.len() > MAX_RECORD_LEN {
+        let len = payload.len();
+        out.truncate(start);
         return Err(WalError::Io(format!(
-            "block encodes to {} bytes, over the {MAX_RECORD_LEN}-byte record cap — \
-             split the batch",
-            payload.len()
+            "block encodes to {len} bytes, over the {MAX_RECORD_LEN}-byte record cap — \
+             split the batch"
         )));
     }
-    out.extend_from_slice(&u32::try_from(payload.len()).expect("record fits u32").to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let len = u32::try_from(payload.len()).expect("record fits u32").to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + 8].copy_from_slice(&crc);
     Ok(())
 }
 
@@ -1161,7 +1173,8 @@ pub(crate) fn capture_delta(
         if full {
             out.record_map(s.tracked, records.of_shard(s.shard));
         } else {
-            let dirty = || s.dirty.iter().filter_map(|&o| Some((o, records.get(s.shard, o)?)));
+            let oids = s.dirty.sorted();
+            let dirty = || oids.iter().filter_map(|&o| Some((o, records.get(s.shard, o)?)));
             out.record_map(dirty().count(), dirty());
         }
         encode_cohort_tables(out.next_item(), &s.cohorts, &s.by_key, &s.free);
@@ -1227,12 +1240,13 @@ impl Pieces {
     }
 }
 
-/// The union of the partitions' dirty sets, ascending: a merge of
-/// sorted sets, in which an oid two sets hold (`restore_dirty` marks
-/// the first partition's) appears once.
-fn dirty_union(shards: &[DeltaState]) -> Vec<Oid> {
-    let mut heads: Vec<_> = shards.iter().map(|s| s.dirty.iter().peekable()).collect();
-    let mut oids = Vec::with_capacity(shards.iter().map(|s| s.dirty.len()).sum());
+/// The union of the partitions' dirty sets, ascending: a merge of the
+/// sets, each sorted in place first, in which an oid two sets hold
+/// (`restore_dirty` marks the first partition's) appears once.
+fn dirty_union(shards: &mut [DeltaState]) -> Vec<Oid> {
+    let sorted: Vec<&[Oid]> = shards.iter_mut().map(|s| s.dirty.sorted()).collect();
+    let mut heads: Vec<_> = sorted.iter().map(|oids| oids.iter().peekable()).collect();
+    let mut oids = Vec::with_capacity(sorted.iter().map(|oids| oids.len()).sum());
     while let Some(o) = heads.iter_mut().filter_map(|h| h.peek().copied().copied()).min() {
         for h in &mut heads {
             h.next_if_eq(&&o);

@@ -87,33 +87,6 @@ impl AtomicUpdate {
     pub fn is_ground(&self) -> bool {
         self.conditions().iter().all(|c| c.is_ground())
     }
-
-    /// Substitute variables by constants.
-    #[must_use]
-    pub fn substitute(&self, assign: &dyn Fn(VarId) -> Value) -> AtomicUpdate {
-        match self {
-            AtomicUpdate::Create { class, gamma } => {
-                AtomicUpdate::Create { class: *class, gamma: gamma.substitute(assign) }
-            }
-            AtomicUpdate::Delete { class, gamma } => {
-                AtomicUpdate::Delete { class: *class, gamma: gamma.substitute(assign) }
-            }
-            AtomicUpdate::Modify { class, select, set } => AtomicUpdate::Modify {
-                class: *class,
-                select: select.substitute(assign),
-                set: set.substitute(assign),
-            },
-            AtomicUpdate::Generalize { class, gamma } => {
-                AtomicUpdate::Generalize { class: *class, gamma: gamma.substitute(assign) }
-            }
-            AtomicUpdate::Specialize { from, to, select, set } => AtomicUpdate::Specialize {
-                from: *from,
-                to: *to,
-                select: select.substitute(assign),
-                set: set.substitute(assign),
-            },
-        }
-    }
 }
 
 /// A testing literal `P(Γ)` or `¬P(Γ)` (Section 4).
@@ -138,12 +111,6 @@ impl Literal {
     #[must_use]
     pub fn neg(class: ClassId, gamma: Condition) -> Self {
         Literal { positive: false, class, gamma }
-    }
-
-    /// Substitute variables by constants.
-    #[must_use]
-    pub fn substitute(&self, assign: &dyn Fn(VarId) -> Value) -> Literal {
-        Literal { positive: self.positive, class: self.class, gamma: self.gamma.substitute(assign) }
     }
 }
 
@@ -174,15 +141,6 @@ impl GuardedUpdate {
     #[must_use]
     pub fn is_ground(&self) -> bool {
         self.guards.iter().all(|l| l.gamma.is_ground()) && self.update.is_ground()
-    }
-
-    /// Substitute variables by constants.
-    #[must_use]
-    pub fn substitute(&self, assign: &dyn Fn(VarId) -> Value) -> GuardedUpdate {
-        GuardedUpdate {
-            guards: self.guards.iter().map(|l| l.substitute(assign)).collect(),
-            update: self.update.substitute(assign),
-        }
     }
 }
 
@@ -327,29 +285,32 @@ impl Transaction {
         }
         cs
     }
-
-    /// Ground the transaction with an assignment (`T[α]`).
-    pub fn ground(&self, args: &Assignment) -> Result<Transaction, crate::error::LangError> {
-        if args.len() != self.params.len() {
-            return Err(crate::error::LangError::ArityMismatch {
-                expected: self.params.len(),
-                got: args.len(),
-            });
-        }
-        let assign = |x: VarId| args.get(x).clone();
-        Ok(Transaction {
-            name: self.name.clone(),
-            params: Vec::new(),
-            steps: self.steps.iter().map(|s| s.substitute(&assign)).collect(),
-        })
-    }
 }
 
 /// An assignment α binding each parameter of a transaction to a constant
-/// (positionally: argument `i` binds `VarId(i)`).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Assignment {
-    values: Vec<Value>,
+/// (positionally: argument `i` binds `VarId(i)`). The interpreter reads
+/// each variable through it where a condition is evaluated
+/// ([`Condition::bind`]), so `T[α]` is never built.
+///
+/// One argument — every transaction of a one-key workload — is held
+/// inline, with no allocation of its own; any other count is one
+/// vector, which never holds exactly one value. Equality, order,
+/// hashing and `Debug` read the values alone.
+#[derive(Clone, Default)]
+pub struct Assignment(Args);
+
+/// The two forms of an [`Assignment`]; its length alone picks the form.
+#[derive(Clone)]
+enum Args {
+    One(Value),
+    /// No value, or at least two.
+    Many(Vec<Value>),
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args::Many(Vec::new())
+    }
 }
 
 impl Assignment {
@@ -361,35 +322,83 @@ impl Assignment {
 
     /// Build from positional values.
     #[must_use]
-    pub fn new(values: Vec<Value>) -> Self {
-        Assignment { values }
+    pub fn new(mut values: Vec<Value>) -> Self {
+        match values.pop() {
+            Some(only) if values.is_empty() => Assignment(Args::One(only)),
+            Some(last) => {
+                values.push(last);
+                Assignment(Args::Many(values))
+            }
+            None => Assignment::empty(),
+        }
+    }
+
+    /// The bound values, positionally.
+    #[must_use]
+    pub fn as_slice(&self) -> &[Value] {
+        match &self.0 {
+            Args::One(v) => std::slice::from_ref(v),
+            Args::Many(values) => values,
+        }
     }
 
     /// Number of bound parameters.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.as_slice().len()
     }
 
     /// Whether no parameter is bound.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The value bound to a variable.
     ///
     /// # Panics
-    /// Panics if the variable index is out of range (arity was checked by
-    /// [`Transaction::ground`]).
+    /// Panics if the variable index is out of range (callers check a
+    /// transaction's arity before they run it).
     #[must_use]
     pub fn get(&self, x: VarId) -> &Value {
-        &self.values[x.0 as usize]
+        &self.as_slice()[x.0 as usize]
     }
 
     /// Iterate the bound values.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.values.iter()
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for Assignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Assignment {}
+
+impl PartialOrd for Assignment {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Assignment {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl std::hash::Hash for Assignment {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Assignment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Assignment").field("values", &self.as_slice()).finish()
     }
 }
 
@@ -400,8 +409,12 @@ impl From<Vec<Value>> for Assignment {
 }
 
 impl FromIterator<Value> for Assignment {
+    /// Collects one value without a vector.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        Assignment::new(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else { return Assignment::empty() };
+        let Some(second) = iter.next() else { return Assignment(Args::One(first)) };
+        Assignment(Args::Many([first, second].into_iter().chain(iter).collect()))
     }
 }
 
@@ -498,7 +511,7 @@ pub fn var(i: u32) -> Term {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use migratory_model::{schema::university_schema, Atom};
+    use migratory_model::{schema::university_schema, Atom, CmpOp};
 
     fn cond(atoms: Vec<Atom>) -> Condition {
         Condition::from_atoms(atoms)
@@ -535,32 +548,81 @@ mod tests {
         assert!(Language::Sl < Language::CslPlus && Language::CslPlus < Language::Csl);
     }
 
+    /// `⟦T(x₁, x₂)⟧(α) = ⟦T[α]⟧`: applying the parameterized
+    /// transaction under α, which reads every variable in place, equals
+    /// applying the hand-grounded `T[α]` — a guard, a select and a value
+    /// condition each mention a variable.
     #[test]
     fn grounding_substitutes_all_occurrences() {
         let s = university_schema();
         let p = s.class_id("PERSON").unwrap();
         let ssn = s.attr_id("SSN").unwrap();
         let name = s.attr_id("Name").unwrap();
-        let t = Transaction::sl(
-            "t",
-            &["s", "n"],
-            vec![AtomicUpdate::Create {
-                class: p,
-                gamma: cond(vec![Atom::eq_var(ssn, VarId(0)), Atom::eq_var(name, VarId(1))]),
-            }],
-        );
+        let t_of = |params: &[&str], x: Term, y: Term| {
+            Transaction::new(
+                "t",
+                params,
+                vec![
+                    GuardedUpdate::when(
+                        vec![Literal::neg(
+                            p,
+                            cond(vec![Atom { attr: ssn, op: CmpOp::Eq, term: x.clone() }]),
+                        )],
+                        AtomicUpdate::Create {
+                            class: p,
+                            gamma: cond(vec![
+                                Atom { attr: ssn, op: CmpOp::Eq, term: x.clone() },
+                                Atom { attr: name, op: CmpOp::Eq, term: y.clone() },
+                            ]),
+                        },
+                    ),
+                    GuardedUpdate::plain(AtomicUpdate::Modify {
+                        class: p,
+                        select: cond(vec![Atom { attr: ssn, op: CmpOp::Eq, term: x }]),
+                        set: cond(vec![Atom { attr: name, op: CmpOp::Eq, term: y }]),
+                    }),
+                ],
+            )
+        };
+        let t = t_of(&["s", "n"], var(0), var(1));
         assert!(!t.is_ground());
         assert_eq!(t.vars_used().len(), 2);
-        let g = t.ground(&Assignment::new(vec![Value::str("123"), Value::str("Ann")])).unwrap();
-        assert!(g.is_ground());
-        assert!(g.constants().contains(&Value::str("Ann")));
+        let ground = t_of(&[], con("123"), con("Ann"));
+        assert!(ground.is_ground());
+        let args = Assignment::new(vec![Value::str("123"), Value::str("Ann")]);
+        let (mut lhs, mut rhs) =
+            (migratory_model::Instance::empty(), migratory_model::Instance::empty());
+        for _ in 0..2 {
+            crate::interp::apply_transaction(&s, &mut lhs, &t, &args).unwrap();
+            crate::interp::apply_transaction(&s, &mut rhs, &ground, &Assignment::empty()).unwrap();
+            assert_eq!(lhs, rhs);
+        }
+        assert_eq!(lhs.num_objects(), 1, "the guard held the second time");
     }
 
     #[test]
     fn grounding_checks_arity() {
+        let s = university_schema();
         let t = Transaction::sl("t", &["x"], vec![]);
-        let e = t.ground(&Assignment::empty()).unwrap_err();
+        let mut db = migratory_model::Instance::empty();
+        let e =
+            crate::interp::apply_transaction(&s, &mut db, &t, &Assignment::empty()).unwrap_err();
         assert_eq!(e, crate::error::LangError::ArityMismatch { expected: 1, got: 0 });
+    }
+
+    #[test]
+    fn one_argument_is_held_inline_and_compares_by_value() {
+        let one = Assignment::new(vec![Value::str("k")]);
+        let collected: Assignment = [Value::str("k")].into_iter().collect();
+        assert_eq!(one, collected);
+        assert_eq!(one.as_slice(), [Value::str("k")]);
+        assert!(matches!(one.0, Args::One(_)));
+        let two: Assignment = [Value::int(1), Value::int(2)].into_iter().collect();
+        assert_eq!(two, Assignment::new(vec![Value::int(1), Value::int(2)]));
+        assert_eq!(two.get(VarId(1)), &Value::int(2));
+        assert!(Assignment::empty() < one && Assignment::new(Vec::new()).is_empty());
+        let values = [Value::str("k")];
+        assert_eq!(format!("{one:?}"), format!("Assignment {{ values: {values:?} }}"));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! decode, so a decoded delta upholds the same invariants a recorded
 //! one does.
 
+use crate::ast::Assignment;
 use crate::error::LangError;
-use crate::interp::{Delta, ObjectDelta};
+use crate::interp::{Delta, ObjectDelta, Objects};
 use migratory_model::codec::{
     encode_idset, encode_str, encode_tuple, encode_u64, encode_value, Reader as ByteReader,
 };
@@ -48,8 +49,8 @@ const TUPLE_CHANGED: u8 = 4;
 pub fn encode_delta(out: &mut Vec<u8>, d: &Delta) {
     encode_u64(out, d.old_next);
     encode_u64(out, d.new_next);
-    encode_u64(out, d.objects.len() as u64);
-    for od in &d.objects {
+    encode_u64(out, d.objects().len() as u64);
+    for od in d.objects() {
         encode_u64(out, od.oid.0);
         let mut flags = 0u8;
         if od.before.is_some() {
@@ -82,13 +83,13 @@ pub fn decode_delta(r: &mut ByteReader<'_>) -> Result<Delta, LangError> {
         return Err(corrupt("delta rewinds the object counter"));
     }
     let n = r.count()?;
-    let mut objects: Vec<ObjectDelta> = Vec::with_capacity(n);
+    let mut objects = Objects::default();
     for _ in 0..n {
         let oid = Oid(r.u64()?);
         if oid.0 == 0 {
             return Err(corrupt("delta names o0, which is never minted"));
         }
-        if let Some(last) = objects.last() {
+        if let Some(last) = objects.as_slice().last() {
             if oid <= last.oid {
                 return Err(corrupt("delta objects out of oid order"));
             }
@@ -130,22 +131,20 @@ pub fn encode_invoke(out: &mut Vec<u8>, name: &str, args: &[Value]) {
     }
 }
 
-/// Decode one invocation payload (the inverse of [`encode_invoke`]).
+/// Decode one invocation payload (the inverse of [`encode_invoke`]): the
+/// transaction name, borrowed from the payload, and the arguments.
 ///
 /// Total over arbitrary bytes: truncation, a length-inflated argument
 /// count, or a malformed value yields a [`LangError`], never a panic —
 /// the [`ByteReader`] count primitive is bounds-checked against the
 /// remaining input.
-pub fn decode_invoke(r: &mut ByteReader<'_>) -> Result<(String, Vec<Value>), LangError> {
-    let name = r.str()?.to_owned();
+pub fn decode_invoke<'a>(r: &mut ByteReader<'a>) -> Result<(&'a str, Assignment), LangError> {
+    let name = r.str()?;
     if name.is_empty() {
         return Err(corrupt("empty transaction name"));
     }
     let n = r.count()?;
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        args.push(r.value()?);
-    }
+    let args = (0..n).map(|_| r.value()).collect::<Result<Assignment, _>>()?;
     Ok((name, args))
 }
 
@@ -167,7 +166,7 @@ pub fn decode_invoke(r: &mut ByteReader<'_>) -> Result<(String, Vec<Value>), Lan
 pub fn delta_to_text(d: &Delta) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "delta {} -> {}", d.old_next, d.new_next);
-    for od in &d.objects {
+    for od in d.objects() {
         let _ = write!(out, "o{} ", od.oid.0);
         write_side(&mut out, od.before.as_ref());
         out.push_str(" => ");
@@ -230,7 +229,7 @@ pub fn delta_from_text(src: &str) -> Result<Delta, LangError> {
     if new_next < old_next {
         return Err(corrupt("delta rewinds the object counter"));
     }
-    let mut objects: Vec<ObjectDelta> = Vec::new();
+    let mut objects = Objects::default();
     for line in lines {
         let mut p = TextCursor::new(line.trim());
         p.expect('o')?;
@@ -238,7 +237,7 @@ pub fn delta_from_text(src: &str) -> Result<Delta, LangError> {
         if oid.0 == 0 {
             return Err(corrupt("delta names o0, which is never minted"));
         }
-        if objects.last().is_some_and(|last| oid <= last.oid) {
+        if objects.as_slice().last().is_some_and(|last| oid <= last.oid) {
             return Err(corrupt("delta objects out of oid order"));
         }
         p.expect(' ')?;
@@ -539,7 +538,7 @@ mod tests {
         let (name, back) = decode_invoke(&mut r).unwrap();
         assert!(r.is_exhausted(), "self-delimiting");
         assert_eq!(name, "Promote");
-        assert_eq!(back, args);
+        assert_eq!(back.as_slice(), args);
     }
 
     #[test]

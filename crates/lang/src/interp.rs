@@ -12,6 +12,16 @@
 //! additionally captures before-images of exactly the touched objects and
 //! returns them as a [`Delta`] — the O(touched) change-set that powers
 //! incremental enforcement in `migratory-core`.
+//!
+//! A parameterized transaction means its ground instance,
+//! `⟦T(x₁, …, xₘ)⟧(α) = ⟦T[α]⟧`, but `T[α]` is never built: each
+//! condition is read under the assignment ([`Condition::bind`]), which
+//! resolves a variable where a term is evaluated. Applying a one-key
+//! create or point update allocates nothing beyond what the database
+//! and the change-set keep: the select's one match and the change-set's
+//! one object are held inline.
+//!
+//! [`Condition::bind`]: migratory_model::Condition::bind
 
 use crate::ast::{Assignment, AtomicUpdate, GuardedUpdate, Literal, Transaction};
 use crate::error::LangError;
@@ -44,10 +54,11 @@ impl Recorder for NoRecord {
 /// order (a repeat of the previous touch's object is skipped, without
 /// reading its tuple), and [`DeltaRecorder::finish`] sorts them stably
 /// by oid, keeps each object's first touch and fills in the
-/// after-images — one `Vec` for the whole change-set.
+/// after-images — held inline for one object, else one `Vec` for the
+/// whole change-set.
 #[derive(Default)]
 struct DeltaRecorder {
-    objects: Vec<ObjectDelta>,
+    objects: Objects,
 }
 
 impl DeltaRecorder {
@@ -56,10 +67,10 @@ impl DeltaRecorder {
     }
 
     /// The change-set against `db`, the post-state.
-    fn finish(mut self, db: &Instance) -> Vec<ObjectDelta> {
-        self.objects.sort_by_key(|od| od.oid);
-        self.objects.dedup_by_key(|od| od.oid);
-        for od in &mut self.objects {
+    fn finish(mut self, db: &Instance) -> Objects {
+        self.objects.as_mut_slice().sort_by_key(|od| od.oid);
+        self.objects.dedup_by_oid();
+        for od in self.objects.as_mut_slice() {
             od.after = db.occurs(od.oid).then(|| (db.role_set(od.oid), db.tuple_of(od.oid)));
             od.tuple_changed = match (&od.before, &od.after) {
                 (Some((_, t_before)), Some((_, t_after))) => t_after != t_before,
@@ -75,12 +86,71 @@ impl DeltaRecorder {
 
 impl Recorder for DeltaRecorder {
     fn touch(&mut self, db: &Instance, o: Oid) {
-        if self.objects.last().is_none_or(|od| od.oid != o) {
+        if self.objects.as_slice().last().is_none_or(|od| od.oid != o) {
             self.record(o, db.occurs(o).then(|| (db.role_set(o), db.tuple_of(o))));
         }
     }
     fn minted(&mut self, o: Oid) {
         self.record(o, None);
+    }
+}
+
+/// A change-set's objects, ascending by oid. One object — a create, or
+/// an update of one object — is held inline; any other count is one
+/// vector, which never holds exactly one object.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) enum Objects {
+    One(ObjectDelta),
+    /// No object, or at least two.
+    Many(Vec<ObjectDelta>),
+}
+
+impl Default for Objects {
+    fn default() -> Self {
+        Objects::Many(Vec::new())
+    }
+}
+
+impl Objects {
+    pub(crate) fn as_slice(&self) -> &[ObjectDelta] {
+        match self {
+            Objects::One(od) => std::slice::from_ref(od),
+            Objects::Many(objects) => objects,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [ObjectDelta] {
+        match self {
+            Objects::One(od) => std::slice::from_mut(od),
+            Objects::Many(objects) => objects,
+        }
+    }
+
+    pub(crate) fn push(&mut self, od: ObjectDelta) {
+        *self = match std::mem::take(self) {
+            Objects::Many(objects) if objects.is_empty() => Objects::One(od),
+            Objects::One(held) => Objects::Many(vec![held, od]),
+            Objects::Many(mut objects) => {
+                objects.push(od);
+                Objects::Many(objects)
+            }
+        };
+    }
+
+    /// Keep the first of each run of one oid.
+    fn dedup_by_oid(&mut self) {
+        if let Objects::Many(objects) = self {
+            objects.dedup_by_key(|od| od.oid);
+            if objects.len() == 1 {
+                *self = Objects::One(objects.pop().expect("one object"));
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for Objects {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
@@ -151,14 +221,14 @@ impl ObjectDelta {
 pub struct Delta {
     pub(crate) old_next: u64,
     pub(crate) new_next: u64,
-    pub(crate) objects: Vec<ObjectDelta>,
+    pub(crate) objects: Objects,
 }
 
 impl Delta {
     /// Per-object changes, ordered by object identifier.
     #[must_use]
     pub fn objects(&self) -> &[ObjectDelta] {
-        &self.objects
+        self.objects.as_slice()
     }
 
     /// Whether the application was the identity on the database —
@@ -167,13 +237,13 @@ impl Delta {
     /// 4.6's "null application" test, computed in O(touched)).
     #[must_use]
     pub fn is_identity(&self) -> bool {
-        self.old_next == self.new_next && self.objects.iter().all(ObjectDelta::is_noop)
+        self.old_next == self.new_next && self.objects().iter().all(ObjectDelta::is_noop)
     }
 
     /// Roll the application back in place. `db` must be exactly the
     /// post-state this delta was produced on.
     pub fn undo(&self, db: &mut Instance) {
-        for od in &self.objects {
+        for od in self.objects() {
             match &od.before {
                 Some((cs, t)) => db.put_object(od.oid, *cs, t.clone()),
                 None => db.delete_object(od.oid),
@@ -188,7 +258,7 @@ impl Delta {
     /// and the recovery primitive behind the enforcement WAL: a logged
     /// delta replays without re-running its transaction.
     pub fn redo(&self, db: &mut Instance) {
-        for od in &self.objects {
+        for od in self.objects() {
             match &od.after {
                 Some((cs, t)) => db.put_object(od.oid, *cs, t.clone()),
                 None => db.delete_object(od.oid),
@@ -204,106 +274,112 @@ impl Delta {
 /// (see [`crate::validate::validate_update`]); validation guarantees the
 /// class/attribute side conditions this function relies on.
 pub fn apply_atomic(schema: &Schema, db: &mut Instance, u: &AtomicUpdate) {
-    apply_atomic_rec(schema, db, u, &mut NoRecord);
+    debug_assert!(u.is_ground(), "apply_atomic applies ground updates");
+    apply_atomic_rec(schema, db, u, &Assignment::empty(), &mut NoRecord);
 }
 
+/// Apply `u[α]` in place, each condition read under `args`.
 fn apply_atomic_rec<R: Recorder>(
     schema: &Schema,
     db: &mut Instance,
     u: &AtomicUpdate,
+    args: &Assignment,
     rec: &mut R,
 ) {
-    debug_assert!(u.is_ground(), "semantics is defined on ground updates");
+    let args = args.as_slice();
     match u {
         AtomicUpdate::Create { class, gamma } => {
+            let gamma = gamma.bind(args);
             if !gamma.is_satisfiable() {
                 return;
             }
             // o'(P) = o(P) ∪ {oᵢ}; values from Γ's equalities. Creation is
             // unconditional: a fresh identifier is always minted.
-            let oid = db.create(migratory_model::ClassSet::singleton(*class), gamma.value_map());
+            let oid = db.create(ClassSet::singleton(*class), gamma.value_map());
             rec.minted(oid);
         }
         AtomicUpdate::Delete { class, gamma } => {
+            let gamma = gamma.bind(args);
             if !gamma.is_satisfiable() {
                 return;
             }
             // Removing from every Q isa* P removes the object entirely: P
             // is the unique root of its weakly-connected component, so
             // every class of a member object is a descendant of P.
-            for o in db.sat(*class, gamma) {
+            for &o in db.sat(*class, gamma).iter() {
                 rec.touch(db, o);
                 db.delete_object(o);
             }
         }
         AtomicUpdate::Modify { class, select, set } => {
+            let (select, set) = (select.bind(args), set.bind(args));
             if !select.is_satisfiable() || !set.is_satisfiable() {
                 return;
             }
-            let values = set.value_map();
-            for o in db.sat(*class, select) {
+            for &o in db.sat(*class, select).iter() {
                 rec.touch(db, o);
-                db.set_values(o, values.iter().map(|(a, v)| (a, v.clone())));
+                db.set_values(o, set.values().map(|(a, v)| (a, v.clone())));
             }
         }
         AtomicUpdate::Generalize { class, gamma } => {
+            let gamma = gamma.bind(args);
             if !gamma.is_satisfiable() {
                 return;
             }
             let remove = schema.down_closure_of(*class);
             // Attributes owned by P or a descendant are cleared
             // (a′ = a − {((o,A),·) | ∃Q isa* P, A ∈ A(Q)}).
-            let clear: Vec<_> =
-                remove.iter().flat_map(|c| schema.attrs_of(c).iter().copied()).collect();
-            for o in db.sat(*class, gamma) {
+            let clear = || remove.iter().flat_map(|c| schema.attrs_of(c).iter().copied());
+            for &o in db.sat(*class, gamma).iter() {
                 rec.touch(db, o);
-                db.remove_classes(o, remove, clear.iter().copied());
+                db.remove_classes(o, remove, clear());
             }
         }
         AtomicUpdate::Specialize { from, to, select, set } => {
+            let (select, set) = (select.bind(args), set.bind(args));
             if !select.is_satisfiable() || !set.is_satisfiable() {
                 return;
             }
             let add = schema.up_closure_of(*to);
-            let values = set.value_map();
             // Objects already in Q are left untouched (Sat(Γ,d,P) − o(Q)).
-            let targets: Vec<Oid> = db
-                .sat(*from, select)
-                .into_iter()
-                .filter(|&o| !db.role_set(o).contains(*to))
-                .collect();
-            for o in targets {
+            // The loop changes only the object at hand, so its membership
+            // test still reads the pre-state.
+            for &o in db.sat(*from, select).iter() {
+                if db.role_set(o).contains(*to) {
+                    continue;
+                }
                 rec.touch(db, o);
-                db.add_classes(o, add, values.iter().map(|(a, v)| (a, v.clone())));
+                db.add_classes(o, add, set.values().map(|(a, v)| (a, v.clone())));
             }
         }
     }
 }
 
-/// Whether the database satisfies a **ground** literal (Section 4):
-/// `d ⊨ P(Γ)` iff some object of `o(P)` satisfies Γ; `d ⊨ ¬P(Γ)` iff none
-/// does. Witness search is planned from Γ by [`Instance::sat_exists`] —
-/// an indexed point lookup when Γ has an equality atom, the class index
-/// otherwise — never a heap scan.
+/// Whether the database satisfies the literal `l[α]` (Section 4), its
+/// condition read under `args`: `d ⊨ P(Γ)` iff some object of `o(P)`
+/// satisfies Γ; `d ⊨ ¬P(Γ)` iff none does. Witness search is planned
+/// from Γ by [`Instance::sat_exists`] — an indexed point lookup when Γ
+/// has an equality atom, the class index otherwise — never a heap scan.
 #[must_use]
-pub fn satisfies_literal(db: &Instance, l: &Literal) -> bool {
-    db.sat_exists(l.class, &l.gamma) == l.positive
+pub fn satisfies_literal(db: &Instance, l: &Literal, args: &Assignment) -> bool {
+    db.sat_exists(l.class, l.gamma.bind(args.as_slice())) == l.positive
 }
 
 /// Apply a **ground** guarded update (Definition 4.3): the update fires
 /// only when every literal holds.
 pub fn apply_guarded(schema: &Schema, db: &mut Instance, g: &GuardedUpdate) {
-    apply_guarded_rec(schema, db, g, &mut NoRecord);
+    apply_guarded_rec(schema, db, g, &Assignment::empty(), &mut NoRecord);
 }
 
 fn apply_guarded_rec<R: Recorder>(
     schema: &Schema,
     db: &mut Instance,
     g: &GuardedUpdate,
+    args: &Assignment,
     rec: &mut R,
 ) {
-    if g.guards.iter().all(|l| satisfies_literal(db, l)) {
-        apply_atomic_rec(schema, db, &g.update, rec);
+    if g.guards.iter().all(|l| satisfies_literal(db, l, args)) {
+        apply_atomic_rec(schema, db, &g.update, args, rec);
     }
 }
 
@@ -324,10 +400,8 @@ fn apply_transaction_rec<R: Recorder>(
     if args.len() != t.params.len() {
         return Err(LangError::ArityMismatch { expected: t.params.len(), got: args.len() });
     }
-    let assign = |x: migratory_model::VarId| args.get(x).clone();
     for step in &t.steps {
-        let ground = step.substitute(&assign);
-        apply_guarded_rec(schema, db, &ground, rec);
+        apply_guarded_rec(schema, db, step, args, rec);
     }
     Ok(())
 }

@@ -5,6 +5,11 @@
 //! *condition* is a set of atomic conditions; it is *ground* when it
 //! contains no variables. Objects are never addressed by identifier in
 //! SL/CSL — conditions are the only selection mechanism.
+//!
+//! The semantics reads a condition `Γ` under an assignment `α` as the
+//! ground condition `Γ[α]`. [`Condition::bind`] pairs the two as a
+//! [`Bound`], which reads each variable through the assignment where a
+//! term is evaluated, so `Γ[α]` is never built.
 
 use crate::bitset::AttrSet;
 use crate::ids::{AttrId, VarId};
@@ -28,6 +33,20 @@ impl Term {
         match self {
             Term::Const(v) => Some(v),
             Term::Var(_) => None,
+        }
+    }
+
+    /// The constant the term denotes under `args`, which binds
+    /// `VarId(i)` to `args[i]` (`t[α]`).
+    ///
+    /// # Panics
+    /// Panics on a variable `args` leaves unbound: callers check a
+    /// transaction's arity before they run it.
+    #[must_use]
+    pub fn resolve<'a>(&'a self, args: &'a [Value]) -> &'a Value {
+        match self {
+            Term::Const(v) => v,
+            Term::Var(x) => &args[x.0 as usize],
         }
     }
 }
@@ -177,49 +196,57 @@ impl Condition {
         self.atoms.iter().filter_map(|a| a.term.as_const().cloned()).collect()
     }
 
-    /// Substitute variables by constants according to `assign`, producing a
-    /// ground condition (`Γ[α]`). Unbound variables are an error of the
-    /// caller; this function panics in debug builds and substitutes a fresh
-    /// marker value in release builds to keep semantics total.
+    /// `Γ[α]`: this condition read under `args`, which binds `VarId(i)`
+    /// to `args[i]`. Nothing is copied; a ground condition reads no
+    /// argument (and converts with `From` instead).
     #[must_use]
-    pub fn substitute(&self, assign: &dyn Fn(VarId) -> Value) -> Condition {
-        Condition {
-            atoms: self
-                .atoms
-                .iter()
-                .map(|a| Atom {
-                    attr: a.attr,
-                    op: a.op,
-                    term: match &a.term {
-                        Term::Const(v) => Term::Const(v.clone()),
-                        Term::Var(x) => Term::Const(assign(*x)),
-                    },
-                })
-                .collect(),
-        }
+    pub fn bind<'a>(&'a self, args: &'a [Value]) -> Bound<'a> {
+        Bound { condition: self, args }
+    }
+}
+
+/// A condition read under an assignment, `Γ[α]` (see
+/// [`Condition::bind`]): every operation resolves each term through the
+/// arguments ([`Term::resolve`]) at the point where it is evaluated.
+/// `From<&Condition>` reads a ground condition under no arguments.
+#[derive(Clone, Copy, Debug)]
+pub struct Bound<'a> {
+    condition: &'a Condition,
+    args: &'a [Value],
+}
+
+impl<'a> From<&'a Condition> for Bound<'a> {
+    fn from(condition: &'a Condition) -> Self {
+        Bound { condition, args: &[] }
+    }
+}
+
+impl<'a> Bound<'a> {
+    /// The atoms as `(attribute, operator, value)`, each term resolved,
+    /// in the condition's order: ascending by attribute, with every `=`
+    /// of an attribute before its `≠`s.
+    pub fn atoms(self) -> impl Iterator<Item = (AttrId, CmpOp, &'a Value)> {
+        self.condition.atoms.iter().map(move |a| (a.attr, a.op, a.term.resolve(self.args)))
     }
 
-    /// Whether a **ground** condition is satisfiable (`Sat(Γ) ≠ ∅`):
-    /// for each attribute, all equality constants agree and the agreed
-    /// constant is not excluded by an inequality. Attributes with no
-    /// equality are always satisfiable because the domain is infinite.
+    /// Whether `Γ[α]` is satisfiable (`Sat(Γ[α]) ≠ ∅`): for each
+    /// attribute, all equality constants agree and the agreed constant
+    /// is not excluded by an inequality. Attributes with no equality are
+    /// always satisfiable because the domain is infinite.
     ///
     /// Non-satisfiable conditions are the paper's `E`; every operator maps
     /// a database to itself when its condition is `E`.
     ///
-    /// One pass over the atoms, which are ordered by (attribute,
-    /// operator, term) with `=` before `≠`: per attribute, every equality
-    /// is read before any inequality, so the first equality fixes the
-    /// value the others must agree with and the inequalities must avoid.
+    /// One pass over the atoms: per attribute, every equality is read
+    /// before any inequality, so the first equality fixes the value the
+    /// others must agree with and the inequalities must avoid.
     #[must_use]
-    pub fn is_satisfiable(&self) -> bool {
-        debug_assert!(self.is_ground(), "satisfiability is defined on ground conditions");
+    pub fn is_satisfiable(self) -> bool {
         let mut agreed: Option<(AttrId, &Value)> = None;
-        for a in &self.atoms {
-            let Term::Const(v) = &a.term else { continue };
-            let fixed = agreed.filter(|&(attr, _)| attr == a.attr).map(|(_, fixed)| fixed);
-            match (a.op, fixed) {
-                (CmpOp::Eq, None) => agreed = Some((a.attr, v)),
+        for (attr, op, v) in self.atoms() {
+            let fixed = agreed.filter(|&(a, _)| a == attr).map(|(_, fixed)| fixed);
+            match (op, fixed) {
+                (CmpOp::Eq, None) => agreed = Some((attr, v)),
                 // Conflicting equalities, or the agreed value excluded.
                 (CmpOp::Eq, Some(fixed)) if fixed != v => return false,
                 (CmpOp::Ne, Some(fixed)) if fixed == v => return false,
@@ -229,35 +256,33 @@ impl Condition {
         true
     }
 
-    /// For a **ground satisfiable** condition: the value assigned to each
-    /// defined attribute, as the tuple `create`, `modify` and
-    /// `specialize` write (the first equality of an attribute wins).
-    /// One equality makes a tuple held inline, with no allocation.
-    #[must_use]
-    pub fn value_map(&self) -> Tuple {
-        // Atoms ascend by attribute, so the pairs come out sorted.
+    /// For a **satisfiable** `Γ[α]`: the value each defined attribute
+    /// gets, ascending by attribute — the pairs `modify` and
+    /// `specialize` write, read in place.
+    pub fn values(self) -> impl Iterator<Item = (AttrId, &'a Value)> {
+        // All equalities of a satisfiable attribute agree: take the first.
         let mut last = None;
-        Tuple::from_sorted(self.atoms.iter().filter_map(|a| match &a.term {
-            Term::Const(v) if a.op == CmpOp::Eq && last != Some(a.attr) => {
-                last = Some(a.attr);
-                Some((a.attr, v.clone()))
-            }
-            _ => None,
-        }))
+        self.atoms().filter_map(move |(attr, op, v)| {
+            (op == CmpOp::Eq && last.replace(attr) != Some(attr)).then_some((attr, v))
+        })
     }
 
-    /// Whether a tuple satisfies this **ground** condition (`t ⊨ Γ`).
-    /// Atoms over attributes absent from the tuple are not satisfied
-    /// (cannot arise for validated operations, where `Att(Γ) ⊆ A*(P)`).
+    /// [`Bound::values`] as the tuple `create` writes. One equality
+    /// makes a tuple held inline, with no allocation.
     #[must_use]
-    pub fn satisfied_by(&self, t: &Tuple) -> bool {
-        self.atoms.iter().all(|a| {
-            let Term::Const(v) = &a.term else { return false };
-            match (t.get(a.attr), a.op) {
-                (Some(tv), CmpOp::Eq) => tv == v,
-                (Some(tv), CmpOp::Ne) => tv != v,
-                (None, _) => false,
-            }
+    pub fn value_map(self) -> Tuple {
+        Tuple::from_sorted(self.values().map(|(a, v)| (a, v.clone())))
+    }
+
+    /// Whether a tuple satisfies `Γ[α]` (`t ⊨ Γ[α]`). Atoms over
+    /// attributes absent from the tuple are not satisfied (cannot arise
+    /// for validated operations, where `Att(Γ) ⊆ A*(P)`).
+    #[must_use]
+    pub fn satisfied_by(self, t: &Tuple) -> bool {
+        self.atoms().all(|(attr, op, v)| match (t.get(attr), op) {
+            (Some(tv), CmpOp::Eq) => tv == v,
+            (Some(tv), CmpOp::Ne) => tv != v,
+            (None, _) => false,
         })
     }
 }
@@ -277,15 +302,28 @@ mod tests {
         AttrId(i)
     }
 
+    /// A ground condition, read under no arguments.
+    fn ground(c: &Condition) -> Bound<'_> {
+        Bound::from(c)
+    }
+
+    fn sat(atoms: impl IntoIterator<Item = Atom>) -> bool {
+        ground(&Condition::from_atoms(atoms)).is_satisfiable()
+    }
+
+    fn holds(atoms: impl IntoIterator<Item = Atom>, t: &Tuple) -> bool {
+        ground(&Condition::from_atoms(atoms)).satisfied_by(t)
+    }
+
     #[test]
     fn empty_condition_satisfied_by_everything() {
         let c = Condition::empty();
         assert!(c.is_ground());
-        assert!(c.is_satisfiable());
-        assert!(c.satisfied_by(&Tuple::new()));
+        assert!(ground(&c).is_satisfiable());
+        assert!(ground(&c).satisfied_by(&Tuple::new()));
         let mut t = Tuple::new();
         t.set(a(0), Value::int(1));
-        assert!(c.satisfied_by(&t));
+        assert!(ground(&c).satisfied_by(&t));
     }
 
     #[test]
@@ -305,17 +343,12 @@ mod tests {
     #[test]
     fn satisfiability() {
         // A=1 ∧ A=1 satisfiable; A=1 ∧ A=2 not; A=1 ∧ A≠1 not; A≠1 ∧ A≠2 satisfiable.
-        assert!(Condition::from_atoms([Atom::eq_const(a(0), 1), Atom::eq_const(a(0), 1)])
-            .is_satisfiable());
-        assert!(!Condition::from_atoms([Atom::eq_const(a(0), 1), Atom::eq_const(a(0), 2)])
-            .is_satisfiable());
-        assert!(!Condition::from_atoms([Atom::eq_const(a(0), 1), Atom::ne_const(a(0), 1)])
-            .is_satisfiable());
-        assert!(Condition::from_atoms([Atom::ne_const(a(0), 1), Atom::ne_const(a(0), 2)])
-            .is_satisfiable());
+        assert!(sat([Atom::eq_const(a(0), 1), Atom::eq_const(a(0), 1)]));
+        assert!(!sat([Atom::eq_const(a(0), 1), Atom::eq_const(a(0), 2)]));
+        assert!(!sat([Atom::eq_const(a(0), 1), Atom::ne_const(a(0), 1)]));
+        assert!(sat([Atom::ne_const(a(0), 1), Atom::ne_const(a(0), 2)]));
         // Mixed attributes independent.
-        assert!(Condition::from_atoms([Atom::eq_const(a(0), 1), Atom::ne_const(a(1), 1)])
-            .is_satisfiable());
+        assert!(sat([Atom::eq_const(a(0), 1), Atom::ne_const(a(1), 1)]));
     }
 
     /// The rule `is_satisfiable` implemented before it became one pass:
@@ -357,8 +390,9 @@ mod tests {
                 .filter(|(i, _)| subset >> i & 1 == 1)
                 .map(|(_, at)| at.clone())
                 .collect();
-            assert_eq!(c.is_satisfiable(), map_rule(&c), "{c:?}");
-            satisfiable += usize::from(c.is_satisfiable());
+            let ok = ground(&c).is_satisfiable();
+            assert_eq!(ok, map_rule(&c), "{c:?}");
+            satisfiable += usize::from(ok);
         }
         // Per attribute: no equality (2^3 inequality sets) or exactly one
         // (3 constants × 2^2 inequalities avoiding it), so 20 of the 64
@@ -366,13 +400,34 @@ mod tests {
         assert_eq!(satisfiable, 400);
     }
 
+    /// `Γ[α]` read in place agrees with the ground condition the
+    /// substitution builds, on satisfiability, values and tuples —
+    /// including an equality whose variable meets a constant of its own
+    /// attribute, which reorders the atoms once substituted.
     #[test]
     fn substitution_grounds() {
-        let c = Condition::from_atoms([Atom::eq_var(a(0), VarId(0)), Atom::ne_var(a(1), VarId(1))]);
-        let g = c.substitute(&|x| Value::int(i64::from(x.0) + 10));
-        assert!(g.is_ground());
-        assert!(g.atoms().any(|at| at.term == Term::Const(Value::int(10))));
-        assert!(g.atoms().any(|at| at.term == Term::Const(Value::int(11))));
+        let c = Condition::from_atoms([
+            Atom::eq_var(a(0), VarId(0)),
+            Atom::eq_const(a(0), 5),
+            Atom::ne_var(a(1), VarId(1)),
+            Atom::eq_var(a(2), VarId(1)),
+        ]);
+        for (x, y) in [(3, 7), (5, 7), (5, 5), (9, 9)] {
+            let args = [Value::int(x), Value::int(y)];
+            let grounded = Condition::from_atoms(c.atoms().map(|at| Atom {
+                term: Term::Const(at.term.resolve(&args).clone()),
+                ..at.clone()
+            }));
+            assert!(grounded.is_ground());
+            let (bound, g) = (c.bind(&args), ground(&grounded));
+            assert_eq!(bound.is_satisfiable(), g.is_satisfiable(), "x={x} y={y}");
+            assert_eq!(bound.is_satisfiable(), x == 5, "x={x} y={y}");
+            if bound.is_satisfiable() {
+                assert_eq!(bound.value_map(), g.value_map());
+                let t = bound.value_map();
+                assert_eq!(bound.satisfied_by(&t), g.satisfied_by(&t));
+            }
+        }
     }
 
     #[test]
@@ -380,13 +435,13 @@ mod tests {
         let mut t = Tuple::new();
         t.set(a(0), Value::str("x"));
         t.set(a(1), Value::int(5));
-        assert!(Condition::from_atoms([Atom::eq_const(a(0), "x")]).satisfied_by(&t));
-        assert!(!Condition::from_atoms([Atom::eq_const(a(0), "y")]).satisfied_by(&t));
-        assert!(Condition::from_atoms([Atom::ne_const(a(1), 6)]).satisfied_by(&t));
-        assert!(!Condition::from_atoms([Atom::ne_const(a(1), 5)]).satisfied_by(&t));
+        assert!(holds([Atom::eq_const(a(0), "x")], &t));
+        assert!(!holds([Atom::eq_const(a(0), "y")], &t));
+        assert!(holds([Atom::ne_const(a(1), 6)], &t));
+        assert!(!holds([Atom::ne_const(a(1), 5)], &t));
         // Missing attribute: never satisfied.
-        assert!(!Condition::from_atoms([Atom::eq_const(a(9), 0)]).satisfied_by(&t));
-        assert!(!Condition::from_atoms([Atom::ne_const(a(9), 0)]).satisfied_by(&t));
+        assert!(!holds([Atom::eq_const(a(9), 0)], &t));
+        assert!(!holds([Atom::ne_const(a(9), 0)], &t));
     }
 
     #[test]
@@ -396,7 +451,7 @@ mod tests {
             Atom::ne_const(a(0), 3),
             Atom::eq_const(a(1), "v"),
         ]);
-        let m = c.value_map();
+        let m = ground(&c).value_map();
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(a(0)), Some(&Value::int(1)));
         assert_eq!(m.get(a(1)), Some(&Value::str("v")));

@@ -77,7 +77,7 @@
 //! which value a keyless entry stands for.
 
 use crate::bitset::ClassSet;
-use crate::condition::{CmpOp, Condition, Term};
+use crate::condition::{Bound, CmpOp};
 use crate::error::ModelError;
 use crate::ids::{AttrId, ClassId, DenseId, Oid};
 use crate::schema::Schema;
@@ -685,17 +685,22 @@ impl Instance {
     }
 
     /// `Sat(Γ, d, P)` — the objects of `o(P)` whose tuples satisfy the
-    /// **ground** condition `Γ` (Section 2), in `<ₒ` order.
+    /// condition `Γ` (Section 2), in `<ₒ` order. `gamma` is a ground
+    /// `&Condition` or a condition read under an assignment
+    /// ([`Condition::bind`](crate::Condition::bind)), whose variables are
+    /// resolved in place.
     ///
     /// Planned from the condition: the driver is the most selective of
     /// the indexed equality atoms and the class index; the remaining
     /// atoms (and class membership, when driving from a value entry) are
     /// verified per candidate. The heap is never scanned. Semantically
-    /// identical to [`Instance::sat_scan`].
+    /// identical to [`Instance::sat_scan`]. A point select's one match
+    /// comes back inline ([`Matches`]), with no allocation.
     #[must_use]
-    pub fn sat(&self, p: ClassId, gamma: &Condition) -> Vec<Oid> {
+    pub fn sat<'g>(&self, p: ClassId, gamma: impl Into<Bound<'g>>) -> Matches {
+        let gamma = gamma.into();
         match self.plan(p, gamma) {
-            SatPlan::Empty => Vec::new(),
+            SatPlan::Empty => Matches::default(),
             SatPlan::ValueEntry(holders) => holders
                 .iter()
                 .filter(|&o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma))
@@ -709,7 +714,8 @@ impl Instance {
     /// Whether `Sat(Γ, d, P)` is non-empty — same planner as
     /// [`Instance::sat`] with early exit, for guard-literal evaluation.
     #[must_use]
-    pub fn sat_exists(&self, p: ClassId, gamma: &Condition) -> bool {
+    pub fn sat_exists<'g>(&self, p: ClassId, gamma: impl Into<Bound<'g>>) -> bool {
+        let gamma = gamma.into();
         match self.plan(p, gamma) {
             SatPlan::Empty => false,
             SatPlan::ValueEntry(holders) => holders
@@ -723,7 +729,8 @@ impl Instance {
     /// kept as the semantic oracle for the index-backed [`Instance::sat`]
     /// (property tests) and as the benchmark baseline.
     #[must_use]
-    pub fn sat_scan(&self, p: ClassId, gamma: &Condition) -> Vec<Oid> {
+    pub fn sat_scan<'g>(&self, p: ClassId, gamma: impl Into<Bound<'g>>) -> Vec<Oid> {
+        let gamma = gamma.into();
         self.entries()
             .filter(|(_, cs, t)| cs.contains(p) && gamma.satisfied_by(t))
             .map(|(o, _, _)| o)
@@ -731,15 +738,14 @@ impl Instance {
     }
 
     /// Choose the cheapest driver for `Sat(Γ, d, P)`.
-    fn plan<'s>(&'s self, p: ClassId, gamma: &Condition) -> SatPlan<'s> {
+    fn plan(&self, p: ClassId, gamma: Bound<'_>) -> SatPlan<'_> {
         let class_entry = self.index.classes.get(p.index());
-        let mut best: Option<&'s Holders> = None;
-        for atom in gamma.atoms() {
-            if atom.op != CmpOp::Eq {
+        let mut best: Option<&Holders> = None;
+        for (attr, op, v) in gamma.atoms() {
+            if op != CmpOp::Eq {
                 continue;
             }
-            let Term::Const(v) = &atom.term else { continue };
-            match self.index.holders(&self.heap, atom.attr, v) {
+            match self.index.holders(&self.heap, attr, v) {
                 // An equality atom nobody satisfies: Sat is empty, full stop.
                 None => return SatPlan::Empty,
                 Some(holders) => {
@@ -767,8 +773,8 @@ impl Instance {
         }
     }
 
-    /// Whether occurring object `o`'s tuple satisfies ground `gamma`.
-    fn member_satisfies(&self, o: Oid, gamma: &Condition) -> bool {
+    /// Whether occurring object `o`'s tuple satisfies `gamma`.
+    fn member_satisfies(&self, o: Oid, gamma: Bound<'_>) -> bool {
         gamma.satisfied_by(self.tuple_ref(o).unwrap_or(&Tuple::default()))
     }
 
@@ -1266,10 +1272,56 @@ enum SatPlan<'s> {
     ClassEntry(&'s Members),
 }
 
+/// The objects [`Instance::sat`] selects, ascending by oid (derefs to
+/// the slice). One match — a select by key — is held inline, with no
+/// allocation; any other count is one vector, which never holds
+/// exactly one oid.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Matches(MatchesRepr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum MatchesRepr {
+    One(Oid),
+    /// No oid, or at least two.
+    Many(Vec<Oid>),
+}
+
+impl Default for Matches {
+    fn default() -> Self {
+        Matches(MatchesRepr::Many(Vec::new()))
+    }
+}
+
+impl std::ops::Deref for Matches {
+    type Target = [Oid];
+
+    fn deref(&self) -> &[Oid] {
+        match &self.0 {
+            MatchesRepr::One(o) => std::slice::from_ref(o),
+            MatchesRepr::Many(oids) => oids,
+        }
+    }
+}
+
+impl FromIterator<Oid> for Matches {
+    fn from_iter<I: IntoIterator<Item = Oid>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else { return Matches::default() };
+        let Some(second) = iter.next() else { return Matches(MatchesRepr::One(first)) };
+        Matches(MatchesRepr::Many([first, second].into_iter().chain(iter).collect()))
+    }
+}
+
+impl std::fmt::Debug for Matches {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::Atom;
+    use crate::condition::{Atom, Condition};
     use crate::schema::university_schema;
     use std::collections::BTreeMap;
 
@@ -1333,9 +1385,9 @@ mod tests {
         let person = schema.class_id("PERSON").unwrap();
         let ssn = schema.attr_id("SSN").unwrap();
         let g = Condition::from_atoms([Atom::eq_const(ssn, "1234")]);
-        assert_eq!(db.sat(person, &g), vec![Oid(1)]);
+        assert_eq!(*db.sat(person, &g), [Oid(1)]);
         let g2 = Condition::from_atoms([Atom::ne_const(ssn, "1234")]);
-        assert_eq!(db.sat(person, &g2), vec![Oid(2)]);
+        assert_eq!(*db.sat(person, &g2), [Oid(2)]);
         assert_eq!(db.sat(person, &Condition::empty()).len(), 2);
         // No students yet.
         let student = schema.class_id("STUDENT").unwrap();
@@ -1366,7 +1418,7 @@ mod tests {
         ];
         for p in [person, student] {
             for g in &conds {
-                assert_eq!(db.sat(p, g), db.sat_scan(p, g), "sat vs scan on {g:?}");
+                assert_eq!(*db.sat(p, g), db.sat_scan(p, g), "sat vs scan on {g:?}");
                 assert_eq!(db.sat_exists(p, g), !db.sat_scan(p, g).is_empty());
             }
         }
@@ -1496,8 +1548,8 @@ mod tests {
         let ssn = schema.attr_id("SSN").unwrap();
         assert_eq!(rebuilt.objects_in(person).count(), 2);
         assert_eq!(
-            rebuilt.sat(person, &Condition::from_atoms([Atom::eq_const(ssn, "1234")])),
-            vec![Oid(1)]
+            *rebuilt.sat(person, &Condition::from_atoms([Atom::eq_const(ssn, "1234")])),
+            [Oid(1)]
         );
     }
 
@@ -1517,8 +1569,8 @@ mod tests {
         db.check_invariants(&schema).unwrap();
         assert_eq!(db.num_objects_with(ssn, &Value::str("1234")), 0, "old value de-indexed");
         assert_eq!(
-            db.sat(person, &Condition::from_atoms([Atom::eq_const(ssn, "9999")])),
-            vec![Oid(1)]
+            *db.sat(person, &Condition::from_atoms([Atom::eq_const(ssn, "9999")])),
+            [Oid(1)]
         );
     }
 
@@ -1659,8 +1711,8 @@ mod tests {
         assert_eq!(loaded.num_objects_with(major, &Value::str("CS")), 1);
         let ssn = schema.attr_id("SSN").unwrap();
         assert_eq!(
-            loaded.sat(student, &Condition::from_atoms([Atom::eq_const(ssn, "2345")])),
-            vec![Oid(2)]
+            *loaded.sat(student, &Condition::from_atoms([Atom::eq_const(ssn, "2345")])),
+            [Oid(2)]
         );
         // Canonical: re-encoding the decoded instance is byte-identical.
         let mut again = Vec::new();
@@ -1780,13 +1832,13 @@ mod tests {
         assert_eq!(holders(&db, "John"), Some(true), "three holders share a set");
         db.check_invariants(&schema).unwrap();
         let by_name = Condition::from_atoms([Atom::eq_const(name, "John")]);
-        assert_eq!(db.sat(person, &by_name), vec![Oid(1), shared[0], shared[1]]);
+        assert_eq!(*db.sat(person, &by_name), [Oid(1), shared[0], shared[1]]);
         db.delete_object(Oid(1));
         db.set_values(shared[1], [(name, Value::str("Jim"))]);
         assert_eq!(holders(&db, "John"), Some(false), "back inline at one");
         assert_eq!(holders(&db, "Jim"), Some(true));
         db.check_invariants(&schema).unwrap();
-        assert_eq!(db.sat(person, &by_name), vec![shared[0]]);
+        assert_eq!(*db.sat(person, &by_name), [shared[0]]);
         db.delete_object(shared[0]);
         assert_eq!(holders(&db, "John"), None, "the entry goes with its last holder");
         db.check_invariants(&schema).unwrap();

@@ -79,10 +79,10 @@ pub mod tuple;
 pub mod value;
 
 pub use bitset::{AttrSet, ClassSet, IdSet};
-pub use condition::{Atom, CmpOp, Condition, Term};
+pub use condition::{Atom, Bound, CmpOp, Condition, Term};
 pub use error::ModelError;
 pub use ids::{AttrId, ClassId, Oid, VarId};
-pub use instance::Instance;
+pub use instance::{Instance, Matches};
 pub use roleset::RoleSet;
 pub use schema::{Schema, SchemaBuilder};
 pub use tuple::Tuple;

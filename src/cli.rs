@@ -18,7 +18,7 @@ use migratory_core::{
 use migratory_lang::pretty::transaction_to_text;
 use migratory_lang::{parse_transactions, Assignment};
 use migratory_model::text::parse_schema;
-use migratory_model::{Schema, Value};
+use migratory_model::Schema;
 
 /// Usage text for the binary and the `help` subcommand.
 pub const USAGE: &str = "\
@@ -137,7 +137,62 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(Flags { positional, named })
 }
 
+/// The flags each subcommand reads. Any other flag is refused by name,
+/// so a misspelled or renamed one (`--checkpoint-every`, since renamed
+/// `--checkpoint-bytes`) fails at once instead of leaving a default in
+/// force.
+fn known_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "families" => &["component"],
+        "decide" => &["component", "inventory", "kind"],
+        "synthesize" => &["component", "inventory", "lazy"],
+        "enforce" => &["component", "inventory", "kind", "script"],
+        "serve" => &[
+            "component",
+            "inventory",
+            "kind",
+            "policy",
+            "addr",
+            "shards",
+            "queue",
+            "max-block",
+            "durable",
+            "recover",
+            "fsync",
+            "checkpoint-bytes",
+            "retries",
+            "retry-backoff-ms",
+            "inject",
+            "idle-timeout",
+            "max-conn-bytes",
+            "max-conn-ops",
+            "max-connections",
+            "io-threads",
+            "auth",
+            "repl-addr",
+            "replica-of",
+            "ack",
+            "ack-timeout-ms",
+        ],
+        "client" => &["addr", "auth", "script", "binary", "shutdown"],
+        "promote" => &["addr", "auth"],
+        _ => &[],
+    }
+}
+
 impl Flags {
+    /// Refuse the first flag `migctl cmd` does not read.
+    fn check(&self, cmd: &str) -> Result<(), String> {
+        let known = known_flags(cmd);
+        match self.named.iter().find(|(name, _)| !known.contains(&name.as_str())) {
+            None => Ok(()),
+            Some((name, _)) => Err(format!(
+                "unknown flag --{name} for `migctl {cmd}` (it takes --{})",
+                known.join(", --")
+            )),
+        }
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.named.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
@@ -260,7 +315,7 @@ pub fn cmd_synthesize(schema_src: &str, flags: &Flags) -> Result<String, String>
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScriptLine {
     /// `Name(args…)`: invoke the named transaction.
-    Invoke(String, Vec<Value>),
+    Invoke(String, Assignment),
     /// `redefine <quarantine|certify-and-reset> <inventory regex>`:
     /// swap the constraint inventory at this point of the script.
     Redefine(ResiduePolicy, String),
@@ -348,7 +403,7 @@ pub fn cmd_enforce(
         };
         invoked += 1;
         let t = ts.get(name).ok_or_else(|| format!("unknown transaction `{name}`"))?;
-        match m.try_apply(t, &Assignment::new(args.clone())) {
+        match m.try_apply(t, args) {
             Ok(()) => out.push_str(&format!("✓ {name}\n")),
             Err(EnforceError::Violation(v)) => {
                 rejected += 1;
@@ -769,7 +824,7 @@ pub fn cmd_client(flags: &Flags, script: Option<&str>) -> Result<String, String>
                 }
                 _ if binary => {
                     let (name, args) = net::parse_invocation(l).map_err(err)?;
-                    net::frame::encode_invoke_frame(&mut bytes, name, &args);
+                    net::frame::encode_invoke_frame(&mut bytes, name, args.as_slice());
                     expects.push(Expect::Frame);
                 }
                 _ => {
@@ -877,6 +932,9 @@ pub fn dispatch(
     let pos = |i: usize, what: &str| -> Result<String, String> {
         flags.positional.get(i).cloned().ok_or_else(|| format!("missing {what}\n\n{USAGE}"))
     };
+    if !known_flags(cmd).is_empty() {
+        flags.check(cmd)?;
+    }
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         "families" => {
@@ -920,6 +978,7 @@ pub fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use migratory_model::Value;
 
     const SCHEMA: &str = r"
         schema Uni {
@@ -993,9 +1052,10 @@ mod tests {
         "#;
         let parsed = parse_script(script).unwrap();
         assert_eq!(parsed.len(), 4);
-        assert_eq!(parsed[0], ScriptLine::Invoke("Mk".to_owned(), vec![Value::int(1)]));
-        assert_eq!(parsed[1], ScriptLine::Invoke("Mk".to_owned(), vec![Value::str("two words")]));
-        assert_eq!(parsed[3], ScriptLine::Invoke("Rm".to_owned(), vec![Value::str("notanumber")]));
+        let invoke = |name: &str, v| ScriptLine::Invoke(name.to_owned(), Assignment::new(vec![v]));
+        assert_eq!(parsed[0], invoke("Mk", Value::int(1)));
+        assert_eq!(parsed[1], invoke("Mk", Value::str("two words")));
+        assert_eq!(parsed[3], invoke("Rm", Value::str("notanumber")));
         assert!(parse_script("Mk 1").is_err());
         assert!(parse_script("(1)").is_err());
     }
@@ -1128,6 +1188,61 @@ mod tests {
         assert_eq!(f.policy().unwrap(), StepPolicy::EveryApplication);
         let f = flags(&[("policy", "changing")]);
         assert_eq!(f.policy().unwrap(), StepPolicy::OnlyChanging);
+    }
+
+    /// A flag the subcommand does not read is refused by name — the old
+    /// `--checkpoint-every` spelling of `--checkpoint-bytes` no longer
+    /// starts a server at the default cadence — while every flag the CI
+    /// smoke jobs and the benchmark harness pass is still read.
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_refused_by_name() {
+        let files = |name: &str| -> Result<String, String> {
+            match name {
+                "s.mig" => Ok(SCHEMA.to_owned()),
+                "t.sl" => Ok(TX.to_owned()),
+                other => Err(format!("no such file {other}")),
+            }
+        };
+        let args = |extra: &[&str]| -> Vec<String> {
+            ["serve", "s.mig", "t.sl", "--inventory", "∅* [PERSON]* ∅*"]
+                .iter()
+                .chain(extra)
+                .map(|a| (*a).to_owned())
+                .collect()
+        };
+        let err =
+            dispatch(&args(&["--durable", "w3", "--checkpoint-every", "4"]), &files).unwrap_err();
+        assert!(err.starts_with("unknown flag --checkpoint-every for `migctl serve`"), "{err}");
+        assert!(err.contains("--checkpoint-bytes"), "{err}");
+        let err = dispatch(&args(&["--recover", "--durable"]), &files).unwrap_err();
+        assert_eq!(err, "flag --durable needs a value");
+        // Each subcommand reads its own flags only.
+        let err =
+            dispatch(&["families".into(), "s.mig".into(), "--script".into(), "x".into()], &files)
+                .unwrap_err();
+        assert!(err.starts_with("unknown flag --script for `migctl families`"), "{err}");
+        let serve = flags(&[
+            ("inventory", "i"),
+            ("addr", "a"),
+            ("shards", "2"),
+            ("durable", "d"),
+            ("checkpoint-bytes", "128"),
+            ("recover", "true"),
+            ("fsync", "batch"),
+            ("inject", "append@1"),
+            ("max-block", "1"),
+            ("retries", "1"),
+            ("retry-backoff-ms", "1"),
+            ("repl-addr", "a"),
+            ("replica-of", "a"),
+            ("ack", "replica-1"),
+            ("ack-timeout-ms", "1"),
+        ]);
+        serve.check("serve").unwrap();
+        let client =
+            flags(&[("addr", "a"), ("script", "s"), ("binary", "true"), ("shutdown", "true")]);
+        client.check("client").unwrap();
+        flags(&[("addr", "a")]).check("promote").unwrap();
     }
 
     #[test]

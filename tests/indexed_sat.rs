@@ -12,7 +12,8 @@ use migratory::lang::{
 };
 use migratory::model::codec::Reader;
 use migratory::model::{
-    Atom, AttrId, ClassId, Condition, Instance, Oid, Schema, SchemaBuilder, Value,
+    Atom, AttrId, Bound, ClassId, Condition, Instance, Oid, Schema, SchemaBuilder, Term, Value,
+    VarId,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -151,9 +152,9 @@ fn random_mutation(
 
 /// The naive literal oracle: a full scan over the heap.
 fn literal_oracle(db: &Instance, l: &Literal) -> bool {
-    let witness = db
-        .objects()
-        .any(|o| db.role_set(o).contains(l.class) && l.gamma.satisfied_by(&db.tuple_of(o)));
+    let witness = db.objects().any(|o| {
+        db.role_set(o).contains(l.class) && Bound::from(&l.gamma).satisfied_by(&db.tuple_of(o))
+    });
     witness == l.positive
 }
 
@@ -171,8 +172,21 @@ fn assert_sat_agrees(
         let gamma = random_condition(rng, schema, pool);
         let planned = db.sat(p, &gamma);
         let scanned = db.sat_scan(p, &gamma);
-        assert_eq!(planned, scanned, "sat({p}, {gamma:?}) diverged from the scan oracle");
+        assert_eq!(*planned, scanned, "sat({p}, {gamma:?}) diverged from the scan oracle");
         assert_eq!(db.sat_exists(p, &gamma), !scanned.is_empty(), "sat_exists({p}, {gamma:?})");
+        // The same condition with every constant lifted to a variable,
+        // read under the assignment that binds it back: `Γ[α]` is
+        // planned and verified in place, never built.
+        let args: Vec<Value> =
+            gamma.atoms().map(|at| at.term.as_const().unwrap().clone()).collect();
+        let lifted = Condition::from_atoms(
+            gamma
+                .atoms()
+                .enumerate()
+                .map(|(i, at)| Atom { term: Term::Var(VarId(i as u32)), ..at.clone() }),
+        );
+        assert_eq!(*db.sat(p, lifted.bind(&args)), scanned, "sat({p}, {lifted:?}[{args:?}])");
+        assert_eq!(db.sat_exists(p, lifted.bind(&args)), !scanned.is_empty());
         for positive in [true, false] {
             let l = if positive {
                 Literal::pos(p, gamma.clone())
@@ -180,7 +194,7 @@ fn assert_sat_agrees(
                 Literal::neg(p, gamma.clone())
             };
             assert_eq!(
-                satisfies_literal(db, &l),
+                satisfies_literal(db, &l, &Assignment::empty()),
                 literal_oracle(db, &l),
                 "literal {positive} {p} {gamma:?}"
             );
