@@ -42,6 +42,8 @@ USAGE:
   migctl promote    [--addr HOST:PORT] [--auth TOKEN]
   migctl help
 
+  Each subcommand takes the flags shown on its lines and refuses any other.
+
   <schema>        a `schema Name { class … }` file
   <transactions>  a `transaction Name(params) { … }` file (SL or CSL)
   <regex>         paper notation over role sets, e.g. \"∅* [PERSON]* [STUDENT]* ∅*\"
