@@ -68,10 +68,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, TryReserveError, VecDeque};
 use std::ops::Range;
 
 /// One touch of a staged block: the object, the 1-based shard-local
-/// index of the letter that touches it, and its change. A shard's
-/// touches are stably sorted by oid, so each object's touches form one
-/// run, in letter order.
-pub(crate) type Touch<'d> = (Oid, usize, &'d ObjectDelta);
+/// index of the letter that touches it, and where its change is — the
+/// index of the block's delta and the object's index within it. A
+/// shard's touches are stably sorted by oid, so each object's touches
+/// form one run, in letter order. Indices, not a reference, so the
+/// lists outlive a block and keep their capacity.
+pub(crate) type Touch = (Oid, usize, u32, u32);
 
 /// The always-present cohort of exempt objects (never stepped, never
 /// checked).
@@ -470,17 +472,20 @@ impl DeltaState {
     /// this partition's [`Touch`]es, sorted by oid: each object's run
     /// of `(local letter index, change)` pairs, where local indices are
     /// 1-based positions among the `k` letters *this partition* reads.
-    /// Read-only; returns `Err(())` on the first
-    /// violation (callers locate the violating letter and diagnose it
-    /// with [`diagnose_step`]) and the staged changes to
-    /// [`commit_batch`](Self::commit_batch) otherwise.
+    /// `deltas` holds the changes the touches index. Read-only but for
+    /// `stage`, whose buffers it refills (they keep their capacity);
+    /// returns `Err(())` on the first violation (callers locate the
+    /// violating letter and diagnose it with [`diagnose_step`]) and
+    /// leaves the staged changes for
+    /// [`commit_batch`](Self::commit_batch) in `stage` otherwise.
     pub(crate) fn stage_batch(
         &self,
         ctx: &BatchCtx<'_>,
         records: &Records,
         k: usize,
-        touched: &[Touch<'_>],
-    ) -> Result<BatchStage, ()> {
+        (touched, deltas): (&[Touch], &[Delta]),
+        stage: &mut BatchStage,
+    ) -> Result<(), ()> {
         let dfa = ctx.dfa;
         let empty = ctx.alphabet.empty_symbol();
         // The never-created objects of this partition read one ∅ per
@@ -489,10 +494,9 @@ impl DeltaState {
             dfa,
             empty,
             ctx.kind,
-            self.pre_state,
-            self.pre_exempt,
-            self.steps,
+            (self.pre_state, self.pre_exempt, self.steps),
             k,
+            &mut stage.pre_trace,
         );
         if pre.violation_at.is_some() {
             return Err(());
@@ -503,12 +507,14 @@ impl DeltaState {
         // has global step index ≥ 2 for every batch step (records imply
         // at least one committed letter), so the whole table folds.
         let fold_all = matches!(ctx.kind, PatternKind::Proper | PatternKind::Lazy);
-        let mut moves: Vec<BatchMove> = Vec::with_capacity(touched.len());
+        let BatchStage { moves, segments, leaving, advanced, emptied, pre_trace, .. } = stage;
+        moves.clear();
         // Every chain's new segments, in move order; a touch adds at
         // most one.
-        let mut segments: Vec<(u32, usize)> = Vec::with_capacity(touched.len());
+        segments.clear();
         // Members leaving each root cohort, by cohort slot.
-        let mut leaving = vec![0usize; self.cohorts.len()];
+        leaving.clear();
+        leaving.resize(self.cohorts.len(), 0);
 
         for run in touched.chunk_by(|a, b| a.0 == b.0) {
             let oid = run[0].0;
@@ -528,7 +534,8 @@ impl DeltaState {
             if let Some(ch) = &chain {
                 leaving[ch.start_root as usize] += 1;
             }
-            for &(_, j, od) in run {
+            for &(_, j, d, o) in run {
+                let od = &deltas[d as usize].objects()[o as usize];
                 let idx = steps0 + j;
                 let after_sym = match od.after_classes() {
                     Some(cs) => classes_symbol(ctx.schema, ctx.alphabet, cs),
@@ -539,7 +546,7 @@ impl DeltaState {
                         // Created at effective step j: starts from the
                         // never-created class's state before that step.
                         debug_assert!(od.created(), "untracked touched object must be a creation");
-                        let (pre_state, pre_exempt) = pre.trace[j - 1];
+                        let (pre_state, pre_exempt) = pre_trace[j - 1];
                         let exempt = match ctx.kind {
                             PatternKind::All => false,
                             PatternKind::ImmediateStart => idx > 1,
@@ -625,8 +632,8 @@ impl DeltaState {
         }
 
         // One sweep over the untouched cohort remainders.
-        let mut advanced: Vec<(u32, u32)> = Vec::new();
-        let mut emptied: Vec<u32> = Vec::new();
+        advanced.clear();
+        emptied.clear();
         for (&(cstate, role), &root) in &self.by_key {
             let remaining = self.cohorts[root as usize].size - leaving[root as usize];
             if remaining == 0 {
@@ -645,29 +652,24 @@ impl DeltaState {
             advanced.push((root, st));
         }
 
-        Ok(BatchStage {
-            touched: moves.len(),
-            moves,
-            segments,
-            leaving,
-            advanced,
-            emptied,
-            fold_all,
-            k,
-            pre_state: pre.state,
-            pre_exempt: pre.exempt,
-        })
+        stage.touched = stage.moves.len();
+        stage.fold_all = fold_all;
+        stage.k = k;
+        stage.pre_state = pre.state;
+        stage.pre_exempt = pre.exempt;
+        Ok(())
     }
 
     /// Write a staged batch: debit leavers, advance or fold the untouched
     /// cohorts, place every touched object in `records`, and advance this
     /// partition's letter clock by the staged `k` (a single application's
-    /// commit is the `k = 1` case).
-    pub(crate) fn commit_batch(&mut self, records: &mut Records, stage: BatchStage) {
+    /// commit is the `k = 1` case). `stage`'s buffers are left for the
+    /// next [`stage_batch`](Self::stage_batch).
+    pub(crate) fn commit_batch(&mut self, records: &mut Records, stage: &mut BatchStage) {
         let BatchStage {
             moves,
             segments,
-            mut leaving,
+            leaving,
             advanced,
             emptied,
             fold_all,
@@ -675,11 +677,13 @@ impl DeltaState {
             k,
             pre_state,
             pre_exempt,
+            ..
         } = stage;
-        self.last_touched = touched;
+        let (fold_all, k) = (*fold_all, *k);
+        self.last_touched = *touched;
         self.steps += k;
-        self.pre_state = pre_state;
-        self.pre_exempt = pre_exempt;
+        self.pre_state = *pre_state;
+        self.pre_exempt = *pre_exempt;
         if fold_all {
             // Every untouched object becomes exempt: fold all non-exempt
             // cohorts into the sink, recycling slots nobody routes
@@ -699,12 +703,25 @@ impl DeltaState {
             // their moves below re-target them, so debit now.
             debug_assert!(leaving.iter().enumerate().all(|(c, &n)| n == 0 || c == EXEMPT as usize));
             self.cohorts[EXEMPT as usize].size -= leaving[EXEMPT as usize];
+        } else if advanced.iter().all(|&(root, st)| self.cohorts[root as usize].state == st) {
+            // No key moved (every surviving cohort's state is a fixed
+            // point of its role): the table stays, less the emptied
+            // cohorts' keys — what the rebuild below would make of it.
+            for (cohort, &n) in self.cohorts.iter_mut().zip(leaving.iter()) {
+                cohort.size -= n;
+            }
+            for &root in emptied.iter() {
+                let c = &self.cohorts[root as usize];
+                debug_assert_eq!(c.size, 0);
+                self.by_key.remove(&(c.state, c.last_role));
+                self.free.push(root);
+            }
         } else {
-            for (cohort, &n) in self.cohorts.iter_mut().zip(&leaving) {
+            for (cohort, &n) in self.cohorts.iter_mut().zip(leaving.iter()) {
                 cohort.size -= n;
             }
             let mut new_keys: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-            for &(root, new_state) in &advanced {
+            for &(root, new_state) in advanced.iter() {
                 let role = self.cohorts[root as usize].last_role;
                 self.cohorts[root as usize].state = new_state;
                 match new_keys.entry((new_state, role)) {
@@ -722,12 +739,12 @@ impl DeltaState {
                 }
             }
             self.by_key = new_keys;
-            for &root in &emptied {
+            for &root in emptied.iter() {
                 debug_assert_eq!(self.cohorts[root as usize].size, 0);
                 self.free.push(root);
             }
         }
-        for mv in moves {
+        for mv in moves.drain(..) {
             match mv {
                 BatchMove::Insert { oid, segments: new, target } => {
                     let c = self.cohort_for(target);
@@ -966,9 +983,6 @@ pub(crate) fn tracked(od: &ObjectDelta) -> bool {
 /// and WAL replay, which must agree exactly (recovery is byte-identical
 /// only if replay re-derives the same trace admission used).
 pub(crate) struct PreWalk {
-    /// `(state, exempt)` *before* each batch step `1..=k`, indexed by
-    /// the partition-local letter.
-    pub(crate) trace: Vec<(u32, bool)>,
     /// DFA state after the walk.
     pub(crate) state: u32,
     /// Exemption after the walk.
@@ -978,16 +992,18 @@ pub(crate) struct PreWalk {
     pub(crate) violation_at: Option<usize>,
 }
 
+/// The walk from `(state, exempt)` at clock `steps0`; `trace` is refilled
+/// with the `(state, exempt)` *before* each batch step `1..=k`, indexed
+/// by the partition-local letter.
 pub(crate) fn never_created_walk(
     dfa: &Dfa,
     empty: u32,
     kind: PatternKind,
-    state0: u32,
-    exempt0: bool,
-    steps0: usize,
+    (state0, exempt0, steps0): (u32, bool, usize),
     k: usize,
+    trace: &mut Vec<(u32, bool)>,
 ) -> PreWalk {
-    let mut trace = Vec::with_capacity(k);
+    trace.clear();
     let (mut state, mut exempt) = (state0, exempt0);
     for j in 1..=k {
         let idx = steps0 + j;
@@ -998,10 +1014,10 @@ pub(crate) fn never_created_walk(
         }
         state = dfa.step(state, empty);
         if !exempt && !dfa.is_accepting(state) {
-            return PreWalk { trace, state, exempt, violation_at: Some(j) };
+            return PreWalk { state, exempt, violation_at: Some(j) };
         }
     }
-    PreWalk { trace, state, exempt, violation_at: None }
+    PreWalk { state, exempt, violation_at: None }
 }
 
 /// Immutable context of one staged batch, shared by every shard. Clock
@@ -1014,7 +1030,9 @@ pub(crate) struct BatchCtx<'a> {
     pub(crate) kind: PatternKind,
 }
 
-/// The staged outcome of [`DeltaState::stage_batch`].
+/// The staged outcome of [`DeltaState::stage_batch`], whose buffers a
+/// partition reuses from block to block.
+#[derive(Default)]
 pub(crate) struct BatchStage {
     moves: Vec<BatchMove>,
     /// The new segments of every move, each move's a contiguous range.
@@ -1031,6 +1049,8 @@ pub(crate) struct BatchStage {
     /// Never-created walk endpoint, written back on commit.
     pre_state: u32,
     pre_exempt: bool,
+    /// The never-created walk's trace, staging's scratch.
+    pre_trace: Vec<(u32, bool)>,
 }
 
 /// Final placement of one touched object after a staged batch. A
@@ -1097,8 +1117,8 @@ pub(crate) fn diagnose_step(
 
     // The reference engine checks the never-created class first.
     for st in reading() {
-        let pre =
-            never_created_walk(p.dfa, empty, p.kind, st.pre_state, st.pre_exempt, st.steps, 1);
+        let state0 = (st.pre_state, st.pre_exempt, st.steps);
+        let pre = never_created_walk(p.dfa, empty, p.kind, state0, 1, &mut Vec::new());
         if pre.violation_at.is_some() {
             return Violation {
                 oid: None,

@@ -95,15 +95,39 @@ use migratory_lang::{
 use migratory_model::{Instance, Oid, Schema};
 use std::sync::PoisonError;
 
-/// An effective block staged read-only on every participating shard:
-/// the half of admission that decides, handed to
-/// [`ShardedMonitor::commit_staged`] to log and write.
-struct StagedBlock {
-    /// Per shard, the indices of the block's deltas it reads as
-    /// letters (empty: the shard does not participate).
+/// The buffers a block's admission (and a logged block's replay)
+/// works in, kept from block to block with their capacity, so the
+/// bookkeeping of a block allocates nothing once they reached their
+/// steady size. Empty between blocks: not part of the monitor's state,
+/// and a clone starts with none.
+#[derive(Default)]
+struct Scratch {
+    /// The block's change-sets, in application order.
+    deltas: Vec<Delta>,
+    /// Each change-set's fallback shard (see
+    /// [`ShardedMonitor::fallback_shard`]).
+    fallback: Vec<usize>,
+    /// The block's letters: indices into `deltas` of the change-sets
+    /// that bear one, in order.
+    effective: Vec<u32>,
+    /// Per shard, the letters it reads, as indices into `effective`
+    /// (empty: the shard does not participate).
     letters: Vec<Vec<u32>>,
+    /// Per shard, its touches, sorted by oid.
+    touched: Vec<Vec<Touch>>,
     /// Per shard, its staged tracking changes.
-    stages: Vec<Option<BatchStage>>,
+    stages: Vec<BatchStage>,
+    /// The participating shards' letters, as the block's record names
+    /// them.
+    shard_letters: Vec<ShardLetters>,
+    /// Replay's map from (shard, delta) to the shard-local letter.
+    local: Vec<usize>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
 }
 
 /// How objects are assigned to shards.
@@ -205,6 +229,7 @@ pub struct ShardedMonitor<'a> {
     /// Shard 0's clock when certification took effect — the horizon at
     /// which tracking froze.
     certified_at: Option<usize>,
+    scratch: Scratch,
 }
 
 impl<'a> ShardedMonitor<'a> {
@@ -254,6 +279,7 @@ impl<'a> ShardedMonitor<'a> {
             sink: None,
             certified: false,
             certified_at: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -444,19 +470,23 @@ impl<'a> ShardedMonitor<'a> {
 
     /// Apply each `t[args]` in order to the database, stopping at the
     /// first transaction that fails to apply (it leaves the database
-    /// untouched), and return the exact change-sets of those applied.
-    fn apply_deltas(
+    /// untouched), and push the exact change-sets of those applied, with
+    /// their fallback shards, to `sc`.
+    fn apply_deltas<'t>(
         &mut self,
-        items: &[(&Transaction, &Assignment)],
-    ) -> (Vec<Delta>, Option<EnforceError>) {
-        let mut deltas = Vec::with_capacity(items.len());
-        for (t, args) in items {
+        sc: &mut Scratch,
+        batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
+    ) -> Option<EnforceError> {
+        for (t, args) in batch {
             match apply_transaction_delta(self.schema, &mut self.db, t, args) {
-                Ok(d) => deltas.push(d),
-                Err(e) => return (deltas, Some(e.into())),
+                Ok(d) => {
+                    sc.deltas.push(d);
+                    sc.fallback.push(self.fallback_shard(t));
+                }
+                Err(e) => return Some(e.into()),
             }
         }
-        (deltas, None)
+        None
     }
 
     /// Apply a whole sequence one by one, stopping at the first
@@ -490,49 +520,63 @@ impl<'a> ShardedMonitor<'a> {
         &mut self,
         batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
     ) -> (usize, Option<EnforceError>) {
-        let items: Vec<(&Transaction, &Assignment)> = batch.into_iter().collect();
-        if self.certified {
-            return self.apply_certified(&items);
-        }
+        let mut sc = std::mem::take(&mut self.scratch);
+        let out = if self.certified {
+            self.apply_certified(&mut sc, batch)
+        } else {
+            self.admit_block(&mut sc, batch)
+        };
+        sc.deltas.clear();
+        sc.fallback.clear();
+        sc.effective.clear();
+        self.scratch = sc;
+        out
+    }
+
+    /// [`Self::try_apply_batch`] on a monitor that checks, in `sc`.
+    fn admit_block<'t>(
+        &mut self,
+        sc: &mut Scratch,
+        batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
+    ) -> (usize, Option<EnforceError>) {
         // Optimistic in-place application; a failing transaction leaves
         // the database untouched, so the applied prefix stays validatable.
-        let (deltas, lang_err) = self.apply_deltas(&items);
-        let applied = deltas.len();
-        // (delta index, fallback shard, delta) of every letter-bearing
-        // application.
-        let indexed: Vec<(usize, usize, &Delta)> = deltas
-            .iter()
-            .zip(&items)
-            .enumerate()
-            .filter(|(_, (d, _))| !(self.policy == StepPolicy::OnlyChanging && d.is_identity()))
-            .map(|(i, (d, (t, _)))| (i, self.fallback_shard(t), d))
-            .collect();
-        let effective: Vec<(usize, &Delta)> = indexed.iter().map(|&(_, f, d)| (f, d)).collect();
-        if effective.is_empty() {
+        let lang_err = self.apply_deltas(sc, batch);
+        let applied = sc.deltas.len();
+        for (i, d) in sc.deltas.iter().enumerate() {
+            if !(self.policy == StepPolicy::OnlyChanging && d.is_identity()) {
+                sc.effective.push(i as u32);
+            }
+        }
+        let letters = sc.effective.len();
+        if letters == 0 {
             return (applied, lang_err);
         }
-        let (staged, first_bad) = match self.stage_effective(&effective) {
-            Some(staged) => (Some(staged), None),
-            None => {
-                // Some letter violates. Staging a prefix fails iff one
-                // of its letters violates, so binary-search the longest
-                // conforming prefix `lo`, keeping its staged pass.
-                let (mut lo, mut hi, mut staged) = (0, effective.len(), None);
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    match self.stage_effective(&effective[..mid]) {
-                        Some(s) => (lo, staged) = (mid, Some(s)),
-                        None => hi = mid,
-                    }
+        let first_bad = if self.stage_effective(sc, letters) {
+            None
+        } else {
+            // Some letter violates. Staging a prefix fails iff one of its
+            // letters violates, so binary-search the longest conforming
+            // prefix `lo`, then stage it again: the search's later passes
+            // overwrote its buffers.
+            let (mut lo, mut hi) = (0, letters);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if self.stage_effective(sc, mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
                 }
-                (staged, Some(lo))
             }
+            let restaged = lo == 0 || self.stage_effective(sc, lo);
+            debug_assert!(restaged, "a conforming prefix stages again");
+            Some(lo)
         };
-        let prefix = first_bad.unwrap_or(effective.len());
-        if let Some(staged) = staged {
-            if let Err(e) = self.commit_staged(&effective[..prefix], staged) {
+        let prefix = first_bad.unwrap_or(letters);
+        if prefix > 0 {
+            if let Err(e) = self.commit_staged(sc, prefix) {
                 // The log refused the block: nothing commits.
-                for d in deltas.iter().rev() {
+                for d in sc.deltas.iter().rev() {
                     d.undo(&mut self.db);
                 }
                 return (0, Some(EnforceError::Durability(e)));
@@ -541,9 +585,9 @@ impl<'a> ShardedMonitor<'a> {
         let Some(bad) = first_bad else { return (applied, lang_err) };
         // The prefix is committed: diagnose the violating letter against
         // it, then roll back that letter and everything after it.
-        let v = self.diagnose_violation(effective[bad]);
-        let done = indexed[bad].0;
-        for d in deltas[done..].iter().rev() {
+        let done = sc.effective[bad] as usize;
+        let v = self.diagnose_violation(&sc.deltas[done], sc.fallback[done]);
+        for d in sc.deltas[done..].iter().rev() {
             d.undo(&mut self.db);
         }
         (done, Some(EnforceError::Violation(v)))
@@ -555,42 +599,46 @@ impl<'a> ShardedMonitor<'a> {
     /// With one, the applied change-sets are logged as one block and
     /// dirty the next increment: the heap changed even though tracking
     /// did not.
-    fn apply_certified(
+    fn apply_certified<'t>(
         &mut self,
-        items: &[(&Transaction, &Assignment)],
+        sc: &mut Scratch,
+        batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
     ) -> (usize, Option<EnforceError>) {
         if self.sink.is_none() {
-            for (i, (t, args)) in items.iter().enumerate() {
+            let mut done = 0;
+            for (t, args) in batch {
                 if let Err(e) = apply_transaction(self.schema, &mut self.db, t, args) {
-                    return (i, Some(e.into()));
+                    return (done, Some(e.into()));
                 }
                 self.shards[0].steps += 1;
+                done += 1;
             }
-            return (items.len(), None);
+            return (done, None);
         }
-        let (deltas, lang_err) = self.apply_deltas(items);
-        if deltas.is_empty() {
+        let lang_err = self.apply_deltas(sc, batch);
+        let n = sc.deltas.len();
+        if n == 0 {
             return (0, lang_err);
         }
-        let state = &self.shards[0];
+        sc.effective.extend(0..n as u32);
         let letters = [ShardLetters {
             shard: 0,
-            steps0: state.steps,
-            letters: (0..deltas.len() as u32).collect(),
+            steps0: self.shards[0].steps,
+            letters: sc.effective.clone(),
         }];
-        let refs: Vec<&Delta> = deltas.iter().collect();
-        if let Err(e) = self.log_block(&refs, &letters) {
-            for d in deltas.iter().rev() {
+        let block = BlockRef { deltas: &sc.deltas, effective: &sc.effective, shards: &letters };
+        if let Err(e) = self.log_block(&block) {
+            for d in sc.deltas.iter().rev() {
                 d.undo(&mut self.db);
             }
             return (0, Some(EnforceError::Durability(e)));
         }
         let state = &mut self.shards[0];
-        for d in &deltas {
+        for d in &sc.deltas {
             state.dirty.extend(d.objects().iter().map(|od| od.oid));
         }
-        state.steps += deltas.len();
-        (deltas.len(), lang_err)
+        state.steps += n;
+        (n, lang_err)
     }
 
     /// Redefine the enforced inventory **online**, bumping the
@@ -673,120 +721,119 @@ impl<'a> ShardedMonitor<'a> {
         Ok(RedefineOutcome { epoch: self.epoch, residue, quarantined })
     }
 
-    /// Per-shard letter assignment of an effective block: which shards
-    /// participate in each delta, and each shard's [`Touch`]es — every
-    /// touched object with its **shard-local** letter index, stably
-    /// sorted by oid. A delta is a letter for the shards of the tracked
-    /// objects it touches (its fallback shard when it touches none);
-    /// under oid striping every stripe reads every letter — the stripes
-    /// split one component.
-    fn assign_letters<'d>(
-        &self,
-        effective: &[(usize, &'d Delta)],
-    ) -> (Vec<Vec<u32>>, Vec<Vec<Touch<'d>>>) {
-        let n = self.shards.len();
-        let mut letters: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut touched: Vec<Vec<Touch<'d>>> = vec![Vec::new(); n];
-        // Reserving what is left of the block on a shard's first letter
-        // and first touch allocates each list once.
-        let mut unrouted: usize = effective.iter().map(|(_, d)| d.objects().len()).sum();
-        let stripe = matches!(self.router, Router::OidStripe { .. });
-        let mut participating: Vec<usize> = Vec::new();
-        for (j, (fallback, d)) in effective.iter().enumerate() {
-            participating.clear();
-            if stripe {
-                participating.extend(0..n);
-            } else {
-                for od in d.objects() {
-                    if super::delta::tracked(od) {
-                        let s = self.route(od);
-                        if !participating.contains(&s) {
-                            participating.push(s);
-                        }
-                    }
-                }
-                if participating.is_empty() {
-                    participating.push(*fallback);
-                }
-            }
-            for &s in &participating {
-                letters[s].reserve(effective.len() - j);
-                letters[s].push(j as u32);
-            }
-            for od in d.objects() {
-                if super::delta::tracked(od) {
-                    let s = self.route(od);
-                    touched[s].reserve(unrouted);
-                    touched[s].push((od.oid, letters[s].len(), od));
-                }
-                unrouted -= 1;
-            }
+    /// Call `read(s)` for each shard `s` that reads `d` as a letter, at
+    /// least once each: the shards of the tracked objects it touches
+    /// (its fallback shard when it touches none); under oid striping
+    /// every stripe reads every letter — the stripes split one
+    /// component.
+    fn for_each_reader(&self, d: &Delta, fallback: usize, mut read: impl FnMut(usize)) {
+        if let Router::OidStripe { .. } = self.router {
+            (0..self.shards.len()).for_each(read);
+            return;
         }
-        for t in &mut touched {
-            t.sort_by_key(|&(o, _, _)| o);
+        let mut any = false;
+        for od in d.objects().iter().filter(|od| super::delta::tracked(od)) {
+            any = true;
+            read(self.route(od));
         }
-        (letters, touched)
+        if !any {
+            read(fallback);
+        }
     }
 
-    /// The decision half of admission: stage an effective block
-    /// read-only on every participating shard, each from its **own
-    /// letter clock** (the staged pass includes the shard's
-    /// never-created ∅ walk). Non-participating shards stay untouched —
-    /// their clocks do not move. `None` when some letter violates the
-    /// inventory; nothing changes either way.
-    fn stage_effective(&self, effective: &[(usize, &Delta)]) -> Option<StagedBlock> {
+    /// Per-shard letter assignment of the block's first `len` letters,
+    /// into `sc`: which letters each shard reads, and each shard's
+    /// [`Touch`]es — every touched object with its **shard-local**
+    /// letter index, sorted by oid and, within an object, by letter.
+    fn assign_letters(&self, sc: &mut Scratch, len: usize) {
+        let n = self.shards.len();
+        sc.letters.resize_with(n, Vec::new);
+        sc.touched.resize_with(n, Vec::new);
+        sc.letters.iter_mut().for_each(Vec::clear);
+        sc.touched.iter_mut().for_each(Vec::clear);
+        for (j, &d) in sc.effective[..len].iter().enumerate() {
+            let (j, delta) = (j as u32, &sc.deltas[d as usize]);
+            let letters = &mut sc.letters;
+            self.for_each_reader(delta, sc.fallback[d as usize], |s| {
+                if letters[s].last() != Some(&j) {
+                    letters[s].push(j);
+                }
+            });
+            for (o, od) in delta.objects().iter().enumerate() {
+                if super::delta::tracked(od) {
+                    let s = self.route(od);
+                    sc.touched[s].push((od.oid, sc.letters[s].len(), d, o as u32));
+                }
+            }
+        }
+        // An object is touched once per letter: oid and letter order
+        // each object's run as a stable sort by oid would.
+        for t in &mut sc.touched {
+            t.sort_unstable_by_key(|&(o, j, ..)| (o, j));
+        }
+    }
+
+    /// The decision half of admission: stage the block's first `len`
+    /// letters read-only on every participating shard, each from its
+    /// **own letter clock** (the staged pass includes the shard's
+    /// never-created ∅ walk), into `sc`. Non-participating shards stay
+    /// untouched — their clocks do not move. `false` when some letter
+    /// violates the inventory; the monitor is unchanged either way.
+    fn stage_effective(&self, sc: &mut Scratch, len: usize) -> bool {
         let ctx = BatchCtx {
             schema: self.schema,
             alphabet: self.alphabet,
             dfa: self.inventory.dfa(),
             kind: self.kind,
         };
-        let (letters, touched) = self.assign_letters(effective);
-        let stages = self
-            .shards
-            .iter()
-            .zip(&touched)
-            .zip(&letters)
-            .map(|((state, touched), letters)| {
-                if letters.is_empty() {
-                    return Ok(None);
-                }
-                state.stage_batch(&ctx, &self.records, letters.len(), touched).map(Some)
-            })
-            .collect::<Result<_, ()>>()
-            .ok()?;
-        Some(StagedBlock { letters, stages })
+        self.assign_letters(sc, len);
+        sc.stages.resize_with(self.shards.len(), BatchStage::default);
+        self.shards.iter().enumerate().all(|(s, state)| {
+            let k = sc.letters[s].len();
+            k == 0
+                || state
+                    .stage_batch(
+                        &ctx,
+                        &self.records,
+                        k,
+                        (&sc.touched[s], &sc.deltas),
+                        &mut sc.stages[s],
+                    )
+                    .is_ok()
+        })
     }
 
-    /// The write half of admission: append the staged block to the sink
-    /// (if any) — one record for the whole block (group commit),
-    /// carrying each participating shard's clock and letters — and only
-    /// then write every shard's staged tracking changes (each commit
-    /// advances its shard's clock). A sink failure writes nothing.
-    fn commit_staged(
-        &mut self,
-        effective: &[(usize, &Delta)],
-        staged: StagedBlock,
-    ) -> Result<(), WalError> {
-        let StagedBlock { letters, stages } = staged;
+    /// The write half of admission, for the block's first `len` letters
+    /// as [`Self::stage_effective`] left them in `sc`: append the block
+    /// to the sink (if any) — one record for the whole block (group
+    /// commit), carrying each participating shard's clock and letters —
+    /// and only then write every shard's staged tracking changes (each
+    /// commit advances its shard's clock). A sink failure writes
+    /// nothing.
+    fn commit_staged(&mut self, sc: &mut Scratch, len: usize) -> Result<(), WalError> {
         if self.sink.is_some() {
-            let shard_letters: Vec<ShardLetters> = letters
-                .into_iter()
-                .enumerate()
-                .filter(|(_, l)| !l.is_empty())
-                .map(|(s, letters)| ShardLetters {
-                    shard: s as u32,
-                    steps0: self.shards[s].steps,
-                    letters,
-                })
-                .collect();
-            let deltas: Vec<&Delta> = effective.iter().map(|&(_, d)| d).collect();
-            self.log_block(&deltas, &shard_letters)?;
+            sc.shard_letters.clear();
+            for (s, letters) in sc.letters.iter_mut().enumerate() {
+                if !letters.is_empty() {
+                    let steps0 = self.shards[s].steps;
+                    let letters = std::mem::take(letters);
+                    sc.shard_letters.push(ShardLetters { shard: s as u32, steps0, letters });
+                }
+            }
+            let logged = self.log_block(&BlockRef {
+                deltas: &sc.deltas,
+                effective: &sc.effective[..len],
+                shards: &sc.shard_letters,
+            });
+            for sl in sc.shard_letters.drain(..) {
+                sc.letters[sl.shard as usize] = sl.letters;
+            }
+            logged?;
         }
         let records = &mut self.records;
-        for (state, stage) in self.shards.iter_mut().zip(stages) {
-            if let Some(stage) = stage {
-                state.commit_batch(records, stage);
+        for (s, state) in self.shards.iter_mut().enumerate() {
+            if !sc.letters[s].is_empty() {
+                state.commit_batch(records, &mut sc.stages[s]);
             }
         }
         Ok(())
@@ -796,12 +843,9 @@ impl<'a> ShardedMonitor<'a> {
     /// record — the group-commit unit. Poison-tolerant: a sink panic on
     /// another thread reads as a durability failure (rollback,
     /// retry/degrade policy), not as a panic of this thread.
-    fn log_block(&self, deltas: &[&Delta], shards: &[ShardLetters]) -> Result<(), WalError> {
+    fn log_block(&self, block: &BlockRef<'_>) -> Result<(), WalError> {
         match &self.sink {
-            Some(sink) => sink
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .committed(&BlockRef { deltas, shards }),
+            Some(sink) => sink.lock().unwrap_or_else(PoisonError::into_inner).committed(block),
             None => Ok(()),
         }
     }
@@ -811,9 +855,9 @@ impl<'a> ShardedMonitor<'a> {
     /// the scan a reference monitor fed each reading shard's sub-run
     /// would make (see [`diagnose_step`]), so the reported
     /// [`Violation`] is byte-identical to it.
-    fn diagnose_violation(&self, letter: (usize, &Delta)) -> Violation {
-        let (letters, _) = self.assign_letters(&[letter]);
-        let reads: Vec<bool> = letters.iter().map(|l| !l.is_empty()).collect();
+    fn diagnose_violation(&self, d: &Delta, fallback: usize) -> Violation {
+        let mut reads = vec![false; self.shards.len()];
+        self.for_each_reader(d, fallback, |s| reads[s] = true);
         let params = DiagParams {
             schema: self.schema,
             alphabet: self.alphabet,
@@ -821,7 +865,7 @@ impl<'a> ShardedMonitor<'a> {
             kind: self.kind,
             epoch: self.epoch,
         };
-        diagnose_step(&params, &self.shards, &self.records, &reads, |od| self.route(od), letter.1)
+        diagnose_step(&params, &self.shards, &self.records, &reads, |od| self.route(od), d)
     }
 
     /// Whether this monitor routes objects by weakly-connected role
@@ -1184,8 +1228,16 @@ impl<'a> ShardedMonitor<'a> {
         // monitor's own log before tracking state moves, so the
         // standby's durable image replays byte-identically.
         if self.sink.is_some() {
-            let deltas: Vec<&Delta> = block.deltas.iter().collect();
-            self.log_block(&deltas, &block.shards)?;
+            let mut effective = std::mem::take(&mut self.scratch.effective);
+            effective.extend(0..block.deltas.len() as u32);
+            let logged = self.log_block(&BlockRef {
+                deltas: &block.deltas,
+                effective: &effective,
+                shards: &block.shards,
+            });
+            effective.clear();
+            self.scratch.effective = effective;
+            logged?;
         }
         for d in &block.deltas {
             d.redo(&mut self.db);
@@ -1246,36 +1298,46 @@ impl<'a> ShardedMonitor<'a> {
             }
             return Ok(());
         }
+        let mut sc = std::mem::take(&mut self.scratch);
+        let out = self.replay_tracked(&mut sc, block);
+        self.scratch = sc;
+        out
+    }
+
+    /// [`Self::replay_block`] on a monitor that tracks, in `sc`.
+    fn replay_tracked(&mut self, sc: &mut Scratch, block: &wal::WalBlock) -> Result<(), WalError> {
         // The shard-local letter index of delta `j` on shard `s` at
         // `local[s * deltas + j]`; 0 when it is not a letter there.
-        let deltas = block.deltas.len();
-        let mut local = vec![0usize; self.shards.len() * deltas];
+        let (n, deltas) = (self.shards.len(), block.deltas.len());
+        sc.local.clear();
+        sc.local.resize(n * deltas, 0);
         for sl in &block.shards {
             for (pos, &j) in sl.letters.iter().enumerate() {
                 if j as usize >= deltas {
                     return Err(WalError::Mismatch("letter index out of range".into()));
                 }
-                local[sl.shard as usize * deltas + j as usize] = pos + 1;
+                sc.local[sl.shard as usize * deltas + j as usize] = pos + 1;
             }
         }
-        let mut touched: Vec<Vec<Touch<'_>>> = vec![Vec::new(); self.shards.len()];
+        sc.touched.resize_with(n, Vec::new);
+        sc.touched.iter_mut().for_each(Vec::clear);
         for (j, d) in block.deltas.iter().enumerate() {
-            for od in d.objects() {
+            for (o, od) in d.objects().iter().enumerate() {
                 if !super::delta::tracked(od) {
                     continue;
                 }
                 let s = self.route(od);
-                let lj = local[s * deltas + j];
+                let lj = sc.local[s * deltas + j];
                 if lj == 0 {
                     return Err(WalError::Mismatch(
                         "logged letter assignment disagrees with object routing".into(),
                     ));
                 }
-                touched[s].push((od.oid, lj, od));
+                sc.touched[s].push((od.oid, lj, j as u32, o as u32));
             }
         }
-        for t in &mut touched {
-            t.sort_by_key(|&(o, _, _)| o);
+        for t in &mut sc.touched {
+            t.sort_unstable_by_key(|&(o, j, ..)| (o, j));
         }
         let ctx = BatchCtx {
             schema: self.schema,
@@ -1283,16 +1345,17 @@ impl<'a> ShardedMonitor<'a> {
             dfa: self.inventory.dfa(),
             kind: self.kind,
         };
-        let mut stages: Vec<(usize, BatchStage)> = Vec::with_capacity(block.shards.len());
+        sc.stages.resize_with(n, BatchStage::default);
         for sl in &block.shards {
             let s = sl.shard as usize;
-            let stage = self.shards[s]
-                .stage_batch(&ctx, &self.records, sl.letters.len(), &touched[s])
+            let touched = (&sc.touched[s][..], &block.deltas[..]);
+            self.shards[s]
+                .stage_batch(&ctx, &self.records, sl.letters.len(), touched, &mut sc.stages[s])
                 .map_err(|()| WalError::Mismatch("logged block does not admit".into()))?;
-            stages.push((s, stage));
         }
-        for (s, stage) in stages {
-            self.shards[s].commit_batch(&mut self.records, stage);
+        for sl in &block.shards {
+            let s = sl.shard as usize;
+            self.shards[s].commit_batch(&mut self.records, &mut sc.stages[s]);
         }
         Ok(())
     }

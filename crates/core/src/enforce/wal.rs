@@ -250,8 +250,11 @@ pub struct ShardLetters {
 /// deltas plus each participating shard's clock and letter assignment.
 #[derive(Clone, Copy)]
 pub struct BlockRef<'a> {
-    /// The block's effective deltas, in commit order.
-    pub deltas: &'a [&'a Delta],
+    /// The change-sets the block's effective deltas are drawn from.
+    pub deltas: &'a [Delta],
+    /// The block's effective deltas, in commit order: indices into
+    /// `deltas`.
+    pub effective: &'a [u32],
     /// Participating shards, ascending by shard index.
     pub shards: &'a [ShardLetters],
 }
@@ -400,9 +403,9 @@ pub const MAX_RECORD_LEN: usize = 1 << 28;
 pub fn encode_record(out: &mut Vec<u8>, block: &BlockRef<'_>) -> Result<(), WalError> {
     framed(out, |payload| {
         payload.push(TAG_BLOCK);
-        encode_u64(payload, block.deltas.len() as u64);
-        for d in block.deltas {
-            migratory_lang::encode_delta(payload, d);
+        encode_u64(payload, block.effective.len() as u64);
+        for &i in block.effective {
+            migratory_lang::encode_delta(payload, &block.deltas[i as usize]);
         }
         encode_u64(payload, block.shards.len() as u64);
         for sl in block.shards {
@@ -2380,10 +2383,11 @@ mod tests {
             .collect();
         let mut log = Vec::new();
         let s0 = one_shard(0, 1);
-        encode_record(&mut log, &BlockRef { deltas: &[&deltas[0]], shards: &s0 }).unwrap();
+        let block =
+            |effective: &'static [u32], shards| BlockRef { deltas: &deltas, effective, shards };
+        encode_record(&mut log, &block(&[0], &s0)).unwrap();
         let s1 = one_shard(1, 2);
-        encode_record(&mut log, &BlockRef { deltas: &[&deltas[1], &deltas[2]], shards: &s1 })
-            .unwrap();
+        encode_record(&mut log, &block(&[1, 2], &s1)).unwrap();
         let full = decode_records(&log).unwrap();
         assert_eq!(full.len(), 2);
         let WalRecord::Block(b0) = &full[0] else { panic!("block record") };
@@ -2402,7 +2406,7 @@ mod tests {
         // whole blocks — never an error, never a partial block.
         let first_len = {
             let mut one = Vec::new();
-            encode_record(&mut one, &BlockRef { deltas: &[&deltas[0]], shards: &s0 }).unwrap();
+            encode_record(&mut one, &block(&[0], &s0)).unwrap();
             one.len()
         };
         for cut in 0..log.len() {
