@@ -9,7 +9,7 @@
 //! allows positive and negative guards — so one AST covers all three
 //! languages, with [`Transaction::language`] reporting the fragment.
 
-use migratory_model::{ClassId, Condition, Term, Value, VarId};
+use migratory_model::{ClassId, Condition, OneOrMany, Term, Value, VarId};
 use std::collections::BTreeSet;
 
 /// One of the five atomic updates of SL (Definition 2.3).
@@ -290,28 +290,11 @@ impl Transaction {
 /// An assignment α binding each parameter of a transaction to a constant
 /// (positionally: argument `i` binds `VarId(i)`). The interpreter reads
 /// each variable through it where a condition is evaluated
-/// ([`Condition::bind`]), so `T[α]` is never built.
-///
-/// One argument — every transaction of a one-key workload — is held
-/// inline, with no allocation of its own; any other count is one
-/// vector, which never holds exactly one value. Equality, order,
-/// hashing and `Debug` read the values alone.
-#[derive(Clone, Default)]
-pub struct Assignment(Args);
-
-/// The two forms of an [`Assignment`]; its length alone picks the form.
-#[derive(Clone)]
-enum Args {
-    One(Value),
-    /// No value, or at least two.
-    Many(Vec<Value>),
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args::Many(Vec::new())
-    }
-}
+/// ([`Condition::bind`]), so `T[α]` is never built. One argument —
+/// every transaction of a one-key workload — is held inline, with no
+/// allocation of its own ([`OneOrMany`]).
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct Assignment(OneOrMany<Value>);
 
 impl Assignment {
     /// The empty assignment (for parameterless transactions).
@@ -322,36 +305,26 @@ impl Assignment {
 
     /// Build from positional values.
     #[must_use]
-    pub fn new(mut values: Vec<Value>) -> Self {
-        match values.pop() {
-            Some(only) if values.is_empty() => Assignment(Args::One(only)),
-            Some(last) => {
-                values.push(last);
-                Assignment(Args::Many(values))
-            }
-            None => Assignment::empty(),
-        }
+    pub fn new(values: Vec<Value>) -> Self {
+        Assignment(values.into())
     }
 
     /// The bound values, positionally.
     #[must_use]
     pub fn as_slice(&self) -> &[Value] {
-        match &self.0 {
-            Args::One(v) => std::slice::from_ref(v),
-            Args::Many(values) => values,
-        }
+        &self.0
     }
 
     /// Number of bound parameters.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.0.len()
     }
 
     /// Whether no parameter is bound.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.0.is_empty()
     }
 
     /// The value bound to a variable.
@@ -361,38 +334,12 @@ impl Assignment {
     /// transaction's arity before they run it).
     #[must_use]
     pub fn get(&self, x: VarId) -> &Value {
-        &self.as_slice()[x.0 as usize]
+        &self.0[x.0 as usize]
     }
 
     /// Iterate the bound values.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.as_slice().iter()
-    }
-}
-
-impl PartialEq for Assignment {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Assignment {}
-
-impl PartialOrd for Assignment {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Assignment {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl std::hash::Hash for Assignment {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        self.0.iter()
     }
 }
 
@@ -411,10 +358,7 @@ impl From<Vec<Value>> for Assignment {
 impl FromIterator<Value> for Assignment {
     /// Collects one value without a vector.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let Some(first) = iter.next() else { return Assignment::empty() };
-        let Some(second) = iter.next() else { return Assignment(Args::One(first)) };
-        Assignment(Args::Many([first, second].into_iter().chain(iter).collect()))
+        Assignment(iter.into_iter().collect())
     }
 }
 
@@ -616,7 +560,7 @@ mod tests {
         let collected: Assignment = [Value::str("k")].into_iter().collect();
         assert_eq!(one, collected);
         assert_eq!(one.as_slice(), [Value::str("k")]);
-        assert!(matches!(one.0, Args::One(_)));
+        assert!(one.0.is_inline());
         let two: Assignment = [Value::int(1), Value::int(2)].into_iter().collect();
         assert_eq!(two, Assignment::new(vec![Value::int(1), Value::int(2)]));
         assert_eq!(two.get(VarId(1)), &Value::int(2));

@@ -89,7 +89,7 @@ pub fn decode_delta(r: &mut ByteReader<'_>) -> Result<Delta, LangError> {
         if oid.0 == 0 {
             return Err(corrupt("delta names o0, which is never minted"));
         }
-        if let Some(last) = objects.as_slice().last() {
+        if let Some(last) = objects.last() {
             if oid <= last.oid {
                 return Err(corrupt("delta objects out of oid order"));
             }
@@ -242,7 +242,7 @@ pub fn delta_from_text(src: &str) -> Result<Delta, LangError> {
         if oid.0 == 0 {
             return Err(corrupt("delta names o0, which is never minted"));
         }
-        if objects.as_slice().last().is_some_and(|last| oid <= last.oid) {
+        if objects.last().is_some_and(|last| oid <= last.oid) {
             return Err(corrupt("delta objects out of oid order"));
         }
         p.expect(' ')?;

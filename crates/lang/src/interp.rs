@@ -25,7 +25,7 @@
 
 use crate::ast::{Assignment, AtomicUpdate, GuardedUpdate, Literal, Transaction};
 use crate::error::LangError;
-use migratory_model::{ClassSet, Instance, Oid, Schema, Tuple};
+use migratory_model::{ClassSet, Instance, Oid, OneOrMany, Schema, Tuple};
 
 /// Observer of object mutations during an application. The interpreter
 /// reports every object it is *about* to mutate (with its pre-state still
@@ -68,9 +68,9 @@ impl DeltaRecorder {
 
     /// The change-set against `db`, the post-state.
     fn finish(mut self, db: &Instance) -> Objects {
-        self.objects.as_mut_slice().sort_by_key(|od| od.oid);
-        self.objects.dedup_by_oid();
-        for od in self.objects.as_mut_slice() {
+        self.objects.sort_by_key(|od| od.oid);
+        self.objects.dedup_by_key(|od| od.oid);
+        for od in self.objects.iter_mut() {
             od.after = db.occurs(od.oid).then(|| (db.role_set(od.oid), db.tuple_of(od.oid)));
             od.tuple_changed = match (&od.before, &od.after) {
                 (Some((_, t_before)), Some((_, t_after))) => t_after != t_before,
@@ -86,7 +86,7 @@ impl DeltaRecorder {
 
 impl Recorder for DeltaRecorder {
     fn touch(&mut self, db: &Instance, o: Oid) {
-        if self.objects.as_slice().last().is_none_or(|od| od.oid != o) {
+        if self.objects.last().is_none_or(|od| od.oid != o) {
             self.record(o, db.occurs(o).then(|| (db.role_set(o), db.tuple_of(o))));
         }
     }
@@ -95,64 +95,9 @@ impl Recorder for DeltaRecorder {
     }
 }
 
-/// A change-set's objects, ascending by oid. One object — a create, or
-/// an update of one object — is held inline; any other count is one
-/// vector, which never holds exactly one object.
-#[derive(Clone, PartialEq, Eq)]
-pub(crate) enum Objects {
-    One(ObjectDelta),
-    /// No object, or at least two.
-    Many(Vec<ObjectDelta>),
-}
-
-impl Default for Objects {
-    fn default() -> Self {
-        Objects::Many(Vec::new())
-    }
-}
-
-impl Objects {
-    pub(crate) fn as_slice(&self) -> &[ObjectDelta] {
-        match self {
-            Objects::One(od) => std::slice::from_ref(od),
-            Objects::Many(objects) => objects,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [ObjectDelta] {
-        match self {
-            Objects::One(od) => std::slice::from_mut(od),
-            Objects::Many(objects) => objects,
-        }
-    }
-
-    pub(crate) fn push(&mut self, od: ObjectDelta) {
-        *self = match std::mem::take(self) {
-            Objects::Many(objects) if objects.is_empty() => Objects::One(od),
-            Objects::One(held) => Objects::Many(vec![held, od]),
-            Objects::Many(mut objects) => {
-                objects.push(od);
-                Objects::Many(objects)
-            }
-        };
-    }
-
-    /// Keep the first of each run of one oid.
-    fn dedup_by_oid(&mut self) {
-        if let Objects::Many(objects) = self {
-            objects.dedup_by_key(|od| od.oid);
-            if objects.len() == 1 {
-                *self = Objects::One(objects.pop().expect("one object"));
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Objects {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
+/// A change-set's objects, ascending by oid: one object — a create, or
+/// an update of one object — is held inline.
+pub(crate) type Objects = OneOrMany<ObjectDelta>;
 
 /// One object's before/after images across a transaction application.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -228,7 +173,7 @@ impl Delta {
     /// Per-object changes, ordered by object identifier.
     #[must_use]
     pub fn objects(&self) -> &[ObjectDelta] {
-        self.objects.as_slice()
+        &self.objects
     }
 
     /// Whether the application was the identity on the database —

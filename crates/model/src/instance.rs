@@ -80,6 +80,7 @@ use crate::bitset::ClassSet;
 use crate::condition::{Bound, CmpOp};
 use crate::error::ModelError;
 use crate::ids::{AttrId, ClassId, DenseId, Oid};
+use crate::one_or_many::OneOrMany;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -695,12 +696,12 @@ impl Instance {
     /// atoms (and class membership, when driving from a value entry) are
     /// verified per candidate. The heap is never scanned. Semantically
     /// identical to [`Instance::sat_scan`]. A point select's one match
-    /// comes back inline ([`Matches`]), with no allocation.
+    /// comes back inline, with no allocation.
     #[must_use]
-    pub fn sat<'g>(&self, p: ClassId, gamma: impl Into<Bound<'g>>) -> Matches {
+    pub fn sat<'g>(&self, p: ClassId, gamma: impl Into<Bound<'g>>) -> OneOrMany<Oid> {
         let gamma = gamma.into();
         match self.plan(p, gamma) {
-            SatPlan::Empty => Matches::default(),
+            SatPlan::Empty => OneOrMany::default(),
             SatPlan::ValueEntry(holders) => holders
                 .iter()
                 .filter(|&o| self.role_set(o).contains(p) && self.member_satisfies(o, gamma))
@@ -1270,52 +1271,6 @@ enum SatPlan<'s> {
     ValueEntry(&'s Holders),
     /// Drive from the class index (condition checked per candidate).
     ClassEntry(&'s Members),
-}
-
-/// The objects [`Instance::sat`] selects, ascending by oid (derefs to
-/// the slice). One match — a select by key — is held inline, with no
-/// allocation; any other count is one vector, which never holds
-/// exactly one oid.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Matches(MatchesRepr);
-
-#[derive(Clone, PartialEq, Eq)]
-enum MatchesRepr {
-    One(Oid),
-    /// No oid, or at least two.
-    Many(Vec<Oid>),
-}
-
-impl Default for Matches {
-    fn default() -> Self {
-        Matches(MatchesRepr::Many(Vec::new()))
-    }
-}
-
-impl std::ops::Deref for Matches {
-    type Target = [Oid];
-
-    fn deref(&self) -> &[Oid] {
-        match &self.0 {
-            MatchesRepr::One(o) => std::slice::from_ref(o),
-            MatchesRepr::Many(oids) => oids,
-        }
-    }
-}
-
-impl FromIterator<Oid> for Matches {
-    fn from_iter<I: IntoIterator<Item = Oid>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let Some(first) = iter.next() else { return Matches::default() };
-        let Some(second) = iter.next() else { return Matches(MatchesRepr::One(first)) };
-        Matches(MatchesRepr::Many([first, second].into_iter().chain(iter).collect()))
-    }
-}
-
-impl std::fmt::Debug for Matches {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
 }
 
 #[cfg(test)]

@@ -72,6 +72,7 @@ pub mod display;
 pub mod error;
 pub mod ids;
 pub mod instance;
+pub mod one_or_many;
 pub mod roleset;
 pub mod schema;
 pub mod text;
@@ -82,7 +83,8 @@ pub use bitset::{AttrSet, ClassSet, IdSet};
 pub use condition::{Atom, Bound, CmpOp, Condition, Term};
 pub use error::ModelError;
 pub use ids::{AttrId, ClassId, Oid, VarId};
-pub use instance::{Instance, Matches};
+pub use instance::Instance;
+pub use one_or_many::OneOrMany;
 pub use roleset::RoleSet;
 pub use schema::{Schema, SchemaBuilder};
 pub use tuple::Tuple;
