@@ -76,20 +76,44 @@ impl RoleAlphabet {
     }
 
     /// Render a pattern word with role-set names, separated by single
-    /// spaces (`λ` for the empty word). Written straight into one
-    /// exactly-sized `String`: a violation quotes its whole pattern,
-    /// which grows with the letter clock.
+    /// spaces (`λ` for the empty word), into one exactly-sized `String`
+    /// ([`RoleAlphabet::write_word`]'s bytes).
     #[must_use]
     pub fn display_word(&self, word: &[u32]) -> String {
-        let Some((&first, rest)) = word.split_first() else { return "λ".to_owned() };
-        let len = word.iter().map(|&s| self.name(s).len()).sum::<usize>() + rest.len();
-        let mut out = String::with_capacity(len);
-        out.push_str(self.name(first));
-        for &s in rest {
-            out.push(' ');
-            out.push_str(self.name(s));
+        let runs = word.chunk_by(|a, b| a == b);
+        let names = runs.map(|run| self.name(run[0]).len() * run.len()).sum::<usize>();
+        let mut out =
+            Vec::with_capacity(if word.is_empty() { "λ".len() } else { names + word.len() - 1 });
+        self.write_word(&mut out, word);
+        String::from_utf8(out).expect("role-set names are UTF-8")
+    }
+
+    /// Append [`RoleAlphabet::display_word`]'s text to `out`, a run of
+    /// equal symbols at a time: a violation quotes its whole pattern,
+    /// which grows with the letter clock and is mostly long runs. A run
+    /// writes its name once, then its `" name"` repeats by doubling
+    /// copies of what the run has written.
+    pub fn write_word(&self, out: &mut Vec<u8>, word: &[u32]) {
+        if word.is_empty() {
+            out.extend_from_slice("λ".as_bytes());
         }
-        out
+        for (i, run) in word.chunk_by(|a, b| a == b).enumerate() {
+            let name = self.name(run[0]).as_bytes();
+            if i > 0 {
+                out.push(b' ');
+            }
+            out.extend_from_slice(name);
+            let start = out.len();
+            let end = start + (name.len() + 1) * (run.len() - 1);
+            if run.len() > 1 {
+                out.push(b' ');
+                out.extend_from_slice(name);
+            }
+            while out.len() < end {
+                let copy = (out.len() - start).min(end - out.len());
+                out.extend_from_within(start..start + copy);
+            }
+        }
     }
 
     /// A resolver for [`migratory_automata::parse_regex`]: resolves `∅`,
@@ -175,6 +199,31 @@ mod tests {
         assert_eq!(w.as_bytes(), joined.as_bytes());
         assert_eq!(w.capacity(), w.len());
         assert_eq!(a.display_word(&[3]), a.name(3));
+    }
+
+    /// Rendering by runs against a naive per-symbol join, on words of
+    /// long runs (up to 5,000 symbols, every run length from 1 to 70
+    /// and a few far longer), into a fresh `String` and appended to a
+    /// buffer that already holds bytes.
+    #[test]
+    fn display_word_renders_runs_like_a_join() {
+        let s = university_schema();
+        let a = RoleAlphabet::new(&s, 0).unwrap();
+        let join = |w: &[u32]| w.iter().map(|&s| a.name(s)).collect::<Vec<_>>().join(" ");
+        let mut words: Vec<Vec<u32>> = (1..=70usize)
+            .map(|n| (0..3 * n).map(|i| (i / n) as u32 % a.num_symbols()).collect())
+            .collect();
+        words.push([vec![1; 4_999], vec![2]].concat());
+        words.push([vec![0; 1_023], vec![3; 1_025], vec![0; 1_024]].concat());
+        for w in &words {
+            let want = join(w);
+            let got = a.display_word(w);
+            assert_eq!(got, want, "{} symbols", w.len());
+            assert_eq!(got.capacity(), got.len());
+            let mut out = b"violation ".to_vec();
+            a.write_word(&mut out, w);
+            assert_eq!(&out[b"violation ".len()..], want.as_bytes());
+        }
     }
 
     #[test]

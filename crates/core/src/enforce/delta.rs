@@ -44,10 +44,11 @@
 //! capture, the diagnosis fallback — therefore cost O(table), not
 //! O(partition), the trade the heap's per-class bitmaps make too.
 //!
-//! For incremental checkpoints (`enforce::wal`), the state also keeps a
-//! **dirty set**: the oids whose record or database state may have
-//! changed since the last checkpoint capture. [`DeltaState::compact`]
-//! rewrites every record's cohort slot, so it flips `all_dirty` and the
+//! For incremental checkpoints (`enforce::wal`), the monitor keeps one
+//! **dirty set** ([`DirtySet`]): the oids whose record or database state
+//! may have changed since the last checkpoint capture, which each
+//! partition's commit marks. [`DeltaState::compact`] rewrites every
+//! record's cohort slot, so it flips the partition's `all_dirty` and the
 //! next capture carries the partition's full record table.
 //!
 //! [`diagnose_step`] reports the first violation of the reference
@@ -80,7 +81,7 @@ pub(crate) type Touch = (Oid, usize, u32, u32);
 pub(crate) const EXEMPT: u32 = 0;
 
 /// Run-length-encoded tracking record of one object: 32 bytes, and no
-/// allocation of its own while its role never changed.
+/// allocation of its own while its history fits [`INLINE`] bytes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct ObjRecord {
     /// `(letter, from_step)` segments; a new segment is appended only
@@ -95,52 +96,173 @@ pub(crate) struct ObjRecord {
     pub(crate) shard: u32,
 }
 
+/// History bytes a record holds in its own slot.
+const INLINE: usize = 22;
+
 /// The segments of one [`ObjRecord`], ascending by step and never
-/// empty: the one segment of an object whose role never changed — most
-/// objects — held inline, so the record is 32 bytes with no allocation
-/// of its own; two or more in a `Vec`, which never holds exactly one
-/// (segments are only ever appended). Derefs to the segment slice;
-/// equality and `Debug` read the segments, never the form.
+/// empty, held as the bytes a checkpoint writes for them: each
+/// `(letter, from)` pair as two minimal LEB128 varints, back to back.
+/// Up to [`INLINE`] bytes — an object whose role never changed, or
+/// changed a few times at small clocks — sit in the record's slot, so
+/// the record stays 32 bytes with no allocation of its own; a longer
+/// history spills into a heap buffer that at least doubles whenever it
+/// grows. The varints are minimal, so equal segments are equal bytes:
+/// equality compares the bytes, and `Debug` prints the decoded pairs.
 #[derive(Clone)]
 pub(crate) enum Segments {
-    One((u32, usize)),
-    Many(Vec<(u32, usize)>),
+    /// The first `len` bytes of `bytes`.
+    Inline { len: u8, bytes: [u8; INLINE] },
+    /// The first `len` bytes of `buf`: at most 4 GiB, a billion role
+    /// changes of one object.
+    Heap { len: u32, buf: Box<[u8]> },
 }
 
 impl Segments {
+    /// The one segment `segment`, written straight into the inline
+    /// bytes.
+    pub(crate) fn one(segment: (u32, usize)) -> Segments {
+        let mut bytes = [0; INLINE];
+        let len = put_pair(&mut bytes, segment);
+        Segments::Inline { len: len as u8, bytes }
+    }
+
     /// The segments of `s`, which holds at least one.
     pub(crate) fn from_slice(s: &[(u32, usize)]) -> Segments {
-        debug_assert!(!s.is_empty(), "a record has a segment");
-        match s {
-            [one] => Segments::One(*one),
-            _ => Segments::Many(s.to_vec()),
+        let (&first, rest) = s.split_first().expect("a record has a segment");
+        let mut segments = Segments::one(first);
+        segments.extend_from_slice(rest);
+        segments
+    }
+
+    /// Append one segment, which starts after the last one.
+    pub(crate) fn push(&mut self, segment: (u32, usize)) {
+        let mut pair = [0; PAIR];
+        let n = put_pair(&mut pair, segment);
+        let pair = &pair[..n];
+        match self {
+            Segments::Inline { len, bytes } if usize::from(*len) + n <= INLINE => {
+                bytes[usize::from(*len)..][..n].copy_from_slice(pair);
+                *len += n as u8;
+            }
+            Segments::Heap { len, buf } if *len as usize + n <= buf.len() => {
+                buf[*len as usize..][..n].copy_from_slice(pair);
+                *len += n as u32;
+            }
+            _ => {
+                let (held, room) = (self.bytes(), self.capacity());
+                let need = held.len() + n;
+                let len = u32::try_from(need).expect("a history under 4 GiB");
+                let mut buf = vec![0; need.max(2 * room).min(u32::MAX as usize)].into_boxed_slice();
+                buf[..held.len()].copy_from_slice(held);
+                buf[held.len()..need].copy_from_slice(pair);
+                *self = Segments::Heap { len, buf };
+            }
         }
     }
 
     /// Append `more` (each segment starts after the last one).
     pub(crate) fn extend_from_slice(&mut self, more: &[(u32, usize)]) {
-        match self {
-            Segments::Many(v) => v.extend_from_slice(more),
-            Segments::One(_) if more.is_empty() => {}
-            Segments::One(first) => *self = Segments::Many([&[*first], more].concat()),
+        for &segment in more {
+            self.push(segment);
         }
+    }
+
+    /// The canonical bytes: every segment's two minimal varints.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            Segments::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Segments::Heap { len, buf } => &buf[..*len as usize],
+        }
+    }
+
+    /// Bytes the history can hold before it next allocates.
+    fn capacity(&self) -> usize {
+        match self {
+            Segments::Inline { .. } => INLINE,
+            Segments::Heap { buf, .. } => buf.len(),
+        }
+    }
+
+    /// The number of segments: two varints each, and a varint ends at
+    /// its one byte below `0x80`.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes().iter().filter(|&&b| b < 0x80).count() / 2
+    }
+
+    /// The segments, decoded in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let bytes = self.bytes();
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            (at < bytes.len()).then(|| {
+                let (letter, next) = get_varint(bytes, at);
+                let (from, next) = get_varint(bytes, next);
+                at = next;
+                (letter as u32, from as usize)
+            })
+        })
+    }
+
+    /// Where the first segment starts: the second varint.
+    fn first_start(&self) -> usize {
+        let bytes = self.bytes();
+        get_varint(bytes, get_varint(bytes, 0).1).0 as usize
+    }
+
+    /// The last segment's letter, read back from the end: the last
+    /// varint is the segment's start, and the letter ends just before
+    /// it.
+    fn last_letter(&self) -> u32 {
+        let bytes = self.bytes();
+        let ends = |to: usize| bytes[..to].iter().rposition(|&b| b < 0x80);
+        let letter_end = ends(bytes.len() - 1).expect("a letter precedes every start");
+        let letter_start = ends(letter_end).map_or(0, |e| e + 1);
+        get_varint(bytes, letter_start).0 as u32
     }
 }
 
-impl std::ops::Deref for Segments {
-    type Target = [(u32, usize)];
+/// The most bytes one segment takes: a `u32` letter's varint and a
+/// `usize` start's.
+const PAIR: usize = 15;
 
-    fn deref(&self) -> &[(u32, usize)] {
-        match self {
-            Segments::One(one) => std::slice::from_ref(one),
-            Segments::Many(v) => v,
+/// Write `(letter, from)` as two minimal LEB128 varints at the start of
+/// `out`, the bytes `codec::encode_u64` appends for each; returns how
+/// many.
+fn put_pair(out: &mut [u8], (letter, from): (u32, usize)) -> usize {
+    let at = put_varint(out, 0, u64::from(letter));
+    put_varint(out, at, from as u64)
+}
+
+/// Write `v` as a minimal LEB128 varint at `out[at..]`; returns the
+/// index past it.
+fn put_varint(out: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    out[at] = v as u8;
+    at + 1
+}
+
+/// The varint at `bytes[at..]` (well-formed: a [`Segments`]' own) and
+/// the index past it.
+fn get_varint(bytes: &[u8], mut at: usize) -> (u64, usize) {
+    let (mut v, mut shift) = (0, 0);
+    loop {
+        let b = bytes[at];
+        v |= u64::from(b & 0x7f) << shift;
+        at += 1;
+        if b < 0x80 {
+            return (v, at);
         }
+        shift += 7;
     }
 }
 
 impl PartialEq for Segments {
     fn eq(&self, other: &Segments) -> bool {
-        **self == **other
+        self.bytes() == other.bytes()
     }
 }
 
@@ -156,22 +278,20 @@ impl ObjRecord {
     /// 1-based step, on its partition's clock, at which the object was
     /// created: where its first segment starts.
     pub(crate) fn creation_step(&self) -> usize {
-        self.segments[0].1
+        self.segments.first_start()
     }
 
     pub(crate) fn current_role(&self) -> u32 {
-        self.segments.last().expect("non-empty").0
+        self.segments.last_letter()
     }
 
     /// Reconstruct the full pattern through global step `upto`.
     pub(crate) fn pattern_through(&self, empty: u32, upto: usize) -> MigrationPattern {
         let mut p = Vec::with_capacity(upto);
         p.resize(self.creation_step() - 1, empty);
-        for (i, &(letter, from)) in self.segments.iter().enumerate() {
-            let end = match self.segments.get(i + 1) {
-                Some(&(_, next_from)) => next_from - 1,
-                None => upto,
-            };
+        let mut segments = self.segments.iter().peekable();
+        while let Some((letter, from)) = segments.next() {
+            let end = segments.peek().map_or(upto, |&(_, next_from)| next_from - 1);
             p.resize(p.len() + (end + 1 - from), letter);
         }
         p
@@ -317,34 +437,31 @@ pub(crate) struct DeltaState {
     pub(crate) pre_state: u32,
     /// The never-created pattern has already left the enforced family.
     pub(crate) pre_exempt: bool,
-    /// Oids whose record and/or database state may have changed since
-    /// the last checkpoint capture (drained by
-    /// `checkpoint_delta`). Not part of the durable, byte-compared
-    /// state.
-    pub(crate) dirty: DirtySet,
     /// Every record is dirty: set by [`DeltaState::compact`], which
-    /// rewrites cohort slots of records the batch never touched.
+    /// rewrites cohort slots of records the batch never touched, so the
+    /// next capture carries the partition's whole record table rather
+    /// than the monitor's [`DirtySet`].
     pub(crate) all_dirty: bool,
 }
 
-/// A partition's dirty oids ([`DeltaState::dirty`]): a vector that keeps
-/// its capacity across captures, so marking an oid appends and allocates
-/// nothing once the vector reached its steady size. [`DirtySet::sorted`]
-/// sorts and deduplicates it in place for a capture, which walks the
-/// oids in ascending order. A full vector is deduplicated before it
-/// grows, and then grown to at least twice its distinct oids, so it
-/// holds at most four times as many oids as are dirty and each insert
-/// costs amortized O(log n).
-#[derive(Clone, Default, Debug)]
-pub(crate) struct DirtySet(Vec<Oid>);
+/// The oids whose record or database state may have changed since the
+/// last checkpoint capture, one bit each: one set per monitor, whose
+/// partitions mark only the objects they track (the monitor marks the
+/// objects a certified block changed, and the ones a failed capture
+/// hands back). A partition's dirty records are therefore the marked
+/// oids it holds a record of. Marking an oid sets its bit, and
+/// allocates only when the oid is the highest yet; not part of the
+/// durable, byte-compared state.
+#[derive(Clone, Default)]
+pub(crate) struct DirtySet(Vec<u64>);
 
 impl DirtySet {
     pub(crate) fn insert(&mut self, o: Oid) {
-        if self.0.len() == self.0.capacity() && !self.0.is_empty() {
-            self.sorted();
-            self.0.reserve(self.0.len());
+        let word = (o.0 / 64) as usize;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
         }
-        self.0.push(o);
+        self.0[word] |= 1 << (o.0 % 64);
     }
 
     pub(crate) fn extend(&mut self, oids: impl IntoIterator<Item = Oid>) {
@@ -353,15 +470,22 @@ impl DirtySet {
         }
     }
 
-    /// The marked oids, ascending, each once.
-    pub(crate) fn sorted(&mut self) -> &[Oid] {
-        self.0.sort_unstable();
-        self.0.dedup();
-        &self.0
+    /// The marked oids, ascending, each once; unmarks them all.
+    pub(crate) fn drain(&mut self) -> Vec<Oid> {
+        let marked = self.0.iter().map(|w| w.count_ones() as usize).sum();
+        let mut oids = Vec::with_capacity(marked);
+        for (base, word) in (0..).step_by(64).zip(&mut self.0) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                oids.push(Oid(base + u64::from(bits.trailing_zeros())));
+                bits &= bits - 1;
+            }
+        }
+        oids
     }
 
     pub(crate) fn clear(&mut self) {
-        self.0.clear();
+        self.0.fill(0);
     }
 }
 
@@ -661,11 +785,16 @@ impl DeltaState {
     }
 
     /// Write a staged batch: debit leavers, advance or fold the untouched
-    /// cohorts, place every touched object in `records`, and advance this
-    /// partition's letter clock by the staged `k` (a single application's
-    /// commit is the `k = 1` case). `stage`'s buffers are left for the
-    /// next [`stage_batch`](Self::stage_batch).
-    pub(crate) fn commit_batch(&mut self, records: &mut Records, stage: &mut BatchStage) {
+    /// cohorts, place every touched object in `records`, marking it in
+    /// `dirty`, and advance this partition's letter clock by the staged
+    /// `k` (a single application's commit is the `k = 1` case).
+    /// `stage`'s buffers are left for the next
+    /// [`stage_batch`](Self::stage_batch).
+    pub(crate) fn commit_batch(
+        &mut self,
+        (records, dirty): (&mut Records, &mut DirtySet),
+        stage: &mut BatchStage,
+    ) {
         let BatchStage {
             moves,
             segments,
@@ -752,7 +881,7 @@ impl DeltaState {
                     let segments = Segments::from_slice(&segments[new]);
                     records.insert(oid, ObjRecord { segments, cohort: c, shard: self.shard });
                     self.tracked += 1;
-                    self.dirty.insert(oid);
+                    dirty.insert(oid);
                 }
                 BatchMove::Move { oid, segments: new, target } => {
                     let c = self.cohort_for(target);
@@ -760,7 +889,7 @@ impl DeltaState {
                     let rec = records.get_mut(self.shard, oid).expect("tracked");
                     rec.cohort = c;
                     rec.segments.extend_from_slice(&segments[new]);
-                    self.dirty.insert(oid);
+                    dirty.insert(oid);
                 }
             }
         }
@@ -1265,40 +1394,150 @@ mod tests {
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
     fn rec(shard: u32, tag: usize) -> ObjRecord {
-        ObjRecord { segments: Segments::One((1, tag)), cohort: EXEMPT, shard }
+        ObjRecord { segments: Segments::one((1, tag)), cohort: EXEMPT, shard }
     }
 
-    /// One segment inline keeps a table entry at 32 bytes: the
-    /// segments' two forms share the vector's 24 bytes, and an empty
-    /// entry takes no tag of its own.
+    /// Inline history bytes keep a table entry at 32 bytes: the inline
+    /// bytes with their length, and the heap buffer with its, share 24
+    /// bytes under one tag byte, and an empty entry takes no tag of its
+    /// own.
     #[test]
     fn an_inline_segment_grows_no_row() {
         assert_eq!(std::mem::size_of::<Segments>(), 24);
         assert_eq!(std::mem::size_of::<Option<ObjRecord>>(), 32);
     }
 
-    /// Every way to reach a segment list — from a staged slice, by
-    /// appending to one inline segment, one at a time or all at once —
-    /// compares, prints and derefs alike, and two or more never stay
-    /// inline.
+    /// The pattern a list of segments stands for, expanded the way the
+    /// segment vector was: ∅ before the first start, then each letter
+    /// from its start through the step before the next one's, the last
+    /// through `upto`.
+    fn expand(segments: &[(u32, usize)], empty: u32, upto: usize) -> MigrationPattern {
+        let mut p = vec![empty; segments[0].1 - 1];
+        for (i, &(letter, from)) in segments.iter().enumerate() {
+            let end = segments.get(i + 1).map_or(upto, |&(_, next)| next - 1);
+            p.extend(std::iter::repeat_n(letter, end + 1 - from));
+        }
+        p
+    }
+
+    /// The byte form against a `Vec<(u32, usize)>` oracle, on random
+    /// histories of 1–64 segments with letters up to `u32::MAX` and
+    /// starts up to `usize::MAX`, each built from a slice, pair by pair,
+    /// and by `extend` in two parts: the bytes are the pairs' varints as
+    /// the codec writes them, inline exactly while they fit, and every
+    /// form decodes, counts, compares and prints as the oracle does.
+    /// Ascending histories at small clocks expand to the pattern the
+    /// segment vector did.
     #[test]
     fn segment_forms_agree() {
-        let all: Vec<(u32, usize)> = (0..5).map(|i| (i % 3, 2 * i as usize + 1)).collect();
-        for n in 1..=all.len() {
-            let want = &all[..n];
-            let staged = Segments::from_slice(want);
-            let mut at_once = Segments::One(want[0]);
-            at_once.extend_from_slice(&want[1..]);
-            let mut one_by_one = Segments::One(want[0]);
-            for seg in &want[1..] {
-                one_by_one.extend_from_slice(std::slice::from_ref(seg));
+        use migratory_model::codec::encode_u64;
+        use rand::Rng as _;
+        let mut rng = StdRng::seed_from_u64(0x5e9_b17e5);
+        // At most `max`: small, mid-sized, `max` itself, or any bits of it.
+        let mut draw = |max: u64| match rng.random_range(0..4) {
+            0 => rng.random_range(0..max.min(3) + 1),
+            1 => rng.random_range(0..max.min(1 << 14) + 1),
+            2 => max,
+            _ => rng.next_u64() & max,
+        };
+        for run in 0..400 {
+            let n = 1 + (run % 64);
+            let want: Vec<(u32, usize)> = (0..n)
+                .map(|_| (draw(u32::MAX.into()) as u32, draw(usize::MAX as u64) as usize))
+                .collect();
+            let mut bytes = Vec::new();
+            for &(letter, from) in &want {
+                encode_u64(&mut bytes, letter.into());
+                encode_u64(&mut bytes, from as u64);
             }
-            for segs in [&staged, &at_once, &one_by_one] {
-                assert_eq!(&**segs, want);
-                assert_eq!(segs, &staged);
-                assert_eq!(format!("{segs:?}"), format!("{want:?}"));
-                assert_eq!(matches!(segs, Segments::One(_)), n == 1, "form of {n}");
+            let staged = Segments::from_slice(&want);
+            let mut pairwise = Segments::one(want[0]);
+            for &segment in &want[1..] {
+                pairwise.push(segment);
             }
+            let cut = 1 + run % n;
+            let mut extended = Segments::one(want[0]);
+            extended.extend_from_slice(&want[1..cut]);
+            extended.extend_from_slice(&want[cut..]);
+            for segments in [&staged, &pairwise, &extended] {
+                assert_eq!(segments.bytes(), bytes, "the codec's bytes");
+                let inline = matches!(segments, Segments::Inline { .. });
+                assert_eq!(inline, bytes.len() <= INLINE, "inline exactly while it fits");
+                assert!(segments.iter().eq(want.iter().copied()));
+                assert_eq!(segments.len(), n);
+                let rec = ObjRecord { segments: segments.clone(), cohort: EXEMPT, shard: 0 };
+                assert_eq!(rec.creation_step(), want[0].1);
+                assert_eq!(rec.current_role(), want[n - 1].0);
+                assert_eq!(segments, &staged);
+                assert_eq!(format!("{segments:?}"), format!("{want:?}"));
+            }
+            let mut other = want.clone();
+            other[run % n].0 ^= 1;
+            assert_ne!(Segments::from_slice(&other), staged, "a changed letter");
+            if n > 1 {
+                assert_ne!(Segments::from_slice(&want[..n - 1]), staged, "a prefix");
+            }
+            // Ascending starts at clocks a pattern can be expanded to.
+            let mut from = 0;
+            let small: Vec<(u32, usize)> = (0..n)
+                .map(|_| {
+                    from += 1 + draw(5) as usize;
+                    (draw(6) as u32, from)
+                })
+                .collect();
+            let upto = from + draw(4) as usize;
+            let rec =
+                ObjRecord { segments: Segments::from_slice(&small), cohort: EXEMPT, shard: 0 };
+            assert_eq!(rec.pattern_through(0, upto), expand(&small, 0, upto), "{small:?}");
+        }
+    }
+
+    /// A history's size: 1,000 role changes at clocks below 2²¹ take at
+    /// most 4 bytes a segment (a letter below 128 in one byte, a start
+    /// in three), and the heap buffer holds at most twice the bytes it
+    /// uses.
+    #[test]
+    fn a_history_holds_its_bytes_and_at_most_as_much_slack() {
+        let mut rng = StdRng::seed_from_u64(2_097_152);
+        let mut segments = Segments::one((1, 1));
+        let mut from = 1;
+        for i in 0..1_000u32 {
+            from += rng.random_range(1..2_000);
+            segments.push((1 + i % 5, from));
+            let used = segments.bytes().len();
+            assert!(
+                segments.capacity() <= 2 * used.max(INLINE),
+                "{used} in {}",
+                segments.capacity()
+            );
+        }
+        assert!(from < 1 << 21);
+        assert_eq!(segments.len(), 1_001);
+        let used = segments.bytes().len();
+        assert!(used <= 4 * 1_001, "{used} bytes");
+        assert!(segments.capacity() <= 2 * used, "{used} in {}", segments.capacity());
+    }
+
+    /// The monitor's dirty set against a `BTreeSet`: marks in any
+    /// order, across word boundaries and repeated, drain ascending and
+    /// once each, and leave the set empty.
+    #[test]
+    fn dirty_set_drains_ascending_and_once() {
+        let mut rng = StdRng::seed_from_u64(64);
+        let mut set = DirtySet::default();
+        for _round in 0..20 {
+            let mut oracle = BTreeSet::new();
+            for _ in 0..rng.random_range(0..300) {
+                let o = Oid(rng.random_range(1..2_000));
+                set.insert(o);
+                oracle.insert(o);
+            }
+            if rng.random_range(0..5) == 0 {
+                set.clear();
+                oracle.clear();
+            }
+            assert_eq!(set.drain(), oracle.into_iter().collect::<Vec<_>>());
+            assert!(set.drain().is_empty(), "drained");
         }
     }
 

@@ -60,8 +60,9 @@
 //!   single never-checked cohort.
 //! * **Run-length-encoded histories.** Per object the monitor stores only
 //!   its creation step and the steps at which its role symbol *changed*
-//!   (`(letter, from_step)` segments). Full patterns are reconstructed
-//!   on demand — for [`ShardedMonitor::pattern_of`] and [`Violation`]
+//!   (`(letter, from_step)` segments), held as the varint bytes a
+//!   checkpoint writes for them. Full patterns are reconstructed on
+//!   demand — for [`ShardedMonitor::pattern_of`] and [`Violation`]
 //!   diagnostics — so per-step allocation does not grow with run length.
 //!
 //! The rejection path reports the first violation of the reference
@@ -237,17 +238,24 @@ impl Violation {
     /// Render with role-set names from the alphabet.
     #[must_use]
     pub fn display(&self, alphabet: &RoleAlphabet) -> String {
-        let who = match self.oid {
-            Some(o) => format!("object o{}", o.0),
-            None => "never-created objects".to_owned(),
+        let mut out = Vec::new();
+        self.write(&mut out, alphabet);
+        String::from_utf8(out).expect("role-set names are UTF-8")
+    }
+
+    /// Append [`Violation::display`]'s text to `out`, the pattern
+    /// straight from [`RoleAlphabet::write_word`].
+    pub fn write(&self, out: &mut Vec<u8>, alphabet: &RoleAlphabet) {
+        use std::io::Write as _;
+        // Writing to a `Vec` cannot fail.
+        let _ = match self.oid {
+            Some(o) => write!(out, "object o{}", o.0),
+            None => write!(out, "never-created objects"),
         };
-        format!(
-            "{} would follow the pattern {} ∉ 𝔏 (offending role set {}) [epoch {}]",
-            who,
-            alphabet.display_word(&self.pattern),
-            alphabet.name(self.letter),
-            self.epoch,
-        )
+        out.extend_from_slice(b" would follow the pattern ");
+        alphabet.write_word(out, &self.pattern);
+        let (letter, epoch) = (alphabet.name(self.letter), self.epoch);
+        let _ = write!(out, " ∉ 𝔏 (offending role set {letter}) [epoch {epoch}]");
     }
 }
 

@@ -91,27 +91,35 @@ pub(super) enum Outcome {
 impl Outcome {
     /// Append the reply in `dialect` to `out`: the line `<word> <text>\n`
     /// (the bare word when there is no text), or a frame of the word's
-    /// reply kind carrying the text, shortened to the frame cap.
+    /// reply kind carrying the text, shortened to the frame cap. The
+    /// text is written in place: a violation's can quote a pattern of
+    /// tens of thousands of symbols.
     pub(super) fn encode(self, out: &mut Vec<u8>, dialect: Dialect, alphabet: &RoleAlphabet) {
-        let (kind, word, text) = match self {
-            Outcome::Admitted => (frame::REP_OK, "ok", String::new()),
-            Outcome::Ok(text) => (frame::REP_OK, "ok", text),
-            Outcome::Error(text) => (frame::REP_ERROR, "error", text),
-            Outcome::Refused(EnforceError::Violation(v)) => {
-                (frame::REP_VIOLATION, "violation", v.display(alphabet))
+        let (kind, word) = match &self {
+            Outcome::Admitted | Outcome::Ok(_) => (frame::REP_OK, "ok"),
+            Outcome::Refused(EnforceError::Violation(_)) => (frame::REP_VIOLATION, "violation"),
+            Outcome::Error(_) | Outcome::Refused(_) => (frame::REP_ERROR, "error"),
+        };
+        let text = |out: &mut Vec<u8>| match &self {
+            Outcome::Admitted => {}
+            Outcome::Ok(text) | Outcome::Error(text) => out.extend_from_slice(text.as_bytes()),
+            Outcome::Refused(EnforceError::Violation(v)) => v.write(out, alphabet),
+            Outcome::Refused(e) => {
+                let _ = write!(out, "{e}");
             }
-            Outcome::Refused(e) => (frame::REP_ERROR, "error", e.to_string()),
         };
         match dialect {
             Dialect::Text => {
                 out.extend_from_slice(word.as_bytes());
-                if !text.is_empty() {
-                    out.push(b' ');
-                    out.extend_from_slice(text.as_bytes());
+                out.push(b' ');
+                let at = out.len();
+                text(out);
+                if out.len() == at {
+                    out.pop();
                 }
                 out.push(b'\n');
             }
-            Dialect::Binary => frame::encode_reply(out, kind, &text),
+            Dialect::Binary => frame::encode_reply_with(out, kind, text),
         }
     }
 }

@@ -142,24 +142,31 @@ pub(crate) fn encode_with(out: &mut Vec<u8>, kind: u8, write: impl FnOnce(&mut V
     out[start + 2..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Append one reply frame carrying `text`, shortened to fit
-/// [`MAX_PAYLOAD`]. Reply texts have no bound of their own: a violation
-/// diagnostic quotes the object's whole pattern, which grows with its
-/// shard's letter clock, and an error may echo the request. An
-/// over-cap text keeps its head and its tail, cut at char boundaries,
-/// with ` … ` in place of the middle — so a violation keeps its
-/// `(offending role set …) [epoch E]` ending, and the cut falls inside
-/// the pattern.
-pub(crate) fn encode_reply(out: &mut Vec<u8>, kind: u8, text: &str) {
+/// Append one reply frame whose UTF-8 text `write` appends to `out` in
+/// place, shortened there to fit [`MAX_PAYLOAD`]. Reply texts have no
+/// bound of their own: a violation diagnostic quotes the object's whole
+/// pattern, which grows with its shard's letter clock, and an error may
+/// echo the request. An over-cap text keeps its head and its tail, cut
+/// at char boundaries, with ` … ` in place of the middle — so a
+/// violation keeps its `(offending role set …) [epoch E]` ending, and
+/// the cut falls inside the pattern.
+pub(crate) fn encode_reply_with(out: &mut Vec<u8>, kind: u8, write: impl FnOnce(&mut Vec<u8>)) {
     const MARK: &str = " … ";
     let max = MAX_PAYLOAD as usize;
-    if text.len() <= max {
-        return encode(out, kind, text.as_bytes());
-    }
-    let keep = (max - MARK.len()) / 2;
-    let head = &text[..text.floor_char_boundary(keep)];
-    let tail = &text[text.ceil_char_boundary(text.len() - keep)..];
-    encode(out, kind, [head, MARK, tail].concat().as_bytes());
+    encode_with(out, kind, |out| {
+        let start = out.len();
+        write(out);
+        let len = out.len() - start;
+        if len > max {
+            let keep = (max - MARK.len()) / 2;
+            // A char starts at any byte but a UTF-8 continuation byte.
+            let text = &out[start..];
+            let boundary = |i: usize| text.get(i).is_none_or(|&b| b & 0xc0 != 0x80);
+            let head = (0..=keep).rev().find(|&i| boundary(i)).expect("0 is a boundary");
+            let tail = (len - keep..=len).find(|&i| boundary(i)).expect("the end is a boundary");
+            out.splice(start + head..start + tail, MARK.bytes());
+        }
+    });
 }
 
 /// Append one [`REQ_INVOKE`] frame for `name(args…)` to `out` — the
@@ -252,9 +259,12 @@ mod tests {
         for len in [max - 1, max, max + 1, max + 2, 3 * max] {
             // Three-byte chars: a char boundary only every third byte.
             let text = "∅".repeat(len / 3) + &"x".repeat(len % 3);
+            // Behind a reply already in the buffer, as on a connection.
             let mut out = Vec::new();
-            encode_reply(&mut out, REP_ERROR, &text);
-            let (_, payload) = read_frame(&mut &out[..]).expect("within the cap");
+            encode(&mut out, REP_OK, b"");
+            let earlier = out.len();
+            encode_reply_with(&mut out, REP_ERROR, |out| out.extend_from_slice(text.as_bytes()));
+            let (_, payload) = read_frame(&mut &out[earlier..]).expect("within the cap");
             let payload = String::from_utf8(payload).expect("cut at char boundaries");
             if text.len() <= max {
                 assert_eq!(payload, text, "a text within the cap goes out verbatim");
@@ -262,6 +272,13 @@ mod tests {
                 let (head, tail) = payload.split_once(" … ").expect("the middle is elided");
                 assert!(text.starts_with(head) && text.ends_with(tail));
                 assert!(payload.len() > max - 8, "only the excess is cut");
+                let keep = (max - " … ".len()) / 2;
+                let want = [
+                    &text[..text.floor_char_boundary(keep)],
+                    " … ",
+                    &text[text.ceil_char_boundary(text.len() - keep)..],
+                ];
+                assert_eq!(payload, want.concat(), "the head and tail of a cut at boundaries");
             }
         }
     }

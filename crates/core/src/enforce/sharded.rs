@@ -80,7 +80,7 @@
 //! at a certification marker.
 
 use super::delta::{
-    diagnose_step, BatchCtx, BatchStage, DeltaState, DiagParams, Records, Touch, EXEMPT,
+    diagnose_step, BatchCtx, BatchStage, DeltaState, DiagParams, DirtySet, Records, Touch, EXEMPT,
 };
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
@@ -219,6 +219,8 @@ pub struct ShardedMonitor<'a> {
     pub(super) shards: Vec<DeltaState>,
     /// Every shard's tracking records, one table indexed by oid.
     pub(super) records: Records,
+    /// The oids changed since the last checkpoint capture.
+    dirty: DirtySet,
     router: Router,
     /// Where committed blocks are logged before tracking state is
     /// written (`None`: volatile monitor).
@@ -275,6 +277,7 @@ impl<'a> ShardedMonitor<'a> {
                 })
                 .collect(),
             records: Records::default(),
+            dirty: DirtySet::default(),
             router,
             sink: None,
             certified: false,
@@ -633,11 +636,10 @@ impl<'a> ShardedMonitor<'a> {
             }
             return (0, Some(EnforceError::Durability(e)));
         }
-        let state = &mut self.shards[0];
         for d in &sc.deltas {
-            state.dirty.extend(d.objects().iter().map(|od| od.oid));
+            self.dirty.extend(d.objects().iter().map(|od| od.oid));
         }
-        state.steps += n;
+        self.shards[0].steps += n;
         (n, lang_err)
     }
 
@@ -830,10 +832,9 @@ impl<'a> ShardedMonitor<'a> {
             }
             logged?;
         }
-        let records = &mut self.records;
         for (s, state) in self.shards.iter_mut().enumerate() {
             if !sc.letters[s].is_empty() {
-                state.commit_batch(records, &mut sc.stages[s]);
+                state.commit_batch((&mut self.records, &mut self.dirty), &mut sc.stages[s]);
             }
         }
         Ok(())
@@ -971,12 +972,12 @@ impl<'a> ShardedMonitor<'a> {
     /// tracking: the returned snapshot covers everything, so the next
     /// [`ShardedMonitor::checkpoint_delta`] captures only changes made
     /// from here on. Prefer this over [`ShardedMonitor::snapshot`] (a
-    /// pure observation that leaves the dirty sets alone) when the
+    /// pure observation that leaves the dirty set alone) when the
     /// snapshot will be written as a base checkpoint.
     pub fn checkpoint_full(&mut self) -> Snapshot {
         let snap = self.snapshot();
+        self.dirty.clear();
         for s in &mut self.shards {
-            s.dirty.clear();
             s.all_dirty = false;
         }
         snap
@@ -986,7 +987,7 @@ impl<'a> ShardedMonitor<'a> {
     /// records dirtied since the last capture (or recovery), each
     /// shard's cohort tables and letter clock — O(dirty), never O(db),
     /// encoded once into the increment's bytes straight from the heap
-    /// and the records. Drains the dirty sets: the caller must make the
+    /// and the records. Drains the dirty set: the caller must make the
     /// returned increment durable (or fall back to a full
     /// [`ShardedMonitor::checkpoint_full`]) before capturing again, or
     /// the chain loses these changes.
@@ -995,7 +996,7 @@ impl<'a> ShardedMonitor<'a> {
         wal::capture_delta(
             &self.db,
             &mut self.shards,
-            &self.records,
+            (&self.records, &mut self.dirty),
             self.policy,
             self.certified,
             self.certified_at,
@@ -1013,12 +1014,9 @@ impl<'a> ShardedMonitor<'a> {
     /// recovery. One full-record capture is the price of a failed
     /// staging, not of the steady state.
     pub fn restore_dirty(&mut self, oids: &[Oid]) {
-        // Any shard's dirty set works for the object table: captures
-        // read the (global) database by oid; per-shard records ride on
+        // The oids re-cover the object table; per-shard records ride on
         // `all_dirty` below.
-        if let Some(s) = self.shards.first_mut() {
-            s.dirty.extend(oids.iter().copied());
-        }
+        self.dirty.extend(oids.iter().copied());
         for s in &mut self.shards {
             s.all_dirty = true;
         }
@@ -1291,10 +1289,9 @@ impl<'a> ShardedMonitor<'a> {
             // Certified blocks were logged without tracking; replay
             // mirrors that. The touched objects still dirty the next
             // incremental checkpoint (their heap state changed).
-            let state = &mut self.shards[0];
-            state.steps += block.shards.iter().map(|sl| sl.letters.len()).sum::<usize>();
+            self.shards[0].steps += block.shards.iter().map(|sl| sl.letters.len()).sum::<usize>();
             for d in &block.deltas {
-                state.dirty.extend(d.objects().iter().map(|od| od.oid));
+                self.dirty.extend(d.objects().iter().map(|od| od.oid));
             }
             return Ok(());
         }
@@ -1355,7 +1352,7 @@ impl<'a> ShardedMonitor<'a> {
         }
         for sl in &block.shards {
             let s = sl.shard as usize;
-            self.shards[s].commit_batch(&mut self.records, &mut sc.stages[s]);
+            self.shards[s].commit_batch((&mut self.records, &mut self.dirty), &mut sc.stages[s]);
         }
         Ok(())
     }

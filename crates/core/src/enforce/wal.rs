@@ -131,7 +131,7 @@
 //! [`ShardedMonitor::resync`]: super::ShardedMonitor::resync
 //! [`ShardedMonitor::replay_record`]: super::ShardedMonitor::replay_record
 
-use super::delta::{Cohort, DeltaState, ObjRecord, Records, Segments};
+use super::delta::{Cohort, DeltaState, DirtySet, ObjRecord, Records, Segments};
 use super::faults::{FaultSite, IoFaults};
 use super::health::Health;
 use super::{ResiduePolicy, StepPolicy};
@@ -349,34 +349,64 @@ impl WalRecord {
 // Record framing
 // ---------------------------------------------------------------------
 
-/// IEEE CRC-32, table-driven.
+/// IEEE CRC-32.
 fn crc32(bytes: &[u8]) -> u32 {
     crc32_parts(&[bytes])
 }
 
-/// IEEE CRC-32 of the concatenation of `parts`, without concatenating
-/// them.
-fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+/// Slicing-by-8 tables of the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the bytewise table, and `CRC_TABLES[k][i]` is the CRC step of
+/// byte `i` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            t[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
             i += 1;
         }
-        t
+        k += 1;
     }
-    static TABLE: [u32; 256] = table();
+    t
+}
+
+/// IEEE CRC-32 of the concatenation of `parts`, without concatenating
+/// them: eight bytes a step through [`CRC_TABLES`], and a part's last
+/// few bytes one at a time.
+fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
     for part in parts {
-        for &b in *part {
-            c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xff) as usize]
+                ^ t[6][(lo >> 8 & 0xff) as usize]
+                ^ t[5][(lo >> 16 & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][(hi >> 8 & 0xff) as usize]
+                ^ t[1][(hi >> 16 & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -1116,14 +1146,16 @@ impl DecodedDelta {
 }
 
 /// Capture an incremental checkpoint from a database plus its tracking
-/// partitions, draining each partition's dirty set — the implementation
+/// partitions, draining the monitor's dirty set — the implementation
 /// behind
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta).
-/// O(dirty): the v2 bytes are written in one pass, each dirtied
-/// object's class set and tuple read in place from the heap and each
-/// dirtied record from the record table, looked up once, plus the
-/// bounded cohort tables. Nothing is cloned. A shard whose every record
-/// is dirty (after a compaction) is written whole, O(table).
+/// O(dirty) per shard, plus one walk of the set's bits: the v2 bytes
+/// are written in one pass, each dirtied object's class set and tuple
+/// read in place from the heap, each shard's dirtied records found by
+/// looking every dirty oid up in the record table (only an object's own
+/// shard marks it), plus the bounded cohort tables. Nothing is cloned.
+/// A shard whose every record is dirty (after a compaction) is written
+/// whole, O(table).
 ///
 /// The bytes go into [`Pieces`], and a shard's dirty records are
 /// counted and then encoded in a second walk, not collected, so no
@@ -1136,13 +1168,13 @@ impl DecodedDelta {
 pub(crate) fn capture_delta(
     db: &Instance,
     shards: &mut [DeltaState],
-    records: &Records,
+    (records, dirty): (&Records, &mut DirtySet),
     policy: StepPolicy,
     certified: bool,
     certified_at: Option<usize>,
     evolution: &Evolution,
 ) -> CheckpointDelta {
-    let oids = dirty_union(shards);
+    let oids = dirty.drain();
     let mut out = Pieces::new(64 + DELTA_BYTES_PER_OBJECT * oids.len());
     let head = out.next_item();
     head.extend_from_slice(DELTA_MAGIC);
@@ -1176,12 +1208,10 @@ pub(crate) fn capture_delta(
         if full {
             out.record_map(s.tracked, records.of_shard(s.shard));
         } else {
-            let oids = s.dirty.sorted();
             let dirty = || oids.iter().filter_map(|&o| Some((o, records.get(s.shard, o)?)));
             out.record_map(dirty().count(), dirty());
         }
         encode_cohort_tables(out.next_item(), &s.cohorts, &s.by_key, &s.free);
-        s.dirty.clear();
         clocks.push(s.steps);
     }
     CheckpointDelta { pieces: out.done(), oids, clocks }
@@ -1243,22 +1273,6 @@ impl Pieces {
     }
 }
 
-/// The union of the partitions' dirty sets, ascending: a merge of the
-/// sets, each sorted in place first, in which an oid two sets hold
-/// (`restore_dirty` marks the first partition's) appears once.
-fn dirty_union(shards: &mut [DeltaState]) -> Vec<Oid> {
-    let sorted: Vec<&[Oid]> = shards.iter_mut().map(|s| s.dirty.sorted()).collect();
-    let mut heads: Vec<_> = sorted.iter().map(|oids| oids.iter().peekable()).collect();
-    let mut oids = Vec::with_capacity(sorted.iter().map(|oids| oids.len()).sum());
-    while let Some(o) = heads.iter_mut().filter_map(|h| h.peek().copied().copied()).min() {
-        for h in &mut heads {
-            h.next_if_eq(&&o);
-        }
-        oids.push(o);
-    }
-    oids
-}
-
 /// Encode one shard's tracking state verbatim — clock, records (a
 /// filtered walk of `records`), slot table, key map, free list and all.
 /// The engine is deterministic (ordered iteration everywhere), so replay
@@ -1297,10 +1311,7 @@ fn encode_obj_record(out: &mut Vec<u8>, o: Oid, rec: &ObjRecord) {
     encode_u64(out, rec.creation_step() as u64);
     encode_u64(out, u64::from(rec.cohort));
     encode_u64(out, rec.segments.len() as u64);
-    for &(letter, from) in rec.segments.iter() {
-        encode_u64(out, u64::from(letter));
-        encode_u64(out, from as u64);
-    }
+    out.extend_from_slice(rec.segments.bytes());
 }
 
 fn encode_cohort_tables(
@@ -1360,6 +1371,9 @@ fn decode_record_map(r: &mut Reader<'_>, shard: u32) -> Result<Vec<(Oid, ObjReco
 /// Decode one tracking record of shard `shard`, which must follow oid
 /// `after` in its map. A record whose stored creation step is not its
 /// first segment's start is corrupt: the table keeps the segment only.
+/// Every segment is re-encoded, never adopted as read: the reader takes
+/// a varint with redundant continuation bytes, and a record holds only
+/// minimal ones, so that equal segments stay equal bytes.
 fn decode_obj_record(
     r: &mut Reader<'_>,
     shard: u32,
@@ -1372,27 +1386,22 @@ fn decode_obj_record(
     let creation_step = r.u64()?;
     let cohort = u32_of(r.u64()?, "cohort")?;
     let m = r.count()?;
+    if m == 0 {
+        return Err(WalError::Corrupt(format!("record {o} has no segments")));
+    }
     let mut segment = || -> Result<(u32, usize), WalError> {
         Ok((u32_of(r.u64()?, "letter")?, usize_of(r.u64()?, "segment start")?))
     };
-    // One segment — every object whose role never changed — is read
-    // straight into the record's inline form.
-    let segments = match m {
-        0 => return Err(WalError::Corrupt(format!("record {o} has no segments"))),
-        1 => Segments::One(segment()?),
-        _ => {
-            let mut segments = Vec::with_capacity(m);
-            for _ in 0..m {
-                segments.push(segment()?);
-            }
-            Segments::Many(segments)
-        }
-    };
-    if creation_step != segments[0].1 as u64 {
+    let first = segment()?;
+    if creation_step != first.1 as u64 {
         return Err(WalError::Corrupt(format!(
             "record {o} is created at step {creation_step}, its first segment starts at {}",
-            segments[0].1
+            first.1
         )));
+    }
+    let mut segments = Segments::one(first);
+    for _ in 1..m {
+        segments.push(segment()?);
     }
     Ok((o, ObjRecord { segments, cohort, shard }))
 }
@@ -2357,6 +2366,62 @@ mod tests {
         // The classic check value for IEEE CRC-32.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC the slicing one replaced, kept as its
+    /// reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes
+            .iter()
+            .fold(!0u32, |c, &b| CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8))
+    }
+
+    /// Slicing-by-8 against the bytewise CRC on random bytes of random
+    /// lengths up to 1 MiB, whole and cut into parts at random points
+    /// (so words straddle the cuts), and on the check string.
+    #[test]
+    fn slicing_crc_agrees_with_the_bytewise_one() {
+        use rand::{rngs::StdRng, Rng as _, RngExt as _, SeedableRng};
+        assert_eq!(crc32_bytewise(b"123456789"), 0xcbf4_3926);
+        let mut rng = StdRng::seed_from_u64(0xedb8_8320);
+        let lengths = (0..64).map(|i| match i % 3 {
+            0 => i / 3,
+            1 => rng.random_range(0..4096),
+            _ => rng.random_range(0..(1 << 20) + 1),
+        });
+        for len in lengths.collect::<Vec<_>>() {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let want = crc32_bytewise(&bytes);
+            assert_eq!(crc32(&bytes), want, "{len} bytes");
+            let mut cuts: Vec<usize> = (0..3).map(|_| rng.random_range(0..len + 1)).collect();
+            cuts.sort_unstable();
+            let parts = [&bytes[..cuts[0]], &bytes[cuts[0]..cuts[1]], &bytes[cuts[1]..cuts[2]]];
+            assert_eq!(crc32_parts(&[parts[0], parts[1], parts[2], &bytes[cuts[2]..]]), want);
+        }
+    }
+
+    /// A record whose segment varints carry redundant continuation
+    /// bytes — which the reader accepts — decodes equal to the minimal
+    /// one, and encodes back minimal: the record re-encodes what it
+    /// reads rather than adopting the bytes.
+    #[test]
+    fn a_non_minimal_segment_decodes_minimal() {
+        // One record map of o1: created at step 1 in cohort 0, with the
+        // segments (1, 1) and (2, 300).
+        let minimal = [1, 1, 1, 0, 2, 1, 1, 2, 0xac, 0x02];
+        let padded = [1, 1, 1, 0, 2, 0x81, 0x00, 0x81, 0x80, 0x00, 2, 0xac, 0x82, 0x00];
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let records = decode_record_map(&mut r, 0).unwrap();
+            assert!(r.is_exhausted());
+            records
+        };
+        let (want, got) = (decode(&minimal), decode(&padded));
+        assert_eq!(got, want);
+        assert_eq!(got[0].1.segments.iter().collect::<Vec<_>>(), [(1, 1), (2, 300)]);
+        let mut out = Vec::new();
+        encode_record_map(&mut out, 1, got.iter().map(|(o, rec)| (*o, rec)));
+        assert_eq!(out, minimal, "encoded minimal");
     }
 
     fn one_shard(steps0: usize, k: usize) -> Vec<ShardLetters> {
