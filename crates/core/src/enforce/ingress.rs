@@ -45,7 +45,10 @@
 //!
 //! * **Capacity** — a lane holds at most
 //!   [`IngressConfig::queue_capacity`] ops; `post` blocks until space
-//!   frees. Producers can never outrun the monitor unboundedly.
+//!   frees, and an event loop's [`IngressClient::post_batch`] hands back
+//!   the ops from the first one whose lane is full onward, to be posted
+//!   again after a space signal. Producers can never outrun the monitor
+//!   unboundedly.
 //! * **Violations** — a rejected op answers its ticket with the
 //!   [`Violation`](super::Violation) and *does not* consume a letter;
 //!   ops queued behind it in the same drained block are re-queued at
@@ -275,8 +278,21 @@ pub struct Completion {
     pub slot: u64,
 }
 
-/// The handler [`IngressClient::on_done`] registers.
-type DoneFn<'t> = Box<dyn Fn(Completion, Result<(), EnforceError>) + Send + Sync + 't>;
+/// An application an event-driven caller queues for
+/// [`IngressClient::post_batch`]: the transaction, its arguments and
+/// where its outcome goes.
+pub struct Invoke<'t> {
+    /// The transaction to apply.
+    pub t: &'t Transaction,
+    /// Its argument assignment.
+    pub args: Assignment,
+    /// Where its outcome goes.
+    pub done: Completion,
+}
+
+/// The handler [`IngressClient::on_done`] registers: a batch of
+/// completions that share one outcome.
+type DoneFn<'t> = Box<dyn Fn(&[Completion], Result<(), EnforceError>) + Send + Sync + 't>;
 
 /// How an op's outcome travels back to its producer.
 enum Answer {
@@ -323,11 +339,20 @@ struct State<'t, 's> {
     worker_parked: bool,
     /// Producers parked on `space` in [`Shared::enqueue`].
     producers_waiting: usize,
-    /// A [`Shared::try_enqueue`] was refused since the last drain: the
-    /// next drain fires the space listeners.
+    /// A [`Shared::enqueue_batch`] met a full lane since the last drain:
+    /// the next drain fires the space listeners.
     space_refused: bool,
     submitted: usize,
     max_queue_depth: usize,
+}
+
+impl<'t> State<'t, '_> {
+    /// Queue `op` at the back of `lane`.
+    fn push(&mut self, lane: usize, op: Op<'t>) {
+        self.lanes[lane].push_back(op);
+        self.submitted += 1;
+        self.max_queue_depth = self.max_queue_depth.max(self.lanes[lane].len());
+    }
 }
 
 /// One unit of work pulled by the admission worker.
@@ -355,9 +380,10 @@ struct Shared<'t, 's, 'm> {
     /// only while [`State::producers_waiting`] is non-zero.
     space: Condvar,
     /// Non-parking producers ([`IngressClient::on_space`]): invoked by
-    /// the worker at the first drain after a refused
-    /// [`IngressClient::try_post_done`], so an event loop learns that a
-    /// retry may now succeed without dedicating a thread to the wait.
+    /// the worker at the first drain after an
+    /// [`IngressClient::post_batch`] met a full lane, so an event loop
+    /// learns that a retry may now succeed without dedicating a thread
+    /// to the wait.
     space_listeners: Mutex<Vec<Box<dyn Fn() + Send + Sync + 't>>>,
     capacity: usize,
     schema: &'s Schema,
@@ -423,29 +449,32 @@ impl<'t, 's, 'm> Shared<'t, 's, 'm> {
             st = self.space.wait(st).expect("ingress poisoned");
             st.producers_waiting -= 1;
         }
-        self.push(st, lane, op);
-    }
-
-    /// Non-blocking [`Shared::enqueue`]: `Err` hands the op back when
-    /// its lane is at capacity.
-    fn try_enqueue(&self, op: Op<'t>) -> Result<(), Op<'t>> {
-        let lane = self.lane_of(op.t);
-        let mut st = self.state.lock().expect("ingress poisoned");
-        if st.lanes[lane].len() >= self.capacity {
-            st.space_refused = true;
-            return Err(op);
-        }
-        self.push(st, lane, op);
-        Ok(())
-    }
-
-    /// Queue `op` on `lane` and release the lock, waking the worker if
-    /// it is parked.
-    fn push(&self, mut st: MutexGuard<'_, State<'t, 's>>, lane: usize, op: Op<'t>) {
-        st.lanes[lane].push_back(op);
-        st.submitted += 1;
-        st.max_queue_depth = st.max_queue_depth.max(st.lanes[lane].len());
+        st.push(lane, op);
         self.wake_worker(st);
+    }
+
+    /// Non-blocking [`Shared::enqueue`] of a batch, under one lock:
+    /// queue `batch` from the front, in order, until an op meets a full
+    /// lane, which leaves it and every later op in `batch` and arms the
+    /// space listeners. Wakes the worker once if it queued anything.
+    fn enqueue_batch(&self, batch: &mut VecDeque<Invoke<'t>>) {
+        if batch.is_empty() {
+            return;
+        }
+        let mut st = self.state.lock().expect("ingress poisoned");
+        let before = st.submitted;
+        while let Some(Invoke { t, args, done }) = batch.pop_front() {
+            let lane = self.lane_of(t);
+            if st.lanes[lane].len() >= self.capacity {
+                batch.push_front(Invoke { t, args, done });
+                st.space_refused = true;
+                break;
+            }
+            st.push(lane, Op { t, args, reply: Answer::Done(done) });
+        }
+        if st.submitted > before {
+            self.wake_worker(st);
+        }
     }
 
     /// Release the lock and signal `ready` if the worker is parked on
@@ -553,40 +582,40 @@ impl<'t> IngressClient<'t, '_, '_> {
         Ticket { rx }
     }
 
-    /// Non-blocking [`IngressClient::post`] for event-driven callers: on
-    /// success the op is queued and its outcome will be handed, with
-    /// `done`, to the handler registered with [`IngressClient::on_done`]
-    /// exactly once (see [`Completion`]); when the op's lane is at
-    /// capacity the arguments are handed back unqueued so the caller can
-    /// park the op and retry after an [`IngressClient::on_space`] wakeup
-    /// — backpressure without a blocked thread.
-    pub fn try_post_done(
-        &self,
-        t: &'t Transaction,
-        args: Assignment,
-        done: Completion,
-    ) -> Result<(), Assignment> {
-        self.shared.try_enqueue(Op { t, args, reply: Answer::Done(done) }).map_err(|op| op.args)
+    /// Non-blocking [`IngressClient::post`] of a batch, for event-driven
+    /// callers: takes the lane lock once and queues `batch` from the
+    /// front, in order, until an op meets a full lane. That op and every
+    /// later one, whatever its lane, stay in `batch` in order, for the
+    /// caller to post again after an [`IngressClient::on_space`] wakeup —
+    /// backpressure without a blocked thread, and per-lane FIFO across
+    /// the retry. Wakes the worker at most once. Each queued op's outcome
+    /// is handed, with its [`Completion`], to the handler registered
+    /// with [`IngressClient::on_done`] exactly once.
+    pub fn post_batch(&self, batch: &mut VecDeque<Invoke<'t>>) {
+        self.shared.enqueue_batch(batch);
     }
 
-    /// Register the handler that receives the outcome of every op posted
-    /// with [`IngressClient::try_post_done`], with its [`Completion`].
-    /// It runs on the admission worker and the committer: keep it to
-    /// stashing the outcome and waking its owner.
+    /// Register the handler that receives the outcomes of the ops posted
+    /// with [`IngressClient::post_batch`]: each call hands over a batch
+    /// of [`Completion`]s that share one outcome — every op of an fsync
+    /// batch the committer released, every op one refusal answered, or
+    /// the one op the monitor rejected. It runs on the admission worker
+    /// and the committer: keep it to stashing the outcomes and waking
+    /// their owners.
     ///
     /// # Panics
     /// Panics if a handler is already registered.
-    pub fn on_done(&self, f: impl Fn(Completion, Result<(), EnforceError>) + Send + Sync + 't) {
+    pub fn on_done(&self, f: impl Fn(&[Completion], Result<(), EnforceError>) + Send + Sync + 't) {
         if self.pipe.on_done.set(Box::new(f)).is_err() {
             panic!("an ingress takes one completion handler");
         }
     }
 
     /// Register a persistent lane-space listener, fired by the admission
-    /// worker at the first drain after any
-    /// [`IngressClient::try_post_done`] was refused (i.e. whenever a
-    /// refused post may now succeed). Listeners run on the worker
-    /// thread: keep them to a wakeup signal.
+    /// worker at the first drain after an [`IngressClient::post_batch`]
+    /// met a full lane (i.e. whenever a left-over op may now be
+    /// queued). Listeners run on the worker thread: keep them to a
+    /// wakeup signal.
     pub fn on_space(&self, f: impl Fn() + Send + Sync + 't) {
         self.shared.space_listeners.lock().expect("ingress poisoned").push(Box::new(f));
     }
@@ -863,15 +892,38 @@ struct Pipeline<'w, 't> {
 }
 
 impl Pipeline<'_, '_> {
-    /// Deliver one op's outcome to its producer.
+    /// The registered handler of [`Answer::Done`] outcomes.
+    fn on_done(&self) -> &DoneFn<'_> {
+        self.on_done.get().expect("on_done registered before post_batch")
+    }
+
+    /// Deliver one op's outcome to its producer: a one-op batch.
     fn answer(&self, answer: Answer, outcome: Result<(), EnforceError>) {
         match answer {
             // A producer that dropped its ticket simply doesn't care.
             Answer::Chan(tx) => drop(tx.send(outcome)),
-            Answer::Done(done) => {
-                let on_done = self.on_done.get().expect("on_done registered before try_post_done");
-                on_done(done, outcome);
+            Answer::Done(done) => self.on_done()(std::slice::from_ref(&done), outcome),
+        }
+    }
+
+    /// Deliver one outcome to every producer of `answers`: each ticket
+    /// directly, and the event-driven completions, gathered in `dones`
+    /// (left empty), in one call of the registered handler.
+    fn answer_all(
+        &self,
+        answers: impl IntoIterator<Item = Answer>,
+        outcome: Result<(), EnforceError>,
+        dones: &mut Vec<Completion>,
+    ) {
+        for answer in answers {
+            match answer {
+                Answer::Chan(tx) => drop(tx.send(outcome.clone())),
+                Answer::Done(done) => dones.push(done),
             }
+        }
+        if !dones.is_empty() {
+            self.on_done()(dones, outcome);
+            dones.clear();
         }
     }
 
@@ -924,10 +976,11 @@ impl Pipeline<'_, '_> {
 
     /// Answer every ticket `Degraded` and count the refusals.
     fn refuse(&self, answers: impl IntoIterator<Item = Answer>, reason: &str) {
-        for a in answers {
+        let counted = answers.into_iter().inspect(|_| {
             self.refused.fetch_add(1, Ordering::Relaxed);
-            self.answer(a, Err(EnforceError::Degraded(reason.to_owned())));
-        }
+        });
+        let outcome = Err(EnforceError::Degraded(reason.to_owned()));
+        self.answer_all(counted, outcome, &mut Vec::new());
     }
 
     /// A durability failure on the committer: truncate the unsynced log
@@ -966,9 +1019,11 @@ fn committer_loop(pipe: &Pipeline<'_, '_>, rx: &mpsc::Receiver<Msg>) {
     let mut bytes: Vec<u8> = Vec::new();
     let mut answers: VecDeque<Answer> = VecDeque::new();
     // Blocks appended this round, awaiting the batch sync: each one's
-    // ticket count, lane and admission time; their tickets, in order.
-    let mut appended: Vec<(usize, usize, Instant)> = Vec::new();
+    // lane and admission time; their tickets, in order.
+    let mut appended: Vec<(usize, Instant)> = Vec::new();
     let mut held: Vec<Answer> = Vec::new();
+    // The released batch's completions, handed over in one call.
+    let mut dones: Vec<Completion> = Vec::new();
     let mut flushes: Vec<mpsc::Sender<bool>> = Vec::new();
     while let Ok(first) = rx.recv() {
         msgs.push(first);
@@ -1001,7 +1056,7 @@ fn committer_loop(pipe: &Pipeline<'_, '_>, rx: &mpsc::Receiver<Msg>) {
                             let from = shipped.map_or(record.start, |r| r.start);
                             shipped = Some(from..record.end);
                             held.extend(tickets);
-                            appended.push((k, lane, t0));
+                            appended.push((lane, t0));
                         }
                         Err(e) => {
                             broken = true;
@@ -1032,8 +1087,7 @@ fn committer_loop(pipe: &Pipeline<'_, '_>, rx: &mpsc::Receiver<Msg>) {
                             if let Some(m) = pipe.metrics.filter(|_| pipe.log.is_some()) {
                                 m.fsync_batch.record(appended.len() as u64);
                             }
-                            let mut tickets = held.drain(..);
-                            for (k, lane, t0) in appended.drain(..) {
+                            for (lane, t0) in appended.drain(..) {
                                 if let Some(h) =
                                     pipe.metrics.and_then(|m| m.commit_latency_us.get(lane))
                                 {
@@ -1041,10 +1095,8 @@ fn committer_loop(pipe: &Pipeline<'_, '_>, rx: &mpsc::Receiver<Msg>) {
                                         u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
                                     );
                                 }
-                                for a in tickets.by_ref().take(k) {
-                                    pipe.answer(a, Ok(()));
-                                }
                             }
+                            pipe.answer_all(held.drain(..), Ok(()), &mut dones);
                         }
                         Err(reason) => {
                             // The durable log keeps the records (no
@@ -1742,6 +1794,19 @@ mod tests {
         Completion { thread: 0, conn: 0, slot }
     }
 
+    /// A batch of one-key applications of `t`, the `i`-th op keyed
+    /// `keys[i]` and addressed to slot `first + i`.
+    fn batch<'t>(t: &'t Transaction, keys: &[&str], first: u64) -> VecDeque<Invoke<'t>> {
+        (first..)
+            .zip(keys)
+            .map(|(slot, k)| Invoke {
+                t,
+                args: Assignment::new(vec![Value::str(k)]),
+                done: tagged(slot),
+            })
+            .collect()
+    }
+
     /// Park the admission worker inside an admin barrier until the
     /// returned sender fires: the lanes hold still while the test
     /// arranges them. Returns once the worker is parked, so every op
@@ -1779,7 +1844,9 @@ mod tests {
             let cfg = IngressConfig { queue_capacity: 1, max_block: 1, ..Default::default() };
             let ((), stats) = serve(&mut m, &cfg, |client| {
                 client.on_done(|_, r| r.expect("creation conforms"));
-                client.try_post_done(mk, key("a"), tagged(0)).expect("empty lane accepts");
+                let mut a = batch(mk, &["a"], 0);
+                client.post_batch(&mut a);
+                assert!(a.is_empty(), "empty lane accepts");
                 until(client, drained);
                 let gate_tx = hold_worker(client);
                 let t_b = client.post(mk, key("b")); // fills the lane
@@ -1795,16 +1862,16 @@ mod tests {
         });
     }
 
-    /// The event-loop admission surface: `try_post_done` refuses (rather
-    /// than blocks) on a full lane and hands the pieces back, and the
-    /// `on_space` listeners fire at the next drain after the refusal —
-    /// of the refused op's own lane, or of another lane the round-robin
-    /// reaches first — so the caller knows to retry. A drain with no
-    /// refusal before it fires nothing.
+    /// The event-loop admission surface: `post_batch` leaves (rather
+    /// than blocks on) an op whose lane is full, handing it back in the
+    /// batch, and the `on_space` listeners fire at the next drain after
+    /// the refusal — of the refused op's own lane, or of another lane the
+    /// round-robin reaches first — so the caller knows to retry. A drain
+    /// with no refusal before it fires nothing.
     #[test]
-    fn try_post_done_refuses_on_full_lane_and_space_listener_fires() {
+    fn post_batch_leaves_an_op_on_a_full_lane_and_space_listener_fires() {
         for other_lane in [false, true] {
-            within_deadline("refused try_post_done", move || {
+            within_deadline("refused post_batch", move || {
                 refused_post_hears_next_drain(other_lane)
             });
         }
@@ -1823,7 +1890,6 @@ mod tests {
         )
         .unwrap();
         let (mk0, mk1) = (ts.get("Mk0").unwrap(), ts.get("Mk1").unwrap());
-        let key = |k: &str| Assignment::new(vec![Value::str(k)]);
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
         let cfg = IngressConfig { queue_capacity: 1, max_block: 1, ..Default::default() };
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -1836,21 +1902,29 @@ mod tests {
             });
             // Each op logs its tag once admitted.
             let done_log = log.clone();
-            client.on_done(move |done, r| {
+            client.on_done(move |dones, r| {
                 r.expect("creation conforms");
-                done_log.lock().unwrap().push(TAGS[done.slot as usize]);
+                for done in dones {
+                    done_log.lock().unwrap().push(TAGS[done.slot as usize]);
+                }
             });
-            client.try_post_done(mk0, key("a"), tagged(0)).expect("empty lane accepts");
+            let mut posted = batch(mk0, &["a"], 0);
+            client.post_batch(&mut posted);
+            assert!(posted.is_empty(), "empty lane accepts");
             until(client, drained);
             let gate_tx = hold_worker(client);
-            client.try_post_done(mk0, key("b"), tagged(1)).expect("lane has space");
-            let refused = client
-                .try_post_done(mk0, key("c"), tagged(2))
-                .expect_err("lane at capacity must refuse, not block");
+            posted = batch(mk0, &["b"], 1);
+            client.post_batch(&mut posted);
+            assert!(posted.is_empty(), "lane has space");
+            let mut refused = batch(mk0, &["c"], 2);
+            client.post_batch(&mut refused);
+            assert_eq!(refused.len(), 1, "lane at capacity must refuse, not block");
             if other_lane {
                 // The round-robin resumes after lane 0, so lane 1 drains
                 // before b's lane does.
-                client.try_post_done(mk1, key("d"), tagged(3)).expect("lane 1 is empty");
+                posted = batch(mk1, &["d"], 3);
+                client.post_batch(&mut posted);
+                assert!(posted.is_empty(), "lane 1 is empty");
             }
             gate_tx.send(()).unwrap();
             space_rx.recv().unwrap();
@@ -1861,13 +1935,13 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
-            let mut retry = Some(refused);
-            while let Some(args) = retry.take() {
-                if let Err(back) = client.try_post_done(mk0, args, tagged(2)) {
-                    // Refused again: that re-arms the listeners.
-                    space_rx.recv().unwrap();
-                    retry = Some(back);
+            loop {
+                client.post_batch(&mut refused);
+                if refused.is_empty() {
+                    break;
                 }
+                // Refused again: that re-arms the listeners.
+                space_rx.recv().unwrap();
             }
         });
         let log = log.lock().unwrap().clone();
@@ -1882,8 +1956,93 @@ mod tests {
         }
     }
 
+    /// One `post_batch` under one lock: a batch whose third op meets a
+    /// full lane queues the first two, and leaves the third and every
+    /// later op — another lane's too, whose lane has room — in the batch
+    /// in order. The space listener fires once, at the next drain, and
+    /// the remainder posted after it keeps each lane's order.
+    #[test]
+    fn post_batch_stops_at_the_first_full_lane_and_keeps_the_rest_in_order() {
+        within_deadline("batch remainder", || {
+            let s = multi_schema();
+            let a = RoleAlphabet::new(&s, 0).unwrap();
+            let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+            let ts = parse_transactions(
+                &s,
+                r"
+                transaction Mk0(x) { create(R0, { K0 = x }); }
+                transaction Mk1(x) { create(R1, { K1 = x }); }
+            ",
+            )
+            .unwrap();
+            let (mk0, mk1) = (ts.get("Mk0").unwrap(), ts.get("Mk1").unwrap());
+            const TAGS: [&str; 6] = ["p", "a", "b", "c", "d", "e"];
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            let cfg = IngressConfig { queue_capacity: 2, ..Default::default() };
+            let (log, spaces) = (Arc::new(Mutex::new(Vec::new())), Arc::new(AtomicUsize::new(0)));
+            let ((), stats) = serve(&mut m, &cfg, |client| {
+                let (space_tx, space_rx) = mpsc::channel();
+                let fired = spaces.clone();
+                client.on_space(move || {
+                    fired.fetch_add(1, Ordering::SeqCst);
+                    let _ = space_tx.send(());
+                });
+                let done_log = log.clone();
+                client.on_done(move |dones, r| {
+                    r.expect("creation conforms");
+                    let mut log = done_log.lock().unwrap();
+                    log.extend(dones.iter().map(|d| TAGS[d.slot as usize]));
+                });
+                let answered = |n: usize| {
+                    while log.lock().unwrap().len() < n {
+                        std::thread::yield_now();
+                    }
+                };
+                let (lane0, lane1) = (client.shared.lane_of(mk0), client.shared.lane_of(mk1));
+                assert_ne!(lane0, lane1, "two components, two lanes");
+                let gate_tx = hold_worker(client);
+                let mut ops = batch(mk0, &["p"], 0);
+                client.post_batch(&mut ops);
+                // a → lane 0 (now full), b → lane 1, c meets lane 0 full.
+                let mut ops: VecDeque<_> =
+                    [(mk0, "a"), (mk1, "b"), (mk0, "c"), (mk1, "d"), (mk0, "e")]
+                        .into_iter()
+                        .zip(1..)
+                        .flat_map(|((t, k), slot)| batch(t, &[k], slot))
+                        .collect();
+                client.post_batch(&mut ops);
+                let left: Vec<_> = ops.iter().map(|op| TAGS[op.done.slot as usize]).collect();
+                assert_eq!(
+                    left,
+                    ["c", "d", "e"],
+                    "the third op and every later one stay, in order"
+                );
+                {
+                    let st = client.shared.state.lock().unwrap();
+                    assert_eq!((st.lanes[lane0].len(), st.lanes[lane1].len()), (2, 1));
+                    assert_eq!(st.submitted, 3, "p, a and b were queued");
+                    assert!(st.space_refused, "the full lane armed the listeners");
+                }
+                gate_tx.send(()).unwrap();
+                space_rx.recv().unwrap();
+                answered(3);
+                client.post_batch(&mut ops);
+                assert!(ops.is_empty(), "both lanes drained: the remainder goes in whole");
+                answered(6);
+            });
+            assert_eq!(spaces.load(Ordering::SeqCst), 1, "one refusal, one firing");
+            assert_eq!(stats.admitted, 6);
+            let log = log.lock().unwrap().clone();
+            let lane = |tags: &[&str]| -> Vec<&str> {
+                log.iter().copied().filter(|t| tags.contains(t)).collect()
+            };
+            assert_eq!(lane(&["p", "a", "c", "e"]), ["p", "a", "c", "e"], "lane 0 kept its order");
+            assert_eq!(lane(&["b", "d"]), ["b", "d"], "lane 1 kept its order");
+        });
+    }
+
     /// A worker parked on empty lanes wakes for every way work arrives —
-    /// `post`, `try_post_done`, `post_admin` — and for close, while a
+    /// `post`, `post_batch`, `post_admin` — and for close, while a
     /// `read` is answered without waking it.
     #[test]
     fn parked_worker_wakes_for_every_post_and_close() {
@@ -1902,11 +2061,13 @@ mod tests {
                 client.post(mk, key("a")).wait().expect("post wakes the worker");
                 until(client, parked);
                 let (tx, rx) = mpsc::channel();
-                client.on_done(move |done, r| tx.send((done, r)).unwrap());
-                client.try_post_done(mk, key("b"), tagged(1)).expect("lane has space");
-                let (done, r) = rx.recv().unwrap();
-                r.expect("try_post_done wakes the worker");
-                assert_eq!(done, tagged(1), "the outcome comes back with its completion");
+                client.on_done(move |dones, r| tx.send((dones.to_vec(), r)).unwrap());
+                let mut b = batch(mk, &["b"], 1);
+                client.post_batch(&mut b);
+                assert!(b.is_empty(), "lane has space");
+                let (dones, r) = rx.recv().unwrap();
+                r.expect("post_batch wakes the worker");
+                assert_eq!(dones, [tagged(1)], "the outcome comes back with its completion");
                 until(client, parked);
                 let (tx, rx) = mpsc::channel();
                 client.post_admin(Box::new(move |gate| {

@@ -180,7 +180,8 @@ pub mod wal;
 pub use faults::{FaultKind, FaultSite, IoFaults};
 pub use health::{CheckpointHealth, Health};
 pub use ingress::{
-    Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats, DEFAULT_CHECKPOINT_BYTES,
+    Completion, DurabilityPolicy, DurableLog, IngressConfig, IngressStats, Invoke,
+    DEFAULT_CHECKPOINT_BYTES,
 };
 pub use metrics::{AdmissionMetrics, Histogram};
 pub use reference::ReferenceMonitor;

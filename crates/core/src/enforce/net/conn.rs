@@ -7,11 +7,13 @@
 //!
 //! A connection owns no thread. The event loop (`super::event`) polls
 //! its socket, feeds bytes in with [`Conn::fill_read_buffer`], pulls
-//! requests out with [`ReadBuf::extract`], parks at most one parsed-but-
-//! unposted invoke in [`Conn::pending`] when its admission lane is full
-//! (backpressure as poll-interest suppression: a connection with a
-//! pending post stops reading), and flushes the **ready prefix** of the
-//! slot queue to the write buffer — so replies never overtake each
+//! requests out with [`ReadBuf::extract`], queues a pass's parsed
+//! invokes in [`Conn::unposted`] and posts them with one ingress call
+//! at the end of the pass. What a full admission lane leaves there stays
+//! queued in order and shuts the extraction gate until a space signal
+//! (backpressure as poll-interest suppression: a connection with
+//! unposted invokes stops reading). It flushes the **ready prefix** of
+//! the slot queue to the write buffer — so replies never overtake each
 //! other within a connection, exactly the old reader/writer pair's
 //! FIFO-channel guarantee, without the two threads.
 //!
@@ -23,8 +25,7 @@
 use super::event::Outcome;
 use super::frame;
 use super::MAX_LINE;
-use crate::enforce::ingress::Completion;
-use migratory_lang::{Assignment, Transaction};
+use crate::enforce::ingress::Invoke;
 use migratory_model::{ClassId, Condition};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -92,17 +93,6 @@ pub(super) enum Deferred {
     },
     /// `query`: the objects of a class matching a condition.
     Query(ClassId, Condition),
-}
-
-/// A parsed invoke the admission lane refused (lane full): retried by
-/// the event loop after an ingress space wakeup.
-pub(super) struct Pending<'t> {
-    /// The transaction to post.
-    pub t: &'t Transaction,
-    /// Its argument assignment.
-    pub args: Assignment,
-    /// Where its outcome goes.
-    pub done: Completion,
 }
 
 /// One request extracted from the read buffer, borrowed from it.
@@ -179,13 +169,16 @@ pub(super) struct Conn<'t> {
     pub bytes: u64,
     /// Cumulative parsed requests (quota clock).
     pub ops: u64,
-    /// At most one lane-refused invoke awaiting ingress space.
-    pub pending: Option<Pending<'t>>,
+    /// Parsed invokes not yet posted, in request order: the current
+    /// pass's, posted with one call when it ends, and between passes
+    /// only what a full lane left, awaiting ingress space. Each has a
+    /// reply slot, so it never holds more than one pipeline depth.
+    pub unposted: VecDeque<Invoke<'t>>,
     /// Something happened to this connection since its last pump (bytes
-    /// read, a completion filled a slot, a space signal arrived while an
-    /// op was parked, the socket became writable): the event loop pumps
-    /// only dirty connections, so a quiescent one costs nothing per
-    /// iteration.
+    /// read, a completion filled a slot, a space signal arrived while
+    /// invokes were unposted, the socket became writable): the event
+    /// loop pumps only dirty connections, so a quiescent one costs
+    /// nothing per iteration.
     pub dirty: bool,
     /// The readiness interest this socket is currently registered for
     /// with the event thread's epoll instance. The loop reconciles it
@@ -232,7 +225,7 @@ impl<'t> Conn<'t> {
             drain_deadline: None,
             bytes: 0,
             ops: 0,
-            pending: None,
+            unposted: VecDeque::new(),
             dirty: true,
             interest: 0,
             slots: VecDeque::new(),
@@ -358,7 +351,7 @@ impl<'t> Conn<'t> {
     }
 
     /// Whether the event loop should poll this socket for readability:
-    /// suppressed while a pending post awaits lane space, while the
+    /// suppressed while unposted invokes await lane space, while the
     /// reply pipeline is at depth, and while the write buffer is above
     /// its high-water mark — composed backpressure as poll-interest
     /// suppression — and permanently once the peer half-closed (a
@@ -377,10 +370,15 @@ impl<'t> Conn<'t> {
     /// close the gate — requests fully buffered before the peer's FIN
     /// still extract and get their replies.
     pub(super) fn may_extract(&self, pipeline: usize) -> bool {
-        self.read_open
-            && self.pending.is_none()
-            && self.slots.len() < pipeline
-            && self.unsent() < WRITE_HIGH
+        self.unposted.is_empty() && self.has_room(pipeline)
+    }
+
+    /// Whether one more request may be extracted in a pass that
+    /// [`Conn::may_extract`] opened: the gates that requests close as
+    /// they are served, without the unposted queue, which the pass's own
+    /// invokes fill until its one post.
+    pub(super) fn has_room(&self, pipeline: usize) -> bool {
+        self.read_open && self.slots.len() < pipeline && self.unsent() < WRITE_HIGH
     }
 
     /// Answer-and-close: append a final reply (when given), stop
@@ -405,7 +403,7 @@ impl<'t> Conn<'t> {
     /// close-marked connection can actually close.
     pub(super) fn finished(&self) -> bool {
         self.close_after_flush
-            && self.pending.is_none()
+            && self.unposted.is_empty()
             && self.slots.is_empty()
             && self.unsent() == 0
     }

@@ -13,9 +13,11 @@
 //!   the reply lands in the right slot of the right connection. An
 //!   `invoke` names that address as a plain
 //!   [`Completion`](crate::enforce::ingress::Completion), which the
-//!   ingress hands back to the one handler [`run`] registers.
+//!   ingress hands back to the one handler [`run`] registers, a batch at
+//!   a time: the handler counts a batch once and mails each thread its
+//!   share under one lock, with at most one wake-up.
 //! * **Space signals**: the worker drained a block, so a connection
-//!   parked on a full admission lane may retry its post.
+//!   whose invokes a full admission lane left unposted may post them.
 //!
 //! Every request takes one path, whichever dialect carries it:
 //!
@@ -25,18 +27,20 @@
 //!    (quotas, blank and `#` lines, the request count, the pre-auth
 //!    gate) run first, then the dialect's one decoder
 //!    ([`Env::decode_line`] or [`Env::decode_frame`]).
-//! 3. **Execute** the command ([`Env::execute`]): post an `invoke` or an
-//!    admin op, queue a `query` or `stats` to be answered when its slot
-//!    reaches the front ([`Env::resolve`], after every earlier request of
-//!    the connection), or answer at once.
+//! 3. **Execute** the command ([`Env::execute`]): queue an `invoke` for
+//!    the pass's one post ([`pump`]), post an admin op, queue a `query`
+//!    or `stats` to be answered when its slot reaches the front
+//!    ([`Env::resolve`], after every earlier request of the connection),
+//!    or answer at once.
 //! 4. **Encode** the reply ([`Outcome::encode`]): immediate or mailed
 //!    back, every reply is an [`Outcome`] put in the dialect its slot
 //!    recorded, written straight into the write buffer when its slot
 //!    flushes.
 //!
 //! The loop per thread: drain the inbox, fill the slots outcomes arrived
-//! for, pump the **dirty** connections (retry parked posts, extract and
-//! serve requests, flush ready replies, write), reap expired deadlines,
+//! for, pump the **dirty** connections (post what a full lane left
+//! unposted, extract and serve requests, post their invokes in one call,
+//! flush ready replies, write), reap expired deadlines,
 //! then `poll` the sockets whose interest survives the backpressure
 //! gates ([`Conn::wants_read`]). Per-iteration work is proportional to
 //! what actually happened: a connection nothing happened to is neither
@@ -45,11 +49,11 @@
 //! Thread count is O(`io_threads` + shards) — independent of the number
 //! of connections, which is the point.
 
-use super::conn::{Conn, Deferred, Dialect, Extracted, Pending, ReadOutcome, Request, Slot};
+use super::conn::{Conn, Deferred, Dialect, Extracted, ReadOutcome, Request, Slot};
 use super::{evolution, frame, parse_invocation, parse_query, stats_reply};
 use super::{ServerConfig, ServerShared, MAX_LINE};
 use crate::alphabet::RoleAlphabet;
-use crate::enforce::ingress::{Completion, IngressClient};
+use crate::enforce::ingress::{AdminOp, Completion, IngressClient, Invoke};
 use crate::enforce::repl::ReplicaCtl;
 use crate::enforce::{EnforceError, ResiduePolicy};
 use crate::Inventory;
@@ -74,6 +78,7 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a request came to, before it is put in a dialect: `ok`,
 /// `violation` or `error`, plus text.
+#[derive(Clone)]
 pub(super) enum Outcome {
     /// An `invoke` admitted: `ok` with no text.
     Admitted,
@@ -248,16 +253,17 @@ impl EventShared {
         }
     }
 
-    /// Count an outcome once, where it is decided — so the counters stay
-    /// truthful when its connection closed before the reply arrived.
-    fn count(&self, outcome: &Outcome) {
+    /// Count `n` requests' outcome once, where it is decided — so the
+    /// counters stay truthful when a connection closed before its reply
+    /// arrived.
+    fn count(&self, outcome: &Outcome, n: usize) {
         let counter = match outcome {
             Outcome::Ok(_) => return,
             Outcome::Admitted => &self.admitted,
             Outcome::Refused(EnforceError::Violation(_)) => &self.rejected,
             Outcome::Refused(_) | Outcome::Error(_) => &self.errors,
         };
-        counter.fetch_add(1, Ordering::SeqCst);
+        counter.fetch_add(n, Ordering::SeqCst);
     }
 }
 
@@ -339,13 +345,32 @@ pub(super) fn run<'t>(
         let ev = Arc::clone(ev);
         client.on_space(move || ev.inboxes[i].signal_space());
     }
-    // Every invoke's outcome: counted where it is decided, mailed to the
-    // slot its completion names.
+    // Every invoke's outcome, a batch at a time: counted once where it is
+    // decided, and mailed to the slots its completions name — each event
+    // thread's share under one lock, with at most one wake-up.
     let done_ev = Arc::clone(ev);
-    client.on_done(move |done: Completion, outcome| {
+    client.on_done(move |dones: &[Completion], outcome| {
         let outcome = outcome.map_or_else(Outcome::Refused, |()| Outcome::Admitted);
-        done_ev.count(&outcome);
-        done_ev.inboxes[done.thread].push_done(Done { conn: done.conn, seq: done.slot, outcome });
+        done_ev.count(&outcome, dones.len());
+        // Each completion gets its own copy but the last, which takes
+        // the outcome itself: a refused op's violation is not copied.
+        let (mut outcome, mut left) = (Some(outcome), dones.len());
+        let mut next = || {
+            left -= 1;
+            if left == 0 { outcome.take() } else { outcome.clone() }.expect("an outcome per op")
+        };
+        for (thread, inbox) in done_ev.inboxes.iter().enumerate() {
+            let mut mine = dones.iter().filter(|d| d.thread == thread).peekable();
+            if mine.peek().is_some() {
+                inbox.push(|q| {
+                    q.dones.extend(mine.map(|d| Done {
+                        conn: d.conn,
+                        seq: d.slot,
+                        outcome: next(),
+                    }));
+                });
+            }
+        }
     });
     let env = |me| Env { me, ev, client, ts, shared, config };
     std::thread::scope(|scope| {
@@ -452,7 +477,7 @@ fn accept_burst<'t>(
     }
 }
 
-impl<'t> Env<'_, 't, '_, '_> {
+impl<'t, 's> Env<'_, 't, 's, '_> {
     /// [`ServerConfig::pipeline`], at least 1.
     fn pipeline(&self) -> usize {
         self.config.pipeline.max(1)
@@ -461,7 +486,7 @@ impl<'t> Env<'_, 't, '_, '_> {
     /// Count an outcome decided here, on the event thread, as the slot
     /// that answers in `dialect`.
     fn reply(&self, dialect: Dialect, outcome: Outcome) -> Slot {
-        self.ev.count(&outcome);
+        self.ev.count(&outcome, 1);
         Slot::Ready { dialect, outcome }
     }
 
@@ -477,7 +502,7 @@ impl<'t> Env<'_, 't, '_, '_> {
         let seq = c.push_slot(Slot::Waiting { dialect });
         let (ev, owner, conn) = (Arc::clone(self.ev), self.me, c.id);
         move |outcome| {
-            ev.count(&outcome);
+            ev.count(&outcome, 1);
             ev.inboxes[owner].push_done(Done { conn, seq, outcome });
         }
     }
@@ -510,7 +535,8 @@ impl<'t> Env<'_, 't, '_, '_> {
 
     /// Serve one extracted request: the checks both dialects share, then
     /// decode, execute and answer. Returns `false` when extraction on
-    /// this connection must stop (quit, shutdown, teardown).
+    /// this connection must stop (quit, shutdown, teardown, an admin op
+    /// ahead of unposted invokes).
     fn dispatch(&self, c: &mut Conn<'t>, req: Request<'_>, wire: u64) -> bool {
         let config = self.config;
         let dialect = match req {
@@ -668,19 +694,16 @@ impl<'t> Env<'_, 't, '_, '_> {
     }
 
     /// Execute one decoded request and queue its reply slot. Returns
-    /// `false` when extraction on this connection must stop (quit,
-    /// shutdown).
+    /// `false` when extraction on this connection must stop: quit,
+    /// shutdown, or an admin op or `rearm` that went ahead of invokes a
+    /// full lane left unposted ([`Env::post_admin`]).
     fn execute(&self, c: &mut Conn<'t>, dialect: Dialect, cmd: Command<'t>) -> bool {
         let outcome = match cmd {
             Command::Invoke(t, args) => {
-                // A full lane parks the op as the connection's pending
-                // post, which suppresses its read interest until a space
-                // signal lets the retry through.
+                // Queued for the one post that ends the pass (`pump`).
                 let slot = c.push_slot(Slot::Waiting { dialect });
                 let done = Completion { thread: self.me, conn: c.id, slot };
-                if let Err(args) = self.client.try_post_done(t, args, done) {
-                    c.pending = Some(Pending { t, args, done });
-                }
+                c.unposted.push_back(Invoke { t, args, done });
                 return true;
             }
             Command::Read(read) => {
@@ -689,7 +712,7 @@ impl<'t> Env<'_, 't, '_, '_> {
             }
             Command::Redefine(policy, inv) => {
                 self.redefine(c, dialect, policy, inv);
-                return true;
+                return c.unposted.is_empty();
             }
             Command::Schema => Outcome::Ok(self.shared.schema_line.clone()),
             Command::Ping => Outcome::Ok("pong".to_owned()),
@@ -699,13 +722,17 @@ impl<'t> Env<'_, 't, '_, '_> {
             Command::Rearm => {
                 // Operator action: leave degraded read-only mode. If the
                 // fault persists, the next failing append re-degrades.
+                // Like an admin op, it goes in behind the invokes
+                // extracted before it.
+                self.client.post_batch(&mut c.unposted);
                 self.shared.health.rearm();
-                Outcome::Ok("armed".to_owned())
+                c.push_slot(self.reply(dialect, Outcome::Ok("armed".to_owned())));
+                return c.unposted.is_empty();
             }
             Command::Promote => match &self.shared.replica {
                 Some(ctl) => {
                     self.promote(c, dialect, ctl);
-                    return true;
+                    return c.unposted.is_empty();
                 }
                 None => Outcome::Error(
                     "not a replica (promote targets a server started with --replica-of)".to_owned(),
@@ -758,6 +785,18 @@ impl<'t> Env<'_, 't, '_, '_> {
         }
     }
 
+    /// Post the connection's unposted invokes and then `op`, so an admin
+    /// op keeps its place behind the invokes extracted before it. When a
+    /// full lane leaves some of them unposted, the admin op goes ahead of
+    /// that remainder — `docs/PROTOCOL.md` § `redefine` promises the old
+    /// inventory only to requests answered before the swap — and the
+    /// caller ends the pass, so nothing more is extracted behind them
+    /// until a space signal.
+    fn post_admin(&self, c: &mut Conn<'t>, op: AdminOp<'t, 's>) {
+        self.client.post_batch(&mut c.unposted);
+        self.client.post_admin(op);
+    }
+
     /// Post a `redefine` as an admin barrier op: it runs on the admission
     /// worker with exclusive monitor access, and its verdict is mailed
     /// back only once it is known *and* the write-ahead record is durable
@@ -766,30 +805,33 @@ impl<'t> Env<'_, 't, '_, '_> {
         let answer = self.await_outcome(c, dialect);
         let evo = Arc::clone(&self.shared.evo);
         let metrics = self.shared.metrics.clone();
-        self.client.post_admin(Box::new(move |gate| {
-            // Phase 1, on the admission worker between blocks: apply (or
-            // learn why not). Totals are read while the monitor is still
-            // exclusively ours — the durable flag arrives later.
-            let attempt = gate.map(|m| (m.redefine(&inv, policy), evolution(m)));
-            Box::new(move |durable: bool| {
-                answer(match attempt {
-                    Ok((Ok(out), totals)) if durable => {
-                        evo.publish(metrics.as_deref(), totals);
-                        Outcome::Ok(format!("epoch={} residue={}", out.epoch, out.residue))
-                    }
-                    // The record never became durable: the worker winds the
-                    // monitor back to the durable image before admitting
-                    // anything else, so the epoch this op minted is gone.
-                    Ok((Ok(_), _)) => Outcome::Error(
-                        "redefinition rolled back: write-ahead log degraded before it became \
+        self.post_admin(
+            c,
+            Box::new(move |gate| {
+                // Phase 1, on the admission worker between blocks: apply (or
+                // learn why not). Totals are read while the monitor is still
+                // exclusively ours — the durable flag arrives later.
+                let attempt = gate.map(|m| (m.redefine(&inv, policy), evolution(m)));
+                Box::new(move |durable: bool| {
+                    answer(match attempt {
+                        Ok((Ok(out), totals)) if durable => {
+                            evo.publish(metrics.as_deref(), totals);
+                            Outcome::Ok(format!("epoch={} residue={}", out.epoch, out.residue))
+                        }
+                        // The record never became durable: the worker winds the
+                        // monitor back to the durable image before admitting
+                        // anything else, so the epoch this op minted is gone.
+                        Ok((Ok(_), _)) => Outcome::Error(
+                            "redefinition rolled back: write-ahead log degraded before it became \
                          durable"
-                            .to_owned(),
-                    ),
-                    Ok((Err(e), _)) => Outcome::Refused(e),
-                    Err(reason) => Outcome::Refused(EnforceError::Degraded(reason)),
-                });
-            })
-        }));
+                                .to_owned(),
+                        ),
+                        Ok((Err(e), _)) => Outcome::Refused(e),
+                        Err(reason) => Outcome::Refused(EnforceError::Degraded(reason)),
+                    });
+                })
+            }),
+        );
     }
 
     /// Promote a replica to a writable primary. The pull loop is told to
@@ -804,50 +846,53 @@ impl<'t> Env<'_, 't, '_, '_> {
         let evo = Arc::clone(&self.shared.evo);
         let metrics = self.shared.metrics.clone();
         ctl.request_stop();
-        self.client.post_admin(Box::new(move |gate| {
-            let attempt = gate.map(|m| {
-                ctl.halt();
-                ctl.make_writable();
-                // The shipped history may carry redefinitions this server
-                // folded without going through its own `redefine` verb:
-                // refresh the evolution gauges so the promoted primary's
-                // `stats` tells the truth.
-                evo.publish(metrics.as_deref(), evolution(m));
-                (m.epoch(), ctl.applied())
-            });
-            Box::new(move |_durable: bool| {
-                answer(match attempt {
-                    Ok((epoch, applied)) => {
-                        Outcome::Ok(format!("promoted epoch={epoch} applied={applied}"))
-                    }
-                    Err(reason) => Outcome::Refused(EnforceError::Degraded(reason)),
+        self.post_admin(
+            c,
+            Box::new(move |gate| {
+                let attempt = gate.map(|m| {
+                    ctl.halt();
+                    ctl.make_writable();
+                    // The shipped history may carry redefinitions this server
+                    // folded without going through its own `redefine` verb:
+                    // refresh the evolution gauges so the promoted primary's
+                    // `stats` tells the truth.
+                    evo.publish(metrics.as_deref(), evolution(m));
+                    (m.epoch(), ctl.applied())
                 });
-            })
-        }));
+                Box::new(move |_durable: bool| {
+                    answer(match attempt {
+                        Ok((epoch, applied)) => {
+                            Outcome::Ok(format!("promoted epoch={epoch} applied={applied}"))
+                        }
+                        Err(reason) => Outcome::Refused(EnforceError::Degraded(reason)),
+                    });
+                })
+            }),
+        );
     }
 }
 
-/// Drive one connection as far as it will go: retry a parked post,
-/// extract and serve buffered requests, flush resolved replies,
-/// write. Loops while progress is made, because writing can re-open
-/// the extraction gate (write-buffer high-water mark) for bytes that
-/// are already buffered and would otherwise never see a poll event.
+/// Drive one connection as far as it will go: post what a full lane
+/// left unposted, extract and serve buffered requests, post the pass's
+/// invokes, flush resolved replies, write. Loops while progress is
+/// made, because writing can re-open the extraction gate (write-buffer
+/// high-water mark) for bytes that are already buffered and would
+/// otherwise never see a poll event.
 fn pump<'t>(env: &Env<'_, 't, '_, '_>, c: &mut Conn<'t>) {
     loop {
         if c.dead {
             return;
         }
-        if let Some(p) = c.pending.take() {
-            if let Err(args) = env.client.try_post_done(p.t, p.args, p.done) {
-                c.pending = Some(Pending { args, ..p });
-            }
-        }
+        env.client.post_batch(&mut c.unposted);
         let mut dispatched = false;
         let mut drained = false;
         // Requests are served borrowed from the read buffer, held apart
-        // from the connection for the pass.
+        // from the connection for the pass. A remainder a full lane left
+        // unposted keeps the gate shut for the whole pass; the invokes
+        // the pass itself queues do not.
         let mut rbuf = std::mem::take(&mut c.rbuf);
-        while c.may_extract(env.pipeline()) {
+        let open = c.may_extract(env.pipeline());
+        while open && c.has_room(env.pipeline()) {
             match rbuf.extract() {
                 Extracted::None => {
                     drained = true;
@@ -887,6 +932,8 @@ fn pump<'t>(env: &Env<'_, 't, '_, '_>, c: &mut Conn<'t>) {
         // the teardown waits for a later pump.
         rbuf.compact();
         c.rbuf = rbuf;
+        // The pass's invokes, in one post.
+        env.client.post_batch(&mut c.unposted);
         if drained && c.eof && c.read_open {
             c.teardown(None);
         }
@@ -981,9 +1028,9 @@ fn event_thread<'t>(
             }
         }
         if mail.space {
-            // The worker drained a block: parked posts may retry.
+            // The worker drained a block: unposted invokes may go in.
             for c in conns.values_mut() {
-                if c.pending.is_some() {
+                if !c.unposted.is_empty() {
                     c.dirty = true;
                 }
             }
@@ -1054,13 +1101,11 @@ fn event_thread<'t>(
         for id in gone.drain(..) {
             if let Some(mut c) = conns.remove(&id) {
                 ev.live.fetch_sub(1, Ordering::SeqCst);
-                // A parsed-but-unposted invoke still gets one posting
-                // attempt so its outcome is counted like the old
-                // writer's drained tickets; if the lane is still full
-                // the op is dropped with the connection.
-                if let Some(p) = c.pending.take() {
-                    let _ = env.client.try_post_done(p.t, p.args, p.done);
-                }
+                // Parsed-but-unposted invokes still get one posting
+                // attempt so their outcomes are counted like the old
+                // writer's drained tickets; what a full lane leaves is
+                // dropped with the connection.
+                env.client.post_batch(&mut c.unposted);
             }
         }
         if draining && conns.is_empty() && ev.accept_done.load(Ordering::SeqCst) {

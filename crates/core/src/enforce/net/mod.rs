@@ -26,10 +26,10 @@
 //! independent of the connection count. Each connection keeps
 //! per-connection read/write buffers, extracts requests incrementally,
 //! and queues one reply **slot** per request; `invoke` outcomes arrive
-//! asynchronously (completion callbacks mailed back to the owning event
-//! thread through a self-pipe waker) and fill their slot, and only the
-//! resolved prefix of the slot queue is ever written — so replies never
-//! overtake each other within a connection. A connection is exactly one
+//! asynchronously (a released batch's completions mailed back to their
+//! event threads through a self-pipe waker) and fill their slot, and
+//! only the resolved prefix of the slot queue is ever written — so
+//! replies never overtake each other within a connection. A connection is exactly one
 //! ingress producer: per-connection FIFO is the ingress's per-producer
 //! FIFO, and pipelined requests from one connection batch into admission
 //! blocks just like an in-process pipelining producer's.
@@ -51,13 +51,15 @@
 //!   [`ingress::serve`]'s contract) — so every in-flight request is
 //!   answered on the wire before its socket closes and [`serve`]
 //!   returns.
-//! * **Backpressure end to end, without blocked threads.** A full
-//!   admission lane parks the connection's parsed-but-unposted invoke
-//!   and suppresses its read interest; a deep reply pipeline or a
-//!   write buffer past its high-water mark does the same. Suppressed
-//!   read interest fills the client's TCP window: producers can never
-//!   outrun the monitor, no matter how fast they write — and no server
-//!   thread ever blocks on one connection's behalf.
+//! * **Backpressure end to end, without blocked threads.** A
+//!   connection posts the invokes one extraction pass parsed with one
+//!   ingress call; what a full admission lane leaves unposted stays
+//!   queued in order and suppresses the connection's read interest
+//!   until the lane drains; a deep reply pipeline or a write buffer
+//!   past its high-water mark does the same. Suppressed read interest
+//!   fills the client's TCP window: producers can never outrun the
+//!   monitor, no matter how fast they write — and no server thread ever
+//!   blocks on one connection's behalf.
 //!
 //! # Supervision and degraded mode
 //!

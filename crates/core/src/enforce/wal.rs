@@ -1063,7 +1063,7 @@ impl CheckpointDelta {
             if bits & !0x03 != 0 {
                 return Err(WalError::Corrupt("unknown shard-delta bits".into()));
             }
-            let records = decode_record_map(&mut r, shard)?;
+            let records = decode_record_map(&mut r, shard, steps)?;
             let (cohorts, by_key, free) = decode_cohort_tables(&mut r)?;
             for (_, rec) in &records {
                 if (rec.cohort as usize) >= cohorts.len() {
@@ -1358,25 +1358,35 @@ fn usize_of(v: u64, what: &str) -> Result<usize, WalError> {
     usize::try_from(v).map_err(|_| WalError::Corrupt(format!("{what} out of range")))
 }
 
-/// Decode an increment's record map of shard `shard`.
-fn decode_record_map(r: &mut Reader<'_>, shard: u32) -> Result<Vec<(Oid, ObjRecord)>, WalError> {
+/// Decode an increment's record map of shard `shard`, whose letter
+/// clock is `clock`.
+fn decode_record_map(
+    r: &mut Reader<'_>,
+    shard: u32,
+    clock: usize,
+) -> Result<Vec<(Oid, ObjRecord)>, WalError> {
     let n = r.count()?;
     let mut entries: Vec<(Oid, ObjRecord)> = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push(decode_obj_record(r, shard, entries.last().map(|&(o, _)| o))?);
+        entries.push(decode_obj_record(r, shard, clock, entries.last().map(|&(o, _)| o))?);
     }
     Ok(entries)
 }
 
-/// Decode one tracking record of shard `shard`, which must follow oid
-/// `after` in its map. A record whose stored creation step is not its
-/// first segment's start is corrupt: the table keeps the segment only.
-/// Every segment is re-encoded, never adopted as read: the reader takes
-/// a varint with redundant continuation bytes, and a record holds only
-/// minimal ones, so that equal segments stay equal bytes.
+/// Decode one tracking record of shard `shard`, whose letter clock is
+/// `clock`, which must follow oid `after` in its map. A record whose
+/// stored creation step is not its first segment's start is corrupt:
+/// the table keeps the segment only. So is a history the engine cannot
+/// quote ([`ObjRecord::pattern_through`]): one created at step 0, whose
+/// segment starts do not strictly ascend, or whose last segment starts
+/// past the clock. Every segment is re-encoded, never adopted as read:
+/// the reader takes a varint with redundant continuation bytes, and a
+/// record holds only minimal ones, so that equal segments stay equal
+/// bytes.
 fn decode_obj_record(
     r: &mut Reader<'_>,
     shard: u32,
+    clock: usize,
     after: Option<Oid>,
 ) -> Result<(Oid, ObjRecord), WalError> {
     let o = Oid(r.u64()?);
@@ -1399,9 +1409,26 @@ fn decode_obj_record(
             first.1
         )));
     }
+    if creation_step == 0 {
+        return Err(WalError::Corrupt(format!("record {o} is created at step 0")));
+    }
     let mut segments = Segments::one(first);
+    let mut last = first.1;
     for _ in 1..m {
-        segments.push(segment()?);
+        let next = segment()?;
+        if next.1 <= last {
+            return Err(WalError::Corrupt(format!(
+                "record {o} has a segment at step {} after one at step {last}",
+                next.1
+            )));
+        }
+        last = next.1;
+        segments.push(next);
+    }
+    if last > clock {
+        return Err(WalError::Corrupt(format!(
+            "record {o} has a segment at step {last}, past its shard's clock {clock}"
+        )));
     }
     Ok((o, ObjRecord { segments, cohort, shard }))
 }
@@ -1482,7 +1509,7 @@ fn decode_state(
     let n = r.count()?;
     let (mut last, mut top_cohort) = (None, None);
     for _ in 0..n {
-        let (o, rec) = decode_obj_record(r, shard, last)?;
+        let (o, rec) = decode_obj_record(r, shard, steps, last)?;
         check_record_bound(o, next, "snapshot")?;
         top_cohort = top_cohort.max(Some(rec.cohort));
         let entry = records.try_entry(o).map_err(|_| too_many_slots())?;
@@ -2412,7 +2439,7 @@ mod tests {
         let padded = [1, 1, 1, 0, 2, 0x81, 0x00, 0x81, 0x80, 0x00, 2, 0xac, 0x82, 0x00];
         let decode = |bytes: &[u8]| {
             let mut r = Reader::new(bytes);
-            let records = decode_record_map(&mut r, 0).unwrap();
+            let records = decode_record_map(&mut r, 0, 300).unwrap();
             assert!(r.is_exhausted());
             records
         };
@@ -2422,6 +2449,124 @@ mod tests {
         let mut out = Vec::new();
         encode_record_map(&mut out, 1, got.iter().map(|(o, rec)| (*o, rec)));
         assert_eq!(out, minimal, "encoded minimal");
+    }
+
+    /// Shard 0's tracking state as a snapshot writes it: `clock`, an
+    /// exempt-free pre state, the record map `map` and one cohort.
+    fn state_bytes(clock: usize, map: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_u64(&mut out, clock as u64);
+        encode_u64(&mut out, 0);
+        out.push(0);
+        out.extend_from_slice(map);
+        let sink = Cohort { state: 0, last_role: 0, size: 0, parent: 0 };
+        encode_cohort_tables(&mut out, &[sink], &BTreeMap::new(), &[]);
+        out
+    }
+
+    /// Decode `map` as shard 0's record map at `clock` both ways a
+    /// checkpoint carries one — an increment's map, and inside a
+    /// snapshot's shard state — and return the records each way
+    /// accepted, `None` where it refused the map as corrupt.
+    fn decode_both(clock: usize, map: &[u8]) -> [Option<Vec<ObjRecord>>; 2] {
+        let increment = decode_record_map(&mut Reader::new(map), 0, clock);
+        let mut records = Records::default();
+        let bytes = state_bytes(clock, map);
+        let snapshot = decode_state(&mut Reader::new(&bytes), Oid(1 << 20), 0, &mut records);
+        for refusal in [increment.as_ref().err(), snapshot.as_ref().err()].into_iter().flatten() {
+            assert!(matches!(refusal, WalError::Corrupt(_)), "{refusal:?}");
+        }
+        [
+            increment.ok().map(|entries| entries.into_iter().map(|(_, rec)| rec).collect()),
+            snapshot.ok().map(|_| records.iter().map(|(_, rec)| rec.clone()).collect()),
+        ]
+    }
+
+    /// A history the engine could not quote is refused when it is read,
+    /// in increments and snapshots alike: one whose segment starts go
+    /// back (o1's (1, 1), (2, 5), (1, 3)) or repeat, one created at step
+    /// 0, and one whose last segment starts past its shard's clock.
+    #[test]
+    fn a_history_the_engine_cannot_quote_is_corrupt() {
+        let backwards = [1, 1, 1, 0, 3, 1, 1, 2, 5, 1, 3];
+        assert_eq!(decode_both(10, &backwards), [None, None]);
+        let repeated = [1, 1, 1, 0, 2, 1, 1, 2, 1];
+        assert_eq!(decode_both(10, &repeated), [None, None]);
+        let at_zero = [1, 1, 0, 0, 1, 1, 0];
+        assert_eq!(decode_both(10, &at_zero), [None, None]);
+        // o1's (1, 1), (2, 5): quotable at clock 5, not at clock 4.
+        let late = [1, 1, 1, 0, 2, 1, 1, 2, 5];
+        assert_eq!(decode_both(4, &late), [None, None]);
+        for records in decode_both(5, &late) {
+            assert_eq!(records.unwrap()[0].pattern_through(0, 5).len(), 5);
+        }
+    }
+
+    /// Every record map the decoder accepts can be quoted: seeded
+    /// mutations of an encoded map (bit flips, overwritten, inserted and
+    /// deleted bytes) either decode to `Err` or to records whose
+    /// patterns render through the clock, exactly `clock` letters long.
+    #[test]
+    fn every_accepted_record_map_renders_through_its_clock() {
+        use rand::{rngs::StdRng, Rng as _, RngExt as _, SeedableRng};
+        const CLOCK: usize = 40;
+        const SEED: u64 = 0x5e9_3e47;
+        let histories: [(u64, &[(u32, usize)]); 4] = [
+            (1, &[(1, 1), (2, 5), (1, 9), (3, 30)]),
+            (2, &[(2, 3)]),
+            (4, &[(1, 7), (2, 8)]),
+            (9, &[(4, 12), (1, 40)]),
+        ];
+        let records: Vec<(Oid, ObjRecord)> = histories
+            .iter()
+            .map(|&(o, h)| {
+                let mut segments = Segments::one(h[0]);
+                h[1..].iter().for_each(|&pair| segments.push(pair));
+                (Oid(o), ObjRecord { segments, cohort: 0, shard: 0 })
+            })
+            .collect();
+        let mut map = Vec::new();
+        encode_record_map(&mut map, records.len(), records.iter().map(|(o, rec)| (*o, rec)));
+        let recs: Vec<ObjRecord> = records.into_iter().map(|(_, rec)| rec).collect();
+        assert_eq!(decode_both(CLOCK, &map), [Some(recs.clone()), Some(recs)], "it round-trips");
+        let (mut accepted, mut refused) = (0, 0);
+        for i in 0..2000 {
+            let seed = SEED + i;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bytes = map.clone();
+            for _ in 0..rng.random_range(1..4) {
+                let at = rng.random_range(0..bytes.len());
+                match rng.random_range(0..5) {
+                    0 => bytes[at] ^= 1 << rng.random_range(0..8),
+                    1 => bytes[at] = rng.next_u64() as u8,
+                    2 => bytes[at] = rng.random_range(0..CLOCK as u8 + 3),
+                    3 => bytes.insert(at, rng.random_range(0..CLOCK as u8 + 3)),
+                    _ => drop(bytes.remove(at)),
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            let rendered = std::panic::catch_unwind(|| {
+                decode_both(CLOCK, &bytes).map(|records| {
+                    records.map(|records| {
+                        for rec in &records {
+                            assert_eq!(rec.pattern_through(0, CLOCK).len(), CLOCK);
+                        }
+                    })
+                })
+            });
+            let Ok(ways) = rendered else {
+                panic!("seed {seed}: the accepted map {bytes:?} cannot be quoted");
+            };
+            for way in ways {
+                match way {
+                    Some(()) => accepted += 1,
+                    None => refused += 1,
+                }
+            }
+        }
+        assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
     }
 
     fn one_shard(steps0: usize, k: usize) -> Vec<ShardLetters> {
@@ -2763,7 +2908,8 @@ mod tests {
         let bytes = encode(s);
         assert_eq!(encode(g), bytes);
         let mut decoded = Records::default();
-        for (o, rec) in decode_record_map(&mut Reader::new(&bytes), 0).unwrap() {
+        let clock = staged.shards[0].steps;
+        for (o, rec) in decode_record_map(&mut Reader::new(&bytes), 0, clock).unwrap() {
             decoded.insert(o, rec);
         }
         assert_eq!(&decoded, s);

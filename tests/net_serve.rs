@@ -286,6 +286,181 @@ fn pipelined_query_sees_every_earlier_invoke_of_its_connection() {
     });
 }
 
+/// Creates alternating between two components, pipelined in one write
+/// into lanes that hold one op each, so nearly every post leaves the
+/// rest of its batch unposted until the next drain: every invoke is
+/// still answered `ok` in order, each component's creates are admitted
+/// in request order (their oids ascend), and `stats` counts them all.
+/// Run in the text dialect, then in the binary one.
+#[test]
+fn invokes_a_full_lane_leaves_unposted_are_admitted_in_order() {
+    use migratory::core::enforce::net::frame;
+    use migratory::core::enforce::IngressConfig;
+    use migratory::model::Value;
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+    let ts = multi_transactions(&s);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    const N: usize = 200;
+    // The i-th create's component, and the query that finds its object.
+    let component = |i: usize| i % 2;
+    let query = |prefix: &str, i: usize| {
+        let c = component(i);
+        format!("R{c}(K{c}={prefix}{i})")
+    };
+    // Each component's oids in request order must ascend.
+    let check_oids = |replies: &[String]| {
+        let mut last = [0u64; 2];
+        for (i, reply) in replies.iter().enumerate() {
+            let oid = reply
+                .strip_prefix("query count=1 oids=o")
+                .unwrap_or_else(|| panic!("create {i} is queryable: {reply}"));
+            let oid: u64 = oid.parse().unwrap();
+            assert!(oid > last[component(i)], "component {}'s creates out of order", component(i));
+            last[component(i)] = oid;
+        }
+    };
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let config = ServerConfig {
+                ingress: IngressConfig { queue_capacity: 1, max_block: 1, ..Default::default() },
+                ..Default::default()
+            };
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            net::serve(listener, &mut m, &ts, &config).unwrap()
+        });
+        let _stop = ShutdownOnDrop(addr);
+
+        let mut c = Client::connect(addr);
+        let mut burst: String =
+            (0..N).map(|i| format!("invoke Mk{}(t{i})\n", component(i))).collect();
+        burst.extend((0..N).map(|i| format!("query {}\n", query("t", i))));
+        burst.push_str("stats\n");
+        c.writer.write_all(burst.as_bytes()).unwrap();
+        for i in 0..N {
+            assert_eq!(c.recv(), "ok", "text invoke {i}");
+        }
+        let replies: Vec<String> =
+            (0..N).map(|_| c.recv().strip_prefix("ok ").unwrap().to_owned()).collect();
+        check_oids(&replies);
+        let stats = c.recv();
+        assert!(stats.contains(&format!(" admitted={N} ")), "{stats}");
+
+        let mut wire = Vec::new();
+        for i in 0..N {
+            let name = format!("Mk{}", component(i));
+            frame::encode_invoke_frame(&mut wire, &name, &[Value::str(&format!("b{i}"))]);
+        }
+        for i in 0..N {
+            frame::encode_query_frame(&mut wire, &query("b", i));
+        }
+        wire.extend_from_slice(b"stats\n");
+        let conn = TcpStream::connect(addr).unwrap();
+        (&conn).write_all(&wire).unwrap();
+        let mut reader = BufReader::new(conn);
+        for i in 0..N {
+            let reply = frame::read_frame(&mut reader).unwrap();
+            assert_eq!(reply, (frame::REP_OK, Vec::new()), "binary invoke {i}");
+        }
+        let replies: Vec<String> = (0..N)
+            .map(|_| {
+                let (kind, payload) = frame::read_frame(&mut reader).unwrap();
+                assert_eq!(kind, frame::REP_OK);
+                String::from_utf8(payload).unwrap()
+            })
+            .collect();
+        check_oids(&replies);
+        let mut stats = String::new();
+        reader.read_line(&mut stats).unwrap();
+        assert!(stats.contains(&format!(" admitted={} ", 2 * N)), "{stats}");
+
+        assert_eq!(c.ask("shutdown"), "ok draining");
+        server.join().unwrap();
+    });
+}
+
+/// `docs/PROTOCOL.md` § `redefine`: requests pipelined behind a
+/// `redefine` are judged by the new inventory. In one write, creates,
+/// a `redefine` that outlaws specialization and the requests behind it:
+/// the first specialization behind the swap is refused with the new
+/// epoch's stamp. Run in the text dialect and in the binary one, each on
+/// a server of its own.
+#[test]
+fn requests_pipelined_behind_a_redefine_are_judged_by_the_new_inventory() {
+    use migratory::core::enforce::net::frame;
+    use migratory::model::Value;
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    // Specialization conforms before the swap, not after it.
+    let inv = Inventory::parse_init(&s, &a, "∅* [R0]* [S0]* ∅*").unwrap();
+    let next = "∅* [R0]* ∅*";
+    let ts = multi_transactions(&s);
+    for binary in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+                net::serve(listener, &mut m, &ts, &ServerConfig::default()).unwrap()
+            });
+            let _stop = ShutdownOnDrop(addr);
+            let invokes = |out: &mut Vec<u8>, calls: &[(&str, &str)]| {
+                for &(name, key) in calls {
+                    if binary {
+                        frame::encode_invoke_frame(out, name, &[Value::str(key)]);
+                    } else {
+                        out.extend_from_slice(format!("invoke {name}({key})\n").as_bytes());
+                    }
+                }
+            };
+            let mut wire = Vec::new();
+            invokes(&mut wire, &[("Mk0", "a"), ("Mk0", "b")]);
+            if binary {
+                frame::encode_redefine_frame(&mut wire, ResiduePolicy::Quarantine, next);
+            } else {
+                wire.extend_from_slice(format!("redefine quarantine {next}\n").as_bytes());
+            }
+            invokes(&mut wire, &[("Up0", "a"), ("Mk0", "c"), ("Up0", "b")]);
+            let conn = TcpStream::connect(addr).unwrap();
+            (&conn).write_all(&wire).unwrap();
+            let mut reader = BufReader::new(conn);
+            // Each reply as its text line: a frame's kind becomes its word.
+            let mut reply = || {
+                let bytes = read_reply(&mut reader);
+                let line = match binary {
+                    false => String::from_utf8(bytes).unwrap(),
+                    true => {
+                        let word = match bytes[1] {
+                            frame::REP_OK => "ok",
+                            frame::REP_VIOLATION => "violation",
+                            _ => "error",
+                        };
+                        format!("{word} {}", String::from_utf8(bytes[6..].to_vec()).unwrap())
+                    }
+                };
+                line.trim_end().to_owned()
+            };
+            let dialect = if binary { "binary" } else { "text" };
+            assert_eq!(reply(), "ok", "{dialect}: Mk0(a)");
+            assert_eq!(reply(), "ok", "{dialect}: Mk0(b)");
+            assert_eq!(reply(), "ok epoch=1 residue=0", "{dialect}: the swap");
+            let up = reply();
+            assert!(up.starts_with("violation "), "{dialect}: Up0(a) behind the swap: {up}");
+            assert!(up.contains("[S0]") && up.ends_with("[epoch 1]"), "{dialect}: {up}");
+            assert_eq!(reply(), "ok", "{dialect}: Mk0(c)");
+            let up = reply();
+            assert!(up.starts_with("violation "), "{dialect}: Up0(b) behind the swap: {up}");
+            drop(reader);
+            let mut c = Client::connect(addr);
+            assert_eq!(c.ask("shutdown"), "ok draining");
+            let stats = server.join().unwrap();
+            assert_eq!((stats.admitted, stats.rejected), (3, 2), "{dialect}");
+        });
+    }
+}
+
 /// The threads of a durable server carry names, so per-thread CPU in
 /// `/proc/<pid>/task/*/stat` can be told apart by `comm`.
 #[cfg(target_os = "linux")]
